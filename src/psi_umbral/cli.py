@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .algebra import Polynomial, format_polynomial, scalar_from_str, scalar_to_str
 from .errors import (ExprParseError, JobSpecError, NotDegreeLoweringError,
@@ -26,11 +25,12 @@ from .expansion import (conjugate_indicator_check, detect_psi_series,
                         expand_in_monomials, reconstruct_from_monomial_form)
 from .exprparse import OperatorContext, parse_operator
 from .integration import psi_integral, q_integral, r_integral
-from .jobs import COMMAND_KEYS, load_job_spec
+from .jobs import (CHOICE, INDEX, RATIONALS, SCHEMA, UNWEIGHTED, check_params,
+                   load_job_spec, require_admissible)
 from .operators import psi_derivative
-from .psi import PsiSequence, RationalFunction, validate_admissible
+from .psi import PsiSequence, RationalFunction
 from .umbral import DeltaOperator, basic_sequence_solve, rodrigues_sequence, translate
-from .verify import SUITE_ORDER, run_all, run_suite
+from .verify import run_all, run_suite
 
 DEFAULT_CAP = 16
 CAP_ENV = "PSI_UMBRAL_CAP"
@@ -87,89 +87,48 @@ def parse_psi_text(text: str, cap: int) -> PsiSequence:
                  "--psi")
 
 
-def _require_admissible(psi: PsiSequence, cap: int):
-    report = validate_admissible(psi, cap)
-    if not report.ok:
-        raise _usage("weights inadmissible at cap %d: %s (n=%s)"
-                     % (cap, report.reason, report.first_violation), "--psi")
-    return psi
-
-
-def _coeff_list(text: str, pointer: str) -> Polynomial:
-    try:
-        return Polynomial(tuple(scalar_from_str(v) for v in text.split(",")))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _usage("bad coefficient list %r: %s" % (text, exc), pointer)
-
-
-def _scalar(text: str, pointer: str) -> Fraction:
-    try:
-        return scalar_from_str(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _usage("bad rational %r: %s" % (text, exc), pointer)
-
-
 # -- parameter assembly ------------------------------------------------------
 
-FLAG_KEYS = {
-    "basic": ("op", "n", "formula"),
-    "expand": ("t", "q", "lambda_samples"),
-    "detect": ("op",),
-    "verify": ("suite",),
-    "integrate": ("kind", "q", "r_num", "r_den", "poly"),
-    "translate": ("y", "poly"),
-    "table": (),
-}
-
-DEFAULTS = {
-    "basic": {"op": "Dpsi", "n": 8, "formula": 4},
-    "expand": {"q": "Dpsi"},
-    "verify": {"suite": "all"},
-    "integrate": {"kind": "psi"},
-    "translate": {"y": "1"},
-}
-
-
 def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
+    """Validated parameters in job form, from the job file or the flags.
+
+    Flag values are put in job form (comma lists become lists) and go
+    through the same validator as a job file.
+    """
     command = args.command
-    params = {}
-    cap_job = None
-    psi = None
+    schema = SCHEMA[command]
+    given = {}
+    for param in schema:
+        value = getattr(args, param.key)
+        if value is not None:
+            given[param.key] = (value.split(",") if param.kind == RATIONALS
+                                else value)
+    psi_text = getattr(args, "psi", None)
+    job = None
     if args.job is not None:
-        clashing = [k for k in FLAG_KEYS[command]
-                    if getattr(args, k, None) is not None]
-        if args.psi is not None:
-            clashing.append("psi")
+        clashing = [param.flag for param in schema if param.key in given]
+        if psi_text is not None:
+            clashing.append("--psi")
         if args.cap is not None:
-            clashing.append("cap")
+            clashing.append("--cap")
         if clashing:
             raise _usage("--job replaces these flags: %s"
-                         % ", ".join("--" + c.replace("_", "-")
-                                     for c in sorted(clashing)))
+                         % ", ".join(sorted(clashing)))
         job = load_job_spec(args.job, command=command,
                             cap_default=DEFAULT_CAP)
-        params.update(job.params)
-        cap_job = job.cap
-        psi = job.psi
-    else:
-        for key in FLAG_KEYS[command]:
-            value = getattr(args, key, None)
-            if value is not None:
-                params[key] = value
-    for key, value in DEFAULTS.get(command, {}).items():
-        params.setdefault(key, value)
-    cap = resolve_cap(args.cap, cap_job)
-    if psi is None:
-        psi_text = args.psi if args.psi is not None else "classical"
-        psi = parse_psi_text(psi_text, cap)
-    _require_admissible(psi, cap)
+    cap = resolve_cap(args.cap, job.cap if job else None)
+    psi = job.psi if job else None
+    if psi is None and command not in UNWEIGHTED:
+        psi = parse_psi_text(psi_text if psi_text is not None else "classical",
+                             cap)
+    if psi is not None:
+        require_admissible(psi, cap, "--psi")
+    params = job.params if job else check_params(command, given)
     return command, params, cap, psi
 
 
 def _operator(params, key, cap, psi):
-    text = params.get(key)
-    if text is None:
-        raise _usage("--%s is required" % key.replace("_", "-"), "/" + key)
+    text = params[key]
     return parse_operator(text, OperatorContext(cap, psi)), text
 
 
@@ -177,10 +136,8 @@ def _operator(params, key, cap, psi):
 
 def run_basic(params, cap, psi):
     op, op_text = _operator(params, "op", cap, psi)
-    n_max = params.get("n", 8)
-    formula = params.get("formula", 4)
-    if formula not in (1, 2, 3, 4):
-        raise _usage("formula must be 1, 2, 3 or 4", "/formula")
+    n_max = params["n"]
+    formula = params["formula"]
     solved = basic_sequence_solve(op, psi, n_max)
     closed = None
     agreement = None
@@ -227,7 +184,7 @@ def run_expand(params, cap, psi):
     ok = back == t_op.truncated(back.cap)
     conj = None
     if params.get("lambda_samples"):
-        samples = [_scalar(s, "/lambda_samples") for s in params["lambda_samples"]]
+        samples = [scalar_from_str(s) for s in params["lambda_samples"]]
         conj_ok, report = conjugate_indicator_check(t_op, base_op, samples)
         conj = report
         ok = ok and conj_ok
@@ -277,18 +234,14 @@ def run_detect(params, cap, psi):
 
 
 def run_verify(params, cap, psi):
-    del psi  # the suites pick their own standard weight family
     if cap < 6:
         raise _usage("verify needs --cap at least 6 (counterexample witnesses "
                      "live at degree 4)", "--cap")
-    suite = params.get("suite", "all")
+    suite = params["suite"]
     if suite == "all":
         groups = run_all(cap)
-    elif suite in SUITE_ORDER:
-        groups = [(suite, run_suite(suite, cap))]
     else:
-        raise _usage("unknown suite %r (have: all, %s)"
-                     % (suite, ", ".join(SUITE_ORDER)), "/suite")
+        groups = [(suite, run_suite(suite, cap))]
     rows = []
     lines = []
     ok = True
@@ -306,43 +259,28 @@ def run_verify(params, cap, psi):
 
 
 def run_integrate(params, cap, psi):
-    kind = params.get("kind", "psi")
-    if "poly" not in params:
-        raise _usage("--poly is required", "/poly")
-    if isinstance(params["poly"], str):
-        p = _coeff_list(params["poly"], "/poly")
-    else:
-        p = Polynomial(tuple(scalar_from_str(v) for v in params["poly"]))
-
-    if kind == "q":
-        if "q" not in params:
-            raise _usage("--q is required for kind=q", "/q")
-        q = _scalar(params["q"], "/q")
-        integral = q_integral(q, p)
-        dpsi = PsiSequence.jackson(q, cap)
-    elif kind == "r":
-        for key in ("q", "r_num", "r_den"):
-            if key not in params:
-                raise _usage("--%s is required for kind=r"
-                             % key.replace("_", "-"), "/" + key)
-        q = _scalar(params["q"], "/q")
-        num = (_coeff_list(params["r_num"], "/r_num")
-               if isinstance(params["r_num"], str)
-               else Polynomial(tuple(scalar_from_str(v) for v in params["r_num"])))
-        den = (_coeff_list(params["r_den"], "/r_den")
-               if isinstance(params["r_den"], str)
-               else Polynomial(tuple(scalar_from_str(v) for v in params["r_den"])))
-        try:
-            rat = RationalFunction(num, den)
-        except ZeroDivisionError as exc:
-            raise _usage(str(exc), "/r_den")
-        integral = r_integral(rat, q, p)
-        dpsi = PsiSequence.rational(rat, q, cap)
-    elif kind == "psi":
+    kind = params["kind"]
+    p = Polynomial.from_json(params["poly"])
+    if kind == "psi":
         integral = psi_integral(psi, p)
         dpsi = psi
     else:
-        raise _usage("kind must be q, r or psi", "/kind")
+        for key in ("q",) if kind == "q" else ("q", "r_num", "r_den"):
+            if key not in params:
+                raise _usage("--%s is required for kind=%s"
+                             % (key.replace("_", "-"), kind), "/" + key)
+        q = scalar_from_str(params["q"])
+        if kind == "q":
+            dpsi = PsiSequence.jackson(q, 0)
+        else:
+            try:
+                rat = RationalFunction(Polynomial.from_json(params["r_num"]),
+                                       Polynomial.from_json(params["r_den"]))
+            except ZeroDivisionError as exc:
+                raise _usage(str(exc), "/r_den")
+            dpsi = PsiSequence.rational(rat, q, 0)
+        require_admissible(dpsi, cap, "/q" if kind == "q" else "/r_num")
+        integral = q_integral(q, p) if kind == "q" else r_integral(rat, q, p)
 
     roundtrip = psi_derivative(dpsi, integral) == p
     doc = {
@@ -365,13 +303,8 @@ def run_integrate(params, cap, psi):
 
 
 def run_translate(params, cap, psi):
-    if "poly" not in params:
-        raise _usage("--poly is required", "/poly")
-    if isinstance(params["poly"], str):
-        p = _coeff_list(params["poly"], "/poly")
-    else:
-        p = Polynomial(tuple(scalar_from_str(v) for v in params["poly"]))
-    y = _scalar(params.get("y", "1"), "/y")
+    p = Polynomial.from_json(params["poly"])
+    y = scalar_from_str(params["y"])
     shifted = translate(psi, y, p)
     doc = {
         "command": "translate",
@@ -423,75 +356,47 @@ RUNNERS = {
 
 # -- wiring ------------------------------------------------------------------
 
+COMMAND_HELP = {
+    "basic": "basic polynomial sequence of an operator",
+    "expand": "expand one operator in powers of another",
+    "detect": "test whether an operator is a weighted-derivative series",
+    "verify": "run exact identity suites",
+    "integrate": "formal antiderivative with roundtrip check",
+    "translate": "generalized shift of a polynomial",
+    "table": "weights, factorials and binomials",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psi-umbral",
         description="Exact calculus of weighted derivatives, basic polynomial "
                     "sequences, and operator expansions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, schema in SCHEMA.items():
+        p = sub.add_parser(command, help=COMMAND_HELP[command])
         p.add_argument("--cap", type=int, default=None,
                        help="operator table cap (default: $%s or %d)"
                             % (CAP_ENV, DEFAULT_CAP))
-        p.add_argument("--psi", default=None,
-                       help="weights: classical | divided_difference | q:RAT "
-                            "| custom:V1,V2,... | JSON (default classical)")
+        if command not in UNWEIGHTED:
+            p.add_argument("--psi", default=None,
+                           help="weights: classical | divided_difference "
+                                "| q:RAT | custom:V1,V2,... | JSON "
+                                "(default classical)")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
         p.add_argument("--job", default=None,
                        help="JSON job file supplying the parameters")
-
-    p = sub.add_parser("basic", help="basic polynomial sequence of an operator")
-    common(p)
-    p.add_argument("--op", default=None, help="operator expression")
-    p.add_argument("--n", type=int, default=None, help="highest index")
-    p.add_argument("--formula", type=int, default=None,
-                   help="closed formula for the cross-check (1-4)")
-
-    p = sub.add_parser("expand", help="expand one operator in powers of another")
-    common(p)
-    p.add_argument("--t", default=None, help="operator to expand")
-    p.add_argument("--q", default=None,
-                   help="degree-lowering base operator (default Dpsi)")
-    p.add_argument("--lambda", dest="lambda_samples", default=None,
-                   help="comma list of rationals for the conjugation check")
-
-    p = sub.add_parser("detect",
-                       help="test whether an operator is a weighted-derivative series")
-    common(p)
-    p.add_argument("--op", default=None, help="operator expression")
-
-    p = sub.add_parser("verify", help="run exact identity suites")
-    common(p)
-    p.add_argument("--suite", default=None,
-                   choices=("all",) + SUITE_ORDER)
-
-    p = sub.add_parser("integrate", help="formal antiderivative with roundtrip check")
-    common(p)
-    p.add_argument("--kind", default=None, choices=("q", "r", "psi"))
-    p.add_argument("--q", default=None, help="ratio for kind=q or kind=r")
-    p.add_argument("--r-num", dest="r_num", default=None,
-                   help="numerator coefficients of the weight function")
-    p.add_argument("--r-den", dest="r_den", default=None,
-                   help="denominator coefficients of the weight function")
-    p.add_argument("--poly", default=None, help="comma list of coefficients")
-
-    p = sub.add_parser("translate", help="generalized shift of a polynomial")
-    common(p)
-    p.add_argument("--y", default=None, help="shift amount (rational)")
-    p.add_argument("--poly", default=None, help="comma list of coefficients")
-
-    p = sub.add_parser("table", help="weights, factorials and binomials")
-    common(p)
-
+        for param in schema:
+            help_text = param.help
+            if param.default is not None:
+                help_text += " (default %s)" % param.default
+            p.add_argument(param.flag, dest=param.key, default=None,
+                           type=int if param.kind == INDEX else None,
+                           choices=param.choices if param.kind == CHOICE
+                           else None,
+                           help=help_text)
     return parser
-
-
-def _split_lambda(args):
-    if getattr(args, "lambda_samples", None) is not None and isinstance(
-            args.lambda_samples, str):
-        args.lambda_samples = [s for s in args.lambda_samples.split(",") if s]
 
 
 def render(doc, lines, fmt: str, stream) -> None:
@@ -514,7 +419,6 @@ def render(doc, lines, fmt: str, stream) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _split_lambda(args)
     fmt = args.format
     try:
         command, params, cap, psi = gather_params(args)

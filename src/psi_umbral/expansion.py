@@ -131,13 +131,6 @@ def expand_in_basic(t: GradedOperator, delta: DeltaOperator,
     if m_eff < 0:
         raise CapExceededError("basis too short for the operator's degree growth")
 
-    def mu(k, j):
-        # R^j on p_k: prod_i (k+i)/(k+i)_psi, landing on p_(k+j).
-        out = Fraction(1)
-        for i in range(1, j + 1):
-            out *= Fraction(k + i) / psi.n_psi(k + i)
-        return out
-
     alphas = []
     for m in range(m_eff + 1):
         image = t.apply(basic.polys[m])
@@ -156,9 +149,10 @@ def expand_in_basic(t: GradedOperator, delta: DeltaOperator,
                     if coords_len_needed > len(coords):
                         coords.extend(Fraction(0)
                                       for _ in range(coords_len_needed - len(coords)))
-                    coords[idx] -= weight * a * mu(m - n, j)
+                    coords[idx] -= weight * a * psi.raising_ratio(m - n, j)
         mfact = psi.factorial(m)
-        alpha_m = [c / (mfact * mu(0, j)) for j, c in enumerate(coords)]
+        alpha_m = [c / (mfact * psi.raising_ratio(0, j))
+                   for j, c in enumerate(coords)]
         while alpha_m and alpha_m[-1] == 0:
             alpha_m.pop()
         alphas.append(alpha_m)
@@ -186,18 +180,11 @@ def apply_dual_form(exp: OperatorExpansion, delta: DeltaOperator,
                     idx = base_idx + j
                     if idx >= len(out_coords):
                         raise CapExceededError("dual application leaves the basis")
-                    out_coords[idx] += lowered * a * _mu_ratio(psi, base_idx, j)
+                    out_coords[idx] += lowered * a * psi.raising_ratio(base_idx, j)
     out = Polynomial()
     for idx, c in enumerate(out_coords):
         if c != 0:
             out = out + c * basic.polys[idx]
-    return out
-
-
-def _mu_ratio(psi: PsiSequence, k: int, j: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(1, j + 1):
-        out *= Fraction(k + i) / psi.n_psi(k + i)
     return out
 
 

@@ -12,6 +12,7 @@ Names: D (classical derivative), X (multiply by x), D0 (divided
 difference), Q[q] (dilation), Dq[q] (Jackson derivative), Dpsi, Xpsi,
 Nhat, Delta, E[y] (all five relative to the context weights).  A bare
 rational is that multiple of the identity; '*' is operator composition.
+Parentheses nest at most MAX_NESTING deep, so the recursion stays bounded.
 Every failure raises ExprParseError carrying the 0-based input position.
 """
 
@@ -29,6 +30,7 @@ from .psi import PsiSequence
 _PSI_FREE = {"D", "X", "D0", "Q", "Dq"}
 _PSI_BOUND = {"Dpsi", "Xpsi", "Nhat", "Delta", "E"}
 _PARAMETRIC = {"Q", "Dq", "E"}
+MAX_NESTING = 64
 
 
 class OperatorContext:
@@ -101,6 +103,7 @@ class _Parser:
     def __init__(self, text: str, ctx: OperatorContext):
         self.toks = _Tokens(text)
         self.ctx = ctx
+        self.depth = 0
 
     def parse(self) -> GradedOperator:
         op = self.expr()
@@ -125,9 +128,11 @@ class _Parser:
         return left
 
     def unary(self) -> GradedOperator:
-        if self.toks.take_symbol("-"):
-            return -self.unary()
-        return self.power()
+        negate = False
+        while self.toks.take_symbol("-"):
+            negate = not negate
+        op = self.power()
+        return -op if negate else op
 
     def power(self) -> GradedOperator:
         base = self.atom()
@@ -140,8 +145,13 @@ class _Parser:
         if ch is None:
             raise ExprParseError("unexpected end of input", self.toks.pos)
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprParseError("parentheses nested deeper than %d"
+                                     % MAX_NESTING, self.toks.pos)
             self.toks.expect_symbol("(")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.toks.expect_symbol(")")
             return inner
         if ch.isdigit():

@@ -1,4 +1,9 @@
-"""JSON job descriptions for the command line.
+"""Command parameters: one schema for JSON job files and command-line flags.
+
+``SCHEMA`` lists, per command, every parameter with its kind, default,
+whether it is required, and its help text.  The command line builds its
+flags from the same table and hands the flag values to the same validator
+in job form, so both routes accept the same values with the same messages.
 
 A job file is one JSON object naming a command and its parameters.  Keys
 are whitelisted per command and anything unknown is rejected; every
@@ -14,22 +19,88 @@ import json
 from .algebra import scalar_from_str
 from .errors import JobSpecError
 from .psi import PsiSequence, validate_admissible
+from .verify import SUITE_ORDER
 
-COMMON_KEYS = {"command", "cap", "psi"}
+# Parameter kinds.  A list of rationals is a comma list on the command line.
+OPERATOR = "operator"
+INDEX = "index"
+RATIONAL = "rational"
+RATIONALS = "rationals"
+CHOICE = "choice"
 
-COMMAND_KEYS = {
-    "basic": {"op", "n", "formula"},
-    "expand": {"t", "q", "lambda_samples"},
-    "detect": {"op"},
-    "verify": {"suite"},
-    "integrate": {"kind", "q", "r_num", "r_den", "poly"},
-    "translate": {"y", "poly"},
-    "table": set(),
+
+class Param:
+    """One parameter of one command: its job key and its flag."""
+
+    __slots__ = ("key", "kind", "help", "default", "required", "choices",
+                 "flag")
+
+    def __init__(self, key: str, kind: str, help: str, default=None,
+                 required: bool = False, choices: tuple | None = None,
+                 flag: str | None = None):
+        self.key = key
+        self.kind = kind
+        self.help = help
+        self.default = default
+        self.required = required
+        self.choices = choices
+        self.flag = flag or "--" + key.replace("_", "-")
+
+
+SCHEMA = {
+    "basic": (
+        Param("op", OPERATOR, "operator expression", default="Dpsi"),
+        Param("n", INDEX, "highest index", default=8),
+        Param("formula", INDEX, "closed formula 1-4 for the cross-check",
+              default=4, choices=(1, 2, 3, 4)),
+    ),
+    "expand": (
+        Param("t", OPERATOR, "operator to expand", required=True),
+        Param("q", OPERATOR, "degree-lowering base operator", default="Dpsi"),
+        Param("lambda_samples", RATIONALS,
+              "comma list of rationals for the conjugation check",
+              flag="--lambda"),
+    ),
+    "detect": (
+        Param("op", OPERATOR, "operator expression", required=True),
+    ),
+    "verify": (
+        Param("suite", CHOICE, "identity suite to run", default="all",
+              choices=("all",) + SUITE_ORDER),
+    ),
+    "integrate": (
+        Param("kind", CHOICE, "antiderivative route", default="psi",
+              choices=("q", "r", "psi")),
+        Param("q", RATIONAL, "ratio for kind=q or kind=r"),
+        Param("r_num", RATIONALS,
+              "numerator coefficients of the weight function"),
+        Param("r_den", RATIONALS,
+              "denominator coefficients of the weight function"),
+        Param("poly", RATIONALS, "comma list of coefficients", required=True),
+    ),
+    "translate": (
+        Param("y", RATIONAL, "shift amount (rational)", default="1"),
+        Param("poly", RATIONALS, "comma list of coefficients", required=True),
+    ),
+    "table": (),
 }
+
+# verify runs its suites over their own standard weight families.
+UNWEIGHTED = frozenset({"verify"})
 
 
 def _fail(message, pointer):
     raise JobSpecError(message, pointer=pointer)
+
+
+def _check_str(value, pointer):
+    if not isinstance(value, str):
+        _fail("expected a string", pointer)
+
+
+def _check_index(value, pointer):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        _fail("expected a nonnegative integer", pointer)
 
 
 def _check_scalar_str(value, pointer):
@@ -39,7 +110,6 @@ def _check_scalar_str(value, pointer):
         scalar_from_str(value)
     except (ValueError, ZeroDivisionError):
         _fail("not a rational: %r" % (value,), pointer)
-    return value
 
 
 def _check_scalar_list(value, pointer):
@@ -47,7 +117,46 @@ def _check_scalar_list(value, pointer):
         _fail("expected a list of rational strings", pointer)
     for i, item in enumerate(value):
         _check_scalar_str(item, "%s/%d" % (pointer, i))
-    return value
+
+
+_CHECKS = {
+    OPERATOR: _check_str,
+    INDEX: _check_index,
+    RATIONAL: _check_scalar_str,
+    RATIONALS: _check_scalar_list,
+    CHOICE: _check_str,
+}
+
+
+def check_params(command: str, doc: dict) -> dict:
+    """Validate the command's parameters found in ``doc`` (job form).
+
+    Returns them with defaults filled in; optional keys without a default
+    stay absent.  Keys that are not parameters of ``command`` are ignored.
+    """
+    params = {}
+    for param in SCHEMA[command]:
+        pointer = "/" + param.key
+        if param.key not in doc:
+            if param.required:
+                _fail("%s is required" % param.flag, pointer)
+            if param.default is not None:
+                params[param.key] = param.default
+            continue
+        value = doc[param.key]
+        _CHECKS[param.kind](value, pointer)
+        if param.choices is not None and value not in param.choices:
+            _fail("expected one of %s"
+                  % ", ".join(json.dumps(c) for c in param.choices), pointer)
+        params[param.key] = value
+    return params
+
+
+def require_admissible(psi: PsiSequence, cap: int, pointer: str) -> None:
+    report = validate_admissible(psi, cap)
+    if not report.ok:
+        _fail("weights inadmissible at cap %d: %s (n=%s)"
+              % (cap, report.reason, report.first_violation), pointer)
 
 
 class JobSpec:
@@ -73,9 +182,11 @@ def parse_job(doc, command: str | None = None, cap_default: int = 16) -> JobSpec
     if command is not None and cmd != command:
         _fail("job names command %r but %r was invoked" % (cmd, command),
               "/command")
-    if cmd not in COMMAND_KEYS:
+    if cmd not in SCHEMA:
         _fail("unknown command %r" % (cmd,), "/command")
-    allowed = COMMON_KEYS | COMMAND_KEYS[cmd]
+    allowed = {"command", "cap"} | {param.key for param in SCHEMA[cmd]}
+    if cmd not in UNWEIGHTED:
+        allowed.add("psi")
     for key in doc:
         if key not in allowed:
             _fail("unknown key", "/%s" % key)
@@ -94,36 +205,11 @@ def parse_job(doc, command: str | None = None, cap_default: int = 16) -> JobSpec
             psi = PsiSequence.from_json(doc["psi"], cap=0)
         except Exception as exc:
             _fail("bad weight sequence: %s" % exc, "/psi")
-        report = validate_admissible(psi, cap)
-        if not report.ok:
-            pointer = "/psi/q" if doc["psi"].get("kind") == "q" else "/psi"
-            _fail("weights inadmissible at cap %d: %s (n=%s)"
-                  % (cap, report.reason, report.first_violation), pointer)
+        require_admissible(psi, cap, "/psi/q" if doc["psi"].get("kind") == "q"
+                           else "/psi")
 
-    params = {}
-    for key in COMMAND_KEYS[cmd]:
-        if key not in doc:
-            continue
-        value = doc[key]
-        if key in ("op", "t", "q", "suite", "kind") and cmd != "integrate":
-            if not isinstance(value, str):
-                _fail("expected a string", "/%s" % key)
-        if cmd == "integrate" and key == "kind":
-            if value not in ("q", "r", "psi"):
-                _fail("kind must be \"q\", \"r\" or \"psi\"", "/kind")
-        if cmd == "integrate" and key == "q":
-            _check_scalar_str(value, "/q")
-        if key in ("n", "formula"):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                _fail("expected a nonnegative integer", "/%s" % key)
-        if key in ("poly", "r_num", "r_den"):
-            _check_scalar_list(value, "/%s" % key)
-        if key == "y":
-            _check_scalar_str(value, "/y")
-        if key == "lambda_samples":
-            _check_scalar_list(value, "/lambda_samples")
-        params[key] = value
-    return JobSpec(cmd, cap if "cap" in doc else None, psi, params)
+    return JobSpec(cmd, cap if "cap" in doc else None, psi,
+                   check_params(cmd, doc))
 
 
 def load_job_spec(path: str, command: str | None = None,

@@ -172,6 +172,14 @@ class PsiSequence:
             return Fraction(0)
         return self.falling(n, k) / self.factorial(k)
 
+    def raising_ratio(self, k: int, j: int) -> Fraction:
+        """prod_(i=1..j) (k+i)/(k+i)_psi, the scalar by which the j-th power
+        of the weighted raising operator maps x^k to x^(k+j)."""
+        out = Fraction(1)
+        for i in range(1, j + 1):
+            out *= Fraction(k + i) / self.n_psi(k + i)
+        return out
+
     def values(self, n_max: int) -> list:
         return [self.n_psi(n) for n in range(1, n_max + 1)]
 

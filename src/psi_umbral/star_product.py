@@ -61,14 +61,6 @@ class StarSeries:
     __hash__ = None
 
 
-def _raise_power_coeff(psi: PsiSequence, start: int, j: int) -> Fraction:
-    """Scalar by which R^j maps x^start to x^(start+j)."""
-    out = Fraction(1)
-    for i in range(1, j + 1):
-        out *= Fraction(start + i) / psi.n_psi(start + i)
-    return out
-
-
 def _ordinary_coeffs(f, psi):
     if isinstance(f, StarSeries):
         return f.series.coeffs, f.series.cap
@@ -101,7 +93,7 @@ def star_mul(f, g, psi: PsiSequence, cap: int | None = None) -> StarSeries:
             d = i + j
             if d > out_cap:
                 break
-            out[d] += a * b * _raise_power_coeff(psi, i, j)
+            out[d] += a * b * psi.raising_ratio(i, j)
     return StarSeries(TruncatedSeries(out, out_cap), psi)
 
 

@@ -396,14 +396,6 @@ def check_divided_difference_series(cap: int, deg_max: int = 12) -> list[CheckRe
                    "divided-difference operator, deg<=%d" % deg_max, ok)]
 
 
-def _raise_coeff(psi, start, times):
-    c = Fraction(1)
-    for i in range(times):
-        m = start + i
-        c *= Fraction(m + 1) / psi.n_psi(m + 1)
-    return c
-
-
 def check_mixed_powers(cap: int, nm_max: int = 5, j_max: int = 6) -> list[CheckResult]:
     from math import comb, factorial
     limit = cap + 2  # highest weight every suite member can supply
@@ -419,7 +411,7 @@ def check_mixed_powers(cap: int, nm_max: int = 5, j_max: int = 6) -> list[CheckR
                     lhs = Fraction(0)
                     top = j + m
                     if top - n >= 0:
-                        lhs = _raise_coeff(psi, j, m) * psi.falling(top, n)
+                        lhs = psi.raising_ratio(j, m) * psi.falling(top, n)
                     lhs_deg = top - n
                     rhs = Fraction(0)
                     for k in range(min(n, m) + 1):
@@ -427,7 +419,7 @@ def check_mixed_powers(cap: int, nm_max: int = 5, j_max: int = 6) -> list[CheckR
                             continue
                         c = Fraction(comb(n, k) * comb(m, k) * factorial(k))
                         c *= psi.falling(j, n - k)
-                        c *= _raise_coeff(psi, j - (n - k), m - k)
+                        c *= psi.raising_ratio(j - (n - k), m - k)
                         rhs += c
                     if lhs_deg < 0:
                         if rhs != 0:
@@ -456,7 +448,7 @@ def check_exp_commutation(cap: int, order: int = 10, j_max: int = 6) -> list[Che
                     deg = j + b - a
                     lhs = Fraction(0)
                     if deg >= 0:
-                        lhs = (_raise_coeff(psi, j, b) * psi.falling(j + b, a)
+                        lhs = (psi.raising_ratio(j, b) * psi.falling(j + b, a)
                                / (factorial(a) * factorial(b)))
                     rhs = Fraction(0)
                     for u in range(min(a, b) + 1):
@@ -465,7 +457,7 @@ def check_exp_commutation(cap: int, order: int = 10, j_max: int = 6) -> list[Che
                         c = Fraction(1, factorial(u) * factorial(a - u)
                                      * factorial(b - u))
                         c *= psi.falling(j, a - u)
-                        c *= _raise_coeff(psi, j - (a - u), b - u)
+                        c *= psi.raising_ratio(j - (a - u), b - u)
                         rhs += c
                     if deg < 0:
                         if rhs != 0:

@@ -3,12 +3,19 @@ import json
 import pytest
 
 from psi_umbral.cli import main
+from psi_umbral.exprparse import MAX_NESTING
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_job(capsys, tmp_path, command, keys, *argv):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(dict(keys, command=command)))
+    return run(capsys, command, "--job", str(job), *argv)
 
 
 def test_table_text(capsys):
@@ -179,6 +186,72 @@ def test_json_error_report(capsys):
     assert code == 2
     doc = json.loads(err)
     assert doc["code"] == "parse"
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    op = "(" * 300 + "D" + ")" * 300
+    code, out, err = run(capsys, "detect", "--op", op, "--format", "json")
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["code"] == "parse"
+    assert doc["details"]["position"] == str(MAX_NESTING)
+
+
+@pytest.mark.parametrize("flags, keys, pointer", [
+    (["--kind", "q", "--q", "1", "--poly", "1,2"],
+     {"kind": "q", "q": "1", "poly": ["1", "2"]}, "/q"),
+    (["--kind", "r", "--q", "1", "--r-num=-1,1", "--r-den", "1", "--poly", "1"],
+     {"kind": "r", "q": "1", "r_num": ["-1", "1"], "r_den": ["1"],
+      "poly": ["1"]}, "/r_num"),
+], ids=["q", "r"])
+def test_integrate_inadmissible_weights_exit_two(capsys, tmp_path, flags, keys,
+                                                  pointer):
+    flag_run = run(capsys, "integrate", *flags, "--format", "json")
+    job_run = run_job(capsys, tmp_path, "integrate", keys, "--format", "json")
+    assert flag_run == job_run
+    code, _, err = flag_run
+    assert code == 2
+    assert json.loads(err)["details"]["pointer"] == pointer
+    assert "inadmissible" in err
+
+
+# One bad value per parameter kind, given once as flags and once as a job.
+PARITY_CASES = [
+    ("basic", ["--n", "-1"], {"n": -1}),
+    ("basic", ["--formula", "9"], {"formula": 9}),
+    ("translate", ["--poly", "1,x"], {"poly": ["1", "x"]}),
+    ("translate", ["--poly", "1", "--y", "y"], {"poly": ["1"], "y": "y"}),
+    ("expand", ["--t", "X*D", "--lambda", "x"],
+     {"t": "X*D", "lambda_samples": ["x"]}),
+    ("detect", ["--op", "D +"], {"op": "D +"}),
+    ("detect", [], {}),
+]
+
+
+@pytest.mark.parametrize("command, flags, keys", PARITY_CASES,
+                         ids=["n", "formula", "poly", "y", "lambda", "op",
+                              "required"])
+def test_flag_and_job_routes_report_the_same_error(capsys, tmp_path, command,
+                                                   flags, keys):
+    flag_run = run(capsys, command, *flags, "--format", "json")
+    job_run = run_job(capsys, tmp_path, command, keys, "--format", "json")
+    assert flag_run[0] == 2
+    assert flag_run == job_run
+
+
+def test_verify_takes_no_weights(capsys, tmp_path):
+    # argparse rejects the flag before any validator sees it, so the two
+    # messages differ in wording; both refuse with exit 2 and name psi
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--psi", "classical", "--cap", "6"])
+    assert info.value.code == 2
+    assert "--psi" in capsys.readouterr().err
+    code, _, err = run_job(capsys, tmp_path, "verify",
+                           {"cap": 6, "psi": {"kind": "classical"}},
+                           "--format", "json")
+    assert code == 2
+    assert json.loads(err)["details"]["pointer"] == "/psi"
 
 
 def test_missing_subcommand_exits_two(capsys):

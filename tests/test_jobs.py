@@ -22,6 +22,25 @@ def test_full_basic_job():
     assert spec.params == {"op": "Delta", "n": 6, "formula": 2}
 
 
+def test_defaults_are_filled_in():
+    spec = parse_job({"command": "translate", "poly": ["1"]})
+    assert spec.params == {"y": "1", "poly": ["1"]}
+
+
+def test_required_key_is_pinpointed():
+    assert pointer_of(lambda: parse_job({"command": "detect"})) == "/op"
+
+
+def test_verify_takes_no_weights():
+    doc = {"command": "verify", "psi": {"kind": "classical"}}
+    assert pointer_of(lambda: parse_job(doc)) == "/psi"
+
+
+def test_choice_is_checked():
+    doc = {"command": "verify", "suite": "nope"}
+    assert pointer_of(lambda: parse_job(doc)) == "/suite"
+
+
 def test_command_from_invocation_when_absent():
     spec = parse_job({"suite": "ghw"}, command="verify")
     assert spec.command == "verify"

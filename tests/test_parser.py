@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from psi_umbral.algebra import Polynomial
 from psi_umbral.errors import ExprParseError
-from psi_umbral.exprparse import OperatorContext, parse_operator
+from psi_umbral.exprparse import MAX_NESTING, OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, derivative_op,
                                   forward_difference_op, multiply_x_op,
                                   psi_derivative_op)
@@ -116,6 +116,23 @@ def test_zero_denominator():
 def test_non_string_input():
     with pytest.raises(ExprParseError):
         parse_operator(None, CTX)
+
+
+def test_nesting_up_to_the_limit_parses():
+    text = "(" * MAX_NESTING + "D" + ")" * MAX_NESTING
+    assert parse_operator(text, CTX) == derivative_op(8)
+
+
+def test_deep_nesting_points_at_the_first_parenthesis_too_deep():
+    text = "  " + "(" * 300 + "D" + ")" * 300
+    with pytest.raises(ExprParseError) as info:
+        parse_operator(text, CTX)
+    assert info.value.position == 2 + MAX_NESTING
+
+
+def test_long_unary_minus_chain():
+    assert parse_operator("-" * 1001 + "D", CTX) == -derivative_op(8)
+    assert parse_operator("-" * 1000 + "D", CTX) == derivative_op(8)
 
 
 @given(st.text(alphabet="DXEq01[]()+-*/ ", max_size=24))

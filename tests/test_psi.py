@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from psi_umbral.algebra import Polynomial
 from psi_umbral.errors import AdmissibilityError, CapExceededError
+from psi_umbral.operators import psi_raise
 from psi_umbral.psi import (PsiSequence, RationalFunction, jackson_bracket,
                             validate_admissible)
 
@@ -100,6 +101,23 @@ def test_falling_factorial():
     assert psi.falling(4, 2) == 105
     assert psi.falling(4, 0) == 1
     assert psi.falling(3, 4) == 0  # hits the zero weight at n = 0
+
+
+def test_raising_ratio():
+    psi = PsiSequence.jackson(2, 8)
+    # weights 1, 3, 7: (2/3) * (3/7)
+    assert psi.raising_ratio(1, 2) == Fraction(2, 7)
+    assert psi.raising_ratio(5, 0) == 1
+    assert PsiSequence.classical(8).raising_ratio(3, 4) == 1
+
+
+def test_raising_ratio_is_the_raising_operator_power():
+    psi = PsiSequence.jackson(Fraction(1, 2), 12)
+    for k in range(4):
+        p = Polynomial.monomial(k)
+        for j in range(5):
+            assert p == Polynomial.monomial(k + j, psi.raising_ratio(k, j))
+            p = psi_raise(psi, p)
 
 
 def test_binomial_edges():
