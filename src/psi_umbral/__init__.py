@@ -12,7 +12,7 @@ from .algebra import (NEG_INF, Polynomial, Scalar, TruncatedSeries, as_scalar,
 from .errors import (AdmissibilityError, CapExceededError, CompositionError,
                      ExprParseError, JobSpecError, NonInvertibleError,
                      NotDegreeLoweringError, NotShiftInvariantError,
-                     PsiUmbralError)
+                     PsiUmbralError, SelfCheckError)
 from .expansion import (DetectionResult, OperatorExpansion, apply_dual_form,
                         conjugate_indicator_check, detect_psi_series,
                         expand_in_basic, expand_in_monomials,

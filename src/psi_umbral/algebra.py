@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CompositionError, NonInvertibleError
+from .errors import CompositionError, NonInvertibleError, SelfCheckError
 
 Scalar = Fraction
 
@@ -331,10 +331,16 @@ class TruncatedSeries:
     def power(self, k: int) -> "TruncatedSeries":
         if k < 0:
             raise ValueError("negative series power; use inverse() first")
-        out = TruncatedSeries.one(self._cap)
-        for _ in range(k):
-            out = out * self
-        return out
+        # Binary exponentiation: square the base, multiply in the set bits.
+        out = None
+        base = self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return TruncatedSeries.one(self._cap) if out is None else out
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(z)); requires inner(0) = 0 so truncation is stable."""
@@ -344,11 +350,14 @@ class TruncatedSeries:
             raise CompositionError(
                 "inner series must have zero constant term for substitution")
         cap = self._common_cap(inner)
-        # Horner in the outer coefficients; every step is a truncated product.
-        acc = TruncatedSeries.zero(cap)
-        g = inner if inner.cap == cap else inner.truncated(cap)
-        for k in range(cap, -1, -1):
-            acc = acc * g + TruncatedSeries((self._coeffs[k],), cap)
+        # Horner in the outer coefficients.  After step k the accumulator is
+        # still to be multiplied by inner k more times, each raising the low
+        # degree by at least one, so only its degrees 0..cap-k can matter.
+        acc = TruncatedSeries((self._coeffs[cap],), 0)
+        for k in range(cap - 1, -1, -1):
+            top = cap - k
+            acc = (TruncatedSeries(acc._coeffs, top) * inner
+                   + TruncatedSeries((self._coeffs[k],), top))
         return acc
 
     def inverse(self) -> "TruncatedSeries":
@@ -380,7 +389,9 @@ class TruncatedSeries:
         """Compositional inverse g with self(g(z)) = z = g(self(z)).
 
         Requires zero constant term and an invertible linear coefficient.
-        The result is verified internally by substitution.
+        Lagrange inversion: with h = z/self, g_n = [z^(n-1)] h^n / n, read
+        off a running power of h.  The result is verified internally by
+        substitution.
         """
         if self._coeffs[0] != 0:
             raise NonInvertibleError("reversion needs zero constant term")
@@ -388,17 +399,16 @@ class TruncatedSeries:
         if f1 == 0:
             raise NonInvertibleError("reversion needs a nonzero linear coefficient")
         cap = self._cap
+        h = TruncatedSeries(self._coeffs[1:], cap - 1).inverse()
         g = [Fraction(0)] * (cap + 1)
-        if cap >= 1:
-            g[1] = Fraction(1) / f1
-        for n in range(2, cap + 1):
-            # With g known through degree n-1 and g_n = 0, the substitution
-            # self(g) is short of z by exactly f1*g_n at degree n.
-            partial = self.compose(TruncatedSeries(g, cap))
-            g[n] = -partial.coefficient(n) / f1
+        hn = h
+        for n in range(1, cap + 1):
+            if n > 1:
+                hn = hn * h
+            g[n] = hn.coefficient(n - 1) / n
         rev = TruncatedSeries(g, cap)
-        check = self.compose(rev)
-        assert check == TruncatedSeries.identity(cap), "reversion failed to verify"
+        if self.compose(rev) != TruncatedSeries.identity(cap):
+            raise SelfCheckError("reversion failed to verify by substitution")
         return rev
 
     def differentiated(self) -> "TruncatedSeries":

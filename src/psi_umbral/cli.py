@@ -26,7 +26,7 @@ from .expansion import (conjugate_indicator_check, detect_psi_series,
 from .exprparse import OperatorContext, parse_operator
 from .integration import psi_integral, q_integral, r_integral
 from .jobs import (CHOICE, INDEX, RATIONALS, SCHEMA, UNWEIGHTED, check_params,
-                   load_job_spec, require_admissible)
+                   load_job_spec, require_admissible, weights_reach)
 from .operators import psi_derivative
 from .psi import PsiSequence, RationalFunction
 from .umbral import DeltaOperator, basic_sequence_solve, rodrigues_sequence, translate
@@ -114,16 +114,16 @@ def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
         if clashing:
             raise _usage("--job replaces these flags: %s"
                          % ", ".join(sorted(clashing)))
-        job = load_job_spec(args.job, command=command,
-                            cap_default=DEFAULT_CAP)
+        job = load_job_spec(args.job, command=command)
     cap = resolve_cap(args.cap, job.cap if job else None)
+    params = job.params if job else check_params(command, given)
     psi = job.psi if job else None
     if psi is None and command not in UNWEIGHTED:
         psi = parse_psi_text(psi_text if psi_text is not None else "classical",
                              cap)
     if psi is not None:
-        require_admissible(psi, cap, "--psi")
-    params = job.params if job else check_params(command, given)
+        require_admissible(psi, cap, job.psi_pointer if job else "--psi",
+                           weights_reach(command, params))
     return command, params, cap, psi
 
 
@@ -279,7 +279,9 @@ def run_integrate(params, cap, psi):
             except ZeroDivisionError as exc:
                 raise _usage(str(exc), "/r_den")
             dpsi = PsiSequence.rational(rat, q, 0)
-        require_admissible(dpsi, cap, "/q" if kind == "q" else "/r_num")
+        # x^n is divided by the weight of n + 1.
+        require_admissible(dpsi, cap, "/q" if kind == "q" else "/r_num",
+                           len(p.coeffs))
         integral = q_integral(q, p) if kind == "q" else r_integral(rat, q, p)
 
     roundtrip = psi_derivative(dpsi, integral) == p

@@ -46,6 +46,15 @@ class NonInvertibleError(PsiUmbralError):
     code = "non_invertible"
 
 
+class SelfCheckError(PsiUmbralError):
+    """An internal cross-check of a computed result failed.
+
+    An exception rather than a bare check, so it survives ``python -O``.
+    """
+
+    code = "self_check"
+
+
 class NotDegreeLoweringError(PsiUmbralError):
     """An operator expected to lower degree by exactly one does not."""
 

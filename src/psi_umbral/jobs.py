@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import scalar_from_str
+from .algebra import Polynomial, scalar_from_str
 from .errors import JobSpecError
 from .psi import PsiSequence, validate_admissible
 from .verify import SUITE_ORDER
@@ -152,28 +152,50 @@ def check_params(command: str, doc: dict) -> dict:
     return params
 
 
-def require_admissible(psi: PsiSequence, cap: int, pointer: str) -> None:
-    report = validate_admissible(psi, cap)
+def require_admissible(psi: PsiSequence, cap: int, pointer: str,
+                       reach: int = 0) -> None:
+    """Weights 1..max(cap, reach) must be nonzero and defined."""
+    upto = max(cap, reach)
+    report = validate_admissible(psi, upto)
     if not report.ok:
-        _fail("weights inadmissible at cap %d: %s (n=%s)"
-              % (cap, report.reason, report.first_violation), pointer)
+        where = ("at cap %d" % cap if upto == cap
+                 else "up to n=%d (cap %d)" % (upto, cap))
+        _fail("weights inadmissible %s: %s (n=%s)"
+              % (where, report.reason, report.first_violation), pointer)
+
+
+def weights_reach(command: str, params: dict) -> int:
+    """Highest index of ``psi`` the command reads regardless of the cap.
+
+    ``integrate --kind psi`` divides x^n by the weight of n + 1, so it reads
+    the weights up to the polynomial's degree + 1; the other kinds do not
+    read ``psi``, and the other commands stay within the cap.
+    """
+    if command == "integrate" and params["kind"] == "psi":
+        return len(Polynomial.from_json(params["poly"]).coeffs)
+    return 0
 
 
 class JobSpec:
     """Validated parameters for one command invocation."""
 
-    __slots__ = ("command", "cap", "psi", "params")
+    __slots__ = ("command", "cap", "psi", "psi_pointer", "params")
 
     def __init__(self, command: str, cap: int | None, psi: PsiSequence | None,
-                 params: dict):
+                 params: dict, psi_pointer: str = "/psi"):
         self.command = command
         self.cap = cap
         self.psi = psi
+        self.psi_pointer = psi_pointer
         self.params = params
 
 
-def parse_job(doc, command: str | None = None, cap_default: int = 16) -> JobSpec:
-    """Validate a decoded job object; ``command`` may override or confirm."""
+def parse_job(doc, command: str | None = None) -> JobSpec:
+    """Validate a decoded job object; ``command`` may override or confirm.
+
+    The weights are checked here only at the job's own cap; without one the
+    caller checks them at the effective cap, at ``JobSpec.psi_pointer``.
+    """
     if not isinstance(doc, dict):
         _fail("job spec must be a JSON object", "")
     cmd = doc.get("command", command)
@@ -191,13 +213,14 @@ def parse_job(doc, command: str | None = None, cap_default: int = 16) -> JobSpec
         if key not in allowed:
             _fail("unknown key", "/%s" % key)
 
-    cap = cap_default
+    cap = None
     if "cap" in doc:
         cap = doc["cap"]
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
             _fail("cap must be a nonnegative integer", "/cap")
 
     psi = None
+    psi_pointer = "/psi"
     if "psi" in doc:
         if not isinstance(doc["psi"], dict):
             _fail("psi must be an object", "/psi")
@@ -205,15 +228,16 @@ def parse_job(doc, command: str | None = None, cap_default: int = 16) -> JobSpec
             psi = PsiSequence.from_json(doc["psi"], cap=0)
         except Exception as exc:
             _fail("bad weight sequence: %s" % exc, "/psi")
-        require_admissible(psi, cap, "/psi/q" if doc["psi"].get("kind") == "q"
-                           else "/psi")
+        if doc["psi"].get("kind") == "q":
+            psi_pointer = "/psi/q"
+        if cap is not None:
+            require_admissible(psi, cap, psi_pointer)
 
-    return JobSpec(cmd, cap if "cap" in doc else None, psi,
-                   check_params(cmd, doc))
+    return JobSpec(cmd, cap, psi,
+                   check_params(cmd, doc), psi_pointer)
 
 
-def load_job_spec(path: str, command: str | None = None,
-                  cap_default: int = 16) -> JobSpec:
+def load_job_spec(path: str, command: str | None = None) -> JobSpec:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -221,4 +245,4 @@ def load_job_spec(path: str, command: str | None = None,
         _fail("job file not found: %s" % path, "")
     except json.JSONDecodeError as exc:
         _fail("invalid JSON: %s" % exc, "")
-    return parse_job(doc, command=command, cap_default=cap_default)
+    return parse_job(doc, command=command)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import NEG_INF, Polynomial, TruncatedSeries, as_scalar
 from .errors import (AdmissibilityError, CapExceededError, NonInvertibleError,
-                     NotShiftInvariantError)
+                     NotShiftInvariantError, SelfCheckError)
 from .psi import PsiSequence
 
 # -- closed-form actions on polynomials -------------------------------
@@ -202,8 +202,13 @@ class GradedOperator:
         if k < 0:
             raise ValueError("negative operator power")
         out = GradedOperator.identity(self._cap)
+        # A base that never raises degree keeps the cap, so a zero power
+        # stays zero from there on.
+        keeps_cap = self.shift_bound <= 0
         for _ in range(k):
             out = out.compose(self)
+            if keeps_cap and out.is_zero:
+                break
         return out
 
     def commutator(self, other: "GradedOperator") -> "GradedOperator":
@@ -285,12 +290,19 @@ def forward_difference_op(psi: PsiSequence, cap: int) -> GradedOperator:
 def operator_from_series(coeffs, psi: PsiSequence, cap: int) -> GradedOperator:
     """Materialize sum_k c_k * (psi-derivative)^k as a graded table."""
     cs = [as_scalar(c) for c in coeffs]
+    # Trailing zero terms are dropped, so no weight past the last nonzero
+    # term is read: a short custom sequence still serves a short series.
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
 
     def rule(n):
         out = [Fraction(0)] * (n + 1)
+        falling = Fraction(1)  # n_psi (n-1)_psi ... (n-k+1)_psi
         for k in range(min(n, len(cs) - 1) + 1):
+            if k:
+                falling *= psi.n_psi(n - k + 1)
             if cs[k] != 0:
-                out[n - k] += cs[k] * psi.falling(n, k)
+                out[n - k] += cs[k] * falling
         return Polynomial(out)
 
     return GradedOperator.from_monomial_rule(rule, cap)
@@ -330,7 +342,8 @@ def invert_shift_invariant(op: GradedOperator, psi: PsiSequence) -> GradedOperat
         raise NonInvertibleError("operator kills constants; not invertible")
     inv = operator_from_series(series.inverse().coeffs, psi, op.cap)
     check = op.compose(inv)
-    assert check == GradedOperator.identity(check.cap), "inversion failed to verify"
+    if check != GradedOperator.identity(check.cap):
+        raise SelfCheckError("inversion failed to verify by composition")
     return inv
 
 def pincherle_derivative(op: GradedOperator, psi: PsiSequence) -> GradedOperator:

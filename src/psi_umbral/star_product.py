@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Polynomial, TruncatedSeries, as_scalar
-from .errors import CapExceededError
+from .errors import CapExceededError, SelfCheckError
 from .operators import divided_difference, psi_derivative, weight_multiplier
 from .psi import PsiSequence, RationalFunction
 
@@ -109,7 +109,8 @@ def star_power(n: int, psi: PsiSequence) -> Polynomial:
     acc = Polynomial.one()
     for _ in range(n):
         acc = star_mul(Polynomial.x(), acc, psi).as_polynomial()
-    assert acc == closed, "star power recursion disagrees with closed form"
+    if acc != closed:
+        raise SelfCheckError("star power recursion disagrees with closed form")
     return closed
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .algebra import NEG_INF, Polynomial, TruncatedSeries, as_scalar
 from .errors import (CapExceededError, NonInvertibleError,
-                     NotDegreeLoweringError, NotShiftInvariantError)
+                     NotDegreeLoweringError, NotShiftInvariantError,
+                     SelfCheckError)
 from .operators import (GradedOperator, apply_psi_series, is_shift_invariant,
                         psi_derivative, psi_raise, shift_invariant_coefficients)
 from .psi import PsiSequence
@@ -84,7 +85,8 @@ class BasicSequence:
             coords[k] = c
             if c != 0:
                 rem = rem - c * self.polys[k]
-        assert rem.is_zero
+        if not rem.is_zero:
+            raise SelfCheckError("back-substitution left a nonzero remainder")
         return coords
 
 
@@ -141,7 +143,8 @@ class DeltaOperator:
         if const == 0:
             raise NotDegreeLoweringError("image of x must be a nonzero constant")
         indicator = shift_invariant_coefficients(op, psi)
-        assert indicator.constant_term == 0
+        if indicator.constant_term != 0:
+            raise SelfCheckError("indicator of a delta operator has a constant term")
         return cls(op, psi, indicator)
 
     @classmethod
@@ -197,20 +200,22 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
     s_inv = delta.s_series.inverse()
     q_prime = delta.indicator.differentiated()
     q_prime_inv = q_prime.inverse() if formula == 4 else None
+    # w carries S^(-n), or S^(-n-1) for formula 1: one product per n.
+    w = s_inv if formula == 1 else TruncatedSeries.one(s_inv.cap)
     polys = [Polynomial.one()]
     for n in range(1, n_max + 1):
         xn = Polynomial.monomial(n)
         xn1 = Polynomial.monomial(n - 1)
         ratio = psi.n_psi(n) / Fraction(n)
+        if formula != 4:
+            w = w * s_inv
         if formula == 1:
-            series = q_prime * s_inv.power(n + 1)
+            series = q_prime * w
             p = apply_psi_series(series.coeffs, psi, xn)
         elif formula == 2:
-            w = s_inv.power(n)
             p = (apply_psi_series(w.coeffs, psi, xn)
                  - ratio * apply_psi_series(w.differentiated().coeffs, psi, xn1))
         elif formula == 3:
-            w = s_inv.power(n)
             p = ratio * psi_raise(psi, apply_psi_series(w.coeffs, psi, xn1))
         else:
             inner = apply_psi_series(q_prime_inv.coeffs, psi, polys[n - 1])

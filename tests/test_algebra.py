@@ -1,4 +1,9 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from psi_umbral.algebra import (NEG_INF, Polynomial, TruncatedSeries,
                                 as_scalar, format_polynomial, scalar_from_str,
                                 scalar_to_str)
-from psi_umbral.errors import CompositionError, NonInvertibleError
+from psi_umbral.errors import (CompositionError, NonInvertibleError,
+                               SelfCheckError)
 
 
 def rationals(max_num=30, max_den=6):
@@ -182,3 +188,138 @@ def test_series_truncated_cannot_extend():
 def test_series_json_roundtrip():
     s = TruncatedSeries((Fraction(1, 3), 2), 4)
     assert TruncatedSeries.from_json(s.to_json()) == s
+
+
+# -- rewritten series kernels against naive references ----------------------
+#
+# The references are the textbook definitions, written out here so they do
+# not share code with the kernels: a power by repeated products, substitution
+# as the sum of c_k g^k, and reversion by the fixed-point loop that fixes one
+# coefficient per substitution.
+
+def naive_power(f, k):
+    out = TruncatedSeries.one(f.cap)
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def naive_compose(f, g):
+    cap = min(f.cap, g.cap)
+    g = g.truncated(cap)
+    out = TruncatedSeries.zero(cap)
+    gk = TruncatedSeries.one(cap)
+    for k in range(cap + 1):
+        out = out + gk * f.coefficient(k)
+        gk = gk * g
+    return out
+
+
+def naive_reversion(f):
+    cap = f.cap
+    g = [Fraction(0)] * (cap + 1)
+    g[1] = 1 / f.coefficient(1)
+    for n in range(2, cap + 1):
+        partial = naive_compose(f, TruncatedSeries(g, cap))
+        g[n] = -partial.coefficient(n) / f.coefficient(1)
+    return TruncatedSeries(g, cap)
+
+
+def random_series(rng, cap, constant=None, linear=None):
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for _ in range(cap + 1)]
+    if constant is not None:
+        coeffs[0] = Fraction(constant)
+    if linear is not None and cap >= 1:
+        coeffs[1] = Fraction(linear)
+    return TruncatedSeries(coeffs, cap)
+
+
+KERNEL_CAPS = (0, 1, 2, 24)
+
+
+@pytest.mark.parametrize("cap", KERNEL_CAPS)
+def test_power_matches_repeated_product(cap):
+    rng = random.Random(cap)
+    for _ in range(3):
+        f = random_series(rng, cap)
+        for k in (0, 1, 2, 3, 5, 8, 13):
+            assert f.power(k).coeffs == naive_power(f, k).coeffs
+            assert f.power(k).cap == cap
+
+
+@pytest.mark.parametrize("cap", KERNEL_CAPS)
+def test_compose_matches_sum_of_powers(cap):
+    rng = random.Random(100 + cap)
+    for _ in range(3):
+        f = random_series(rng, cap)
+        g = random_series(rng, cap, constant=0)
+        got = f.compose(g)
+        assert got.cap == cap
+        assert got.coeffs == naive_compose(f, g).coeffs
+
+
+@pytest.mark.parametrize("outer_cap, inner_cap", [(9, 5), (5, 9)])
+def test_compose_uses_the_smaller_cap(outer_cap, inner_cap):
+    rng = random.Random(7)
+    f = random_series(rng, outer_cap)
+    g = random_series(rng, inner_cap, constant=0)
+    assert f.compose(g).coeffs == naive_compose(f, g).coeffs
+    assert f.compose(g).cap == 5
+
+
+@pytest.mark.parametrize("cap", (1, 2, 24))
+def test_reversion_matches_fixed_point_loop(cap):
+    rng = random.Random(200 + cap)
+    for linear in (1, Fraction(-2, 3)):
+        f = random_series(rng, cap, constant=0, linear=linear)
+        assert f.reversion().coeffs == naive_reversion(f).coeffs
+
+
+def test_reversion_rejects_cap_zero():
+    with pytest.raises(NonInvertibleError):
+        TruncatedSeries((0,), 0).reversion()
+
+
+def test_reversion_catalan_closed_form():
+    # z - z^2 = w is solved by sum_(n>=1) C_(n-1) z^n, Catalan numbers C
+    cap = 24
+    rev = TruncatedSeries((0, 1, -1), cap).reversion()
+    catalan = [comb(2 * m, m) // (m + 1) for m in range(cap)]
+    assert rev.coeffs == (0,) + tuple(catalan)
+
+
+def test_reversion_log_closed_form():
+    # rev(e^z - 1) = log(1 + z) = sum_(n>=1) (-1)^(n+1) z^n / n
+    cap = 24
+    expm1 = TruncatedSeries([0] + [Fraction(1, factorial(k))
+                                   for k in range(1, cap + 1)], cap)
+    assert expm1.reversion().coeffs == (0,) + tuple(
+        Fraction((-1) ** (n + 1), n) for n in range(1, cap + 1))
+
+
+def test_reversion_self_check_raises(monkeypatch):
+    wrong = TruncatedSeries((0, 1, 1), 4)
+    monkeypatch.setattr(TruncatedSeries, "compose",
+                        lambda self, inner: wrong)
+    with pytest.raises(SelfCheckError):
+        TruncatedSeries((0, 1, 1), 4).reversion()
+
+
+def test_reversion_self_check_survives_optimize():
+    script = (
+        "import sys\n"
+        "from psi_umbral.algebra import TruncatedSeries\n"
+        "from psi_umbral.errors import SelfCheckError\n"
+        "wrong = TruncatedSeries((0, 1, 1), 4)\n"
+        "TruncatedSeries.compose = lambda self, inner: wrong\n"
+        "try:\n"
+        "    TruncatedSeries((0, 1, 1), 4).reversion()\n"
+        "except SelfCheckError:\n"
+        "    sys.exit(0 if not __debug__ else 3)\n"
+        "sys.exit(4)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

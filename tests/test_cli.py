@@ -266,3 +266,81 @@ def test_output_is_deterministic(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# -- weights are checked at the cap the command runs on ----------------------
+
+FIVE_WEIGHTS = {"kind": "custom", "n_psi": ["1", "2", "3", "4", "5"]}
+
+
+def test_job_weights_checked_at_env_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("PSI_UMBRAL_CAP", "4")
+    flag_run = run(capsys, "table", "--psi", "custom:1,2,3,4,5",
+                   "--format", "json")
+    job_run = run_job(capsys, tmp_path, "table", {"psi": FIVE_WEIGHTS},
+                      "--format", "json")
+    assert flag_run == job_run
+    assert flag_run[0] == 0
+    assert json.loads(flag_run[1])["cap"] == 4
+
+
+@pytest.mark.parametrize("psi, pointer", [
+    ({"kind": "custom", "n_psi": ["1", "2", "3"]}, "/psi"),
+    ({"kind": "q", "q": "-1"}, "/psi/q"),
+], ids=["custom", "q"])
+def test_job_weights_short_of_env_cap_keep_pointer(capsys, tmp_path,
+                                                   monkeypatch, psi, pointer):
+    monkeypatch.setenv("PSI_UMBRAL_CAP", "4")
+    code, _, err = run_job(capsys, tmp_path, "table", {"psi": psi},
+                           "--format", "json")
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["details"]["pointer"] == pointer
+    assert "at cap 4" in doc["message"]
+
+
+def test_job_with_own_cap_ignores_invalid_env(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("PSI_UMBRAL_CAP", "many")
+    code, out, _ = run_job(capsys, tmp_path, "table",
+                           {"cap": 3, "psi": FIVE_WEIGHTS}, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["cap"] == 3
+
+
+@pytest.mark.parametrize("flags, keys, pointer", [
+    (["--kind", "q", "--q", "-1"], {"kind": "q", "q": "-1"}, "/q"),
+    (["--kind", "r", "--q", "-1", "--r-num=-1,1", "--r-den", "1"],
+     {"kind": "r", "q": "-1", "r_num": ["-1", "1"], "r_den": ["1"]}, "/r_num"),
+    (["--psi", "q:-1"], {"psi": {"kind": "q", "q": "-1"}}, "--psi"),
+], ids=["q", "r", "psi"])
+def test_integrate_checks_weights_to_degree_plus_one(capsys, tmp_path, flags,
+                                                     keys, pointer):
+    # at q = -1 the weight of 1 is nonzero and the weight of 2 vanishes
+    # (1 + q, and R(q^2) for R(x) = x - 1), so checking to --cap 1 misses it
+    code, _, err = run(capsys, "integrate", "--cap", "1", "--poly", "1,1",
+                       *flags, "--format", "json")
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["details"]["pointer"] == pointer
+    assert doc["message"].startswith("weights inadmissible up to n=2 (cap 1)")
+    code, _, err = run_job(capsys, tmp_path, "integrate",
+                           dict(keys, cap=1, poly=["1", "1"]), "--format", "json")
+    assert code == 2
+    assert json.loads(err)["details"]["pointer"] == (
+        "/psi/q" if pointer == "--psi" else pointer)
+
+
+def test_integrate_within_cap_is_unchanged(capsys):
+    code, out, _ = run(capsys, "integrate", "--psi", "q:-1", "--cap", "1",
+                       "--poly", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["integral"] == ["0", "1"]
+
+
+def test_integrate_q_ignores_unused_weights(capsys):
+    # kind q reads its own weights; the --psi ones, short at n=2, go unread
+    code, out, _ = run(capsys, "integrate", "--kind", "q", "--q", "2",
+                       "--psi", "q:-1", "--cap", "1", "--poly", "1,1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["derivative_roundtrip"] is True

@@ -91,6 +91,13 @@ def test_vanishing_custom_weight_points_at_psi():
     assert pointer_of(lambda: parse_job(doc)) == "/psi"
 
 
+def test_job_without_cap_leaves_weights_to_caller():
+    doc = {"command": "table", "psi": {"kind": "q", "q": "1"}}
+    spec = parse_job(doc)
+    assert spec.cap is None
+    assert spec.psi_pointer == "/psi/q"
+
+
 def test_integrate_kind_whitelist():
     doc = {"command": "integrate", "kind": "series", "poly": ["1"]}
     assert pointer_of(lambda: parse_job(doc)) == "/kind"

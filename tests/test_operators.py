@@ -217,3 +217,25 @@ def test_translation_composes_additively_classical(a, b):
     eb = translation_op(psi, b, 14)
     eab = translation_op(psi, a + b, 14)
     assert ea * eb == eab.truncated((ea * eb).cap)
+
+
+def test_power_of_nilpotent_operator_stops_at_zero(monkeypatch):
+    psi = PsiSequence.classical(8)
+    d = psi_derivative_op(psi, 8)
+    calls = []
+    compose = GradedOperator.compose
+
+    def counting(self, inner):
+        calls.append(1)
+        return compose(self, inner)
+
+    monkeypatch.setattr(GradedOperator, "compose", counting)
+    power = d ** 100000
+    assert power == GradedOperator.zero(8) and power.cap == 8
+    assert len(calls) == 9          # d^9 is the first zero power at cap 8
+
+
+def test_power_of_raising_operator_still_shrinks_the_cap():
+    x = multiply_x_op(8)
+    assert (x ** 3).cap == 5
+    assert (x ** 3).image(5) == Polynomial.monomial(8)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ from psi_umbral.errors import (CapExceededError, NotDegreeLoweringError,
                                NotShiftInvariantError)
 from psi_umbral.operators import (GradedOperator, derivative_op,
                                   forward_difference_op, is_shift_invariant,
-                                  multiply_x_op, psi_derivative_op,
-                                  translation_op)
+                                  multiply_x_op, operator_from_series,
+                                  psi_derivative_op, translation_op)
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import (DeltaOperator, basic_sequence_solve,
                                dual_raise_operator, eigenfunction_series,
@@ -227,3 +228,56 @@ def test_basic_solve_matches_rodrigues_for_random_tails(k):
     coeffs = [Fraction(0), Fraction(1)] + [Fraction(0)] * (k - 1) + [Fraction(1, k + 1)]
     delta = DeltaOperator.from_indicator(coeffs, psi, 12)
     assert list(rodrigues_sequence(delta, 5)) == list(delta.basic(5))
+
+
+# -- closed formulas 1-3 and the series materialization, against references --
+
+KERNEL_WEIGHTS = {
+    "classical": lambda cap: PsiSequence.classical(cap),
+    "q=1/2": lambda cap: PsiSequence.jackson(Fraction(1, 2), cap),
+    "q=2": lambda cap: PsiSequence.jackson(2, cap),
+    "squares": lambda cap: PsiSequence.custom([n * n for n in range(1, cap + 2)]),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(KERNEL_WEIGHTS))
+def test_rodrigues_formulas_1_to_3_match_solve_at_cap_20(weights):
+    cap = 20
+    psi = KERNEL_WEIGHTS[weights](cap)
+    # the weighted forward difference: indicator sum_(k>=1) z^k / k_psi!
+    indicator = [0] + [1 / psi.factorial(k) for k in range(1, cap + 1)]
+    delta = DeltaOperator.from_indicator(indicator, psi, cap)
+    solved = list(basic_sequence_solve(delta.op, psi, cap - 1))
+    for formula in (1, 2, 3):
+        assert list(rodrigues_sequence(delta, cap - 1, formula)) == solved
+
+
+def falling_per_entry(coeffs, psi, cap):
+    """The table of sum_k c_k (psi-derivative)^k, one falling factorial a cell."""
+    def rule(n):
+        out = [Fraction(0)] * (n + 1)
+        for k in range(min(n, len(coeffs) - 1) + 1):
+            if coeffs[k] != 0:
+                out[n - k] += coeffs[k] * psi.falling(n, k)
+        return Polynomial(out)
+
+    return GradedOperator.from_monomial_rule(rule, cap)
+
+
+@pytest.mark.parametrize("weights", sorted(KERNEL_WEIGHTS))
+def test_operator_from_series_matches_per_entry_falling(weights):
+    cap = 14
+    psi = KERNEL_WEIGHTS[weights](cap)
+    rng = random.Random(weights)
+    for length in (1, 3, cap + 1, cap + 4):
+        coeffs = [Fraction(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 4))
+                  for _ in range(length)]
+        got = operator_from_series(coeffs, psi, cap)
+        assert got.images == falling_per_entry(coeffs, psi, cap).images
+
+
+def test_operator_from_series_reads_no_weight_past_the_last_term():
+    # three custom weights suffice for a series of degree 0 at any cap
+    psi = PsiSequence.custom([1, 2, 3])
+    table = operator_from_series([5, 0, 0, 0], psi, 6)
+    assert table == GradedOperator.scalar(5, 6)
