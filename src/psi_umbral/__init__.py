@@ -30,12 +30,12 @@ from .operators import (GradedOperator, apply_psi_series, derivative_op,
                         translation_op, weight_multiplier, weight_op)
 from .psi import (AdmissibilityReport, PsiSequence, RationalFunction,
                   jackson_bracket, validate_admissible)
-from .special import (cos_psi_series, exp_psi_series, psi_hyperbolic,
-                      sin_psi_series)
+from .special import (cos_psi_series, exp_psi_series, psi_exp_scaled,
+                      psi_hyperbolic, sin_psi_series)
 from .star_product import (StarSeries, poisson_weights,
                            poisson_weights_raising, poisson_weights_recursion,
-                           psi_exp_scaled, psi_leibniz, q_leibniz, r_leibniz,
-                           star_mul, star_power)
+                           psi_leibniz, q_leibniz, r_leibniz, star_mul,
+                           star_power)
 from .umbral import (BasicSequence, DeltaOperator, basic_sequence_solve,
                      dual_raise_operator, eigenfunction_series,
                      rodrigues_sequence, sheffer_sequence, translate,

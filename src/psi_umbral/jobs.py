@@ -169,10 +169,14 @@ def weights_reach(command: str, params: dict) -> int:
 
     ``integrate --kind psi`` divides x^n by the weight of n + 1, so it reads
     the weights up to the polynomial's degree + 1; the other kinds do not
-    read ``psi``, and the other commands stay within the cap.
+    read ``psi``.  ``translate`` applies (d_psi)^k / k_psi! for k up to the
+    polynomial's degree, which reads the weights up to that degree.  The
+    other commands stay within the cap.
     """
     if command == "integrate" and params["kind"] == "psi":
         return len(Polynomial.from_json(params["poly"]).coeffs)
+    if command == "translate":
+        return len(Polynomial.from_json(params["poly"]).coeffs) - 1
     return 0
 
 

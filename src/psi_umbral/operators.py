@@ -21,6 +21,7 @@ from .algebra import NEG_INF, Polynomial, TruncatedSeries, as_scalar
 from .errors import (AdmissibilityError, CapExceededError, NonInvertibleError,
                      NotShiftInvariantError, SelfCheckError)
 from .psi import PsiSequence
+from .special import exp_psi_series, psi_exp_scaled
 
 # -- closed-form actions on polynomials -------------------------------
 
@@ -256,9 +257,7 @@ def jackson_derivative_op(q, cap: int) -> GradedOperator:
     return psi_derivative_op(PsiSequence.jackson(q, cap), cap)
 
 def psi_derivative_op(psi: PsiSequence, cap: int) -> GradedOperator:
-    return GradedOperator.from_monomial_rule(
-        lambda n: Polynomial.monomial(n - 1, psi.n_psi(n)) if n else Polynomial(),
-        cap)
+    return operator_from_series((0, 1), psi, cap)
 
 def psi_raise_op(psi: PsiSequence, cap: int) -> GradedOperator:
     return GradedOperator.from_monomial_rule(
@@ -270,22 +269,16 @@ def weight_op(psi: PsiSequence, cap: int) -> GradedOperator:
         lambda n: Polynomial.monomial(n, psi.n_psi(n + 1)), cap)
 
 def translation_op(psi: PsiSequence, y, cap: int) -> GradedOperator:
-    """The generalized shift: x^n -> sum_k binom_psi(n, k) y^k x^(n-k)."""
-    y = as_scalar(y)
+    """The generalized shift exp_psi(y * psi-derivative).
 
-    def rule(n):
-        coeffs = [Fraction(0)] * (n + 1)
-        ypow = Fraction(1)
-        for k in range(n + 1):
-            coeffs[n - k] = psi.binomial(n, k) * ypow
-            ypow *= y
-        return Polynomial(coeffs)
-
-    return GradedOperator.from_monomial_rule(rule, cap)
+    Sends x^n to sum_k binom_psi(n, k) y^k x^(n-k).
+    """
+    return operator_from_series(psi_exp_scaled(psi, y, cap).coeffs, psi, cap)
 
 def forward_difference_op(psi: PsiSequence, cap: int) -> GradedOperator:
-    """Unit translation minus the identity."""
-    return translation_op(psi, 1, cap) - GradedOperator.identity(cap)
+    """Unit translation minus the identity: the series exp_psi(z) - 1."""
+    series = exp_psi_series(psi, cap) - TruncatedSeries.one(cap)
+    return operator_from_series(series.coeffs, psi, cap)
 
 def operator_from_series(coeffs, psi: PsiSequence, cap: int) -> GradedOperator:
     """Materialize sum_k c_k * (psi-derivative)^k as a graded table."""
@@ -312,9 +305,13 @@ def operator_from_series(coeffs, psi: PsiSequence, cap: int) -> GradedOperator:
 
 
 def is_shift_invariant(op: GradedOperator, psi: PsiSequence) -> bool:
-    """Does op commute with the weighted derivative, as far as the caps see?"""
-    d = psi_derivative_op(psi, op.cap)
-    return op.commutator(d).is_zero
+    """Does op commute with the weighted derivative?
+
+    True when op equals its psi-derivative series on x^0..x^cap; an image
+    past the cap is a difference.
+    """
+    series = shift_invariant_coefficients(op, psi)
+    return op == operator_from_series(series.coeffs, psi, op.cap)
 
 def shift_invariant_coefficients(op: GradedOperator,
                                  psi: PsiSequence) -> TruncatedSeries:
@@ -322,7 +319,7 @@ def shift_invariant_coefficients(op: GradedOperator,
 
     Triangular readout: c_k is the constant term of op(x^k) divided by
     k_psi!.  Only meaningful when op actually commutes with the weighted
-    derivative; callers check that separately.
+    derivative, which ``is_shift_invariant`` decides from this readout.
     """
     return TruncatedSeries(
         tuple(op.image(k).constant_term / psi.factorial(k)

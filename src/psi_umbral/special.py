@@ -12,14 +12,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import TruncatedSeries
+from .algebra import TruncatedSeries, as_scalar
 from .psi import PsiSequence
+
+
+def psi_exp_scaled(psi: PsiSequence, alpha, cap: int) -> TruncatedSeries:
+    """Weighted exponential series of alpha*x: sum alpha^k x^k / k_psi!.
+
+    As a series in the weighted derivative this is the generalized
+    translation by alpha; with classical weights it is exp(alpha*x).
+    """
+    alpha = as_scalar(alpha)
+    coeffs = []
+    apow = Fraction(1)
+    for k in range(cap + 1):
+        coeffs.append(apow / psi.factorial(k))
+        apow *= alpha
+    return TruncatedSeries(coeffs, cap)
 
 
 def exp_psi_series(psi: PsiSequence, cap: int) -> TruncatedSeries:
     """Coefficients 1/k_psi! up to the cap."""
-    return TruncatedSeries(
-        tuple(Fraction(1) / psi.factorial(k) for k in range(cap + 1)), cap)
+    return psi_exp_scaled(psi, 1, cap)
 
 
 def psi_hyperbolic(psi: PsiSequence, m: int, j: int, cap: int) -> TruncatedSeries:

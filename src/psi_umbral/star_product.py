@@ -19,6 +19,7 @@ from .algebra import Polynomial, TruncatedSeries, as_scalar
 from .errors import CapExceededError, SelfCheckError
 from .operators import divided_difference, psi_derivative, weight_multiplier
 from .psi import PsiSequence, RationalFunction
+from .special import psi_exp_scaled
 
 
 class StarSeries:
@@ -114,28 +115,6 @@ def star_power(n: int, psi: PsiSequence) -> Polynomial:
     return closed
 
 
-def exp_series_scaled(alpha, cap: int) -> TruncatedSeries:
-    """Classical exponential series of alpha*x, truncated."""
-    alpha = as_scalar(alpha)
-    coeffs = []
-    apow = Fraction(1)
-    for k in range(cap + 1):
-        coeffs.append(apow / Fraction(factorial(k)))
-        apow *= alpha
-    return TruncatedSeries(coeffs, cap)
-
-
-def psi_exp_scaled(psi: PsiSequence, alpha, cap: int) -> TruncatedSeries:
-    """Weighted exponential series of alpha*x: sum alpha^k x^k / k_psi!."""
-    alpha = as_scalar(alpha)
-    coeffs = []
-    apow = Fraction(1)
-    for k in range(cap + 1):
-        coeffs.append(apow / psi.factorial(k))
-        apow *= alpha
-    return TruncatedSeries(coeffs, cap)
-
-
 # -- Poisson-type weights ----------------------------------------------
 
 
@@ -152,7 +131,8 @@ def poisson_weights(psi: PsiSequence, lam, m_max: int, cap: int):
     for m in range(m_max + 1):
         prefactor = Polynomial.monomial(m, lam ** m / Fraction(factorial(m)))
         weights.append(star_mul(prefactor, expm, psi).series)
-    normalizer = star_mul(exp_series_scaled(lam, cap).as_polynomial(),
+    classical = psi_exp_scaled(PsiSequence.classical(cap), lam, cap)
+    normalizer = star_mul(classical.as_polynomial(),
                           expm, psi, cap=cap).series
     return weights, normalizer
 
@@ -182,11 +162,12 @@ def poisson_weights_raising(psi: PsiSequence, lam, m_max: int, cap: int):
     t^j then realized as the j-th star power of x.
     """
     lam = as_scalar(lam)
+    expm = psi_exp_scaled(PsiSequence.classical(cap), -lam, cap)
     out = []
     for m in range(m_max + 1):
         pre = TruncatedSeries.from_polynomial(
             Polynomial.monomial(m, lam ** m / Fraction(factorial(m))), cap)
-        scalar_series = pre * exp_series_scaled(-lam, cap)
+        scalar_series = pre * expm
         coeffs = [c * Fraction(factorial(j)) / psi.factorial(j)
                   for j, c in enumerate(scalar_series.coeffs)]
         out.append(TruncatedSeries(coeffs, cap))

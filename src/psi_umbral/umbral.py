@@ -18,27 +18,20 @@ from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, NotShiftInvariantError,
                      SelfCheckError)
 from .operators import (GradedOperator, apply_psi_series, is_shift_invariant,
-                        psi_derivative, psi_raise, shift_invariant_coefficients)
+                        psi_raise, shift_invariant_coefficients)
 from .psi import PsiSequence
+from .special import psi_exp_scaled
 
 
 def translate(psi: PsiSequence, y, p: Polynomial) -> Polynomial:
     """Generalized shift of p by y: sum_k (y^k / k_psi!) (d_psi)^k p.
 
     For p = x^n this is the weighted binomial expansion
-    sum_k binom_psi(n, k) x^(n-k) y^k.
+    sum_k binom_psi(n, k) x^(n-k) y^k.  The series stops at the degree of
+    p, so no weight past it is read.
     """
-    y = as_scalar(y)
-    out = Polynomial()
-    current = p
-    ypow = Fraction(1)
-    k = 0
-    while not current.is_zero:
-        out = out + (ypow / psi.factorial(k)) * current
-        current = psi_derivative(psi, current)
-        ypow *= y
-        k += 1
-    return out
+    reach = max(len(p.coeffs) - 1, 0)
+    return apply_psi_series(psi_exp_scaled(psi, y, reach).coeffs, psi, p)
 
 
 def _require_degree_lowering(op: GradedOperator, n_max: int):

@@ -344,3 +344,37 @@ def test_integrate_q_ignores_unused_weights(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["derivative_roundtrip"] is True
+
+
+@pytest.mark.parametrize("psi_text, psi_doc, job_pointer, cap, poly", [
+    ("q:-1", {"kind": "q", "q": "-1"}, "/psi/q", 1, "1,1,1"),
+    ("custom:1,2", {"kind": "custom", "n_psi": ["1", "2"]}, "/psi", 2,
+     "1,1,1,1"),
+])
+def test_translate_checks_weights_to_the_degree(capsys, tmp_path, psi_text,
+                                                psi_doc, job_pointer, cap,
+                                                poly):
+    # translate reads the weights up to deg p, past a smaller --cap
+    where = "weights inadmissible up to n=%d (cap %d)" % (
+        len(poly.split(",")) - 1, cap)
+    code, _, err = run(capsys, "translate", "--psi", psi_text, "--cap",
+                       str(cap), "--y", "1", "--poly", poly,
+                       "--format", "json")
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["details"]["pointer"] == "--psi"
+    assert doc["message"].startswith(where)
+    code, _, err = run_job(capsys, tmp_path, "translate",
+                           {"psi": psi_doc, "cap": cap, "y": "1",
+                            "poly": poly.split(",")}, "--format", "json")
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["details"]["pointer"] == job_pointer
+    assert doc["message"].startswith(where)
+
+
+def test_translate_with_exactly_the_degree_of_weights(capsys):
+    code, out, _ = run(capsys, "translate", "--psi", "custom:1,2,3", "--cap",
+                       "3", "--y", "1", "--poly", "1,1,1,1")
+    assert code == 0
+    assert "x^3 + 4*x^2 + 6*x + 4" in out

@@ -1,0 +1,128 @@
+"""Byte-for-byte CLI golden test.
+
+Each case runs ``cli.main`` in-process and hashes (exit code, stdout,
+stderr); the digests live in ``cli_golden.json`` next to this file.  To
+record them again, from a checkout whose output is known good:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+import pytest
+
+from psi_umbral.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "cli_golden.json")
+
+SQUARES = "custom:" + ",".join(str(n * n) for n in range(1, 25))
+RATIONAL = ('{"kind": "rational", "q": "3", "R_num": ["1", "-1"], '
+            '"R_den": ["-2"]}')
+
+CASES = [
+    ["basic", "--op", "Delta", "--n", "6", "--formula", "1", "--cap", "8"],
+    ["basic", "--op", "Delta", "--psi", "divided_difference", "--formula", "2",
+     "--cap", "24", "--format", "json"],
+    ["basic", "--op", "Delta", "--psi", "q:1/2", "--n", "6", "--formula", "3",
+     "--cap", "8", "--format", "json"],
+    ["basic", "--op", "Delta", "--psi", SQUARES, "--formula", "4", "--cap",
+     "24"],
+    ["basic", "--op", "Delta", "--psi", RATIONAL, "--formula", "1", "--cap",
+     "24", "--format", "json"],
+    ["basic", "--op", "E[-1/2] - 1", "--formula", "2", "--cap", "24",
+     "--format", "json"],
+    ["basic", "--op", "E[-1/2] - 1", "--psi", "divided_difference", "--n", "6",
+     "--formula", "3", "--cap", "8"],
+    ["basic", "--op", "E[-1/2] - 1", "--psi", "q:1/2", "--formula", "4",
+     "--cap", "24"],
+    ["basic", "--op", "E[-1/2] - 1", "--psi", SQUARES, "--n", "6", "--formula",
+     "1", "--cap", "8", "--format", "json"],
+    ["basic", "--op", "E[-1/2] - 1", "--psi", RATIONAL, "--n", "6",
+     "--formula", "2", "--cap", "8"],
+    ["basic", "--op", "D*E[1]", "--formula", "3", "--cap", "24"],
+    ["basic", "--op", "D*E[1]", "--psi", "divided_difference", "--n", "6",
+     "--formula", "4", "--cap", "8", "--format", "json"],
+    ["basic", "--op", "D*E[1]", "--psi", "q:1/2", "--formula", "1", "--cap",
+     "24", "--format", "json"],
+    ["basic", "--op", "D*E[1]", "--psi", SQUARES, "--n", "6", "--formula", "2",
+     "--cap", "8"],
+    ["basic", "--op", "D*E[1]", "--psi", RATIONAL, "--formula", "3", "--cap",
+     "24", "--format", "json"],
+    ["basic", "--op", "Dpsi + Dpsi*Dpsi", "--n", "6", "--formula", "4",
+     "--cap", "8", "--format", "json"],
+    ["basic", "--op", "Dpsi + Dpsi*Dpsi", "--psi", "divided_difference",
+     "--formula", "1", "--cap", "24"],
+    ["basic", "--op", "Dpsi + Dpsi*Dpsi", "--psi", "q:1/2", "--n", "6",
+     "--formula", "2", "--cap", "8"],
+    ["basic", "--op", "Dpsi + Dpsi*Dpsi", "--psi", SQUARES, "--formula", "3",
+     "--cap", "24", "--format", "json"],
+    ["basic", "--op", "Dpsi + Dpsi*Dpsi", "--psi", RATIONAL, "--n", "6",
+     "--formula", "4", "--cap", "8"],
+    ["basic", "--op", "D*X*D", "--n", "5", "--cap", "8"],
+    ["basic", "--op", "X", "--cap", "8"],
+    ["basic", "--op", "Xpsi*Dpsi", "--cap", "8", "--format", "json"],
+    ["expand", "--t", "Delta", "--cap", "8"],
+    ["expand", "--t", "Delta", "--psi", "q:1/2", "--lambda", "1,1/2", "--cap",
+     "8", "--format", "json"],
+    ["expand", "--t", "E[2] - 1", "--cap", "8", "--format", "json"],
+    ["expand", "--t", "E[2] - 1", "--q", "Delta", "--psi", RATIONAL, "--cap",
+     "8"],
+    ["detect", "--op", "Delta", "--cap", "8"],
+    ["detect", "--op", "Delta", "--psi", "q:1/2", "--cap", "8", "--format",
+     "json"],
+    ["detect", "--op", "E[2] - 1", "--psi", "divided_difference", "--cap",
+     "8"],
+    ["detect", "--op", "E[2] - 1", "--psi", SQUARES, "--cap", "8", "--format",
+     "json"],
+    ["translate", "--psi", "custom:1,2,3", "--cap", "3", "--y", "1", "--poly",
+     "1,1,1,1"],
+    ["translate", "--psi", "custom:1,4,9", "--cap", "3", "--y=-1/2", "--poly",
+     "0,1,0,2", "--format", "json"],
+    ["translate", "--psi", "custom:2,3", "--cap", "2", "--y", "3", "--poly",
+     "1,0,1", "--format", "csv"],
+    ["translate", "--psi", "q:1/2", "--cap", "8", "--y", "1/3", "--poly",
+     "1,2,3", "--format", "json"],
+    ["verify", "--suite", "binomial", "--cap", "8"],
+    ["verify", "--suite", "binomial", "--cap", "8", "--format", "json"],
+    ["verify", "--suite", "expansion", "--cap", "8"],
+    ["verify", "--suite", "expansion", "--cap", "8", "--format", "json"],
+    ["table", "--psi", RATIONAL, "--cap", "8", "--format", "json"],
+    ["integrate", "--psi", "q:1/2", "--cap", "8", "--poly", "1,2,3"],
+]
+
+
+def run_digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def load_golden():
+    with open(GOLDEN) as fh:
+        return [(entry["argv"], entry["sha256"]) for entry in json.load(fh)]
+
+
+def test_golden_file_lists_exactly_the_cases():
+    assert [argv for argv, _ in load_golden()] == CASES
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_matches_golden(argv, monkeypatch):
+    monkeypatch.delenv("PSI_UMBRAL_CAP", raising=False)
+    recorded = dict((tuple(a), digest) for a, digest in load_golden())
+    assert run_digest(argv) == recorded[tuple(argv)]
+
+
+if __name__ == "__main__":
+    os.environ.pop("PSI_UMBRAL_CAP", None)
+    entries = [{"argv": argv, "sha256": run_digest(argv)} for argv in CASES]
+    with open(GOLDEN, "w") as fh:
+        fh.write("[\n%s\n]\n"
+                 % ",\n".join(json.dumps(entry) for entry in entries))

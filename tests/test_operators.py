@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from psi_umbral.algebra import Polynomial
 from psi_umbral.errors import (CapExceededError, NonInvertibleError,
                                NotShiftInvariantError)
+from psi_umbral.expansion import first_expansion_coeffs
+from psi_umbral.exprparse import OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, derivative_op, dilation_op,
                                   divided_difference, divided_difference_op,
                                   forward_difference_op, invert_shift_invariant,
@@ -16,6 +19,8 @@ from psi_umbral.operators import (GradedOperator, derivative_op, dilation_op,
                                   shift_invariant_coefficients, translation_op,
                                   weight_multiplier, weight_op)
 from psi_umbral.psi import PsiSequence
+from psi_umbral.umbral import DeltaOperator, sheffer_sequence, translate
+from test_umbral import KERNEL_WEIGHTS
 
 
 def rationals():
@@ -239,3 +244,105 @@ def test_power_of_raising_operator_still_shrinks_the_cap():
     x = multiply_x_op(8)
     assert (x ** 3).cap == 5
     assert (x ** 3).image(5) == Polynomial.monomial(8)
+
+
+# -- translation tables against the weighted binomial, entry by entry --
+
+
+def binomial_rule_table(psi, y, cap):
+    """x^n -> sum_k binom_psi(n, k) y^k x^(n-k), one binomial a cell."""
+    y = Fraction(y)
+    return GradedOperator.from_monomial_rule(
+        lambda n: Polynomial([psi.binomial(n, n - j) * y ** (n - j)
+                              for j in range(n + 1)]), cap)
+
+
+@pytest.mark.parametrize("weights", sorted(KERNEL_WEIGHTS))
+@pytest.mark.parametrize("cap", [0, 1, 14])
+def test_translation_tables_match_the_weighted_binomial(weights, cap):
+    psi = KERNEL_WEIGHTS[weights](cap)
+    for y in (0, 1, Fraction(-1, 2), 3):
+        want = binomial_rule_table(psi, y, cap)
+        assert translation_op(psi, y, cap).images == want.images
+    want = binomial_rule_table(psi, 1, cap) - GradedOperator.identity(cap)
+    assert forward_difference_op(psi, cap).images == want.images
+
+
+@pytest.mark.parametrize("weights", sorted(KERNEL_WEIGHTS))
+def test_translate_matches_the_weighted_binomial(weights):
+    cap = 14
+    psi = KERNEL_WEIGHTS[weights](cap)
+    rng = random.Random(weights)
+    for _ in range(12):
+        p = Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                        for _ in range(rng.randint(0, cap + 1))])
+        for y in (0, 1, Fraction(-1, 2), 3):
+            reach = max(len(p.coeffs) - 1, 0)
+            assert translate(psi, y, p) == binomial_rule_table(
+                psi, y, reach).apply(p)
+
+
+def test_translate_reads_no_weight_past_the_degree():
+    p = Polynomial((1, 1, 1, 1))
+    exact = PsiSequence.custom([1, 4, 9])
+    assert translate(exact, Fraction(1, 2), p) == binomial_rule_table(
+        exact, Fraction(1, 2), 3).apply(p)
+    assert translate(PsiSequence.custom([]), 5, Polynomial((7,))) == \
+        Polynomial((7,))
+    with pytest.raises(CapExceededError):
+        translate(PsiSequence.custom([1, 4]), 1, p)
+
+
+# -- shift invariance as a series comparison ----------------------------
+
+
+def identity_leaking_past_the_cap():
+    """Identity on x^0..x^7 at cap 8, except x^8 -> x^8 + x^9."""
+    images = [Polynomial.monomial(n) for n in range(8)]
+    images.append(Polynomial.monomial(8) + Polynomial.monomial(9))
+    return GradedOperator(images, 8)
+
+
+def test_invariance_sees_an_image_past_the_cap():
+    # the commutator with the weighted derivative loses row 8 when its cap
+    # shrinks to 7, so it reads this table as invariant; the series does not
+    psi = PsiSequence.classical(8)
+    op = identity_leaking_past_the_cap()
+    assert op.commutator(psi_derivative_op(psi, 8)).is_zero
+    assert not is_shift_invariant(op, psi)
+    delta = DeltaOperator.from_operator(forward_difference_op(psi, 8), psi)
+    with pytest.raises(NotShiftInvariantError):
+        invert_shift_invariant(op, psi)
+    with pytest.raises(NotShiftInvariantError):
+        sheffer_sequence(delta, op, 4)
+    with pytest.raises(NotShiftInvariantError):
+        first_expansion_coeffs(op, delta)
+
+
+ZOO = ("Delta", "E[1/2] - 1", "E[-1/2] - 1", "Dpsi + Dpsi*Dpsi", "D*E[1]",
+       "D*X*D", "Q[2]*Dpsi", "Nhat", "Xpsi*Dpsi")
+
+ZOO_WEIGHTS = {
+    "classical": lambda cap: PsiSequence.classical(cap),
+    "divided_difference": lambda cap: PsiSequence.divided_difference(cap),
+    "q=1/2": lambda cap: PsiSequence.jackson(Fraction(1, 2), cap),
+    "rational": lambda cap: PsiSequence.from_json(
+        {"kind": "rational", "q": "3", "R_num": ["1", "-1"], "R_den": ["-2"]},
+        cap),
+    "squares": lambda cap: PsiSequence.custom(
+        [n * n for n in range(1, cap + 2)]),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(ZOO_WEIGHTS))
+def test_invariance_agrees_with_the_commutator_on_the_parser_zoo(weights):
+    cap = 12
+    psi = ZOO_WEIGHTS[weights](cap)
+    verdicts = []
+    for text in ZOO:
+        op = parse_operator(text, OperatorContext(cap, psi))
+        assert all(img.degree <= op.cap for img in op.images)
+        commutes = op.commutator(psi_derivative_op(psi, op.cap)).is_zero
+        assert is_shift_invariant(op, psi) == commutes, text
+        verdicts.append(commutes)
+    assert True in verdicts and False in verdicts

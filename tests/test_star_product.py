@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.operators import psi_derivative
 from psi_umbral.psi import PsiSequence, RationalFunction
-from psi_umbral.star_product import (StarSeries, exp_series_scaled,
-                                     poisson_weights,
+from psi_umbral.star_product import (StarSeries, poisson_weights,
                                      poisson_weights_raising,
                                      poisson_weights_recursion, psi_exp_scaled,
                                      psi_leibniz, q_leibniz, r_leibniz,
@@ -48,7 +47,7 @@ def test_star_exponential_addition():
     cap = 12
     psi = PsiSequence.jackson(Fraction(1, 2), cap)
     a, b = Fraction(2), Fraction(-1, 2)
-    left = exp_series_scaled(a, cap)
+    left = psi_exp_scaled(PsiSequence.classical(cap), a, cap)
     right = psi_exp_scaled(psi, b, cap)
     got = star_mul(left, right, psi).series
     assert got == psi_exp_scaled(psi, a + b, cap)
@@ -59,7 +58,7 @@ def test_star_exponential_inverse_is_exact_unity():
     for psi in (PsiSequence.classical(cap), PsiSequence.jackson(3, cap),
                 PsiSequence.divided_difference(cap)):
         lam = Fraction(5, 3)
-        got = star_mul(exp_series_scaled(lam, cap),
+        got = star_mul(psi_exp_scaled(PsiSequence.classical(cap), lam, cap),
                        psi_exp_scaled(psi, -lam, cap), psi).series
         assert got == TruncatedSeries.one(cap)
 
