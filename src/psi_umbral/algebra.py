@@ -257,10 +257,6 @@ class TruncatedSeries:
         return cls((0, 1), cap)
 
     @classmethod
-    def from_function(cls, fn, cap: int) -> "TruncatedSeries":
-        return cls(tuple(fn(i) for i in range(cap + 1)), cap)
-
-    @classmethod
     def from_polynomial(cls, p: Polynomial, cap: int) -> "TruncatedSeries":
         return cls(p.coeffs, cap)
 
@@ -418,10 +414,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             tuple(i * self._coeffs[i] for i in range(1, self._cap + 1)),
             self._cap - 1)
-
-    def evaluate(self, z0) -> Fraction:
-        """Evaluate the truncation as a polynomial at an exact point."""
-        return self.as_polynomial()(z0)
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):

@@ -181,7 +181,8 @@ def run_expand(params, cap, psi):
     base_op, base_text = _operator(params, "q", cap, psi)
     exp = expand_in_monomials(t_op, base_op)
     back = reconstruct_from_monomial_form(exp, exp.order)
-    ok = back == t_op.truncated(back.cap)
+    reconstructs = back == t_op.truncated(back.cap)
+    ok = reconstructs
     conj = None
     if params.get("lambda_samples"):
         samples = [scalar_from_str(s) for s in params["lambda_samples"]]
@@ -194,7 +195,7 @@ def run_expand(params, cap, psi):
         "t": t_text,
         "cap": cap,
         "psi": psi.to_json(),
-        "reconstructs": back == t_op.truncated(back.cap),
+        "reconstructs": reconstructs,
         "conjugation": conj,
         "rows": [{"n": n, "q_n": format_polynomial(q)}
                  for n, q in enumerate(exp.coeff_polys)],
@@ -369,14 +370,29 @@ COMMAND_HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors can be raised as ``JobSpecError``."""
+
+    def __init__(self, *args, json_errors=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.json_errors = json_errors
+
+    def error(self, message):
+        if self.json_errors:
+            raise _usage(message)
+        super().error(message)
+
+
+def build_parser(json_errors: bool = False) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="psi-umbral",
         description="Exact calculus of weighted derivatives, basic polynomial "
-                    "sequences, and operator expansions.")
+                    "sequences, and operator expansions.",
+        json_errors=json_errors)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in SCHEMA.items():
-        p = sub.add_parser(command, help=COMMAND_HELP[command])
+        p = sub.add_parser(command, help=COMMAND_HELP[command],
+                           json_errors=json_errors)
         p.add_argument("--cap", type=int, default=None,
                        help="operator table cap (default: $%s or %d)"
                             % (CAP_ENV, DEFAULT_CAP))
@@ -418,9 +434,20 @@ def render(doc, lines, fmt: str, stream) -> None:
             print(line, file=stream)
 
 
+def _wants_json(argv) -> bool:
+    """Does argv ask for JSON output, even if argparse rejects it?"""
+    return "--format=json" in argv or any(
+        a == "--format" and b == "json" for a, b in zip(argv, argv[1:]))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    json_errors = _wants_json(argv)
+    try:
+        args = build_parser(json_errors).parse_args(argv)
+    except JobSpecError as exc:
+        _report_error(exc, "json")
+        return 2
     fmt = args.format
     try:
         command, params, cap, psi = gather_params(args)

@@ -10,11 +10,11 @@ q_n is the conjugate of T by the formal eigenfunction of Q, which is the
 cross-check implemented here, order by order in lam with no truncation
 leakage.
 
-The same triangular data decides whether a given operator is a series in
-SOME weighted derivative at all: read b_(n,k) off Q x^n = sum_k b_(n,k)
-x^(n-k); the candidate weights are the k = 1 column, and the operator is
-such a series exactly when every deeper column is the weighted-binomial
-multiple of its diagonal entry.  Failures come with the first witness pair.
+The same table decides whether a given operator is a series in SOME
+weighted derivative at all: the leading coefficients of its images are the
+candidate weights, and the operator is such a series exactly when it
+equals the series read off it with those weights.  Failures come with the
+first witness pair.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from fractions import Fraction
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, as_scalar,
                       scalar_to_str)
 from .errors import CapExceededError, NotDegreeLoweringError, NotShiftInvariantError
-from .operators import GradedOperator, is_shift_invariant
+from .operators import (GradedOperator, is_shift_invariant,
+                        operator_from_series, shift_invariant_coefficients)
 from .psi import PsiSequence
 from .umbral import BasicSequence, DeltaOperator, unit_normal_sequence
 
@@ -56,10 +57,6 @@ class OperatorExpansion:
     def to_json(self, base_label: str):
         return {"base": base_label,
                 "coeffs": [q.to_json() for q in self.coeff_polys]}
-
-    @classmethod
-    def coeffs_from_json(cls, data) -> list:
-        return [Polynomial.from_json(row) for row in data["coeffs"]]
 
 
 def _base_powers_on_monomials(base: GradedOperator, cap: int) -> list:
@@ -274,28 +271,22 @@ def detect_psi_series(op: GradedOperator) -> DetectionResult:
     """Decide whether op = d + sum_(k>=2) c_k d^k for SOME admissible weights.
 
     The operator is first normalized so its action on x is exactly 1 (the
-    applied scale is reported).  The k = 1 column of the coefficient table
-    proposes the weights; the verdict is the column criterion
-    b_(n,k) = binom(n, k) * b_(k,k), with the first failing (n, k) as witness.
+    applied scale is reported).  The leading coefficients of its images
+    propose the weights; the series c read off with those weights is
+    rebuilt as a table, and the verdict compares the two, with the first
+    differing (n, k) (coefficient of x^(n-k) in the image of x^n) as witness.
     """
     cap = op.cap
     _check_lowers_by_one(op, cap)
-    b11 = op.image(1).constant_term
-    scale = Fraction(1) / b11
-    b = {}
-    for n in range(1, cap + 1):
-        img = scale * op.image(n)
-        for k in range(1, n + 1):
-            b[(n, k)] = img.coefficient(n - k)
-        if b[(n, 1)] == 0:
-            raise NotDegreeLoweringError(
-                "scaled image of x^%d has no x^%d term" % (n, n - 1), n=n)
-    weights = [b[(n, 1)] for n in range(1, cap + 1)]
-    psi = PsiSequence.custom(weights)
+    scale = Fraction(1) / op.image(1).constant_term
+    scaled = scale * op
+    psi = PsiSequence.custom([scaled.image(n).coefficient(n - 1)
+                              for n in range(1, cap + 1)])
+    c = shift_invariant_coefficients(scaled, psi)
+    model = operator_from_series(c.coeffs, psi, cap)
     for n in range(2, cap + 1):
+        img, want = scaled.image(n), model.image(n)
         for k in range(2, n + 1):
-            if b[(n, k)] != psi.binomial(n, k) * b[(k, k)]:
+            if img.coefficient(n - k) != want.coefficient(n - k):
                 return DetectionResult(False, None, None, scale, (n, k))
-    coeffs = [Fraction(0), Fraction(1)]
-    coeffs.extend(b[(k, k)] / psi.factorial(k) for k in range(2, cap + 1))
-    return DetectionResult(True, psi, coeffs, scale, None)
+    return DetectionResult(True, psi, list(c.coeffs), scale, None)

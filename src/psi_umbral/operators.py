@@ -126,20 +126,6 @@ class GradedOperator:
         return best
 
     @property
-    def drop(self) -> int:
-        """How far below its source degree an image reaches (0 for diagonal).
-
-        The image of x^n may contain terms down to degree n - drop; used to
-        bound which table rows can leak into a given output degree.
-        """
-        worst = 0
-        for n, img in enumerate(self._images):
-            low = img.min_degree()
-            if low is not NEG_INF and n - low > worst:
-                worst = n - low
-        return worst
-
-    @property
     def is_zero(self) -> bool:
         return all(img.is_zero for img in self._images)
 

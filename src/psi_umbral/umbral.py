@@ -17,8 +17,10 @@ from .algebra import NEG_INF, Polynomial, TruncatedSeries, as_scalar
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, NotShiftInvariantError,
                      SelfCheckError)
-from .operators import (GradedOperator, apply_psi_series, is_shift_invariant,
-                        psi_raise, shift_invariant_coefficients)
+from .operators import (GradedOperator, apply_psi_series,
+                        invert_shift_invariant, is_shift_invariant,
+                        operator_from_series, psi_raise,
+                        shift_invariant_coefficients)
 from .psi import PsiSequence
 from .special import psi_exp_scaled
 
@@ -142,7 +144,6 @@ class DeltaOperator:
 
     @classmethod
     def from_indicator(cls, coeffs, psi: PsiSequence, cap: int) -> "DeltaOperator":
-        from .operators import operator_from_series
         series = TruncatedSeries(tuple(coeffs), cap)
         if series.constant_term != 0:
             raise NotDegreeLoweringError("indicator must have zero constant term")
@@ -161,7 +162,6 @@ class DeltaOperator:
         return TruncatedSeries(self.indicator.coeffs[1:], self.cap - 1)
 
     def s_operator(self) -> GradedOperator:
-        from .operators import operator_from_series
         return operator_from_series(self.s_series.coeffs, self.psi, self.cap)
 
     def basic(self, n_max: int) -> BasicSequence:
@@ -248,17 +248,11 @@ def sheffer_sequence(delta: DeltaOperator, s_op: GradedOperator,
 
     Satisfies the same lowering recurrence as the basic sequence but with
     shifted initial data; the binomial-type identity picks up basic
-    polynomials on the translated argument.
+    polynomials on the translated argument.  The inverse of S is a table
+    at S's cap, so n_max past that cap raises ``CapExceededError``.
     """
-    if not is_shift_invariant(s_op, delta.psi):
-        raise NotShiftInvariantError(
-            "the Sheffer factor must commute with the weighted derivative")
-    series = shift_invariant_coefficients(s_op, delta.psi)
-    if series.constant_term == 0:
-        raise NonInvertibleError("the Sheffer factor must be invertible")
-    inv = series.inverse()
-    basic = delta.basic(n_max)
-    return [apply_psi_series(inv.coeffs, delta.psi, p) for p in basic.polys]
+    inv = invert_shift_invariant(s_op, delta.psi)
+    return [inv.apply(p) for p in delta.basic(n_max).polys]
 
 
 def unit_normal_sequence(op: GradedOperator, n_max: int) -> list:

@@ -254,6 +254,40 @@ def test_verify_takes_no_weights(capsys, tmp_path):
     assert json.loads(err)["details"]["pointer"] == "/psi"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--suite", "nope", "--format", "json"], "--suite"),
+    (["basic", "--n", "abc", "--format", "json"], "--n"),
+    (["basic", "--n=abc", "--format=json"], "--n"),
+    (["verify", "--psi", "classical", "--format", "json"], "--psi"),
+])
+def test_argparse_errors_arrive_as_json(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["code"] == "job_spec"
+    assert flag in doc["message"]
+
+
+def test_argparse_errors_in_text_mode_keep_the_usage_text(capsys,
+                                                          monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    with pytest.raises(SystemExit) as info:
+        main(["table", "--format", "xml", "--cap", "6"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: psi-umbral table [-h] [--cap CAP] [--psi PSI]\n"
+        "                        [--format {text,json,csv}] [--job JOB]\n"
+        "psi-umbral table: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'text', 'json', 'csv')\n")
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "nope"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: psi-umbral verify")
+
+
 def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,14 @@ from psi_umbral.expansion import (conjugate_indicator_check, detect_psi_series,
                                   first_expansion_coeffs,
                                   reconstruct_from_monomial_form,
                                   apply_dual_form)
+from psi_umbral.exprparse import OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, derivative_op,
                                   forward_difference_op, multiply_x_op,
-                                  psi_derivative_op, translation_op)
+                                  operator_from_series, psi_derivative_op,
+                                  translation_op)
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator
+from test_operators import ZOO, ZOO_WEIGHTS
 
 CAP = 12
 
@@ -174,6 +178,93 @@ def test_detect_accepts_difference_and_recovers_indicator():
     assert res.is_series
     assert res.psi.values(8) == psi.values(8)
     assert list(res.series_coeffs) == list(delta.indicator.coeffs)
+
+
+def column_criterion(op):
+    """Reference verdict by the weighted-binomial column test.
+
+    Read b_(n,k) off the scaled images, scale * op(x^n) = sum_k b_(n,k)
+    x^(n-k); the k = 1 column proposes the weights, and op is a series
+    exactly when b_(n,k) = binom_psi(n, k) * b_(k,k) for all 2 <= k <= n.
+    Returns (is_series, scale, witness, weights, coefficients), or None
+    when op does not lower degree by exactly one.
+    """
+    cap = op.cap
+    if not op.image(0).is_zero or any(op.image(n).degree != n - 1
+                                      for n in range(1, cap + 1)):
+        return None
+    scale = Fraction(1) / op.image(1).constant_term
+    b = {}
+    for n in range(1, cap + 1):
+        img = scale * op.image(n)
+        for k in range(1, n + 1):
+            b[(n, k)] = img.coefficient(n - k)
+    weights = [b[(n, 1)] for n in range(1, cap + 1)]
+    psi = PsiSequence.custom(weights)
+    for n in range(2, cap + 1):
+        for k in range(2, n + 1):
+            if b[(n, k)] != psi.binomial(n, k) * b[(k, k)]:
+                return False, scale, (n, k), None, None
+    coeffs = [Fraction(0), Fraction(1)]
+    coeffs.extend(b[(k, k)] / psi.factorial(k) for k in range(2, cap + 1))
+    return True, scale, None, weights, coeffs
+
+
+def detect_outcome(op):
+    """detect_psi_series in the shape column_criterion returns."""
+    try:
+        res = detect_psi_series(op)
+    except NotDegreeLoweringError:
+        return None
+    if not res.is_series:
+        return False, res.scale, res.witness, res.psi, res.series_coeffs
+    return (True, res.scale, None, res.psi.values(res.psi.stored_cap),
+            list(res.series_coeffs))
+
+
+# The parser zoo plus two lowering operators that are no weighted series.
+DETECT_ZOO = ZOO + ("Dpsi + X*Dpsi*Dpsi*Dpsi", "1/2*D*X*D - 1/3*D^3")
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 12])
+@pytest.mark.parametrize("weights", sorted(ZOO_WEIGHTS))
+def test_detect_agrees_with_the_column_criterion_on_the_parser_zoo(weights,
+                                                                   cap):
+    psi = ZOO_WEIGHTS[weights](cap)
+    verdicts = set()
+    for text in DETECT_ZOO:
+        op = parse_operator(text, OperatorContext(cap, psi))
+        want = column_criterion(op)
+        assert detect_outcome(op) == want, text
+        verdicts.add(want if want is None else want[0])
+    # below cap 3 every lowering table is a series: there is no k = 2 test
+    assert verdicts == ({None, True, False} if cap >= 5 else {None, True})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_detect_agrees_with_the_column_criterion_on_perturbed_series(seed):
+    rng = random.Random(seed)
+    cap = rng.choice([3, 6, 10])
+    psi = ZOO_WEIGHTS[sorted(ZOO_WEIGHTS)[seed % len(ZOO_WEIGHTS)]](cap)
+    coeffs = [0, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))]
+    coeffs += [Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+               for _ in range(cap - 1)]
+    op = operator_from_series(coeffs, psi, cap)
+    assert detect_outcome(op) == column_criterion(op)
+    assert detect_outcome(op)[0] is True
+    rejected = 0
+    for _ in range(6):
+        # one or two entries changed; two can put the first failing n and
+        # the first failing k in different pairs
+        images = list(op.images)
+        for n in rng.sample(range(1, cap + 1), rng.randint(1, 2)):
+            images[n] = images[n] + Polynomial.monomial(
+                rng.randrange(n), Fraction(rng.choice([-2, -1, 1, 3]), 7))
+        bent = GradedOperator(images, cap)
+        want = column_criterion(bent)
+        assert detect_outcome(bent) == want, bent.images
+        rejected += want is not None and not want[0]
+    assert rejected
 
 
 def _images_strategy(cap):

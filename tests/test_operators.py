@@ -106,11 +106,8 @@ def test_noncommutativity_witness():
 def test_shift_bound_and_drop():
     x = multiply_x_op(4)
     assert x.shift_bound == 1
-    assert x.drop == 0
     d = derivative_op(4)
     assert d.shift_bound == -1
-    # drop counts source degree minus lowest output term: n - (n-1)
-    assert d.drop == 1
 
 
 def test_operator_from_series_matches_composition():

@@ -196,6 +196,18 @@ def test_sheffer_lowering_recurrence():
         assert delta.op.apply(seq[n]) == psi.n_psi(n) * seq[n - 1]
 
 
+def test_sheffer_sequence_refuses_a_short_factor():
+    # the inverse of a cap-4 factor is known to x^4 only; s_5..s_8 would
+    # need the terms of its series past the cap
+    psi = PsiSequence.classical(12)
+    delta = DeltaOperator.from_operator(derivative_op(12), psi)
+    s_op = translation_op(psi, Fraction(3, 2), 4)
+    with pytest.raises(CapExceededError):
+        sheffer_sequence(delta, s_op, 8)
+    seq = sheffer_sequence(delta, s_op, 4)
+    assert seq == [Polynomial((Fraction(-3, 2), 1)) ** n for n in range(5)]
+
+
 def test_unit_normal_sequence_is_normalization_invariant():
     # p_n / n_psi! is the same no matter which weights produced p_n
     delta_cl = forward_difference_op(PsiSequence.classical(CAP), CAP)
