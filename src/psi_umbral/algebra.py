@@ -1,15 +1,17 @@
 """Exact univariate polynomials and truncated power series over the rationals.
 
-All coefficients are ``fractions.Fraction`` values; nothing in this module
-(or anything built on it) touches floating point.  Polynomials are dense and
-immutable.  Truncated series carry an explicit cap: a series with cap c knows
-its coefficients up to and including degree c and nothing beyond, and every
+All coefficients are exact rationals; nothing in this module (or anything
+built on it) touches floating point.  Polynomials are dense and immutable;
+they keep int numerators over one denominator, series keep Fractions.
+Truncated series carry an explicit cap: a series with cap c knows its
+coefficients up to and including degree c and nothing beyond, and every
 operation propagates the smallest cap of its inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import CompositionError, NonInvertibleError, SelfCheckError
 
@@ -43,15 +45,29 @@ def scalar_from_str(text: str) -> Fraction:
 
 
 class Polynomial:
-    """Dense polynomial with Fraction coefficients, constant term first."""
+    """Dense polynomial with rational coefficients, constant term first.
 
-    __slots__ = ("_coeffs",)
+    Stored as a tuple of int numerators over one positive int denominator,
+    in lowest terms: no trailing zero numerator, gcd(den, *nums) = 1, and
+    ((), 1) for zero.  The form is unique, so equality is a tuple compare,
+    and the arithmetic runs on ints.  ``coeffs`` and the other coefficient
+    accessors build Fractions on demand.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
         cs = [as_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self._coeffs = tuple(cs)
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so no gcd pass is needed.
+        den = 1
+        for c in cs:
+            if den % c.denominator:
+                den = den // gcd(den, c.denominator) * c.denominator
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -70,26 +86,27 @@ class Polynomial:
         c = as_scalar(coeff)
         if c == 0:
             return cls()
-        return cls((0,) * n + (c,))
+        return _raw((0,) * n + (c.numerator,), c.denominator)
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
 
     @property
     def degree(self):
         """Degree as an int, or NEG_INF for the zero polynomial."""
-        if not self._coeffs:
+        if not self._num:
             return NEG_INF
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self._num):
+            return Fraction(self._num[i], self._den)
         return Fraction(0)
 
     @property
@@ -98,42 +115,36 @@ class Polynomial:
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            return Fraction(0)
-        return self._coeffs[-1]
+        return self.coefficient(len(self._num) - 1)
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return _combination(((1, self), (1, other)), 1)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return _combination(((1, self), (-1, other)), 1)
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self._coeffs))
+        return _raw(tuple(-a for a in self._num), self._den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if not self._coeffs or not other._coeffs:
+            a, b = self._num, other._num
+            if not a or not b:
                 return Polynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            out = [0] * (len(a) + len(b) - 1)
+            b_terms = [(j, y) for j, y in enumerate(b) if y]
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in b_terms:
+                        out[i + j] += x * y
+            return _from_ints(out, self._den * other._den)
         c = as_scalar(other)
-        return Polynomial(tuple(a * c for a in self._coeffs))
+        p = c.numerator
+        return _from_ints([a * p for a in self._num], self._den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -152,53 +163,101 @@ class Polynomial:
         return out
 
     def __call__(self, x0) -> Fraction:
-        """Evaluate by Horner's rule at an exact point."""
+        """Evaluate by Horner's rule at an exact point p/q, on ints:
+        q^deg * self(p/q) = sum a_i p^i q^(deg-i)."""
         x0 = as_scalar(x0)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x0 + c
-        return acc
+        a = self._num
+        if not a:
+            return Fraction(0)
+        p, q = x0.numerator, x0.denominator
+        acc, q_pow = a[-1], 1
+        for c in reversed(a[:-1]):
+            q_pow *= q
+            acc = acc * p + c * q_pow
+        return Fraction(acc, self._den * q_pow)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self._coeffs) if i > 0)
-                          ) if len(self._coeffs) > 1 else Polynomial()
+        a = self._num
+        return _from_ints([i * a[i] for i in range(1, len(a))], self._den)
 
     def shifted(self, k: int) -> "Polynomial":
         """Multiply by x^k."""
-        if not self._coeffs:
+        if not self._num:
             return self
-        return Polynomial((Fraction(0),) * k + self._coeffs)
+        return _raw((0,) * k + self._num, self._den)
 
     def truncated(self, deg: int) -> "Polynomial":
-        return Polynomial(self._coeffs[: deg + 1])
-
-    def min_degree(self):
-        """Degree of the lowest nonzero term; NEG_INF for zero."""
-        for i, c in enumerate(self._coeffs):
-            if c != 0:
-                return i
-        return NEG_INF
+        return _from_ints(self._num[: deg + 1], self._den)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self):
-        return "Polynomial(%r)" % (self._coeffs,)
+        return "Polynomial(%r)" % (self.coeffs,)
 
     def __str__(self):
         return format_polynomial(self)
 
     def to_json(self):
-        return [scalar_to_str(c) for c in self._coeffs]
+        return [scalar_to_str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data) -> "Polynomial":
         return cls(tuple(scalar_from_str(c) for c in data))
+
+
+def _raw(nums: tuple, den: int) -> Polynomial:
+    """A Polynomial from numerators and a denominator already in lowest terms."""
+    p = object.__new__(Polynomial)
+    p._num = nums
+    p._den = den
+    return p
+
+
+def _from_ints(nums, den: int) -> Polynomial:
+    """sum nums[i]/den x^i for ints nums and an int den > 0, in lowest terms."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    if not n:
+        return _raw((), 1)
+    nums = nums[:n]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+    return _raw(tuple(nums), den)
+
+
+def _combination(terms, den: int) -> Polynomial:
+    """sum m * row / den over the (int m, Polynomial row) terms, collected
+    in one int list over the lcm of the denominators of the rows used."""
+    terms = [(m, row) for m, row in terms if m and row._num]
+    lcm = 1
+    for _, row in terms:
+        if lcm % row._den:
+            lcm = lcm // gcd(lcm, row._den) * row._den
+    out = []
+    for m, row in terms:
+        m *= lcm // row._den
+        r = row._num
+        if len(out) < len(r):
+            out.extend([0] * (len(r) - len(out)))
+        for j, y in enumerate(r):
+            if y:
+                out[j] += m * y
+    return _from_ints(out, lcm * den)
+
+
+def _linear_combination(p: Polynomial, rows) -> Polynomial:
+    """sum_n p_n * rows[n]."""
+    return _combination(zip(p._num, rows), p._den)
 
 
 def format_polynomial(p: Polynomial, var: str = "x") -> str:
@@ -206,8 +265,9 @@ def format_polynomial(p: Polynomial, var: str = "x") -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
+    coeffs = p.coeffs
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"

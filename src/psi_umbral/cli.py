@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from gettext import gettext
 
 from .algebra import Polynomial, format_polynomial, scalar_from_str, scalar_to_str
 from .errors import (ExprParseError, JobSpecError, NotDegreeLoweringError,
@@ -371,16 +372,42 @@ COMMAND_HELP = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors can be raised as ``JobSpecError``."""
+    """Argument parser whose usage errors can be raised as ``JobSpecError``.
+
+    For JSON errors ``exit_on_error`` is off, so argparse's ``ArgumentError``
+    reaches ``parse_args`` with the argument it names, and the error points
+    where the flag route's own errors do.
+    """
 
     def __init__(self, *args, json_errors=False, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, exit_on_error=not json_errors, **kwargs)
         self.json_errors = json_errors
 
-    def error(self, message):
+    def parse_args(self, args=None, namespace=None):
+        try:
+            args, extras = self.parse_known_args(args, namespace)
+        except argparse.ArgumentError as exc:
+            self.error(str(exc), exc.argument_name)
+        if extras:
+            self.error(gettext("unrecognized arguments: %s") % " ".join(extras),
+                       extras[0].split("=", 1)[0])
+        return args
+
+    def error(self, message, name=None):
         if self.json_errors:
-            raise _usage(message)
+            raise _usage(message, _argument_pointer(name))
         super().error(message)
+
+
+def _argument_pointer(name) -> str:
+    """The job key of a schema parameter or of the command, or else the flag."""
+    if name == "command":
+        return "/command"
+    for schema in SCHEMA.values():
+        for param in schema:
+            if param.flag == name:
+                return "/" + param.key
+    return name if name and name.startswith("-") else ""
 
 
 def build_parser(json_errors: bool = False) -> argparse.ArgumentParser:

@@ -16,8 +16,10 @@ the operator tables are built from the same formulas.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .algebra import NEG_INF, Polynomial, TruncatedSeries, as_scalar
+from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
+                      _linear_combination, as_scalar)
 from .errors import (AdmissibilityError, CapExceededError, NonInvertibleError,
                      NotShiftInvariantError, SelfCheckError)
 from .psi import PsiSequence
@@ -28,9 +30,7 @@ from .special import exp_psi_series, psi_exp_scaled
 
 def psi_derivative(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Send x^n to n_psi x^(n-1)."""
-    return Polynomial(tuple(psi.n_psi(i + 1) * p.coefficient(i + 1)
-                            for i in range(len(p.coeffs) - 1))
-                      ) if len(p.coeffs) > 1 else Polynomial()
+    return Polynomial(tuple(psi.n_psi(i) * c for i, c in enumerate(p.coeffs) if i))
 
 def psi_raise(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Send x^n to ((n+1)/(n+1)_psi) x^(n+1); partner of the weighted derivative."""
@@ -134,11 +134,7 @@ class GradedOperator:
             raise CapExceededError(
                 "polynomial degree %d exceeds operator cap %d"
                 % (p.degree, self._cap), cap=self._cap)
-        out = Polynomial()
-        for n, c in enumerate(p.coeffs):
-            if c != 0:
-                out = out + c * self._images[n]
-        return out
+        return _linear_combination(p, self._images)
 
     __call__ = apply
 
@@ -188,15 +184,27 @@ class GradedOperator:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative operator power")
-        out = GradedOperator.identity(self._cap)
-        # A base that never raises degree keeps the cap, so a zero power
-        # stays zero from there on.
-        keeps_cap = self.shift_bound <= 0
-        for _ in range(k):
-            out = out.compose(self)
-            if keeps_cap and out.is_zero:
-                break
-        return out
+        if self.shift_bound > 0:
+            # Each factor of a raising base shrinks the cap: one at a time.
+            out = GradedOperator.identity(self._cap)
+            for _ in range(k):
+                out = out.compose(self)
+            return out
+        # A base that never raises degree keeps the cap, so binary powering
+        # gives the same table, and a zero power stays zero from there on.
+        out = None
+        base = self
+        while k:
+            if k & 1:
+                out = base if out is None else out.compose(base)
+                if out.is_zero:
+                    return out
+            k >>= 1
+            if k:
+                base = base.compose(base)
+                if base.is_zero:
+                    return base
+        return GradedOperator.identity(self._cap) if out is None else out
 
     def commutator(self, other: "GradedOperator") -> "GradedOperator":
         return self.compose(other) - other.compose(self)
@@ -273,16 +281,32 @@ def operator_from_series(coeffs, psi: PsiSequence, cap: int) -> GradedOperator:
     # term is read: a short custom sequence still serves a short series.
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
+    # Row n holds c_k n_psi!/(n-k)_psi! at x^(n-k); with the factorials
+    # f/g and c_k = a/b that is (a g_(n-k) / (b f_(n-k))) * (f_n / g_n),
+    # collected over the lcm of the b f_(n-k).  A nonconstant series reads
+    # weights 1..cap, those its falling products n_psi ... (n-k+1)_psi
+    # span; a constant reads none.
+    terms = [(k, c.numerator, c.denominator) for k, c in enumerate(cs) if c]
+    fact = ([(f.numerator, f.denominator)
+             for f in map(psi.factorial, range(cap + 1))]
+            if len(cs) > 1 else [(1, 1)] * (cap + 1))
 
     def rule(n):
-        out = [Fraction(0)] * (n + 1)
-        falling = Fraction(1)  # n_psi (n-1)_psi ... (n-k+1)_psi
-        for k in range(min(n, len(cs) - 1) + 1):
-            if k:
-                falling *= psi.n_psi(n - k + 1)
-            if cs[k] != 0:
-                out[n - k] += cs[k] * falling
-        return Polynomial(out)
+        parts = []
+        den = 1
+        for k, a, b in terms:
+            if k > n:
+                break
+            f, g = fact[n - k]
+            d = b * f
+            if den % d:
+                den = den // gcd(den, d) * abs(d)
+            parts.append((n - k, a * g, d))
+        out = [0] * (n + 1)
+        for i, a, d in parts:
+            out[i] = a * (den // d)
+        f, g = fact[n]
+        return _from_ints([a * f for a in out], den * g)
 
     return GradedOperator.from_monomial_rule(rule, cap)
 

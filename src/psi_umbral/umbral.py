@@ -96,6 +96,8 @@ def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
         raise CapExceededError("n_max %d beyond operator cap %d"
                                % (n_max, op.cap), cap=op.cap)
     _require_degree_lowering(op, n_max)
+    # Image j has degree exactly j - 1, so rows[j][i] exists for i < j.
+    rows = [op.image(j).coeffs for j in range(n_max + 1)]
     polys = [Polynomial.one()]
     for n in range(1, n_max + 1):
         target = psi.n_psi(n) * polys[n - 1]
@@ -105,8 +107,8 @@ def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
             acc = Fraction(0)
             for j in range(i + 2, n + 1):
                 if c[j] != 0:
-                    acc += c[j] * op.image(j).coefficient(i)
-            lead = op.image(i + 1).coefficient(i)
+                    acc += c[j] * rows[j][i]
+            lead = rows[i + 1][i]
             c[i + 1] = (target.coefficient(i) - acc) / lead
         polys.append(Polynomial(c))
     return BasicSequence(polys, psi, op)

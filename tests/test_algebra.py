@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from psi_umbral.algebra import (NEG_INF, Polynomial, TruncatedSeries,
                                 scalar_to_str)
 from psi_umbral.errors import (CompositionError, NonInvertibleError,
                                SelfCheckError)
+from psi_umbral.operators import GradedOperator
 
 
 def rationals(max_num=30, max_den=6):
@@ -67,11 +68,6 @@ def test_format_polynomial():
     assert format_polynomial(Polynomial((Fraction(-1, 2),))) == "-1/2"
 
 
-def test_min_degree():
-    assert Polynomial((0, 0, 5, 1)).min_degree() == 2
-    assert Polynomial().min_degree() is NEG_INF
-
-
 def test_polynomial_hashable():
     assert len({Polynomial((1, 2)), Polynomial((1, 2)), Polynomial((2, 1))}) == 2
 
@@ -104,6 +100,143 @@ def test_evaluation_is_a_homomorphism(p, x0):
 
 
 # -- truncated series -------------------------------------------------------
+
+# -- the integer polynomial kernel against plain Fraction lists --
+
+# Denominators that mix small primes with large powers of two and their
+# neighbours, so sums and products meet both shared and coprime factors.
+DENOMINATORS = [1, 3, 7] + [2 ** k for k in (1, 5, 31, 64)] + \
+    [2 ** k - 1 for k in (2, 5, 31, 61)]
+
+
+def random_fractions(rng, length):
+    """Entries with runs of zeros, negative values and mixed denominators."""
+    out = []
+    while len(out) < length:
+        if rng.random() < 0.3:
+            out.extend([Fraction(0)] * rng.randint(1, 4))
+        else:
+            out.append(Fraction(rng.randint(-99, 99), rng.choice(DENOMINATORS)))
+    return out[:length]
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return trimmed(x + y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def ref_apply(rows, a):
+    out = []
+    for n, c in enumerate(a):
+        out = ref_add(out, [c * v for v in rows[n]])
+    return out
+
+
+def assert_canonical(p):
+    nums, den = p._num, p._den
+    assert den > 0 and gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+    again = Polynomial(list(p.coeffs))
+    assert again == p and hash(again) == hash(p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_kernel_matches_fraction_lists(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        a = random_fractions(rng, rng.randint(0, 12))
+        b = random_fractions(rng, rng.randint(0, 12))
+        p, q = Polynomial(a), Polynomial(b)
+        c = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+        x0 = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+        k, d = rng.randint(0, 4), rng.randint(-1, 12)
+        results = {
+            "+": (p + q, ref_add(a, b)),
+            "-": (p - q, ref_add(a, [-v for v in b])),
+            "*": (p * q, ref_mul(a, b)),
+            "p*c": (p * c, trimmed(v * c for v in a)),
+            "c*p": (c * p, trimmed(v * c for v in a)),
+            "derivative": (p.derivative(),
+                           trimmed(i * v for i, v in enumerate(a))[1:]),
+            "shifted": (p.shifted(k),
+                        trimmed([Fraction(0)] * k + a) if trimmed(a) else []),
+            "truncated": (p.truncated(d), trimmed(a[: d + 1])),
+        }
+        if c:
+            results["/"] = (p / c, trimmed(v / c for v in a))
+        for name, (got, want) in results.items():
+            assert list(got.coeffs) == want, name
+            assert_canonical(got)
+        assert p(x0) == sum((v * x0 ** i for i, v in enumerate(a)), Fraction(0))
+        assert p.leading_coefficient == (trimmed(a) or [Fraction(0)])[-1]
+        assert p.constant_term == (a[0] if a else 0)
+
+
+def test_zero_polynomials_are_all_the_same():
+    p = Polynomial([Fraction(3, 7), 0, Fraction(-1, 2 ** 31)])
+    zeros = [Polynomial(), Polynomial.zero(), Polynomial((0, 0, 0)), p - p,
+             p * 0, p.truncated(-1), Polynomial.one().derivative(),
+             Polynomial.monomial(3, 0), Polynomial.zero().shifted(2)]
+    for z in zeros:
+        assert (z._num, z._den) == ((), 1)
+        assert z == Polynomial() and hash(z) == hash(Polynomial())
+        assert z.is_zero and z.coeffs == () and z.degree is NEG_INF
+
+
+def test_equal_polynomials_built_apart_have_equal_hashes():
+    half = Fraction(1, 2)
+    p = Polynomial([half, Fraction(1, 3)]) * 6
+    q = Polynomial([3, 2])
+    r = (Polynomial([Fraction(3, 7)]) + Polynomial([Fraction(4, 7)])) * q
+    assert p == q == r and hash(p) == hash(q) == hash(r)
+    assert (p._num, p._den) == ((3, 2), 1)
+
+
+def random_table(rng, cap, growth):
+    return GradedOperator(
+        [Polynomial(random_fractions(rng, rng.randint(0, n + 1 + growth)))
+         for n in range(cap + 1)], cap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_table_apply_and_compose_match_fraction_lists(seed):
+    rng = random.Random(seed)
+    cap = 8
+    outer = random_table(rng, cap, 0)
+    rows = [list(img.coeffs) for img in outer.images]
+    for _ in range(10):
+        a = random_fractions(rng, rng.randint(0, cap + 1))
+        assert list(outer.apply(Polynomial(a)).coeffs) == ref_apply(rows, a)
+    for growth in (0, 1):
+        inner = random_table(rng, cap, growth)
+        got = outer.compose(inner)
+        eff = -1
+        for n, img in enumerate(inner.images):
+            if len(img.coeffs) - 1 > cap:
+                break
+            eff = n
+        assert got.cap == eff
+        for n in range(eff + 1):
+            want = ref_apply(rows, list(inner.image(n).coeffs))
+            assert list(got.image(n).coeffs) == want
+            assert_canonical(got.image(n))
+
 
 def test_series_cap_propagation():
     a = TruncatedSeries((1, 1, 1, 1), 3)

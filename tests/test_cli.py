@@ -254,11 +254,24 @@ def test_verify_takes_no_weights(capsys, tmp_path):
     assert json.loads(err)["details"]["pointer"] == "/psi"
 
 
+# Where an argparse error points: the job key of a schema parameter or of
+# the command, as the flag route's own checks report it, or else the flag.
+ARGPARSE_POINTERS = {"--suite": "/suite", "--n": "/n",
+                     "--lambda": "/lambda_samples", "--psi": "--psi",
+                     "--cap": "--cap", "--format": "--format", "--job": "--job",
+                     "command": "/command"}
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["verify", "--suite", "nope", "--format", "json"], "--suite"),
     (["basic", "--n", "abc", "--format", "json"], "--n"),
     (["basic", "--n=abc", "--format=json"], "--n"),
     (["verify", "--psi", "classical", "--format", "json"], "--psi"),
+    (["expand", "--format", "json", "--lambda"], "--lambda"),
+    (["basic", "--cap", "x", "--format", "json"], "--cap"),
+    (["table", "--format=json", "--format", "xml"], "--format"),
+    (["table", "--format", "json", "--job"], "--job"),
+    (["bogus", "--format", "json"], "command"),
 ])
 def test_argparse_errors_arrive_as_json(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
@@ -267,6 +280,8 @@ def test_argparse_errors_arrive_as_json(capsys, argv, flag):
     doc = json.loads(err)
     assert doc["code"] == "job_spec"
     assert flag in doc["message"]
+    assert doc["details"]["pointer"] == ARGPARSE_POINTERS[flag]
+
 
 
 def test_argparse_errors_in_text_mode_keep_the_usage_text(capsys,

@@ -82,6 +82,7 @@ CASES = [
     ["detect", "--op", "Dpsi + X*Dpsi*Dpsi*Dpsi", "--cap", "10", "--format",
      "json"],
     ["detect", "--op", "1/2*D*X*D - 1/3*D^3", "--cap", "8"],
+    ["detect", "--op", "E[1]^300", "--cap", "24"],
     ["translate", "--psi", "custom:1,2,3", "--cap", "3", "--y", "1", "--poly",
      "1,1,1,1"],
     ["translate", "--psi", "custom:1,4,9", "--cap", "3", "--y=-1/2", "--poly",

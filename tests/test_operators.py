@@ -221,9 +221,8 @@ def test_translation_composes_additively_classical(a, b):
     assert ea * eb == eab.truncated((ea * eb).cap)
 
 
-def test_power_of_nilpotent_operator_stops_at_zero(monkeypatch):
-    psi = PsiSequence.classical(8)
-    d = psi_derivative_op(psi, 8)
+def counted_composes(monkeypatch):
+    """A list that gains one entry per GradedOperator.compose from now on."""
     calls = []
     compose = GradedOperator.compose
 
@@ -232,9 +231,33 @@ def test_power_of_nilpotent_operator_stops_at_zero(monkeypatch):
         return compose(self, inner)
 
     monkeypatch.setattr(GradedOperator, "compose", counting)
+    return calls
+
+
+def test_power_of_nilpotent_operator_stops_at_zero(monkeypatch):
+    psi = PsiSequence.classical(8)
+    d = psi_derivative_op(psi, 8)
+    calls = counted_composes(monkeypatch)
     power = d ** 100000
     assert power == GradedOperator.zero(8) and power.cap == 8
-    assert len(calls) == 9          # d^9 is the first zero power at cap 8
+    # 100000 ends in five zero bits: the squarings d^2, d^4, d^8, d^16 run
+    # before any factor is multiplied in, and d^16 is the first zero square.
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("text", ["E[1]", "X*D"])
+@pytest.mark.parametrize("k", list(range(18)) + [1000])
+def test_power_of_cap_keeping_operator_matches_repeated_compose(text, k,
+                                                                monkeypatch):
+    base = parse_operator(text, OperatorContext(8, PsiSequence.classical(8)))
+    assert base.shift_bound <= 0
+    reference = GradedOperator.identity(8)
+    for _ in range(k):
+        reference = reference.compose(base)
+    calls = counted_composes(monkeypatch)
+    power = base ** k
+    assert power.cap == 8 and power == reference
+    assert len(calls) <= 2 * k.bit_length()
 
 
 def test_power_of_raising_operator_still_shrinks_the_cap():

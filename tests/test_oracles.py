@@ -1,0 +1,75 @@
+"""Basic sequences and Gaussian binomials against classical closed forms.
+
+The closed forms are the benchmark's oracles in ``perfbench/oracles.py``:
+plain Fraction code that imports nothing from psi_umbral, so a kernel that
+goes wrong cannot agree with them by sharing the fault.  The file is loaded
+by path, so each formula keeps one home.  The caps are ones the benchmark
+does not use.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import os
+from fractions import Fraction
+
+import pytest
+
+from psi_umbral.cli import main
+from psi_umbral.psi import PsiSequence
+
+ORACLES_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "perfbench", "oracles.py")
+
+
+def load_oracles():
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = load_oracles()
+
+CAPS = (13, 21)
+
+
+def run_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv) + ["--format", "json"])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+def basic_polys(op, cap):
+    doc = run_json("basic", "--op", op, "--n", str(cap - 1), "--cap", str(cap))
+    return [[Fraction(c) for c in p] for p in doc["polys"]]
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("h", ["1", "2", "-1/3"])
+def test_basic_of_forward_difference_is_step_falling(cap, h):
+    op = "Delta" if h == "1" else "E[%s] - 1" % h
+    polys = basic_polys(op, cap)
+    assert polys == [oracles.step_falling(n, Fraction(h)) for n in range(cap)]
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("a", ["1", "-2", "3/5"])
+def test_basic_of_derivative_times_shift_is_abel(cap, a):
+    polys = basic_polys("D*E[%s]" % a, cap)
+    assert polys == [oracles.abel(n, Fraction(a)) for n in range(cap)]
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("q", ["2", "1/2", "-3/4"])
+def test_jackson_binomials_are_gaussian(cap, q):
+    want = oracles.gaussian_binomials(Fraction(q), cap)
+    doc = run_json("table", "--psi", "q:" + q, "--cap", str(cap))
+    table = [[Fraction(v) for v in row] for row in doc["binomials"]]
+    assert table == want[:len(table)]
+    psi = PsiSequence.jackson(Fraction(q), cap)
+    assert [[psi.binomial(n, k) for k in range(n + 1)]
+            for n in range(cap + 1)] == want

@@ -11,7 +11,7 @@ from psi_umbral.operators import (GradedOperator, derivative_op,
                                   forward_difference_op, is_shift_invariant,
                                   multiply_x_op, operator_from_series,
                                   psi_derivative_op, translation_op)
-from psi_umbral.psi import PsiSequence
+from psi_umbral.psi import PsiSequence, RationalFunction
 from psi_umbral.umbral import (DeltaOperator, basic_sequence_solve,
                                dual_raise_operator, eigenfunction_series,
                                rodrigues_sequence, sheffer_sequence, translate,
@@ -276,10 +276,23 @@ def falling_per_entry(coeffs, psi, cap):
     return GradedOperator.from_monomial_rule(rule, cap)
 
 
-@pytest.mark.parametrize("weights", sorted(KERNEL_WEIGHTS))
+# All five kinds of weights; the custom one has exactly cap values, so a
+# table that read one weight too many would fail.
+SERIES_WEIGHTS = dict(
+    KERNEL_WEIGHTS,
+    divided_difference=lambda cap: PsiSequence.divided_difference(cap),
+    rational=lambda cap: PsiSequence.rational(
+        RationalFunction(Polynomial([1, -1]), Polynomial([1, 2])),
+        Fraction(1, 2), cap),
+    exact_custom=lambda cap: PsiSequence.custom(
+        [Fraction((-2) ** n, 2 * n + 1) for n in range(1, cap + 1)]),
+)
+
+
+@pytest.mark.parametrize("weights", sorted(SERIES_WEIGHTS))
 def test_operator_from_series_matches_per_entry_falling(weights):
     cap = 14
-    psi = KERNEL_WEIGHTS[weights](cap)
+    psi = SERIES_WEIGHTS[weights](cap)
     rng = random.Random(weights)
     for length in (1, 3, cap + 1, cap + 4):
         coeffs = [Fraction(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 4))
