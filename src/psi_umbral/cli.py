@@ -283,7 +283,7 @@ def run_integrate(params, cap, psi):
             dpsi = PsiSequence.rational(rat, q, 0)
         # x^n is divided by the weight of n + 1.
         require_admissible(dpsi, cap, "/q" if kind == "q" else "/r_num",
-                           len(p.coeffs))
+                           0 if p.is_zero else p.degree + 1)
         integral = q_integral(q, p) if kind == "q" else r_integral(rat, q, p)
 
     roundtrip = psi_derivative(dpsi, integral) == p

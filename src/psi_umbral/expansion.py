@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, as_scalar,
                       scalar_to_str)
-from .errors import CapExceededError, NotDegreeLoweringError, NotShiftInvariantError
-from .operators import (GradedOperator, is_shift_invariant,
-                        operator_from_series, shift_invariant_coefficients)
+from .errors import CapExceededError
+from .operators import (GradedOperator, _require_lowers_by_one,
+                        _series_and_witness, shift_invariant_coefficients)
 from .psi import PsiSequence
 from .umbral import BasicSequence, DeltaOperator, unit_normal_sequence
 
@@ -67,16 +67,6 @@ def _base_powers_on_monomials(base: GradedOperator, cap: int) -> list:
     return rows
 
 
-def _check_lowers_by_one(base: GradedOperator, cap: int):
-    if not base.image(0).is_zero:
-        raise NotDegreeLoweringError("base operator does not kill constants")
-    for n in range(1, cap + 1):
-        if base.image(n).degree != n - 1:
-            raise NotDegreeLoweringError(
-                "base image of x^%d has degree %s, expected %d"
-                % (n, base.image(n).degree, n - 1), n=n)
-
-
 def expand_in_monomials(t: GradedOperator,
                         base: GradedOperator) -> OperatorExpansion:
     """Unique expansion T = sum q_n(x) base^n, solved on 1, x, x^2, ...
@@ -85,7 +75,7 @@ def expand_in_monomials(t: GradedOperator,
     triangular with invertible pivots.
     """
     cap = min(t.cap, base.cap)
-    _check_lowers_by_one(base, cap)
+    _require_lowers_by_one(base, cap, "base ")
     powers = _base_powers_on_monomials(base, cap)
     qs = []
     for m in range(cap + 1):
@@ -231,11 +221,10 @@ def first_expansion_coeffs(t: GradedOperator,
     """Scalar coefficients of a shift-invariant T in powers of a delta operator.
 
     a_n is the constant term of T applied to the n-th basic polynomial,
-    divided by n_psi!.
+    divided by n_psi!.  Raises ``NotShiftInvariantError`` when T does not
+    commute with the weighted derivative.
     """
-    if not is_shift_invariant(t, delta.psi):
-        raise NotShiftInvariantError(
-            "first-expansion coefficients need a shift-invariant operator")
+    shift_invariant_coefficients(t, delta.psi)
     cap = min(t.cap, delta.cap)
     basic = delta.basic(cap)
     return TruncatedSeries(
@@ -277,16 +266,12 @@ def detect_psi_series(op: GradedOperator) -> DetectionResult:
     differing (n, k) (coefficient of x^(n-k) in the image of x^n) as witness.
     """
     cap = op.cap
-    _check_lowers_by_one(op, cap)
+    _require_lowers_by_one(op, cap, "base ")
     scale = Fraction(1) / op.image(1).constant_term
     scaled = scale * op
     psi = PsiSequence.custom([scaled.image(n).coefficient(n - 1)
                               for n in range(1, cap + 1)])
-    c = shift_invariant_coefficients(scaled, psi)
-    model = operator_from_series(c.coeffs, psi, cap)
-    for n in range(2, cap + 1):
-        img, want = scaled.image(n), model.image(n)
-        for k in range(2, n + 1):
-            if img.coefficient(n - k) != want.coefficient(n - k):
-                return DetectionResult(False, None, None, scale, (n, k))
+    c, witness = _series_and_witness(scaled, psi)
+    if witness is not None:
+        return DetectionResult(False, None, None, scale, witness)
     return DetectionResult(True, psi, list(c.coeffs), scale, None)

@@ -174,9 +174,11 @@ def weights_reach(command: str, params: dict) -> int:
     other commands stay within the cap.
     """
     if command == "integrate" and params["kind"] == "psi":
-        return len(Polynomial.from_json(params["poly"]).coeffs)
+        p = Polynomial.from_json(params["poly"])
+        return 0 if p.is_zero else p.degree + 1
     if command == "translate":
-        return len(Polynomial.from_json(params["poly"]).coeffs) - 1
+        p = Polynomial.from_json(params["poly"])
+        return 0 if p.is_zero else p.degree
     return 0
 
 

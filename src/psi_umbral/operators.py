@@ -11,17 +11,23 @@ carries that cap.
 Closed-form actions (weighted derivative, weighted raising operator and
 friends) are also provided directly on polynomials, with no cap at all;
 the operator tables are built from the same formulas.
+
+A shift-invariant operator is a series in the weighted derivative, and
+``shift_invariant_coefficients`` is the one place that decides whether a
+table is one: it reads the series off the constant terms, rebuilds it as
+a table and compares.  The check that an operator lowers degree by
+exactly one lives here too.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
                       _linear_combination, as_scalar)
 from .errors import (AdmissibilityError, CapExceededError, NonInvertibleError,
-                     NotShiftInvariantError, SelfCheckError)
+                     NotDegreeLoweringError, NotShiftInvariantError,
+                     SelfCheckError)
 from .psi import PsiSequence
 from .special import exp_psi_series, psi_exp_scaled
 
@@ -36,10 +42,8 @@ def psi_raise(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Send x^n to ((n+1)/(n+1)_psi) x^(n+1); partner of the weighted derivative."""
     if p.is_zero:
         return p
-    out = [Fraction(0)]
-    for i, c in enumerate(p.coeffs):
-        out.append(c * Fraction(i + 1) / psi.n_psi(i + 1))
-    return Polynomial(out)
+    return Polynomial([0] + [c * psi.raising_ratio(i, 1)
+                             for i, c in enumerate(p.coeffs)])
 
 def divided_difference(p: Polynomial) -> Polynomial:
     """Send x^n to x^(n-1), constants to zero: (p(x) - p(0))/x."""
@@ -255,8 +259,7 @@ def psi_derivative_op(psi: PsiSequence, cap: int) -> GradedOperator:
 
 def psi_raise_op(psi: PsiSequence, cap: int) -> GradedOperator:
     return GradedOperator.from_monomial_rule(
-        lambda n: Polynomial.monomial(n + 1,
-                                      Fraction(n + 1) / psi.n_psi(n + 1)), cap)
+        lambda n: Polynomial.monomial(n + 1, psi.raising_ratio(n, 1)), cap)
 
 def weight_op(psi: PsiSequence, cap: int) -> GradedOperator:
     return GradedOperator.from_monomial_rule(
@@ -311,29 +314,66 @@ def operator_from_series(coeffs, psi: PsiSequence, cap: int) -> GradedOperator:
     return GradedOperator.from_monomial_rule(rule, cap)
 
 
-# -- shift invariance and inversion -------------------------------------
+# -- degree lowering, shift invariance and inversion --------------------
 
 
-def is_shift_invariant(op: GradedOperator, psi: PsiSequence) -> bool:
-    """Does op commute with the weighted derivative?
+def _require_lowers_by_one(op: GradedOperator, n_max: int, prefix: str):
+    """op kills constants and sends x^n to degree exactly n - 1, n <= n_max.
 
-    True when op equals its psi-derivative series on x^0..x^cap; an image
+    ``prefix`` ("" or "base ") leads each message, naming which operator
+    failed.
+    """
+    if not op.image(0).is_zero:
+        raise NotDegreeLoweringError("%soperator does not kill constants" % prefix)
+    for n in range(1, n_max + 1):
+        img = op.image(n)
+        if img.is_zero:
+            raise NotDegreeLoweringError(
+                "%simage of x^%d is zero, expected degree %d"
+                % (prefix, n, n - 1), n=n)
+        if img.degree != n - 1:
+            raise NotDegreeLoweringError(
+                "%simage of x^%d has degree %d, expected %d"
+                % (prefix, n, img.degree, n - 1), n=n)
+
+def _series_and_witness(op: GradedOperator, psi: PsiSequence):
+    """The readout c_k = op(x^k)(0) / k_psi! and the first (n, k) where op
+    differs from sum_k c_k (psi-derivative)^k, or None.
+
+    Rows are scanned in order and each row from its highest degree down;
+    (n, k) names the coefficient of x^(n-k) in the image of x^n.  An image
     past the cap is a difference.
     """
-    series = shift_invariant_coefficients(op, psi)
-    return op == operator_from_series(series.coeffs, psi, op.cap)
+    c = TruncatedSeries(tuple(op.image(k).constant_term / psi.factorial(k)
+                              for k in range(op.cap + 1)), op.cap)
+    model = operator_from_series(c.coeffs, psi, op.cap)
+    for n, (img, want) in enumerate(zip(op.images, model.images)):
+        if img != want:
+            i = max(img.degree, want.degree)
+            while img.coefficient(i) == want.coefficient(i):
+                i -= 1
+            return c, (n, n - i)
+    return c, None
 
 def shift_invariant_coefficients(op: GradedOperator,
                                  psi: PsiSequence) -> TruncatedSeries:
     """Coefficients c_k with op = sum_k c_k (psi-derivative)^k.
 
-    Triangular readout: c_k is the constant term of op(x^k) divided by
-    k_psi!.  Only meaningful when op actually commutes with the weighted
-    derivative, which ``is_shift_invariant`` decides from this readout.
+    The one shift-invariance gate: c_k is the constant term of op(x^k)
+    divided by k_psi!, and op commutes with the weighted derivative exactly
+    when it equals the series rebuilt from c on x^0..x^cap.  Raises
+    ``NotShiftInvariantError`` with the first differing (n, k) otherwise.
     """
-    return TruncatedSeries(
-        tuple(op.image(k).constant_term / psi.factorial(k)
-              for k in range(op.cap + 1)), op.cap)
+    c, witness = _series_and_witness(op, psi)
+    if witness is not None:
+        raise NotShiftInvariantError(
+            "operator does not commute with the weighted derivative",
+            n=witness[0], k=witness[1])
+    return c
+
+def is_shift_invariant(op: GradedOperator, psi: PsiSequence) -> bool:
+    """Does op commute with the weighted derivative on x^0..x^cap?"""
+    return _series_and_witness(op, psi)[1] is None
 
 def invert_shift_invariant(op: GradedOperator, psi: PsiSequence) -> GradedOperator:
     """Two-sided inverse of an invertible shift-invariant operator.
@@ -341,9 +381,6 @@ def invert_shift_invariant(op: GradedOperator, psi: PsiSequence) -> GradedOperat
     Requires op(1) != 0; the inverse is the reciprocal series in the
     weighted derivative, checked against op by composition.
     """
-    if not is_shift_invariant(op, psi):
-        raise NotShiftInvariantError(
-            "operator does not commute with the weighted derivative")
     series = shift_invariant_coefficients(op, psi)
     if series.constant_term == 0:
         raise NonInvertibleError("operator kills constants; not invertible")

@@ -174,10 +174,12 @@ class PsiSequence:
 
     def raising_ratio(self, k: int, j: int) -> Fraction:
         """prod_(i=1..j) (k+i)/(k+i)_psi, the scalar by which the j-th power
-        of the weighted raising operator maps x^k to x^(k+j)."""
-        out = Fraction(1)
-        for i in range(1, j + 1):
-            out *= Fraction(k + i) / self.n_psi(k + i)
+        of the weighted raising operator maps x^k to x^(k+j).  The product
+        starts from the int 1 (returned as is for j = 0), so the common
+        j = 1 case builds a single Fraction."""
+        out = 1
+        for i in range(k + 1, k + j + 1):
+            out = out * i / self.n_psi(i)
         return out
 
     def values(self, n_max: int) -> list:

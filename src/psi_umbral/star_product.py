@@ -31,22 +31,6 @@ class StarSeries:
         self.series = series
         self.psi = psi
 
-    @classmethod
-    def from_star_coeffs(cls, coeffs, psi: PsiSequence, cap: int) -> "StarSeries":
-        """Interpret coeffs as multiples of star powers x, x * x, ...
-
-        The n-th star power of x is (n!/n_psi!) x^n, so conversion to the
-        ordinary basis is a diagonal rescale.
-        """
-        cs = [as_scalar(c) for c in coeffs][: cap + 1]
-        ordinary = [c * Fraction(factorial(n)) / psi.factorial(n)
-                    for n, c in enumerate(cs)]
-        return cls(TruncatedSeries(ordinary, cap), psi)
-
-    def star_coeffs(self) -> tuple:
-        return tuple(c * self.psi.factorial(n) / Fraction(factorial(n))
-                     for n, c in enumerate(self.series.coeffs))
-
     @property
     def cap(self) -> int:
         return self.series.cap
@@ -106,7 +90,7 @@ def star_power(n: int, psi: PsiSequence) -> Polynomial:
     """
     if n < 0:
         raise ValueError("star powers are indexed by naturals")
-    closed = Polynomial.monomial(n, Fraction(factorial(n)) / psi.factorial(n))
+    closed = Polynomial.monomial(n, psi.raising_ratio(0, n))
     acc = Polynomial.one()
     for _ in range(n):
         acc = star_mul(Polynomial.x(), acc, psi).as_polynomial()
@@ -163,13 +147,13 @@ def poisson_weights_raising(psi: PsiSequence, lam, m_max: int, cap: int):
     """
     lam = as_scalar(lam)
     expm = psi_exp_scaled(PsiSequence.classical(cap), -lam, cap)
+    star_powers = [psi.raising_ratio(0, j) for j in range(cap + 1)]
     out = []
     for m in range(m_max + 1):
         pre = TruncatedSeries.from_polynomial(
             Polynomial.monomial(m, lam ** m / Fraction(factorial(m))), cap)
         scalar_series = pre * expm
-        coeffs = [c * Fraction(factorial(j)) / psi.factorial(j)
-                  for j, c in enumerate(scalar_series.coeffs)]
+        coeffs = [c * r for c, r in zip(scalar_series.coeffs, star_powers)]
         out.append(TruncatedSeries(coeffs, cap))
     return out
 

@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from .algebra import NEG_INF, Polynomial, TruncatedSeries, as_scalar
 from .errors import (CapExceededError, NonInvertibleError,
-                     NotDegreeLoweringError, NotShiftInvariantError,
-                     SelfCheckError)
-from .operators import (GradedOperator, apply_psi_series,
-                        invert_shift_invariant, is_shift_invariant,
+                     NotDegreeLoweringError, SelfCheckError)
+from .operators import (GradedOperator, _require_lowers_by_one,
+                        apply_psi_series, invert_shift_invariant,
                         operator_from_series, psi_raise,
                         shift_invariant_coefficients)
 from .psi import PsiSequence
@@ -32,18 +31,8 @@ def translate(psi: PsiSequence, y, p: Polynomial) -> Polynomial:
     sum_k binom_psi(n, k) x^(n-k) y^k.  The series stops at the degree of
     p, so no weight past it is read.
     """
-    reach = max(len(p.coeffs) - 1, 0)
+    reach = 0 if p.is_zero else p.degree
     return apply_psi_series(psi_exp_scaled(psi, y, reach).coeffs, psi, p)
-
-
-def _require_degree_lowering(op: GradedOperator, n_max: int):
-    if not op.image(0).is_zero:
-        raise NotDegreeLoweringError("operator does not kill constants")
-    for n in range(1, n_max + 1):
-        if op.image(n).degree != n - 1:
-            raise NotDegreeLoweringError(
-                "image of x^%d has degree %s, expected %d"
-                % (n, op.image(n).degree, n - 1), n=n)
 
 
 class BasicSequence:
@@ -95,7 +84,7 @@ def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
     if n_max > op.cap:
         raise CapExceededError("n_max %d beyond operator cap %d"
                                % (n_max, op.cap), cap=op.cap)
-    _require_degree_lowering(op, n_max)
+    _require_lowers_by_one(op, n_max, "")
     # Image j has degree exactly j - 1, so rows[j][i] exists for i < j.
     rows = [op.image(j).coeffs for j in range(n_max + 1)]
     polys = [Polynomial.one()]
@@ -132,16 +121,10 @@ class DeltaOperator:
 
     @classmethod
     def from_operator(cls, op: GradedOperator, psi: PsiSequence) -> "DeltaOperator":
-        if not is_shift_invariant(op, psi):
-            raise NotShiftInvariantError(
-                "delta operators must commute with the weighted derivative")
-        _require_degree_lowering(op, op.cap)
-        const = op.image(1).constant_term
-        if const == 0:
-            raise NotDegreeLoweringError("image of x must be a nonzero constant")
         indicator = shift_invariant_coefficients(op, psi)
-        if indicator.constant_term != 0:
-            raise SelfCheckError("indicator of a delta operator has a constant term")
+        # x must go to a nonzero constant, so a cap-0 table, which has no
+        # image of x, is rejected too.
+        _require_lowers_by_one(op, max(op.cap, 1), "")
         return cls(op, psi, indicator)
 
     @classmethod
@@ -162,9 +145,6 @@ class DeltaOperator:
     def s_series(self) -> TruncatedSeries:
         """Series of the invertible factor S in op = (weighted derivative) o S."""
         return TruncatedSeries(self.indicator.coeffs[1:], self.cap - 1)
-
-    def s_operator(self) -> GradedOperator:
-        return operator_from_series(self.s_series.coeffs, self.psi, self.cap)
 
     def basic(self, n_max: int) -> BasicSequence:
         return basic_sequence_solve(self.op, self.psi, n_max)
@@ -237,8 +217,7 @@ def dual_raise_operator(basic: BasicSequence) -> GradedOperator:
         out = Polynomial()
         for k, c in enumerate(coords):
             if c != 0:
-                lift = Fraction(k + 1) / psi.n_psi(k + 1)
-                out = out + c * lift * basic.polys[k + 1]
+                out = out + c * psi.raising_ratio(k, 1) * basic.polys[k + 1]
         return out
 
     return GradedOperator.from_monomial_rule(rule, n_top - 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 from .algebra import Polynomial, TruncatedSeries
 from .errors import PsiUmbralError
@@ -396,36 +397,24 @@ def check_divided_difference_series(cap: int, deg_max: int = 12) -> list[CheckRe
                    "divided-difference operator, deg<=%d" % deg_max, ok)]
 
 
+def _reorders(psi, n, m, j) -> bool:
+    """Lowering n times past raising m times on x^j equals its reordering
+    sum_k C(n,k) C(m,k) k! raise^(m-k) lower^(n-k), on the coefficient of
+    x^(j+m-n) (zero when that degree is negative)."""
+    lhs = psi.raising_ratio(j, m) * psi.falling(j + m, n) if j + m >= n else 0
+    rhs = sum(comb(n, k) * comb(m, k) * factorial(k) * psi.falling(j, n - k)
+              * psi.raising_ratio(j - (n - k), m - k)
+              for k in range(min(n, m) + 1) if n - k <= j)
+    return lhs == rhs
+
+
 def check_mixed_powers(cap: int, nm_max: int = 5, j_max: int = 6) -> list[CheckResult]:
-    from math import comb, factorial
     limit = cap + 2  # highest weight every suite member can supply
     out = []
     for name, psi in standard_suite_psis(cap):
-        ok = True
-        for n in range(nm_max + 1):
-            for m in range(nm_max + 1):
-                for j in range(j_max + 1):
-                    if j + m > limit:
-                        continue
-                    # left side: raise m times from degree j, then lower n
-                    lhs = Fraction(0)
-                    top = j + m
-                    if top - n >= 0:
-                        lhs = psi.raising_ratio(j, m) * psi.falling(top, n)
-                    lhs_deg = top - n
-                    rhs = Fraction(0)
-                    for k in range(min(n, m) + 1):
-                        if n - k > j:
-                            continue
-                        c = Fraction(comb(n, k) * comb(m, k) * factorial(k))
-                        c *= psi.falling(j, n - k)
-                        c *= psi.raising_ratio(j - (n - k), m - k)
-                        rhs += c
-                    if lhs_deg < 0:
-                        if rhs != 0:
-                            ok = False
-                    elif lhs != rhs:
-                        ok = False
+        ok = all(_reorders(psi, n, m, j)
+                 for n in range(nm_max + 1) for m in range(nm_max + 1)
+                 for j in range(j_max + 1) if j + m <= limit)
         out.append(_check("mixed-powers[%s] lowering past raising reorders "
                           "with binomial weights, n,m<=%d, j<=%d"
                           % (name, nm_max, j_max), ok))
@@ -433,37 +422,14 @@ def check_mixed_powers(cap: int, nm_max: int = 5, j_max: int = 6) -> list[CheckR
 
 
 def check_exp_commutation(cap: int, order: int = 10, j_max: int = 6) -> list[CheckResult]:
-    from math import factorial
+    # (1/a! b!) lower^a raise^b reorders with weights 1/(u! (a-u)! (b-u)!),
+    # which is the mixed-powers identity divided through by a! b!.
     limit = cap + 2
     out = []
     for name, psi in standard_suite_psis(cap):
-        ok = True
-        for a in range(order + 1):
-            for b in range(order + 1 - a):
-                for j in range(j_max + 1):
-                    if j + b > limit:
-                        continue
-                    # coefficient of the normal-ordered image of x^j under
-                    # (1/a! b!) lower^a raise^b versus its reordering
-                    deg = j + b - a
-                    lhs = Fraction(0)
-                    if deg >= 0:
-                        lhs = (psi.raising_ratio(j, b) * psi.falling(j + b, a)
-                               / (factorial(a) * factorial(b)))
-                    rhs = Fraction(0)
-                    for u in range(min(a, b) + 1):
-                        if a - u > j:
-                            continue
-                        c = Fraction(1, factorial(u) * factorial(a - u)
-                                     * factorial(b - u))
-                        c *= psi.falling(j, a - u)
-                        c *= psi.raising_ratio(j - (a - u), b - u)
-                        rhs += c
-                    if deg < 0:
-                        if rhs != 0:
-                            ok = False
-                    elif lhs != rhs:
-                        ok = False
+        ok = all(_reorders(psi, a, b, j)
+                 for a in range(order + 1) for b in range(order + 1 - a)
+                 for j in range(j_max + 1) if j + b <= limit)
         out.append(_check("exp-commutation[%s] exponential reordering holds "
                           "through total order %d" % (name, order), ok))
     return out

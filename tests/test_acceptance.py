@@ -12,6 +12,7 @@ conftest terminal summary replays those lines after the run.
 
 import cmath
 from fractions import Fraction
+from types import SimpleNamespace
 
 from psi_umbral.psi import PsiSequence
 from psi_umbral.special import psi_hyperbolic
@@ -22,7 +23,7 @@ from psi_umbral.verify import (CheckResult, check_binomial, check_detection,
                                check_ghw, check_integration,
                                check_mixed_powers, check_parity, check_poisson,
                                check_random_roundtrip, check_rodrigues,
-                               check_special)
+                               check_special, _reorders)
 from test_special import _root_of_unity_average
 
 CAP = 16
@@ -90,6 +91,16 @@ def test_criterion_09_exponential_commutation():
     _gate(9, "exponentials of lowering and raising commute up to the scalar "
              "exponential factor, order 10, j <= 6",
           check_exp_commutation(CAP))
+
+
+def test_reordering_comparison_can_fail():
+    # criteria 8 and 9 share one comparison; lowering by jackson(2) weights
+    # past a classical raise does not reorder, and it must say so
+    q2, classical = PsiSequence.jackson(2, 8), PsiSequence.classical(8)
+    mixed = SimpleNamespace(falling=q2.falling,
+                            raising_ratio=classical.raising_ratio)
+    assert _reorders(q2, 1, 1, 1)
+    assert not _reorders(mixed, 1, 1, 1)
 
 
 def test_criterion_10_poisson_routes_agree():

@@ -57,6 +57,27 @@ def test_basic_not_lowering_is_a_computation_failure(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("detect", "--op", "0", "--cap", "4"),
+     "error: base image of x^1 is zero, expected degree 0\n"),
+    (("basic", "--op", "Dpsi^2", "--n", "2"),
+     "error: image of x^1 is zero, expected degree 0\n"),
+])
+def test_zero_image_is_named_without_a_degree_sentinel(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == message
+    assert "inf" not in err
+
+
+def test_basic_at_cap_zero_reads_past_the_table(capsys):
+    # a delta operator needs the image of x, which a cap-0 table lacks
+    code, _, err = run(capsys, "basic", "--op", "Dpsi", "--n", "0",
+                       "--cap", "0")
+    assert code == 1
+    assert err == "error: operator table stops at degree 0, image of x^1 requested\n"
+
+
 def test_expand_with_conjugation(capsys):
     code, out, _ = run(capsys, "expand", "--t", "X*D", "--q", "D",
                        "--lambda", "1,1/2", "--format", "json")

@@ -339,6 +339,18 @@ def test_invariance_sees_an_image_past_the_cap():
         first_expansion_coeffs(op, delta)
 
 
+@pytest.mark.parametrize("op, psi, witness", [
+    (identity_leaking_past_the_cap(), PsiSequence.classical(8), (8, -1)),
+    (dilation_op(2, 8), PsiSequence.jackson(2, 8), (1, 0)),
+])
+def test_shift_invariant_coefficients_is_the_gate(op, psi, witness):
+    # the readout alone would return the identity's series for both; the
+    # gate compares the table with it and names the first differing entry
+    with pytest.raises(NotShiftInvariantError) as info:
+        shift_invariant_coefficients(op, psi)
+    assert (info.value.details["n"], info.value.details["k"]) == witness
+
+
 ZOO = ("Delta", "E[1/2] - 1", "E[-1/2] - 1", "Dpsi + Dpsi*Dpsi", "D*E[1]",
        "D*X*D", "Q[2]*Dpsi", "Nhat", "Xpsi*Dpsi")
 

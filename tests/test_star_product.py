@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.operators import psi_derivative
 from psi_umbral.psi import PsiSequence, RationalFunction
-from psi_umbral.star_product import (StarSeries, poisson_weights,
+from psi_umbral.star_product import (poisson_weights,
                                      poisson_weights_raising,
                                      poisson_weights_recursion, psi_exp_scaled,
                                      psi_leibniz, q_leibniz, r_leibniz,
@@ -61,13 +61,6 @@ def test_star_exponential_inverse_is_exact_unity():
         got = star_mul(psi_exp_scaled(PsiSequence.classical(cap), lam, cap),
                        psi_exp_scaled(psi, -lam, cap), psi).series
         assert got == TruncatedSeries.one(cap)
-
-
-def test_star_coeff_roundtrip():
-    psi = PsiSequence.jackson(2, 6)
-    s = StarSeries.from_star_coeffs([1, 2, 0, Fraction(1, 3)], psi, 6)
-    assert s.star_coeffs()[:4] == (Fraction(1), Fraction(2), Fraction(0),
-                                   Fraction(1, 3))
 
 
 def test_poisson_routes_agree():

@@ -129,7 +129,7 @@ def test_s_factorization():
     psi = PsiSequence.jackson(Fraction(1, 2), CAP)
     delta = DeltaOperator.from_operator(forward_difference_op(psi, CAP), psi)
     d = psi_derivative_op(psi, CAP)
-    prod = d * delta.s_operator()
+    prod = d * operator_from_series(delta.s_series.coeffs, psi, CAP)
     assert prod == delta.op.truncated(prod.cap)
 
 
