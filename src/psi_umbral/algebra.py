@@ -1,11 +1,12 @@
 """Exact univariate polynomials and truncated power series over the rationals.
 
 All coefficients are exact rationals; nothing in this module (or anything
-built on it) touches floating point.  Polynomials are dense and immutable;
-they keep int numerators over one denominator, series keep Fractions.
-Truncated series carry an explicit cap: a series with cap c knows its
-coefficients up to and including degree c and nothing beyond, and every
-operation propagates the smallest cap of its inputs.
+built on it) touches floating point.  Polynomials and series are dense
+and immutable, and both keep int numerators over one denominator in lowest
+terms: the arithmetic runs on ints, and Fractions are built only when
+coefficients are read.  Truncated series carry an explicit cap: a series
+with cap c knows its coefficients up to and including degree c and nothing
+beyond, and every operation propagates the smallest cap of its inputs.
 """
 
 from __future__ import annotations
@@ -60,14 +61,8 @@ class Polynomial:
         cs = [as_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        # Over the lcm of reduced denominators the numerators share no
-        # factor with it, so no gcd pass is needed.
-        den = 1
-        for c in cs:
-            if den % c.denominator:
-                den = den // gcd(den, c.denominator) * c.denominator
-        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
-        self._den = den
+        nums, self._den = _over_lcm(cs)
+        self._num = tuple(nums)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -135,13 +130,8 @@ class Polynomial:
             a, b = self._num, other._num
             if not a or not b:
                 return Polynomial()
-            out = [0] * (len(a) + len(b) - 1)
-            b_terms = [(j, y) for j, y in enumerate(b) if y]
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in b_terms:
-                        out[i + j] += x * y
-            return _from_ints(out, self._den * other._den)
+            return _from_ints(_product(a, b, len(a) + len(b) - 2),
+                              self._den * other._den)
         c = as_scalar(other)
         p = c.numerator
         return _from_ints([a * p for a in self._num], self._den * c.denominator)
@@ -211,6 +201,19 @@ class Polynomial:
         return cls(tuple(scalar_from_str(c) for c in data))
 
 
+def _over_lcm(cs):
+    """Int numerators of the Fractions cs over the lcm of their denominators.
+
+    Over the lcm of reduced denominators the numerators share no factor
+    with it, so no gcd pass is needed.
+    """
+    den = 1
+    for c in cs:
+        if den % c.denominator:
+            den = den // gcd(den, c.denominator) * c.denominator
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
 def _raw(nums: tuple, den: int) -> Polynomial:
     """A Polynomial from numerators and a denominator already in lowest terms."""
     p = object.__new__(Polynomial)
@@ -226,12 +229,7 @@ def _from_ints(nums, den: int) -> Polynomial:
         n -= 1
     if not n:
         return _raw((), 1)
-    nums = nums[:n]
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = [a // g for a in nums]
-            den //= g
+    nums, den = _lowest_terms(nums[:n], den)
     return _raw(tuple(nums), den)
 
 
@@ -288,19 +286,23 @@ def format_polynomial(p: Polynomial, var: str = "x") -> str:
 class TruncatedSeries:
     """Power series known through degree ``cap`` inclusive.
 
-    Equality compares coefficients up to the smaller cap of the two sides,
-    which is the only honest comparison two truncations support; series are
-    therefore unhashable.
+    Stored like a polynomial: a tuple of exactly cap + 1 int numerators
+    over one positive int denominator, in lowest terms (zero is all zeros
+    over 1), so the arithmetic runs on ints and ``coeffs`` and the other
+    accessors build Fractions on demand.  Equality compares coefficients
+    up to the smaller cap of the two sides, which is the only honest
+    comparison two truncations support; series are therefore unhashable.
     """
 
-    __slots__ = ("_coeffs", "_cap")
+    __slots__ = ("_num", "_den", "_cap")
 
     def __init__(self, coeffs, cap: int):
         if cap < 0:
             raise ValueError("series cap must be >= 0")
-        cs = [as_scalar(c) for c in coeffs][: cap + 1]
-        cs.extend(Fraction(0) for _ in range(cap + 1 - len(cs)))
-        self._coeffs = tuple(cs)
+        nums, den = _over_lcm([as_scalar(c) for c in coeffs][: cap + 1])
+        nums.extend([0] * (cap + 1 - len(nums)))
+        self._num = tuple(nums)
+        self._den = den
         self._cap = cap
 
     @classmethod
@@ -326,61 +328,61 @@ class TruncatedSeries:
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
 
     def coefficient(self, i: int) -> Fraction:
         if i > self._cap:
             raise IndexError("coefficient %d beyond cap %d" % (i, self._cap))
-        return self._coeffs[i]
+        return Fraction(self._num[i], self._den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self._coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def as_polynomial(self) -> Polynomial:
-        return Polynomial(self._coeffs)
+        return _from_ints(self._num, self._den)
 
     def truncated(self, cap: int) -> "TruncatedSeries":
         if cap > self._cap:
             raise ValueError("cannot extend a truncated series (cap %d -> %d)"
                              % (self._cap, cap))
-        return TruncatedSeries(self._coeffs, cap)
+        return _series(self._num[: cap + 1], self._den, cap)
 
     def _common_cap(self, other) -> int:
         return min(self._cap, other._cap)
 
+    def _sum(self, other, sign: int) -> "TruncatedSeries":
+        cap = self._common_cap(other)
+        a, b = self._den, other._den
+        lcm = a // gcd(a, b) * b
+        ma, mb = lcm // a, sign * (lcm // b)
+        return _series([x * ma + y * mb
+                        for x, y in zip(self._num[: cap + 1], other._num)],
+                       lcm, cap)
+
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        cap = self._common_cap(other)
-        return TruncatedSeries(
-            tuple(self._coeffs[i] + other._coeffs[i] for i in range(cap + 1)), cap)
+        return self._sum(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        cap = self._common_cap(other)
-        return TruncatedSeries(
-            tuple(self._coeffs[i] - other._coeffs[i] for i in range(cap + 1)), cap)
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return TruncatedSeries(tuple(-c for c in self._coeffs), self._cap)
+        return _raw_series(tuple(-a for a in self._num), self._den, self._cap)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             cap = self._common_cap(other)
-            out = [Fraction(0)] * (cap + 1)
-            for i in range(cap + 1):
-                a = self._coeffs[i]
-                if a == 0:
-                    continue
-                for j in range(cap + 1 - i):
-                    b = other._coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return TruncatedSeries(out, cap)
+            return _series(_product(self._num, other._num, cap),
+                           self._den * other._den, cap)
         c = as_scalar(other)
-        return TruncatedSeries(tuple(a * c for a in self._coeffs), self._cap)
+        p = c.numerator
+        return _series([a * p for a in self._num], self._den * c.denominator,
+                       self._cap)
 
     __rmul__ = __mul__
 
@@ -402,35 +404,62 @@ class TruncatedSeries:
         """self(inner(z)); requires inner(0) = 0 so truncation is stable."""
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
-        if inner.constant_term != 0:
+        if inner._num[0]:
             raise CompositionError(
                 "inner series must have zero constant term for substitution")
         cap = self._common_cap(inner)
-        # Horner in the outer coefficients.  After step k the accumulator is
-        # still to be multiplied by inner k more times, each raising the low
-        # degree by at least one, so only its degrees 0..cap-k can matter.
-        acc = TruncatedSeries((self._coeffs[cap],), 0)
+        a, a_den = self._num, self._den
+        g, g_den = inner._num, inner._den
+        # Horner in the outer coefficients, on the numerators of an
+        # accumulator over its own denominator.  After step k the
+        # accumulator is still to be multiplied by inner k more times, each
+        # raising the low degree by at least one, so only its degrees
+        # 0..cap-k can matter.
+        acc, den = [a[cap]], a_den
         for k in range(cap - 1, -1, -1):
-            top = cap - k
-            acc = (TruncatedSeries(acc._coeffs, top) * inner
-                   + TruncatedSeries((self._coeffs[k],), top))
-        return acc
+            acc = _product(acc, g, cap - k)
+            den *= g_den
+            lcm = den // gcd(den, a_den) * a_den
+            if lcm != den:
+                m = lcm // den
+                acc = [x * m for x in acc]
+            acc[0] += a[k] * (lcm // a_den)
+            acc, den = _lowest_terms(acc, lcm)
+        return _series(acc, den, cap)
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self._coeffs[0]
-        if c0 == 0:
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Fraction-free: with A the numerators and a = A_0, the inverse of A
+        has coefficients C_n / a^(n+1), where C_0 = 1 and
+        C_n = -sum_(k=1..n) A_k C_(n-k) a^(k-1).
+        """
+        a = self._num
+        a0 = a[0]
+        if a0 == 0:
             raise NonInvertibleError(
                 "series with zero constant term has no multiplicative inverse")
-        out = [Fraction(0)] * (self._cap + 1)
-        out[0] = Fraction(1) / c0
-        for n in range(1, self._cap + 1):
-            s = Fraction(0)
-            for k in range(1, n + 1):
-                if self._coeffs[k] != 0:
-                    s += self._coeffs[k] * out[n - k]
-            out[n] = -s / c0
-        return TruncatedSeries(out, self._cap)
+        cap = self._cap
+        a_pow = [1]
+        for _ in range(cap):
+            a_pow.append(a_pow[-1] * a0)
+        terms = [(k, a[k] * a_pow[k - 1]) for k in range(1, cap + 1) if a[k]]
+        c = [1]
+        for n in range(1, cap + 1):
+            s = 0
+            for k, t in terms:
+                if k > n:
+                    break
+                s += t * c[n - k]
+            c.append(-s)
+        # self = A / den, so its inverse is den * C_n / a^(n+1), over a^(cap+1).
+        den = self._den
+        nums = [den * x * a_pow[cap - n] for n, x in enumerate(c)]
+        out_den = a_pow[cap] * a0
+        if out_den < 0:
+            nums = [-x for x in nums]
+            out_den = -out_den
+        return _series(nums, out_den, cap)
 
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -449,19 +478,18 @@ class TruncatedSeries:
         off a running power of h.  The result is verified internally by
         substitution.
         """
-        if self._coeffs[0] != 0:
+        if self._num[0]:
             raise NonInvertibleError("reversion needs zero constant term")
-        f1 = self._coeffs[1] if self._cap >= 1 else Fraction(0)
-        if f1 == 0:
-            raise NonInvertibleError("reversion needs a nonzero linear coefficient")
         cap = self._cap
-        h = TruncatedSeries(self._coeffs[1:], cap - 1).inverse()
+        if cap < 1 or not self._num[1]:
+            raise NonInvertibleError("reversion needs a nonzero linear coefficient")
+        h = _series(self._num[1:], self._den, cap - 1).inverse()
         g = [Fraction(0)] * (cap + 1)
         hn = h
         for n in range(1, cap + 1):
             if n > 1:
                 hn = hn * h
-            g[n] = hn.coefficient(n - 1) / n
+            g[n] = Fraction(hn._num[n - 1], hn._den * n)
         rev = TruncatedSeries(g, cap)
         if self.compose(rev) != TruncatedSeries.identity(cap):
             raise SelfCheckError("reversion failed to verify by substitution")
@@ -471,26 +499,68 @@ class TruncatedSeries:
         """Formal derivative; the cap drops by one."""
         if self._cap == 0:
             return TruncatedSeries.zero(0)
-        return TruncatedSeries(
-            tuple(i * self._coeffs[i] for i in range(1, self._cap + 1)),
-            self._cap - 1)
+        a = self._num
+        return _series([i * a[i] for i in range(1, self._cap + 1)], self._den,
+                       self._cap - 1)
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
-            cap = self._common_cap(other)
-            return self._coeffs[: cap + 1] == other._coeffs[: cap + 1]
+            if self._cap == other._cap:
+                return self._den == other._den and self._num == other._num
+            a, b = self._den, other._den
+            return all(x * b == y * a for x, y in zip(self._num, other._num))
         return NotImplemented
 
     __hash__ = None
 
     def __repr__(self):
-        return "TruncatedSeries(%r, cap=%d)" % (self._coeffs, self._cap)
+        return "TruncatedSeries(%r, cap=%d)" % (self.coeffs, self._cap)
 
     def to_json(self):
         return {"cap": self._cap,
-                "coeffs": [scalar_to_str(c) for c in self._coeffs]}
+                "coeffs": [scalar_to_str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data) -> "TruncatedSeries":
         return cls(tuple(scalar_from_str(c) for c in data["coeffs"]),
                    int(data["cap"]))
+
+
+def _raw_series(nums: tuple, den: int, cap: int) -> TruncatedSeries:
+    """A series from cap + 1 numerators and a denominator in lowest terms."""
+    s = object.__new__(TruncatedSeries)
+    s._num = nums
+    s._den = den
+    s._cap = cap
+    return s
+
+
+def _series(nums, den: int, cap: int) -> TruncatedSeries:
+    """sum nums[i]/den z^i for cap + 1 ints nums and an int den > 0."""
+    nums, den = _lowest_terms(nums, den)
+    return _raw_series(tuple(nums), den, cap)
+
+
+def _lowest_terms(nums, den: int):
+    """nums and den > 0 divided by their gcd; all zeros come back over 1."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return [a // g for a in nums], den // g
+    return nums, den
+
+
+def _product(a, b, cap: int) -> list:
+    """Numerators of the product of two numerator sequences through
+    degree cap, skipping zero terms; the one convolution of polynomials
+    and series."""
+    out = [0] * (cap + 1)
+    b_terms = [(j, y) for j, y in enumerate(b[: cap + 1]) if y]
+    for i, x in enumerate(a[: cap + 1]):
+        if x:
+            top = cap - i
+            for j, y in b_terms:
+                if j > top:
+                    break
+                out[i + j] += x * y
+    return out

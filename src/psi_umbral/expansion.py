@@ -155,6 +155,7 @@ def apply_dual_form(exp: OperatorExpansion, delta: DeltaOperator,
     for n, qn in enumerate(exp.coeff_polys):
         if qn.is_zero:
             continue
+        q_terms = [(j, a) for j, a in enumerate(qn.coeffs) if a]
         for k, c in enumerate(coords):
             if c == 0 or k - n < 0:
                 continue
@@ -162,12 +163,11 @@ def apply_dual_form(exp: OperatorExpansion, delta: DeltaOperator,
             if lowered == 0:
                 continue
             base_idx = k - n
-            for j, a in enumerate(qn.coeffs):
-                if a != 0:
-                    idx = base_idx + j
-                    if idx >= len(out_coords):
-                        raise CapExceededError("dual application leaves the basis")
-                    out_coords[idx] += lowered * a * psi.raising_ratio(base_idx, j)
+            for j, a in q_terms:
+                idx = base_idx + j
+                if idx >= len(out_coords):
+                    raise CapExceededError("dual application leaves the basis")
+                out_coords[idx] += lowered * a * psi.raising_ratio(base_idx, j)
     out = Polynomial()
     for idx, c in enumerate(out_coords):
         if c != 0:

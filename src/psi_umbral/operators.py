@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import gcd
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
-                      _linear_combination, as_scalar)
+                      _linear_combination, _over_lcm, as_scalar)
 from .errors import (AdmissibilityError, CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, NotShiftInvariantError,
                      SelfCheckError)
@@ -42,8 +42,9 @@ def psi_raise(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Send x^n to ((n+1)/(n+1)_psi) x^(n+1); partner of the weighted derivative."""
     if p.is_zero:
         return p
-    return Polynomial([0] + [c * psi.raising_ratio(i, 1)
-                             for i, c in enumerate(p.coeffs)])
+    ratios = [psi.raising_ratio(i, 1) for i in range(len(p._num))]
+    nums, den = _over_lcm(ratios)
+    return _from_ints([0] + [a * r for a, r in zip(p._num, nums)], p._den * den)
 
 def divided_difference(p: Polynomial) -> Polynomial:
     """Send x^n to x^(n-1), constants to zero: (p(x) - p(0))/x."""
@@ -58,16 +59,49 @@ def weight_multiplier(psi: PsiSequence, p: Polynomial) -> Polynomial:
     return Polynomial(tuple(psi.n_psi(i + 1) * c for i, c in enumerate(p.coeffs)))
 
 def apply_psi_series(coeffs, psi: PsiSequence, p: Polynomial) -> Polynomial:
-    """Apply sum_k c_k * (psi-derivative)^k to p; finite because p is."""
-    out = Polynomial()
-    current = p
-    for k, c in enumerate(coeffs):
-        if current.is_zero:
-            break
-        if c != 0:
-            out = out + as_scalar(c) * current
-        current = psi_derivative(psi, current)
-    return out
+    """Apply sum_k c_k * (psi-derivative)^k to p; finite because p is.
+
+    ``coeffs`` is a TruncatedSeries or a sequence of scalars.  With
+    p = sum_n a_n x^n the image has sum_k c_k a_(m+k) (m+k)_psi!/m_psi! at
+    x^m; with the factorials f/g that is (g_m/f_m) sum_k c_k u_(m+k) for
+    u_n = a_n f_n/g_n, collected on ints over the lcm of the g_n and then
+    of the f_m.  Reads the weights 1..deg p, and none for a zero p or an
+    empty series.
+    """
+    c, c_den = _series_numerators(coeffs)
+    a = p._num
+    if not c or not a:
+        return Polynomial()
+    fact = [(f.numerator, f.denominator)
+            for f in map(psi.factorial, range(len(a)))]
+    g_lcm = 1
+    for x, (_, g) in zip(a, fact):
+        if x and g_lcm % g:
+            g_lcm = g_lcm // gcd(g_lcm, g) * g
+    terms = [(k, y) for k, y in enumerate(c[: len(a)]) if y]
+    sums = [0] * len(a)
+    for n, (x, (f, g)) in enumerate(zip(a, fact)):
+        if x:
+            u = x * f * (g_lcm // g)
+            for k, y in terms:
+                if k > n:
+                    break
+                sums[n - k] += y * u
+    f_lcm = 1
+    for s, (f, _) in zip(sums, fact):
+        if s and f_lcm % f:
+            f_lcm = f_lcm // gcd(f_lcm, f) * abs(f)
+    return _from_ints([s * g * (f_lcm // f) if s else 0
+                       for s, (f, g) in zip(sums, fact)],
+                      f_lcm * g_lcm * c_den * p._den)
+
+
+def _series_numerators(coeffs):
+    """(numerators, denominator) of a TruncatedSeries, or of a sequence of
+    scalars over the lcm of their denominators."""
+    if isinstance(coeffs, TruncatedSeries):
+        return coeffs._num, coeffs._den
+    return _over_lcm([as_scalar(c) for c in coeffs])
 
 
 # -- the graded table ---------------------------------------------------
@@ -270,29 +304,37 @@ def translation_op(psi: PsiSequence, y, cap: int) -> GradedOperator:
 
     Sends x^n to sum_k binom_psi(n, k) y^k x^(n-k).
     """
-    return operator_from_series(psi_exp_scaled(psi, y, cap).coeffs, psi, cap)
+    return operator_from_series(psi_exp_scaled(psi, y, cap), psi, cap)
 
 def forward_difference_op(psi: PsiSequence, cap: int) -> GradedOperator:
     """Unit translation minus the identity: the series exp_psi(z) - 1."""
     series = exp_psi_series(psi, cap) - TruncatedSeries.one(cap)
-    return operator_from_series(series.coeffs, psi, cap)
+    return operator_from_series(series, psi, cap)
 
 def operator_from_series(coeffs, psi: PsiSequence, cap: int) -> GradedOperator:
-    """Materialize sum_k c_k * (psi-derivative)^k as a graded table."""
-    cs = [as_scalar(c) for c in coeffs]
+    """Materialize sum_k c_k * (psi-derivative)^k as a graded table.
+
+    ``coeffs`` is a TruncatedSeries or a sequence of scalars.
+    """
+    cs, c_den = _series_numerators(coeffs)
     # Trailing zero terms are dropped, so no weight past the last nonzero
     # term is read: a short custom sequence still serves a short series.
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
+    length = len(cs)
+    while length > 1 and not cs[length - 1]:
+        length -= 1
     # Row n holds c_k n_psi!/(n-k)_psi! at x^(n-k); with the factorials
-    # f/g and c_k = a/b that is (a g_(n-k) / (b f_(n-k))) * (f_n / g_n),
-    # collected over the lcm of the b f_(n-k).  A nonconstant series reads
-    # weights 1..cap, those its falling products n_psi ... (n-k+1)_psi
-    # span; a constant reads none.
-    terms = [(k, c.numerator, c.denominator) for k, c in enumerate(cs) if c]
+    # f/g and c_k = a/b in lowest terms that is (a g_(n-k) / (b f_(n-k)))
+    # * (f_n / g_n), collected over the lcm of the b f_(n-k).  A
+    # nonconstant series reads weights 1..cap, those its falling products
+    # n_psi ... (n-k+1)_psi span; a constant reads none.
+    terms = []
+    for k, a in enumerate(cs[:length]):
+        if a:
+            g = gcd(a, c_den)
+            terms.append((k, a // g, c_den // g))
     fact = ([(f.numerator, f.denominator)
              for f in map(psi.factorial, range(cap + 1))]
-            if len(cs) > 1 else [(1, 1)] * (cap + 1))
+            if length > 1 else [(1, 1)] * (cap + 1))
 
     def rule(n):
         parts = []
@@ -346,7 +388,7 @@ def _series_and_witness(op: GradedOperator, psi: PsiSequence):
     """
     c = TruncatedSeries(tuple(op.image(k).constant_term / psi.factorial(k)
                               for k in range(op.cap + 1)), op.cap)
-    model = operator_from_series(c.coeffs, psi, op.cap)
+    model = operator_from_series(c, psi, op.cap)
     for n, (img, want) in enumerate(zip(op.images, model.images)):
         if img != want:
             i = max(img.degree, want.degree)
@@ -384,7 +426,7 @@ def invert_shift_invariant(op: GradedOperator, psi: PsiSequence) -> GradedOperat
     series = shift_invariant_coefficients(op, psi)
     if series.constant_term == 0:
         raise NonInvertibleError("operator kills constants; not invertible")
-    inv = operator_from_series(series.inverse().coeffs, psi, op.cap)
+    inv = operator_from_series(series.inverse(), psi, op.cap)
     check = op.compose(inv)
     if check != GradedOperator.identity(check.cap):
         raise SelfCheckError("inversion failed to verify by composition")

@@ -54,8 +54,7 @@ def jackson_bracket(q: Fraction, n: int) -> Fraction:
     the defining quotient is undefined there and admissibility demands it.
     """
     q = as_scalar(q)
-    if q == 1:
-        raise AdmissibilityError("Jackson weights are undefined at q = 1", n=n)
+    _require_q_not_one(q, n)
     total = Fraction(0)
     power = Fraction(1)
     for _ in range(n):
@@ -64,12 +63,18 @@ def jackson_bracket(q: Fraction, n: int) -> Fraction:
     return total
 
 
+def _require_q_not_one(q: Fraction, n: int):
+    if q == 1:
+        raise AdmissibilityError("Jackson weights are undefined at q = 1", n=n)
+
+
 class PsiSequence:
     """One admissible weight sequence, memoized up to a cap.
 
     Rule-based kinds extend their cache on demand past the construction cap
-    (still finite and exact); the custom kind owns exactly the values it was
-    given and errors beyond them.
+    (still finite and exact); a rule maps n and the weight (n-1)_psi to
+    n_psi.  The custom kind owns exactly the values it was given and errors
+    beyond them.
     """
 
     def __init__(self, kind: str, rule, cap: int, label: str, params: dict,
@@ -82,30 +87,36 @@ class PsiSequence:
         if values is not None:
             self._memo.extend(as_scalar(v) for v in values)
         self._fact = [Fraction(1)]
+        self._ratios = {}
         self._extend_to(cap)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def classical(cls, cap: int = 16) -> "PsiSequence":
-        return cls(CLASSICAL, lambda n: Fraction(n), cap, "classical", {})
+        return cls(CLASSICAL, lambda n, _: Fraction(n), cap, "classical", {})
 
     @classmethod
     def jackson(cls, q, cap: int = 16) -> "PsiSequence":
         q = as_scalar(q)
-        return cls(JACKSON, lambda n: jackson_bracket(q, n), cap,
-                   "q=%s" % scalar_to_str(q), {"q": q})
+
+        def rule(n, prev):
+            # [n]_q = 1 + q [n-1]_q, one step from the memoized weight
+            _require_q_not_one(q, n)
+            return 1 + q * prev
+
+        return cls(JACKSON, rule, cap, "q=%s" % scalar_to_str(q), {"q": q})
 
     @classmethod
     def divided_difference(cls, cap: int = 16) -> "PsiSequence":
-        return cls(DIVIDED_DIFFERENCE, lambda n: Fraction(1), cap,
+        return cls(DIVIDED_DIFFERENCE, lambda n, _: Fraction(1), cap,
                    "divided_difference", {})
 
     @classmethod
     def rational(cls, rat: RationalFunction, q, cap: int = 16) -> "PsiSequence":
         q = as_scalar(q)
 
-        def rule(n):
+        def rule(n, _):
             try:
                 return rat(q ** n)
             except ZeroDivisionError as exc:
@@ -133,7 +144,7 @@ class PsiSequence:
             if self._rule is None:
                 raise CapExceededError(
                     "custom weight sequence has no value at n=%d" % m, n=m)
-            value = self._rule(m)
+            value = self._rule(m, self._memo[-1])
             if value == 0:
                 raise AdmissibilityError(
                     "weight vanishes at n=%d" % m, n=m, psi=self.label)
@@ -174,12 +185,15 @@ class PsiSequence:
 
     def raising_ratio(self, k: int, j: int) -> Fraction:
         """prod_(i=1..j) (k+i)/(k+i)_psi, the scalar by which the j-th power
-        of the weighted raising operator maps x^k to x^(k+j).  The product
-        starts from the int 1 (returned as is for j = 0), so the common
-        j = 1 case builds a single Fraction."""
+        of the weighted raising operator maps x^k to x^(k+j).  Each factor
+        i/i_psi is memoized, so the common j = 1 case is a lookup once
+        computed; j = 0 gives the int 1."""
         out = 1
         for i in range(k + 1, k + j + 1):
-            out = out * i / self.n_psi(i)
+            r = self._ratios.get(i)
+            if r is None:
+                r = self._ratios[i] = i / self.n_psi(i)
+            out = out * r if i > k + 1 else r
         return out
 
     def values(self, n_max: int) -> list:

@@ -12,8 +12,10 @@ the S factor.  Having both is the point; they must agree exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .algebra import NEG_INF, Polynomial, TruncatedSeries, as_scalar
+from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
+                      _series, as_scalar)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, SelfCheckError)
 from .operators import (GradedOperator, _require_lowers_by_one,
@@ -32,7 +34,7 @@ def translate(psi: PsiSequence, y, p: Polynomial) -> Polynomial:
     p, so no weight past it is read.
     """
     reach = 0 if p.is_zero else p.degree
-    return apply_psi_series(psi_exp_scaled(psi, y, reach).coeffs, psi, p)
+    return apply_psi_series(psi_exp_scaled(psi, y, reach), psi, p)
 
 
 class BasicSequence:
@@ -65,10 +67,12 @@ class BasicSequence:
         rem = p
         coords = [Fraction(0)] * (n + 1)
         for k in range(n, -1, -1):
-            c = rem.coefficient(k) / self.polys[k].leading_coefficient
-            coords[k] = c
-            if c != 0:
-                rem = rem - c * self.polys[k]
+            a = rem._num[k] if k < len(rem._num) else 0
+            if a:
+                lead = self.polys[k]
+                c = Fraction(a * lead._den, rem._den * lead._num[-1])
+                coords[k] = c
+                rem = rem - c * lead
         if not rem.is_zero:
             raise SelfCheckError("back-substitution left a nonzero remainder")
         return coords
@@ -85,21 +89,40 @@ def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
         raise CapExceededError("n_max %d beyond operator cap %d"
                                % (n_max, op.cap), cap=op.cap)
     _require_lowers_by_one(op, n_max, "")
-    # Image j has degree exactly j - 1, so rows[j][i] exists for i < j.
-    rows = [op.image(j).coeffs for j in range(n_max + 1)]
+    # Image j has degree exactly j - 1, so its numerators rows[j][i] over
+    # dens[j] exist for i < j.
+    images = [op.image(j) for j in range(n_max + 1)]
+    rows = [img._num for img in images]
+    dens = [img._den for img in images]
     polys = [Polynomial.one()]
+    lcm = 1
     for n in range(1, n_max + 1):
-        target = psi.n_psi(n) * polys[n - 1]
-        c = [Fraction(0)] * (n + 1)
+        if lcm % dens[n]:
+            lcm = lcm // gcd(lcm, dens[n]) * dens[n]
+        # The target n_psi p_(n-1) is t / t_den; the unknowns are
+        # c_j = num[j] / den, and e[j] = num[j] lcm / dens[j], so that
+        # sum_j c_j row_j(x^i) = sum_j e[j] rows[j][i] / (den lcm).
+        w, prev = psi.n_psi(n), polys[n - 1]._num
+        t = [a * w.numerator for a in prev] + [0] * (n - len(prev))
+        t_den = polys[n - 1]._den * w.denominator
+        num, e, den = [0] * (n + 1), [0] * (n + 1), 1
         # Determine c_n, ..., c_1 by matching x^(n-1) down to x^0.
         for i in range(n - 1, -1, -1):
-            acc = Fraction(0)
+            s = 0
             for j in range(i + 2, n + 1):
-                if c[j] != 0:
-                    acc += c[j] * rows[j][i]
-            lead = rows[i + 1][i]
-            c[i + 1] = (target.coefficient(i) - acc) / lead
-        polys.append(Polynomial(c))
+                if e[j]:
+                    s += e[j] * rows[j][i]
+            scale = den * lcm
+            c = Fraction((t[i] * scale - s * t_den) * dens[i + 1],
+                         t_den * scale * rows[i + 1][i])
+            if den % c.denominator:
+                m = c.denominator // gcd(den, c.denominator)
+                den *= m
+                num = [a * m for a in num]
+                e = [a * m for a in e]
+            num[i + 1] = c.numerator * (den // c.denominator)
+            e[i + 1] = num[i + 1] * (lcm // dens[i + 1])
+        polys.append(_from_ints(num, den))
     return BasicSequence(polys, psi, op)
 
 
@@ -134,7 +157,7 @@ class DeltaOperator:
             raise NotDegreeLoweringError("indicator must have zero constant term")
         if series.cap < 1 or series.coefficient(1) == 0:
             raise NonInvertibleError("indicator needs a nonzero linear term")
-        op = operator_from_series(series.coeffs, psi, cap)
+        op = operator_from_series(series, psi, cap)
         return cls(op, psi, series)
 
     @property
@@ -144,7 +167,7 @@ class DeltaOperator:
     @property
     def s_series(self) -> TruncatedSeries:
         """Series of the invertible factor S in op = (weighted derivative) o S."""
-        return TruncatedSeries(self.indicator.coeffs[1:], self.cap - 1)
+        return _series(self.indicator._num[1:], self.indicator._den, self.cap - 1)
 
     def basic(self, n_max: int) -> BasicSequence:
         return basic_sequence_solve(self.op, self.psi, n_max)
@@ -186,14 +209,14 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
             w = w * s_inv
         if formula == 1:
             series = q_prime * w
-            p = apply_psi_series(series.coeffs, psi, xn)
+            p = apply_psi_series(series, psi, xn)
         elif formula == 2:
-            p = (apply_psi_series(w.coeffs, psi, xn)
-                 - ratio * apply_psi_series(w.differentiated().coeffs, psi, xn1))
+            p = (apply_psi_series(w, psi, xn)
+                 - ratio * apply_psi_series(w.differentiated(), psi, xn1))
         elif formula == 3:
-            p = ratio * psi_raise(psi, apply_psi_series(w.coeffs, psi, xn1))
+            p = ratio * psi_raise(psi, apply_psi_series(w, psi, xn1))
         else:
-            inner = apply_psi_series(q_prime_inv.coeffs, psi, polys[n - 1])
+            inner = apply_psi_series(q_prime_inv, psi, polys[n - 1])
             p = ratio * psi_raise(psi, inner)
         polys.append(p)
     return BasicSequence(polys, psi, delta.op)

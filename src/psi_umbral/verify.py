@@ -519,7 +519,7 @@ def check_poisson(cap: int, order: int = 14, m_max: int = 5) -> list[CheckResult
             partial = TruncatedSeries.zero(work_cap)
             for m in range(m_max + 1):
                 partial = partial + ws[m]
-            head = all(partial.coeffs[k] == (1 if k == 0 else 0)
+            head = all(partial.coefficient(k) == (1 if k == 0 else 0)
                        for k in range(m_max + 1))
             out.append(_check("poisson[%s,rate=%s] partial sums open with "
                               "unity through order %d" % (name, lam, m_max),
@@ -545,7 +545,7 @@ def check_generating_function(cap: int, n_max: int = 10) -> list[CheckResult]:
         powers.append(powers[-1] * rev)
     ok = True
     for n in range(n_max + 1):
-        want = Polynomial([powers[k].coeffs[n] / psi.factorial(k)
+        want = Polynomial([powers[k].coefficient(n) / psi.factorial(k)
                            for k in range(n + 1)])
         if polys[n] * (Fraction(1) / psi.factorial(n)) != want:
             ok = False

@@ -14,8 +14,11 @@ import cmath
 from fractions import Fraction
 from types import SimpleNamespace
 
+from psi_umbral import verify
+from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.psi import PsiSequence
 from psi_umbral.special import psi_hyperbolic
+from psi_umbral.umbral import BasicSequence
 from psi_umbral.verify import (CheckResult, check_binomial, check_detection,
                                check_divided_difference_series,
                                check_exp_commutation,
@@ -55,6 +58,24 @@ def test_criterion_03_closed_forms_match_the_solve():
     _gate(3, "all four closed-form constructions reproduce the triangular solve, "
              "n <= 8, three operator shapes",
           check_rodrigues(CAP))
+
+
+def test_closed_form_comparison_can_fail(monkeypatch):
+    # one coefficient of one p_n from formula 2 is off by one: every
+    # operator shape under every weight set must report it
+    real = verify.rodrigues_sequence
+
+    def off_by_one(delta, n_max, formula=4):
+        seq = real(delta, n_max, formula=formula)
+        if formula != 2:
+            return seq
+        polys = list(seq.polys)
+        polys[3] = polys[3] + Polynomial.monomial(1)
+        return BasicSequence(polys, seq.psi, seq.op)
+
+    monkeypatch.setattr(verify, "rodrigues_sequence", off_by_one)
+    results = check_rodrigues(CAP)
+    assert results and not any(r.passed for r in results)
 
 
 def test_criterion_04_expansion_goldens():
@@ -119,6 +140,21 @@ def test_criterion_12_generating_function_and_shifted_families():
     _gate(12, "basic sequences match their exponential generating function to "
               "order 10 and the shifted family satisfies its splitting identity",
           check_generating_function(CAP))
+
+
+def test_generating_function_comparison_can_fail(monkeypatch):
+    # the reverted indicator with its z^3 coefficient moved by 1/5
+    real = TruncatedSeries.reversion
+
+    def perturbed(self):
+        rev = real(self)
+        return rev + TruncatedSeries([0, 0, 0, Fraction(1, 5)], rev.cap)
+
+    monkeypatch.setattr(TruncatedSeries, "reversion", perturbed)
+    powers, shifted = check_generating_function(CAP)
+    assert powers.name.startswith("generating function: reverted indicator")
+    assert not powers.passed
+    assert shifted.passed
 
 
 def test_criterion_13_exponential_slices():

@@ -238,6 +238,161 @@ def test_table_apply_and_compose_match_fraction_lists(seed):
             assert_canonical(got.image(n))
 
 
+# -- the integer series kernel against plain Fraction lists --
+#
+# A reference series is a list of exactly cap + 1 Fractions; each operation
+# is its textbook definition, written on those lists.
+
+KERNEL_CAPS = (0, 1, 2, 24)
+
+def ref_series_mul(a, b):
+    cap = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (cap + 1)
+    for i in range(cap + 1):
+        for j in range(cap + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_series_inverse(a):
+    out = [1 / a[0]]
+    for n in range(1, len(a)):
+        out.append(-sum((a[k] * out[n - k] for k in range(1, n + 1)),
+                        Fraction(0)) / a[0])
+    return out
+
+
+def ref_series_compose(f, g):
+    cap = min(len(f), len(g)) - 1
+    out = [Fraction(0)] * (cap + 1)
+    gk = [Fraction(1)] + [Fraction(0)] * cap
+    for k in range(cap + 1):
+        out = [x + f[k] * y for x, y in zip(out, gk)]
+        gk = ref_series_mul(gk, g[: cap + 1])
+    return out
+
+
+def assert_canonical_series(s):
+    nums, den = s._num, s._den
+    assert len(nums) == s.cap + 1
+    assert den > 0 and gcd(den, *nums) == 1
+    assert all(isinstance(a, int) for a in nums + (den,))
+    if not any(nums):
+        assert den == 1
+
+
+def random_series_list(rng, cap, constant=None, linear=None):
+    cs = random_fractions(rng, cap + 1)
+    if constant is not None:
+        cs[0] = Fraction(constant)
+    if linear is not None and cap >= 1:
+        cs[1] = Fraction(linear)
+    return cs
+
+
+def nonzero_fraction(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 99),
+                    rng.choice(DENOMINATORS))
+
+
+@pytest.mark.parametrize("cap", KERNEL_CAPS)
+@pytest.mark.parametrize("seed", range(3))
+def test_series_kernel_matches_fraction_lists(cap, seed):
+    rng = random.Random("series:%d:%d" % (cap, seed))
+    for _ in range(4 if cap == 24 else 20):
+        a = random_series_list(rng, cap)
+        b = random_series_list(rng, cap)
+        c = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+        s, t = TruncatedSeries(a, cap), TruncatedSeries(b, cap)
+        d = rng.randint(0, cap)
+        k = rng.randint(0, 5)
+        power = [Fraction(1)] + [Fraction(0)] * cap
+        for _ in range(k):
+            power = ref_series_mul(power, a)
+        a0 = a[:]
+        a0[0] = nonzero_fraction(rng)
+        g = b[:]
+        g[0] = Fraction(0)
+        results = {
+            "+": (s + t, [x + y for x, y in zip(a, b)]),
+            "-": (s - t, [x - y for x, y in zip(a, b)]),
+            "neg": (-s, [-x for x in a]),
+            "s*c": (s * c, [x * c for x in a]),
+            "c*s": (c * s, [x * c for x in a]),
+            "*": (s * t, ref_series_mul(a, b)),
+            "power": (s.power(k), power),
+            "inverse": (TruncatedSeries(a0, cap).inverse(),
+                        ref_series_inverse(a0)),
+            "compose": (s.compose(TruncatedSeries(g, cap)),
+                        ref_series_compose(a, g)),
+            "differentiated": (s.differentiated(),
+                               [i * x for i, x in enumerate(a)][1:] or [0]),
+            "truncated": (s.truncated(d), a[: d + 1]),
+        }
+        for name, (got, want) in results.items():
+            assert list(got.coeffs) == want, name
+            assert got.cap == len(want) - 1, name
+            assert_canonical_series(got)
+        if cap >= 1:
+            # the reversion is the only g with g(0) = 0 and f(g) = z
+            f = random_series_list(rng, cap, constant=0,
+                                   linear=nonzero_fraction(rng))
+            rev = TruncatedSeries(f, cap).reversion()
+            assert_canonical_series(rev)
+            assert rev.cap == cap and rev.coeffs[0] == 0
+            assert ref_series_compose(f, list(rev.coeffs)) == \
+                [Fraction(0), Fraction(1)] + [Fraction(0)] * (cap - 1)
+        assert s.constant_term == a[0]
+        assert [s.coefficient(i) for i in range(cap + 1)] == a
+        assert s.as_polynomial() == Polynomial(a)
+        assert TruncatedSeries.from_polynomial(Polynomial(a), cap) == s
+        assert TruncatedSeries.from_json(s.to_json()) == s
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_series_equality_across_caps_matches_fraction_lists(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        a = random_series_list(rng, rng.randint(0, 8))
+        b = a[: rng.randint(1, len(a))] + random_series_list(rng, rng.randint(0, 3))
+        if rng.random() < 0.5:
+            b[rng.randrange(len(b))] += Fraction(1, rng.choice(DENOMINATORS))
+        s, t = TruncatedSeries(a, len(a) - 1), TruncatedSeries(b, len(b) - 1)
+        n = min(len(a), len(b))
+        assert (s == t) == (a[:n] == b[:n])
+        assert (t == s) == (a[:n] == b[:n])
+        assert (s.truncated(n - 1) == t.truncated(n - 1)) == (a[:n] == b[:n])
+        # same numerators over another denominator are another series
+        scaled = TruncatedSeries([3 * x for x in a], len(a) - 1)
+        assert (s == scaled) == (not any(a))
+    assert TruncatedSeries((Fraction(1, 3), Fraction(2, 3)), 1) != \
+        TruncatedSeries((1, 2), 1)
+
+
+@pytest.mark.parametrize("cap", (1, 2, 5, 8, 24))
+def test_inverse_with_a_negative_constant_term(cap):
+    # a0^(cap+1) is negative at even caps: the denominator must still come
+    # out positive
+    rng = random.Random(cap)
+    for a0 in (Fraction(-1), Fraction(-3, 7), Fraction(-2 ** 31, 3)):
+        a = random_series_list(rng, cap, constant=a0)
+        inv = TruncatedSeries(a, cap).inverse()
+        assert_canonical_series(inv)
+        assert list(inv.coeffs) == ref_series_inverse(a)
+        assert inv * TruncatedSeries(a, cap) == TruncatedSeries.one(cap)
+
+
+def test_zero_series_are_all_the_same():
+    s = TruncatedSeries([Fraction(3, 7), 0, Fraction(-1, 2 ** 31)], 2)
+    zeros = [TruncatedSeries.zero(2), TruncatedSeries((0, 0), 2), s - s,
+             s * 0, TruncatedSeries.one(3).differentiated(),
+             TruncatedSeries.from_polynomial(Polynomial(), 2),
+             TruncatedSeries([0, 0, 0, 5], 2)]
+    for z in zeros:
+        assert (z._num, z._den, z.cap) == ((0, 0, 0), 1, 2)
+        assert z == TruncatedSeries.zero(2)
+
+
 def test_series_cap_propagation():
     a = TruncatedSeries((1, 1, 1, 1), 3)
     b = TruncatedSeries((1, 2), 5)
@@ -367,8 +522,6 @@ def random_series(rng, cap, constant=None, linear=None):
         coeffs[1] = Fraction(linear)
     return TruncatedSeries(coeffs, cap)
 
-
-KERNEL_CAPS = (0, 1, 2, 24)
 
 
 @pytest.mark.parametrize("cap", KERNEL_CAPS)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.errors import (CapExceededError, NotDegreeLoweringError,
                                NotShiftInvariantError)
-from psi_umbral.operators import (GradedOperator, derivative_op,
-                                  forward_difference_op, is_shift_invariant,
+from psi_umbral.operators import (GradedOperator, apply_psi_series,
+                                  derivative_op, forward_difference_op,
+                                  is_shift_invariant,
                                   multiply_x_op, operator_from_series,
                                   psi_derivative_op, translation_op)
 from psi_umbral.psi import PsiSequence, RationalFunction
@@ -306,3 +307,99 @@ def test_operator_from_series_reads_no_weight_past_the_last_term():
     psi = PsiSequence.custom([1, 2, 3])
     table = operator_from_series([5, 0, 0, 0], psi, 6)
     assert table == GradedOperator.scalar(5, 6)
+
+
+# -- the integer apply and solve against Fraction loops written here --------
+
+def mixed_fractions(rng, length):
+    """Entries with runs of zeros, negative values and mixed denominators."""
+    out = []
+    while len(out) < length:
+        if rng.random() < 0.3:
+            out.extend([Fraction(0)] * rng.randint(1, 3))
+        else:
+            out.append(Fraction(rng.randint(-50, 50),
+                                rng.choice((1, 3, 7, 2 ** 5, 2 ** 31 - 1))))
+    return out[:length]
+
+
+def loop_apply_psi_series(coeffs, psi, cs):
+    """sum_k c_k (psi-derivative)^k on a coefficient list, one power at a time."""
+    out = [Fraction(0)] * len(cs)
+    current = list(cs)
+    for c in coeffs:
+        for i, a in enumerate(current):
+            out[i] += c * a
+        current = [psi.n_psi(n) * a for n, a in enumerate(current) if n]
+    return Polynomial(out)
+
+
+@pytest.mark.parametrize("weights", sorted(SERIES_WEIGHTS))
+def test_apply_psi_series_matches_a_loop_over_powers(weights):
+    cap = 14
+    psi = SERIES_WEIGHTS[weights](cap)
+    rng = random.Random("apply:" + weights)
+    for _ in range(12):
+        length = rng.randint(1, cap + 3)
+        series = TruncatedSeries(mixed_fractions(rng, length), length - 1)
+        cs = mixed_fractions(rng, rng.randint(0, cap + 1))
+        p = Polynomial(cs)
+        want = loop_apply_psi_series(series.coeffs, psi, cs)
+        assert apply_psi_series(series, psi, p) == want
+        assert apply_psi_series(list(series.coeffs), psi, p) == want
+        top = len(p.coeffs) - 1
+        if top >= 0:
+            xn = Polynomial.monomial(top, cs[top])
+            assert apply_psi_series(series, psi, xn) == loop_apply_psi_series(
+                series.coeffs, psi, list(xn.coeffs))
+        assert operator_from_series(series, psi, cap) == \
+            operator_from_series(list(series.coeffs), psi, cap)
+
+
+def test_apply_psi_series_with_short_custom_weights_raises():
+    psi = PsiSequence.custom([1, 4, 9])
+    series = TruncatedSeries((1, 1), 1)
+    p = Polynomial((1, 1, 1, 1))
+    assert apply_psi_series(series, psi, p) == loop_apply_psi_series(
+        series.coeffs, psi, list(p.coeffs))
+    # a fourth weight is needed even though the series stops at degree 1
+    with pytest.raises(CapExceededError, match="no value at n=4"):
+        apply_psi_series(series, psi, p.shifted(1))
+    # a zero polynomial or an empty series reads no weight
+    assert apply_psi_series(series, PsiSequence.custom([]), Polynomial()).is_zero
+    assert apply_psi_series([], PsiSequence.custom([]), p).is_zero
+
+
+def back_substitution(op, psi, n_max):
+    """p_0 = 1, p_n(0) = 0, op p_n = n_psi p_(n-1), solved on Fraction lists."""
+    rows = [list(op.image(j).coeffs) for j in range(n_max + 1)]
+    polys = [[Fraction(1)]]
+    for n in range(1, n_max + 1):
+        target = [psi.n_psi(n) * a for a in polys[n - 1]]
+        c = [Fraction(0)] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            acc = sum((c[j] * rows[j][i] for j in range(i + 2, n + 1)),
+                      Fraction(0))
+            c[i + 1] = (target[i] - acc) / rows[i + 1][i]
+        polys.append(c)
+    return [Polynomial(c) for c in polys]
+
+
+@pytest.mark.parametrize("weights", sorted(KERNEL_WEIGHTS))
+def test_basic_sequence_solve_matches_back_substitution(weights):
+    cap = 12
+    psi = KERNEL_WEIGHTS[weights](cap)
+    rng = random.Random("solve:" + weights)
+    for _ in range(3):
+        indicator = [0, Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 7)))]
+        indicator += mixed_fractions(rng, cap - 1)
+        op = DeltaOperator.from_indicator(indicator, psi, cap).op
+        assert list(basic_sequence_solve(op, psi, cap - 1)) == \
+            back_substitution(op, psi, cap - 1)
+    # a lowering table with mixed denominators that is no series at all
+    images = [Polynomial()]
+    for n in range(1, cap + 1):
+        lead = Fraction(rng.choice((-5, -1, 2, 3)), rng.choice((1, 3, 2 ** 31 - 1)))
+        images.append(Polynomial(mixed_fractions(rng, n - 1) + [lead]))
+    op = GradedOperator(images, cap)
+    assert list(basic_sequence_solve(op, psi, cap)) == back_substitution(op, psi, cap)
