@@ -32,10 +32,9 @@ from .psi import (AdmissibilityReport, PsiSequence, RationalFunction,
                   jackson_bracket, validate_admissible)
 from .special import (cos_psi_series, exp_psi_series, psi_exp_scaled,
                       psi_hyperbolic, sin_psi_series)
-from .star_product import (StarSeries, poisson_weights,
-                           poisson_weights_raising, poisson_weights_recursion,
-                           psi_leibniz, q_leibniz, r_leibniz, star_mul,
-                           star_power)
+from .star_product import (poisson_weights, poisson_weights_raising,
+                           poisson_weights_recursion, psi_leibniz, q_leibniz,
+                           r_leibniz, star_mul, star_power)
 from .umbral import (BasicSequence, DeltaOperator, basic_sequence_solve,
                      dual_raise_operator, eigenfunction_series,
                      rodrigues_sequence, sheffer_sequence, translate,

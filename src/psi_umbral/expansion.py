@@ -5,7 +5,8 @@ T = sum_n q_n * Q^n where Q lowers degree by exactly one and each q_n acts
 by multiplication with a polynomial.  The coefficients fall out of a
 triangular solve: apply both sides to 1, x, x^2, ... in turn.  A dual
 variant replaces multiplication by x with the raising partner of Q and the
-monomials with Q's basic sequence.  The generating sum P(x; lam) of the
+monomials with Q's basic sequence; it is the monomial form conjugated by
+the umbral map of that sequence.  The generating sum P(x; lam) of the
 q_n is the conjugate of T by the formal eigenfunction of Q, which is the
 cross-check implemented here, order by order in lam with no truncation
 leakage.
@@ -25,7 +26,8 @@ from .algebra import (NEG_INF, Polynomial, TruncatedSeries, as_scalar,
                       scalar_to_str)
 from .errors import CapExceededError
 from .operators import (GradedOperator, _require_lowers_by_one,
-                        _series_and_witness, shift_invariant_coefficients)
+                        _series_and_witness, derivative_op,
+                        shift_invariant_coefficients)
 from .psi import PsiSequence
 from .umbral import BasicSequence, DeltaOperator, unit_normal_sequence
 
@@ -105,74 +107,40 @@ def expand_in_basic(t: GradedOperator, delta: DeltaOperator,
                     basic: BasicSequence) -> OperatorExpansion:
     """Dual-pair expansion: T = sum q_n(R) Q^n with R the raising partner.
 
-    Solved by applying both sides to the basic sequence.  R^j applied to
-    p_k scales through the sequence with the ratio of classical to weighted
-    index products, so everything stays inside the stored basis as long as
-    T does not raise degree past it.
+    The umbral map U of the basis turns Q into D and R into X, so the q_n
+    are the monomial-form coefficients of U^(-1) T U in powers of D.  The
+    order stops where T, applied to the basis, would leave it.
     """
-    psi = delta.psi
-    n_top = len(basic.polys) - 1
     shift = t.shift_bound
     s = int(shift) if shift is not NEG_INF and shift > 0 else 0
-    m_eff = min(t.cap, n_top - s, delta.cap)
+    m_eff = min(t.cap, len(basic.polys) - 1 - s, delta.cap)
     if m_eff < 0:
         raise CapExceededError("basis too short for the operator's degree growth")
-
-    alphas = []
-    for m in range(m_eff + 1):
-        image = t.apply(basic.polys[m])
-        coords = basic.monomials_to_basis(image)
-        # Subtract the contribution of lower-order terms already known.
-        for n in range(m):
-            qn = alphas[n]
-            weight = psi.falling(m, n)
-            if weight == 0:
-                continue
-            # q_n(R) applied to p_(m-n)
-            for j, a in enumerate(qn):
-                if a != 0:
-                    idx = m - n + j
-                    coords_len_needed = idx + 1
-                    if coords_len_needed > len(coords):
-                        coords.extend(Fraction(0)
-                                      for _ in range(coords_len_needed - len(coords)))
-                    coords[idx] -= weight * a * psi.raising_ratio(m - n, j)
-        mfact = psi.factorial(m)
-        alpha_m = [c / (mfact * psi.raising_ratio(0, j))
-                   for j, c in enumerate(coords)]
-        while alpha_m and alpha_m[-1] == 0:
-            alpha_m.pop()
-        alphas.append(alpha_m)
-    return OperatorExpansion([Polynomial(a) for a in alphas], delta.op, "dual")
+    u, u_inv = basic.umbral_map()
+    conjugated = u_inv.compose(t.compose(u.truncated(m_eff)))
+    exp = expand_in_monomials(conjugated, derivative_op(m_eff))
+    return OperatorExpansion(exp.coeff_polys, delta.op, "dual")
 
 
 def apply_dual_form(exp: OperatorExpansion, delta: DeltaOperator,
                     basic: BasicSequence, p: Polynomial) -> Polynomial:
-    """Apply sum q_n(R) Q^n to p through basis coordinates."""
-    psi = delta.psi
-    coords = basic.monomials_to_basis(p)
-    out_coords = [Fraction(0)] * len(basic.polys)
-    for n, qn in enumerate(exp.coeff_polys):
-        if qn.is_zero:
-            continue
-        q_terms = [(j, a) for j, a in enumerate(qn.coeffs) if a]
-        for k, c in enumerate(coords):
-            if c == 0 or k - n < 0:
-                continue
-            lowered = c * psi.falling(k, n)
-            if lowered == 0:
-                continue
-            base_idx = k - n
-            for j, a in q_terms:
-                idx = base_idx + j
-                if idx >= len(out_coords):
-                    raise CapExceededError("dual application leaves the basis")
-                out_coords[idx] += lowered * a * psi.raising_ratio(base_idx, j)
-    out = Polynomial()
-    for idx, c in enumerate(out_coords):
-        if c != 0:
-            out = out + c * basic.polys[idx]
-    return out
+    """Apply sum q_n(R) Q^n to p as U (sum q_n D^n) U^(-1) p.
+
+    U^(-1) p is read off p's coordinates over the images of U, so a p of
+    degree past the basis raises as ``monomials_to_basis`` does; so does a
+    term of degree past the basis.
+    """
+    u, _ = basic.umbral_map()
+    g = Polynomial(BasicSequence(u.images, basic.psi, basic.op)
+                   .monomials_to_basis(p))
+    h = Polynomial()
+    for q in exp.coeff_polys:
+        if not (q.is_zero or g.is_zero):
+            if q.degree + g.degree > u.cap:
+                raise CapExceededError("dual application leaves the basis")
+            h = h + q * g
+        g = g.derivative()
+    return u.apply(h)
 
 
 def conjugate_indicator_check(t: GradedOperator, base: GradedOperator,

@@ -27,7 +27,6 @@ from .operators import (GradedOperator, derivative_op, dilation_op,
                         psi_raise_op, translation_op, weight_op)
 from .psi import PsiSequence
 
-_PSI_FREE = {"D", "X", "D0", "Q", "Dq"}
 _PSI_BOUND = {"Dpsi", "Xpsi", "Nhat", "Delta", "E"}
 _PARAMETRIC = {"Q", "Dq", "E"}
 MAX_NESTING = 64

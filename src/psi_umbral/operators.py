@@ -25,7 +25,7 @@ from math import gcd
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
                       _linear_combination, _over_lcm, as_scalar)
-from .errors import (AdmissibilityError, CapExceededError, NonInvertibleError,
+from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, NotShiftInvariantError,
                      SelfCheckError)
 from .psi import PsiSequence
@@ -214,10 +214,7 @@ class GradedOperator:
         c = as_scalar(other)
         return GradedOperator(tuple(c * img for img in self._images), self._cap)
 
-    def __rmul__(self, other):
-        # scalar * operator; operator * operator resolves through __mul__
-        c = as_scalar(other)
-        return GradedOperator(tuple(c * img for img in self._images), self._cap)
+    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:

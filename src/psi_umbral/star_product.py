@@ -16,55 +16,29 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Polynomial, TruncatedSeries, as_scalar
-from .errors import CapExceededError, SelfCheckError
+from .errors import SelfCheckError
 from .operators import divided_difference, psi_derivative, weight_multiplier
 from .psi import PsiSequence, RationalFunction
 from .special import psi_exp_scaled
 
 
-class StarSeries:
-    """A truncated series with its weights, coefficients in ordinary powers."""
-
-    __slots__ = ("series", "psi")
-
-    def __init__(self, series: TruncatedSeries, psi: PsiSequence):
-        self.series = series
-        self.psi = psi
-
-    @property
-    def cap(self) -> int:
-        return self.series.cap
-
-    def as_polynomial(self) -> Polynomial:
-        return self.series.as_polynomial()
-
-    def __eq__(self, other):
-        if isinstance(other, StarSeries):
-            return self.series == other.series
-        return NotImplemented
-
-    __hash__ = None
-
-
-def _ordinary_coeffs(f, psi):
-    if isinstance(f, StarSeries):
-        return f.series.coeffs, f.series.cap
+def _ordinary_coeffs(f):
     if isinstance(f, TruncatedSeries):
         return f.coeffs, f.cap
     if isinstance(f, Polynomial):
         return f.coeffs, None
-    raise TypeError("expected Polynomial, TruncatedSeries or StarSeries")
+    raise TypeError("expected Polynomial or TruncatedSeries")
 
 
-def star_mul(f, g, psi: PsiSequence, cap: int | None = None) -> StarSeries:
+def star_mul(f, g, psi: PsiSequence, cap: int | None = None) -> TruncatedSeries:
     """f * g = f(R) applied to g, R the weighted raising operator.
 
     Polynomial times polynomial is exact; as soon as a truncated series is
     involved the result carries the smallest cap in sight.  The product is
     linear in both slots but deliberately not commutative.
     """
-    fc, fcap = _ordinary_coeffs(f, psi)
-    gc, gcap = _ordinary_coeffs(g, psi)
+    fc, fcap = _ordinary_coeffs(f)
+    gc, gcap = _ordinary_coeffs(g)
     caps = [c for c in (fcap, gcap, cap) if c is not None]
     out_cap = min(caps) if caps else (len(fc) - 1 if fc else 0) + \
         (len(gc) - 1 if gc else 0)
@@ -79,7 +53,7 @@ def star_mul(f, g, psi: PsiSequence, cap: int | None = None) -> StarSeries:
             if d > out_cap:
                 break
             out[d] += a * b * psi.raising_ratio(i, j)
-    return StarSeries(TruncatedSeries(out, out_cap), psi)
+    return TruncatedSeries(out, out_cap)
 
 
 def star_power(n: int, psi: PsiSequence) -> Polynomial:
@@ -114,10 +88,10 @@ def poisson_weights(psi: PsiSequence, lam, m_max: int, cap: int):
     weights = []
     for m in range(m_max + 1):
         prefactor = Polynomial.monomial(m, lam ** m / Fraction(factorial(m)))
-        weights.append(star_mul(prefactor, expm, psi).series)
+        weights.append(star_mul(prefactor, expm, psi))
     classical = psi_exp_scaled(PsiSequence.classical(cap), lam, cap)
     normalizer = star_mul(classical.as_polynomial(),
-                          expm, psi, cap=cap).series
+                          expm, psi, cap=cap)
     return weights, normalizer
 
 

@@ -20,7 +20,7 @@ from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, SelfCheckError)
 from .operators import (GradedOperator, _require_lowers_by_one,
                         apply_psi_series, invert_shift_invariant,
-                        operator_from_series, psi_raise,
+                        multiply_x_op, operator_from_series, psi_raise,
                         shift_invariant_coefficients)
 from .psi import PsiSequence
 from .special import psi_exp_scaled
@@ -40,12 +40,13 @@ def translate(psi: PsiSequence, y, p: Polynomial) -> Polynomial:
 class BasicSequence:
     """The polynomials p_0..p_n attached to a degree-lowering operator."""
 
-    __slots__ = ("polys", "psi", "op")
+    __slots__ = ("polys", "psi", "op", "_umbral")
 
     def __init__(self, polys, psi: PsiSequence, op: GradedOperator):
         self.polys = tuple(polys)
         self.psi = psi
         self.op = op
+        self._umbral = None
 
     def __len__(self):
         return len(self.polys)
@@ -76,6 +77,25 @@ class BasicSequence:
         if not rem.is_zero:
             raise SelfCheckError("back-substitution left a nonzero remainder")
         return coords
+
+    def umbral_map(self):
+        """Tables of U: x^n -> rho_n p_n and of U^(-1), at cap top, with
+        rho_n = n!/n_psi!.
+
+        U^(-1) Q U = D and U^(-1) R U = X for Q p_n = n_psi p_(n-1) and the
+        dual raise R, so T = sum q_n(R) Q^n exactly when U^(-1) T U =
+        sum q_n(x) D^n.  Reads the weights 1..top; built once per sequence.
+        """
+        if self._umbral is None:
+            u = GradedOperator([self.psi.raising_ratio(0, n) * p
+                                for n, p in enumerate(self.polys)])
+            scaled = BasicSequence(u.images, self.psi, self.op)
+            u_inv = GradedOperator.from_monomial_rule(
+                lambda n: Polynomial(
+                    scaled.monomials_to_basis(Polynomial.monomial(n))),
+                u.cap)
+            self._umbral = u, u_inv
+        return self._umbral
 
 
 def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
@@ -227,23 +247,14 @@ def dual_raise_operator(basic: BasicSequence) -> GradedOperator:
 
     Forms a commutation pair with the operator that produced the sequence,
     the same way the weighted raising operator pairs with the weighted
-    derivative.  The table loses one degree: raising the top basis element
-    would need p beyond the stored sequence.
+    derivative: it is U X U^(-1) for the umbral map U.  The table loses
+    one degree: raising p_top would need p beyond the stored sequence.
     """
     n_top = len(basic.polys) - 1
     if n_top < 1:
         raise CapExceededError("need at least p_0 and p_1 to build the dual raise")
-    psi = basic.psi
-
-    def rule(n):
-        coords = basic.monomials_to_basis(Polynomial.monomial(n))
-        out = Polynomial()
-        for k, c in enumerate(coords):
-            if c != 0:
-                out = out + c * psi.raising_ratio(k, 1) * basic.polys[k + 1]
-        return out
-
-    return GradedOperator.from_monomial_rule(rule, n_top - 1)
+    u, u_inv = basic.umbral_map()
+    return u.compose(multiply_x_op(n_top - 1).compose(u_inv))
 
 
 def sheffer_sequence(delta: DeltaOperator, s_op: GradedOperator,

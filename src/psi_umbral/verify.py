@@ -133,8 +133,8 @@ def _binomial_sum(psi, basic_polys, n, y):
     return total
 
 
-def check_binomial(cap: int, n_max: int = 10) -> list[CheckResult]:
-    n_max = min(n_max, cap)
+def check_binomial(cap: int) -> list[CheckResult]:
+    n_max = min(10, cap)
     out = []
     for name, psi in standard_suite_psis(cap):
         for base_name, q in _delta_bases(psi, cap):
@@ -181,8 +181,8 @@ def _invertible_tails(psi, cap):
     return [("plain", one), ("shifted", shifted), ("exponential", expo)]
 
 
-def check_rodrigues(cap: int, n_max: int = 8) -> list[CheckResult]:
-    n_max = min(n_max, cap - 1)
+def check_rodrigues(cap: int) -> list[CheckResult]:
+    n_max = min(8, cap - 1)
     out = []
     for name, psi in standard_suite_psis(cap):
         for tail_name, tail in _invertible_tails(psi, cap):
@@ -206,8 +206,8 @@ def check_rodrigues(cap: int, n_max: int = 8) -> list[CheckResult]:
 
 # -- operator expansion -----------------------------------------------------
 
-def check_expansion_goldens(cap: int, k_max: int = 12) -> list[CheckResult]:
-    k_max = min(k_max, cap)
+def check_expansion_goldens(cap: int) -> list[CheckResult]:
+    k_max = min(12, cap)
     out = []
     d = derivative_op(cap)
     delta = forward_difference_op(PsiSequence.classical(cap), cap)
@@ -278,7 +278,8 @@ def _random_lowering_op(rng, psi, cap):
     return GradedOperator(images[:cap + 1], cap)
 
 
-def check_random_roundtrip(cap: int, count: int = 20) -> list[CheckResult]:
+def check_random_roundtrip(cap: int) -> list[CheckResult]:
+    count = 20
     rng = random.Random(RANDOM_SEED)
     out = []
     for name, psi in standard_suite_psis(cap):
@@ -304,8 +305,8 @@ def check_random_roundtrip(cap: int, count: int = 20) -> list[CheckResult]:
     return out
 
 
-def check_first_expansion(cap: int, n_max: int = 8) -> list[CheckResult]:
-    n_max = min(n_max, cap)
+def check_first_expansion(cap: int) -> list[CheckResult]:
+    n_max = min(8, cap)
     rng = random.Random(RANDOM_SEED + 1)
     out = []
     for name, psi in standard_suite_psis(cap):
@@ -376,7 +377,8 @@ def check_leibniz(cap: int) -> list[CheckResult]:
     return out
 
 
-def check_divided_difference_series(cap: int, deg_max: int = 12) -> list[CheckResult]:
+def check_divided_difference_series(cap: int) -> list[CheckResult]:
+    deg_max = 12
     rng = random.Random(RANDOM_SEED + 3)
     polys = [Polynomial.monomial(n) for n in range(deg_max + 1)]
     polys += [_random_polynomial(rng, deg_max) for _ in range(5)]
@@ -408,7 +410,8 @@ def _reorders(psi, n, m, j) -> bool:
     return lhs == rhs
 
 
-def check_mixed_powers(cap: int, nm_max: int = 5, j_max: int = 6) -> list[CheckResult]:
+def check_mixed_powers(cap: int) -> list[CheckResult]:
+    nm_max, j_max = 5, 6
     limit = cap + 2  # highest weight every suite member can supply
     out = []
     for name, psi in standard_suite_psis(cap):
@@ -421,7 +424,8 @@ def check_mixed_powers(cap: int, nm_max: int = 5, j_max: int = 6) -> list[CheckR
     return out
 
 
-def check_exp_commutation(cap: int, order: int = 10, j_max: int = 6) -> list[CheckResult]:
+def check_exp_commutation(cap: int) -> list[CheckResult]:
+    order, j_max = 10, 6
     # (1/a! b!) lower^a raise^b reorders with weights 1/(u! (a-u)! (b-u)!),
     # which is the mixed-powers identity divided through by a! b!.
     limit = cap + 2
@@ -437,8 +441,8 @@ def check_exp_commutation(cap: int, order: int = 10, j_max: int = 6) -> list[Che
 
 # -- integration ------------------------------------------------------------
 
-def check_integration(cap: int, n_max: int = 15) -> list[CheckResult]:
-    n_max = min(n_max, cap)
+def check_integration(cap: int) -> list[CheckResult]:
+    n_max = min(15, cap)
     rng = random.Random(RANDOM_SEED + 4)
     out = []
     polys = [Polynomial.monomial(n) for n in range(n_max + 1)]
@@ -491,7 +495,8 @@ def check_integration(cap: int, n_max: int = 15) -> list[CheckResult]:
 
 # -- star product and contagion weights -------------------------------------
 
-def check_poisson(cap: int, order: int = 14, m_max: int = 5) -> list[CheckResult]:
+def check_poisson(cap: int) -> list[CheckResult]:
+    order, m_max = 14, 5
     out = []
     work_cap = order + 1
     for name, psi in standard_suite_psis(max(cap, work_cap)):
@@ -533,8 +538,8 @@ def check_poisson(cap: int, order: int = 14, m_max: int = 5) -> list[CheckResult
 
 # -- generating functions ---------------------------------------------------
 
-def check_generating_function(cap: int, n_max: int = 10) -> list[CheckResult]:
-    n_max = min(n_max, cap - 1)
+def check_generating_function(cap: int) -> list[CheckResult]:
+    n_max = min(10, cap - 1)
     out = []
     psi = PsiSequence.classical(cap)
     delta = DeltaOperator.from_operator(forward_difference_op(psi, cap), psi)
@@ -567,7 +572,8 @@ def check_generating_function(cap: int, n_max: int = 10) -> list[CheckResult]:
 
 # -- special series ---------------------------------------------------------
 
-def check_special(cap: int, m_max: int = 5) -> list[CheckResult]:
+def check_special(cap: int) -> list[CheckResult]:
+    m_max = 5
     out = []
     for name, psi in standard_suite_psis(cap):
         full = exp_psi_series(psi, cap)

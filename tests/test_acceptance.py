@@ -14,7 +14,7 @@ import cmath
 from fractions import Fraction
 from types import SimpleNamespace
 
-from psi_umbral import verify
+from psi_umbral import expansion, star_product, verify
 from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.psi import PsiSequence
 from psi_umbral.special import psi_hyperbolic
@@ -46,6 +46,15 @@ def _gate(num: int, description: str, results) -> None:
 def test_criterion_01_commutator_is_the_identity():
     _gate(1, "weighted derivative and its dual raise commute to the identity, n <= 15",
           check_ghw(CAP))
+
+
+def test_commutator_comparison_can_fail(monkeypatch):
+    # a raise at twice its weight commutes to twice the identity
+    real = verify.psi_raise_op
+    monkeypatch.setattr(verify, "psi_raise_op",
+                        lambda psi, cap: 2 * real(psi, cap))
+    results = check_ghw(CAP)
+    assert results and not any(r.passed for r in results)
 
 
 def test_criterion_02_binomial_identity():
@@ -96,6 +105,36 @@ def test_criterion_06_right_inverses():
           check_integration(CAP))
 
 
+def test_right_inverse_comparison_can_fail(monkeypatch):
+    # No one route feeds every criterion-6 row, so three are perturbed in
+    # turn: the derivative at twice its weight, the weighted antiderivative
+    # plus its argument, and the weight multiplier at twice its values.
+    # Each row must fail under the route it reads.
+    names = [r.name for r in check_integration(CAP)]
+    real_d, real_i, real_w = (verify.psi_derivative, verify.psi_integral,
+                              verify.weight_op)
+    routes = {
+        "psi_derivative": lambda psi, p: 2 * real_d(psi, p),
+        "psi_integral": lambda psi, p: real_i(psi, p) + p,
+        "weight_op": lambda psi, cap: 2 * real_w(psi, cap),
+    }
+    failed = {}
+    for route, wrong in routes.items():
+        with monkeypatch.context() as m:
+            m.setattr(verify, route, wrong)
+            failed[route] = {r.name for r in check_integration(CAP)
+                             if not r.passed}
+    assert failed["psi_derivative"] == {
+        n for n in names if n.startswith("integration[")}
+    assert failed["psi_integral"] == {
+        n for n in names
+        if "weighted antiderivative" in n or "constants are lost" in n
+        or "matches the q route" in n}
+    assert failed["weight_op"] == {
+        n for n in names if "factors through" in n}
+    assert set().union(*failed.values()) == set(names)
+
+
 def test_criterion_07_divided_difference_series():
     _gate(7, "the divided difference equals its alternating higher-derivative "
              "series on every polynomial of degree <= 12",
@@ -130,10 +169,42 @@ def test_criterion_10_poisson_routes_agree():
           check_poisson(CAP))
 
 
+def test_poisson_comparison_can_fail(monkeypatch):
+    # the star product with one added to every result: the product weights
+    # leave the other two routes, break the cascade at m = 0, open their
+    # partial sums with m_max + 2 and normalize to two
+    real = star_product.star_mul
+
+    def plus_one(f, g, psi, cap=None):
+        out = real(f, g, psi, cap)
+        return out + TruncatedSeries.one(out.cap)
+
+    monkeypatch.setattr(star_product, "star_mul", plus_one)
+    results = check_poisson(CAP)
+    assert results and not any(r.passed for r in results)
+
+
 def test_criterion_11_random_roundtrips():
     _gate(11, "20 randomized operators per weight set round-trip through "
               "expansion, and conjugation holds at 3 rational rates",
           check_random_roundtrip(CAP))
+
+
+def test_roundtrip_comparison_can_fail(monkeypatch):
+    # the monomial expansion with one added to q_0: the reconstruction is
+    # T + 1 and the conjugation disagrees at order 0, for every weight set
+    real = expansion.expand_in_monomials
+
+    def shifted_q0(t, base):
+        exp = real(t, base)
+        qs = list(exp.coeff_polys)
+        qs[0] = qs[0] + Polynomial.one()
+        return expansion.OperatorExpansion(qs, exp.base, exp.form)
+
+    monkeypatch.setattr(expansion, "expand_in_monomials", shifted_q0)
+    monkeypatch.setattr(verify, "expand_in_monomials", shifted_q0)
+    results = check_random_roundtrip(CAP)
+    assert results and not any(r.passed for r in results)
 
 
 def test_criterion_12_generating_function_and_shifted_families():

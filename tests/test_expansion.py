@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psi_umbral.algebra import Polynomial
-from psi_umbral.errors import NotDegreeLoweringError, NotShiftInvariantError
+from psi_umbral.errors import (CapExceededError, NotDegreeLoweringError,
+                               NotShiftInvariantError, PsiUmbralError)
 from psi_umbral.expansion import (conjugate_indicator_check, detect_psi_series,
                                   expand_in_basic, expand_in_monomials,
                                   first_expansion_coeffs,
@@ -17,7 +18,7 @@ from psi_umbral.operators import (GradedOperator, derivative_op,
                                   operator_from_series, psi_derivative_op,
                                   translation_op)
 from psi_umbral.psi import PsiSequence
-from psi_umbral.umbral import DeltaOperator
+from psi_umbral.umbral import DeltaOperator, dual_raise_operator
 from test_operators import ZOO, ZOO_WEIGHTS
 
 CAP = 12
@@ -121,8 +122,71 @@ def test_dual_expansion_applies_back():
     basic = delta.basic(CAP)
     t = multiply_x_op(CAP)
     exp = expand_in_basic(t, delta, basic)
-    for p in (Polynomial.one(), Polynomial((1, 2, 3)), basic[4]):
+    # x p_(CAP-1) lands on degree CAP, the top of the basis
+    for p in (Polynomial.one(), Polynomial((1, 2, 3)), basic[4],
+              basic[CAP - 1]):
         assert apply_dual_form(exp, delta, basic, p) == t.apply(p)
+
+
+def _dual_form_on(exp, delta, raise_op, p):
+    """sum_n q_n(R) Q^n p from the tables of Q and R, q_n(R) by Horner."""
+    total = Polynomial()
+    for q in exp.coeff_polys:
+        if p.is_zero:
+            break
+        acc = Polynomial()
+        for a in reversed(q.coeffs):
+            acc = (raise_op.apply(acc) if not acc.is_zero else acc) + a * p
+        total = total + acc
+        p = delta.op.apply(p)
+    return total
+
+
+@pytest.mark.parametrize("weights", sorted(ZOO_WEIGHTS))
+def test_dual_form_reproduces_the_zoo_on_the_basis(weights):
+    # every zoo member that is a delta operator serves as Q, and every zoo
+    # member as T: T p_m = sum_n q_n(R) Q^n p_m for m up to the order.  Two
+    # raising T stop that order short of the basis.
+    cap = 8
+    psi = ZOO_WEIGHTS[weights](cap)
+    ops = [parse_operator(text, OperatorContext(cap, psi))
+           for text in ZOO + ("X", "X*X*Dpsi")]
+    deltas = []
+    for op in ops:
+        try:
+            deltas.append(DeltaOperator.from_operator(op, psi))
+        except PsiUmbralError:
+            pass
+    assert len(deltas) >= 3
+    for delta in deltas:
+        basic = delta.basic(delta.cap)
+        raise_op = dual_raise_operator(basic)
+        for t in ops:
+            exp = expand_in_basic(t, delta, basic)
+            assert exp.form == "dual" and exp.base is delta.op
+            assert exp.order == min(t.cap, cap - max(t.shift_bound, 0))
+            for p in basic.polys[:exp.order + 1]:
+                assert _dual_form_on(exp, delta, raise_op, p) == t.apply(p)
+
+
+def test_dual_form_errors_name_the_basis_limit():
+    psi = PsiSequence.jackson(2, 6)
+    delta = DeltaOperator.from_operator(forward_difference_op(psi, 6), psi)
+    basic = delta.basic(4)
+    messages = []
+    for call in (
+            lambda: expand_in_basic(multiply_x_op(6) ** 5, delta, basic),
+            lambda: apply_dual_form(expand_in_basic(multiply_x_op(6), delta,
+                                                    basic),
+                                    delta, basic, Polynomial.monomial(4)),
+            lambda: apply_dual_form(expand_in_basic(delta.op, delta, basic),
+                                    delta, basic, Polynomial.monomial(5))):
+        with pytest.raises(CapExceededError) as err:
+            call()
+        messages.append(str(err.value))
+    assert messages == ["basis too short for the operator's degree growth",
+                        "dual application leaves the basis",
+                        "basis holds 5 polynomials, degree 5 requested"]
 
 
 def test_conjugation_check_passes_and_reports():

@@ -49,7 +49,7 @@ def test_star_exponential_addition():
     a, b = Fraction(2), Fraction(-1, 2)
     left = psi_exp_scaled(PsiSequence.classical(cap), a, cap)
     right = psi_exp_scaled(psi, b, cap)
-    got = star_mul(left, right, psi).series
+    got = star_mul(left, right, psi)
     assert got == psi_exp_scaled(psi, a + b, cap)
 
 
@@ -59,7 +59,7 @@ def test_star_exponential_inverse_is_exact_unity():
                 PsiSequence.divided_difference(cap)):
         lam = Fraction(5, 3)
         got = star_mul(psi_exp_scaled(PsiSequence.classical(cap), lam, cap),
-                       psi_exp_scaled(psi, -lam, cap), psi).series
+                       psi_exp_scaled(psi, -lam, cap), psi)
         assert got == TruncatedSeries.one(cap)
 
 

@@ -178,6 +178,46 @@ def test_dual_raise_forms_commutation_pair():
         assert dual.apply(seq[n]) == lift * seq[n + 1]
 
 
+def test_umbral_map_carries_the_classical_pair():
+    # U^(-1) Q U = D, U^(-1) R U = X and U^(-1) U = 1 on the whole table
+    for psi in (PsiSequence.jackson(Fraction(1, 2), 10),
+                PsiSequence.custom([n * n for n in range(1, 11)])):
+        q = operator_from_series([0, 1, 0, 1], psi, 10)
+        seq = basic_sequence_solve(q, psi, 10)
+        u, u_inv = seq.umbral_map()
+        assert (u.cap, u_inv.cap) == (10, 10)
+        assert u_inv.compose(u) == GradedOperator.identity(10)
+        assert u_inv.compose(q.compose(u)) == derivative_op(10)
+        raised = u_inv.compose(dual_raise_operator(seq).compose(u))
+        assert raised.cap == 9 and raised == multiply_x_op(9)
+        assert seq.umbral_map() is seq.umbral_map()
+
+
+def test_dual_raise_reads_no_weight_past_the_basis():
+    # custom weights with exactly top values: p_top exists, weight top+1
+    # does not, and the dual raise still builds on x^0..x^(top-1)
+    top = 5
+    psi = PsiSequence.custom([n * n + 1 for n in range(1, top + 1)])
+    delta = DeltaOperator.from_operator(psi_derivative_op(psi, top), psi)
+    seq = delta.basic(top)
+    dual = dual_raise_operator(seq)
+    assert dual.cap == top - 1
+    for n in range(top):
+        lift = Fraction(n + 1) / psi.n_psi(n + 1)
+        assert dual.apply(seq[n]) == lift * seq[n + 1]
+    with pytest.raises(CapExceededError):
+        psi.n_psi(top + 1)
+
+
+def test_dual_raise_needs_two_basis_polynomials():
+    psi = classical()
+    seq = basic_sequence_solve(derivative_op(4), psi, 0)
+    with pytest.raises(CapExceededError) as err:
+        dual_raise_operator(seq)
+    assert str(err.value) == \
+        "need at least p_0 and p_1 to build the dual raise"
+
+
 def test_sheffer_sequence_translated_monomials():
     psi = classical()
     c = Fraction(3, 2)
