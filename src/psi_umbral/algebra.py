@@ -11,10 +11,12 @@ beyond, and every operation propagates the smallest cap of its inputs.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
-from .errors import CompositionError, NonInvertibleError, SelfCheckError
+from .errors import (CapExceededError, CompositionError, NonInvertibleError,
+                     SelfCheckError)
 
 Scalar = Fraction
 
@@ -34,11 +36,21 @@ def as_scalar(value) -> Fraction:
 
 
 def scalar_to_str(value: Fraction) -> str:
-    """Render ``p/q`` in lowest terms, or just ``p`` for integers."""
+    """Render ``p/q`` in lowest terms, or just ``p`` for integers.
+
+    A number past the interpreter's digit limit for int-to-str conversion
+    raises ``CapExceededError`` naming the limit; the limit is not changed.
+    """
     value = as_scalar(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return "%d/%d" % (value.numerator, value.denominator)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise CapExceededError(
+            "number too long to print: over the %d-digit limit for "
+            "converting an int to a string" % limit, limit=limit) from None
 
 
 def scalar_from_str(text: str) -> Fraction:
@@ -251,6 +263,23 @@ def _combination(terms, den: int) -> Polynomial:
             if y:
                 out[j] += m * y
     return _from_ints(out, lcm * den)
+
+
+def _triangular_inverse(rows) -> list:
+    """Rows v_n = L^(-1) x^n of the map L: x^n -> rows[n], for rows of
+    degree exactly n: with rows[n] = a/d on ints,
+    v_n = (d x^n - sum_(j<n) a_j v_j) / a_n, one combination per row."""
+    inv = []
+    for n, row in enumerate(rows):
+        a = row._num
+        if len(a) != n + 1:
+            raise SelfCheckError("triangular row %d has degree %s, expected %d"
+                                 % (n, row.degree, n))
+        s = 1 if a[n] > 0 else -1
+        terms = [(-s * a[j], inv[j]) for j in range(n)]
+        terms.append((s * row._den, _raw((0,) * n + (1,), 1)))
+        inv.append(_combination(terms, s * a[n]))
+    return inv
 
 
 def _linear_combination(p: Polynomial, rows) -> Polynomial:

@@ -29,7 +29,8 @@ from .operators import (GradedOperator, _require_lowers_by_one,
                         _series_and_witness, derivative_op,
                         shift_invariant_coefficients)
 from .psi import PsiSequence
-from .umbral import BasicSequence, DeltaOperator, unit_normal_sequence
+from .umbral import (BasicSequence, DeltaOperator, _degree_in_basis,
+                     unit_normal_sequence)
 
 
 class OperatorExpansion:
@@ -103,9 +104,9 @@ def reconstruct_from_monomial_form(exp: OperatorExpansion,
     return GradedOperator(images, cap)
 
 
-def expand_in_basic(t: GradedOperator, delta: DeltaOperator,
+def expand_in_basic(t: GradedOperator,
                     basic: BasicSequence) -> OperatorExpansion:
-    """Dual-pair expansion: T = sum q_n(R) Q^n with R the raising partner.
+    """Dual-pair expansion T = sum q_n(R) Q^n for Q = basic.op, R its raise.
 
     The umbral map U of the basis turns Q into D and R into X, so the q_n
     are the monomial-form coefficients of U^(-1) T U in powers of D.  The
@@ -113,26 +114,25 @@ def expand_in_basic(t: GradedOperator, delta: DeltaOperator,
     """
     shift = t.shift_bound
     s = int(shift) if shift is not NEG_INF and shift > 0 else 0
-    m_eff = min(t.cap, len(basic.polys) - 1 - s, delta.cap)
+    m_eff = min(t.cap, len(basic.polys) - 1 - s, basic.op.cap)
     if m_eff < 0:
         raise CapExceededError("basis too short for the operator's degree growth")
     u, u_inv = basic.umbral_map()
     conjugated = u_inv.compose(t.compose(u.truncated(m_eff)))
     exp = expand_in_monomials(conjugated, derivative_op(m_eff))
-    return OperatorExpansion(exp.coeff_polys, delta.op, "dual")
+    return OperatorExpansion(exp.coeff_polys, basic.op, "dual")
 
 
-def apply_dual_form(exp: OperatorExpansion, delta: DeltaOperator,
-                    basic: BasicSequence, p: Polynomial) -> Polynomial:
+def apply_dual_form(exp: OperatorExpansion, basic: BasicSequence,
+                    p: Polynomial) -> Polynomial:
     """Apply sum q_n(R) Q^n to p as U (sum q_n D^n) U^(-1) p.
 
-    U^(-1) p is read off p's coordinates over the images of U, so a p of
-    degree past the basis raises as ``monomials_to_basis`` does; so does a
-    term of degree past the basis.
+    A p of degree past the basis raises as ``monomials_to_basis`` does; so
+    does a term of degree past the basis.
     """
-    u, _ = basic.umbral_map()
-    g = Polynomial(BasicSequence(u.images, basic.psi, basic.op)
-                   .monomials_to_basis(p))
+    u, u_inv = basic.umbral_map()
+    _degree_in_basis(p, len(basic.polys))
+    g = u_inv.apply(p)
     h = Polynomial()
     for q in exp.coeff_polys:
         if not (q.is_zero or g.is_zero):

@@ -12,12 +12,11 @@ the S factor.  Having both is the point; they must agree exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
-                      _series, as_scalar)
+from .algebra import (Polynomial, TruncatedSeries, _linear_combination,
+                      _series, _triangular_inverse, as_scalar)
 from .errors import (CapExceededError, NonInvertibleError,
-                     NotDegreeLoweringError, SelfCheckError)
+                     NotDegreeLoweringError)
 from .operators import (GradedOperator, _require_lowers_by_one,
                         apply_psi_series, invert_shift_invariant,
                         multiply_x_op, operator_from_series, psi_raise,
@@ -58,25 +57,11 @@ class BasicSequence:
         return [p.to_json() for p in self.polys]
 
     def monomials_to_basis(self, p: Polynomial):
-        """Coordinates of p in the p_n basis (triangular back-substitution)."""
-        deg = p.degree
-        n = 0 if deg is NEG_INF else int(deg)
-        if n >= len(self.polys):
-            raise CapExceededError(
-                "basis holds %d polynomials, degree %d requested"
-                % (len(self.polys), n))
-        rem = p
-        coords = [Fraction(0)] * (n + 1)
-        for k in range(n, -1, -1):
-            a = rem._num[k] if k < len(rem._num) else 0
-            if a:
-                lead = self.polys[k]
-                c = Fraction(a * lead._den, rem._den * lead._num[-1])
-                coords[k] = c
-                rem = rem - c * lead
-        if not rem.is_zero:
-            raise SelfCheckError("back-substitution left a nonzero remainder")
-        return coords
+        """Coordinates of p in the p_n basis: p read by the inverse of the
+        table x^k -> p_k, k <= deg p.  Reads no weights."""
+        n = _degree_in_basis(p, len(self.polys))
+        g = _linear_combination(p, _triangular_inverse(self.polys[:n + 1]))
+        return [g.coefficient(k) for k in range(n + 1)]
 
     def umbral_map(self):
         """Tables of U: x^n -> rho_n p_n and of U^(-1), at cap top, with
@@ -89,13 +74,17 @@ class BasicSequence:
         if self._umbral is None:
             u = GradedOperator([self.psi.raising_ratio(0, n) * p
                                 for n, p in enumerate(self.polys)])
-            scaled = BasicSequence(u.images, self.psi, self.op)
-            u_inv = GradedOperator.from_monomial_rule(
-                lambda n: Polynomial(
-                    scaled.monomials_to_basis(Polynomial.monomial(n))),
-                u.cap)
-            self._umbral = u, u_inv
+            self._umbral = u, GradedOperator(_triangular_inverse(u.images))
         return self._umbral
+
+
+def _degree_in_basis(p: Polynomial, size: int) -> int:
+    """deg p, 0 for zero, checked against a basis of size polynomials."""
+    n = 0 if p.is_zero else p.degree
+    if n >= size:
+        raise CapExceededError("basis holds %d polynomials, degree %d requested"
+                               % (size, n))
+    return n
 
 
 def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
@@ -103,46 +92,18 @@ def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
     """Triangular solve for p_0 = 1, p_n(0) = 0, op p_n = n_psi p_(n-1).
 
     Works for any operator that lowers degree by exactly one; shift
-    invariance is not needed here.
+    invariance is not needed here.  The table L: x^n -> op(x^(n+1)),
+    n < n_max, keeps degree, so p_n = x L^(-1)(n_psi p_(n-1)).
     """
     if n_max > op.cap:
         raise CapExceededError("n_max %d beyond operator cap %d"
                                % (n_max, op.cap), cap=op.cap)
     _require_lowers_by_one(op, n_max, "")
-    # Image j has degree exactly j - 1, so its numerators rows[j][i] over
-    # dens[j] exist for i < j.
-    images = [op.image(j) for j in range(n_max + 1)]
-    rows = [img._num for img in images]
-    dens = [img._den for img in images]
+    inv = _triangular_inverse([op.image(n + 1) for n in range(n_max)])
     polys = [Polynomial.one()]
-    lcm = 1
     for n in range(1, n_max + 1):
-        if lcm % dens[n]:
-            lcm = lcm // gcd(lcm, dens[n]) * dens[n]
-        # The target n_psi p_(n-1) is t / t_den; the unknowns are
-        # c_j = num[j] / den, and e[j] = num[j] lcm / dens[j], so that
-        # sum_j c_j row_j(x^i) = sum_j e[j] rows[j][i] / (den lcm).
-        w, prev = psi.n_psi(n), polys[n - 1]._num
-        t = [a * w.numerator for a in prev] + [0] * (n - len(prev))
-        t_den = polys[n - 1]._den * w.denominator
-        num, e, den = [0] * (n + 1), [0] * (n + 1), 1
-        # Determine c_n, ..., c_1 by matching x^(n-1) down to x^0.
-        for i in range(n - 1, -1, -1):
-            s = 0
-            for j in range(i + 2, n + 1):
-                if e[j]:
-                    s += e[j] * rows[j][i]
-            scale = den * lcm
-            c = Fraction((t[i] * scale - s * t_den) * dens[i + 1],
-                         t_den * scale * rows[i + 1][i])
-            if den % c.denominator:
-                m = c.denominator // gcd(den, c.denominator)
-                den *= m
-                num = [a * m for a in num]
-                e = [a * m for a in e]
-            num[i + 1] = c.numerator * (den // c.denominator)
-            e[i + 1] = num[i + 1] * (lcm // dens[i + 1])
-        polys.append(_from_ints(num, den))
+        target = psi.n_psi(n) * polys[n - 1]
+        polys.append(_linear_combination(target, inv).shifted(1))
     return BasicSequence(polys, psi, op)
 
 

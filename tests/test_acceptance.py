@@ -14,10 +14,10 @@ import cmath
 from fractions import Fraction
 from types import SimpleNamespace
 
-from psi_umbral import expansion, star_product, verify
+from psi_umbral import expansion, special, star_product, verify
 from psi_umbral.algebra import Polynomial, TruncatedSeries
+from psi_umbral.operators import derivative_op
 from psi_umbral.psi import PsiSequence
-from psi_umbral.special import psi_hyperbolic
 from psi_umbral.umbral import BasicSequence
 from psi_umbral.verify import (CheckResult, check_binomial, check_detection,
                                check_divided_difference_series,
@@ -63,6 +63,22 @@ def test_criterion_02_binomial_identity():
           check_binomial(CAP))
 
 
+def test_binomial_comparison_can_fail(monkeypatch):
+    # the solve with x added to p_3: at n = 3 both sides gain x + y, but
+    # from n = 4 on only the split over the basis moves
+    real = verify.basic_sequence_solve
+
+    def off_by_x(op, psi, n_max):
+        seq = real(op, psi, n_max)
+        polys = list(seq.polys)
+        polys[3] = polys[3] + Polynomial.monomial(1)
+        return BasicSequence(polys, seq.psi, seq.op)
+
+    monkeypatch.setattr(verify, "basic_sequence_solve", off_by_x)
+    results = check_binomial(CAP)
+    assert results and not any(r.passed for r in results)
+
+
 def test_criterion_03_closed_forms_match_the_solve():
     _gate(3, "all four closed-form constructions reproduce the triangular solve, "
              "n <= 8, three operator shapes",
@@ -87,16 +103,48 @@ def test_closed_form_comparison_can_fail(monkeypatch):
     assert results and not any(r.passed for r in results)
 
 
+def _q0_plus_one(real):
+    """The monomial expansion ``real`` with one added to q_0."""
+    def shifted_q0(t, base):
+        exp = real(t, base)
+        qs = list(exp.coeff_polys)
+        qs[0] = qs[0] + Polynomial.one()
+        return expansion.OperatorExpansion(qs, exp.base, exp.form)
+    return shifted_q0
+
+
 def test_criterion_04_expansion_goldens():
     _gate(4, "derivative-in-difference coefficients are (-1)^(k-1)/k and the "
              "reverse are 1/k!, k <= 12",
           check_expansion_goldens(CAP))
 
 
+def test_expansion_golden_comparison_can_fail(monkeypatch):
+    # the monomial expansion with one added to q_0: neither expansion
+    # starts at zero, and both reconstruct their operator plus one
+    monkeypatch.setattr(verify, "expand_in_monomials",
+                        _q0_plus_one(verify.expand_in_monomials))
+    results = check_expansion_goldens(CAP)
+    assert results and not any(r.passed for r in results)
+
+
 def test_criterion_05_weight_detection():
     _gate(5, "detection accepts the disguised square-weight derivative and "
              "rejects the non-example with a concrete witness",
           check_detection(CAP))
+
+
+def test_detection_comparison_can_fail(monkeypatch):
+    # detection of the operator plus D^3/3: the square-weight derivative
+    # stops being a series, and the non-example becomes the series D X D / 2
+    real = verify.detect_psi_series
+
+    def plus_cube(op):
+        return real(op + Fraction(1, 3) * derivative_op(op.cap) ** 3)
+
+    monkeypatch.setattr(verify, "detect_psi_series", plus_cube)
+    results = check_detection(CAP)
+    assert results and not any(r.passed for r in results)
 
 
 def test_criterion_06_right_inverses():
@@ -139,6 +187,15 @@ def test_criterion_07_divided_difference_series():
     _gate(7, "the divided difference equals its alternating higher-derivative "
              "series on every polynomial of degree <= 12",
           check_divided_difference_series(CAP))
+
+
+def test_divided_difference_comparison_can_fail(monkeypatch):
+    # the divided difference plus one differs from the series on every p
+    real = verify.divided_difference
+    monkeypatch.setattr(verify, "divided_difference",
+                        lambda p: real(p) + Polynomial.one())
+    results = check_divided_difference_series(CAP)
+    assert results and not any(r.passed for r in results)
 
 
 def test_criterion_08_reordering_identity():
@@ -193,14 +250,7 @@ def test_criterion_11_random_roundtrips():
 def test_roundtrip_comparison_can_fail(monkeypatch):
     # the monomial expansion with one added to q_0: the reconstruction is
     # T + 1 and the conjugation disagrees at order 0, for every weight set
-    real = expansion.expand_in_monomials
-
-    def shifted_q0(t, base):
-        exp = real(t, base)
-        qs = list(exp.coeff_polys)
-        qs[0] = qs[0] + Polynomial.one()
-        return expansion.OperatorExpansion(qs, exp.base, exp.form)
-
+    shifted_q0 = _q0_plus_one(expansion.expand_in_monomials)
     monkeypatch.setattr(expansion, "expand_in_monomials", shifted_q0)
     monkeypatch.setattr(verify, "expand_in_monomials", shifted_q0)
     results = check_random_roundtrip(CAP)
@@ -228,7 +278,7 @@ def test_generating_function_comparison_can_fail(monkeypatch):
     assert shifted.passed
 
 
-def test_criterion_13_exponential_slices():
+def _criterion_13_rows():
     results = list(check_special(CAP))
     # the gate's only float tolerance lives here
     tol = 1e-12
@@ -238,7 +288,7 @@ def test_criterion_13_exponential_slices():
                 PsiSequence.jackson(Fraction(1, 2), cap)):
         for m in (2, 3):
             for j in range(m):
-                exact = float(psi_hyperbolic(psi, m, j, cap)
+                exact = float(special.psi_hyperbolic(psi, m, j, cap)
                               .as_polynomial()(Fraction(1, 2)))
                 got = _root_of_unity_average(psi, m, j, 0.5, cap)
                 if abs(got.imag) >= tol or abs(got.real - exact) >= tol:
@@ -246,12 +296,56 @@ def test_criterion_13_exponential_slices():
     results.append(CheckResult(
         "special: float root-of-unity average matches the exact slices at "
         "alpha=1/2 within 1e-12", ok))
+    return results
+
+
+def test_criterion_13_exponential_slices():
     _gate(13, "degenerate exponentials are all-ones, slices partition the "
               "exponential for m <= 5, float cross-check within 1e-12",
-          results)
+          _criterion_13_rows())
+
+
+def test_exponential_slice_comparison_can_fail(monkeypatch):
+    # No one route feeds every criterion-13 row, so two are perturbed in
+    # turn: each slice plus z^m, and the exponential plus one.  Each row
+    # must fail under the route it reads.
+    names = [r.name for r in _criterion_13_rows()]
+    real_slice, real_exp = special.psi_hyperbolic, verify.exp_psi_series
+
+    def slice_plus_zm(psi, m, j, cap):
+        return real_slice(psi, m, j, cap) + TruncatedSeries([0] * m + [1], cap)
+
+    routes = {
+        "psi_hyperbolic": [(special, slice_plus_zm), (verify, slice_plus_zm)],
+        "exp_psi_series": [(verify, lambda psi, cap: real_exp(psi, cap)
+                            + TruncatedSeries.one(cap))],
+    }
+    failed = {}
+    for route, patches in routes.items():
+        with monkeypatch.context() as m:
+            for module, wrong in patches:
+                m.setattr(module, route, wrong)
+            failed[route] = {r.name for r in _criterion_13_rows()
+                             if not r.passed}
+    assert failed["psi_hyperbolic"] == {
+        n for n in names if "partition" in n or "rotates" in n
+        or n.startswith("special: float")}
+    assert failed["exp_psi_series"] == {
+        n for n in names if "partition" in n or "geometric" in n}
+    assert set().union(*failed.values()) == set(names)
 
 
 def test_criterion_14_parity():
     _gate(14, "odd alternating weighted binomial sums vanish, n <= 15; the even "
               "jackson(2) case equals 1 - q, not zero",
           check_parity(CAP))
+
+
+def test_parity_comparison_can_fail(monkeypatch):
+    # the binomial at k = 1 off by one: every odd alternating sum moves to
+    # -1, and the even q=2 sum to -q
+    real = PsiSequence.binomial
+    monkeypatch.setattr(PsiSequence, "binomial",
+                        lambda self, n, k: real(self, n, k) + (k == 1))
+    results = check_parity(CAP)
+    assert results and not any(r.passed for r in results)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -448,3 +449,21 @@ def test_translate_with_exactly_the_degree_of_weights(capsys):
                        "3", "--y", "1", "--poly", "1,1,1,1")
     assert code == 0
     assert "x^3 + 4*x^2 + 6*x + 4" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_number_past_the_digit_limit_is_a_structured_error(capsys, fmt):
+    # the weighted factorials at cap 1700 pass the interpreter's default
+    # 4300-digit limit for converting an int to a string
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "table", "--cap", "1700", "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    message = ("number too long to print: over the %d-digit limit for "
+               "converting an int to a string" % limit)
+    if fmt == "json":
+        assert json.loads(err) == {"code": "cap_exceeded", "message": message,
+                                   "details": {"limit": str(limit)}}
+    else:
+        assert err == "error: %s\n" % message

@@ -1,0 +1,56 @@
+"""Rules every module of the package keeps, checked on its syntax tree.
+
+- No ``assert`` statement: self-checks raise ``SelfCheckError`` so that
+  they survive ``python -O``.
+- No float or complex literal: the kernel is exact.  ``float("-inf")`` is a
+  call, not a literal.
+- Only standard-library absolute imports, matching ``dependencies = []``.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "psi_umbral"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _nodes(path):
+    return list(ast.walk(ast.parse(path.read_text(), str(path))))
+
+
+def _where(path, node):
+    return "%s:%d" % (path.name, node.lineno)
+
+
+def test_the_package_has_modules():
+    # an empty glob would leave the rules below with nothing to check
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    found = [_where(path, n) for n in _nodes(path) if isinstance(n, ast.Assert)]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_float_literal(path):
+    found = [_where(path, n) for n in _nodes(path)
+             if isinstance(n, ast.Constant) and isinstance(n.value, (float, complex))]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_absolute_imports_are_standard_library(path):
+    names = []
+    for n in _nodes(path):
+        if isinstance(n, ast.Import):
+            names += [(alias.name, n) for alias in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.level == 0:
+            names.append((n.module, n))
+    found = [_where(path, n) + " " + name for name, n in names
+             if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []

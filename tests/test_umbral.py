@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.errors import (CapExceededError, NotDegreeLoweringError,
-                               NotShiftInvariantError)
+                               NotShiftInvariantError, SelfCheckError)
 from psi_umbral.operators import (GradedOperator, apply_psi_series,
                                   derivative_op, forward_difference_op,
                                   is_shift_invariant,
                                   multiply_x_op, operator_from_series,
                                   psi_derivative_op, translation_op)
 from psi_umbral.psi import PsiSequence, RationalFunction
-from psi_umbral.umbral import (DeltaOperator, basic_sequence_solve,
+from psi_umbral.umbral import (BasicSequence, DeltaOperator, basic_sequence_solve,
                                dual_raise_operator, eigenfunction_series,
                                rodrigues_sequence, sheffer_sequence, translate,
                                unit_normal_sequence)
@@ -106,6 +106,24 @@ def test_monomials_to_basis_roundtrip():
     assert rebuilt == p
 
 
+@pytest.mark.parametrize("polys", [
+    (Polynomial.one(), Polynomial.x(), Polynomial((1, 1))),
+    (Polynomial.one(), Polynomial((0, 0, 1)), Polynomial((0, 0, 1))),
+])
+def test_monomials_to_basis_rejects_a_row_of_the_wrong_degree(polys):
+    # p_k must have degree exactly k for the basis to be triangular
+    psi = classical()
+    seq = BasicSequence(polys, psi, forward_difference_op(psi, CAP))
+    with pytest.raises(SelfCheckError):
+        seq.monomials_to_basis(Polynomial.monomial(2))
+
+
+def test_basic_sequence_solve_to_degree_zero_is_one():
+    psi = classical()
+    for op in (forward_difference_op(psi, CAP), derivative_op(0)):
+        assert list(basic_sequence_solve(op, psi, 0)) == [Polynomial.one()]
+
+
 def test_delta_operator_requires_shift_invariance():
     psi = PsiSequence.jackson(2, CAP)
     x2d = (multiply_x_op(CAP + 2) * multiply_x_op(CAP + 2)) * derivative_op(CAP + 2)
@@ -191,6 +209,21 @@ def test_umbral_map_carries_the_classical_pair():
         raised = u_inv.compose(dual_raise_operator(seq).compose(u))
         assert raised.cap == 9 and raised == multiply_x_op(9)
         assert seq.umbral_map() is seq.umbral_map()
+
+
+def test_umbral_map_reads_the_weights_up_to_the_top():
+    # custom weights with exactly top values build U and U^(-1); one value
+    # fewer cannot supply rho_top = top!/top_psi!
+    top = 4
+    psi = PsiSequence.custom([n * n + 1 for n in range(1, top + 1)])
+    seq = DeltaOperator.from_operator(psi_derivative_op(psi, top), psi).basic(top)
+    u, u_inv = seq.umbral_map()
+    for n in range(top + 1):
+        assert u.image(n) == psi.raising_ratio(0, n) * seq[n]
+    assert u_inv.compose(u) == GradedOperator.identity(top)
+    short = PsiSequence.custom([n * n + 1 for n in range(1, top)])
+    with pytest.raises(CapExceededError):
+        BasicSequence(seq.polys, short, seq.op).umbral_map()
 
 
 def test_dual_raise_reads_no_weight_past_the_basis():
