@@ -249,9 +249,13 @@ def run_verify(params, cap, psi):
     ok = True
     for name, results in groups:
         for r in results:
-            rows.append({"suite": name, "check": r.name, "passed": r.passed})
-            lines.append("%s %-12s %s" % ("PASS" if r.passed else "FAIL",
-                                          name, r.name))
+            row = {"suite": name, "check": r.name, "passed": r.passed}
+            line = "%s %-12s %s" % ("PASS" if r.passed else "FAIL", name, r.name)
+            if r.detail:
+                row["witness"] = r.detail
+                line += "  [first failing case: %s]" % r.detail
+            rows.append(row)
+            lines.append(line)
             ok = ok and r.passed
     lines.append("%d checks, %d failed" % (len(rows),
                                            sum(not r["passed"] for r in rows)))
@@ -451,8 +455,9 @@ def render(doc, lines, fmt: str, stream) -> None:
         rows = doc.get("rows", [])
         buf = io.StringIO()
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                                    lineterminator="\n")
+            # a failing verify row adds "witness": name every key, first seen first
+            fields = list(dict.fromkeys(key for row in rows for key in row))
+            writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         stream.write(buf.getvalue())

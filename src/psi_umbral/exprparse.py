@@ -18,6 +18,7 @@ Every failure raises ExprParseError carrying the 0-based input position.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ExprParseError
@@ -82,6 +83,10 @@ class _Tokens:
             self.pos += 1
         if self.pos == start:
             raise ExprParseError("expected an integer", start)
+        limit = sys.get_int_max_str_digits()
+        if limit and self.pos - start > limit:
+            raise ExprParseError("integer literal longer than the %d-digit limit "
+                                 "for converting a string to an int" % limit, start)
         return int(self.text[start:self.pos])
 
     def take_rational(self) -> Fraction:

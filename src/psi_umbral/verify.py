@@ -4,6 +4,10 @@ Every check here is exact rational arithmetic.  The functions return
 ``CheckResult`` records rather than raising, so the command line and the
 acceptance tests can both consume them and report one line per check.
 
+Each check walks its cases (dicts such as ``{"n": 4, "y": 0}``) and stops
+at the first one that fails, which its ``detail`` names as ``n=4, y=0``.
+Random inputs are drawn before the walk, so a failure moves no later draw.
+
 The standard family deliberately mixes the regimes that behave
 differently: classical weights, geometric weights with ratio below and
 above one, the ratio-zero degenerate case (all weights one past n = 0),
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 from .algebra import Polynomial, TruncatedSeries
@@ -68,6 +73,9 @@ Y_POINTS = tuple(Fraction(a, b) for a, b in
 
 LAMBDA_POINTS = (Fraction(1), Fraction(1, 2), Fraction(3, 2))
 
+_JACKSON_QS = (Fraction(1, 2), Fraction(2), Fraction(0))
+_RATIO_QS = (Fraction(1, 2), Fraction(3))
+
 
 class CheckResult:
     __slots__ = ("name", "passed", "detail")
@@ -81,8 +89,19 @@ class CheckResult:
         return "CheckResult(%r, %s)" % (self.name, self.passed)
 
 
-def _check(name, passed, detail=""):
-    return CheckResult(name, bool(passed), detail)
+def _check(name, passed):
+    return CheckResult(name, bool(passed))
+
+
+def _verdict(name, cases, holds):
+    """The check ``name`` over ``cases``, dicts of named values: it fails at
+    the first case where ``holds(**case)`` is false, with that case as its
+    detail, and passes when every case holds."""
+    for case in cases:
+        if not holds(**case):
+            return CheckResult(name, False, ", ".join(
+                "%s=%s" % item for item in case.items()))
+    return CheckResult(name, True)
 
 
 def standard_suite_psis(cap: int) -> list[tuple[str, PsiSequence]]:
@@ -95,6 +114,13 @@ def standard_suite_psis(cap: int) -> list[tuple[str, PsiSequence]]:
         ("q=0", PsiSequence.jackson(Fraction(0), cap)),
         ("squares", PsiSequence.custom(square, cap)),
     ]
+
+
+def _ratio_of_values(q, cap):
+    """The rational function (1 - x)/(1 - q) and its weights at ratio q."""
+    rat = RationalFunction(Polynomial((Fraction(1), Fraction(-1))),
+                           Polynomial((Fraction(1) - q,)))
+    return rat, PsiSequence.rational(rat, q, cap)
 
 
 def _delta_bases(psi: PsiSequence, cap: int):
@@ -135,36 +161,25 @@ def _binomial_sum(psi, basic_polys, n, y):
 
 def check_binomial(cap: int) -> list[CheckResult]:
     n_max = min(10, cap)
+    cases = [{"n": n, "y": y} for n in range(n_max + 1) for y in Y_POINTS]
     out = []
     for name, psi in standard_suite_psis(cap):
         for base_name, q in _delta_bases(psi, cap):
             polys = basic_sequence_solve(q, psi, n_max).polys
-            ok = True
-            for n in range(n_max + 1):
-                for y in Y_POINTS:
-                    lhs = translate(psi, y, polys[n])
-                    if lhs != _binomial_sum(psi, polys, n, y):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            out.append(_check("binomial[%s,%s] translation splits over the "
-                              "basis, n<=%d at %d points"
-                              % (name, base_name, n_max, len(Y_POINTS)), ok))
+            out.append(_verdict(
+                "binomial[%s,%s] translation splits over the basis, n<=%d at "
+                "%d points" % (name, base_name, n_max, len(Y_POINTS)), cases,
+                lambda n, y: (translate(psi, y, polys[n])
+                              == _binomial_sum(psi, polys, n, y))))
     return out
 
 
 def check_parity(cap: int) -> list[CheckResult]:
-    out = []
-    for name, psi in standard_suite_psis(cap):
-        ok = True
-        for n in range(1, min(15, cap) + 1, 2):
-            total = sum(((-1) ** k) * psi.binomial(n, k) for k in range(n + 1))
-            if total != 0:
-                ok = False
-                break
-        out.append(_check("parity[%s] odd alternating binomial sums vanish"
-                          % name, ok))
+    odd = [{"n": n} for n in range(1, min(15, cap) + 1, 2)]
+    out = [_verdict("parity[%s] odd alternating binomial sums vanish" % name,
+                    odd, lambda n: sum(((-1) ** k) * psi.binomial(n, k)
+                                       for k in range(n + 1)) == 0)
+           for name, psi in standard_suite_psis(cap)]
     two = PsiSequence.jackson(Fraction(2), cap)
     even = sum(((-1) ** k) * two.binomial(2, k) for k in range(3))
     out.append(_check("parity[q=2] even sum at n=2 equals 1-q",
@@ -186,21 +201,16 @@ def check_rodrigues(cap: int) -> list[CheckResult]:
     out = []
     for name, psi in standard_suite_psis(cap):
         for tail_name, tail in _invertible_tails(psi, cap):
-            coeffs = [Fraction(0)]
-            for k, c in enumerate(tail):
-                if k + 1 <= cap:
-                    coeffs.append(c)
-            delta = DeltaOperator.from_indicator(coeffs, psi, cap)
+            delta = DeltaOperator.from_indicator([Fraction(0)] + tail[:cap],
+                                                 psi, cap)
             reference = delta.basic(n_max).polys
-            ok = True
-            for formula in (1, 2, 3, 4):
-                got = rodrigues_sequence(delta, n_max, formula=formula)
-                if [p for p in got] != list(reference):
-                    ok = False
-                    break
-            out.append(_check("rodrigues[%s,%s] four closed forms agree with "
-                              "the triangular solve, n<=%d"
-                              % (name, tail_name, n_max), ok))
+            forms = {f: rodrigues_sequence(delta, n_max, formula=f)
+                     for f in (1, 2, 3, 4)}
+            out.append(_verdict(
+                "rodrigues[%s,%s] four closed forms agree with the triangular "
+                "solve, n<=%d" % (name, tail_name, n_max),
+                [{"formula": f, "n": n} for f in forms for n in range(n_max + 1)],
+                lambda formula, n: forms[formula][n] == reference[n]))
     return out
 
 
@@ -208,65 +218,75 @@ def check_rodrigues(cap: int) -> list[CheckResult]:
 
 def check_expansion_goldens(cap: int) -> list[CheckResult]:
     k_max = min(12, cap)
-    out = []
     d = derivative_op(cap)
     delta = forward_difference_op(PsiSequence.classical(cap), cap)
-
     exp_d = expand_in_monomials(d, delta)
-    ok = exp_d.coeff_polys[0].is_zero
-    for k in range(1, min(k_max, exp_d.order) + 1):
-        want = Polynomial((Fraction((-1) ** (k - 1), k),))
-        if exp_d.coeff_polys[k] != want:
-            ok = False
-    out.append(_check("golden: derivative in forward differences has "
-                      "coefficients (-1)^(k-1)/k, k<=%d" % k_max, ok))
-
     exp_delta = expand_in_monomials(delta, d)
-    ok = exp_delta.coeff_polys[0].is_zero
-    fact = 1
-    for k in range(1, min(k_max, exp_delta.order) + 1):
-        fact *= k
-        if exp_delta.coeff_polys[k] != Polynomial((Fraction(1, fact),)):
-            ok = False
-    out.append(_check("golden: forward difference in derivatives has "
-                      "coefficients 1/k!, k<=%d" % k_max, ok))
-
-    r1 = reconstruct_from_monomial_form(exp_d, cap)
-    r2 = reconstruct_from_monomial_form(exp_delta, cap)
-    out.append(_check("golden: both expansions reconstruct their operator",
-                      r1 == d.truncated(r1.cap) and r2 == delta.truncated(r2.cap)))
+    # q_0 is zero and every later q_k a constant
+    out = [_verdict("golden: derivative in forward differences has "
+                    "coefficients (-1)^(k-1)/k, k<=%d" % k_max,
+                    [{"k": k} for k in range(min(k_max, exp_d.order) + 1)],
+                    lambda k: exp_d.coeff_polys[k] == Polynomial(
+                        (Fraction((-1) ** (k - 1), k) if k else 0,))),
+           _verdict("golden: forward difference in derivatives has "
+                    "coefficients 1/k!, k<=%d" % k_max,
+                    [{"k": k} for k in range(min(k_max, exp_delta.order) + 1)],
+                    lambda k: exp_delta.coeff_polys[k] == Polynomial(
+                        (Fraction(1, factorial(k)) if k else 0,)))]
+    pairs = {"derivative": (exp_d, d), "difference": (exp_delta, delta)}
+    out.append(_verdict("golden: both expansions reconstruct their operator",
+                        [{"operator": name} for name in pairs],
+                        lambda operator: _reconstructs(*pairs[operator], cap)))
     return out
 
 
+def _reconstructs(exp, op, cap) -> bool:
+    back = reconstruct_from_monomial_form(exp, cap)
+    return back == op.truncated(back.cap)
+
+
+def _is_square_weight_derivative(series=True, scale=1, n=0, n_psi=0, k=1,
+                                 c_k=1) -> bool:
+    """A detection readout of the derivative with weights n^2; a case gives
+    one readout, and the defaults of the others agree."""
+    return series and scale == 1 and n_psi == n * n and c_k == (k == 1)
+
+
 def check_detection(cap: int) -> list[CheckResult]:
-    out = []
     d = derivative_op(cap + 2)
     x = multiply_x_op(cap + 2)
     dxd = d * x * d
     res = detect_psi_series(dxd)
-    ok = res.is_series and res.scale == 1
-    if ok:
-        found = res.psi.values(res.psi.stored_cap)
-        ok = (found == [Fraction(n * n) for n in range(1, len(found) + 1)]
-              and all(c == 0 for c in res.series_coeffs[2:])
-              and res.series_coeffs[:2] == [Fraction(0), Fraction(1)])
-    out.append(_check("detect: second-order self-adjoint form is a weighted "
-                      "derivative series with weights n^2", ok))
+    readouts = [{"series": res.is_series}]
+    if res.is_series:
+        readouts.append({"scale": res.scale})
+        readouts += [{"n": n, "n_psi": w} for n, w in
+                     enumerate(res.psi.values(res.psi.stored_cap), 1)]
+        readouts += [{"k": k, "c_k": c} for k, c in enumerate(res.series_coeffs)]
+    out = [_verdict("detect: second-order self-adjoint form is a weighted "
+                    "derivative series with weights n^2", readouts,
+                    _is_square_weight_derivative)]
 
     bad = Fraction(1, 2) * dxd - Fraction(1, 3) * (d ** 3)
     res2 = detect_psi_series(bad)
-    ok2 = (not res2.is_series) and res2.witness == (4, 3)
     out.append(_check("detect: mixed second/third order combination is "
-                      "rejected with witness (4,3)", ok2))
+                      "rejected with witness (4,3)",
+                      (not res2.is_series) and res2.witness == (4, 3)))
     return out
 
 
-def _random_polynomial(rng, degree, nonzero_lead=False):
-    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-              for _ in range(degree + 1)]
-    if nonzero_lead and coeffs[-1] == 0:
-        coeffs[-1] = Fraction(1)
-    return Polynomial(coeffs)
+def _random_polynomial(rng, degree):
+    return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                       for _ in range(degree + 1)])
+
+
+def _sample_polys(rng, degree, count):
+    """x^0 .. x^degree and ``count`` random polynomials of that degree, by
+    label."""
+    polys = {"x^%d" % n: Polynomial.monomial(n) for n in range(degree + 1)}
+    polys.update(("random %d" % i, _random_polynomial(rng, degree))
+                 for i in range(count))
+    return polys
 
 
 def _random_lowering_op(rng, psi, cap):
@@ -284,24 +304,19 @@ def check_random_roundtrip(cap: int) -> list[CheckResult]:
     out = []
     for name, psi in standard_suite_psis(cap):
         base = psi_derivative_op(psi, cap)
-        ok_round = True
-        ok_conj = True
-        for i in range(count):
-            t = _random_lowering_op(rng, psi, cap)
-            exp = expand_in_monomials(t, base)
-            back = reconstruct_from_monomial_form(exp, cap)
-            if back != t.truncated(back.cap):
-                ok_round = False
-            if i < 3:
-                conj_ok, _ = conjugate_indicator_check(t, base, LAMBDA_POINTS)
-                if not conj_ok:
-                    ok_conj = False
-        out.append(_check("roundtrip[%s] %d random degree-lowering operators "
-                          "expand and reconstruct exactly" % (name, count),
-                          ok_round))
-        out.append(_check("conjugation[%s] eigenseries conjugation matches the "
-                          "expansion coefficients at %d sample points"
-                          % (name, len(LAMBDA_POINTS)), ok_conj))
+        ops = [_random_lowering_op(rng, psi, cap) for _ in range(count)]
+        out.append(_verdict(
+            "roundtrip[%s] %d random degree-lowering operators expand and "
+            "reconstruct exactly" % (name, count),
+            [{"trial": i} for i in range(count)],
+            lambda trial: _reconstructs(expand_in_monomials(ops[trial], base),
+                                        ops[trial], cap)))
+        out.append(_verdict(
+            "conjugation[%s] eigenseries conjugation matches the expansion "
+            "coefficients at %d sample points" % (name, len(LAMBDA_POINTS)),
+            [{"trial": i} for i in range(3)],
+            lambda trial: conjugate_indicator_check(ops[trial], base,
+                                                    LAMBDA_POINTS)[0]))
     return out
 
 
@@ -311,27 +326,28 @@ def check_first_expansion(cap: int) -> list[CheckResult]:
     out = []
     for name, psi in standard_suite_psis(cap):
         delta = DeltaOperator.from_operator(forward_difference_op(psi, cap), psi)
-        basic = delta.basic(n_max)
-        ok = True
-        for _ in range(4):
-            # shift-invariant: a rational series in the difference operator
-            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                      for _ in range(6)]
-            t = _series_in(delta.op, coeffs)
-            a = first_expansion_coeffs(t, delta).coeffs
-            for n in range(n_max + 1):
-                got = t.apply(basic.polys[n])
-                want = Polynomial.zero()
-                for k in range(min(n, len(a) - 1) + 1):
-                    w = a[k] * psi.factorial(n) / psi.factorial(n - k)
-                    want = want + basic.polys[n - k] * w
-                if got != want:
-                    ok = False
-            if list(a[:len(coeffs)]) != coeffs:
-                ok = False
-        out.append(_check("first-expansion[%s] coefficient readout reproduces "
-                          "the operator on the basis, n<=%d" % (name, n_max),
-                          ok))
+        basic = delta.basic(n_max).polys
+        # shift-invariant: rational series in the difference operator
+        drawn = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  for _ in range(6)] for _ in range(4)]
+        ts = [_series_in(delta.op, coeffs) for coeffs in drawn]
+        read = [first_expansion_coeffs(t, delta).coeffs for t in ts]
+
+        def holds(trial, n=None, k=None):
+            a = read[trial]
+            if n is None:
+                return k < len(a) and a[k] == drawn[trial][k]
+            # T p_n = sum_k a_k (n_psi! / (n-k)_psi!) p_(n-k)
+            return ts[trial].apply(basic[n]) == sum(
+                (basic[n - k] * (a[k] * psi.factorial(n) / psi.factorial(n - k))
+                 for k in range(min(n, len(a) - 1) + 1)), Polynomial.zero())
+
+        cases = [case for trial in range(len(drawn)) for case in
+                 [{"trial": trial, "n": n} for n in range(n_max + 1)]
+                 + [{"trial": trial, "k": k} for k in range(6)]]
+        out.append(_verdict("first-expansion[%s] coefficient readout "
+                            "reproduces the operator on the basis, n<=%d"
+                            % (name, n_max), cases, holds))
     return out
 
 
@@ -350,53 +366,48 @@ def _series_in(base: GradedOperator, coeffs) -> GradedOperator:
 
 def check_leibniz(cap: int) -> list[CheckResult]:
     rng = random.Random(RANDOM_SEED + 2)
-    out = []
     deg = min(8, cap // 2)
     pairs = [(_random_polynomial(rng, deg), _random_polynomial(rng, deg))
              for _ in range(6)]
 
-    for q in (Fraction(1, 2), Fraction(2), Fraction(0)):
-        psi = PsiSequence.jackson(q, cap)
-        ok = all(q_leibniz(q, f, g) == psi_derivative(psi, f * g)
-                 for f, g in pairs)
-        out.append(_check("leibniz[q=%s] scaled-argument product rule" % q, ok))
+    def product_rule(name, psi, rule):
+        return _verdict(name, [{"pair": i} for i in range(len(pairs))],
+                        lambda pair: (rule(*pairs[pair]) == psi_derivative(
+                            psi, pairs[pair][0] * pairs[pair][1])))
 
-    num = Polynomial((Fraction(1), Fraction(-1)))
-    for q in (Fraction(1, 2), Fraction(3)):
-        den = Polynomial((Fraction(1) - q,))
-        rat = RationalFunction(num, den)
-        psi = PsiSequence.rational(rat, q, cap)
-        ok = all(r_leibniz(rat, q, f, g) == psi_derivative(psi, f * g)
-                 for f, g in pairs)
-        out.append(_check("leibniz[ratio-of-values, q=%s] product rule" % q, ok))
-
-    for name, psi in standard_suite_psis(cap):
-        ok = all(psi_leibniz(psi, f, g) == psi_derivative(psi, f * g)
-                 for f, g in pairs)
-        out.append(_check("leibniz[%s] weighted product rule" % name, ok))
+    out = [product_rule("leibniz[q=%s] scaled-argument product rule" % q,
+                        PsiSequence.jackson(q, cap), partial(q_leibniz, q))
+           for q in _JACKSON_QS]
+    for q in _RATIO_QS:
+        rat, psi = _ratio_of_values(q, cap)
+        out.append(product_rule("leibniz[ratio-of-values, q=%s] product rule"
+                                % q, psi, partial(r_leibniz, rat, q)))
+    out += [product_rule("leibniz[%s] weighted product rule" % name, psi,
+                         partial(psi_leibniz, psi))
+            for name, psi in standard_suite_psis(cap)]
     return out
+
+
+def _alternating_derivative_series(p: Polynomial) -> Polynomial:
+    """sum_(n>=1) (-1)^(n+1) x^(n-1) p^(n) / n!."""
+    total = Polynomial.zero()
+    deriv, n, fact = p.derivative(), 1, 1
+    while not deriv.is_zero:
+        total = total + Polynomial.monomial(n - 1) * deriv * Fraction((-1) ** (n + 1), fact)
+        n += 1
+        fact *= n
+        deriv = deriv.derivative()
+    return total
 
 
 def check_divided_difference_series(cap: int) -> list[CheckResult]:
     deg_max = 12
-    rng = random.Random(RANDOM_SEED + 3)
-    polys = [Polynomial.monomial(n) for n in range(deg_max + 1)]
-    polys += [_random_polynomial(rng, deg_max) for _ in range(5)]
-    ok = True
-    for p in polys:
-        total = Polynomial.zero()
-        deriv = p
-        fact = 1
-        for n in range(1, deg_max + 2):
-            deriv = deriv.derivative()
-            fact *= n
-            if deriv.is_zero:
-                break
-            total = total + Polynomial.monomial(n - 1) * deriv * Fraction((-1) ** (n + 1), fact)
-        if total != divided_difference(p):
-            ok = False
-    return [_check("alternating derivative series reproduces the "
-                   "divided-difference operator, deg<=%d" % deg_max, ok)]
+    polys = _sample_polys(random.Random(RANDOM_SEED + 3), deg_max, 5)
+    return [_verdict("alternating derivative series reproduces the "
+                     "divided-difference operator, deg<=%d" % deg_max,
+                     [{"p": label} for label in polys],
+                     lambda p: (_alternating_derivative_series(polys[p])
+                                == divided_difference(polys[p])))]
 
 
 def _reorders(psi, n, m, j) -> bool:
@@ -413,15 +424,13 @@ def _reorders(psi, n, m, j) -> bool:
 def check_mixed_powers(cap: int) -> list[CheckResult]:
     nm_max, j_max = 5, 6
     limit = cap + 2  # highest weight every suite member can supply
-    out = []
-    for name, psi in standard_suite_psis(cap):
-        ok = all(_reorders(psi, n, m, j)
-                 for n in range(nm_max + 1) for m in range(nm_max + 1)
-                 for j in range(j_max + 1) if j + m <= limit)
-        out.append(_check("mixed-powers[%s] lowering past raising reorders "
-                          "with binomial weights, n,m<=%d, j<=%d"
-                          % (name, nm_max, j_max), ok))
-    return out
+    cases = [{"n": n, "m": m, "j": j}
+             for n in range(nm_max + 1) for m in range(nm_max + 1)
+             for j in range(j_max + 1) if j + m <= limit]
+    return [_verdict("mixed-powers[%s] lowering past raising reorders with "
+                     "binomial weights, n,m<=%d, j<=%d" % (name, nm_max, j_max),
+                     cases, partial(_reorders, psi))
+            for name, psi in standard_suite_psis(cap)]
 
 
 def check_exp_commutation(cap: int) -> list[CheckResult]:
@@ -429,44 +438,41 @@ def check_exp_commutation(cap: int) -> list[CheckResult]:
     # (1/a! b!) lower^a raise^b reorders with weights 1/(u! (a-u)! (b-u)!),
     # which is the mixed-powers identity divided through by a! b!.
     limit = cap + 2
-    out = []
-    for name, psi in standard_suite_psis(cap):
-        ok = all(_reorders(psi, a, b, j)
-                 for a in range(order + 1) for b in range(order + 1 - a)
-                 for j in range(j_max + 1) if j + b <= limit)
-        out.append(_check("exp-commutation[%s] exponential reordering holds "
-                          "through total order %d" % (name, order), ok))
-    return out
+    cases = [{"n": a, "m": b, "j": j}
+             for a in range(order + 1) for b in range(order + 1 - a)
+             for j in range(j_max + 1) if j + b <= limit]
+    return [_verdict("exp-commutation[%s] exponential reordering holds "
+                     "through total order %d" % (name, order),
+                     cases, partial(_reorders, psi))
+            for name, psi in standard_suite_psis(cap)]
 
 
 # -- integration ------------------------------------------------------------
 
 def check_integration(cap: int) -> list[CheckResult]:
     n_max = min(15, cap)
-    rng = random.Random(RANDOM_SEED + 4)
-    out = []
-    polys = [Polynomial.monomial(n) for n in range(n_max + 1)]
-    polys += [_random_polynomial(rng, n_max) for _ in range(4)]
+    polys = _sample_polys(random.Random(RANDOM_SEED + 4), n_max, 4)
+    cases = [{"p": label} for label in polys]
 
-    for q in (Fraction(1, 2), Fraction(2), Fraction(0)):
-        psi = PsiSequence.jackson(q, cap)
-        ok = all(psi_derivative(psi, q_integral(q, p)) == p for p in polys)
-        out.append(_check("integration[q=%s] geometric antidifference is a "
-                          "right inverse, deg<=%d" % (q, n_max), ok))
+    def right_inverse(name, psi, integral):
+        return _verdict(name, cases, lambda p: psi_derivative(
+            psi, integral(polys[p])) == polys[p])
 
-    num = Polynomial((Fraction(1), Fraction(-1)))
-    for q in (Fraction(1, 2), Fraction(3)):
-        den = Polynomial((Fraction(1) - q,))
-        rat = RationalFunction(num, den)
-        psi = PsiSequence.rational(rat, q, cap)
-        ok = all(psi_derivative(psi, r_integral(rat, q, p)) == p for p in polys)
-        out.append(_check("integration[ratio-of-values, q=%s] right inverse, "
-                          "deg<=%d" % (q, n_max), ok))
-
-    for name, psi in standard_suite_psis(cap):
-        ok = all(psi_derivative(psi, psi_integral(psi, p)) == p for p in polys)
-        out.append(_check("integration[%s] weighted antiderivative is a right "
-                          "inverse, deg<=%d" % (name, n_max), ok))
+    jackson = {q: PsiSequence.jackson(q, cap) for q in _JACKSON_QS}
+    out = [right_inverse("integration[q=%s] geometric antidifference is a "
+                         "right inverse, deg<=%d" % (q, n_max), psi,
+                         partial(q_integral, q))
+           for q, psi in jackson.items()]
+    for q in _RATIO_QS:
+        rat, psi = _ratio_of_values(q, cap)
+        out.append(right_inverse("integration[ratio-of-values, q=%s] right "
+                                 "inverse, deg<=%d" % (q, n_max), psi,
+                                 partial(r_integral, rat, q)))
+    suite = dict(standard_suite_psis(cap))
+    out += [right_inverse("integration[%s] weighted antiderivative is a right "
+                          "inverse, deg<=%d" % (name, n_max), psi,
+                          partial(psi_integral, psi))
+            for name, psi in suite.items()]
 
     psi = PsiSequence.classical(cap)
     p = Polynomial((Fraction(1), Fraction(1)))
@@ -474,65 +480,56 @@ def check_integration(cap: int) -> list[CheckResult]:
     out.append(_check("integration: constants are lost, so it is one-sided",
                       lost != p))
 
-    ok = True
-    for name, psi in standard_suite_psis(cap):
-        d = psi_derivative_op(psi, cap)
-        prod = weight_op(psi, cap - 1) * divided_difference_op(cap)
-        if prod != d.truncated(prod.cap):
-            ok = False
-    out.append(_check("integration: weighted derivative factors through the "
-                      "unit-weight one", ok))
+    def factors(weights):
+        prod = weight_op(suite[weights], cap - 1) * divided_difference_op(cap)
+        return prod == psi_derivative_op(suite[weights], cap).truncated(prod.cap)
 
-    ok = True
-    for q in (Fraction(1, 2), Fraction(2), Fraction(0)):
-        psi = PsiSequence.jackson(q, cap)
-        if any(psi_integral(psi, p) != q_integral(q, p) for p in polys):
-            ok = False
-    out.append(_check("integration: weighted route with geometric weights "
-                      "matches the q route", ok))
+    out.append(_verdict("integration: weighted derivative factors through the "
+                        "unit-weight one", [{"weights": name} for name in suite],
+                        factors))
+    out.append(_verdict("integration: weighted route with geometric weights "
+                        "matches the q route",
+                        [{"q": q, "p": label} for q in jackson for label in polys],
+                        lambda q, p: (psi_integral(jackson[q], polys[p])
+                                      == q_integral(q, polys[p]))))
     return out
 
 
 # -- star product and contagion weights -------------------------------------
 
+def _births(psi, lam, ws, m, order) -> bool:
+    """D_psi P_m = lam (P_(m-1) - P_m) through ``order``."""
+    pm = ws[m].as_polynomial()
+    prev = ws[m - 1].as_polynomial() if m else Polynomial.zero()
+    resid = psi_derivative(psi, pm) + pm * lam - prev * lam
+    return resid.truncated(order).is_zero
+
+
 def check_poisson(cap: int) -> list[CheckResult]:
     order, m_max = 14, 5
     out = []
     work_cap = order + 1
+    ms = [{"m": m} for m in range(m_max + 1)]
     for name, psi in standard_suite_psis(max(cap, work_cap)):
         for lam in (Fraction(1), Fraction(3, 2)):
             ws, norm = poisson_weights(psi, lam, m_max, work_cap)
             ws_rec = poisson_weights_recursion(psi, lam, m_max, work_cap)
             ws_rai = poisson_weights_raising(psi, lam, m_max, work_cap)
-            ok_eq = all(ws[m] == ws_rec[m] == ws_rai[m]
-                        for m in range(m_max + 1))
-            out.append(_check("poisson[%s,rate=%s] product, recursion and "
-                              "raising-series routes agree, m<=%d"
-                              % (name, lam, m_max), ok_eq))
-
-            ok_ode = True
-            for m in range(m_max + 1):
-                pm = ws[m].as_polynomial()
-                prev = ws[m - 1].as_polynomial() if m else Polynomial.zero()
-                resid = psi_derivative(psi, pm) + pm * lam - prev * lam
-                if not resid.truncated(order).is_zero:
-                    ok_ode = False
-            out.append(_check("poisson[%s,rate=%s] weights satisfy the birth "
-                              "cascade through order %d" % (name, lam, order),
-                              ok_ode))
-
-            partial = TruncatedSeries.zero(work_cap)
-            for m in range(m_max + 1):
-                partial = partial + ws[m]
-            head = all(partial.coefficient(k) == (1 if k == 0 else 0)
-                       for k in range(m_max + 1))
-            out.append(_check("poisson[%s,rate=%s] partial sums open with "
-                              "unity through order %d" % (name, lam, m_max),
-                              head))
-
-            out.append(_check("poisson[%s,rate=%s] normalizer collapses to "
-                              "one" % (name, lam),
-                              norm == TruncatedSeries.one(norm.cap)))
+            partial_sum = sum(ws, TruncatedSeries.zero(work_cap))
+            label = "poisson[%s,rate=%s]" % (name, lam)
+            out += [
+                _verdict("%s product, recursion and raising-series routes "
+                         "agree, m<=%d" % (label, m_max), ms,
+                         lambda m: ws[m] == ws_rec[m] == ws_rai[m]),
+                _verdict("%s weights satisfy the birth cascade through order "
+                         "%d" % (label, order), ms,
+                         lambda m: _births(psi, lam, ws, m, order)),
+                _verdict("%s partial sums open with unity through order %d"
+                         % (label, m_max), [{"k": k} for k in range(m_max + 1)],
+                         lambda k: partial_sum.coefficient(k)
+                         == (1 if k == 0 else 0)),
+                _check("%s normalizer collapses to one" % label,
+                       norm == TruncatedSeries.one(norm.cap))]
     return out
 
 
@@ -540,7 +537,6 @@ def check_poisson(cap: int) -> list[CheckResult]:
 
 def check_generating_function(cap: int) -> list[CheckResult]:
     n_max = min(10, cap - 1)
-    out = []
     psi = PsiSequence.classical(cap)
     delta = DeltaOperator.from_operator(forward_difference_op(psi, cap), psi)
     polys = delta.basic(n_max).polys
@@ -548,14 +544,12 @@ def check_generating_function(cap: int) -> list[CheckResult]:
     powers = [TruncatedSeries.one(cap)]
     for _ in range(n_max):
         powers.append(powers[-1] * rev)
-    ok = True
-    for n in range(n_max + 1):
-        want = Polynomial([powers[k].coefficient(n) / psi.factorial(k)
-                           for k in range(n + 1)])
-        if polys[n] * (Fraction(1) / psi.factorial(n)) != want:
-            ok = False
-    out.append(_check("generating function: reverted indicator powers give "
-                      "the normalized basis coefficients, n<=%d" % n_max, ok))
+    out = [_verdict("generating function: reverted indicator powers give "
+                    "the normalized basis coefficients, n<=%d" % n_max,
+                    [{"n": n} for n in range(n_max + 1)],
+                    lambda n: polys[n] * (Fraction(1) / psi.factorial(n))
+                    == Polynomial([powers[k].coefficient(n) / psi.factorial(k)
+                                   for k in range(n + 1)]))]
 
     s_max = min(8, cap - 1)
     c = Fraction(3, 2)
@@ -563,10 +557,10 @@ def check_generating_function(cap: int) -> list[CheckResult]:
     ddelta = DeltaOperator.from_operator(d, psi)
     s_op = translation_op(psi, c, cap)
     sheffer = sheffer_sequence(ddelta, s_op, s_max)
-    ok = all(sheffer[n] == Polynomial((-c, Fraction(1))) ** n
-             for n in range(s_max + 1))
-    out.append(_check("generating function: translated derivative pair gives "
-                      "shifted monomials, n<=%d" % s_max, ok))
+    out.append(_verdict("generating function: translated derivative pair "
+                        "gives shifted monomials, n<=%d" % s_max,
+                        [{"n": n} for n in range(s_max + 1)],
+                        lambda n: sheffer[n] == Polynomial((-c, Fraction(1))) ** n))
     return out
 
 
@@ -577,35 +571,26 @@ def check_special(cap: int) -> list[CheckResult]:
     out = []
     for name, psi in standard_suite_psis(cap):
         full = exp_psi_series(psi, cap)
-        ok_part = True
-        ok_cascade = True
-        for m in range(1, m_max + 1):
-            slices = [psi_hyperbolic(psi, m, j, cap) for j in range(m)]
-            total = TruncatedSeries.zero(cap)
-            for s in slices:
-                total = total + s
-            if total != full:
-                ok_part = False
-            for j in range(m):
-                dropped = _series_derivative(psi, slices[j], cap - 1)
-                target = slices[(j - 1) % m].truncated(cap - 1)
-                if dropped != target:
-                    ok_cascade = False
-        out.append(_check("special[%s] residue slices partition the "
-                          "exponential, m<=%d" % (name, m_max), ok_part))
-        out.append(_check("special[%s] lowering rotates the residue slices"
-                          % name, ok_cascade))
+        slices = {m: [psi_hyperbolic(psi, m, j, cap) for j in range(m)]
+                  for m in range(1, m_max + 1)}
+        out.append(_verdict("special[%s] residue slices partition the "
+                            "exponential, m<=%d" % (name, m_max),
+                            [{"m": m} for m in slices],
+                            lambda m: sum(slices[m], TruncatedSeries.zero(cap))
+                            == full))
+        out.append(_verdict("special[%s] lowering rotates the residue slices"
+                            % name,
+                            [{"m": m, "j": j} for m in slices for j in range(m)],
+                            lambda m, j: TruncatedSeries.from_polynomial(
+                                psi_derivative(psi, slices[m][j].as_polynomial()),
+                                cap - 1)
+                            == slices[m][(j - 1) % m].truncated(cap - 1)))
 
-    zero = PsiSequence.jackson(Fraction(0), cap)
-    geo = exp_psi_series(zero, cap)
-    out.append(_check("special[q=0] exponential degenerates to the geometric "
-                      "series", all(c == 1 for c in geo.coeffs)))
+    geo = exp_psi_series(PsiSequence.jackson(Fraction(0), cap), cap)
+    out.append(_verdict("special[q=0] exponential degenerates to the geometric "
+                        "series", [{"k": k} for k in range(geo.cap + 1)],
+                        lambda k: geo.coefficient(k) == 1))
     return out
-
-
-def _series_derivative(psi, series: TruncatedSeries, cap: int) -> TruncatedSeries:
-    p = psi_derivative(psi, series.as_polynomial())
-    return TruncatedSeries.from_polynomial(p, cap)
 
 
 # -- suite registry ---------------------------------------------------------

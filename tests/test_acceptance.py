@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 from psi_umbral import expansion, special, star_product, verify
 from psi_umbral.algebra import Polynomial, TruncatedSeries
-from psi_umbral.operators import derivative_op
+from psi_umbral.operators import derivative_op, multiply_x_op
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import BasicSequence
 from psi_umbral.verify import (CheckResult, check_binomial, check_detection,
@@ -38,6 +38,8 @@ def _gate(num: int, description: str, results) -> None:
     bad = ["%s (%s)" % (r.name, r.detail) if r.detail else r.name
            for r in results if not r.passed]
     line = "criterion %02d %s  %s" % (num, "FAIL" if bad else "PASS", description)
+    if bad:
+        line += "; first failing check: " + bad[0]
     SCOREBOARD.append(line)
     print(line)
     assert not bad, "failed checks: " + "; ".join(bad)
@@ -55,6 +57,8 @@ def test_commutator_comparison_can_fail(monkeypatch):
                         lambda psi, cap: 2 * real(psi, cap))
     results = check_ghw(CAP)
     assert results and not any(r.passed for r in results)
+    # one table comparison per weight set: there is no case to name
+    assert [r.detail for r in results] == [""] * 5
 
 
 def test_criterion_02_binomial_identity():
@@ -63,20 +67,25 @@ def test_criterion_02_binomial_identity():
           check_binomial(CAP))
 
 
-def test_binomial_comparison_can_fail(monkeypatch):
-    # the solve with x added to p_3: at n = 3 both sides gain x + y, but
-    # from n = 4 on only the split over the basis moves
-    real = verify.basic_sequence_solve
-
+def _solve_with_x_in_p3(real):
+    """The basic-sequence solve ``real`` with x added to p_3."""
     def off_by_x(op, psi, n_max):
         seq = real(op, psi, n_max)
         polys = list(seq.polys)
         polys[3] = polys[3] + Polynomial.monomial(1)
         return BasicSequence(polys, seq.psi, seq.op)
+    return off_by_x
 
-    monkeypatch.setattr(verify, "basic_sequence_solve", off_by_x)
+
+def test_binomial_comparison_can_fail(monkeypatch):
+    # the solve with x added to p_3: at n = 3 both sides gain x + y, but
+    # from n = 4 on only the split over the basis moves, and not at y = 0,
+    # where the added x vanishes
+    monkeypatch.setattr(verify, "basic_sequence_solve",
+                        _solve_with_x_in_p3(verify.basic_sequence_solve))
     results = check_binomial(CAP)
     assert results and not any(r.passed for r in results)
+    assert [r.detail for r in results] == ["n=4, y=1"] * 15
 
 
 def test_criterion_03_closed_forms_match_the_solve():
@@ -101,6 +110,7 @@ def test_closed_form_comparison_can_fail(monkeypatch):
     monkeypatch.setattr(verify, "rodrigues_sequence", off_by_one)
     results = check_rodrigues(CAP)
     assert results and not any(r.passed for r in results)
+    assert [r.detail for r in results] == ["formula=2, n=3"] * 15
 
 
 def _q0_plus_one(real):
@@ -126,6 +136,7 @@ def test_expansion_golden_comparison_can_fail(monkeypatch):
                         _q0_plus_one(verify.expand_in_monomials))
     results = check_expansion_goldens(CAP)
     assert results and not any(r.passed for r in results)
+    assert [r.detail for r in results] == ["k=0", "k=0", "operator=derivative"]
 
 
 def test_criterion_05_weight_detection():
@@ -145,6 +156,25 @@ def test_detection_comparison_can_fail(monkeypatch):
     monkeypatch.setattr(verify, "detect_psi_series", plus_cube)
     results = check_detection(CAP)
     assert results and not any(r.passed for r in results)
+    # the rejection row is one comparison: there is no case to name
+    assert [r.detail for r in results] == ["series=False", ""]
+
+
+def test_detection_reads_every_weight_and_coefficient(monkeypatch):
+    # D X D + X D D sends x^n to n(2n - 1) x^(n-1): a series of scale 1
+    # whose weights leave n^2 at n = 2.  D X D + (D X D)^2/2 keeps the
+    # weights n^2 but is the series d + d^2/2.
+    real = verify.detect_psi_series
+    routes = {
+        "n=2, n_psi=6":
+            lambda op: op + multiply_x_op(op.cap) * derivative_op(op.cap) ** 2,
+        "k=2, c_k=1/2": lambda op: op + Fraction(1, 2) * op * op,
+    }
+    for witness, wrong in routes.items():
+        with monkeypatch.context() as m:
+            m.setattr(verify, "detect_psi_series",
+                      lambda op: real(wrong(op)))
+            assert check_detection(CAP)[0].detail == witness
 
 
 def test_criterion_06_right_inverses():
@@ -170,17 +200,26 @@ def test_right_inverse_comparison_can_fail(monkeypatch):
     for route, wrong in routes.items():
         with monkeypatch.context() as m:
             m.setattr(verify, route, wrong)
-            failed[route] = {r.name for r in check_integration(CAP)
+            failed[route] = {r.name: r.detail for r in check_integration(CAP)
                              if not r.passed}
-    assert failed["psi_derivative"] == {
+    assert failed["psi_derivative"].keys() == {
         n for n in names if n.startswith("integration[")}
-    assert failed["psi_integral"] == {
+    assert failed["psi_integral"].keys() == {
         n for n in names
         if "weighted antiderivative" in n or "constants are lost" in n
         or "matches the q route" in n}
-    assert failed["weight_op"] == {
+    assert failed["weight_op"].keys() == {
         n for n in names if "factors through" in n}
     assert set().union(*failed.values()) == set(names)
+    # twice D_psi(I p) is 2p, off from x^0 on; D_psi(I p + p) = p + D_psi p
+    # is off from x^1 on; the q route differs by p, so at x^0 for the first q
+    assert set(failed["psi_derivative"].values()) == {"p=x^0"}
+    assert {n: w for n, w in failed["psi_integral"].items()
+            if "weighted antiderivative" not in n} == {
+        names[-3]: "", names[-1]: "q=1/2, p=x^0"}
+    assert {w for n, w in failed["psi_integral"].items()
+            if "weighted antiderivative" in n} == {"p=x^1"}
+    assert list(failed["weight_op"].values()) == ["weights=classical"]
 
 
 def test_criterion_07_divided_difference_series():
@@ -196,6 +235,7 @@ def test_divided_difference_comparison_can_fail(monkeypatch):
                         lambda p: real(p) + Polynomial.one())
     results = check_divided_difference_series(CAP)
     assert results and not any(r.passed for r in results)
+    assert [r.detail for r in results] == ["p=x^0"]
 
 
 def test_criterion_08_reordering_identity():
@@ -210,14 +250,20 @@ def test_criterion_09_exponential_commutation():
           check_exp_commutation(CAP))
 
 
-def test_reordering_comparison_can_fail():
+def test_reordering_comparison_can_fail(monkeypatch):
     # criteria 8 and 9 share one comparison; lowering by jackson(2) weights
-    # past a classical raise does not reorder, and it must say so
-    q2, classical = PsiSequence.jackson(2, 8), PsiSequence.classical(8)
+    # past a classical raise does not reorder, and it must say so, first
+    # at one lowering past one raise on x
+    q2, classical = PsiSequence.jackson(2, CAP), PsiSequence.classical(CAP)
     mixed = SimpleNamespace(falling=q2.falling,
                             raising_ratio=classical.raising_ratio)
     assert _reorders(q2, 1, 1, 1)
     assert not _reorders(mixed, 1, 1, 1)
+    monkeypatch.setattr(verify, "standard_suite_psis",
+                        lambda cap: [("mixed", mixed)])
+    results = check_mixed_powers(CAP) + check_exp_commutation(CAP)
+    assert not any(r.passed for r in results)
+    assert [r.detail for r in results] == ["n=1, m=1, j=1"] * 2
 
 
 def test_criterion_10_poisson_routes_agree():
@@ -239,6 +285,9 @@ def test_poisson_comparison_can_fail(monkeypatch):
     monkeypatch.setattr(star_product, "star_mul", plus_one)
     results = check_poisson(CAP)
     assert results and not any(r.passed for r in results)
+    # per weight set and rate: routes, cascade, partial sums, and the
+    # normalizer, which is one comparison with no case to name
+    assert [r.detail for r in results] == ["m=0", "m=0", "k=0", ""] * 10
 
 
 def test_criterion_11_random_roundtrips():
@@ -255,6 +304,7 @@ def test_roundtrip_comparison_can_fail(monkeypatch):
     monkeypatch.setattr(verify, "expand_in_monomials", shifted_q0)
     results = check_random_roundtrip(CAP)
     assert results and not any(r.passed for r in results)
+    assert [r.detail for r in results] == ["trial=0"] * 10
 
 
 def test_criterion_12_generating_function_and_shifted_families():
@@ -275,6 +325,7 @@ def test_generating_function_comparison_can_fail(monkeypatch):
     powers, shifted = check_generating_function(CAP)
     assert powers.name.startswith("generating function: reverted indicator")
     assert not powers.passed
+    assert powers.detail == "n=3"
     assert shifted.passed
 
 
@@ -325,14 +376,21 @@ def test_exponential_slice_comparison_can_fail(monkeypatch):
         with monkeypatch.context() as m:
             for module, wrong in patches:
                 m.setattr(module, route, wrong)
-            failed[route] = {r.name for r in _criterion_13_rows()
+            failed[route] = {r.name: r.detail for r in _criterion_13_rows()
                              if not r.passed}
-    assert failed["psi_hyperbolic"] == {
+    assert failed["psi_hyperbolic"].keys() == {
         n for n in names if "partition" in n or "rotates" in n
         or n.startswith("special: float")}
-    assert failed["exp_psi_series"] == {
+    assert failed["exp_psi_series"].keys() == {
         n for n in names if "partition" in n or "geometric" in n}
     assert set().union(*failed.values()) == set(names)
+    # both fail at the first residue class count, m = 1; the float
+    # cross-check is one comparison with no case to name
+    witness = {"partition": "m=1", "rotates": "m=1, j=0", "geometric": "k=0",
+               "float": ""}
+    for route in failed:
+        for name, detail in failed[route].items():
+            assert [detail] == [w for key, w in witness.items() if key in name]
 
 
 def test_criterion_14_parity():
@@ -349,3 +407,5 @@ def test_parity_comparison_can_fail(monkeypatch):
                         lambda self, n, k: real(self, n, k) + (k == 1))
     results = check_parity(CAP)
     assert results and not any(r.passed for r in results)
+    # the even q=2 row is one comparison: there is no case to name
+    assert [r.detail for r in results] == ["n=1"] * 5 + [""]

@@ -1,11 +1,13 @@
-"""Every series_kernels item of the benchmark against its recorded digest.
+"""Benchmark items against their recorded digests.
 
 The benchmark's pool is fixed and ``perfbench/reference.json`` holds the
 SHA-256 digest of each item's output, recorded from known-good code, so
 running the whole series pool pins the series kernels, the triangular solve
 and the four closed forms to exact outputs across every weight kind and
-cap the benchmark uses.  The benchmark files are loaded by path, as
-``tests/test_oracles.py`` does, so nothing is copied out of them.
+cap the benchmark uses.  The cap-6 ``verify`` items of the CLI pool, every
+suite in text, JSON and CSV, pin the bytes of the identity suites.  The
+benchmark files are loaded by path, as ``tests/test_oracles.py`` does, so
+nothing is copied out of them.
 """
 
 import importlib.util
@@ -16,6 +18,7 @@ import sys
 import pytest
 
 import psi_umbral
+from psi_umbral import cli
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench")
@@ -44,8 +47,13 @@ def load_workloads():
 workloads = load_workloads()
 SERIES = workloads.load_workload("series_kernels", psi_umbral, None)
 with open(os.path.join(BENCH, "reference.json")) as fh:
-    REFERENCE = json.load(fh)["series_kernels"]
+    REFERENCES = json.load(fh)
+REFERENCE = REFERENCES["series_kernels"]
 OPS = sorted({req.params["op"] for req in SERIES.pool()})
+
+CLI = workloads.load_workload("cli_mix", psi_umbral, cli)
+VERIFY_CAP6 = [req for req in CLI.pool() if req.params["argv"][0] == "verify"
+               and req.params["argv"][3:5] == ["--cap", "6"]]
 
 
 def test_pool_is_the_recorded_one():
@@ -64,3 +72,21 @@ def test_series_kernels_match_their_digests(op):
         if why:
             bad[req.key] = why
     assert not bad
+
+
+def test_verify_items_at_cap_6_are_the_recorded_ones():
+    suites = {req.params["argv"][2] for req in VERIFY_CAP6}
+    assert len(VERIFY_CAP6) == 24 and len(suites) == 8
+    assert {req.key for req in VERIFY_CAP6} <= set(REFERENCES["cli_mix"])
+
+
+@pytest.mark.parametrize("suite", sorted({req.params["argv"][2]
+                                          for req in VERIFY_CAP6}))
+def test_verify_output_matches_its_digests(suite):
+    items = [req for req in VERIFY_CAP6 if req.params["argv"][2] == suite]
+    bad = {}
+    for req in items:
+        why = CLI.check(req, CLI.execute(req), REFERENCES["cli_mix"])
+        if why:
+            bad[req.key] = why
+    assert len(items) == 3 and not bad

@@ -1,10 +1,14 @@
+import csv
+import io
 import json
 import sys
 
 import pytest
 
+from psi_umbral import verify
 from psi_umbral.cli import main
-from psi_umbral.exprparse import MAX_NESTING
+from psi_umbral.exprparse import MAX_NESTING, OperatorContext, parse_operator
+from test_acceptance import _solve_with_x_in_p3
 
 
 def run(capsys, *argv):
@@ -467,3 +471,80 @@ def test_number_past_the_digit_limit_is_a_structured_error(capsys, fmt):
                                    "details": {"limit": str(limit)}}
     else:
         assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_failure_names_its_first_failing_case(capsys, monkeypatch, fmt):
+    # the solve with x added to p_3 breaks all 15 binomial rows at n = 4,
+    # y = 1; the 6 parity rows do not read the solve and pass
+    monkeypatch.setattr(verify, "basic_sequence_solve",
+                        _solve_with_x_in_p3(verify.basic_sequence_solve))
+    code, out, err = run(capsys, "verify", "--suite", "binomial", "--cap", "6",
+                         "--format", fmt)
+    assert code == 1
+    assert err == ""
+    if fmt == "text":
+        lines = out.splitlines()
+        assert lines[0] == (
+            "FAIL binomial     binomial[classical,derivative] translation "
+            "splits over the basis, n<=6 at 11 points  [first failing case: "
+            "n=4, y=1]")
+        assert sum("[first failing case: n=4, y=1]" in line
+                   for line in lines) == 15
+        assert lines[-1] == "21 checks, 15 failed"
+    elif fmt == "json":
+        rows = json.loads(out)["rows"]
+        assert [row.get("witness") for row in rows] == (
+            ["n=4, y=1"] * 15 + [None] * 6)
+    else:
+        table = list(csv.reader(io.StringIO(out)))
+        assert table[0] == ["suite", "check", "passed", "witness"]
+        assert len(table) == 22
+        assert [row[2:] for row in table[1:]] == (
+            [["False", "n=4, y=1"]] * 15 + [["True", ""]] * 6)
+
+
+def test_verify_csv_header_covers_a_failing_row_after_passing_ones(
+        capsys, monkeypatch):
+    # twice the weight multiplier fails only the factoring row, which
+    # follows ten passing rows
+    real = verify.weight_op
+    monkeypatch.setattr(verify, "weight_op", lambda psi, cap: 2 * real(psi, cap))
+    code, out, err = run(capsys, "verify", "--suite", "integration", "--cap",
+                         "6", "--format", "csv")
+    assert code == 1
+    assert err == ""
+    table = list(csv.reader(io.StringIO(out)))
+    assert table[0] == ["suite", "check", "passed", "witness"]
+    assert all(len(row) == 4 for row in table)
+    assert [row[2:] for row in table[1:] if row[2] == "False"] == [
+        ["False", "weights=classical"]]
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["basic", "--op", "%s*D", "--n", "1", "--cap", "2"], 0),
+    (["detect", "--op", "D^%s", "--cap", "2", "--format", "json"], 2),
+])
+def test_integer_literal_past_the_digit_limit_is_a_parse_error(capsys, argv,
+                                                                position):
+    # one digit past the interpreter's limit for converting a string to an
+    # int, as a scalar and as an exponent
+    limit = sys.get_int_max_str_digits()
+    argv = [a % ("1" * (limit + 1)) if "%s" in a else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    message = ("integer literal longer than the %d-digit limit for converting "
+               "a string to an int" % limit)
+    if "json" in argv:
+        assert json.loads(err) == {"code": "parse", "message": message,
+                                   "details": {"position": str(position)}}
+    else:
+        assert err == "error: %s\n" % message
+
+
+def test_integer_literal_at_the_digit_limit_parses():
+    limit = sys.get_int_max_str_digits()
+    op = parse_operator("1" * limit, OperatorContext(2))
+    assert op.image(0).constant_term == int("1" * limit)

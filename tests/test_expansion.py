@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psi_umbral import verify
 from psi_umbral.algebra import Polynomial
 from psi_umbral.errors import (CapExceededError, NotDegreeLoweringError,
                                NotShiftInvariantError, PsiUmbralError)
@@ -354,3 +355,13 @@ def test_conjugation_check_holds_for_arbitrary_operators(t):
     base = forward_difference_op(PsiSequence.classical(6), 6)
     ok, report = conjugate_indicator_check(t, base)
     assert ok, report["mismatched_orders"]
+
+
+def test_first_expansion_readout_can_fail(monkeypatch):
+    # T + 1 in place of the drawn series T: its first expansion reproduces
+    # T + 1 on the basis, but a_0 reads one more than the drawn c_0
+    real = verify._series_in
+    monkeypatch.setattr(verify, "_series_in", lambda base, coeffs: real(
+        base, coeffs) + GradedOperator.identity(base.cap))
+    results = verify.check_first_expansion(8)
+    assert [r.detail for r in results] == ["trial=0, k=0"] * 5

@@ -1,10 +1,10 @@
 """Basic sequences and Gaussian binomials against classical closed forms.
 
-The closed forms are the benchmark's oracles in ``perfbench/oracles.py``:
-plain Fraction code that imports nothing from psi_umbral, so a kernel that
-goes wrong cannot agree with them by sharing the fault.  The file is loaded
-by path, so each formula keeps one home.  The caps are ones the benchmark
-does not use.
+The closed forms are the benchmark's oracles in ``perfbench/oracles.py``,
+and the Laguerre coefficients below: plain Fraction code that imports
+nothing from psi_umbral, so a kernel that goes wrong cannot agree with them
+by sharing the fault.  The benchmark file is loaded by path, so each
+formula keeps one home.  The caps are ones the benchmark does not use.
 """
 
 import contextlib
@@ -13,11 +13,13 @@ import io
 import json
 import os
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from psi_umbral.cli import main
 from psi_umbral.psi import PsiSequence
+from psi_umbral.umbral import DeltaOperator
 
 ORACLES_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "perfbench", "oracles.py")
@@ -73,3 +75,23 @@ def test_jackson_binomials_are_gaussian(cap, q):
     psi = PsiSequence.jackson(Fraction(q), cap)
     assert [[psi.binomial(n, k) for k in range(n + 1)]
             for n in range(cap + 1)] == want
+
+
+def laguerre(n):
+    """Coefficients of the n-th Laguerre polynomial in the basic-sequence
+    normalization, sum_(k=1..n) (-1)^k (n!/k!) C(n-1, k-1) x^k, and 1 at
+    n = 0 (Roman, The Umbral Calculus, 1984)."""
+    if n == 0:
+        return [Fraction(1)]
+    return [Fraction(0)] + [Fraction((-1) ** k * factorial(n) // factorial(k)
+                                     * comb(n - 1, k - 1))
+                            for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_basic_of_t_over_t_minus_one_is_laguerre(cap):
+    # t/(t - 1) = -t - t^2 - ...
+    delta = DeltaOperator.from_indicator([0] + [-1] * cap,
+                                         PsiSequence.classical(cap), cap)
+    polys = delta.basic(cap - 1).polys
+    assert [list(p.coeffs) for p in polys] == [laguerre(n) for n in range(cap)]
