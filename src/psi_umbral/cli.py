@@ -26,8 +26,8 @@ from .expansion import (conjugate_indicator_check, detect_psi_series,
                         expand_in_monomials, reconstruct_from_monomial_form)
 from .exprparse import OperatorContext, parse_operator
 from .integration import psi_integral, q_integral, r_integral
-from .jobs import (CHOICE, INDEX, RATIONALS, SCHEMA, UNWEIGHTED, check_params,
-                   load_job_spec, require_admissible, weights_reach)
+from .jobs import (CHOICE, INDEX, RATIONALS, SCHEMA, UNWEIGHTED, load_job_spec,
+                   parse_job, require_admissible, weights_reach)
 from .operators import psi_derivative
 from .psi import PsiSequence, RationalFunction
 from .umbral import DeltaOperator, basic_sequence_solve, rodrigues_sequence, translate
@@ -41,13 +41,10 @@ def _usage(message: str, pointer: str = "") -> JobSpecError:
     return JobSpecError(message, pointer=pointer)
 
 
-def resolve_cap(flag_value, job_value) -> int:
+def resolve_cap(job_value) -> int:
+    """The job's own cap, else $PSI_UMBRAL_CAP, else DEFAULT_CAP."""
     if job_value is not None:
         return job_value
-    if flag_value is not None:
-        if flag_value < 0:
-            raise _usage("cap must be nonnegative", "--cap")
-        return flag_value
     env = os.environ.get(CAP_ENV)
     if env is not None:
         try:
@@ -60,29 +57,25 @@ def resolve_cap(flag_value, job_value) -> int:
     return DEFAULT_CAP
 
 
-def parse_psi_text(text: str, cap: int) -> PsiSequence:
-    """Weight sequence from a flag value.
+def _psi_object(text: str):
+    """A job file's weights object from a ``--psi`` value.
 
-    Accepts the names "classical" and "divided_difference", the forms
-    "q:3/4" and "custom:1,3,7,15", or a JSON object in the file format.
+    The names "classical" and "divided_difference", the forms "q:3/4" and
+    "custom:1,3,7,15" are shorthand for their objects; text starting with
+    "{" is the object itself, in JSON.
     """
     text = text.strip()
-    try:
-        if text.startswith("{"):
-            return PsiSequence.from_json(json.loads(text), cap)
-        if text == "classical":
-            return PsiSequence.classical(cap)
-        if text == "divided_difference":
-            return PsiSequence.divided_difference(cap)
-        if text.startswith("q:"):
-            return PsiSequence.jackson(scalar_from_str(text[2:]), cap)
-        if text.startswith("custom:"):
-            values = [scalar_from_str(v) for v in text[len("custom:"):].split(",")]
-            return PsiSequence.custom(values, min(cap, len(values)))
-    except PsiUmbralError as exc:
-        raise _usage("bad weight sequence %r: %s" % (text, exc.message), "--psi")
-    except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
-        raise _usage("bad weight sequence %r: %s" % (text, exc), "--psi")
+    if text in ("classical", "divided_difference"):
+        return {"kind": text}
+    if text.startswith("q:"):
+        return {"kind": "q", "q": text[2:]}
+    if text.startswith("custom:"):
+        return {"kind": "custom", "n_psi": text[len("custom:"):].split(",")}
+    if text.startswith("{"):
+        try:
+            return json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise _usage("invalid JSON: %s" % exc, "--psi")
     raise _usage("unrecognized weight sequence %r (try classical, "
                  "divided_difference, q:RAT, custom:V1,V2,... or JSON)" % text,
                  "--psi")
@@ -90,42 +83,47 @@ def parse_psi_text(text: str, cap: int) -> PsiSequence:
 
 # -- parameter assembly ------------------------------------------------------
 
+# Where an error of the job validator points on the flag route.
+_FLAG_POINTERS = {"/cap": "--cap", "/psi": "--psi", "/psi/q": "--psi"}
+
+
 def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
     """Validated parameters in job form, from the job file or the flags.
 
-    Flag values are put in job form (comma lists become lists) and go
-    through the same validator as a job file.
+    Flag values are put in job form (comma lists become lists, ``--psi``
+    its weights object, ``--cap`` the key "cap") and go through the same
+    validator as a job file; its errors then point at the flag.
     """
     command = args.command
     schema = SCHEMA[command]
-    given = {}
+    flags = {"cap": "--cap", "psi": "--psi"}
+    flags.update((param.key, param.flag) for param in schema)
+    doc = {key: getattr(args, key) for key in flags
+           if getattr(args, key, None) is not None}
+    if args.job is not None and doc:
+        raise _usage("--job replaces these flags: %s"
+                     % ", ".join(sorted(flags[key] for key in doc)))
     for param in schema:
-        value = getattr(args, param.key)
-        if value is not None:
-            given[param.key] = (value.split(",") if param.kind == RATIONALS
-                                else value)
-    psi_text = getattr(args, "psi", None)
-    job = None
-    if args.job is not None:
-        clashing = [param.flag for param in schema if param.key in given]
-        if psi_text is not None:
-            clashing.append("--psi")
-        if args.cap is not None:
-            clashing.append("--cap")
-        if clashing:
-            raise _usage("--job replaces these flags: %s"
-                         % ", ".join(sorted(clashing)))
-        job = load_job_spec(args.job, command=command)
-    cap = resolve_cap(args.cap, job.cap if job else None)
-    params = job.params if job else check_params(command, given)
-    psi = job.psi if job else None
-    if psi is None and command not in UNWEIGHTED:
-        psi = parse_psi_text(psi_text if psi_text is not None else "classical",
-                             cap)
-    if psi is not None:
-        require_admissible(psi, cap, job.psi_pointer if job else "--psi",
-                           weights_reach(command, params))
-    return command, params, cap, psi
+        if param.kind == RATIONALS and param.key in doc:
+            doc[param.key] = doc[param.key].split(",")
+    if "psi" in doc:
+        doc["psi"] = _psi_object(doc["psi"])
+    try:
+        job = (parse_job(doc, command) if args.job is None
+               else load_job_spec(args.job, command=command))
+        cap = resolve_cap(job.cap)
+        psi = job.psi
+        if psi is None and command not in UNWEIGHTED:
+            psi = PsiSequence.classical(cap)
+        if psi is not None:
+            require_admissible(psi, cap, job.psi_pointer,
+                               weights_reach(command, job.params))
+    except JobSpecError as exc:
+        if args.job is not None:
+            raise
+        raise _usage(exc.message,
+                     _FLAG_POINTERS.get(exc.pointer, exc.pointer))
+    return command, job.params, cap, psi
 
 
 def _operator(params, key, cap, psi):
@@ -380,11 +378,14 @@ class _Parser(argparse.ArgumentParser):
 
     For JSON errors ``exit_on_error`` is off, so argparse's ``ArgumentError``
     reaches ``parse_args`` with the argument it names, and the error points
-    where the flag route's own errors do.
+    where the flag route's own errors do.  Help and usage text are wrapped
+    at a fixed width, not the terminal's, so every byte is deterministic.
     """
 
     def __init__(self, *args, json_errors=False, **kwargs):
-        super().__init__(*args, exit_on_error=not json_errors, **kwargs)
+        super().__init__(*args, exit_on_error=not json_errors,
+                         formatter_class=lambda prog: argparse.HelpFormatter(
+                             prog, width=78), **kwargs)
         self.json_errors = json_errors
 
     def parse_args(self, args=None, namespace=None):

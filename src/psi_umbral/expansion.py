@@ -188,16 +188,13 @@ def first_expansion_coeffs(t: GradedOperator,
                            delta: DeltaOperator) -> TruncatedSeries:
     """Scalar coefficients of a shift-invariant T in powers of a delta operator.
 
-    a_n is the constant term of T applied to the n-th basic polynomial,
-    divided by n_psi!.  Raises ``NotShiftInvariantError`` when T does not
-    commute with the weighted derivative.
+    With T = f(Dpsi) and the delta operator Q = q(Dpsi) as series in the
+    weighted derivative, T = (f o q^<-1>)(Q).  Raises
+    ``NotShiftInvariantError`` when T does not commute with the weighted
+    derivative.
     """
-    shift_invariant_coefficients(t, delta.psi)
-    cap = min(t.cap, delta.cap)
-    basic = delta.basic(cap)
-    return TruncatedSeries(
-        tuple(t.apply(basic.polys[n]).constant_term / delta.psi.factorial(n)
-              for n in range(cap + 1)), cap)
+    return shift_invariant_coefficients(t, delta.psi).compose(
+        delta.indicator.reversion())
 
 
 class DetectionResult:

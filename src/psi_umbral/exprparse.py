@@ -79,7 +79,7 @@ class _Tokens:
     def take_int(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ExprParseError("expected an integer", start)
@@ -158,7 +158,7 @@ class _Parser:
             self.depth -= 1
             self.toks.expect_symbol(")")
             return inner
-        if ch.isdigit():
+        if ch.isdecimal():
             value = self.toks.take_rational()
             return GradedOperator.scalar(value, self.ctx.cap)
         at = self.toks.pos

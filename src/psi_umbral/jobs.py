@@ -249,6 +249,6 @@ def load_job_spec(path: str, command: str | None = None) -> JobSpec:
             doc = json.load(fh)
     except FileNotFoundError:
         _fail("job file not found: %s" % path, "")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         _fail("invalid JSON: %s" % exc, "")
     return parse_job(doc, command=command)

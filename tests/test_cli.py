@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psi_umbral import verify
 from psi_umbral.cli import main
@@ -548,3 +552,139 @@ def test_integer_literal_at_the_digit_limit_parses():
     limit = sys.get_int_max_str_digits()
     op = parse_operator("1" * limit, OperatorContext(2))
     assert op.image(0).constant_term == int("1" * limit)
+
+
+# -- one input route: the flags are a job document ---------------------------
+
+# The job pointer a flag-route error carries as the flag it came from.
+JOB_POINTERS_AS_FLAGS = {"/cap": "--cap", "/psi": "--psi", "/psi/q": "--psi"}
+
+
+def _as_flag_run(run_result):
+    """A job run's output with each job pointer replaced by its flag."""
+    code, out, err = run_result
+    if code == 2 and err.startswith("{"):
+        doc = json.loads(err)
+        pointer = doc["details"]["pointer"]
+        doc["details"]["pointer"] = JOB_POINTERS_AS_FLAGS.get(pointer, pointer)
+        err = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return code, out, err
+
+
+@pytest.mark.parametrize("flags, keys, pointer, message", [
+    (["--psi", "q:-1", "--cap", "4"],
+     {"psi": {"kind": "q", "q": "-1"}, "cap": 4}, "--psi",
+     "weights inadmissible at cap 4: weight vanishes at n=2 (n=2)"),
+    (["--psi", "q:1"], {"psi": {"kind": "q", "q": "1"}}, "--psi",
+     "weights inadmissible at cap 16: Jackson weights are undefined at "
+     "q = 1 (n=1)"),
+    (["--cap=-1"], {"cap": -1}, "--cap", "cap must be a nonnegative integer"),
+    (["--psi", '{"kind":"custom","n_psi":["1","0"]}', "--cap", "3"],
+     {"psi": {"kind": "custom", "n_psi": ["1", "0"]}, "cap": 3}, "--psi",
+     "weights inadmissible at cap 3: weight vanishes at n=2 (n=2)"),
+], ids=["q-1", "q1", "cap", "custom"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_weights_and_cap_give_one_message_on_both_routes(
+        capsys, tmp_path, monkeypatch, flags, keys, pointer, message, fmt):
+    monkeypatch.delenv("PSI_UMBRAL_CAP", raising=False)
+    flag_run = run(capsys, "table", *flags, "--format", fmt)
+    job_run = run_job(capsys, tmp_path, "table", keys, "--format", fmt)
+    assert flag_run == _as_flag_run(job_run)
+    code, out, err = flag_run
+    assert (code, out) == (2, "")
+    if fmt == "json":
+        assert json.loads(err) == {"code": "job_spec", "message": message,
+                                   "details": {"pointer": pointer}}
+    else:
+        assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("psi", ['{"kind":"q"}', '{"kind":"custom","n_psi":5}',
+                                 '{"a":' * 3000])
+def test_json_weights_missing_or_mistyped_are_usage_errors(capsys, psi):
+    code, out, err = run(capsys, "table", "--cap", "3", "--psi", psi,
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["code"] == "job_spec"
+    assert doc["details"]["pointer"] == "--psi"
+
+
+def test_deeply_nested_job_file_is_invalid_json(capsys, tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text('{"a":' * 3000)
+    code, out, err = run(capsys, "table", "--job", str(job))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: maximum recursion depth")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--format", "xml", "--cap", "6"], "invalid choice: 'xml'"),
+    (["verify", "--suite", "nope"], "invalid choice: 'nope'"),
+])
+def test_usage_text_does_not_follow_the_terminal_width(capsys, monkeypatch,
+                                                       argv, message):
+    errs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert message in errs[0]
+
+
+@pytest.mark.parametrize("op, code, stream", [
+    ("²", 2, "error: unknown operator name '²'\n"),
+    ("D^²", 2, "error: expected an integer\n"),
+    ("٣*D", 0, "  p_1  = 1/3*x   [closed form ok]\n"),
+])
+def test_integer_literals_are_decimal_digits(capsys, op, code, stream):
+    # str.isdigit also takes superscripts, which int() rejects; Arabic-Indic
+    # digits are decimal and int() reads them
+    got, out, err = run(capsys, "basic", "--op", op, "--n", "1", "--cap", "2")
+    assert got == code
+    assert stream in (err if code else out)
+    assert "Traceback" not in err
+
+
+_GOOD = st.sampled_from(["2", "1/2", "-3/5", "1.5"])
+_RATIONALS = st.one_of(_GOOD,
+                       st.sampled_from(["1", "-1", "0", "1/0", "x", ""]))
+_WRONG_TYPES = st.sampled_from([3, [], ["1"], None, {"q": "2"}, True])
+_VALUE = st.one_of(_RATIONALS, _WRONG_TYPES)
+_VALUES = st.one_of(st.lists(_RATIONALS, max_size=14), _VALUE)
+_KINDS = st.sampled_from(["classical", "divided_difference", "q", "rational",
+                          "custom", "bogus"])
+_KEYS = {"q": _VALUE, "n_psi": _VALUES, "R_num": _VALUES, "R_den": _VALUES}
+_WEIGHTS = st.one_of(
+    # any key but a known kind may be missing or hold a value of a wrong type
+    st.fixed_dictionaries({"kind": _KINDS}, optional=_KEYS),
+    st.fixed_dictionaries({}, optional=dict(_KEYS, kind=_WRONG_TYPES)),
+    # well formed, so that the weights are also compared where they succeed
+    st.fixed_dictionaries({"kind": st.just("q"), "q": _GOOD}),
+    st.fixed_dictionaries({"kind": st.just("custom"), "n_psi": st.lists(
+        _GOOD, min_size=13, max_size=13)}),
+    st.fixed_dictionaries({"kind": st.just("rational"), "q": _GOOD,
+                           "R_num": st.lists(_GOOD, min_size=1, max_size=3),
+                           "R_den": st.lists(_GOOD, min_size=1, max_size=3)}))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(psi=_WEIGHTS, cap=st.integers(-1, 12))
+def test_flag_and_job_routes_agree_on_any_weights(psi, cap):
+    outs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        job = os.path.join(tmp, "job.json")
+        with open(job, "w") as fh:
+            json.dump({"command": "table", "cap": cap, "psi": psi}, fh)
+        for argv in (["--psi", json.dumps(psi), "--cap=%d" % cap],
+                     ["--job", job]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["table", "--format", "json"] + argv)
+            assert code in (0, 1, 2)
+            outs.append((code, out.getvalue(), err.getvalue()))
+    assert outs[0] == _as_flag_run(outs[1])

@@ -66,6 +66,26 @@ def test_first_expansion_rejects_x_dependence():
         first_expansion_coeffs(multiply_x_op(CAP), delta)
 
 
+@pytest.mark.parametrize("weights", sorted(ZOO_WEIGHTS))
+@pytest.mark.parametrize("delta_text", ["Delta", "Dpsi + 1/2*Dpsi^2"])
+def test_first_expansion_matches_the_basic_sequence(weights, delta_text):
+    # a_n = (T p_n)(0) / n_psi! on the basic sequence of the delta operator,
+    # an independent route to the series composition the library takes
+    for delta_cap in (1, 2, 5, 12):
+        psi = ZOO_WEIGHTS[weights](max(delta_cap, 12))
+        delta = DeltaOperator.from_operator(
+            parse_operator(delta_text, OperatorContext(delta_cap, psi)), psi)
+        for t_text in ("E[-2/3]", "3", "Dpsi"):
+            for t_cap in (0, 1, 3, 12):
+                t = parse_operator(t_text, OperatorContext(t_cap, psi))
+                cap = min(t_cap, delta_cap)
+                basic = delta.basic(cap).polys
+                a = first_expansion_coeffs(t, delta)
+                assert a.cap == cap
+                assert a.coeffs == tuple(
+                    t.apply(basic[n]).constant_term / psi.factorial(n)
+                    for n in range(cap + 1))
+
 def test_monomial_expansion_of_x_times_derivative():
     # T = x D + D^2 expands with q_1 = x, q_2 = 1
     d = derivative_op(CAP)
