@@ -20,13 +20,14 @@ from .expansion import (DetectionResult, OperatorExpansion, apply_dual_form,
 from .exprparse import OperatorContext, parse_operator
 from .integration import psi_integral, q_integral, r_integral
 from .jobs import JobSpec, load_job_spec, parse_job
-from .operators import (GradedOperator, apply_psi_series, derivative_op,
-                        dilation_op, divided_difference, divided_difference_op,
-                        forward_difference_op, invert_shift_invariant,
-                        is_shift_invariant, jackson_derivative_op,
-                        multiply_x_op, operator_from_series,
-                        pincherle_derivative, psi_derivative, psi_derivative_op,
-                        psi_raise, psi_raise_op, shift_invariant_coefficients,
+from .operators import (GradedOperator, SeriesOperator, apply_psi_series,
+                        derivative_op, dilation_op, divided_difference,
+                        divided_difference_op, forward_difference_op,
+                        invert_shift_invariant, is_shift_invariant,
+                        jackson_derivative_op, multiply_x_op,
+                        operator_from_series, pincherle_derivative,
+                        psi_derivative, psi_derivative_op, psi_raise,
+                        psi_raise_op, shift_invariant_coefficients,
                         translation_op, weight_multiplier, weight_op)
 from .psi import (AdmissibilityReport, PsiSequence, RationalFunction,
                   jackson_bracket, validate_admissible)

@@ -83,8 +83,12 @@ def _psi_object(text: str):
 
 # -- parameter assembly ------------------------------------------------------
 
-# Where an error of the job validator points on the flag route.
-_FLAG_POINTERS = {"/cap": "--cap", "/psi": "--psi", "/psi/q": "--psi"}
+def _flag_pointer(pointer: str) -> str:
+    """Where an error of the job validator points on the flag route: at
+    ``--psi`` for the weights object and anything in it, ``--cap`` for the
+    cap, and at the job key for the other parameters."""
+    head = pointer.split("/")[1] if pointer.startswith("/") else ""
+    return {"cap": "--cap", "psi": "--psi"}.get(head, pointer)
 
 
 def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
@@ -121,8 +125,7 @@ def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
     except JobSpecError as exc:
         if args.job is not None:
             raise
-        raise _usage(exc.message,
-                     _FLAG_POINTERS.get(exc.pointer, exc.pointer))
+        raise _usage(exc.message, _flag_pointer(exc.pointer))
     return command, job.params, cap, psi
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, as_scalar,
                       scalar_to_str)
 from .errors import CapExceededError
-from .operators import (GradedOperator, _require_lowers_by_one,
+from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
                         _series_and_witness, derivative_op,
                         shift_invariant_coefficients)
 from .psi import PsiSequence
@@ -194,7 +194,7 @@ def first_expansion_coeffs(t: GradedOperator,
     derivative.
     """
     return shift_invariant_coefficients(t, delta.psi).compose(
-        delta.indicator.reversion())
+        delta.indicator_reversion)
 
 
 class DetectionResult:
@@ -229,10 +229,21 @@ def detect_psi_series(op: GradedOperator) -> DetectionResult:
     propose the weights; the series c read off with those weights is
     rebuilt as a table, and the verdict compares the two, with the first
     differing (n, k) (coefficient of x^(n-k) in the image of x^n) as witness.
+
+    A series value sum_k c_k d^k in weights psi needs no comparison: with
+    d = 1_psi * e for the derivative e of the weights n_psi/1_psi, the
+    scaled operator is sum_k (scale c_k 1_psi^k) e^k.
     """
     cap = op.cap
     _require_lowers_by_one(op, cap, "base ")
     scale = Fraction(1) / op.image(1).constant_term
+    if isinstance(op, SeriesOperator):
+        one = op.psi.n_psi(1)
+        psi = PsiSequence.custom([op.psi.n_psi(n) / one
+                                  for n in range(1, cap + 1)])
+        return DetectionResult(True, psi, [scale * c * one ** k for k, c in
+                                           enumerate(op.series.coeffs)],
+                               scale, None)
     scaled = scale * op
     psi = PsiSequence.custom([scaled.image(n).coefficient(n - 1)
                               for n in range(1, cap + 1)])

@@ -14,6 +14,12 @@ Nhat, Delta, E[y] (all five relative to the context weights).  A bare
 rational is that multiple of the identity; '*' is operator composition.
 Parentheses nest at most MAX_NESTING deep, so the recursion stays bounded.
 Every failure raises ExprParseError carrying the 0-based input position.
+
+With weights in context, Dpsi, Delta, E[y], rationals and (for classical
+weights) D evaluate to ``SeriesOperator`` values, series in the context's
+weighted derivative.  '+', '-', '*' and '^' between them stay series
+values, computed on the series; an operand that is a plain table (X, Xpsi,
+Nhat, D0, Q[q], Dq[q], or D for other weights) makes the result a table.
 """
 
 from __future__ import annotations
@@ -21,12 +27,14 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
+from .algebra import TruncatedSeries
 from .errors import ExprParseError
-from .operators import (GradedOperator, derivative_op, dilation_op,
-                        divided_difference_op, forward_difference_op,
-                        jackson_derivative_op, multiply_x_op, psi_derivative_op,
-                        psi_raise_op, translation_op, weight_op)
-from .psi import PsiSequence
+from .operators import (GradedOperator, SeriesOperator, derivative_op,
+                        dilation_op, divided_difference_op,
+                        forward_difference_op, jackson_derivative_op,
+                        multiply_x_op, psi_derivative_op, psi_raise_op,
+                        translation_op, weight_op)
+from .psi import CLASSICAL, PsiSequence
 
 _PSI_BOUND = {"Dpsi", "Xpsi", "Nhat", "Delta", "E"}
 _PARAMETRIC = {"Q", "Dq", "E"}
@@ -128,7 +136,7 @@ class _Parser:
     def term(self) -> GradedOperator:
         left = self.unary()
         while self.toks.take_symbol("*"):
-            left = left.compose(self.unary())
+            left = left * self.unary()
         return left
 
     def unary(self) -> GradedOperator:
@@ -160,7 +168,10 @@ class _Parser:
             return inner
         if ch.isdecimal():
             value = self.toks.take_rational()
-            return GradedOperator.scalar(value, self.ctx.cap)
+            if self.ctx.psi is None:
+                return GradedOperator.scalar(value, self.ctx.cap)
+            return SeriesOperator(TruncatedSeries((value,), self.ctx.cap),
+                                  self.ctx.psi)
         at = self.toks.pos
         name = self.toks.take_name()
         if name is None:
@@ -192,6 +203,9 @@ class _Parser:
                 return forward_difference_op(psi, cap)
             return translation_op(psi, param, cap)
         if name == "D":
+            psi = self.ctx.psi
+            if psi is not None and psi.kind == CLASSICAL:
+                return psi_derivative_op(psi, cap)
             return derivative_op(cap)
         if name == "X":
             return multiply_x_op(cap)

@@ -88,6 +88,9 @@ SCHEMA = {
 # verify runs its suites over their own standard weight families.
 UNWEIGHTED = frozenset({"verify"})
 
+# The keys of a weights object that hold lists of rationals, by kind.
+_PSI_LISTS = (("custom", "n_psi"), ("rational", "R_num"), ("rational", "R_den"))
+
 
 def _fail(message, pointer):
     raise JobSpecError(message, pointer=pointer)
@@ -230,6 +233,9 @@ def parse_job(doc, command: str | None = None) -> JobSpec:
     if "psi" in doc:
         if not isinstance(doc["psi"], dict):
             _fail("psi must be an object", "/psi")
+        for kind, key in _PSI_LISTS:
+            if doc["psi"].get("kind") == kind and key in doc["psi"]:
+                _check_scalar_list(doc["psi"][key], "/psi/" + key)
         try:
             psi = PsiSequence.from_json(doc["psi"], cap=0)
         except Exception as exc:

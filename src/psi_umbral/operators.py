@@ -13,10 +13,16 @@ friends) are also provided directly on polynomials, with no cap at all;
 the operator tables are built from the same formulas.
 
 A shift-invariant operator is a series in the weighted derivative, and
+``SeriesOperator`` keeps it as one: a table that carries its series, its
+weights and its cap, builds row n only when it is asked for, and builds
+the whole table once, and keeps it, when every row is needed.  The
+weighted derivative, the forward difference and the translations are
+such values; ``operator_from_series`` gives the plain table.
 ``shift_invariant_coefficients`` is the one place that decides whether a
-table is one: it reads the series off the constant terms, rebuilds it as
-a table and compares.  The check that an operator lowers degree by
-exactly one lives here too.
+table is a series: it reads the series off the constant terms, rebuilds
+it as a table and compares.  A series value in the weights asked about
+is its own answer.  The check that an operator lowers degree by exactly
+one lives here too; a series value settles it from rows 0 and 1.
 """
 
 from __future__ import annotations
@@ -151,13 +157,16 @@ class GradedOperator:
             raise CapExceededError(
                 "operator table stops at degree %d, image of x^%d requested"
                 % (self._cap, n), cap=self._cap, requested=n)
+        return self._row(n)
+
+    def _row(self, n: int) -> Polynomial:
         return self._images[n]
 
     @property
     def shift_bound(self):
         """Max degree growth over the table; NEG_INF if the operator is zero."""
         best = NEG_INF
-        for n, img in enumerate(self._images):
+        for n, img in enumerate(self.images):
             d = img.degree
             if d is not NEG_INF and d - n > best:
                 best = d - n
@@ -165,22 +174,23 @@ class GradedOperator:
 
     @property
     def is_zero(self) -> bool:
-        return all(img.is_zero for img in self._images)
+        return all(img.is_zero for img in self.images)
 
     def apply(self, p: Polynomial) -> Polynomial:
         if p.degree is not NEG_INF and p.degree > self._cap:
             raise CapExceededError(
                 "polynomial degree %d exceeds operator cap %d"
                 % (p.degree, self._cap), cap=self._cap)
-        return _linear_combination(p, self._images)
+        return _linear_combination(p, self.images)
 
     __call__ = apply
 
     def compose(self, inner: "GradedOperator") -> "GradedOperator":
         """self after inner, on the largest cap where self's table suffices."""
+        rows = inner.images
         eff = -1
         for n in range(inner.cap + 1):
-            d = inner._images[n].degree
+            d = rows[n].degree
             if d is not NEG_INF and d > self._cap:
                 break
             eff = n
@@ -189,30 +199,30 @@ class GradedOperator:
                 "composition has no usable cap (outer table too short)",
                 outer_cap=self._cap, inner_cap=inner.cap)
         return GradedOperator(
-            tuple(self.apply(inner._images[n]) for n in range(eff + 1)), eff)
+            tuple(self.apply(rows[n]) for n in range(eff + 1)), eff)
 
     def __add__(self, other):
         if not isinstance(other, GradedOperator):
             return NotImplemented
         cap = min(self._cap, other._cap)
-        return GradedOperator(tuple(self._images[n] + other._images[n]
-                                    for n in range(cap + 1)), cap)
+        a, b = self.images, other.images
+        return GradedOperator(tuple(a[n] + b[n] for n in range(cap + 1)), cap)
 
     def __sub__(self, other):
         if not isinstance(other, GradedOperator):
             return NotImplemented
         cap = min(self._cap, other._cap)
-        return GradedOperator(tuple(self._images[n] - other._images[n]
-                                    for n in range(cap + 1)), cap)
+        a, b = self.images, other.images
+        return GradedOperator(tuple(a[n] - b[n] for n in range(cap + 1)), cap)
 
     def __neg__(self):
-        return GradedOperator(tuple(-img for img in self._images), self._cap)
+        return GradedOperator(tuple(-img for img in self.images), self._cap)
 
     def __mul__(self, other):
         if isinstance(other, GradedOperator):
             return self.compose(other)
         c = as_scalar(other)
-        return GradedOperator(tuple(c * img for img in self._images), self._cap)
+        return GradedOperator(tuple(c * img for img in self.images), self._cap)
 
     __rmul__ = __mul__
 
@@ -248,18 +258,18 @@ class GradedOperator:
         if cap > self._cap:
             raise CapExceededError("cannot extend an operator table",
                                    cap=self._cap, requested=cap)
-        return GradedOperator(self._images[: cap + 1], cap)
+        return GradedOperator(self.images[: cap + 1], cap)
 
     def __eq__(self, other):
         if isinstance(other, GradedOperator):
             cap = min(self._cap, other._cap)
-            return self._images[: cap + 1] == other._images[: cap + 1]
+            return self.images[: cap + 1] == other.images[: cap + 1]
         return NotImplemented
 
     __hash__ = None
 
     def __repr__(self):
-        return "GradedOperator(cap=%d)" % self._cap
+        return "%s(cap=%d)" % (type(self).__name__, self._cap)
 
 
 # -- named operator tables ---------------------------------------------
@@ -282,11 +292,11 @@ def divided_difference_op(cap: int) -> GradedOperator:
     return GradedOperator.from_monomial_rule(
         lambda n: Polynomial.monomial(n - 1) if n else Polynomial(), cap)
 
-def jackson_derivative_op(q, cap: int) -> GradedOperator:
+def jackson_derivative_op(q, cap: int) -> "SeriesOperator":
     return psi_derivative_op(PsiSequence.jackson(q, cap), cap)
 
-def psi_derivative_op(psi: PsiSequence, cap: int) -> GradedOperator:
-    return operator_from_series((0, 1), psi, cap)
+def psi_derivative_op(psi: PsiSequence, cap: int) -> "SeriesOperator":
+    return SeriesOperator(TruncatedSeries.identity(cap), psi)
 
 def psi_raise_op(psi: PsiSequence, cap: int) -> GradedOperator:
     return GradedOperator.from_monomial_rule(
@@ -296,22 +306,29 @@ def weight_op(psi: PsiSequence, cap: int) -> GradedOperator:
     return GradedOperator.from_monomial_rule(
         lambda n: Polynomial.monomial(n, psi.n_psi(n + 1)), cap)
 
-def translation_op(psi: PsiSequence, y, cap: int) -> GradedOperator:
+def translation_op(psi: PsiSequence, y, cap: int) -> "SeriesOperator":
     """The generalized shift exp_psi(y * psi-derivative).
 
     Sends x^n to sum_k binom_psi(n, k) y^k x^(n-k).
     """
-    return operator_from_series(psi_exp_scaled(psi, y, cap), psi, cap)
+    return SeriesOperator(psi_exp_scaled(psi, y, cap), psi)
 
-def forward_difference_op(psi: PsiSequence, cap: int) -> GradedOperator:
+def forward_difference_op(psi: PsiSequence, cap: int) -> "SeriesOperator":
     """Unit translation minus the identity: the series exp_psi(z) - 1."""
-    series = exp_psi_series(psi, cap) - TruncatedSeries.one(cap)
-    return operator_from_series(series, psi, cap)
+    return SeriesOperator(exp_psi_series(psi, cap) - TruncatedSeries.one(cap), psi)
 
 def operator_from_series(coeffs, psi: PsiSequence, cap: int) -> GradedOperator:
-    """Materialize sum_k c_k * (psi-derivative)^k as a graded table.
+    """Materialize sum_k c_k * (psi-derivative)^k as a plain graded table.
 
     ``coeffs`` is a TruncatedSeries or a sequence of scalars.
+    """
+    return GradedOperator.from_monomial_rule(_series_rule(coeffs, psi, cap), cap)
+
+def _series_rule(coeffs, psi: PsiSequence, cap: int):
+    """The rule n -> image of x^n under sum_k c_k * (psi-derivative)^k.
+
+    The weights are read when the rule is made, not when it runs, so a
+    weight sequence too short for the cap fails here.
     """
     cs, c_den = _series_numerators(coeffs)
     # Trailing zero terms are dropped, so no weight past the last nonzero
@@ -350,7 +367,83 @@ def operator_from_series(coeffs, psi: PsiSequence, cap: int) -> GradedOperator:
         f, g = fact[n]
         return _from_ints([a * f for a in out], den * g)
 
-    return GradedOperator.from_monomial_rule(rule, cap)
+    return rule
+
+
+class SeriesOperator(GradedOperator):
+    """sum_k c_k * (psi-derivative)^k on x^0..x^cap, kept as its series.
+
+    ``series`` is the TruncatedSeries of the c_k at the operator's cap and
+    ``psi`` the weights object it is a series in.  The weights are read
+    when the value is built, as ``operator_from_series`` reads them.  Row n
+    is built when ``image(n)`` first asks for it; the whole table is built
+    once, and kept, when ``images`` (and so ``apply`` or ``compose``) needs
+    every row.  Sums, differences, negation, scalar multiples, products and
+    powers of series values with the same weights object and cap are
+    series values again; any mix with a plain table is a plain table.
+    """
+
+    __slots__ = ("series", "psi", "_rule", "_rows")
+
+    def __init__(self, series: TruncatedSeries, psi: PsiSequence):
+        self.series = series
+        self.psi = psi
+        self._cap = series.cap
+        self._rule = _series_rule(series, psi, series.cap)
+        self._rows = {}
+        self._images = None
+
+    @property
+    def images(self) -> tuple:
+        if self._images is None:
+            self._images = tuple(map(self._row, range(self._cap + 1)))
+        return self._images
+
+    def _row(self, n: int) -> Polynomial:
+        row = self._rows.get(n)
+        if row is None:
+            row = self._rows[n] = self._rule(n)
+        return row
+
+    def _partner(self, other) -> bool:
+        """Is other a series value in the same weights object at the same cap?"""
+        return (isinstance(other, SeriesOperator) and other.psi is self.psi
+                and other._cap == self._cap)
+
+    def compose(self, inner: GradedOperator) -> GradedOperator:
+        if self._partner(inner):
+            return SeriesOperator(self.series * inner.series, self.psi)
+        return super().compose(inner)
+
+    def __add__(self, other):
+        if self._partner(other):
+            return SeriesOperator(self.series + other.series, self.psi)
+        return super().__add__(other)
+
+    def __sub__(self, other):
+        if self._partner(other):
+            return SeriesOperator(self.series - other.series, self.psi)
+        return super().__sub__(other)
+
+    def __neg__(self):
+        return SeriesOperator(-self.series, self.psi)
+
+    def __mul__(self, other):
+        if isinstance(other, GradedOperator):
+            return self.compose(other)
+        return SeriesOperator(self.series * as_scalar(other), self.psi)
+
+    def __rmul__(self, other):
+        # Python tries this before a table's own __mul__, as this is a
+        # subclass: table * series must stay the table's composition.
+        if isinstance(other, GradedOperator):
+            return NotImplemented
+        return self * other
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative operator power")
+        return SeriesOperator(self.series.power(k), self.psi)
 
 
 # -- degree lowering, shift invariance and inversion --------------------
@@ -360,8 +453,11 @@ def _require_lowers_by_one(op: GradedOperator, n_max: int, prefix: str):
     """op kills constants and sends x^n to degree exactly n - 1, n <= n_max.
 
     ``prefix`` ("" or "base ") leads each message, naming which operator
-    failed.
+    failed.  A series value is decided by rows 0 and 1, that is by c_0 = 0
+    and c_1 != 0: row n then leads with c_1 n_psi x^(n-1).
     """
+    if isinstance(op, SeriesOperator):
+        n_max = min(n_max, 1)
     if not op.image(0).is_zero:
         raise NotDegreeLoweringError("%soperator does not kill constants" % prefix)
     for n in range(1, n_max + 1):
@@ -381,8 +477,11 @@ def _series_and_witness(op: GradedOperator, psi: PsiSequence):
 
     Rows are scanned in order and each row from its highest degree down;
     (n, k) names the coefficient of x^(n-k) in the image of x^n.  An image
-    past the cap is a difference.
+    past the cap is a difference.  A series value in psi itself is its own
+    series, with no readout and no comparison.
     """
+    if isinstance(op, SeriesOperator) and op.psi is psi:
+        return op.series, None
     c = TruncatedSeries(tuple(op.image(k).constant_term / psi.factorial(k)
                               for k in range(op.cap + 1)), op.cap)
     model = operator_from_series(c, psi, op.cap)
@@ -402,6 +501,8 @@ def shift_invariant_coefficients(op: GradedOperator,
     divided by k_psi!, and op commutes with the weighted derivative exactly
     when it equals the series rebuilt from c on x^0..x^cap.  Raises
     ``NotShiftInvariantError`` with the first differing (n, k) otherwise.
+    A series value passed with its own weights object returns its series;
+    with any other weights it goes through the gate like a table.
     """
     c, witness = _series_and_witness(op, psi)
     if witness is not None:
@@ -414,20 +515,21 @@ def is_shift_invariant(op: GradedOperator, psi: PsiSequence) -> bool:
     """Does op commute with the weighted derivative on x^0..x^cap?"""
     return _series_and_witness(op, psi)[1] is None
 
-def invert_shift_invariant(op: GradedOperator, psi: PsiSequence) -> GradedOperator:
+def invert_shift_invariant(op: GradedOperator, psi: PsiSequence) -> "SeriesOperator":
     """Two-sided inverse of an invertible shift-invariant operator.
 
     Requires op(1) != 0; the inverse is the reciprocal series in the
-    weighted derivative, checked against op by composition.
+    weighted derivative, a series value at op's cap.  Once the gate has
+    matched op with its series, composing op with the inverse is the
+    series product, so the check is that product against 1.
     """
     series = shift_invariant_coefficients(op, psi)
     if series.constant_term == 0:
         raise NonInvertibleError("operator kills constants; not invertible")
-    inv = operator_from_series(series.inverse(), psi, op.cap)
-    check = op.compose(inv)
-    if check != GradedOperator.identity(check.cap):
-        raise SelfCheckError("inversion failed to verify by composition")
-    return inv
+    inv = series.inverse()
+    if series * inv != TruncatedSeries.one(series.cap):
+        raise SelfCheckError("inversion failed to verify by the series product")
+    return SeriesOperator(inv, psi)
 
 def pincherle_derivative(op: GradedOperator, psi: PsiSequence) -> GradedOperator:
     """Commutator of op with the weighted raising operator."""

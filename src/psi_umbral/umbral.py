@@ -17,10 +17,9 @@ from .algebra import (Polynomial, TruncatedSeries, _linear_combination,
                       _series, _triangular_inverse, as_scalar)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError)
-from .operators import (GradedOperator, _require_lowers_by_one,
+from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
                         apply_psi_series, invert_shift_invariant,
-                        multiply_x_op, operator_from_series, psi_raise,
-                        shift_invariant_coefficients)
+                        multiply_x_op, psi_raise, shift_invariant_coefficients)
 from .psi import PsiSequence
 from .special import psi_exp_scaled
 
@@ -112,16 +111,18 @@ class DeltaOperator:
 
     ``indicator`` holds the coefficients a_k of the operator as a series in
     the weighted derivative (a_0 = 0, a_1 != 0); ``s_series`` is that series
-    divided by its variable, the coefficients of the invertible factor S.
+    divided by its variable, the coefficients of the invertible factor S,
+    and ``indicator_reversion`` its compositional inverse, computed once.
     """
 
-    __slots__ = ("op", "psi", "indicator")
+    __slots__ = ("op", "psi", "indicator", "_reversion")
 
     def __init__(self, op: GradedOperator, psi: PsiSequence,
                  indicator: TruncatedSeries):
         self.op = op
         self.psi = psi
         self.indicator = indicator
+        self._reversion = None
 
     @classmethod
     def from_operator(cls, op: GradedOperator, psi: PsiSequence) -> "DeltaOperator":
@@ -138,8 +139,7 @@ class DeltaOperator:
             raise NotDegreeLoweringError("indicator must have zero constant term")
         if series.cap < 1 or series.coefficient(1) == 0:
             raise NonInvertibleError("indicator needs a nonzero linear term")
-        op = operator_from_series(series, psi, cap)
-        return cls(op, psi, series)
+        return cls(SeriesOperator(series, psi), psi, series)
 
     @property
     def cap(self) -> int:
@@ -149,6 +149,13 @@ class DeltaOperator:
     def s_series(self) -> TruncatedSeries:
         """Series of the invertible factor S in op = (weighted derivative) o S."""
         return _series(self.indicator._num[1:], self.indicator._den, self.cap - 1)
+
+    @property
+    def indicator_reversion(self) -> TruncatedSeries:
+        """The series r with indicator(r(z)) = z."""
+        if self._reversion is None:
+            self._reversion = self.indicator.reversion()
+        return self._reversion
 
     def basic(self, n_max: int) -> BasicSequence:
         return basic_sequence_solve(self.op, self.psi, n_max)

@@ -540,7 +540,7 @@ def check_generating_function(cap: int) -> list[CheckResult]:
     psi = PsiSequence.classical(cap)
     delta = DeltaOperator.from_operator(forward_difference_op(psi, cap), psi)
     polys = delta.basic(n_max).polys
-    rev = delta.indicator.reversion()
+    rev = delta.indicator_reversion
     powers = [TruncatedSeries.one(cap)]
     for _ in range(n_max):
         powers.append(powers[-1] * rev)

@@ -556,8 +556,9 @@ def test_integer_literal_at_the_digit_limit_parses():
 
 # -- one input route: the flags are a job document ---------------------------
 
-# The job pointer a flag-route error carries as the flag it came from.
-JOB_POINTERS_AS_FLAGS = {"/cap": "--cap", "/psi": "--psi", "/psi/q": "--psi"}
+# The flag a flag-route error carries for a job pointer: the cap, and the
+# weights object with everything in it ("/psi/q", "/psi/n_psi/0", ...).
+JOB_POINTERS_AS_FLAGS = {"cap": "--cap", "psi": "--psi"}
 
 
 def _as_flag_run(run_result):
@@ -566,7 +567,8 @@ def _as_flag_run(run_result):
     if code == 2 and err.startswith("{"):
         doc = json.loads(err)
         pointer = doc["details"]["pointer"]
-        doc["details"]["pointer"] = JOB_POINTERS_AS_FLAGS.get(pointer, pointer)
+        head = pointer.split("/")[1] if pointer.startswith("/") else ""
+        doc["details"]["pointer"] = JOB_POINTERS_AS_FLAGS.get(head, pointer)
         err = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     return code, out, err
 
@@ -597,6 +599,32 @@ def test_weights_and_cap_give_one_message_on_both_routes(
                                    "details": {"pointer": pointer}}
     else:
         assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("psi, pointer, message", [
+    ({"kind": "custom", "n_psi": "123"}, "/psi/n_psi",
+     "expected a list of rational strings"),
+    ({"kind": "custom", "n_psi": ["1", 2]}, "/psi/n_psi/1",
+     "expected a rational string"),
+    ({"kind": "custom", "n_psi": ["1", "x"]}, "/psi/n_psi/1",
+     "not a rational: 'x'"),
+    ({"kind": "rational", "q": "2", "R_num": "1", "R_den": ["1"]},
+     "/psi/R_num", "expected a list of rational strings"),
+    ({"kind": "rational", "q": "2", "R_num": ["1"], "R_den": "12"},
+     "/psi/R_den", "expected a list of rational strings"),
+], ids=["n_psi-string", "n_psi-int", "n_psi-word", "R_num", "R_den"])
+def test_weight_lists_must_be_lists_of_rational_strings(capsys, tmp_path, psi,
+                                                        pointer, message):
+    # a string used to be read as the list of its characters
+    flag_run = run(capsys, "table", "--cap", "3", "--psi", json.dumps(psi),
+                   "--format", "json")
+    job_run = run_job(capsys, tmp_path, "table", {"cap": 3, "psi": psi},
+                      "--format", "json")
+    assert json.loads(job_run[2]) == {"code": "job_spec", "message": message,
+                                      "details": {"pointer": pointer}}
+    assert job_run[:2] == (2, "")
+    assert flag_run == _as_flag_run(job_run)
+    assert json.loads(flag_run[2])["details"]["pointer"] == "--psi"
 
 
 @pytest.mark.parametrize("psi", ['{"kind":"q"}', '{"kind":"custom","n_psi":5}',

@@ -147,3 +147,16 @@ def test_load_job_spec_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(JobSpecError):
         load_job_spec(str(path))
+
+
+def test_weight_lists_are_checked_where_the_kind_reads_them():
+    def psi_doc(psi):
+        return {"command": "table", "cap": 3, "psi": psi}
+    # a string is not read as the list of its characters
+    doc = psi_doc({"kind": "custom", "n_psi": "123"})
+    assert pointer_of(lambda: parse_job(doc)) == "/psi/n_psi"
+    doc = psi_doc({"kind": "rational", "q": "2", "R_num": ["1"],
+                   "R_den": ["1", None]})
+    assert pointer_of(lambda: parse_job(doc)) == "/psi/R_den/1"
+    # a key the kind does not read is left alone, as before
+    assert parse_job(psi_doc({"kind": "q", "q": "2", "n_psi": "1"})).psi.n_psi(2) == 3

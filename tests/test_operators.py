@@ -9,7 +9,8 @@ from psi_umbral.errors import (CapExceededError, NonInvertibleError,
                                NotShiftInvariantError)
 from psi_umbral.expansion import first_expansion_coeffs
 from psi_umbral.exprparse import OperatorContext, parse_operator
-from psi_umbral.operators import (GradedOperator, derivative_op, dilation_op,
+from psi_umbral.operators import (GradedOperator, SeriesOperator,
+                                  derivative_op, dilation_op,
                                   divided_difference, divided_difference_op,
                                   forward_difference_op, invert_shift_invariant,
                                   is_shift_invariant, jackson_derivative_op,
@@ -236,13 +237,23 @@ def counted_composes(monkeypatch):
 
 def test_power_of_nilpotent_operator_stops_at_zero(monkeypatch):
     psi = PsiSequence.classical(8)
-    d = psi_derivative_op(psi, 8)
+    d = operator_from_series((0, 1), psi, 8)
+    assert type(d) is GradedOperator
     calls = counted_composes(monkeypatch)
     power = d ** 100000
     assert power == GradedOperator.zero(8) and power.cap == 8
     # 100000 ends in five zero bits: the squarings d^2, d^4, d^8, d^16 run
     # before any factor is multiplied in, and d^16 is the first zero square.
     assert len(calls) == 4
+
+
+def test_power_of_nilpotent_series_value_composes_no_table(monkeypatch):
+    psi = PsiSequence.classical(8)
+    calls = counted_composes(monkeypatch)
+    power = parse_operator("Dpsi^100000", OperatorContext(8, psi))
+    assert isinstance(power, SeriesOperator) and power.series.cap == 8
+    assert power == GradedOperator.zero(8) and power.cap == 8
+    assert calls == []
 
 
 @pytest.mark.parametrize("text", ["E[1]", "X*D"])

@@ -1,0 +1,231 @@
+"""Shift-invariant operators kept as series in the weighted derivative.
+
+The parser returns a ``SeriesOperator`` for Dpsi, Delta, E[y], rationals
+and (under classical weights) D, and keeps sums, products and powers of
+them as series.  Each expression here is checked against a series worked
+out in this file on plain Fraction lists, against the readout gate on a
+plain-table copy, and against detection on that copy.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from psi_umbral import cli, operators
+from psi_umbral.algebra import Polynomial
+from psi_umbral.errors import CapExceededError, NotShiftInvariantError
+from psi_umbral.expansion import detect_psi_series, first_expansion_coeffs
+from psi_umbral.exprparse import OperatorContext, parse_operator
+from psi_umbral.operators import (GradedOperator, SeriesOperator,
+                                  forward_difference_op, invert_shift_invariant,
+                                  multiply_x_op, operator_from_series,
+                                  shift_invariant_coefficients)
+from psi_umbral.psi import PsiSequence
+from psi_umbral.umbral import DeltaOperator
+
+CAP = 10
+
+WEIGHTS = {
+    "classical": lambda: PsiSequence.classical(CAP),
+    "q=1/2": lambda: PsiSequence.jackson(Fraction(1, 2), CAP),
+    "q=2": lambda: PsiSequence.jackson(2, CAP),
+    "squares": lambda: PsiSequence.custom([n * n for n in range(1, CAP + 2)]),
+    "custom": lambda: PsiSequence.custom(
+        [Fraction(3, 2), -1, 5, Fraction(-2, 7), 4, 1, Fraction(9, 4), -3, 2,
+         Fraction(1, 5)]),
+}
+
+
+def mul(a, b):
+    """Product of two coefficient lists, truncated at CAP."""
+    out = [Fraction(0)] * (CAP + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= CAP:
+                out[i + j] += x * y
+    return out
+
+
+def shift_exp(psi, y):
+    """sum_k y^k z^k / k_psi!, the coefficients of E[y]."""
+    return [Fraction(y) ** k / psi.factorial(k) for k in range(CAP + 1)]
+
+
+def delta(psi):
+    return [Fraction(0)] + shift_exp(psi, 1)[1:]
+
+
+# expression -> its coefficients as a series in the weighted derivative
+EXPECTED = {
+    "Dpsi": lambda psi: [0, 1],
+    "Delta": delta,
+    "E[1/2]": lambda psi: shift_exp(psi, Fraction(1, 2)),
+    "E[-1/2]": lambda psi: shift_exp(psi, Fraction(-1, 2)),
+    "E[2] - 1": lambda psi: [Fraction(0)] + shift_exp(psi, 2)[1:],
+    "Dpsi + Dpsi*Dpsi": lambda psi: [0, 1, 1],
+    "2*Delta^3": lambda psi: [2 * c for c in
+                              mul(mul(delta(psi), delta(psi)), delta(psi))],
+    "-E[2]": lambda psi: [-c for c in shift_exp(psi, 2)],
+    # D is the weighted derivative, and so a series, only in classical weights
+    "D*E[1]": lambda psi: mul([0, 1], shift_exp(psi, 1)),
+}
+CASES = [(text, w) for text in EXPECTED for w in WEIGHTS
+         if text != "D*E[1]" or w == "classical"]
+
+
+def outcome(fn, *args):
+    """The result of fn, or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the comparison is the point
+        return type(exc).__name__, str(exc)
+
+
+def detection(op):
+    kind, result = outcome(detect_psi_series, op)
+    return (kind, result.to_json()) if kind == "ok" else (kind, result)
+
+
+def delta_indicator(op, psi):
+    kind, result = outcome(DeltaOperator.from_operator, op, psi)
+    return (kind, result.indicator.coeffs) if kind == "ok" else (kind, result)
+
+
+@pytest.mark.parametrize("text, weights", CASES)
+def test_series_value_agrees_with_the_plain_table(text, weights):
+    psi = WEIGHTS[weights]()
+    value = parse_operator(text, OperatorContext(CAP, psi))
+    assert isinstance(value, SeriesOperator) and value.psi is psi
+    want = EXPECTED[text](psi)
+    assert value.series.coeffs == tuple(
+        Fraction(c) for c in want + [0] * (CAP + 1 - len(want)))
+    plain = operator_from_series(want, psi, CAP)
+    assert type(plain) is GradedOperator
+    assert value.cap == CAP and value.images == plain.images
+    copy = GradedOperator(value.images, CAP)
+    assert shift_invariant_coefficients(copy, psi).coeffs == value.series.coeffs
+    assert detection(value) == detection(copy)
+    assert delta_indicator(value, psi) == delta_indicator(copy, psi)
+
+
+@pytest.mark.parametrize("text", sorted(EXPECTED))
+def test_series_value_with_other_weights_goes_through_the_gate(text):
+    ctx = OperatorContext(CAP, PsiSequence.classical(CAP))
+    value = parse_operator(text, ctx)
+    copy = GradedOperator(value.images, CAP)
+    # an equal weights object that is not the value's own is read like a table
+    twin = PsiSequence.classical(CAP)
+    assert (shift_invariant_coefficients(value, twin).coeffs
+            == shift_invariant_coefficients(copy, twin).coeffs
+            == value.series.coeffs)
+    other = PsiSequence.jackson(2, CAP)
+    with pytest.raises(NotShiftInvariantError) as on_table:
+        shift_invariant_coefficients(copy, other)
+    with pytest.raises(NotShiftInvariantError) as on_value:
+        shift_invariant_coefficients(value, other)
+    assert on_value.value.details == on_table.value.details
+
+
+def test_mixing_with_a_table_gives_the_table_composition():
+    psi = WEIGHTS["q=1/2"]()
+    ctx = OperatorContext(CAP, psi)
+    d = parse_operator("Dpsi", ctx)
+    x = multiply_x_op(CAP)
+    plain = operator_from_series((0, 1), psi, CAP)
+    for got, want in ((x * d, x.compose(plain)), (d * x, plain.compose(x)),
+                      (x + d, x + plain), (d - x, plain - x)):
+        assert type(got) is GradedOperator
+        assert got.cap == want.cap and got.images == want.images
+    assert type(parse_operator("Dpsi*Xpsi", ctx)) is GradedOperator
+    # D is a series only in classical weights
+    assert type(parse_operator("D", ctx)) is GradedOperator
+    # a series in another weights object, even an equal one, gives a table
+    twin = parse_operator("Dpsi", OperatorContext(CAP, WEIGHTS["q=1/2"]()))
+    assert isinstance(twin, SeriesOperator)
+    assert type(d + twin) is GradedOperator
+    assert (d + twin).images == (plain + plain).images
+
+
+def test_weights_are_read_where_the_table_read_them():
+    psi = PsiSequence.custom([1, 2, 3])
+    with pytest.raises(CapExceededError, match="no value at n=4"):
+        parse_operator("Dpsi", OperatorContext(8, psi))
+    # a rational reads no weight, as the constant table did
+    three = parse_operator("3", OperatorContext(8, psi))
+    assert isinstance(three, SeriesOperator)
+    assert three.images == GradedOperator.scalar(3, 8).images
+    with pytest.raises(CapExceededError, match="no value at n=4"):
+        parse_operator("3*Dpsi", OperatorContext(8, psi))
+
+
+def counted_rows(monkeypatch):
+    """A list that gains one entry per row built from a series from now on."""
+    calls = []
+    make = operators._series_rule
+
+    def counting_make(*args):
+        rule = make(*args)
+
+        def counting(n):
+            calls.append(n)
+            return rule(n)
+        return counting
+
+    monkeypatch.setattr(operators, "_series_rule", counting_make)
+    return calls
+
+
+def test_basic_on_a_series_builds_only_the_rows_it_reads(monkeypatch, capsys):
+    rows = counted_rows(monkeypatch)
+    tables = []
+    build = GradedOperator.from_monomial_rule.__func__
+    monkeypatch.setattr(GradedOperator, "from_monomial_rule", classmethod(
+        lambda cls, rule, cap: tables.append(cap) or build(cls, rule, cap)))
+    n = 2
+    assert cli.main(["basic", "--op", "Dpsi", "--n", str(n),
+                     "--cap", "6000"]) == 0
+    out = capsys.readouterr().out
+    assert "p_2  = x^2   [closed form ok]" in out
+    assert len(rows) <= n + 2
+    assert tables == []
+
+
+def test_rows_are_built_once_and_the_table_is_kept(monkeypatch):
+    rows = counted_rows(monkeypatch)
+    psi = WEIGHTS["squares"]()
+    op = forward_difference_op(psi, CAP)
+    op.image(3)
+    op.image(3)
+    assert rows == [3]
+    table = op.images
+    assert op.images is table
+    op.apply(Polynomial.monomial(CAP))
+    assert sorted(rows) == list(range(CAP + 1))
+
+
+def test_first_expansion_reverts_the_indicator_once(monkeypatch):
+    psi = WEIGHTS["q=2"]()
+    d = DeltaOperator.from_operator(forward_difference_op(psi, CAP), psi)
+    reverted = []
+    reversion = type(d.indicator).reversion
+    monkeypatch.setattr(type(d.indicator), "reversion",
+                        lambda self: reverted.append(1) or reversion(self))
+    ts = [parse_operator(text, OperatorContext(CAP, psi))
+          for text in ("Delta", "Delta^2 + 3", "E[2]")]
+    got = [first_expansion_coeffs(GradedOperator(t.images, CAP), d)
+           for t in ts]
+    assert reverted == [1]
+    assert got[0].coeffs == (0, 1) + (0,) * (CAP - 1)
+    assert got[1].coeffs == (3, 0, 1) + (0,) * (CAP - 2)
+
+
+@pytest.mark.parametrize("weights", sorted(WEIGHTS))
+def test_inverse_is_a_series_value_and_inverts_the_table(weights):
+    psi = WEIGHTS[weights]()
+    s = parse_operator("E[2] + Dpsi", OperatorContext(CAP, psi))
+    inv = invert_shift_invariant(GradedOperator(s.images, CAP), psi)
+    assert isinstance(inv, SeriesOperator) and inv.psi is psi
+    identity = GradedOperator.identity(CAP)
+    assert GradedOperator(s.images, CAP).compose(inv) == identity
+    assert inv.compose(GradedOperator(s.images, CAP)) == identity
+    assert (s * inv).images == identity.images
