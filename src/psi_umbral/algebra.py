@@ -265,6 +265,15 @@ def _combination(terms, den: int) -> Polynomial:
     return _from_ints(out, lcm * den)
 
 
+def _raw_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b with its numerators and denominator left unreduced: a term for
+    ``_combination``, which reduces the whole sum once."""
+    if not (a._num and b._num):
+        return _raw((), 1)
+    return _raw(tuple(_product(a._num, b._num, len(a._num) + len(b._num) - 2)),
+                a._den * b._den)
+
+
 def _triangular_inverse(rows) -> list:
     """Rows v_n = L^(-1) x^n of the map L: x^n -> rows[n], for rows of
     degree exactly n: with rows[n] = a/d on ints,

@@ -3,13 +3,24 @@
 Any linear operator T on polynomials can be written uniquely as
 T = sum_n q_n * Q^n where Q lowers degree by exactly one and each q_n acts
 by multiplication with a polynomial.  The coefficients fall out of a
-triangular solve: apply both sides to 1, x, x^2, ... in turn.  A dual
-variant replaces multiplication by x with the raising partner of Q and the
-monomials with Q's basic sequence; it is the monomial form conjugated by
-the umbral map of that sequence.  The generating sum P(x; lam) of the
-q_n is the conjugate of T by the formal eigenfunction of Q, which is the
-cross-check implemented here, order by order in lam with no truncation
-leakage.
+triangular solve: apply both sides to 1, x, x^2, ... in turn.  A base
+that is a plain table has its powers applied to the monomials.  A series
+base Q = s(d) in the weighted derivative d takes the series route and
+builds no power of Q on a polynomial: d^k x^m = m_psi!/(m-k)_psi! x^(m-k)
+gives T x^m / m_psi! = sum_k F_k x^(m-k) / (m-k)_psi! with
+F_k = sum_(n<=k) (s^n)_k q_n, so the solve has two triangular steps,
+
+  step 1:  F_m = T x^m / m_psi! - sum_(k<m) F_k x^(m-k) / (m-k)_psi!,
+  step 2:  q_m = (F_m - sum_(n<m) (s^n)_m q_n) / (s^m)_m,
+
+the second reading a table of scalar series powers s^n; reconstruction
+runs them forward.  On either route each row is one combination over one
+denominator.  A dual variant replaces multiplication by x with the
+raising partner of Q and the monomials with Q's basic sequence; it is the
+monomial form conjugated by the umbral map of that sequence.  The
+generating sum P(x; lam) of the q_n is the conjugate of T by the formal
+eigenfunction of Q, which is the cross-check implemented here, order by
+order in lam with no truncation leakage.
 
 The same table decides whether a given operator is a series in SOME
 weighted derivative at all: the leading coefficients of its images are the
@@ -21,9 +32,10 @@ first witness pair.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .algebra import (NEG_INF, Polynomial, TruncatedSeries, as_scalar,
-                      scalar_to_str)
+from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _combination,
+                      _raw_product, as_scalar, scalar_to_str)
 from .errors import CapExceededError
 from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
                         _series_and_witness, derivative_op,
@@ -70,38 +82,118 @@ def _base_powers_on_monomials(base: GradedOperator, cap: int) -> list:
     return rows
 
 
+def _factorials(psi: PsiSequence, cap: int) -> list:
+    """(f, g, l) for n <= cap: n_psi! = f/g in lowest terms and l the lcm
+    of |f| over 0..n."""
+    out = []
+    l = 1
+    for n in range(cap + 1):
+        v = psi.factorial(n)
+        l = lcm(l, v.numerator)
+        out.append((v.numerator, v.denominator, l))
+    return out
+
+
+def _series_powers(s: TruncatedSeries, count: int, cap: int) -> list:
+    """s^0 .. s^count through degree cap."""
+    s = s.truncated(cap)
+    out = [TruncatedSeries.one(cap)]
+    for _ in range(count):
+        out.append(out[-1] * s)
+    return out
+
+
+def _shift_terms(scaled, fact, m: int) -> list:
+    """Terms that sum, over l_m, to sum_k F_k x^(m-k) / (m-k)_psi! for the
+    F_k in ``scaled``."""
+    l = fact[m][2]
+    return [(fact[m - k][1] * (l // fact[m - k][0]), p.shifted(m - k))
+            for k, p in enumerate(scaled)]
+
+
+def _power_terms(powers, coeff_polys, k: int):
+    """Terms and denominator of sum_n (s^n)_k coeff_polys[n], n <= k, for
+    s^n = powers[n]."""
+    used = [(n, powers[n]) for n in range(min(k + 1, len(coeff_polys)))
+            if powers[n]._num[k]]
+    den = lcm(*(sn._den for _, sn in used))
+    return ([(sn._num[k] * (den // sn._den), coeff_polys[n])
+             for n, sn in used], den)
+
+
+def _series_expansion(t: GradedOperator, base: SeriesOperator,
+                      cap: int) -> list:
+    fact = _factorials(base.psi, cap)
+    powers = _series_powers(base.series, cap, cap)
+    scaled, qs = [], []
+    for m, (f, g, l) in enumerate(fact):
+        # Step 1: F_m = T x^m / m_psi! - sum_(k<m) F_k x^(m-k) / (m-k)_psi!.
+        terms = [(-a, p) for a, p in _shift_terms(scaled, fact, m)]
+        terms.append((g * (l // f), t.image(m)))
+        scaled.append(_combination(terms, l))
+        # Step 2: q_m = (F_m - sum_(n<m) (s^n)_m q_n) / (s^m)_m.
+        terms, den = _power_terms(powers, qs, m)
+        e, d = powers[m]._num[m], powers[m]._den
+        sign = 1 if e > 0 else -1
+        terms = [(-sign * a * d, q) for a, q in terms]
+        terms.append((sign * den * d, scaled[m]))
+        qs.append(_combination(terms, sign * e * den))
+    return qs
+
+
+def _series_reconstruction(coeff_polys, base: SeriesOperator,
+                           cap: int) -> list:
+    fact = _factorials(base.psi, cap)
+    powers = _series_powers(base.series, min(cap, len(coeff_polys) - 1), cap)
+    scaled = [_combination(*_power_terms(powers, coeff_polys, k))
+              for k in range(cap + 1)]
+    return [_combination([(f * a, p) for a, p in
+                          _shift_terms(scaled[: m + 1], fact, m)], g * l)
+            for m, (f, g, l) in enumerate(fact)]
+
+
 def expand_in_monomials(t: GradedOperator,
                         base: GradedOperator) -> OperatorExpansion:
     """Unique expansion T = sum q_n(x) base^n, solved on 1, x, x^2, ...
 
     base^m applied to x^m is a nonzero constant, which makes the system
-    triangular with invertible pivots.
+    triangular with invertible pivots.  A series base takes the series
+    route of the module docstring.
     """
     cap = min(t.cap, base.cap)
     _require_lowers_by_one(base, cap, "base ")
+    if isinstance(base, SeriesOperator):
+        return OperatorExpansion(_series_expansion(t, base, cap), base,
+                                 "monomial")
     powers = _base_powers_on_monomials(base, cap)
     qs = []
     for m in range(cap + 1):
-        rem = t.image(m)
-        for n in range(m):
-            if not qs[n].is_zero:
-                rem = rem - qs[n] * powers[n][m]
         pivot = powers[m][m].constant_term
-        qs.append(rem / pivot)
+        s = 1 if pivot > 0 else -1
+        terms = [(-s * pivot.denominator, _raw_product(qs[n], powers[n][m]))
+                 for n in range(m)]
+        terms.append((s * pivot.denominator, t.image(m)))
+        qs.append(_combination(terms, s * pivot.numerator))
     return OperatorExpansion(qs, base, "monomial")
 
 
 def reconstruct_from_monomial_form(exp: OperatorExpansion,
                                    cap: int) -> GradedOperator:
-    powers = _base_powers_on_monomials(exp.base, cap)
-    images = []
-    for m in range(cap + 1):
-        img = Polynomial()
-        for n in range(m + 1):
-            if n < len(exp.coeff_polys) and not exp.coeff_polys[n].is_zero:
-                img = img + exp.coeff_polys[n] * powers[n][m]
-        images.append(img)
-    return GradedOperator(images, cap)
+    """The table of sum q_n(x) base^n on x^0..x^cap; a series base runs
+    the two steps of the series route forward."""
+    base = exp.base
+    if cap > base.cap:
+        raise CapExceededError(
+            "polynomial degree %d exceeds operator cap %d"
+            % (base.cap + 1, base.cap), cap=base.cap)
+    if isinstance(base, SeriesOperator):
+        return GradedOperator(
+            _series_reconstruction(exp.coeff_polys, base, cap), cap)
+    powers = _base_powers_on_monomials(base, cap)
+    return GradedOperator([_combination(
+        [(1, _raw_product(q, powers[n][m]))
+         for n, q in enumerate(exp.coeff_polys[: m + 1])], 1)
+        for m in range(cap + 1)], cap)
 
 
 def expand_in_basic(t: GradedOperator,

@@ -380,7 +380,8 @@ class SeriesOperator(GradedOperator):
     once, and kept, when ``images`` (and so ``apply`` or ``compose``) needs
     every row.  Sums, differences, negation, scalar multiples, products and
     powers of series values with the same weights object and cap are
-    series values again; any mix with a plain table is a plain table.
+    series values again, and so is a truncation; any mix with a plain
+    table is a plain table.
     """
 
     __slots__ = ("series", "psi", "_rule", "_rows")
@@ -444,6 +445,11 @@ class SeriesOperator(GradedOperator):
         if k < 0:
             raise ValueError("negative operator power")
         return SeriesOperator(self.series.power(k), self.psi)
+
+    def truncated(self, cap: int) -> GradedOperator:
+        if 0 <= cap <= self._cap:
+            return SeriesOperator(self.series.truncated(cap), self.psi)
+        return super().truncated(cap)
 
 
 # -- degree lowering, shift invariance and inversion --------------------

@@ -307,6 +307,17 @@ def test_roundtrip_comparison_can_fail(monkeypatch):
     assert [r.detail for r in results] == ["trial=0"] * 10
 
 
+def test_conjugation_rows_read_their_sample_points(monkeypatch):
+    # the expansion's indicator moved by one at every rate: every order
+    # still matches, so only the sample points can fail the rows
+    real = expansion.OperatorExpansion.indicator_at
+    monkeypatch.setattr(expansion.OperatorExpansion, "indicator_at",
+                        lambda self, lam: real(self, lam) + Polynomial.one())
+    results = check_random_roundtrip(CAP)
+    assert [r.passed for r in results] == [True, False] * 5
+    assert [r.detail for r in results] == ["", "trial=0"] * 5
+
+
 def test_criterion_12_generating_function_and_shifted_families():
     _gate(12, "basic sequences match their exponential generating function to "
               "order 10 and the shifted family satisfies its splitting identity",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psi_umbral import verify
+from psi_umbral import expansion, verify
 from psi_umbral.algebra import Polynomial
 from psi_umbral.errors import (CapExceededError, NotDegreeLoweringError,
                                NotShiftInvariantError, PsiUmbralError)
@@ -14,10 +14,10 @@ from psi_umbral.expansion import (conjugate_indicator_check, detect_psi_series,
                                   reconstruct_from_monomial_form,
                                   apply_dual_form)
 from psi_umbral.exprparse import OperatorContext, parse_operator
-from psi_umbral.operators import (GradedOperator, derivative_op,
-                                  forward_difference_op, multiply_x_op,
-                                  operator_from_series, psi_derivative_op,
-                                  translation_op)
+from psi_umbral.operators import (GradedOperator, SeriesOperator,
+                                  derivative_op, forward_difference_op,
+                                  multiply_x_op, operator_from_series,
+                                  psi_derivative_op, translation_op)
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator, dual_raise_operator
 from test_operators import ZOO, ZOO_WEIGHTS
@@ -385,3 +385,117 @@ def test_first_expansion_readout_can_fail(monkeypatch):
         base, coeffs) + GradedOperator.identity(base.cap))
     results = verify.check_first_expansion(8)
     assert [r.detail for r in results] == ["trial=0, k=0"] * 5
+
+
+# -- the series route against the table route ---------------------------
+
+ROUTE_CAP = 8
+
+ROUTE_WEIGHTS = {
+    "classical": lambda cap: PsiSequence.classical(cap),
+    "q=1/2": lambda cap: PsiSequence.jackson(Fraction(1, 2), cap),
+    "q=-2": lambda cap: PsiSequence.jackson(-2, cap),
+    "squares": lambda cap: PsiSequence.custom(
+        [n * n for n in range(1, cap + 2)]),
+    "custom": lambda cap: PsiSequence.custom(
+        [Fraction(3, 2), -1, 5, Fraction(-2, 7), 4, 1, Fraction(9, 4), -3, 2,
+         Fraction(1, 5), 7, Fraction(-5, 3), 6][: cap + 1]),
+}
+
+
+def _random_table(rng, cap):
+    """Images of degree at most n + 1, so the table may raise degree."""
+    return GradedOperator([Polynomial([Fraction(rng.randint(-5, 5),
+                                                rng.randint(1, 3))
+                                       for _ in range(rng.randint(0, n + 2))])
+                           for n in range(cap + 1)], cap)
+
+
+def _route_operators(psi, cap, rng):
+    ctx = OperatorContext(cap, psi)
+    return {"Xpsi*Dpsi": parse_operator("Xpsi*Dpsi", ctx),
+            "D*X*D": parse_operator("D*X*D", ctx),
+            "random table": _random_table(rng, cap),
+            "series": parse_operator("E[1/3] + 2*Dpsi^2", ctx)}
+
+
+@pytest.mark.parametrize("weights", sorted(ROUTE_WEIGHTS))
+@pytest.mark.parametrize("base_text", ["Dpsi", "Delta", "E[1/2] - 1",
+                                       "Dpsi + Dpsi*Dpsi", "2*Dpsi"])
+def test_series_route_matches_the_table_route(base_text, weights):
+    rng = random.Random(base_text + weights)
+    psi = ROUTE_WEIGHTS[weights](ROUTE_CAP + 3)
+    base = parse_operator(base_text, OperatorContext(ROUTE_CAP, psi))
+    assert isinstance(base, SeriesOperator)
+    plain = operator_from_series(base.series, base.psi, base.cap)
+    assert not isinstance(plain, SeriesOperator)
+    for t_cap in (ROUTE_CAP - 3, ROUTE_CAP, ROUTE_CAP + 3):
+        for name, t in _route_operators(psi, t_cap, rng).items():
+            fast = expand_in_monomials(t, base)
+            slow = expand_in_monomials(t, plain)
+            assert fast.coeff_polys == slow.coeff_polys, (name, t_cap)
+            for cap in range(fast.order + 1):
+                assert (reconstruct_from_monomial_form(fast, cap).images
+                        == reconstruct_from_monomial_form(slow, cap).images)
+            assert (reconstruct_from_monomial_form(fast, fast.order)
+                    == t.truncated(fast.order))
+    # past the base's cap both routes raise the same error
+    exp = expand_in_monomials(psi_derivative_op(psi, ROUTE_CAP + 3), base)
+    errors = []
+    for b in (base, plain):
+        with pytest.raises(CapExceededError) as err:
+            reconstruct_from_monomial_form(
+                expansion.OperatorExpansion(exp.coeff_polys, b, exp.form),
+                ROUTE_CAP + 1)
+        errors.append((str(err.value), err.value.details))
+    assert errors[0] == errors[1] == (
+        "polynomial degree %d exceeds operator cap %d"
+        % (ROUTE_CAP + 1, ROUTE_CAP), {"cap": ROUTE_CAP})
+
+
+@pytest.mark.parametrize("weights", sorted(ROUTE_WEIGHTS))
+@pytest.mark.parametrize("base_text", ["Dpsi^2", "E[1]"])
+def test_series_route_rejects_a_base_like_the_table_route(base_text, weights):
+    psi = ROUTE_WEIGHTS[weights](ROUTE_CAP + 1)
+    base = parse_operator(base_text, OperatorContext(ROUTE_CAP, psi))
+    t = parse_operator("Xpsi*Dpsi", OperatorContext(ROUTE_CAP, psi))
+    errors = []
+    for b in (base, operator_from_series(base.series, psi, ROUTE_CAP)):
+        with pytest.raises(NotDegreeLoweringError) as err:
+            expand_in_monomials(t, b)
+        errors.append((str(err.value), err.value.details))
+    assert errors[0] == errors[1]
+
+
+def test_series_base_applies_no_operator(monkeypatch):
+    # the series route reads the base's series, never a power table of it
+    calls = []
+    real_powers = expansion._base_powers_on_monomials
+    real_apply = GradedOperator.apply
+
+    def counted_powers(base, cap):
+        calls.append("powers")
+        return real_powers(base, cap)
+
+    def counted_apply(self, p):
+        calls.append("apply")
+        return real_apply(self, p)
+
+    psi = PsiSequence.jackson(Fraction(1, 2), 16)
+    ctx = OperatorContext(16, psi)
+    t = parse_operator("Xpsi*Dpsi", ctx)
+    bases = [parse_operator(text, ctx) for text in ("Dpsi", "Delta")]
+    monkeypatch.setattr(expansion, "_base_powers_on_monomials", counted_powers)
+    monkeypatch.setattr(GradedOperator, "apply", counted_apply)
+    for base in bases:
+        exp = expand_in_monomials(t, base)
+        reconstruct_from_monomial_form(exp, exp.order)
+        assert calls == []
+        plain = operator_from_series(base.series, psi, base.cap)
+        reconstruct_from_monomial_form(expand_in_monomials(t, plain), 16)
+        assert calls.count("powers") == 2 and "apply" in calls
+        calls.clear()
+        # the conjugation check expands in the truncated base, still a series
+        assert conjugate_indicator_check(t, base)[0]
+        assert "powers" not in calls
+        calls.clear()

@@ -229,3 +229,22 @@ def test_inverse_is_a_series_value_and_inverts_the_table(weights):
     assert GradedOperator(s.images, CAP).compose(inv) == identity
     assert inv.compose(GradedOperator(s.images, CAP)) == identity
     assert (s * inv).images == identity.images
+
+
+@pytest.mark.parametrize("text, weights", CASES)
+def test_truncation_is_a_series_value_with_the_same_weights(text, weights):
+    psi = WEIGHTS[weights]()
+    value = parse_operator(text, OperatorContext(CAP, psi))
+    copy = GradedOperator(value.images, CAP)
+    for cap in (0, 1, 4, CAP):
+        cut = value.truncated(cap)
+        assert isinstance(cut, SeriesOperator) and cut.psi is psi
+        assert cut.series == value.series.truncated(cap)
+        assert cut.cap == cap and cut.images == copy.truncated(cap).images
+        assert cut == copy and copy.truncated(cap) == value
+        plain = GradedOperator(cut.images, cap)
+        assert (shift_invariant_coefficients(cut, psi).coeffs
+                == shift_invariant_coefficients(plain, psi).coeffs)
+        assert detection(cut) == detection(plain)
+    for cap in (CAP + 1, -1):
+        assert outcome(value.truncated, cap) == outcome(copy.truncated, cap)
