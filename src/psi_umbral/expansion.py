@@ -38,7 +38,7 @@ from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _combination,
                       _raw_product, as_scalar, scalar_to_str)
 from .errors import CapExceededError
 from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
-                        _series_and_witness, derivative_op,
+                        _series_and_witness, psi_derivative_op,
                         shift_invariant_coefficients)
 from .psi import PsiSequence
 from .umbral import (BasicSequence, DeltaOperator, _degree_in_basis,
@@ -87,10 +87,9 @@ def _factorials(psi: PsiSequence, cap: int) -> list:
     of |f| over 0..n."""
     out = []
     l = 1
-    for n in range(cap + 1):
-        v = psi.factorial(n)
-        l = lcm(l, v.numerator)
-        out.append((v.numerator, v.denominator, l))
+    for f, g in psi.factorial_pairs(cap):
+        l = lcm(l, f)
+        out.append((f, g, l))
     return out
 
 
@@ -201,7 +200,8 @@ def expand_in_basic(t: GradedOperator,
     """Dual-pair expansion T = sum q_n(R) Q^n for Q = basic.op, R its raise.
 
     The umbral map U of the basis turns Q into D and R into X, so the q_n
-    are the monomial-form coefficients of U^(-1) T U in powers of D.  The
+    are the monomial-form coefficients of U^(-1) T U in powers of D, taken
+    as the series z in classical weights so the series route applies.  The
     order stops where T, applied to the basis, would leave it.
     """
     shift = t.shift_bound
@@ -211,7 +211,8 @@ def expand_in_basic(t: GradedOperator,
         raise CapExceededError("basis too short for the operator's degree growth")
     u, u_inv = basic.umbral_map()
     conjugated = u_inv.compose(t.compose(u.truncated(m_eff)))
-    exp = expand_in_monomials(conjugated, derivative_op(m_eff))
+    exp = expand_in_monomials(
+        conjugated, psi_derivative_op(PsiSequence.classical(m_eff), m_eff))
     return OperatorExpansion(exp.coeff_polys, basic.op, "dual")
 
 

@@ -40,17 +40,22 @@ from .special import exp_psi_series, psi_exp_scaled
 # -- closed-form actions on polynomials -------------------------------
 
 
+def _scaled(nums, scalars, den: int) -> Polynomial:
+    """sum nums[i] * scalars[i] / den x^i for ints nums and rationals
+    scalars, on ints over the lcm of the scalars' denominators."""
+    s, s_den = _over_lcm(scalars)
+    return _from_ints([a * b for a, b in zip(nums, s)], den * s_den)
+
 def psi_derivative(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Send x^n to n_psi x^(n-1)."""
-    return Polynomial(tuple(psi.n_psi(i) * c for i, c in enumerate(p.coeffs) if i))
+    a = p._num
+    return _scaled(a[1:], [psi.n_psi(i) for i in range(1, len(a))], p._den)
 
 def psi_raise(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Send x^n to ((n+1)/(n+1)_psi) x^(n+1); partner of the weighted derivative."""
-    if p.is_zero:
-        return p
-    ratios = [psi.raising_ratio(i, 1) for i in range(len(p._num))]
-    nums, den = _over_lcm(ratios)
-    return _from_ints([0] + [a * r for a, r in zip(p._num, nums)], p._den * den)
+    a = p._num
+    return _scaled(a, [psi.raising_ratio(i, 1) for i in range(len(a))],
+                   p._den).shifted(1)
 
 def divided_difference(p: Polynomial) -> Polynomial:
     """Send x^n to x^(n-1), constants to zero: (p(x) - p(0))/x."""
@@ -62,7 +67,8 @@ def weight_multiplier(psi: PsiSequence, p: Polynomial) -> Polynomial:
     Composed with the divided difference it reproduces the weighted
     derivative, which is the factorization the Leibniz rules exploit.
     """
-    return Polynomial(tuple(psi.n_psi(i + 1) * c for i, c in enumerate(p.coeffs)))
+    a = p._num
+    return _scaled(a, [psi.n_psi(i + 1) for i in range(len(a))], p._den)
 
 def apply_psi_series(coeffs, psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Apply sum_k c_k * (psi-derivative)^k to p; finite because p is.
@@ -78,8 +84,7 @@ def apply_psi_series(coeffs, psi: PsiSequence, p: Polynomial) -> Polynomial:
     a = p._num
     if not c or not a:
         return Polynomial()
-    fact = [(f.numerator, f.denominator)
-            for f in map(psi.factorial, range(len(a)))]
+    fact = psi.factorial_pairs(len(a) - 1)
     g_lcm = 1
     for x, (_, g) in zip(a, fact):
         if x and g_lcm % g:
@@ -346,9 +351,7 @@ def _series_rule(coeffs, psi: PsiSequence, cap: int):
         if a:
             g = gcd(a, c_den)
             terms.append((k, a // g, c_den // g))
-    fact = ([(f.numerator, f.denominator)
-             for f in map(psi.factorial, range(cap + 1))]
-            if length > 1 else [(1, 1)] * (cap + 1))
+    fact = psi.factorial_pairs(cap) if length > 1 else [(1, 1)] * (cap + 1)
 
     def rule(n):
         parts = []

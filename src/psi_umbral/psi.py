@@ -7,13 +7,18 @@ q-calculus, the all-ones choice gives divided differences, a rational
 function R evaluated along the geometric sequence q^n covers a whole family
 at once, and arbitrary nonzero values may be supplied directly.
 
-From the weights the module derives factorials n_psi!, falling factorials
-and the generalized binomial coefficients used throughout the package.
+From the weights the module derives the factorials n_psi!, held once per
+sequence both as Fractions and as int numerator/denominator pairs.  The
+falling factorials n_psi!/(n-k)_psi!, the generalized binomial coefficients
+n_psi!/(k_psi! (n-k)_psi!) and the raising ratios
+(k+j)! k_psi!/(k! (k+j)_psi!) are each one memoized quotient of the stored
+pairs, as in Ward's calculus of sequences.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
 from .algebra import Polynomial, as_scalar, scalar_from_str, scalar_to_str
 from .errors import AdmissibilityError, CapExceededError
@@ -74,7 +79,9 @@ class PsiSequence:
     Rule-based kinds extend their cache on demand past the construction cap
     (still finite and exact); a rule maps n and the weight (n-1)_psi to
     n_psi.  The custom kind owns exactly the values it was given and errors
-    beyond them.
+    beyond them.  The factorials are kept as Fractions and as int pairs,
+    and each falling factorial, binomial and raising ratio asked for is
+    kept too, so these memos live and die with the sequence.
     """
 
     def __init__(self, kind: str, rule, cap: int, label: str, params: dict,
@@ -87,7 +94,11 @@ class PsiSequence:
         if values is not None:
             self._memo.extend(as_scalar(v) for v in values)
         self._fact = [Fraction(1)]
-        self._ratios = {}
+        # the same factorials as (numerator, denominator) int pairs
+        self._fact_pairs = [(1, 1)]
+        self._falling = {}
+        self._binomial = {}
+        self._raising = {}
         self._extend_to(cap)
 
     # -- constructors -------------------------------------------------
@@ -170,30 +181,71 @@ class PsiSequence:
             self._fact.append(self._fact[-1] * self.n_psi(m))
         return self._fact[n]
 
+    def factorial_pairs(self, n: int) -> list:
+        """[(f, g)] with k_psi! = f/g in lowest terms and g > 0, k = 0..n.
+
+        Reads the weights 1..n, and none at n = 0.
+        """
+        pairs = self._fact_pairs
+        if len(pairs) <= n:
+            self.factorial(n)
+            pairs.extend((v.numerator, v.denominator)
+                         for v in self._fact[len(pairs): n + 1])
+        return pairs[: n + 1]
+
+    def _quotient(self, up: tuple, down: tuple, scale: int = 1) -> Fraction:
+        """scale * prod_(i in up) i_psi! / prod_(i in down) i_psi!, on the
+        stored pairs."""
+        fact = self.factorial_pairs(max(up + down))
+        num, den = scale, 1
+        for i in up:
+            num *= fact[i][0]
+            den *= fact[i][1]
+        for i in down:
+            num *= fact[i][1]
+            den *= fact[i][0]
+        return Fraction(num, den)
+
     def falling(self, n: int, k: int) -> Fraction:
-        """n_psi * (n-1)_psi * ... * (n-k+1)_psi, empty product at k = 0."""
-        out = Fraction(1)
-        for i in range(k):
-            out *= self.n_psi(n - i)
+        """n_psi * (n-1)_psi * ... * (n-k+1)_psi = n_psi!/(n-k)_psi!.
+
+        The empty product 1 at k <= 0 reads no weight; k > n gives 0.
+        """
+        out = self._falling.get((n, k))
+        if out is None:
+            if k <= 0:
+                out = Fraction(1)
+            elif k > n:
+                out = Fraction(0)
+            else:
+                out = self._quotient((n,), (n - k,))
+            self._falling[n, k] = out
         return out
 
     def binomial(self, n: int, k: int) -> Fraction:
-        """Generalized binomial: falling(n, k) / k_psi!."""
-        if k < 0 or k > n:
-            return Fraction(0)
-        return self.falling(n, k) / self.factorial(k)
+        """Generalized binomial n_psi!/(k_psi! (n-k)_psi!); 0 for k < 0 or
+        k > n, and 1 at k = 0 with no weight read."""
+        out = self._binomial.get((n, k))
+        if out is None:
+            if k < 0 or k > n:
+                out = Fraction(0)
+            elif k == 0:
+                out = Fraction(1)
+            else:
+                out = self._quotient((n,), (k, n - k))
+            self._binomial[n, k] = out
+        return out
 
     def raising_ratio(self, k: int, j: int) -> Fraction:
-        """prod_(i=1..j) (k+i)/(k+i)_psi, the scalar by which the j-th power
-        of the weighted raising operator maps x^k to x^(k+j).  Each factor
-        i/i_psi is memoized, so the common j = 1 case is a lookup once
-        computed; j = 0 gives the int 1."""
-        out = 1
-        for i in range(k + 1, k + j + 1):
-            r = self._ratios.get(i)
-            if r is None:
-                r = self._ratios[i] = i / self.n_psi(i)
-            out = out * r if i > k + 1 else r
+        """prod_(i=1..j) (k+i)/(k+i)_psi = (k+j)! k_psi!/(k! (k+j)_psi!), the
+        scalar by which the j-th power of the weighted raising operator maps
+        x^k to x^(k+j); j = 0 gives the int 1."""
+        if j == 0:
+            return 1
+        out = self._raising.get((k, j))
+        if out is None:
+            out = self._raising[k, j] = self._quotient((k,), (k + j,),
+                                                       perm(k + j, j))
         return out
 
     def values(self, n_max: int) -> list:

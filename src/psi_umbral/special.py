@@ -11,8 +11,9 @@ geometric series, the classical one is exp.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .algebra import TruncatedSeries, as_scalar
+from .algebra import TruncatedSeries, _series, as_scalar
 from .psi import PsiSequence
 
 
@@ -21,14 +22,23 @@ def psi_exp_scaled(psi: PsiSequence, alpha, cap: int) -> TruncatedSeries:
 
     As a series in the weighted derivative this is the generalized
     translation by alpha; with classical weights it is exp(alpha*x).
+    With alpha = p/q and k_psi! = f_k/g_k the coefficient at x^k is
+    p^k q^(cap-k) g_k (l/f_k) over q^cap l, for l the lcm of the |f_k|:
+    ints over one denominator, reduced once.
     """
+    if cap < 0:
+        raise ValueError("series cap must be >= 0")
     alpha = as_scalar(alpha)
-    coeffs = []
-    apow = Fraction(1)
-    for k in range(cap + 1):
-        coeffs.append(apow / psi.factorial(k))
-        apow *= alpha
-    return TruncatedSeries(coeffs, cap)
+    p, q = alpha.numerator, alpha.denominator
+    fact = psi.factorial_pairs(cap)
+    l = lcm(*(f for f, _ in fact))
+    nums = []
+    p_pow, q_pow = 1, q ** cap
+    for f, g in fact:
+        nums.append(p_pow * q_pow * g * (l // f))
+        p_pow *= p
+        q_pow //= q
+    return _series(nums, q ** cap * l, cap)
 
 
 def exp_psi_series(psi: PsiSequence, cap: int) -> TruncatedSeries:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import partial
 from math import comb, factorial
 
-from .algebra import Polynomial, TruncatedSeries
+from .algebra import Polynomial, TruncatedSeries, _linear_combination
 from .errors import PsiUmbralError
 from .expansion import (
     conjugate_indicator_check,
@@ -152,11 +152,10 @@ def check_ghw(cap: int) -> list[CheckResult]:
 # -- basic sequences and binomial identity ----------------------------------
 
 def _binomial_sum(psi, basic_polys, n, y):
-    total = Polynomial.zero()
-    for k in range(n + 1):
-        w = psi.binomial(n, k) * basic_polys[n - k](y)
-        total = total + basic_polys[k] * w
-    return total
+    """sum_k binom_psi(n, k) p_(n-k)(y) p_k, as one combination."""
+    return _linear_combination(
+        Polynomial([psi.binomial(n, k) * basic_polys[n - k](y)
+                    for k in range(n + 1)]), basic_polys)
 
 
 def check_binomial(cap: int) -> list[CheckResult]:

@@ -7,7 +7,8 @@ and the four closed forms to exact outputs across every weight kind and
 cap the benchmark uses.  The cap-6 ``verify`` items of the CLI pool, every
 suite in text, JSON and CSV, pin the bytes of the identity suites.  The
 benchmark files are loaded by path, as ``tests/test_oracles.py`` does, so
-nothing is copied out of them.
+nothing is copied out of them.  The tracer's memo counters name attributes
+of ``PsiSequence``; a test pins that those still exist as lists.
 """
 
 import importlib.util
@@ -19,6 +20,7 @@ import pytest
 
 import psi_umbral
 from psi_umbral import cli
+from psi_umbral.psi import PsiSequence
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench")
@@ -90,3 +92,20 @@ def test_verify_output_matches_its_digests(suite):
         if why:
             bad[req.key] = why
     assert len(items) == 3 and not bad
+
+
+def test_tracer_memo_counters_name_psi_lists():
+    # the traced run counts a memo hit as n < len(memo) for each COUNTED
+    # method: each memo must be a list indexed by n on a fresh sequence
+    counted = load("perfbench_tracer", "tracer.py").COUNTED
+    assert counted
+    for name, attr in counted.items():
+        layer, cls, method = name.split(".")
+        assert (layer, cls) == ("psi", "PsiSequence")
+        psi = PsiSequence.classical(2)
+        memo = getattr(psi, attr)
+        assert isinstance(memo, list)
+        before = len(memo)
+        n = before + 3
+        getattr(psi, method)(n)
+        assert getattr(psi, attr) is memo and len(memo) == n + 1 > before

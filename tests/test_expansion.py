@@ -499,3 +499,11 @@ def test_series_base_applies_no_operator(monkeypatch):
         assert conjugate_indicator_check(t, base)[0]
         assert "powers" not in calls
         calls.clear()
+        # the dual form expands the conjugated operator in classical D, a
+        # series value, and so builds no power table either
+        basic = DeltaOperator.from_operator(base, psi).basic(16)
+        exp = expand_in_basic(t, basic)
+        assert exp.order == 16 and "powers" not in calls
+        for p in basic.polys[:exp.order + 1]:
+            assert apply_dual_form(exp, basic, p) == t.apply(p)
+        calls.clear()

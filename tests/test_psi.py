@@ -120,6 +120,87 @@ def test_raising_ratio_is_the_raising_operator_power():
             p = psi_raise(psi, p)
 
 
+# -- factorial quotients against plain step products ---------------------
+
+_Q = Fraction(1, 2)
+ORACLE_WEIGHTS = {
+    "classical": lambda: PsiSequence.classical(14),
+    "q=1/2": lambda: PsiSequence.jackson(_Q, 14),
+    "q=-2": lambda: PsiSequence.jackson(-2, 14),
+    "q=0": lambda: PsiSequence.jackson(0, 14),
+    "divided_difference": lambda: PsiSequence.divided_difference(14),
+    # (2 + x)/(1 - 3x) along x = 2^-n: the weight at n = 1 is negative
+    "rational": lambda: PsiSequence.rational(
+        RationalFunction(Polynomial((2, 1)), Polynomial((1, -3))), _Q, 14),
+    "custom": lambda: PsiSequence.custom(
+        [Fraction(-1, 3), 2, Fraction(-5, 7), Fraction(3, 2), -1, 4,
+         Fraction(1, 9), -2, 5, Fraction(-7, 3), 1, 6, 3, Fraction(2, 5)]),
+}
+
+
+def _falling_steps(psi, n, k):
+    out = Fraction(1)
+    for i in range(k):
+        out *= psi.n_psi(n - i)
+    return out
+
+
+def _binomial_steps(psi, n, k):
+    out = Fraction(1)
+    for i in range(k):
+        out *= psi.n_psi(n - i) / psi.n_psi(i + 1)
+    return out
+
+
+def _raising_steps(psi, k, j):
+    out = Fraction(1)
+    for i in range(k + 1, k + j + 1):
+        out *= i / psi.n_psi(i)
+    return out
+
+
+@pytest.mark.parametrize("weights", sorted(ORACLE_WEIGHTS))
+def test_factorial_quotients_match_step_products(weights):
+    psi, oracle = ORACLE_WEIGHTS[weights](), ORACLE_WEIGHTS[weights]()
+    for n in range(15):
+        for k in range(n + 1):
+            assert psi.falling(n, k) == _falling_steps(oracle, n, k), (n, k)
+            assert psi.binomial(n, k) == _binomial_steps(oracle, n, k), (n, k)
+            assert psi.raising_ratio(k, n - k) == _raising_steps(oracle, k, n - k)
+    pairs = psi.factorial_pairs(14)
+    assert len(pairs) == 15
+    for n, (f, g) in enumerate(pairs):
+        assert g > 0 and Fraction(f, g) == psi.factorial(n)
+        assert (f, g) == (psi.factorial(n).numerator, psi.factorial(n).denominator)
+
+
+def test_factorial_quotient_edges():
+    short = PsiSequence.custom([2, 3])
+    # k = 0 is the empty product and reads no weight, even past the values
+    assert short.falling(5, 0) == 1 and short.binomial(5, 0) == 1
+    assert short.falling(5, -2) == 1
+    one = short.raising_ratio(5, 0)
+    assert one == 1 and type(one) is int
+    # k > n: zero, however far past n
+    psi = PsiSequence.jackson(2, 8)
+    assert psi.falling(3, 4) == 0 and psi.falling(3, 9) == 0
+    assert psi.binomial(3, 4) == 0 and psi.binomial(3, 9) == 0
+    # negative k: a binomial of zero
+    assert psi.binomial(5, -1) == 0 and psi.binomial(0, -3) == 0
+    assert psi.binomial(0, 0) == 1
+
+
+def test_factorial_quotients_need_every_lower_weight():
+    # weight 2 vanishes: a quotient of factorials reads 1..n, so the
+    # products that skip weight 2 (3_psi, and 3/3_psi) raise as 3_psi! does
+    psi = PsiSequence.custom([1, 0, 3], cap=1)
+    for quotient in (lambda: psi.falling(3, 1), lambda: psi.binomial(3, 1),
+                     lambda: psi.raising_ratio(2, 1), lambda: psi.factorial(3)):
+        with pytest.raises(AdmissibilityError):
+            quotient()
+    assert psi.falling(1, 1) == 1 and psi.raising_ratio(0, 1) == 1
+
+
 def test_binomial_edges():
     psi = PsiSequence.jackson(2, 8)
     assert psi.binomial(5, -1) == 0

@@ -15,7 +15,29 @@ from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.operators import psi_derivative
 from psi_umbral.psi import PsiSequence
 from psi_umbral.special import (cos_psi_series, exp_psi_series,
-                                psi_hyperbolic, sin_psi_series)
+                                psi_exp_scaled, psi_hyperbolic,
+                                sin_psi_series)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PsiSequence.classical(16),
+    lambda: PsiSequence.jackson(-2, 16),
+    lambda: PsiSequence.custom([Fraction(-2, 3), 5, Fraction(-7, 4), -1,
+                                Fraction(9, 2), 3, Fraction(-1, 6), 2, -4,
+                                Fraction(5, 3), 1, -6, Fraction(11, 7), 2,
+                                Fraction(-3, 5), 8])],
+    ids=["classical", "q=-2", "custom"])
+def test_scaled_exponential_is_the_fraction_construction(make):
+    # the int route stores exactly the numerators, denominator and cap of
+    # the series built from the Fractions alpha^k / k_psi!
+    psi = make()
+    for alpha in (0, 1, -1, Fraction(3, 7), Fraction(-5, 2)):
+        for cap in range(17):
+            got = psi_exp_scaled(psi, alpha, cap)
+            want = TruncatedSeries([Fraction(alpha) ** k / psi.factorial(k)
+                                    for k in range(cap + 1)], cap)
+            assert ((got._num, got._den, got._cap)
+                    == (want._num, want._den, want._cap)), (alpha, cap)
 
 
 def test_divided_difference_exponential_is_geometric():
