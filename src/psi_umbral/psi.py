@@ -176,6 +176,8 @@ class PsiSequence:
 
     def factorial(self, n: int) -> Fraction:
         """n_psi! = 1_psi * 2_psi * ... * n_psi, empty product at n = 0."""
+        if n < 0:
+            raise ValueError("factorials are indexed by naturals")
         while len(self._fact) <= n:
             m = len(self._fact)
             self._fact.append(self._fact[-1] * self.n_psi(m))
@@ -186,6 +188,8 @@ class PsiSequence:
 
         Reads the weights 1..n, and none at n = 0.
         """
+        if n < 0:
+            raise ValueError("factorials are indexed by naturals")
         pairs = self._fact_pairs
         if len(pairs) <= n:
             self.factorial(n)

@@ -10,7 +10,6 @@ geometric series, the classical one is exp.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .algebra import TruncatedSeries, _series, as_scalar
@@ -47,14 +46,25 @@ def exp_psi_series(psi: PsiSequence, cap: int) -> TruncatedSeries:
 
 
 def psi_hyperbolic(psi: PsiSequence, m: int, j: int, cap: int) -> TruncatedSeries:
-    """The slice of the weighted exponential with indices = j (mod m)."""
+    """The slice of the weighted exponential with indices = j (mod m).
+
+    With k_psi! = f_k/g_k the coefficient at x^k is g_k (l/f_k) over l, for
+    l the lcm of the |f_k| in the class: ints over one denominator, reduced
+    once.  Reads the weights up to the last index of the class within the
+    cap.
+    """
     if m < 1:
         raise ValueError("residue modulus must be positive")
     if not 0 <= j < m:
         raise ValueError("residue class out of range")
-    return TruncatedSeries(
-        tuple(Fraction(1) / psi.factorial(k) if k % m == j else Fraction(0)
-              for k in range(cap + 1)), cap)
+    if cap < 0:
+        raise ValueError("series cap must be >= 0")
+    top = cap - (cap - j) % m
+    fact = psi.factorial_pairs(top)[j::m] if top >= 0 else []
+    l = lcm(*(f for f, _ in fact))
+    nums = [0] * (cap + 1)
+    nums[j::m] = [g * (l // f) for f, g in fact]
+    return _series(nums, l, cap)
 
 
 def cos_psi_series(psi: PsiSequence, cap: int) -> TruncatedSeries:

@@ -12,22 +12,37 @@ general weighted derivatives live here too.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm, perm
 
-from .algebra import Polynomial, TruncatedSeries, as_scalar
+from .algebra import Polynomial, TruncatedSeries, _over_lcm, _series, as_scalar
 from .errors import SelfCheckError
 from .operators import divided_difference, psi_derivative, weight_multiplier
 from .psi import PsiSequence, RationalFunction
 from .special import psi_exp_scaled
 
 
-def _ordinary_coeffs(f):
+def _numerators(f):
+    """(numerators, denominator, cap) of a series, or of a polynomial with
+    cap None."""
     if isinstance(f, TruncatedSeries):
-        return f.coeffs, f.cap
+        return f._num, f._den, f._cap
     if isinstance(f, Polynomial):
-        return f.coeffs, None
+        return f._num, f._den, None
     raise TypeError("expected Polynomial or TruncatedSeries")
+
+
+def _top_degree(a, b, cap: int) -> int:
+    """The highest degree i + j <= cap of a pair with a_j b_i != 0 and
+    j >= 1, or 0 when there is none."""
+    degrees = [i for i, y in enumerate(b[: cap + 1]) if y]
+    top = 0
+    for j, x in enumerate(a[1: cap + 1], 1):
+        k = bisect_right(degrees, cap - j) if x else 0
+        if k:
+            top = max(top, j + degrees[k - 1])
+    return top
 
 
 def star_mul(f, g, psi: PsiSequence, cap: int | None = None) -> TruncatedSeries:
@@ -36,24 +51,43 @@ def star_mul(f, g, psi: PsiSequence, cap: int | None = None) -> TruncatedSeries:
     Polynomial times polynomial is exact; as soon as a truncated series is
     involved the result carries the smallest cap in sight.  The product is
     linear in both slots but deliberately not commutative.
+
+    R^j maps x^i to (i+j)! i_psi!/(i! (i+j)_psi!) x^(i+j), so with
+    f = sum a_j x^j and g = sum b_i x^i the coefficient at x^d is
+    a_0 b_d + s_d/d_psi!, s_d = sum_(i+j=d, j>=1) a_j u_i perm(d, j) for
+    u_i = b_i i_psi!.  With the factorials f/g that runs on ints: the u_i
+    over the lcm of the g_i, the s_d/d_psi! over the lcm of the f_d, and
+    one reduction.  Reads the weights up to the highest degree a pair with
+    j >= 1 reaches within the cap, and none for the a_0 terms.
     """
-    fc, fcap = _ordinary_coeffs(f)
-    gc, gcap = _ordinary_coeffs(g)
+    a, a_den, fcap = _numerators(f)
+    b, b_den, gcap = _numerators(g)
     caps = [c for c in (fcap, gcap, cap) if c is not None]
-    out_cap = min(caps) if caps else (len(fc) - 1 if fc else 0) + \
-        (len(gc) - 1 if gc else 0)
-    out = [Fraction(0)] * (out_cap + 1)
-    for i, b in enumerate(gc):
-        if b == 0 or i > out_cap:
-            continue
-        for j, a in enumerate(fc):
-            if a == 0:
-                continue
-            d = i + j
-            if d > out_cap:
-                break
-            out[d] += a * b * psi.raising_ratio(i, j)
-    return TruncatedSeries(out, out_cap)
+    out_cap = min(caps) if caps else max(len(a) - 1, 0) + max(len(b) - 1, 0)
+    if out_cap < 0:
+        raise ValueError("series cap must be >= 0")
+    b = b[: out_cap + 1]
+    top = _top_degree(a, b, out_cap)
+    fact = psi.factorial_pairs(top)
+    g_lcm = lcm(*(g_i for (_, g_i), y in zip(fact, b) if y))
+    terms = [(j, x) for j, x in enumerate(a[1: top + 1], 1) if x]
+    sums = [0] * (top + 1)
+    for i, ((f_i, g_i), y) in enumerate(zip(fact, b)):
+        if y:
+            u = y * f_i * (g_lcm // g_i)
+            for j, x in terms:
+                d = i + j
+                if d > top:
+                    break
+                sums[d] += x * u * perm(d, j)
+    f_lcm = lcm(*(f_d for s, (f_d, _) in zip(sums, fact) if s))
+    scale = f_lcm * g_lcm
+    a_0 = a[0] * scale if a else 0
+    nums = [a_0 * y for y in b] + [0] * (out_cap + 1 - len(b))
+    for d, (s, (f_d, g_d)) in enumerate(zip(sums, fact)):
+        if s:
+            nums[d] += s * g_d * (f_lcm // f_d)
+    return _series(nums, scale * a_den * b_den, out_cap)
 
 
 def star_power(n: int, psi: PsiSequence) -> Polynomial:
@@ -99,37 +133,50 @@ def poisson_weights_recursion(psi: PsiSequence, lam, m_max: int, cap: int):
     """Independent route: solve the lowering system coefficient by coefficient.
 
     d_psi p_0 = -lam p_0 with p_0(0) = 1, and for m >= 1
-    d_psi p_m + lam p_m = lam p_(m-1) with p_m(0) = 0.
+    d_psi p_m + lam p_m = lam p_(m-1) with p_m(0) = 0.  With lam = p/q and
+    n_psi(i) = u_i/v_i every coefficient is an int over
+    D = |q^cap u_1 ... u_cap|, and each step
+    c_(i+1) = lam (c'_i - c_i) / n_psi(i+1), c' the row of p_(m-1), divides
+    exactly on those ints: times p v_(i+1), then by q u_(i+1).
     """
     lam = as_scalar(lam)
+    p, q = lam.numerator, lam.denominator
+    steps = [psi.n_psi(i) for i in range(1, cap + 1)]
+    den = q ** cap
+    for w in steps:
+        den *= w.numerator
+    den = abs(den)
     rows = []
+    prev = [0] * (cap + 1)
     for m in range(m_max + 1):
-        c = [Fraction(0)] * (cap + 1)
-        c[0] = Fraction(1) if m == 0 else Fraction(0)
-        for i in range(cap):
-            source = rows[m - 1][i] if m >= 1 else Fraction(0)
-            c[i + 1] = lam * (source - c[i]) / psi.n_psi(i + 1)
+        c = [den if m == 0 else 0]
+        for i, w in enumerate(steps):
+            c.append(p * w.denominator * (prev[i] - c[i])
+                     // (q * w.numerator))
         rows.append(c)
-    return [TruncatedSeries(row, cap) for row in rows]
+        prev = c
+    return [_series(row, den, cap) for row in rows]
 
 
 def poisson_weights_raising(psi: PsiSequence, lam, m_max: int, cap: int):
     """Third route: scalar series in the raising variable, applied to 1.
 
-    p_m is ((lam t)^m / m!) e^(-lam t) as a commuting series in t, with
-    t^j then realized as the j-th star power of x.
+    p_m is ((lam t)^m / m!) e^(-lam t) as a commuting series in t, whose
+    coefficient at t^k is lam^k (-1)^(k-m) C(k, m)/k!, with t^k then
+    realized as the k-th star power of x, raising_ratio(0, k) x^k.  With
+    lam = p/q and the star powers r_k/r over one denominator, every row is
+    ints over q^cap cap! r, reduced once.
     """
     lam = as_scalar(lam)
-    expm = psi_exp_scaled(PsiSequence.classical(cap), -lam, cap)
-    star_powers = [psi.raising_ratio(0, j) for j in range(cap + 1)]
-    out = []
-    for m in range(m_max + 1):
-        pre = TruncatedSeries.from_polynomial(
-            Polynomial.monomial(m, lam ** m / Fraction(factorial(m))), cap)
-        scalar_series = pre * expm
-        coeffs = [c * r for c, r in zip(scalar_series.coeffs, star_powers)]
-        out.append(TruncatedSeries(coeffs, cap))
-    return out
+    p, q = lam.numerator, lam.denominator
+    star_powers, r_den = _over_lcm([psi.raising_ratio(0, k)
+                                    for k in range(cap + 1)])
+    scaled = [p ** k * q ** (cap - k) * (factorial(cap) // factorial(k)) * r
+              for k, r in enumerate(star_powers)]
+    den = q ** cap * factorial(cap) * r_den
+    return [_series([(-1) ** (k - m) * comb(k, m) * e if k >= m else 0
+                     for k, e in enumerate(scaled)], den, cap)
+            for m in range(m_max + 1)]
 
 
 # -- product rules ------------------------------------------------------

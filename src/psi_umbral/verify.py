@@ -4,6 +4,12 @@ Every check here is exact rational arithmetic.  The functions return
 ``CheckResult`` records rather than raising, so the command line and the
 acceptance tests can both consume them and report one line per check.
 
+The heaviest checks run their sums on ints: the binomial split as one
+combination over one denominator, the reordering identity as int pairs
+compared cross-multiplied.  Each still reads the function it checks
+(``binomial``, ``falling``, ``raising_ratio``, ``translate``, the three
+Poisson routes) and never the factorial pairs behind them.
+
 Each check walks its cases (dicts such as ``{"n": 4, "y": 0}``) and stops
 at the first one that fails, which its ``detail`` names as ``n=4, y=0``.
 Random inputs are drawn before the walk, so a failure moves no later draw.
@@ -21,7 +27,8 @@ from fractions import Fraction
 from functools import partial
 from math import comb, factorial
 
-from .algebra import Polynomial, TruncatedSeries, _linear_combination
+from .algebra import (Polynomial, TruncatedSeries, _combination,
+                      _from_ints, _over_lcm)
 from .errors import PsiUmbralError
 from .expansion import (
     conjugate_indicator_check,
@@ -151,11 +158,14 @@ def check_ghw(cap: int) -> list[CheckResult]:
 
 # -- basic sequences and binomial identity ----------------------------------
 
-def _binomial_sum(psi, basic_polys, n, y):
-    """sum_k binom_psi(n, k) p_(n-k)(y) p_k, as one combination."""
-    return _linear_combination(
-        Polynomial([psi.binomial(n, k) * basic_polys[n - k](y)
-                    for k in range(n + 1)]), basic_polys)
+def _binomial_sum(binomials, basic_polys, values, n):
+    """sum_k binom_psi(n, k) p_(n-k)(y) p_k, as one combination: the
+    binomials and the values p_j(y) each come as ints over one
+    denominator."""
+    b, b_den = binomials[n]
+    v, v_den = values
+    return _combination(((b[k] * v[n - k], basic_polys[k])
+                         for k in range(n + 1)), b_den * v_den)
 
 
 def check_binomial(cap: int) -> list[CheckResult]:
@@ -163,13 +173,16 @@ def check_binomial(cap: int) -> list[CheckResult]:
     cases = [{"n": n, "y": y} for n in range(n_max + 1) for y in Y_POINTS]
     out = []
     for name, psi in standard_suite_psis(cap):
+        binomials = [_over_lcm([psi.binomial(n, k) for k in range(n + 1)])
+                     for n in range(n_max + 1)]
         for base_name, q in _delta_bases(psi, cap):
             polys = basic_sequence_solve(q, psi, n_max).polys
+            values = {y: _over_lcm([p(y) for p in polys]) for y in Y_POINTS}
             out.append(_verdict(
                 "binomial[%s,%s] translation splits over the basis, n<=%d at "
                 "%d points" % (name, base_name, n_max, len(Y_POINTS)), cases,
-                lambda n, y: (translate(psi, y, polys[n])
-                              == _binomial_sum(psi, polys, n, y))))
+                lambda n, y: (translate(psi, y, polys[n]) == _binomial_sum(
+                    binomials, polys, values[y], n))))
     return out
 
 
@@ -275,8 +288,10 @@ def check_detection(cap: int) -> list[CheckResult]:
 
 
 def _random_polynomial(rng, degree):
-    return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                       for _ in range(degree + 1)])
+    """Coefficients a/b, a in -9..9 and b in 1..4 drawn in that order, as
+    ints over 12."""
+    return _from_ints([rng.randint(-9, 9) * (12 // rng.randint(1, 4))
+                       for _ in range(degree + 1)], 12)
 
 
 def _sample_polys(rng, degree, count):
@@ -417,12 +432,20 @@ def check_divided_difference_series(cap: int) -> list[CheckResult]:
 def _reorders(psi, n, m, j) -> bool:
     """Lowering n times past raising m times on x^j equals its reordering
     sum_k C(n,k) C(m,k) k! raise^(m-k) lower^(n-k), on the coefficient of
-    x^(j+m-n) (zero when that degree is negative)."""
-    lhs = psi.raising_ratio(j, m) * psi.falling(j + m, n) if j + m >= n else 0
-    rhs = sum(comb(n, k) * comb(m, k) * factorial(k) * psi.falling(j, n - k)
-              * psi.raising_ratio(j - (n - k), m - k)
-              for k in range(min(n, m) + 1) if n - k <= j)
-    return lhs == rhs
+    x^(j+m-n) (zero when that degree is negative).  Both sides are summed
+    as int pairs and compared cross-multiplied."""
+    lhs, lhs_den = 0, 1
+    if j + m >= n:
+        r, f = psi.raising_ratio(j, m), psi.falling(j + m, n)
+        lhs, lhs_den = r.numerator * f.numerator, r.denominator * f.denominator
+    rhs, rhs_den = 0, 1
+    for k in range(max(n - j, 0), min(n, m) + 1):
+        f, r = psi.falling(j, n - k), psi.raising_ratio(j - (n - k), m - k)
+        t_den = f.denominator * r.denominator
+        rhs = (rhs * t_den + comb(n, k) * comb(m, k) * factorial(k)
+               * f.numerator * r.numerator * rhs_den)
+        rhs_den *= t_den
+    return lhs * rhs_den == rhs * lhs_den
 
 
 def check_mixed_powers(cap: int) -> list[CheckResult]:

@@ -11,6 +11,7 @@ conftest terminal summary replays those lines after the run.
 """
 
 import cmath
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -86,6 +87,21 @@ def test_binomial_comparison_can_fail(monkeypatch):
     results = check_binomial(CAP)
     assert results and not any(r.passed for r in results)
     assert [r.detail for r in results] == ["n=4, y=1"] * 15
+
+
+def test_binomial_translation_side_can_fail(monkeypatch):
+    # the translation of p_5 plus one: the split over the basis no longer
+    # matches it, first at n = 5 and the first point, y = 0
+    real = verify.translate
+
+    def plus_one_at_5(psi, y, p):
+        out = real(psi, y, p)
+        return out + Polynomial.one() if p.degree == 5 else out
+
+    monkeypatch.setattr(verify, "translate", plus_one_at_5)
+    results = check_binomial(CAP)
+    assert results and not any(r.passed for r in results)
+    assert [r.detail for r in results] == ["n=5, y=0"] * 15
 
 
 def test_criterion_03_closed_forms_match_the_solve():
@@ -305,6 +321,17 @@ def test_roundtrip_comparison_can_fail(monkeypatch):
     results = check_random_roundtrip(CAP)
     assert results and not any(r.passed for r in results)
     assert [r.detail for r in results] == ["trial=0"] * 10
+
+
+def test_random_polynomials_keep_their_draws():
+    # a/b with a in -9..9 and then b in 1..4, one coefficient at a time:
+    # the int route draws the same values in the same order
+    got, want = random.Random(7), random.Random(7)
+    for degree in range(10):
+        assert verify._random_polynomial(got, degree) == Polynomial(
+            [Fraction(want.randint(-9, 9), want.randint(1, 4))
+             for _ in range(degree + 1)])
+    assert got.random() == want.random()
 
 
 def test_conjugation_rows_read_their_sample_points(monkeypatch):

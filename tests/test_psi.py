@@ -190,6 +190,17 @@ def test_factorial_quotient_edges():
     assert psi.binomial(0, 0) == 1
 
 
+def test_factorials_are_indexed_by_naturals():
+    # a negative index raises, as n_psi does, even once the list it would
+    # index from the end is filled
+    psi = PsiSequence.classical(5)
+    assert psi.factorial(4) == 24
+    for n in (-1, -5):
+        for call in (psi.n_psi, psi.factorial, psi.factorial_pairs):
+            with pytest.raises(ValueError):
+                call(n)
+
+
 def test_factorial_quotients_need_every_lower_weight():
     # weight 2 vanishes: a quotient of factorials reads 1..n, so the
     # products that skip weight 2 (3_psi, and 3/3_psi) raise as 3_psi! does

@@ -5,6 +5,9 @@
 - No float or complex literal: the kernel is exact.  ``float("-inf")`` is a
   call, not a literal.
 - Only standard-library absolute imports, matching ``dependencies = []``.
+- ``verify`` states its identities through ``binomial``, ``falling`` and
+  ``raising_ratio``, the values it checks, and never reads the factorial
+  pairs or the quotient behind them.
 """
 
 import ast
@@ -53,4 +56,21 @@ def test_absolute_imports_are_standard_library(path):
             names.append((n.module, n))
     found = [_where(path, n) + " " + name for name, n in names
              if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def _identifier(node):
+    """The name an attribute, a name, an import alias or a definition
+    carries, or None."""
+    for field in ("attr", "id", "name"):
+        value = getattr(node, field, None)
+        if isinstance(value, str):
+            return value
+    return None
+
+
+def test_verify_reads_no_factorial_pairs():
+    path = SRC / "verify.py"
+    found = [_where(path, n) for n in _nodes(path)
+             if _identifier(n) in ("factorial_pairs", "_quotient")]
     assert found == []

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from psi_umbral.algebra import Polynomial, TruncatedSeries
+from psi_umbral.errors import CapExceededError
 from psi_umbral.operators import psi_derivative
 from psi_umbral.psi import PsiSequence
 from psi_umbral.special import (cos_psi_series, exp_psi_series,
@@ -19,7 +20,8 @@ from psi_umbral.special import (cos_psi_series, exp_psi_series,
                                 sin_psi_series)
 
 
-@pytest.mark.parametrize("make", [
+# weight sets through n = 16; the custom one has negative factorials
+WEIGHTS = pytest.mark.parametrize("make", [
     lambda: PsiSequence.classical(16),
     lambda: PsiSequence.jackson(-2, 16),
     lambda: PsiSequence.custom([Fraction(-2, 3), 5, Fraction(-7, 4), -1,
@@ -27,6 +29,9 @@ from psi_umbral.special import (cos_psi_series, exp_psi_series,
                                 Fraction(5, 3), 1, -6, Fraction(11, 7), 2,
                                 Fraction(-3, 5), 8])],
     ids=["classical", "q=-2", "custom"])
+
+
+@WEIGHTS
 def test_scaled_exponential_is_the_fraction_construction(make):
     # the int route stores exactly the numerators, denominator and cap of
     # the series built from the Fractions alpha^k / k_psi!
@@ -38,6 +43,32 @@ def test_scaled_exponential_is_the_fraction_construction(make):
                                     for k in range(cap + 1)], cap)
             assert ((got._num, got._den, got._cap)
                     == (want._num, want._den, want._cap)), (alpha, cap)
+
+
+@WEIGHTS
+def test_slice_is_the_fraction_construction(make):
+    # the int route stores exactly the numerators, denominator and cap of
+    # the series built from the Fractions 1/k_psi! on the residue class
+    psi = make()
+    for m in range(1, 6):
+        for j in range(m):
+            for cap in range(17):
+                got = psi_hyperbolic(psi, m, j, cap)
+                want = TruncatedSeries(
+                    [Fraction(1) / psi.factorial(k) if k % m == j else 0
+                     for k in range(cap + 1)], cap)
+                assert ((got._num, got._den, got._cap)
+                        == (want._num, want._den, want._cap)), (m, j, cap)
+
+
+def test_slice_reads_weights_only_through_its_class():
+    # the class 0 mod 4 ends at x^4 below cap 6, so weights 5 and 6 are
+    # never read; the class 1 mod 4 reaches x^5 and needs weight 5
+    short = PsiSequence.custom([1, 2, 3, 4])
+    assert psi_hyperbolic(short, 4, 0, 6) == TruncatedSeries(
+        [1, 0, 0, 0, Fraction(1, 24)], 6)
+    with pytest.raises(CapExceededError):
+        psi_hyperbolic(short, 4, 1, 6)
 
 
 def test_divided_difference_exponential_is_geometric():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psi_umbral.algebra import Polynomial, TruncatedSeries
+from psi_umbral.errors import CapExceededError
 from psi_umbral.operators import psi_derivative
 from psi_umbral.psi import PsiSequence, RationalFunction
 from psi_umbral.star_product import (poisson_weights,
@@ -11,6 +12,7 @@ from psi_umbral.star_product import (poisson_weights,
                                      poisson_weights_recursion, psi_exp_scaled,
                                      psi_leibniz, q_leibniz, r_leibniz,
                                      star_mul, star_power)
+from psi_umbral.verify import standard_suite_psis
 
 
 def test_star_square_jackson():
@@ -61,6 +63,68 @@ def test_star_exponential_inverse_is_exact_unity():
         got = star_mul(psi_exp_scaled(PsiSequence.classical(cap), lam, cap),
                        psi_exp_scaled(psi, -lam, cap), psi)
         assert got == TruncatedSeries.one(cap)
+
+
+def _star_by_steps(f, g, psi, cap):
+    """f * g through degree cap by a double loop: a_j b_i times the step
+    products prod_(t=1..j) (i+t)/(i+t)_psi at x^(i+j)."""
+    out = [Fraction(0)] * (cap + 1)
+    for i, b in enumerate(g):
+        for j, a in enumerate(f):
+            if a and b and i + j <= cap:
+                ratio = Fraction(1)
+                for t in range(1, j + 1):
+                    ratio *= (i + t) / psi.n_psi(i + t)
+                out[i + j] += a * b * ratio
+    return TruncatedSeries(out, cap)
+
+
+_F = Polynomial((Fraction(1, 2), -3, 0, Fraction(2, 5)))
+_G = Polynomial((2, 0, Fraction(-1, 3), 1, 4))
+
+# (f, g, cap argument, result cap); the series carry trailing zeros
+_STAR_CASES = [
+    (Polynomial((0, 1)), Polynomial((0, 0, 1)), None, 3),
+    (_F, _G, None, 7),
+    (_G, _F, None, 7),
+    (_F, _G, 4, 4),
+    (Polynomial(), _G, None, 4),
+    (_F, Polynomial(), None, 3),
+    (TruncatedSeries([Fraction(3, 4), 0, 5], 9), _G, None, 9),
+    (_F, TruncatedSeries([-2, 1, 0, Fraction(7, 3)], 10), None, 10),
+    (TruncatedSeries([1, -1, 2], 6),
+     TruncatedSeries([0, 0, 3, 0, 0, 0, 1], 8), None, 6),
+    (TruncatedSeries([1, 1, 1, 1], 5), TruncatedSeries([1, 2, 3], 5), 2, 2),
+]
+
+
+@pytest.mark.parametrize("psi", [
+    pytest.param(psi, id=name) for name, psi in standard_suite_psis(12) + [
+        ("custom", PsiSequence.custom([Fraction(-2, 3), 5, Fraction(7, 4), -1,
+                                       Fraction(9, 2), 3, Fraction(-1, 6), 2,
+                                       -4, Fraction(5, 3), 1, -6]))]])
+def test_star_product_matches_the_step_products(psi):
+    for f, g, cap, out_cap in _STAR_CASES:
+        got = star_mul(f, g, psi, cap)
+        want = _star_by_steps(f.coeffs, g.coeffs, psi, out_cap)
+        assert (got._num, got._den, got._cap) == (
+            want._num, want._den, want._cap), (f, g, cap)
+
+
+def test_star_product_reads_weights_only_as_far_as_a_pair_reaches():
+    psi = PsiSequence.custom([1, 2], cap=2)
+    x = Polynomial.x()
+    # x * x reads the weights 1 and 2; x^2 * x needs weight 3
+    assert star_mul(x, x, psi) == TruncatedSeries([0, 0, 1], 2)
+    with pytest.raises(CapExceededError):
+        star_mul(x * x, x, psi)
+    # a pair past the cap reads nothing, and neither does a wide cap
+    # that no pair reaches, nor the constant term of the left factor
+    assert star_mul(x * x, x, psi, cap=2) == TruncatedSeries.zero(2)
+    assert star_mul(x, TruncatedSeries([0, 1], 12), psi) == \
+        TruncatedSeries([0, 0, 1], 12)
+    assert star_mul(Polynomial((3,)), Polynomial.monomial(7), psi) == \
+        TruncatedSeries.from_polynomial(Polynomial.monomial(7, 3), 7)
 
 
 def test_poisson_routes_agree():
