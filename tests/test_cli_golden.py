@@ -1,7 +1,8 @@
 """Byte-for-byte CLI golden test.
 
 Each case runs ``cli.main`` in-process and hashes (exit code, stdout,
-stderr); the digests live in ``cli_golden.json`` next to this file.  To
+stderr), where a ``SystemExit`` that argparse raises for a usage error or
+``--help`` counts as ``["SystemExit", code]``; the digests live in ``cli_golden.json`` next to this file.  To
 record them again, from a checkout whose output is known good:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -97,13 +98,36 @@ CASES = [
     ["verify", "--suite", "expansion", "--cap", "8", "--format", "json"],
     ["table", "--psi", RATIONAL, "--cap", "8", "--format", "json"],
     ["integrate", "--psi", "q:1/2", "--cap", "8", "--poly", "1,2,3"],
+    # usage errors and help, in text mode (argparse's usage and exit) and in
+    # JSON mode (the structured error with its pointer)
+    ["table", "--format", "xml", "--cap", "6"],
+    ["basic", "--n", "abc", "--format", "json"],
+    ["basic", "--n=abc"],
+    ["verify", "--suite", "nope"],
+    ["verify", "--suite", "nope", "--format", "json"],
+    ["bogus"],
+    ["bogus", "--format", "json"],
+    ["expand", "--format", "json", "--lambda"],
+    ["table", "--zzz=1", "--format", "json"],
+    ["table", "--zzz=1"],
+    ["basic", "--cap", "x"],
+    ["basic", "--cap", "x", "--format", "json"],
+    ["basic", "--form", "2"],
+    ["basic", "--form", "2", "--format", "json"],
+    [],
+    ["--format", "json"],
+    ["--help"],
+    ["basic", "--help"],
 ]
 
 
 def run_digest(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ["SystemExit", exc.code]
     blob = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
