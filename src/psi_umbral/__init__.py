@@ -23,12 +23,12 @@ from .jobs import JobSpec, load_job_spec, parse_job
 from .operators import (GradedOperator, SeriesOperator, apply_psi_series,
                         derivative_op, dilation_op, divided_difference,
                         divided_difference_op, forward_difference_op,
-                        invert_shift_invariant, is_shift_invariant,
-                        jackson_derivative_op, multiply_x_op,
-                        operator_from_series, pincherle_derivative,
-                        psi_derivative, psi_derivative_op, psi_raise,
-                        psi_raise_op, shift_invariant_coefficients,
-                        translation_op, weight_multiplier, weight_op)
+                        invert_shift_invariant, jackson_derivative_op,
+                        multiply_x_op, operator_from_series,
+                        pincherle_derivative, psi_derivative,
+                        psi_derivative_op, psi_raise, psi_raise_op,
+                        shift_invariant_coefficients, translation_op,
+                        weight_multiplier, weight_op)
 from .psi import (AdmissibilityReport, PsiSequence, RationalFunction,
                   jackson_bracket, validate_admissible)
 from .special import (cos_psi_series, exp_psi_series, psi_exp_scaled,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -37,10 +38,6 @@ DEFAULT_CAP = 16
 CAP_ENV = "PSI_UMBRAL_CAP"
 
 
-def _usage(message: str, pointer: str = "") -> JobSpecError:
-    return JobSpecError(message, pointer=pointer)
-
-
 def resolve_cap(job_value) -> int:
     """The job's own cap, else $PSI_UMBRAL_CAP, else DEFAULT_CAP."""
     if job_value is not None:
@@ -50,9 +47,10 @@ def resolve_cap(job_value) -> int:
         try:
             value = int(env)
         except ValueError:
-            raise _usage("%s must be an integer, got %r" % (CAP_ENV, env))
+            raise JobSpecError("%s must be an integer, got %r"
+                               % (CAP_ENV, env))
         if value < 0:
-            raise _usage("%s must be nonnegative" % CAP_ENV)
+            raise JobSpecError("%s must be nonnegative" % CAP_ENV)
         return value
     return DEFAULT_CAP
 
@@ -75,10 +73,10 @@ def _psi_object(text: str):
         try:
             return json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise _usage("invalid JSON: %s" % exc, "--psi")
-    raise _usage("unrecognized weight sequence %r (try classical, "
-                 "divided_difference, q:RAT, custom:V1,V2,... or JSON)" % text,
-                 "--psi")
+            raise JobSpecError("invalid JSON: %s" % exc, "--psi")
+    raise JobSpecError("unrecognized weight sequence %r (try classical, "
+                       "divided_difference, q:RAT, custom:V1,V2,... or JSON)"
+                       % text, "--psi")
 
 
 # -- parameter assembly ------------------------------------------------------
@@ -105,8 +103,8 @@ def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
     doc = {key: getattr(args, key) for key in flags
            if getattr(args, key, None) is not None}
     if args.job is not None and doc:
-        raise _usage("--job replaces these flags: %s"
-                     % ", ".join(sorted(flags[key] for key in doc)))
+        raise JobSpecError("--job replaces these flags: %s"
+                           % ", ".join(sorted(flags[key] for key in doc)))
     for param in schema:
         if param.kind == RATIONALS and param.key in doc:
             doc[param.key] = doc[param.key].split(",")
@@ -125,7 +123,7 @@ def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
     except JobSpecError as exc:
         if args.job is not None:
             raise
-        raise _usage(exc.message, _flag_pointer(exc.pointer))
+        raise JobSpecError(exc.message, _flag_pointer(exc.pointer))
     return command, job.params, cap, psi
 
 
@@ -238,8 +236,8 @@ def run_detect(params, cap, psi):
 
 def run_verify(params, cap, psi):
     if cap < 6:
-        raise _usage("verify needs --cap at least 6 (counterexample witnesses "
-                     "live at degree 4)", "--cap")
+        raise JobSpecError("verify needs --cap at least 6 (counterexample "
+                           "witnesses live at degree 4)", "--cap")
     suite = params["suite"]
     if suite == "all":
         groups = run_all(cap)
@@ -274,8 +272,8 @@ def run_integrate(params, cap, psi):
     else:
         for key in ("q",) if kind == "q" else ("q", "r_num", "r_den"):
             if key not in params:
-                raise _usage("--%s is required for kind=%s"
-                             % (key.replace("_", "-"), kind), "/" + key)
+                raise JobSpecError("--%s is required for kind=%s"
+                                   % (key.replace("_", "-"), kind), "/" + key)
         q = scalar_from_str(params["q"])
         if kind == "q":
             dpsi = PsiSequence.jackson(q, 0)
@@ -284,7 +282,7 @@ def run_integrate(params, cap, psi):
                 rat = RationalFunction(Polynomial.from_json(params["r_num"]),
                                        Polynomial.from_json(params["r_den"]))
             except ZeroDivisionError as exc:
-                raise _usage(str(exc), "/r_den")
+                raise JobSpecError(str(exc), "/r_den")
             dpsi = PsiSequence.rational(rat, q, 0)
         # x^n is divided by the weight of n + 1.
         require_admissible(dpsi, cap, "/q" if kind == "q" else "/r_num",
@@ -377,34 +375,38 @@ COMMAND_HELP = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors can be raised as ``JobSpecError``.
+    """Argument parser that raises its usage errors as ``JobSpecError``.
 
-    For JSON errors ``exit_on_error`` is off, so argparse's ``ArgumentError``
-    reaches ``parse_args`` with the argument it names, and the error points
-    where the flag route's own errors do.  Help and usage text are wrapped
-    at a fixed width, not the terminal's, so every byte is deterministic.
+    ``exit_on_error`` is off, so each (sub)parser catches argparse's
+    ``ArgumentError`` where it arose.  The error points where the flag
+    route's own errors do and carries the failing parser as ``parser``,
+    whose usage ``main`` prints in text mode.  Help and usage text are
+    wrapped at a fixed width, not the terminal's, so every byte is
+    deterministic.
     """
 
-    def __init__(self, *args, json_errors=False, **kwargs):
-        super().__init__(*args, exit_on_error=not json_errors,
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, exit_on_error=False,
                          formatter_class=lambda prog: argparse.HelpFormatter(
                              prog, width=78), **kwargs)
-        self.json_errors = json_errors
 
-    def parse_args(self, args=None, namespace=None):
+    def parse_known_args(self, args=None, namespace=None):
         try:
-            args, extras = self.parse_known_args(args, namespace)
+            return super().parse_known_args(args, namespace)
         except argparse.ArgumentError as exc:
             self.error(str(exc), exc.argument_name)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
         if extras:
             self.error(gettext("unrecognized arguments: %s") % " ".join(extras),
                        extras[0].split("=", 1)[0])
         return args
 
     def error(self, message, name=None):
-        if self.json_errors:
-            raise _usage(message, _argument_pointer(name))
-        super().error(message)
+        exc = JobSpecError(message, _argument_pointer(name))
+        exc.parser = self
+        raise exc
 
 
 def _argument_pointer(name) -> str:
@@ -418,16 +420,16 @@ def _argument_pointer(name) -> str:
     return name if name and name.startswith("-") else ""
 
 
-def build_parser(json_errors: bool = False) -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command line's one parser, built on first use."""
     parser = _Parser(
         prog="psi-umbral",
         description="Exact calculus of weighted derivatives, basic polynomial "
-                    "sequences, and operator expansions.",
-        json_errors=json_errors)
+                    "sequences, and operator expansions.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in SCHEMA.items():
-        p = sub.add_parser(command, help=COMMAND_HELP[command],
-                           json_errors=json_errors)
+        p = sub.add_parser(command, help=COMMAND_HELP[command])
         p.add_argument("--cap", type=int, default=None,
                        help="operator table cap (default: $%s or %d)"
                             % (CAP_ENV, DEFAULT_CAP))
@@ -478,10 +480,12 @@ def _wants_json(argv) -> bool:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    json_errors = _wants_json(argv)
     try:
-        args = build_parser(json_errors).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except JobSpecError as exc:
+        if not _wants_json(argv):
+            # argparse's usage, "prog: error: ..." line and exit status 2
+            argparse.ArgumentParser.error(exc.parser, exc.message)
         _report_error(exc, "json")
         return 2
     fmt = args.format

@@ -520,10 +520,6 @@ def shift_invariant_coefficients(op: GradedOperator,
             n=witness[0], k=witness[1])
     return c
 
-def is_shift_invariant(op: GradedOperator, psi: PsiSequence) -> bool:
-    """Does op commute with the weighted derivative on x^0..x^cap?"""
-    return _series_and_witness(op, psi)[1] is None
-
 def invert_shift_invariant(op: GradedOperator, psi: PsiSequence) -> "SeriesOperator":
     """Two-sided inverse of an invertible shift-invariant operator.
 

@@ -636,8 +636,7 @@ SUITES = {
     "special": (check_special,),
 }
 
-SUITE_ORDER = ("ghw", "binomial", "rodrigues", "expansion", "leibniz",
-               "integration", "poisson", "special")
+SUITE_ORDER = tuple(SUITES)
 
 
 def run_suite(name: str, cap: int) -> list[CheckResult]:

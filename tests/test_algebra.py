@@ -460,6 +460,30 @@ def test_inverse_roundtrip(coeffs):
     assert f * f.inverse() == TruncatedSeries.one(7)
 
 
+@given(series(), st.lists(rationals(), min_size=1, max_size=6))
+@settings(max_examples=40)
+def test_series_division_is_the_product_with_the_inverse(a, coeffs):
+    if coeffs[0] == 0:
+        coeffs[0] = Fraction(1)
+    b = TruncatedSeries(coeffs, 5)
+    quotient = a / b
+    assert quotient.cap == 5
+    assert quotient == a.truncated(5) * b.inverse()
+    assert quotient * b == a.truncated(5)
+
+
+def test_series_division_by_a_scalar():
+    a = TruncatedSeries((1, Fraction(-2, 3), 5), 4)
+    assert a / 3 == TruncatedSeries((Fraction(1, 3), Fraction(-2, 9),
+                                     Fraction(5, 3)), 4)
+    assert a / Fraction(1, 2) == a * 2
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+    with pytest.raises(NonInvertibleError):
+        a / TruncatedSeries((0, 1), 4)
+
+
 def test_series_equality_uses_common_cap():
     a = TruncatedSeries((1, 2, 3), 2)
     b = TruncatedSeries((1, 2, 3, 9), 3)

@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psi_umbral import verify
+from psi_umbral import cli, verify
 from psi_umbral.cli import main
 from psi_umbral.exprparse import MAX_NESTING, OperatorContext, parse_operator
 from test_acceptance import _solve_with_x_in_p3
@@ -337,6 +337,46 @@ def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr), with a SystemExit as ("SystemExit", code)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # usage errors in text and JSON mode, a success and help, twice in one
+    # process: the same bytes each time, all from one parser object
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    argvs = [["basic", "--n=abc"], ["basic", "--n", "abc", "--format", "json"],
+             ["table", "--psi", "q:1/2", "--cap", "6"], ["--help"]]
+    first = [outcome(capsys, argv) for argv in argvs]
+    second = [outcome(capsys, argv) for argv in argvs]
+    assert first == second
+    assert [code for code, _, _ in first] == [("SystemExit", 2), 2, 0,
+                                              ("SystemExit", 0)]
+    assert first[0][2].endswith(
+        "psi-umbral basic: error: argument --n: invalid int value: 'abc'\n")
+    assert json.loads(first[1][2])["details"]["pointer"] == "/n"
+    assert len(parsers) == 8
+    assert all(parser is parsers[0] for parser in parsers)
+
+
+def test_basic_past_the_cap_is_a_computation_error(capsys):
+    code, out, err = run(capsys, "basic", "--n", "10", "--cap", "8")
+    assert (code, out, err) == (1, "", "error: n_max 10 beyond operator cap 8\n")
 
 
 def test_output_is_deterministic(capsys):

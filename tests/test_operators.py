@@ -13,7 +13,7 @@ from psi_umbral.operators import (GradedOperator, SeriesOperator,
                                   derivative_op, dilation_op,
                                   divided_difference, divided_difference_op,
                                   forward_difference_op, invert_shift_invariant,
-                                  is_shift_invariant, jackson_derivative_op,
+                                  jackson_derivative_op,
                                   multiply_x_op, operator_from_series,
                                   pincherle_derivative, psi_derivative,
                                   psi_derivative_op, psi_raise, psi_raise_op,
@@ -22,6 +22,15 @@ from psi_umbral.operators import (GradedOperator, SeriesOperator,
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator, sheffer_sequence, translate
 from test_umbral import KERNEL_WEIGHTS
+
+
+def passes_gate(op, psi):
+    """Does op commute with the weighted derivative on x^0..x^cap?"""
+    try:
+        shift_invariant_coefficients(op, psi)
+    except NotShiftInvariantError:
+        return False
+    return True
 
 
 def rationals():
@@ -143,8 +152,8 @@ def test_dilation_is_not_shift_invariant():
     # Jackson derivative shows the 1 - q defect already on x
     q = Fraction(2)
     psi = PsiSequence.jackson(q, 8)
-    assert not is_shift_invariant(dilation_op(q, 8), psi)
-    assert is_shift_invariant(forward_difference_op(psi, 8), psi)
+    assert not passes_gate(dilation_op(q, 8), psi)
+    assert passes_gate(forward_difference_op(psi, 8), psi)
 
 
 def test_shift_invariant_coefficients_readout():
@@ -340,7 +349,7 @@ def test_invariance_sees_an_image_past_the_cap():
     psi = PsiSequence.classical(8)
     op = identity_leaking_past_the_cap()
     assert op.commutator(psi_derivative_op(psi, 8)).is_zero
-    assert not is_shift_invariant(op, psi)
+    assert not passes_gate(op, psi)
     delta = DeltaOperator.from_operator(forward_difference_op(psi, 8), psi)
     with pytest.raises(NotShiftInvariantError):
         invert_shift_invariant(op, psi)
@@ -386,6 +395,6 @@ def test_invariance_agrees_with_the_commutator_on_the_parser_zoo(weights):
         op = parse_operator(text, OperatorContext(cap, psi))
         assert all(img.degree <= op.cap for img in op.images)
         commutes = op.commutator(psi_derivative_op(psi, op.cap)).is_zero
-        assert is_shift_invariant(op, psi) == commutes, text
+        assert passes_gate(op, psi) == commutes, text
         verdicts.append(commutes)
     assert True in verdicts and False in verdicts

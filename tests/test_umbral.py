@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psi_umbral.algebra import Polynomial, TruncatedSeries
-from psi_umbral.errors import (CapExceededError, NotDegreeLoweringError,
-                               NotShiftInvariantError, SelfCheckError)
+from psi_umbral.errors import (CapExceededError, NonInvertibleError,
+                               NotDegreeLoweringError, NotShiftInvariantError,
+                               SelfCheckError)
 from psi_umbral.operators import (GradedOperator, apply_psi_series,
                                   derivative_op, forward_difference_op,
-                                  is_shift_invariant,
                                   multiply_x_op, operator_from_series,
-                                  psi_derivative_op, translation_op)
+                                  psi_derivative_op,
+                                  shift_invariant_coefficients, translation_op)
 from psi_umbral.psi import PsiSequence, RationalFunction
 from psi_umbral.umbral import (BasicSequence, DeltaOperator, basic_sequence_solve,
                                dual_raise_operator, eigenfunction_series,
@@ -87,7 +88,8 @@ def test_basic_sequence_works_without_shift_invariance():
 
     psi = classical()
     op = GradedOperator.from_monomial_rule(rule, CAP)
-    assert not is_shift_invariant(op, psi)
+    with pytest.raises(NotShiftInvariantError):
+        shift_invariant_coefficients(op, psi)
     seq = basic_sequence_solve(op, psi, 5)
     for n in range(1, 6):
         assert seq[n].constant_term == 0
@@ -118,6 +120,12 @@ def test_monomials_to_basis_rejects_a_row_of_the_wrong_degree(polys):
         seq.monomials_to_basis(Polynomial.monomial(2))
 
 
+def test_basic_sequence_solve_refuses_n_past_the_cap():
+    psi = classical()
+    with pytest.raises(CapExceededError, match="n_max 9 beyond operator cap 8"):
+        basic_sequence_solve(forward_difference_op(psi, 8), psi, 9)
+
+
 def test_basic_sequence_solve_to_degree_zero_is_one():
     psi = classical()
     for op in (forward_difference_op(psi, CAP), derivative_op(0)):
@@ -129,6 +137,19 @@ def test_delta_operator_requires_shift_invariance():
     x2d = (multiply_x_op(CAP + 2) * multiply_x_op(CAP + 2)) * derivative_op(CAP + 2)
     with pytest.raises(NotShiftInvariantError):
         DeltaOperator.from_operator(x2d.truncated(CAP), psi)
+
+
+@pytest.mark.parametrize("coeffs, cap, error", [
+    ([1, 1], CAP, NotDegreeLoweringError),
+    ([0, 0, 1], CAP, NonInvertibleError),
+    ([0], CAP, NonInvertibleError),
+    ([0, 1], 0, NonInvertibleError),
+])
+def test_delta_operator_from_indicator_needs_a_lowering_series(coeffs, cap,
+                                                                error):
+    # a nonzero constant term, or no nonzero linear term within the cap
+    with pytest.raises(error):
+        DeltaOperator.from_indicator(coeffs, classical(), cap)
 
 
 def test_delta_operator_indicator_of_difference():
@@ -160,6 +181,13 @@ def test_rodrigues_formulas_agree_with_solve():
         for formula in (1, 2, 3, 4):
             got = rodrigues_sequence(delta, 6, formula=formula)
             assert list(got) == list(reference)
+
+
+@pytest.mark.parametrize("formula", [0, 5])
+def test_rodrigues_formula_is_one_to_four(formula):
+    delta = DeltaOperator.from_indicator([0, 1], classical(), CAP)
+    with pytest.raises(ValueError, match="formula must be 1, 2, 3 or 4"):
+        rodrigues_sequence(delta, 3, formula=formula)
 
 
 def test_rodrigues_needs_headroom():
