@@ -38,13 +38,13 @@ def main():
     print()
     print("Defining relation (the difference drops one factor):")
     for n in range(1, 7):
-        assert delta.op(basics[n]) == Fraction(n) * basics[n - 1]
+        assert delta(basics[n]) == Fraction(n) * basics[n - 1]
     print("  delta p_n = n * p_(n-1) holds for n <= 6")
 
     print()
     print("The plain derivative written as a series in the difference")
     print("(alternating harmonic coefficients, the Mercator series):")
-    exp = expand_in_monomials(derivative_op(CAP), delta.op)
+    exp = expand_in_monomials(derivative_op(CAP), delta)
     row = [str(exp.coeff_polys[k].constant_term) for k in range(1, 9)]
     print("  D = " + " , ".join(row) + " , ...  (times delta^k)")
 

@@ -161,7 +161,7 @@ def run_basic(params, cap, psi):
         "psi": psi.to_json(),
         "formula": formula if closed is not None else None,
         "closed_form_agrees": agreement,
-        "polys": [p.to_json() for p in solved.polys],
+        "polys": solved.to_json(),
         "rows": rows,
     }
     lines = ["basic sequence of %s (n <= %d)" % (op_text, n_max)]

@@ -19,10 +19,11 @@ the whole table once, and keeps it, when every row is needed.  The
 weighted derivative, the forward difference and the translations are
 such values; ``operator_from_series`` gives the plain table.
 ``shift_invariant_coefficients`` is the one place that decides whether a
-table is a series: it reads the series off the constant terms, rebuilds
-it as a table and compares.  A series value in the weights asked about
-is its own answer.  The check that an operator lowers degree by exactly
-one lives here too; a series value settles it from rows 0 and 1.
+table is a series: it reads the series off the constant terms and
+compares the table with that series value up to the first difference.
+A series value in the weights asked about is its own answer.  The check
+that an operator lowers degree by exactly one lives here too; a series
+value settles it from rows 0 and 1.
 """
 
 from __future__ import annotations
@@ -333,27 +334,26 @@ def _series_rule(coeffs, psi: PsiSequence, cap: int):
     """The rule n -> image of x^n under sum_k c_k * (psi-derivative)^k.
 
     The weights are read when the rule is made, not when it runs, so a
-    weight sequence too short for the cap fails here.
+    weight sequence too short for the cap fails here; the coefficients are
+    reduced when the first row is built.
     """
     cs, c_den = _series_numerators(coeffs)
-    # Trailing zero terms are dropped, so no weight past the last nonzero
-    # term is read: a short custom sequence still serves a short series.
-    length = len(cs)
-    while length > 1 and not cs[length - 1]:
-        length -= 1
     # Row n holds c_k n_psi!/(n-k)_psi! at x^(n-k); with the factorials
     # f/g and c_k = a/b in lowest terms that is (a g_(n-k) / (b f_(n-k)))
     # * (f_n / g_n), collected over the lcm of the b f_(n-k).  A
     # nonconstant series reads weights 1..cap, those its falling products
     # n_psi ... (n-k+1)_psi span; a constant reads none.
-    terms = []
-    for k, a in enumerate(cs[:length]):
-        if a:
-            g = gcd(a, c_den)
-            terms.append((k, a // g, c_den // g))
-    fact = psi.factorial_pairs(cap) if length > 1 else [(1, 1)] * (cap + 1)
+    fact = psi.factorial_pairs(cap) if any(cs[1:]) else [(1, 1)] * (cap + 1)
+    terms = None
 
     def rule(n):
+        nonlocal terms
+        if terms is None:
+            terms = []
+            for k, a in enumerate(cs):
+                if a:
+                    g = gcd(a, c_den)
+                    terms.append((k, a // g, c_den // g))
         parts = []
         den = 1
         for k, a, b in terms:
@@ -493,8 +493,8 @@ def _series_and_witness(op: GradedOperator, psi: PsiSequence):
         return op.series, None
     c = TruncatedSeries(tuple(op.image(k).constant_term / psi.factorial(k)
                               for k in range(op.cap + 1)), op.cap)
-    model = operator_from_series(c, psi, op.cap)
-    for n, (img, want) in enumerate(zip(op.images, model.images)):
+    model = map(SeriesOperator(c, psi).image, range(op.cap + 1))
+    for n, (img, want) in enumerate(zip(op.images, model)):
         if img != want:
             i = max(img.degree, want.degree)
             while img.coefficient(i) == want.coefficient(i):

@@ -106,22 +106,20 @@ def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
     return BasicSequence(polys, psi, op)
 
 
-class DeltaOperator:
-    """A shift-invariant degree-lowering operator with its series data.
+class DeltaOperator(SeriesOperator):
+    """A shift-invariant degree-lowering operator, kept as its series value.
 
-    ``indicator`` holds the coefficients a_k of the operator as a series in
-    the weighted derivative (a_0 = 0, a_1 != 0); ``s_series`` is that series
-    divided by its variable, the coefficients of the invertible factor S,
-    and ``indicator_reversion`` its compositional inverse, computed once.
+    ``series`` is the indicator: the coefficients a_k of the operator as a
+    series in the weighted derivative (a_0 = 0, a_1 != 0); ``s_series`` is
+    that series divided by its variable, the coefficients of the invertible
+    factor S, and ``indicator_reversion`` its compositional inverse,
+    computed once.
     """
 
-    __slots__ = ("op", "psi", "indicator", "_reversion")
+    __slots__ = ("_reversion",)
 
-    def __init__(self, op: GradedOperator, psi: PsiSequence,
-                 indicator: TruncatedSeries):
-        self.op = op
-        self.psi = psi
-        self.indicator = indicator
+    def __init__(self, indicator: TruncatedSeries, psi: PsiSequence):
+        super().__init__(indicator, psi)
         self._reversion = None
 
     @classmethod
@@ -130,7 +128,7 @@ class DeltaOperator:
         # x must go to a nonzero constant, so a cap-0 table, which has no
         # image of x, is rejected too.
         _require_lowers_by_one(op, max(op.cap, 1), "")
-        return cls(op, psi, indicator)
+        return cls(indicator, psi)
 
     @classmethod
     def from_indicator(cls, coeffs, psi: PsiSequence, cap: int) -> "DeltaOperator":
@@ -139,26 +137,25 @@ class DeltaOperator:
             raise NotDegreeLoweringError("indicator must have zero constant term")
         if series.cap < 1 or series.coefficient(1) == 0:
             raise NonInvertibleError("indicator needs a nonzero linear term")
-        return cls(SeriesOperator(series, psi), psi, series)
+        return cls(series, psi)
 
-    @property
-    def cap(self) -> int:
-        return self.op.cap
+    op = property(lambda self: self, doc="The operator itself.")
+    indicator = property(lambda self: self.series, doc="Its series.")
 
     @property
     def s_series(self) -> TruncatedSeries:
         """Series of the invertible factor S in op = (weighted derivative) o S."""
-        return _series(self.indicator._num[1:], self.indicator._den, self.cap - 1)
+        return _series(self.series._num[1:], self.series._den, self._cap - 1)
 
     @property
     def indicator_reversion(self) -> TruncatedSeries:
         """The series r with indicator(r(z)) = z."""
         if self._reversion is None:
-            self._reversion = self.indicator.reversion()
+            self._reversion = self.series.reversion()
         return self._reversion
 
     def basic(self, n_max: int) -> BasicSequence:
-        return basic_sequence_solve(self.op, self.psi, n_max)
+        return basic_sequence_solve(self, self.psi, n_max)
 
 
 def rodrigues_sequence(delta: DeltaOperator, n_max: int,
@@ -184,7 +181,7 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
                                % (n_max, n_max + 1), cap=delta.cap)
     psi = delta.psi
     s_inv = delta.s_series.inverse()
-    q_prime = delta.indicator.differentiated()
+    q_prime = delta.series.differentiated()
     q_prime_inv = q_prime.inverse() if formula == 4 else None
     # w carries S^(-n), or S^(-n-1) for formula 1: one product per n.
     w = s_inv if formula == 1 else TruncatedSeries.one(s_inv.cap)
@@ -207,7 +204,7 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
             inner = apply_psi_series(q_prime_inv, psi, polys[n - 1])
             p = ratio * psi_raise(psi, inner)
         polys.append(p)
-    return BasicSequence(polys, psi, delta.op)
+    return BasicSequence(polys, psi, delta)
 
 
 def dual_raise_operator(basic: BasicSequence) -> GradedOperator:

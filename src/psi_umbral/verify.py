@@ -349,7 +349,7 @@ def check_first_expansion(cap: int) -> list[CheckResult]:
         # shift-invariant: rational series in the difference operator
         drawn = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                   for _ in range(6)] for _ in range(4)]
-        ts = [_series_in(delta.op, coeffs) for coeffs in drawn]
+        ts = [_series_in(delta, coeffs) for coeffs in drawn]
         read = [first_expansion_coeffs(t, delta).coeffs for t in ts]
 
         def holds(trial, n=None, k=None):

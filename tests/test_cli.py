@@ -119,6 +119,19 @@ def test_verify_single_suite(capsys):
     assert ", 0 failed" in out
 
 
+def test_verify_all_is_every_suite_in_order(capsys):
+    code, out, _ = run(capsys, "verify", "--cap", "6", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    singles = []
+    for suite in verify.SUITES:
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--cap", "6",
+                           "--format", "json")
+        assert code == 0
+        singles.extend(json.loads(out)["rows"])
+    assert len(rows) == 148 and rows == singles
+
+
 def test_verify_rejects_small_cap(capsys):
     code, _, err = run(capsys, "verify", "--cap", "4")
     assert code == 2
@@ -190,6 +203,13 @@ def test_cap_env_invalid(capsys, monkeypatch):
     code, _, err = run(capsys, "table")
     assert code == 2
     assert "PSI_UMBRAL_CAP" in err
+
+
+def test_cap_env_negative(capsys, monkeypatch):
+    monkeypatch.setenv("PSI_UMBRAL_CAP", "-1")
+    code, _, err = run(capsys, "table")
+    assert code == 2
+    assert err == "error: PSI_UMBRAL_CAP must be nonnegative\n"
 
 
 def test_cap_flag_overrides_env(capsys, monkeypatch):
@@ -447,6 +467,21 @@ def test_integrate_checks_weights_to_degree_plus_one(capsys, tmp_path, flags,
     assert code == 2
     assert json.loads(err)["details"]["pointer"] == (
         "/psi/q" if pointer == "--psi" else pointer)
+
+
+@pytest.mark.parametrize("flags, pointer, message", [
+    (["--kind", "q", "--poly", "1,2"], "/q", "--q is required for kind=q"),
+    (["--kind", "r", "--q", "2", "--poly", "1"], "/r_num",
+     "--r-num is required for kind=r"),
+    (["--kind", "r", "--q", "2", "--poly", "1", "--r-num", "1", "--r-den", "0"],
+     "/r_den", "rational function with zero denominator"),
+], ids=["q", "r_num", "r_den"])
+def test_integrate_kind_needs_its_parameters(capsys, flags, pointer, message):
+    code, _, err = run(capsys, "integrate", *flags, "--format", "json")
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["message"] == message
+    assert doc["details"]["pointer"] == pointer
 
 
 def test_integrate_within_cap_is_unchanged(capsys):

@@ -219,6 +219,50 @@ def test_first_expansion_reverts_the_indicator_once(monkeypatch):
     assert got[1].coeffs == (3, 0, 1) + (0,) * (CAP - 2)
 
 
+def test_gate_on_a_failing_table_builds_model_rows_up_to_its_witness(
+        monkeypatch):
+    psi = PsiSequence.classical(40)
+    table = parse_operator("D*X*D", OperatorContext(40, psi))
+    assert type(table) is GradedOperator and table.cap == 40
+    rows = counted_rows(monkeypatch)
+    with pytest.raises(NotShiftInvariantError) as err:
+        shift_invariant_coefficients(table, psi)
+    assert err.value.details == {"n": 2, "k": 1}
+    assert len(rows) <= 3
+
+
+@pytest.mark.parametrize("weights", sorted(WEIGHTS))
+def test_delta_operator_from_a_plain_table_is_a_series_value(weights):
+    psi = WEIGHTS[weights]()
+    table = GradedOperator(forward_difference_op(psi, CAP).images, CAP)
+    d = DeltaOperator.from_operator(table, psi)
+    assert isinstance(d, SeriesOperator) and d.psi is psi
+    assert d.cap == CAP and d.images == table.images
+    assert d.op is d and d.indicator is d.series
+
+
+@pytest.mark.parametrize("c", [3, Fraction(-1, 2)])
+def test_scalar_multiples_are_series_values_on_both_sides(c):
+    psi = WEIGHTS["q=1/2"]()
+    v = parse_operator("Delta + Dpsi^2", OperatorContext(CAP, psi))
+    plain = GradedOperator(v.images, CAP)
+    for got in (c * v, v * c):
+        assert type(got) is SeriesOperator and got.psi is psi
+        assert got.series == v.series * Fraction(c)
+        assert got.cap == CAP and got.images == (plain * c).images
+
+
+def test_arithmetic_on_a_delta_operator_gives_a_plain_series_value():
+    psi = WEIGHTS["q=2"]()
+    d = DeltaOperator.from_operator(forward_difference_op(psi, CAP), psi)
+    assert type(d) is DeltaOperator
+    for got, series in ((2 * d, d.series * Fraction(2)),
+                        (d + d, d.series + d.series),
+                        (d ** 2, d.series.power(2))):
+        assert type(got) is SeriesOperator and got.psi is psi
+        assert got.series == series
+
+
 @pytest.mark.parametrize("weights", sorted(WEIGHTS))
 def test_inverse_is_a_series_value_and_inverts_the_table(weights):
     psi = WEIGHTS[weights]()

@@ -8,7 +8,8 @@ from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.errors import (CapExceededError, NonInvertibleError,
                                NotDegreeLoweringError, NotShiftInvariantError,
                                SelfCheckError)
-from psi_umbral.operators import (GradedOperator, apply_psi_series,
+from psi_umbral.operators import (GradedOperator, SeriesOperator,
+                                  apply_psi_series,
                                   derivative_op, forward_difference_op,
                                   multiply_x_op, operator_from_series,
                                   psi_derivative_op,
@@ -408,6 +409,12 @@ def test_operator_from_series_reads_no_weight_past_the_last_term():
     psi = PsiSequence.custom([1, 2, 3])
     table = operator_from_series([5, 0, 0, 0], psi, 6)
     assert table == GradedOperator.scalar(5, 6)
+
+
+def test_a_nonconstant_series_reads_every_weight_to_its_cap():
+    # two custom weights do not serve z at cap 5, though z stops at degree 1
+    with pytest.raises(CapExceededError, match="no value at n=3"):
+        SeriesOperator(TruncatedSeries((0, 1), 5), PsiSequence.custom([1, 2]))
 
 
 # -- the integer apply and solve against Fraction loops written here --------
