@@ -296,6 +296,16 @@ def _linear_combination(p: Polynomial, rows) -> Polynomial:
     return _combination(zip(p._num, rows), p._den)
 
 
+def _generating_sum(polys, lam) -> Polynomial:
+    """sum_n lam^n polys[n] at an exact scalar lam = a/b, as one
+    combination: the ints a^n b^(N-n) over b^N for N the last index."""
+    lam = as_scalar(lam)
+    a, b = lam.numerator, lam.denominator
+    top = len(polys) - 1
+    return _combination([(a ** n * b ** (top - n), p)
+                         for n, p in enumerate(polys)], b ** top)
+
+
 def format_polynomial(p: Polynomial, var: str = "x") -> str:
     """Human form with descending powers, e.g. ``x^3 - 3*x^2 + 2*x``."""
     if p.is_zero:

@@ -133,6 +133,7 @@ def _operator(params, key, cap, psi):
 
 
 # -- subcommand bodies -------------------------------------------------------
+# Each returns (doc, text lines, ok); main adds "command" and "cap" to doc.
 
 def run_basic(params, cap, psi):
     op, op_text = _operator(params, "op", cap, psi)
@@ -155,9 +156,7 @@ def run_basic(params, cap, psi):
             row["closed_form_agrees"] = closed[n] == solved[n]
         rows.append(row)
     doc = {
-        "command": "basic",
         "op": op_text,
-        "cap": cap,
         "psi": psi.to_json(),
         "formula": formula if closed is not None else None,
         "closed_form_agrees": agreement,
@@ -186,14 +185,12 @@ def run_expand(params, cap, psi):
     conj = None
     if params.get("lambda_samples"):
         samples = [scalar_from_str(s) for s in params["lambda_samples"]]
-        conj_ok, report = conjugate_indicator_check(t_op, base_op, samples)
+        conj_ok, report = conjugate_indicator_check(t_op, exp, samples)
         conj = report
         ok = ok and conj_ok
     doc = exp.to_json(base_text)
     doc.update({
-        "command": "expand",
         "t": t_text,
-        "cap": cap,
         "psi": psi.to_json(),
         "reconstructs": reconstructs,
         "conjugation": conj,
@@ -216,7 +213,7 @@ def run_detect(params, cap, psi):
     op, op_text = _operator(params, "op", cap, psi)
     result = detect_psi_series(op)
     doc = result.to_json()
-    doc.update({"command": "detect", "op": op_text, "cap": cap})
+    doc["op"] = op_text
     if result.is_series:
         weights = result.psi.values(result.psi.stored_cap)
         doc["rows"] = [{"n": n + 1, "n_psi": scalar_to_str(w)}
@@ -258,8 +255,7 @@ def run_verify(params, cap, psi):
             ok = ok and r.passed
     lines.append("%d checks, %d failed" % (len(rows),
                                            sum(not r["passed"] for r in rows)))
-    doc = {"command": "verify", "cap": cap, "suite": suite, "rows": rows,
-           "passed": ok}
+    doc = {"suite": suite, "rows": rows, "passed": ok}
     return doc, lines, ok
 
 
@@ -291,9 +287,7 @@ def run_integrate(params, cap, psi):
 
     roundtrip = psi_derivative(dpsi, integral) == p
     doc = {
-        "command": "integrate",
         "kind": kind,
-        "cap": cap,
         "input": p.to_json(),
         "integral": integral.to_json(),
         "derivative_roundtrip": roundtrip,
@@ -314,8 +308,6 @@ def run_translate(params, cap, psi):
     y = scalar_from_str(params["y"])
     shifted = translate(psi, y, p)
     doc = {
-        "command": "translate",
-        "cap": cap,
         "psi": psi.to_json(),
         "y": scalar_to_str(y),
         "input": p.to_json(),
@@ -337,8 +329,7 @@ def run_table(params, cap, psi):
     tri_max = min(cap, 10)
     triangle = [[scalar_to_str(psi.binomial(n, k)) for k in range(n + 1)]
                 for n in range(tri_max + 1)]
-    doc = {"command": "table", "cap": cap, "psi": psi.to_json(),
-           "rows": rows, "binomials": triangle}
+    doc = {"psi": psi.to_json(), "rows": rows, "binomials": triangle}
     lines = ["weights for %s (cap %d)" % (psi.label, cap),
              "  n   n_psi        n_psi!"]
     for row in rows:
@@ -498,6 +489,7 @@ def main(argv=None) -> int:
     except PsiUmbralError as exc:
         _report_error(exc, fmt)
         return 1
+    doc.update(command=command, cap=cap)
     render(doc, lines, fmt, sys.stdout)
     return 0 if ok else 1
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _combination,
-                      _raw_product, as_scalar, scalar_to_str)
+                      _generating_sum, _raw_product, scalar_to_str)
 from .errors import CapExceededError
 from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
                         _series_and_witness, psi_derivative_op,
@@ -61,13 +61,7 @@ class OperatorExpansion:
 
     def indicator_at(self, lam) -> Polynomial:
         """P(x; lam) = sum_n q_n(x) lam^n at an exact scalar."""
-        lam = as_scalar(lam)
-        out = Polynomial()
-        lpow = Fraction(1)
-        for q in self.coeff_polys:
-            out = out + lpow * q
-            lpow *= lam
-        return out
+        return _generating_sum(self.coeff_polys, lam)
 
     def to_json(self, base_label: str):
         return {"base": base_label,
@@ -236,19 +230,24 @@ def apply_dual_form(exp: OperatorExpansion, basic: BasicSequence,
     return u.apply(h)
 
 
-def conjugate_indicator_check(t: GradedOperator, base: GradedOperator,
+def conjugate_indicator_check(t: GradedOperator,
+                              expansion: OperatorExpansion,
                               lambda_samples=()):
-    """Verify P(x; lam) = Phi^(-1) (T Phi) order by order in lam.
+    """Verify the monomial-form expansion of T against Phi^(-1) (T Phi)
+    order by order in lam, through ``expansion.order``.
 
-    Phi is the formal eigenfunction of the base operator, represented by
+    Phi is the formal eigenfunction of the expansion's base, represented by
     its unit-normalized sequence r_n, so T Phi and the division by Phi are
     computed in the ring of lam-polynomials with polynomial coefficients.
-    Exact through every order the tables support; the optional scalar
-    samples are evaluated on the verified truncations for the report.
+    The optional scalar samples evaluate both sides for the report.  A
+    dual-form expansion, whose q_n act through the raise and not through
+    x, raises ``ValueError``.
     """
-    cap = min(t.cap, base.cap)
-    expansion = expand_in_monomials(t.truncated(cap), base.truncated(cap))
-    table = unit_normal_sequence(base, cap)
+    if expansion.form != "monomial":
+        raise ValueError("the conjugation check needs a monomial-form "
+                         "expansion, got the %s form" % expansion.form)
+    cap = expansion.order
+    table = unit_normal_sequence(expansion.base, cap)
     applied = [t.apply(r) for r in table]
     # Triangular division by Phi = sum lam^n r_n (r_0 = 1).
     conj = []
@@ -262,15 +261,9 @@ def conjugate_indicator_check(t: GradedOperator, base: GradedOperator,
     ok = not mismatches
     samples = []
     for lam in lambda_samples:
-        lam = as_scalar(lam)
-        left = Polynomial()
-        lpow = Fraction(1)
-        for c in conj:
-            left = left + lpow * c
-            lpow *= lam
-        right = expansion.indicator_at(lam)
+        left = _generating_sum(conj, lam)
         samples.append({"lambda": scalar_to_str(lam),
-                        "match": left == right,
+                        "match": left == expansion.indicator_at(lam),
                         "value": left.to_json()})
     report = {"ok": ok, "order": cap, "mismatched_orders": mismatches,
               "samples": samples}
@@ -317,11 +310,11 @@ class DetectionResult:
 def detect_psi_series(op: GradedOperator) -> DetectionResult:
     """Decide whether op = d + sum_(k>=2) c_k d^k for SOME admissible weights.
 
-    The operator is first normalized so its action on x is exactly 1 (the
-    applied scale is reported).  The leading coefficients of its images
-    propose the weights; the series c read off with those weights is
-    rebuilt as a table, and the verdict compares the two, with the first
-    differing (n, k) (coefficient of x^(n-k) in the image of x^n) as witness.
+    The scale that sends x to exactly 1 is reported.  The leading
+    coefficients of the scaled images propose the weights; op itself is
+    compared with the series c read off it in those weights, with the first
+    differing (n, k) (coefficient of x^(n-k) in the image of x^n) as
+    witness, and scale * c is the series of the scaled operator.
 
     A series value sum_k c_k d^k in weights psi needs no comparison: with
     d = 1_psi * e for the derivative e of the weights n_psi/1_psi, the
@@ -337,10 +330,10 @@ def detect_psi_series(op: GradedOperator) -> DetectionResult:
         return DetectionResult(True, psi, [scale * c * one ** k for k, c in
                                            enumerate(op.series.coeffs)],
                                scale, None)
-    scaled = scale * op
-    psi = PsiSequence.custom([scaled.image(n).coefficient(n - 1)
+    psi = PsiSequence.custom([scale * op.image(n).coefficient(n - 1)
                               for n in range(1, cap + 1)])
-    c, witness = _series_and_witness(scaled, psi)
+    c, witness = _series_and_witness(op, psi)
     if witness is not None:
         return DetectionResult(False, None, None, scale, witness)
-    return DetectionResult(True, psi, list(c.coeffs), scale, None)
+    return DetectionResult(True, psi, [scale * a for a in c.coeffs], scale,
+                           None)

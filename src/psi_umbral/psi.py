@@ -48,9 +48,6 @@ class RationalFunction:
                 "rational function denominator vanishes at %s" % (x0,))
         return self.num(x0) / d
 
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
 
 def jackson_bracket(q: Fraction, n: int) -> Fraction:
     """The q-analog (1-q^n)/(1-q), computed as 1 + q + ... + q^(n-1).

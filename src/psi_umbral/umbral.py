@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (Polynomial, TruncatedSeries, _linear_combination,
-                      _series, _triangular_inverse, as_scalar)
+from .algebra import (Polynomial, TruncatedSeries, _generating_sum,
+                      _linear_combination, _series, _triangular_inverse)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError)
 from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
@@ -128,7 +128,11 @@ class DeltaOperator(SeriesOperator):
         # x must go to a nonzero constant, so a cap-0 table, which has no
         # image of x, is rejected too.
         _require_lowers_by_one(op, max(op.cap, 1), "")
-        return cls(indicator, psi)
+        delta = cls(indicator, psi)
+        if not (isinstance(op, SeriesOperator) and op.psi is psi):
+            # the gate has just matched these rows with the series' own
+            delta._rows.update(enumerate(op.images))
+        return delta
 
     @classmethod
     def from_indicator(cls, coeffs, psi: PsiSequence, cap: int) -> "DeltaOperator":
@@ -253,13 +257,6 @@ def eigenfunction_series(op: GradedOperator, lam,
     unit-normalized polynomials r_n whose generating sum it is:
     Phi = sum_n lam^n r_n(x).
     """
-    lam = as_scalar(lam)
     table = unit_normal_sequence(op, cap)
-    coeffs = [Fraction(0)] * (cap + 1)
-    lpow = Fraction(1)
-    for n, r in enumerate(table):
-        for i, c in enumerate(r.coeffs):
-            if c != 0:
-                coeffs[i] += lpow * c
-        lpow *= lam
-    return TruncatedSeries(coeffs, cap), table
+    return (TruncatedSeries.from_polynomial(_generating_sum(table, lam), cap),
+            table)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from psi_umbral import cli, verify
 from psi_umbral.cli import main
+from psi_umbral.errors import JobSpecError
 from psi_umbral.exprparse import MAX_NESTING, OperatorContext, parse_operator
 from test_acceptance import _solve_with_x_in_p3
 
@@ -130,6 +131,16 @@ def test_verify_all_is_every_suite_in_order(capsys):
         assert code == 0
         singles.extend(json.loads(out)["rows"])
     assert len(rows) == 148 and rows == singles
+
+
+def test_unknown_suite_is_a_job_spec_error_at_the_suite():
+    # the error a job file with "suite": "nope" gets from its validator
+    with pytest.raises(JobSpecError) as err:
+        verify.run_suite("nope", 6)
+    assert err.value.to_json() == {
+        "code": "job_spec", "details": {"pointer": "/suite"},
+        "message": "unknown suite 'nope' (have: ghw, binomial, rodrigues, "
+                   "expansion, leibniz, integration, poisson, special)"}
 
 
 def test_verify_rejects_small_cap(capsys):
@@ -659,7 +670,13 @@ def _as_flag_run(run_result):
     (["--psi", '{"kind":"custom","n_psi":["1","0"]}', "--cap", "3"],
      {"psi": {"kind": "custom", "n_psi": ["1", "0"]}, "cap": 3}, "--psi",
      "weights inadmissible at cap 3: weight vanishes at n=2 (n=2)"),
-], ids=["q-1", "q1", "cap", "custom"])
+    (["--psi", '{"kind":"rational","R_num":["1"],"R_den":["-1/4","1"],'
+               '"q":"1/2"}', "--cap", "4"],
+     {"psi": {"kind": "rational", "R_num": ["1"], "R_den": ["-1/4", "1"],
+              "q": "1/2"}, "cap": 4}, "--psi",
+     "weights inadmissible at cap 4: rational function denominator "
+     "vanishes at 1/4 (n=2)"),
+], ids=["q-1", "q1", "cap", "custom", "rational-pole"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_weights_and_cap_give_one_message_on_both_routes(
         capsys, tmp_path, monkeypatch, flags, keys, pointer, message, fmt):
@@ -700,6 +717,16 @@ def test_weight_lists_must_be_lists_of_rational_strings(capsys, tmp_path, psi,
     assert job_run[:2] == (2, "")
     assert flag_run == _as_flag_run(job_run)
     assert json.loads(flag_run[2])["details"]["pointer"] == "--psi"
+
+
+def test_unknown_weights_name_lists_the_forms(capsys):
+    code, out, err = run(capsys, "basic", "--psi", "nonsense",
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "code": "job_spec", "details": {"pointer": "--psi"},
+        "message": "unrecognized weight sequence 'nonsense' (try classical, "
+                   "divided_difference, q:RAT, custom:V1,V2,... or JSON)"}
 
 
 @pytest.mark.parametrize("psi", ['{"kind":"q"}', '{"kind":"custom","n_psi":5}',

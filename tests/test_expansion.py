@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psi_umbral import expansion, verify
+from psi_umbral import cli, expansion, verify
 from psi_umbral.algebra import Polynomial
 from psi_umbral.errors import (CapExceededError, NotDegreeLoweringError,
                                NotShiftInvariantError, PsiUmbralError)
@@ -115,8 +115,9 @@ def test_indicator_at_sums_coefficients():
     d = derivative_op(6)
     t = multiply_x_op(7) * d + d * d
     exp = expand_in_monomials(t, d)
-    # q_0 + q_1*lam + q_2*lam^2 = 0 + 2x + 4
-    assert exp.indicator_at(2) == Polynomial((4, 2))
+    # q_0 + q_1*lam + q_2*lam^2 = 0 + lam x + lam^2
+    for lam in (Fraction(2), Fraction(0), Fraction(-3, 2), Fraction(5, 7)):
+        assert exp.indicator_at(lam) == Polynomial((lam * lam, lam))
 
 
 def test_expansion_json_shape():
@@ -213,7 +214,7 @@ def test_conjugation_check_passes_and_reports():
     psi = PsiSequence.classical(10)
     base = forward_difference_op(psi, 10)
     t = multiply_x_op(11) * derivative_op(11)
-    ok, report = conjugate_indicator_check(t.truncated(10), base,
+    ok, report = conjugate_indicator_check(t, expand_in_monomials(t, base),
                                            (Fraction(1), Fraction(1, 2)))
     assert ok
     assert report["ok"]
@@ -221,6 +222,43 @@ def test_conjugation_check_passes_and_reports():
     assert report["order"] == 10
     assert len(report["samples"]) == 2
     assert all(s["match"] for s in report["samples"])
+
+
+def test_conjugation_check_refuses_a_dual_form_expansion():
+    psi = PsiSequence.jackson(2, CAP)
+    delta = DeltaOperator.from_operator(forward_difference_op(psi, CAP), psi)
+    t = multiply_x_op(CAP)
+    with pytest.raises(ValueError, match="monomial-form"):
+        conjugate_indicator_check(t, expand_in_basic(t, delta.basic(CAP)))
+
+
+def counted_expansions(monkeypatch):
+    """A list that gains one entry per monomial-form expansion from now on."""
+    calls = []
+    real = expansion.expand_in_monomials
+
+    def counting(t, base):
+        calls.append(base.cap)
+        return real(t, base)
+
+    for module in (expansion, verify, cli):
+        monkeypatch.setattr(module, "expand_in_monomials", counting)
+    return calls
+
+
+def test_roundtrip_expands_each_random_operator_once(monkeypatch):
+    calls = counted_expansions(monkeypatch)
+    results = verify.check_random_roundtrip(8)
+    assert [r.passed for r in results] == [True] * 10
+    assert len(calls) == 20 * len(verify.standard_suite_psis(8))
+
+
+def test_expand_certifies_the_expansion_it_prints(monkeypatch, capsys):
+    calls = counted_expansions(monkeypatch)
+    assert cli.main(["expand", "--t", "X*Dpsi", "--q", "Dpsi",
+                     "--lambda", "1,1/2"]) == 0
+    assert "eigenseries conjugation check: ok" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_detect_weighted_derivative_square_weights():
@@ -373,7 +411,7 @@ def test_monomial_expansion_is_faithful(t):
 @settings(max_examples=25)
 def test_conjugation_check_holds_for_arbitrary_operators(t):
     base = forward_difference_op(PsiSequence.classical(6), 6)
-    ok, report = conjugate_indicator_check(t, base)
+    ok, report = conjugate_indicator_check(t, expand_in_monomials(t, base))
     assert ok, report["mismatched_orders"]
 
 
@@ -495,8 +533,8 @@ def test_series_base_applies_no_operator(monkeypatch):
         reconstruct_from_monomial_form(expand_in_monomials(t, plain), 16)
         assert calls.count("powers") == 2 and "apply" in calls
         calls.clear()
-        # the conjugation check expands in the truncated base, still a series
-        assert conjugate_indicator_check(t, base)[0]
+        # the conjugation check reads the series expansion it is handed
+        assert conjugate_indicator_check(t, exp)[0]
         assert "powers" not in calls
         calls.clear()
         # the dual form expands the conjugated operator in classical D, a

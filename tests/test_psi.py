@@ -74,6 +74,16 @@ def test_rational_weights_can_be_inadmissible():
     assert report.first_violation == 2
 
 
+def test_rational_weights_with_a_vanishing_denominator():
+    # R(x) = 1/(x - 1/4) has its pole at q^2 for q = 1/2
+    rat = RationalFunction(Polynomial([1]), Polynomial([Fraction(-1, 4), 1]))
+    psi = PsiSequence.rational(rat, Fraction(1, 2), 1)
+    with pytest.raises(AdmissibilityError) as err:
+        psi.n_psi(2)
+    assert err.value.details == {"n": 2}
+    assert err.value.message == "rational function denominator vanishes at 1/4"
+
+
 def test_custom_weights_and_exhaustion():
     psi = PsiSequence.custom([1, 4, 9])
     assert psi.n_psi(3) == 9
@@ -87,6 +97,10 @@ def test_custom_zero_weight_is_caught():
     psi = PsiSequence.custom([1, 0, 3], cap=1)
     with pytest.raises(AdmissibilityError):
         psi.n_psi(2)
+    report = validate_admissible(PsiSequence.custom([1, 0, 3]), 3)
+    assert report.to_json() == {"ok": False, "cap": 3, "psi": "custom",
+                                 "first_violation": 2,
+                                 "reason": "weight vanishes at n=2"}
 
 
 def test_lazy_extension_past_construction_cap():

@@ -241,6 +241,19 @@ def test_delta_operator_from_a_plain_table_is_a_series_value(weights):
     assert d.op is d and d.indicator is d.series
 
 
+def test_delta_operator_keeps_the_rows_its_gate_matched(monkeypatch):
+    psi = PsiSequence.classical(40)
+    table = GradedOperator(forward_difference_op(psi, 40).images, 40)
+    rows = counted_rows(monkeypatch)
+    d = DeltaOperator.from_operator(table, psi)
+    counts = [len(rows)]
+    d.basic(8)
+    counts.append(len(rows))
+    assert d.images == table.images
+    counts.append(len(rows))
+    assert counts == [41, 41, 41]
+
+
 @pytest.mark.parametrize("c", [3, Fraction(-1, 2)])
 def test_scalar_multiples_are_series_values_on_both_sides(c):
     psi = WEIGHTS["q=1/2"]()

@@ -34,6 +34,11 @@ def test_star_product_with_one_rescales():
     assert got.as_polynomial() == Polynomial((0, Fraction(1, 2)))
 
 
+def test_star_product_takes_polynomials_and_series_only():
+    with pytest.raises(TypeError):
+        star_mul([1], [1], PsiSequence.classical(3))
+
+
 def test_star_product_is_not_commutative():
     psi = PsiSequence.jackson(2, 8)
     f = Polynomial((0, 1))
