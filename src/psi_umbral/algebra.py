@@ -478,36 +478,40 @@ class TruncatedSeries:
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term.
 
-        Fraction-free: with A the numerators and a = A_0, the inverse of A
-        has coefficients C_n / a^(n+1), where C_0 = 1 and
-        C_n = -sum_(k=1..n) A_k C_(n-k) a^(k-1).
+        Fraction-free on the numerators A, with A_0 made positive by a sign
+        put back at the end, and a = |A_0|.  Through order n the inverse of
+        A is (c_0..c_n) / d with gcd(d, c_0, .., c_n) = 1, from c = [1] and
+        d = a.  Order n adds c_n = -s / (a d), s = sum_(k>=1) A_k c_(n-k).
+        The old vector is primitive, so the content of
+        (a d, a c_0, .., a c_(n-1), s) is g = gcd(a, s): every c is
+        multiplied by a/g, -s/g is appended and d becomes d a/g.  No entry
+        carries a power of a.
         """
         a = self._num
-        a0 = a[0]
-        if a0 == 0:
+        if a[0] == 0:
             raise NonInvertibleError(
                 "series with zero constant term has no multiplicative inverse")
+        sign = 1 if a[0] > 0 else -1
+        a0 = sign * a[0]
         cap = self._cap
-        a_pow = [1]
-        for _ in range(cap):
-            a_pow.append(a_pow[-1] * a0)
-        terms = [(k, a[k] * a_pow[k - 1]) for k in range(1, cap + 1) if a[k]]
+        terms = [(k, sign * a[k]) for k in range(1, cap + 1) if a[k]]
         c = [1]
+        d = a0
         for n in range(1, cap + 1):
             s = 0
             for k, t in terms:
                 if k > n:
                     break
                 s += t * c[n - k]
-            c.append(-s)
-        # self = A / den, so its inverse is den * C_n / a^(n+1), over a^(cap+1).
-        den = self._den
-        nums = [den * x * a_pow[cap - n] for n, x in enumerate(c)]
-        out_den = a_pow[cap] * a0
-        if out_den < 0:
-            nums = [-x for x in nums]
-            out_den = -out_den
-        return _series(nums, out_den, cap)
+            g = gcd(a0, s)
+            m = a0 // g
+            if m != 1:
+                c = [x * m for x in c]
+                d *= m
+            c.append(-s // g)
+        # self = sign * A / den, so its inverse is sign * den * c_n / d.
+        den = sign * self._den
+        return _series([den * x for x in c], d, cap)
 
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):

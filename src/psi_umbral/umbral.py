@@ -184,8 +184,11 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
         raise CapExceededError("n_max %d needs cap at least %d"
                                % (n_max, n_max + 1), cap=delta.cap)
     psi = delta.psi
-    s_inv = delta.s_series.inverse()
-    q_prime = delta.series.differentiated()
+    # Each series below is applied only to polynomials of degree <= n_max,
+    # so its terms past z^n_max cannot reach the answer.
+    order = max(n_max, 0)
+    s_inv = delta.s_series.truncated(order).inverse()
+    q_prime = delta.series.differentiated().truncated(order)
     q_prime_inv = q_prime.inverse() if formula == 4 else None
     # w carries S^(-n), or S^(-n-1) for formula 1: one product per n.
     w = s_inv if formula == 1 else TruncatedSeries.one(s_inv.cap)

@@ -14,6 +14,7 @@ from psi_umbral.algebra import (NEG_INF, Polynomial, TruncatedSeries,
 from psi_umbral.errors import (CompositionError, NonInvertibleError,
                                SelfCheckError)
 from psi_umbral.operators import GradedOperator
+from psi_umbral.psi import PsiSequence
 
 
 def rationals(max_num=30, max_den=6):
@@ -380,6 +381,44 @@ def test_inverse_with_a_negative_constant_term(cap):
         assert_canonical_series(inv)
         assert list(inv.coeffs) == ref_series_inverse(a)
         assert inv * TruncatedSeries(a, cap) == TruncatedSeries.one(cap)
+
+
+CONTENT_TAIL = (0, 1, 2, 3, 4, 6, 9, 12, 2 ** 19, Fraction(1, 3), Fraction(2, 9))
+
+
+@pytest.mark.parametrize("cap", KERNEL_CAPS)
+@pytest.mark.parametrize("a0", [Fraction(6), Fraction(4, 9), Fraction(-2 ** 20),
+                                Fraction(1), Fraction(-1)])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_inverse_removes_common_content(cap, a0, sparse):
+    # The inverse keeps its numerators primitive over one denominator by
+    # dividing out g = gcd(a0, s) at each order.  Constant terms that share
+    # factors with the later sums make g neither 1 nor a0; units make a0/g
+    # +-1; sparse tails leave orders where s = 0.
+    rng = random.Random("content:%s:%d:%d" % (a0, cap, sparse))
+    for _ in range(4 if cap == 24 else 12):
+        a = [a0] + [rng.choice((-1, 1)) * rng.choice(CONTENT_TAIL)
+                    for _ in range(cap)]
+        if sparse:
+            a = [x if i == 0 or rng.random() < 0.15 else Fraction(0)
+                 for i, x in enumerate(a)]
+        s = TruncatedSeries(a, cap)
+        inv = s.inverse()
+        assert_canonical_series(inv)
+        assert list(inv.coeffs) == ref_series_inverse(a)
+        assert inv * s == TruncatedSeries.one(cap)
+
+
+def test_inverse_of_the_jackson_difference_factor_at_cap_48():
+    # S = sum_k z^k / (k+1)_q! for the q-forward difference at q = 1/2: its
+    # common denominator, the constant term of its numerators, has over a
+    # thousand bits
+    cap = 48
+    psi = PsiSequence.jackson(Fraction(1, 2), cap + 1)
+    a = [1 / psi.factorial(k + 1) for k in range(cap + 1)]
+    inv = TruncatedSeries(a, cap).inverse()
+    assert_canonical_series(inv)
+    assert list(inv.coeffs) == ref_series_inverse(a)
 
 
 def test_zero_series_are_all_the_same():

@@ -410,6 +410,17 @@ def test_basic_past_the_cap_is_a_computation_error(capsys):
     assert (code, out, err) == (1, "", "error: n_max 10 beyond operator cap 8\n")
 
 
+def test_basic_closed_form_does_not_grow_with_the_cap(capsys):
+    # p_0..p_3 read the closed form's series only through z^3, so a large
+    # cap prints the same bytes; inverting the whole cap-63 series on
+    # q = 1/2 weights would cost seconds
+    argv = ["basic", "--op", "Delta", "--psi", "q:1/2", "--n", "3"]
+    small = run(capsys, *argv, "--cap", "8")
+    large = run(capsys, *argv, "--cap", "64")
+    assert small[0] == 0
+    assert large == small
+
+
 def test_output_is_deterministic(capsys):
     argv = ["verify", "--suite", "binomial", "--cap", "6", "--format", "json"]
     code1, out1, _ = run(capsys, *argv)

@@ -1,10 +1,12 @@
-"""Basic sequences and Gaussian binomials against classical closed forms.
+"""Basic sequences, Gaussian binomials and series inverses against classical
+closed forms.
 
 The closed forms are the benchmark's oracles in ``perfbench/oracles.py``,
-and the Laguerre coefficients below: plain Fraction code that imports
-nothing from psi_umbral, so a kernel that goes wrong cannot agree with them
-by sharing the fault.  The benchmark file is loaded by path, so each
-formula keeps one home.  The caps are ones the benchmark does not use.
+and the Laguerre coefficients and Jackson exponentials below: plain Fraction
+code that imports nothing from psi_umbral, so a kernel that goes wrong cannot
+agree with them by sharing the fault.  The benchmark file is loaded by path,
+so each formula keeps one home.  The caps 13 and 21 are ones the
+benchmark's series workload does not use.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ from math import comb, factorial
 
 import pytest
 
+from psi_umbral.algebra import TruncatedSeries
 from psi_umbral.cli import main
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator
@@ -95,3 +98,33 @@ def test_basic_of_t_over_t_minus_one_is_laguerre(cap):
                                          PsiSequence.classical(cap), cap)
     polys = delta.basic(cap - 1).polys
     assert [list(p.coeffs) for p in polys] == [laguerre(n) for n in range(cap)]
+
+
+def q_factorials(q, cap):
+    """[n]_q! for n <= cap, with [n]_q = 1 + q + ... + q^(n-1)."""
+    out = [Fraction(1)]
+    for n in range(1, cap + 1):
+        out.append(out[-1] * sum(q ** i for i in range(n)))
+    return out
+
+
+@pytest.mark.parametrize("cap", CAPS + (48,))
+@pytest.mark.parametrize("q", ["1/2", "2", "-3"])
+def test_inverse_of_small_q_exponential_is_big_one_at_minus_z(cap, q):
+    # e_q(z) E_q(-z) = 1 with e_q(z) = sum z^n/[n]_q! and
+    # E_q(z) = sum q^(n(n-1)/2) z^n/[n]_q! (Kac & Cheung, Quantum Calculus,
+    # 2002, ch. 9)
+    q = Fraction(q)
+    fact = q_factorials(q, cap)
+    small = [1 / f for f in fact]
+    big_at_minus_z = [q ** (n * (n - 1) // 2) * (-1) ** n / f
+                      for n, f in enumerate(fact)]
+    assert list(TruncatedSeries(small, cap).inverse().coeffs) == big_at_minus_z
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_inverse_of_the_classical_difference_factor_is_bernoulli(cap):
+    # S = (e^z - 1)/z, so 1/S = z/(e^z - 1)
+    s = TruncatedSeries([Fraction(1, factorial(k + 1)) for k in range(cap + 1)],
+                        cap)
+    assert list(s.inverse().coeffs) == oracles.bernoulli_series(cap)

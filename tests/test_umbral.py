@@ -198,6 +198,32 @@ def test_rodrigues_needs_headroom():
         rodrigues_sequence(delta, 4)
 
 
+@pytest.mark.parametrize("formula", [1, 2, 3, 4])
+def test_rodrigues_inverts_only_to_the_order_it_needs(formula, monkeypatch):
+    # p_0..p_3 read S^(-1) and (q')^(-1) only through z^3, so a cap-40
+    # delta must not invert its cap-39 series
+    psi = PsiSequence.jackson(Fraction(1, 2), 40)
+    delta = DeltaOperator.from_operator(forward_difference_op(psi, 40), psi)
+    inverted = []
+    inverse = TruncatedSeries.inverse
+
+    def spy(series):
+        inverted.append(series.cap)
+        return inverse(series)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", spy)
+    got = rodrigues_sequence(delta, 3, formula)
+    assert inverted == ([3, 3] if formula == 4 else [3])
+    monkeypatch.undo()
+    assert list(got) == list(delta.basic(3))
+
+
+def test_rodrigues_below_zero_is_the_constant_one():
+    delta = DeltaOperator.from_indicator([0, 1, 1], classical(), 4)
+    for formula in (1, 2, 3, 4):
+        assert list(rodrigues_sequence(delta, -1, formula)) == [Polynomial.one()]
+
+
 def test_binomial_identity_for_difference_basis():
     psi = PsiSequence.jackson(2, CAP)
     delta = forward_difference_op(psi, CAP)
