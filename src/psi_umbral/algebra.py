@@ -265,6 +265,27 @@ def _combination(terms, den: int) -> Polynomial:
     return _from_ints(out, lcm * den)
 
 
+def _shifted_combination(terms, den: int) -> Polynomial:
+    """sum m * x^s * row / den over the (int m, Polynomial row, int s)
+    terms: ``_combination`` with each row read s places up, so no shifted
+    copy is built and its leading zeros are never walked."""
+    terms = [(m, row, s) for m, row, s in terms if m and row._num]
+    lcm = 1
+    for _, row, _ in terms:
+        if lcm % row._den:
+            lcm = lcm // gcd(lcm, row._den) * row._den
+    out = []
+    for m, row, s in terms:
+        m *= lcm // row._den
+        r = row._num
+        if len(out) < s + len(r):
+            out.extend([0] * (s + len(r) - len(out)))
+        for j, y in enumerate(r, s):
+            if y:
+                out[j] += m * y
+    return _from_ints(out, lcm * den)
+
+
 def _raw_product(a: Polynomial, b: Polynomial) -> Polynomial:
     """a * b with its numerators and denominator left unreduced: a term for
     ``_combination``, which reduces the whole sum once."""

@@ -387,6 +387,14 @@ class _Parser(argparse.ArgumentParser):
         except argparse.ArgumentError as exc:
             self.error(str(exc), exc.argument_name)
 
+    def _parse_optional(self, arg_string):
+        try:
+            return super()._parse_optional(arg_string)
+        except JobSpecError as exc:
+            # argparse names no argument for an ambiguous prefix: point at
+            # the option as typed
+            self.error(exc.message, arg_string.split("=", 1)[0])
+
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
         if extras:

@@ -15,12 +15,21 @@ F_k = sum_(n<=k) (s^n)_k q_n, so the solve has two triangular steps,
 
 the second reading a table of scalar series powers s^n; reconstruction
 runs them forward.  On either route each row is one combination over one
-denominator.  A dual variant replaces multiplication by x with the
-raising partner of Q and the monomials with Q's basic sequence; it is the
-monomial form conjugated by the umbral map of that sequence.  The
-generating sum P(x; lam) of the q_n is the conjugate of T by the formal
-eigenfunction of Q, which is the cross-check implemented here, order by
-order in lam with no truncation leakage.
+denominator, and step 1 reads each F_k in place at its shift.
+
+A series base keeps what the route reads of it and nothing of T: the
+factorials of its weights and the rows of its power table, per cap, and
+the unit-normal sequence the conjugation check divides by, per order.
+Every operator expanded in one base, and every reconstruction, then reads
+them without building them again, as a delta operator keeps its reverted
+indicator; a plain-table base keeps nothing.
+
+A dual variant replaces multiplication by x with the raising partner of Q
+and the monomials with Q's basic sequence; it is the monomial form
+conjugated by the umbral map of that sequence.  The generating sum
+P(x; lam) of the q_n is the conjugate of T by the formal eigenfunction of
+Q, which is the cross-check implemented here, order by order in lam with
+no truncation leakage.
 
 The same table decides whether a given operator is a series in SOME
 weighted derivative at all: the leading coefficients of its images are the
@@ -35,7 +44,8 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _combination,
-                      _generating_sum, _raw_product, scalar_to_str)
+                      _generating_sum, _raw_product, _shifted_combination,
+                      scalar_to_str)
 from .errors import CapExceededError
 from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
                         _series_and_witness, psi_derivative_op,
@@ -87,61 +97,87 @@ def _factorials(psi: PsiSequence, cap: int) -> list:
     return out
 
 
-def _series_powers(s: TruncatedSeries, count: int, cap: int) -> list:
-    """s^0 .. s^count through degree cap."""
+def _series_powers(s: TruncatedSeries, cap: int) -> list:
+    """s^0 .. s^cap through degree cap."""
     s = s.truncated(cap)
     out = [TruncatedSeries.one(cap)]
-    for _ in range(count):
+    for _ in range(cap):
         out.append(out[-1] * s)
     return out
 
 
+def _power_rows(powers) -> list:
+    """Row k of the triangular table (s^n)_k, n <= k, for s^n = powers[n]:
+    None when (s^k)_k = 1 is its one nonzero entry, as in every row of the
+    base d itself, and else the nonzero entries as (n, a) pairs over one
+    denominator, with the diagonal (s^k)_k last."""
+    rows = []
+    for k in range(len(powers)):
+        used = [(n, sn) for n, sn in enumerate(powers[: k + 1]) if sn._num[k]]
+        den = lcm(*(sn._den for _, sn in used))
+        row = [(n, sn._num[k] * (den // sn._den)) for n, sn in used]
+        rows.append(None if row == [(k, den)] else (row, den))
+    return rows
+
+
+def _derived(base: GradedOperator, key, build):
+    """``build()``, kept on a series base under ``key`` so that it runs once
+    per base; a plain table keeps nothing."""
+    memo = base._derived if isinstance(base, SeriesOperator) else {}
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _series_tables(base: SeriesOperator, cap: int):
+    """The factorial triples of the base's weights and the rows of its
+    power table at ``cap``, built once per base and cap."""
+    return _derived(base, ("series route", cap), lambda: (
+        _factorials(base.psi, cap),
+        _power_rows(_series_powers(base.series, cap))))
+
+
 def _shift_terms(scaled, fact, m: int) -> list:
-    """Terms that sum, over l_m, to sum_k F_k x^(m-k) / (m-k)_psi! for the
-    F_k in ``scaled``."""
+    """(int, F_k, m - k) terms that sum, over l_m, to
+    sum_k F_k x^(m-k) / (m-k)_psi! for the F_k in ``scaled``."""
     l = fact[m][2]
-    return [(fact[m - k][1] * (l // fact[m - k][0]), p.shifted(m - k))
+    return [(fact[m - k][1] * (l // fact[m - k][0]), p, m - k)
             for k, p in enumerate(scaled)]
-
-
-def _power_terms(powers, coeff_polys, k: int):
-    """Terms and denominator of sum_n (s^n)_k coeff_polys[n], n <= k, for
-    s^n = powers[n]."""
-    used = [(n, powers[n]) for n in range(min(k + 1, len(coeff_polys)))
-            if powers[n]._num[k]]
-    den = lcm(*(sn._den for _, sn in used))
-    return ([(sn._num[k] * (den // sn._den), coeff_polys[n])
-             for n, sn in used], den)
 
 
 def _series_expansion(t: GradedOperator, base: SeriesOperator,
                       cap: int) -> list:
-    fact = _factorials(base.psi, cap)
-    powers = _series_powers(base.series, cap, cap)
+    fact, rows = _series_tables(base, cap)
     scaled, qs = [], []
     for m, (f, g, l) in enumerate(fact):
         # Step 1: F_m = T x^m / m_psi! - sum_(k<m) F_k x^(m-k) / (m-k)_psi!.
-        terms = [(-a, p) for a, p in _shift_terms(scaled, fact, m)]
-        terms.append((g * (l // f), t.image(m)))
-        scaled.append(_combination(terms, l))
+        terms = [(-a, p, j) for a, p, j in _shift_terms(scaled, fact, m)]
+        terms.append((g * (l // f), t.image(m), 0))
+        scaled.append(_shifted_combination(terms, l))
         # Step 2: q_m = (F_m - sum_(n<m) (s^n)_m q_n) / (s^m)_m.
-        terms, den = _power_terms(powers, qs, m)
-        e, d = powers[m]._num[m], powers[m]._den
+        if rows[m] is None:
+            qs.append(scaled[m])
+            continue
+        row, den = rows[m]
+        e = row[-1][1]
         sign = 1 if e > 0 else -1
-        terms = [(-sign * a * d, q) for a, q in terms]
-        terms.append((sign * den * d, scaled[m]))
-        qs.append(_combination(terms, sign * e * den))
+        terms = [(-sign * a, qs[n]) for n, a in row[:-1]]
+        terms.append((sign * den, scaled[m]))
+        qs.append(_combination(terms, sign * e))
     return qs
 
 
 def _series_reconstruction(coeff_polys, base: SeriesOperator,
                            cap: int) -> list:
-    fact = _factorials(base.psi, cap)
-    powers = _series_powers(base.series, min(cap, len(coeff_polys) - 1), cap)
-    scaled = [_combination(*_power_terms(powers, coeff_polys, k))
-              for k in range(cap + 1)]
-    return [_combination([(f * a, p) for a, p in
-                          _shift_terms(scaled[: m + 1], fact, m)], g * l)
+    fact, rows = _series_tables(base, cap)
+    qs = list(coeff_polys[: cap + 1])
+    qs += [Polynomial()] * (cap + 1 - len(qs))
+    scaled = [qs[k] if row is None else
+              _combination([(a, qs[n]) for n, a in row[0]], row[1])
+              for k, row in enumerate(rows)]
+    return [_shifted_combination([(f * a, p, j) for a, p, j in
+                                  _shift_terms(scaled[: m + 1], fact, m)],
+                                 g * l)
             for m, (f, g, l) in enumerate(fact)]
 
 
@@ -247,15 +283,16 @@ def conjugate_indicator_check(t: GradedOperator,
         raise ValueError("the conjugation check needs a monomial-form "
                          "expansion, got the %s form" % expansion.form)
     cap = expansion.order
-    table = unit_normal_sequence(expansion.base, cap)
+    base = expansion.base
+    table = _derived(base, ("unit normal", cap),
+                     lambda: tuple(unit_normal_sequence(base, cap)))
     applied = [t.apply(r) for r in table]
     # Triangular division by Phi = sum lam^n r_n (r_0 = 1).
     conj = []
     for n in range(cap + 1):
-        c = applied[n]
-        for j in range(1, n + 1):
-            c = c - table[j] * conj[n - j]
-        conj.append(c)
+        conj.append(_combination(
+            [(1, applied[n])] + [(-1, _raw_product(table[j], conj[n - j]))
+                                 for j in range(1, n + 1)], 1))
     mismatches = [n for n in range(cap + 1)
                   if conj[n] != expansion.coeff_polys[n]]
     ok = not mismatches

@@ -17,11 +17,13 @@ from .psi import PsiSequence, RationalFunction, jackson_bracket
 
 
 def q_integral(q, p: Polynomial) -> Polynomial:
-    """x^n -> x^(n+1) / (n+1)_q; errors where the bracket vanishes."""
+    """x^n -> x^(n+1) / (n+1)_q, with (n+1)_q = 1 + q n_q kept along the
+    coefficients; errors where the bracket vanishes."""
     q = as_scalar(q)
     out = [Fraction(0)]
+    w = Fraction(0)
     for n, c in enumerate(p.coeffs):
-        w = jackson_bracket(q, n + 1)
+        w = 1 + q * w if n else jackson_bracket(q, 1)
         if w == 0:
             raise AdmissibilityError(
                 "q-bracket vanishes at n=%d; monomial x^%d has no q-antiderivative"

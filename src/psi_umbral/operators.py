@@ -384,10 +384,11 @@ class SeriesOperator(GradedOperator):
     every row.  Sums, differences, negation, scalar multiples, products and
     powers of series values with the same weights object and cap are
     series values again, and so is a truncation; any mix with a plain
-    table is a plain table.
+    table is a plain table.  ``_derived`` keeps what other modules derive
+    from the value (the expansion's tables of it), built once per value.
     """
 
-    __slots__ = ("series", "psi", "_rule", "_rows")
+    __slots__ = ("series", "psi", "_rule", "_rows", "_derived")
 
     def __init__(self, series: TruncatedSeries, psi: PsiSequence):
         self.series = series
@@ -396,6 +397,7 @@ class SeriesOperator(GradedOperator):
         self._rule = _series_rule(series, psi, series.cap)
         self._rows = {}
         self._images = None
+        self._derived = {}
 
     @property
     def images(self) -> tuple:

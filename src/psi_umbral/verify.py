@@ -4,11 +4,12 @@ Every check here is exact rational arithmetic.  The functions return
 ``CheckResult`` records rather than raising, so the command line and the
 acceptance tests can both consume them and report one line per check.
 
-The heaviest checks run their sums on ints: the binomial split as one
-combination over one denominator, the reordering identity as int pairs
-compared cross-multiplied.  Each still reads the function it checks
-(``binomial``, ``falling``, ``raising_ratio``, ``translate``, the three
-Poisson routes) and never the factorial pairs behind them.
+The heaviest checks run their sums on ints: the binomial split and the
+first-expansion readout as one combination over one denominator, the
+reordering identity as int pairs compared cross-multiplied.  Each still
+reads the function it checks (``binomial``, ``falling``,
+``raising_ratio``, ``translate``, the three Poisson routes) and never the
+factorial pairs behind them.
 
 Each check walks its cases (dicts such as ``{"n": 4, "y": 0}``) and stops
 at the first one that fails, which its ``detail`` names as ``n=4, y=0``.
@@ -356,10 +357,12 @@ def check_first_expansion(cap: int) -> list[CheckResult]:
             a = read[trial]
             if n is None:
                 return k < len(a) and a[k] == drawn[trial][k]
-            # T p_n = sum_k a_k (n_psi! / (n-k)_psi!) p_(n-k)
-            return ts[trial].apply(basic[n]) == sum(
-                (basic[n - k] * (a[k] * psi.factorial(n) / psi.factorial(n - k))
-                 for k in range(min(n, len(a) - 1) + 1)), Polynomial.zero())
+            # T p_n = sum_k a_k (n_psi! / (n-k)_psi!) p_(n-k), one
+            # combination over the lcm of its multipliers' denominators
+            cs, den = _over_lcm([a[k] * psi.falling(n, k)
+                                 for k in range(min(n, len(a) - 1) + 1)])
+            return ts[trial].apply(basic[n]) == _combination(
+                ((c, basic[n - k]) for k, c in enumerate(cs)), den)
 
         cases = [case for trial in range(len(drawn)) for case in
                  [{"trial": trial, "n": n} for n in range(n_max + 1)]
@@ -371,14 +374,17 @@ def check_first_expansion(cap: int) -> list[CheckResult]:
 
 
 def _series_in(base: GradedOperator, coeffs) -> GradedOperator:
-    total = GradedOperator.zero(base.cap)
-    power = GradedOperator.identity(base.cap)
-    for k, c in enumerate(coeffs):
-        if k:
-            power = power * base
-        if c:
-            total = total + power * c
-    return total
+    """sum_k c_k base^k as a plain table: row n is one combination of the
+    base^k x^n, each the base applied to the one before."""
+    cs, den = _over_lcm(coeffs)
+
+    def row(n):
+        powers = [Polynomial.monomial(n)]
+        for _ in cs[1:]:
+            powers.append(base.apply(powers[-1]))
+        return _combination(zip(cs, powers), den)
+
+    return GradedOperator.from_monomial_rule(row, base.cap)
 
 
 # -- product rules and mixed commutation ------------------------------------

@@ -320,7 +320,7 @@ def test_verify_takes_no_weights(capsys, tmp_path):
 ARGPARSE_POINTERS = {"--suite": "/suite", "--n": "/n",
                      "--lambda": "/lambda_samples", "--psi": "--psi",
                      "--cap": "--cap", "--format": "--format", "--job": "--job",
-                     "command": "/command"}
+                     "--form": "--form", "command": "/command"}
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -333,6 +333,9 @@ ARGPARSE_POINTERS = {"--suite": "/suite", "--n": "/n",
     (["table", "--format=json", "--format", "xml"], "--format"),
     (["table", "--format", "json", "--job"], "--job"),
     (["bogus", "--format", "json"], "command"),
+    # an ambiguous prefix points at the option as typed
+    (["basic", "--form", "2", "--format", "json"], "--form"),
+    (["basic", "--form=2", "--format", "json"], "--form"),
 ])
 def test_argparse_errors_arrive_as_json(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

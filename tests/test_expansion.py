@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psi_umbral import cli, expansion, verify
+from psi_umbral import cli, expansion, umbral, verify
 from psi_umbral.algebra import Polynomial
 from psi_umbral.errors import (CapExceededError, NotDegreeLoweringError,
                                NotShiftInvariantError, PsiUmbralError)
@@ -545,3 +545,82 @@ def test_series_base_applies_no_operator(monkeypatch):
         for p in basic.polys[:exp.order + 1]:
             assert apply_dual_form(exp, basic, p) == t.apply(p)
         calls.clear()
+
+
+# -- what a series base keeps ------------------------------------------------
+
+
+def test_a_series_base_keeps_its_tables_per_cap():
+    # one base at caps 10, 6 and 10 again gives what a fresh base gives
+    psi = PsiSequence.jackson(Fraction(1, 2), 12)
+
+    def fresh():
+        return parse_operator("Delta", OperatorContext(10, psi))
+
+    base = fresh()
+    rng = random.Random(5)
+    for cap in (10, 6, 10):
+        ts = [verify._random_lowering_op(rng, cap),
+              parse_operator("Xpsi*Dpsi", OperatorContext(cap, psi)),
+              _random_table(rng, cap)]
+        for t in ts:
+            kept, new = (expand_in_monomials(t, b) for b in (base, fresh()))
+            assert kept.coeff_polys == new.coeff_polys
+            for back_cap in {cap, 6}:
+                assert (reconstruct_from_monomial_form(kept, back_cap).images
+                        == reconstruct_from_monomial_form(new, back_cap).images)
+        for t in ts[:2]:
+            kept, new = (expand_in_monomials(t, b) for b in (base, fresh()))
+            assert (conjugate_indicator_check(t, kept, [Fraction(1, 2)])
+                    == conjugate_indicator_check(t, new, [Fraction(1, 2)]))
+    assert sorted(base._derived) == [("series route", 6), ("series route", 10),
+                                     ("unit normal", 6), ("unit normal", 10)]
+
+
+def test_roundtrip_builds_each_base_table_once(monkeypatch):
+    calls = []
+    real_unit = umbral.unit_normal_sequence
+    real_powers = expansion._series_powers
+
+    def unit(op, n_max):
+        calls.append("unit normal")
+        return real_unit(op, n_max)
+
+    def powers(s, cap):
+        calls.append("powers")
+        return real_powers(s, cap)
+
+    for module in (umbral, expansion):
+        monkeypatch.setattr(module, "unit_normal_sequence", unit)
+    monkeypatch.setattr(expansion, "_series_powers", powers)
+    results = verify.check_random_roundtrip(8)
+    assert [r.passed for r in results] == [True] * 10
+    assert len(verify.standard_suite_psis(8)) == 5
+    assert calls.count("unit normal") == calls.count("powers") == 5
+
+
+def _series_by_composition(base, coeffs):
+    """sum_k c_k base^k by table composition, scaling and addition."""
+    total = GradedOperator.zero(base.cap)
+    power = GradedOperator.identity(base.cap)
+    for k, c in enumerate(coeffs):
+        if k:
+            power = power * base
+        if c:
+            total = total + power * c
+    return total
+
+
+def test_series_in_is_the_composed_table():
+    rng = random.Random(11)
+    psi = PsiSequence.jackson(2, 8)
+    delta = DeltaOperator.from_operator(forward_difference_op(psi, 8), psi)
+    plain = operator_from_series(delta.series, psi, 8)
+    drawn = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+              for _ in range(6)] for _ in range(4)]
+    for coeffs in drawn + [[0] * 6, [0, 0, 0, 0, 0, 3], [Fraction(1, 2)]]:
+        for base in (delta, plain):
+            t = verify._series_in(base, coeffs)
+            assert not isinstance(t, SeriesOperator)
+            assert t.cap == base.cap
+            assert t.images == _series_by_composition(base, coeffs).images

@@ -19,8 +19,11 @@ from math import comb, factorial
 
 import pytest
 
-from psi_umbral.algebra import TruncatedSeries
+from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.cli import main
+from psi_umbral.expansion import (expand_in_monomials,
+                                  reconstruct_from_monomial_form)
+from psi_umbral.operators import GradedOperator, psi_derivative_op
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator
 
@@ -128,3 +131,26 @@ def test_inverse_of_the_classical_difference_factor_is_bernoulli(cap):
     s = TruncatedSeries([Fraction(1, factorial(k + 1)) for k in range(cap + 1)],
                         cap)
     assert list(s.inverse().coeffs) == oracles.bernoulli_series(cap)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("q", ["1/2", "2"])
+def test_jackson_translation_expands_to_the_exponential_constants(cap, q):
+    # The shift x^n -> sum_k [n, k]_q y^k x^(n-k), tabulated from the
+    # q-Pascal rule, is sum_k y^k / [k]_q! D_q^k by the q-Taylor formula
+    # (Kac & Cheung, Quantum Calculus, 2002): its expansion in powers of
+    # the Jackson derivative has the constants y^k / [k]_q!, in the series
+    # base and in a table of D_q x^n = [n]_q x^(n-1) built by hand.
+    q, y = Fraction(q), Fraction(-3, 2)
+    binomials = oracles.gaussian_binomials(q, cap)
+    shift = GradedOperator([Polynomial([row[n - i] * y ** (n - i)
+                                        for i in range(n + 1)])
+                            for n, row in enumerate(binomials)])
+    fact = q_factorials(q, cap)
+    d_q = GradedOperator([Polynomial([0] * (n - 1) + [fact[n] / fact[n - 1]])
+                          if n else Polynomial() for n in range(cap + 1)])
+    want = [Polynomial([y ** k / f]) for k, f in enumerate(fact)]
+    for base in (psi_derivative_op(PsiSequence.jackson(q, cap), cap), d_q):
+        exp = expand_in_monomials(shift, base)
+        assert list(exp.coeff_polys) == want
+        assert reconstruct_from_monomial_form(exp, cap) == shift
