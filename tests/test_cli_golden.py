@@ -73,6 +73,16 @@ CASES = [
     ["expand", "--t", "E[2] - 1", "--cap", "8", "--format", "json"],
     ["expand", "--t", "E[2] - 1", "--q", "Delta", "--psi", RATIONAL, "--cap",
      "8"],
+    # a series value expanded in a series base, at caps 0 and 1 and at caps
+    # where the table solve used to dominate
+    ["expand", "--t", "Delta", "--psi", "q:2", "--lambda", "1", "--cap", "0",
+     "--format", "json"],
+    ["expand", "--t", "Delta", "--psi", "q:2", "--lambda", "1", "--cap", "1",
+     "--format", "json"],
+    ["expand", "--t", "Delta", "--psi", "q:1/2", "--cap", "48", "--format",
+     "json"],
+    ["expand", "--t", "E[1/2] - 1", "--q", "Delta", "--psi", "q:2", "--cap",
+     "24", "--format", "csv"],
     ["detect", "--op", "Delta", "--cap", "8"],
     ["detect", "--op", "Delta", "--psi", "q:1/2", "--cap", "8", "--format",
      "json"],
