@@ -373,8 +373,11 @@ class _Parser(argparse.ArgumentParser):
     route's own errors do and carries the failing parser as ``parser``,
     whose usage ``main`` prints in text mode.  Help and usage text are
     wrapped at a fixed width, not the terminal's, so every byte is
-    deterministic.
+    deterministic.  ``command_flags`` holds the commands' own flags, which
+    the top parser refuses before the command.
     """
+
+    command_flags = frozenset()
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, exit_on_error=False,
@@ -396,6 +399,11 @@ class _Parser(argparse.ArgumentParser):
             self.error(exc.message, arg_string.split("=", 1)[0])
 
     def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        flag = args[0].split("=", 1)[0] if args else ""
+        if flag in self.command_flags:
+            # else argparse reads the flag's value as the command
+            self.error("argument %s: give it after the command" % flag, flag)
         args, extras = self.parse_known_args(args, namespace)
         if extras:
             self.error(gettext("unrecognized arguments: %s") % " ".join(extras),
@@ -450,6 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=param.choices if param.kind == CHOICE
                            else None,
                            help=help_text)
+    parser.command_flags = frozenset().union(
+        *(p._option_string_actions for p in sub.choices.values())
+    ).difference(parser._option_string_actions)
     return parser
 
 

@@ -15,7 +15,12 @@ F_k = sum_(n<=k) (s^n)_k q_n, so the solve has two triangular steps,
 
 the second reading a table of scalar series powers s^n; reconstruction
 runs them forward.  On either route each row is one combination over one
-denominator, and step 1 reads each F_k in place at its shift.
+denominator, and step 1 reads each F_k in place at its shift.  For a
+series value T = sum c_k d^k in the base's own weights object step 1 is
+the identity, F_m = c_m, and only step 2 runs; q_n that are all constants
+reconstruct to the series value F = sum q_n s^n, and two series values in
+one weights object compare by their series, so such a round trip builds
+no row of either table.
 
 A series base keeps what the route reads of it and nothing of T: the
 factorials of its weights and the rows of its power table, per cap, and
@@ -148,12 +153,17 @@ def _shift_terms(scaled, fact, m: int) -> list:
 def _series_expansion(t: GradedOperator, base: SeriesOperator,
                       cap: int) -> list:
     fact, rows = _series_tables(base, cap)
-    scaled, qs = [], []
+    # A series value T = sum c_k d^k in the base's weights has F_m = c_m.
+    own = isinstance(t, SeriesOperator) and t.psi is base.psi
+    scaled = ([Polynomial.monomial(0, c) for c in t.series.coeffs[: cap + 1]]
+              if own else [])
+    qs = []
     for m, (f, g, l) in enumerate(fact):
-        # Step 1: F_m = T x^m / m_psi! - sum_(k<m) F_k x^(m-k) / (m-k)_psi!.
-        terms = [(-a, p, j) for a, p, j in _shift_terms(scaled, fact, m)]
-        terms.append((g * (l // f), t.image(m), 0))
-        scaled.append(_shifted_combination(terms, l))
+        if not own:
+            # Step 1: F_m = T x^m / m_psi! - sum_(k<m) F_k x^(m-k) / (m-k)_psi!.
+            terms = [(-a, p, j) for a, p, j in _shift_terms(scaled, fact, m)]
+            terms.append((g * (l // f), t.image(m), 0))
+            scaled.append(_shifted_combination(terms, l))
         # Step 2: q_m = (F_m - sum_(n<m) (s^n)_m q_n) / (s^m)_m.
         if rows[m] is None:
             qs.append(scaled[m])
@@ -168,17 +178,21 @@ def _series_expansion(t: GradedOperator, base: SeriesOperator,
 
 
 def _series_reconstruction(coeff_polys, base: SeriesOperator,
-                           cap: int) -> list:
+                           cap: int) -> GradedOperator:
     fact, rows = _series_tables(base, cap)
     qs = list(coeff_polys[: cap + 1])
     qs += [Polynomial()] * (cap + 1 - len(qs))
     scaled = [qs[k] if row is None else
               _combination([(a, qs[n]) for n, a in row[0]], row[1])
               for k, row in enumerate(rows)]
-    return [_shifted_combination([(f * a, p, j) for a, p, j in
-                                  _shift_terms(scaled[: m + 1], fact, m)],
-                                 g * l)
-            for m, (f, g, l) in enumerate(fact)]
+    if all(q.degree <= 0 for q in qs):
+        # Constant q_n make F = sum q_n s^n a scalar series: the value F(d).
+        return SeriesOperator(TruncatedSeries(
+            [p.constant_term for p in scaled], cap), base.psi)
+    return GradedOperator([
+        _shifted_combination([(f * a, p, j) for a, p, j in
+                              _shift_terms(scaled[: m + 1], fact, m)], g * l)
+        for m, (f, g, l) in enumerate(fact)], cap)
 
 
 def expand_in_monomials(t: GradedOperator,
@@ -209,15 +223,15 @@ def expand_in_monomials(t: GradedOperator,
 def reconstruct_from_monomial_form(exp: OperatorExpansion,
                                    cap: int) -> GradedOperator:
     """The table of sum q_n(x) base^n on x^0..x^cap; a series base runs
-    the two steps of the series route forward."""
+    the two steps of the series route forward, and gives a series value
+    in its weights when every q_n is a constant."""
     base = exp.base
     if cap > base.cap:
         raise CapExceededError(
             "polynomial degree %d exceeds operator cap %d"
             % (base.cap + 1, base.cap), cap=base.cap)
     if isinstance(base, SeriesOperator):
-        return GradedOperator(
-            _series_reconstruction(exp.coeff_polys, base, cap), cap)
+        return _series_reconstruction(exp.coeff_polys, base, cap)
     powers = _base_powers_on_monomials(base, cap)
     return GradedOperator([_combination(
         [(1, _raw_product(q, powers[n][m]))

@@ -384,8 +384,10 @@ class SeriesOperator(GradedOperator):
     every row.  Sums, differences, negation, scalar multiples, products and
     powers of series values with the same weights object and cap are
     series values again, and so is a truncation; any mix with a plain
-    table is a plain table.  ``_derived`` keeps what other modules derive
-    from the value (the expansion's tables of it), built once per value.
+    table is a plain table.  Two series values in one weights object
+    compare by their series at the common cap, other operands by rows.
+    ``_derived`` keeps what other modules derive from the value (the
+    expansion's tables of it), built once per value.
     """
 
     __slots__ = ("series", "psi", "_rule", "_rows", "_derived")
@@ -455,6 +457,13 @@ class SeriesOperator(GradedOperator):
         if 0 <= cap <= self._cap:
             return SeriesOperator(self.series.truncated(cap), self.psi)
         return super().truncated(cap)
+
+    def __eq__(self, other):
+        # Row n leads with c_n n_psi! at x^0, so the rows agree exactly
+        # where the series do.
+        if isinstance(other, SeriesOperator) and other.psi is self.psi:
+            return self.series == other.series
+        return super().__eq__(other)
 
 
 # -- degree lowering, shift invariance and inversion --------------------

@@ -336,6 +336,12 @@ ARGPARSE_POINTERS = {"--suite": "/suite", "--n": "/n",
     # an ambiguous prefix points at the option as typed
     (["basic", "--form", "2", "--format", "json"], "--form"),
     (["basic", "--form=2", "--format", "json"], "--form"),
+    # a command's flag before the command is refused by name
+    (["--format", "json", "table"], "--format"),
+    (["--format=json", "table"], "--format"),
+    (["--format", "json"], "--format"),
+    (["--cap", "6", "table", "--format", "json"], "--cap"),
+    (["--n", "3", "basic", "--format", "json"], "--n"),
 ])
 def test_argparse_errors_arrive_as_json(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
@@ -365,6 +371,19 @@ def test_argparse_errors_in_text_mode_keep_the_usage_text(capsys,
         main(["verify", "--suite", "nope"])
     assert info.value.code == 2
     assert capsys.readouterr().err.startswith("usage: psi-umbral verify")
+
+
+def test_a_flag_before_the_command_is_a_usage_error(capsys):
+    for argv in (["--format", "text", "table"], ["--job", "job.json"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "psi-umbral: error: argument %s: give it after the command\n"
+            % argv[0])
+    with pytest.raises(SystemExit) as info:
+        main(["--help", "--format", "json"])
+    assert info.value.code == 0
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -74,7 +74,7 @@ CASES = [
     ["expand", "--t", "E[2] - 1", "--q", "Delta", "--psi", RATIONAL, "--cap",
      "8"],
     # a series value expanded in a series base, at caps 0 and 1 and at caps
-    # where the table solve used to dominate
+    # where a table solve of step 1 would cost the most
     ["expand", "--t", "Delta", "--psi", "q:2", "--lambda", "1", "--cap", "0",
      "--format", "json"],
     ["expand", "--t", "Delta", "--psi", "q:2", "--lambda", "1", "--cap", "1",

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -451,10 +452,14 @@ def _random_table(rng, cap):
 
 def _route_operators(psi, cap, rng):
     ctx = OperatorContext(cap, psi)
-    return {"Xpsi*Dpsi": parse_operator("Xpsi*Dpsi", ctx),
-            "D*X*D": parse_operator("D*X*D", ctx),
-            "random table": _random_table(rng, cap),
-            "series": parse_operator("E[1/3] + 2*Dpsi^2", ctx)}
+    ops = {"Xpsi*Dpsi": parse_operator("Xpsi*Dpsi", ctx),
+           "random table": _random_table(rng, cap),
+           "series": parse_operator("E[1/3] + 2*Dpsi^2", ctx),
+           "Delta": parse_operator("Delta", ctx),
+           "Dpsi^3": parse_operator("Dpsi^3", ctx)}
+    if cap:  # at cap 0 the x of X*D leaves the outer D's table
+        ops["D*X*D"] = parse_operator("D*X*D", ctx)
+    return ops
 
 
 @pytest.mark.parametrize("weights", sorted(ROUTE_WEIGHTS))
@@ -467,7 +472,7 @@ def test_series_route_matches_the_table_route(base_text, weights):
     assert isinstance(base, SeriesOperator)
     plain = operator_from_series(base.series, base.psi, base.cap)
     assert not isinstance(plain, SeriesOperator)
-    for t_cap in (ROUTE_CAP - 3, ROUTE_CAP, ROUTE_CAP + 3):
+    for t_cap in (0, 1, ROUTE_CAP - 3, ROUTE_CAP, ROUTE_CAP + 3):
         for name, t in _route_operators(psi, t_cap, rng).items():
             fast = expand_in_monomials(t, base)
             slow = expand_in_monomials(t, plain)
@@ -545,6 +550,61 @@ def test_series_base_applies_no_operator(monkeypatch):
         for p in basic.polys[:exp.order + 1]:
             assert apply_dual_form(exp, basic, p) == t.apply(p)
         calls.clear()
+
+
+def test_a_series_value_in_the_base_weights_skips_step_one(monkeypatch):
+    # T = sum c_k d^k gives F_m = c_m, so no shifted combination is built,
+    # and its constant q_n reconstruct to a series value again; the same
+    # value in a distinct weights object, or as a plain table, takes step 1
+    calls = []
+    real = expansion._shifted_combination
+
+    def counted(terms, den):
+        calls.append(den)
+        return real(terms, den)
+
+    monkeypatch.setattr(expansion, "_shifted_combination", counted)
+    psi = PsiSequence.jackson(2, 12)
+    ctx = OperatorContext(12, psi)
+    base = parse_operator("Delta", ctx)
+    for text in ("Dpsi", "E[1/2] - 1", "Dpsi^3 + 1/2"):
+        t = parse_operator(text, ctx)
+        exp = expand_in_monomials(t, base)
+        back = reconstruct_from_monomial_form(exp, exp.order)
+        assert calls == []
+        assert isinstance(back, SeriesOperator) and back.psi is psi
+        assert back == t
+        twin = SeriesOperator(t.series, PsiSequence.jackson(2, 12))
+        for other in (twin, operator_from_series(t.series, psi, t.cap)):
+            assert (expand_in_monomials(other, base).coeff_polys
+                    == exp.coeff_polys)
+            assert len(calls) == exp.order + 1
+            calls.clear()
+
+
+def test_a_changed_constant_coefficient_fails_the_reconstruction(monkeypatch,
+                                                                capsys):
+    psi = PsiSequence.jackson(2, 8)
+    ctx = OperatorContext(8, psi)
+    real = expansion.expand_in_monomials
+
+    def tampered(t, base):
+        exp = real(t, base)
+        qs = list(exp.coeff_polys)
+        qs[3] = qs[3] + Polynomial.one()
+        return expansion.OperatorExpansion(qs, exp.base, exp.form)
+
+    for t_text, base_text in (("Delta", "Dpsi"), ("E[1/2] - 1", "Delta")):
+        t = parse_operator(t_text, ctx)
+        bad = tampered(t, parse_operator(base_text, ctx))
+        assert all(q.degree <= 0 for q in bad.coeff_polys)
+        back = reconstruct_from_monomial_form(bad, bad.order)
+        assert isinstance(back, SeriesOperator)
+        assert not back == t and back != t
+    monkeypatch.setattr(cli, "expand_in_monomials", tampered)
+    assert cli.main(["expand", "--t", "E[1/2] - 1", "--q", "Delta", "--psi",
+                     "q:2", "--cap", "8", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["reconstructs"] is False
 
 
 # -- what a series base keeps ------------------------------------------------

@@ -305,3 +305,40 @@ def test_truncation_is_a_series_value_with_the_same_weights(text, weights):
         assert detection(cut) == detection(plain)
     for cap in (CAP + 1, -1):
         assert outcome(value.truncated, cap) == outcome(copy.truncated, cap)
+
+
+@pytest.mark.parametrize("weights", sorted(WEIGHTS))
+def test_series_values_in_one_weights_object_compare_by_series(weights):
+    # the same verdict as their rows at the common cap, with no row built
+    psi = WEIGHTS[weights]()
+    texts = [("Delta", 10), ("Delta", 6), ("E[1] - 1", 8), ("Dpsi", 10),
+             ("Delta + Dpsi^7", 10), ("Delta + 2*Dpsi^6", 10)]
+
+    def value(i):
+        return parse_operator(texts[i][0], OperatorContext(texts[i][1], psi))
+
+    verdicts = set()
+    for i in range(len(texts)):
+        for j in range(len(texts)):
+            a, b = value(i), value(j)
+            same = a == b
+            assert not (a._rows or b._rows)
+            cap = min(a.cap, b.cap)
+            assert same == (a.images[: cap + 1] == b.images[: cap + 1])
+            verdicts.add(same)
+    assert verdicts == {True, False}
+
+
+def test_other_weights_and_plain_tables_compare_by_rows():
+    psi = PsiSequence.jackson(Fraction(1, 2), CAP)
+    other = PsiSequence.jackson(2, CAP)
+    series = parse_operator("Delta", OperatorContext(CAP, psi)).series
+    cases = [(SeriesOperator(series, PsiSequence.jackson(Fraction(1, 2), CAP)),
+              True),
+             (SeriesOperator(series, other), False),
+             (operator_from_series(series, psi, CAP), True),
+             (operator_from_series(series, other, CAP), False)]
+    for b, equal in cases:
+        a = SeriesOperator(series, psi)
+        assert (a == b) is equal and (b == a) is equal
+        assert a._rows
