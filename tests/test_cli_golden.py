@@ -108,6 +108,15 @@ CASES = [
     ["verify", "--suite", "expansion", "--cap", "8", "--format", "json"],
     ["table", "--psi", RATIONAL, "--cap", "8", "--format", "json"],
     ["integrate", "--psi", "q:1/2", "--cap", "8", "--poly", "1,2,3"],
+    # negative and fractional weights through the factorial chain, the
+    # weighted raising operator and the detection readout
+    ["table", "--psi", "q:-1/2", "--cap", "12", "--format", "json"],
+    ["table", "--psi=custom:-1,2,-3,1/2,5", "--cap", "5"],
+    ["detect", "--op", "D*X*D", "--cap", "12", "--format", "json"],
+    ["basic", "--op", "Dpsi+Dpsi*Dpsi", "--psi", "q:-2", "--formula", "4",
+     "--n", "6", "--cap", "12", "--format", "json"],
+    ["basic", "--op", "Delta", "--psi=custom:-1,2,-3,1/2,5,7,-2",
+     "--formula", "3", "--n", "5", "--cap", "7"],
     # usage errors and help, in text mode (argparse's usage and exit) and in
     # JSON mode (the structured error with its pointer)
     ["table", "--format", "xml", "--cap", "6"],
