@@ -374,7 +374,7 @@ class _Parser(argparse.ArgumentParser):
     whose usage ``main`` prints in text mode.  Help and usage text are
     wrapped at a fixed width, not the terminal's, so every byte is
     deterministic.  ``command_flags`` holds the commands' own flags, which
-    the top parser refuses before the command.
+    the top parser refuses before the command, abbreviated or not.
     """
 
     command_flags = frozenset()
@@ -401,9 +401,20 @@ class _Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         flag = args[0].split("=", 1)[0] if args else ""
-        if flag in self.command_flags:
-            # else argparse reads the flag's value as the command
-            self.error("argument %s: give it after the command" % flag, flag)
+        if flag.startswith("--") and not any(
+                o.startswith(flag) for o in self._option_string_actions):
+            # a command's flag or a prefix of one, and not "--" or a prefix
+            # of --help: else argparse reads the flag's value as the command
+            matches = ([flag] if flag in self.command_flags else sorted(
+                f for f in self.command_flags if f.startswith(flag)))
+            if len(matches) > 1:
+                msg = gettext("ambiguous option: %(option)s could match "
+                              "%(matches)s")
+                self.error(msg % {"option": args[0],
+                                  "matches": ", ".join(matches)}, flag)
+            if matches:
+                self.error("argument %s: give it after the command"
+                           % matches[0], matches[0])
         args, extras = self.parse_known_args(args, namespace)
         if extras:
             self.error(gettext("unrecognized arguments: %s") % " ".join(extras),

@@ -378,13 +378,14 @@ def detect_psi_series(op: GradedOperator) -> DetectionResult:
         one = op.psi.n_psi(1)
         psi = PsiSequence.custom([op.psi.n_psi(n) / one
                                   for n in range(1, cap + 1)])
-        return DetectionResult(True, psi, [scale * c * one ** k for k, c in
-                                           enumerate(op.series.coeffs)],
-                               scale, None)
+        coeffs, power = [], scale
+        for c in op.series.coeffs:
+            coeffs.append(c * power)
+            power *= one
+        return DetectionResult(True, psi, coeffs, scale, None)
     psi = PsiSequence.custom([scale * op.image(n).coefficient(n - 1)
                               for n in range(1, cap + 1)])
     c, witness = _series_and_witness(op, psi)
     if witness is not None:
         return DetectionResult(False, None, None, scale, witness)
-    return DetectionResult(True, psi, [scale * a for a in c.coeffs], scale,
-                           None)
+    return DetectionResult(True, psi, list((c * scale).coeffs), scale, None)

@@ -31,7 +31,8 @@ from __future__ import annotations
 from math import gcd
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
-                      _linear_combination, _over_lcm, as_scalar)
+                      _linear_combination, _over_lcm, _raw_series,
+                      as_scalar)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, NotShiftInvariantError,
                      SelfCheckError)
@@ -53,10 +54,21 @@ def psi_derivative(psi: PsiSequence, p: Polynomial) -> Polynomial:
     return _scaled(a[1:], [psi.n_psi(i) for i in range(1, len(a))], p._den)
 
 def psi_raise(psi: PsiSequence, p: Polynomial) -> Polynomial:
-    """Send x^n to ((n+1)/(n+1)_psi) x^(n+1); partner of the weighted derivative."""
+    """Send x^n to ((n+1)/(n+1)_psi) x^(n+1); partner of the weighted derivative.
+
+    With (n+1)_psi = u/v that is (n+1) v/u, collected on ints over the lcm
+    of the |u|.  Reads the weights 1..deg p + 1, and none for a zero p.
+    """
     a = p._num
-    return _scaled(a, [psi.raising_ratio(i, 1) for i in range(len(a))],
-                   p._den).shifted(1)
+    ws = [psi.n_psi(n) for n in range(1, len(a) + 1)]
+    den = 1
+    for x, w in zip(a, ws):
+        u = w.numerator
+        if x and den % u:
+            den = den // gcd(den, u) * abs(u)
+    return _from_ints([0] + [x * n * w.denominator * (den // w.numerator)
+                             for n, (x, w) in enumerate(zip(a, ws), 1)],
+                      den * p._den)
 
 def divided_difference(p: Polynomial) -> Polynomial:
     """Send x^n to x^(n-1), constants to zero: (p(x) - p(0))/x."""
@@ -334,8 +346,8 @@ def _series_rule(coeffs, psi: PsiSequence, cap: int):
     """The rule n -> image of x^n under sum_k c_k * (psi-derivative)^k.
 
     The weights are read when the rule is made, not when it runs, so a
-    weight sequence too short for the cap fails here; the coefficients are
-    reduced when the first row is built.
+    weight sequence too short for the cap fails here; each coefficient is
+    reduced when a row first reads it, so row n reduces c_0..c_n only.
     """
     cs, c_den = _series_numerators(coeffs)
     # Row n holds c_k n_psi!/(n-k)_psi! at x^(n-k); with the factorials
@@ -344,16 +356,17 @@ def _series_rule(coeffs, psi: PsiSequence, cap: int):
     # nonconstant series reads weights 1..cap, those its falling products
     # n_psi ... (n-k+1)_psi span; a constant reads none.
     fact = psi.factorial_pairs(cap) if any(cs[1:]) else [(1, 1)] * (cap + 1)
-    terms = None
+    terms = []
+    reduced = 0
 
     def rule(n):
-        nonlocal terms
-        if terms is None:
-            terms = []
-            for k, a in enumerate(cs):
-                if a:
-                    g = gcd(a, c_den)
-                    terms.append((k, a // g, c_den // g))
+        nonlocal reduced
+        for k in range(reduced, min(n + 1, len(cs))):
+            a = cs[k]
+            if a:
+                g = gcd(a, c_den)
+                terms.append((k, a // g, c_den // g))
+            reduced = k + 1
         parts = []
         den = 1
         for k, a, b in terms:
@@ -495,15 +508,29 @@ def _series_and_witness(op: GradedOperator, psi: PsiSequence):
     """The readout c_k = op(x^k)(0) / k_psi! and the first (n, k) where op
     differs from sum_k c_k (psi-derivative)^k, or None.
 
-    Rows are scanned in order and each row from its highest degree down;
-    (n, k) names the coefficient of x^(n-k) in the image of x^n.  An image
-    past the cap is a difference.  A series value in psi itself is its own
-    series, with no readout and no comparison.
+    With op(x^k)(0) = a/d and k_psi! = f/g in lowest terms the readout is
+    (a g)/(d f) once gcd(a, f) and gcd(g, d) are divided out, collected on
+    ints over the lcm of those denominators.  Rows are scanned in order
+    and each row from its highest degree down; (n, k) names the coefficient
+    of x^(n-k) in the image of x^n.  An image past the cap is a difference.
+    A series value in psi itself is its own series, with no readout and no
+    comparison.
     """
     if isinstance(op, SeriesOperator) and op.psi is psi:
         return op.series, None
-    c = TruncatedSeries(tuple(op.image(k).constant_term / psi.factorial(k)
-                              for k in range(op.cap + 1)), op.cap)
+    parts, den = [], 1
+    for (f, g), row in zip(psi.factorial_pairs(op.cap), op.images):
+        a = row._num[0] if row._num else 0
+        e = gcd(a, row._den)
+        a, d = a // e, row._den // e
+        x, y = gcd(a, f), gcd(g, d)
+        a, d = a // x * (g // y), d // y * (f // x)
+        if d < 0:
+            a, d = -a, -d
+        parts.append((a, d))
+        if den % d:
+            den = den // gcd(den, d) * d
+    c = _raw_series(tuple(a * (den // d) for a, d in parts), den, op.cap)
     model = map(SeriesOperator(c, psi).image, range(op.cap + 1))
     for n, (img, want) in enumerate(zip(op.images, model)):
         if img != want:

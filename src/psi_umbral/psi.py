@@ -8,8 +8,8 @@ function R evaluated along the geometric sequence q^n covers a whole family
 at once, and arbitrary nonzero values may be supplied directly.
 
 From the weights the module derives the factorials n_psi!, held once per
-sequence both as Fractions and as int numerator/denominator pairs.  The
-falling factorials n_psi!/(n-k)_psi!, the generalized binomial coefficients
+sequence as int numerator/denominator pairs in lowest terms.  The falling
+factorials n_psi!/(n-k)_psi!, the generalized binomial coefficients
 n_psi!/(k_psi! (n-k)_psi!) and the raising ratios
 (k+j)! k_psi!/(k! (k+j)_psi!) are each one memoized quotient of the stored
 pairs, as in Ward's calculus of sequences.
@@ -18,7 +18,7 @@ pairs, as in Ward's calculus of sequences.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import gcd, perm
 
 from .algebra import Polynomial, as_scalar, scalar_from_str, scalar_to_str
 from .errors import AdmissibilityError, CapExceededError
@@ -76,9 +76,9 @@ class PsiSequence:
     Rule-based kinds extend their cache on demand past the construction cap
     (still finite and exact); a rule maps n and the weight (n-1)_psi to
     n_psi.  The custom kind owns exactly the values it was given and errors
-    beyond them.  The factorials are kept as Fractions and as int pairs,
-    and each falling factorial, binomial and raising ratio asked for is
-    kept too, so these memos live and die with the sequence.
+    beyond them.  The factorials are kept as int pairs, and each falling
+    factorial, binomial and raising ratio asked for is kept too, so these
+    memos live and die with the sequence.
     """
 
     def __init__(self, kind: str, rule, cap: int, label: str, params: dict,
@@ -90,9 +90,8 @@ class PsiSequence:
         self._memo = [Fraction(0)]
         if values is not None:
             self._memo.extend(as_scalar(v) for v in values)
-        self._fact = [Fraction(1)]
-        # the same factorials as (numerator, denominator) int pairs
-        self._fact_pairs = [(1, 1)]
+        # n_psi! = f/g as the int pair (f, g) in lowest terms, g > 0
+        self._fact = [(1, 1)]
         self._falling = {}
         self._binomial = {}
         self._raising = {}
@@ -109,9 +108,11 @@ class PsiSequence:
         q = as_scalar(q)
 
         def rule(n, prev):
-            # [n]_q = 1 + q [n-1]_q, one step from the memoized weight
+            # [n]_q = 1 + q [n-1]_q = (b v + a u)/(b v) for q = a/b and the
+            # memoized [n-1]_q = u/v: one Fraction per weight
             _require_q_not_one(q, n)
-            return 1 + q * prev
+            d = q.denominator * prev.denominator
+            return Fraction(d + q.numerator * prev.numerator, d)
 
         return cls(JACKSON, rule, cap, "q=%s" % scalar_to_str(q), {"q": q})
 
@@ -173,26 +174,23 @@ class PsiSequence:
 
     def factorial(self, n: int) -> Fraction:
         """n_psi! = 1_psi * 2_psi * ... * n_psi, empty product at n = 0."""
-        if n < 0:
-            raise ValueError("factorials are indexed by naturals")
-        while len(self._fact) <= n:
-            m = len(self._fact)
-            self._fact.append(self._fact[-1] * self.n_psi(m))
-        return self._fact[n]
+        return Fraction(*self.factorial_pairs(n)[n])
 
     def factorial_pairs(self, n: int) -> list:
         """[(f, g)] with k_psi! = f/g in lowest terms and g > 0, k = 0..n.
 
-        Reads the weights 1..n, and none at n = 0.
+        Reads the weights 1..n, and none at n = 0.  Each step multiplies by
+        a weight u/v with gcd(f, v) and gcd(u, g) divided out first.
         """
         if n < 0:
             raise ValueError("factorials are indexed by naturals")
-        pairs = self._fact_pairs
-        if len(pairs) <= n:
-            self.factorial(n)
-            pairs.extend((v.numerator, v.denominator)
-                         for v in self._fact[len(pairs): n + 1])
-        return pairs[: n + 1]
+        fact = self._fact
+        while len(fact) <= n:
+            w = self.n_psi(len(fact))
+            (f, g), u, v = fact[-1], w.numerator, w.denominator
+            d, e = gcd(f, v), gcd(u, g)
+            fact.append((f // d * (u // e), g // e * (v // d)))
+        return fact[: n + 1]
 
     def _quotient(self, up: tuple, down: tuple, scale: int = 1) -> Fraction:
         """scale * prod_(i in up) i_psi! / prod_(i in down) i_psi!, on the

@@ -320,7 +320,8 @@ def test_verify_takes_no_weights(capsys, tmp_path):
 ARGPARSE_POINTERS = {"--suite": "/suite", "--n": "/n",
                      "--lambda": "/lambda_samples", "--psi": "--psi",
                      "--cap": "--cap", "--format": "--format", "--job": "--job",
-                     "--form": "--form", "command": "/command"}
+                     "--form": "--form", "--formula": "/formula",
+                     "command": "/command"}
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -342,6 +343,13 @@ ARGPARSE_POINTERS = {"--suite": "/suite", "--n": "/n",
     (["--format", "json"], "--format"),
     (["--cap", "6", "table", "--format", "json"], "--cap"),
     (["--n", "3", "basic", "--format", "json"], "--n"),
+    # a unique prefix of one reads like the flag; a prefix of several is
+    # the ambiguous option, never the command
+    (["--ca", "6", "table", "--format", "json"], "--cap"),
+    (["--ca=6", "table", "--format", "json"], "--cap"),
+    (["--formu", "2", "basic", "--format=json"], "--formula"),
+    (["--form", "json", "table", "--format", "json"], "--form"),
+    (["--form=json", "table", "--format", "json"], "--form"),
 ])
 def test_argparse_errors_arrive_as_json(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
@@ -384,6 +392,31 @@ def test_a_flag_before_the_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help", "--format", "json"])
     assert info.value.code == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--ca", "6", "table"], "argument --cap: give it after the command"),
+    (["--ca=6", "table"], "argument --cap: give it after the command"),
+    (["--form", "json", "table"],
+     "ambiguous option: --form could match --format, --formula"),
+    (["--form=json", "table"],
+     "ambiguous option: --form=json could match --format, --formula"),
+])
+def test_a_flag_prefix_before_the_command_is_a_usage_error(capsys, argv,
+                                                           message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("psi-umbral: error: %s\n" % message)
+    assert "invalid choice" not in err
+
+
+def test_a_prefix_of_a_top_level_option_stays_that_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--he"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: psi-umbral")
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -303,6 +303,27 @@ def test_detect_accepts_difference_and_recovers_indicator():
     assert list(res.series_coeffs) == list(delta.indicator.coeffs)
 
 
+@pytest.mark.parametrize("psi", [
+    PsiSequence.custom([Fraction(-2, 3), 5, Fraction(1, 4), -3, 7, Fraction(-9, 2),
+                        2, 1, Fraction(3, 5)]),
+    PsiSequence.jackson(-2, 9)])
+def test_detect_reads_a_series_value_as_its_plain_table(psi):
+    # 1_psi != 1 and a scale != 1, so every readout is rescaled
+    cap = 9
+    value = parse_operator("3*Delta + 1/2*Dpsi^2", OperatorContext(cap, psi))
+    assert isinstance(value, SeriesOperator)
+    on_value = detect_psi_series(value)
+    on_table = detect_psi_series(GradedOperator(value.images, cap))
+    assert on_value.is_series and on_table.is_series
+    assert on_value.scale == on_table.scale
+    assert on_value.psi.values(cap) == on_table.psi.values(cap)
+    assert on_value.series_coeffs == on_table.series_coeffs
+    one = psi.n_psi(1)
+    assert on_value.series_coeffs == [on_value.scale * c * one ** k
+                                      for k, c in enumerate(value.series.coeffs)]
+    assert all(type(c) is Fraction for c in on_value.series_coeffs)
+
+
 def column_criterion(op):
     """Reference verdict by the weighted-binomial column test.
 

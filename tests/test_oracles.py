@@ -111,6 +111,20 @@ def q_factorials(q, cap):
     return out
 
 
+@pytest.mark.parametrize("q", ["1/2", "2", "-1/2", "-3"])
+def test_q_factorial_pairs_match_the_product_closed_form(q):
+    # [n]_q! = prod_(k<=n) (1 - q^k) / (1 - q)^n (Kac & Cheung, Quantum
+    # Calculus, 2002, ch. 1), with no recurrence in the weights
+    q = Fraction(q)
+    pairs = PsiSequence.jackson(q, 40).factorial_pairs(40)
+    product = Fraction(1)
+    for n in range(41):
+        if n:
+            product *= 1 - q ** n
+        closed = product / (1 - q) ** n
+        assert pairs[n] == (closed.numerator, closed.denominator), n
+
+
 @pytest.mark.parametrize("cap", CAPS + (48,))
 @pytest.mark.parametrize("q", ["1/2", "2", "-3"])
 def test_inverse_of_small_q_exponential_is_big_one_at_minus_z(cap, q):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +225,92 @@ def test_factorial_quotients_need_every_lower_weight():
         with pytest.raises(AdmissibilityError):
             quotient()
     assert psi.falling(1, 1) == 1 and psi.raising_ratio(0, 1) == 1
+
+
+# -- the int factorial chain against a Fraction chain --------------------
+
+CHAIN_WEIGHTS = dict(ORACLE_WEIGHTS, **{
+    "q=2": lambda: PsiSequence.jackson(2, 14),
+    "q=-1/2": lambda: PsiSequence.jackson(Fraction(-1, 2), 14),
+})
+
+
+def _fraction_chain(psi, n):
+    """k_psi! for k <= n, as running Fraction products of the weights."""
+    out = [Fraction(1)]
+    for k in range(1, n + 1):
+        out.append(out[-1] * psi.n_psi(k))
+    return out
+
+
+@pytest.mark.parametrize("weights", sorted(CHAIN_WEIGHTS))
+def test_int_factorial_chain_matches_a_fraction_chain(weights):
+    psi = CHAIN_WEIGHTS[weights]()
+    want = _fraction_chain(CHAIN_WEIGHTS[weights](), 14)
+    pairs = psi.factorial_pairs(14)
+    assert pairs == [(f.numerator, f.denominator) for f in want]
+    for n, (f, g) in enumerate(pairs):
+        assert g > 0 and gcd(f, g) == 1
+        value = psi.factorial(n)
+        assert type(value) is Fraction and value == want[n]
+    # the chain extends past what was stored, from any point
+    fresh = CHAIN_WEIGHTS[weights]()
+    assert fresh.factorial(5) == want[5] and fresh.factorial_pairs(14) == pairs
+    for n in (-1, -3):
+        for call in (psi.factorial, psi.factorial_pairs):
+            with pytest.raises(ValueError):
+                call(n)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), 2, Fraction(-1, 2), -2, 0,
+                               Fraction(-5, 3)])
+def test_jackson_weights_match_the_bracket(q):
+    values = PsiSequence.jackson(q, 30).values(30)
+    assert values == [jackson_bracket(q, n) for n in range(1, 31)]
+    assert all(type(w) is Fraction for w in values)
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda: PsiSequence.custom([2, Fraction(-1, 2), 0, 3], cap=2), 3),
+    (lambda: PsiSequence.jackson(-1, 1), 2),
+])
+def test_a_zero_weight_stops_every_factorial_reader_at_its_index(make, n):
+    readers = (lambda psi: psi.factorial(n), lambda psi: psi.factorial(n + 1),
+               lambda psi: psi.factorial_pairs(n),
+               lambda psi: psi.falling(n, 1), lambda psi: psi.falling(n + 1, 3),
+               lambda psi: psi.binomial(n, 1), lambda psi: psi.binomial(n + 1, 2))
+    for read in readers:
+        psi = make()
+        assert psi.factorial(n - 1) != 0
+        with pytest.raises(AdmissibilityError) as err:
+            read(psi)
+        assert err.value.details["n"] == n
+
+
+def _raise_by_ratios(psi, p):
+    """x^n -> raising_ratio(n, 1) x^(n+1), one Fraction per coefficient."""
+    return Polynomial([0] + [c * psi.raising_ratio(n, 1)
+                             for n, c in enumerate(p.coeffs)])
+
+
+@pytest.mark.parametrize("weights", ["custom", "q=-2", "rational", "classical"])
+def test_psi_raise_matches_the_raising_ratios(weights):
+    psi = ORACLE_WEIGHTS[weights]()
+    for p in (Polynomial((Fraction(1, 3), 0, -2, 0, 0, Fraction(5, 7))),
+              Polynomial((0,) * 6 + (Fraction(-9, 4),)),
+              Polynomial(range(1, 14)), Polynomial()):
+        assert psi_raise(psi, p) == _raise_by_ratios(psi, p)
+
+
+def test_psi_raise_reads_the_weights_through_deg_p_plus_one():
+    short = PsiSequence.custom([Fraction(-1, 2), 3])
+    assert psi_raise(short, Polynomial()) == Polynomial()
+    assert psi_raise(short, Polynomial.x()) == Polynomial.monomial(
+        2, Fraction(2, 3))
+    with pytest.raises(CapExceededError):
+        psi_raise(short, Polynomial((0, 0, 1)))
+    with pytest.raises(AdmissibilityError):
+        psi_raise(PsiSequence.custom([1, 0], cap=1), Polynomial((1, 1)))
 
 
 def test_binomial_edges():

@@ -7,12 +7,13 @@ out in this file on plain Fraction lists, against the readout gate on a
 plain-table copy, and against detection on that copy.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from psi_umbral import cli, operators
-from psi_umbral.algebra import Polynomial
+from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.errors import CapExceededError, NotShiftInvariantError
 from psi_umbral.expansion import detect_psi_series, first_expansion_coeffs
 from psi_umbral.exprparse import OperatorContext, parse_operator
@@ -342,3 +343,38 @@ def test_other_weights_and_plain_tables_compare_by_rows():
         a = SeriesOperator(series, psi)
         assert (a == b) is equal and (b == a) is equal
         assert a._rows
+
+
+# -- rows in any order ----------------------------------------------------
+
+LAZY_CAP = 40
+LAZY_WEIGHTS = {
+    "q=1/2": lambda: PsiSequence.jackson(Fraction(1, 2), LAZY_CAP),
+    "negative custom": lambda: PsiSequence.custom(
+        [Fraction((-1) ** n * (n + 2), n % 4 + 1)
+         for n in range(1, LAZY_CAP + 1)]),
+}
+SHAPES = {
+    "sparse": [0, Fraction(1, 3)] + [0] * 8 + [Fraction(-2, 7)]
+              + [0] * 25 + [5],
+    "dense": [Fraction((-1) ** k * (k + 1), 2 * k + 3)
+              for k in range(LAZY_CAP + 1)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("weights", sorted(LAZY_WEIGHTS))
+def test_rows_read_in_any_order_equal_the_plain_table(weights, shape):
+    psi = LAZY_WEIGHTS[weights]()
+    series = TruncatedSeries(SHAPES[shape], LAZY_CAP)
+    want = operator_from_series(series, psi, LAZY_CAP).images
+    down = SeriesOperator(series, psi)
+    assert [down.image(n) for n in range(LAZY_CAP, -1, -1)] == list(
+        reversed(want))
+    top_first = SeriesOperator(series, psi)
+    assert top_first.image(LAZY_CAP) == want[LAZY_CAP]
+    assert top_first.images == want
+    order = list(range(LAZY_CAP + 1))
+    random.Random(7).shuffle(order)
+    mixed = SeriesOperator(series, psi)
+    assert [mixed.image(n) for n in order] == [want[n] for n in order]
