@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .errors import (CapExceededError, CompositionError, NonInvertibleError,
@@ -127,12 +128,12 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return _combination(((1, self), (1, other)), 1)
+        return _combination(((1, self, 0), (1, other, 0)), 1)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return _combination(((1, self), (-1, other)), 1)
+        return _combination(((1, self, 0), (-1, other, 0)), 1)
 
     def __neg__(self):
         return _raw(tuple(-a for a in self._num), self._den)
@@ -214,16 +215,25 @@ class Polynomial:
 
 
 def _over_lcm(cs):
-    """Int numerators of the Fractions cs over the lcm of their denominators.
-
-    Over the lcm of reduced denominators the numerators share no factor
-    with it, so no gcd pass is needed.
-    """
+    """Int numerators of the Fractions cs over the lcm of their denominators:
+    ``_pairs_over_lcm`` on Fractions, without building the pairs."""
     den = 1
     for c in cs:
         if den % c.denominator:
             den = den // gcd(den, c.denominator) * c.denominator
     return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _pairs_over_lcm(pairs):
+    """[a (L/d)] and L for a list of int pairs (a, d), d != 0, with L > 0
+    the lcm of the |d| whose a is nonzero; a zero a stays 0.  Over the lcm
+    of the denominators of fractions in lowest terms the numerators share
+    no factor with it, so no gcd pass is needed."""
+    den = 1
+    for a, d in pairs:
+        if a and den % d:
+            den = den // gcd(den, d) * abs(d)
+    return [a * (den // d) if a else 0 for a, d in pairs], den
 
 
 def _raw(nums: tuple, den: int) -> Polynomial:
@@ -246,44 +256,27 @@ def _from_ints(nums, den: int) -> Polynomial:
 
 
 def _combination(terms, den: int) -> Polynomial:
-    """sum m * row / den over the (int m, Polynomial row) terms, collected
-    in one int list over the lcm of the denominators of the rows used."""
-    terms = [(m, row) for m, row in terms if m and row._num]
-    lcm = 1
-    for _, row in terms:
-        if lcm % row._den:
-            lcm = lcm // gcd(lcm, row._den) * row._den
-    out = []
-    for m, row in terms:
-        m *= lcm // row._den
-        r = row._num
-        if len(out) < len(r):
-            out.extend([0] * (len(r) - len(out)))
-        for j, y in enumerate(r):
-            if y:
-                out[j] += m * y
-    return _from_ints(out, lcm * den)
-
-
-def _shifted_combination(terms, den: int) -> Polynomial:
     """sum m * x^s * row / den over the (int m, Polynomial row, int s)
-    terms: ``_combination`` with each row read s places up, so no shifted
-    copy is built and its leading zeros are never walked."""
-    terms = [(m, row, s) for m, row, s in terms if m and row._num]
+    terms, for an int den != 0: each row is read s places up, so no shifted
+    copy is built, and the sum is collected in one int list over the lcm of
+    the denominators of the rows used."""
+    terms = [t for t in terms if t[0] and t[1]._num]
     lcm = 1
     for _, row, _ in terms:
         if lcm % row._den:
             lcm = lcm // gcd(lcm, row._den) * row._den
+    signed = lcm if den > 0 else -lcm
     out = []
     for m, row, s in terms:
-        m *= lcm // row._den
+        m *= signed // row._den
         r = row._num
-        if len(out) < s + len(r):
-            out.extend([0] * (s + len(r) - len(out)))
+        end = s + len(r)
+        if len(out) < end:
+            out.extend([0] * (end - len(out)))
         for j, y in enumerate(r, s):
             if y:
                 out[j] += m * y
-    return _from_ints(out, lcm * den)
+    return _from_ints(out, lcm * abs(den))
 
 
 def _raw_product(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -299,22 +292,22 @@ def _triangular_inverse(rows) -> list:
     """Rows v_n = L^(-1) x^n of the map L: x^n -> rows[n], for rows of
     degree exactly n: with rows[n] = a/d on ints,
     v_n = (d x^n - sum_(j<n) a_j v_j) / a_n, one combination per row."""
+    one = _raw((1,), 1)
     inv = []
     for n, row in enumerate(rows):
         a = row._num
         if len(a) != n + 1:
             raise SelfCheckError("triangular row %d has degree %s, expected %d"
                                  % (n, row.degree, n))
-        s = 1 if a[n] > 0 else -1
-        terms = [(-s * a[j], inv[j]) for j in range(n)]
-        terms.append((s * row._den, _raw((0,) * n + (1,), 1)))
-        inv.append(_combination(terms, s * a[n]))
+        terms = [(-a[j], inv[j], 0) for j in range(n)]
+        terms.append((row._den, one, n))
+        inv.append(_combination(terms, a[n]))
     return inv
 
 
 def _linear_combination(p: Polynomial, rows) -> Polynomial:
     """sum_n p_n * rows[n]."""
-    return _combination(zip(p._num, rows), p._den)
+    return _combination(zip(p._num, rows, repeat(0)), p._den)
 
 
 def _generating_sum(polys, lam) -> Polynomial:
@@ -323,7 +316,7 @@ def _generating_sum(polys, lam) -> Polynomial:
     lam = as_scalar(lam)
     a, b = lam.numerator, lam.denominator
     top = len(polys) - 1
-    return _combination([(a ** n * b ** (top - n), p)
+    return _combination([(a ** n * b ** (top - n), p, 0)
                          for n, p in enumerate(polys)], b ** top)
 
 

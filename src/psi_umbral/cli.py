@@ -403,8 +403,9 @@ class _Parser(argparse.ArgumentParser):
         flag = args[0].split("=", 1)[0] if args else ""
         if flag.startswith("--") and not any(
                 o.startswith(flag) for o in self._option_string_actions):
-            # a command's flag or a prefix of one, and not "--" or a prefix
-            # of --help: else argparse reads the flag's value as the command
+            # a flag before the command, and not "--" or a prefix of --help:
+            # argparse would read its value as the command, so it is refused
+            # here, by the command flag it names or else as unrecognized
             matches = ([flag] if flag in self.command_flags else sorted(
                 f for f in self.command_flags if f.startswith(flag)))
             if len(matches) > 1:
@@ -415,6 +416,7 @@ class _Parser(argparse.ArgumentParser):
             if matches:
                 self.error("argument %s: give it after the command"
                            % matches[0], matches[0])
+            self.error(gettext("unrecognized arguments: %s") % args[0], flag)
         args, extras = self.parse_known_args(args, namespace)
         if extras:
             self.error(gettext("unrecognized arguments: %s") % " ".join(extras),

@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _combination,
-                      _generating_sum, _raw_product, _shifted_combination,
+                      _generating_sum, _raw_product,
                       scalar_to_str)
 from .errors import CapExceededError
 from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
@@ -163,17 +163,15 @@ def _series_expansion(t: GradedOperator, base: SeriesOperator,
             # Step 1: F_m = T x^m / m_psi! - sum_(k<m) F_k x^(m-k) / (m-k)_psi!.
             terms = [(-a, p, j) for a, p, j in _shift_terms(scaled, fact, m)]
             terms.append((g * (l // f), t.image(m), 0))
-            scaled.append(_shifted_combination(terms, l))
+            scaled.append(_combination(terms, l))
         # Step 2: q_m = (F_m - sum_(n<m) (s^n)_m q_n) / (s^m)_m.
         if rows[m] is None:
             qs.append(scaled[m])
             continue
         row, den = rows[m]
-        e = row[-1][1]
-        sign = 1 if e > 0 else -1
-        terms = [(-sign * a, qs[n]) for n, a in row[:-1]]
-        terms.append((sign * den, scaled[m]))
-        qs.append(_combination(terms, sign * e))
+        terms = [(-a, qs[n], 0) for n, a in row[:-1]]
+        terms.append((den, scaled[m], 0))
+        qs.append(_combination(terms, row[-1][1]))
     return qs
 
 
@@ -183,15 +181,15 @@ def _series_reconstruction(coeff_polys, base: SeriesOperator,
     qs = list(coeff_polys[: cap + 1])
     qs += [Polynomial()] * (cap + 1 - len(qs))
     scaled = [qs[k] if row is None else
-              _combination([(a, qs[n]) for n, a in row[0]], row[1])
+              _combination([(a, qs[n], 0) for n, a in row[0]], row[1])
               for k, row in enumerate(rows)]
     if all(q.degree <= 0 for q in qs):
         # Constant q_n make F = sum q_n s^n a scalar series: the value F(d).
         return SeriesOperator(TruncatedSeries(
             [p.constant_term for p in scaled], cap), base.psi)
     return GradedOperator([
-        _shifted_combination([(f * a, p, j) for a, p, j in
-                              _shift_terms(scaled[: m + 1], fact, m)], g * l)
+        _combination([(f * a, p, j) for a, p, j in
+                      _shift_terms(scaled[: m + 1], fact, m)], g * l)
         for m, (f, g, l) in enumerate(fact)], cap)
 
 
@@ -212,11 +210,10 @@ def expand_in_monomials(t: GradedOperator,
     qs = []
     for m in range(cap + 1):
         pivot = powers[m][m].constant_term
-        s = 1 if pivot > 0 else -1
-        terms = [(-s * pivot.denominator, _raw_product(qs[n], powers[n][m]))
+        terms = [(-pivot.denominator, _raw_product(qs[n], powers[n][m]), 0)
                  for n in range(m)]
-        terms.append((s * pivot.denominator, t.image(m)))
-        qs.append(_combination(terms, s * pivot.numerator))
+        terms.append((pivot.denominator, t.image(m), 0))
+        qs.append(_combination(terms, pivot.numerator))
     return OperatorExpansion(qs, base, "monomial")
 
 
@@ -234,7 +231,7 @@ def reconstruct_from_monomial_form(exp: OperatorExpansion,
         return _series_reconstruction(exp.coeff_polys, base, cap)
     powers = _base_powers_on_monomials(base, cap)
     return GradedOperator([_combination(
-        [(1, _raw_product(q, powers[n][m]))
+        [(1, _raw_product(q, powers[n][m]), 0)
          for n, q in enumerate(exp.coeff_polys[: m + 1])], 1)
         for m in range(cap + 1)], cap)
 
@@ -305,8 +302,9 @@ def conjugate_indicator_check(t: GradedOperator,
     conj = []
     for n in range(cap + 1):
         conj.append(_combination(
-            [(1, applied[n])] + [(-1, _raw_product(table[j], conj[n - j]))
-                                 for j in range(1, n + 1)], 1))
+            [(1, applied[n], 0)]
+            + [(-1, _raw_product(table[j], conj[n - j]), 0)
+               for j in range(1, n + 1)], 1))
     mismatches = [n for n in range(cap + 1)
                   if conj[n] != expansion.coeff_polys[n]]
     ok = not mismatches

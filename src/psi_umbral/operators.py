@@ -31,8 +31,8 @@ from __future__ import annotations
 from math import gcd
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
-                      _linear_combination, _over_lcm, _raw_series,
-                      as_scalar)
+                      _linear_combination, _over_lcm, _pairs_over_lcm,
+                      _raw_series, as_scalar)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, NotShiftInvariantError,
                      SelfCheckError)
@@ -61,14 +61,9 @@ def psi_raise(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """
     a = p._num
     ws = [psi.n_psi(n) for n in range(1, len(a) + 1)]
-    den = 1
-    for x, w in zip(a, ws):
-        u = w.numerator
-        if x and den % u:
-            den = den // gcd(den, u) * abs(u)
-    return _from_ints([0] + [x * n * w.denominator * (den // w.numerator)
-                             for n, (x, w) in enumerate(zip(a, ws), 1)],
-                      den * p._den)
+    nums, den = _pairs_over_lcm([(x * n * w.denominator, w.numerator)
+                                 for n, (x, w) in enumerate(zip(a, ws), 1)])
+    return _from_ints([0] + nums, den * p._den)
 
 def divided_difference(p: Polynomial) -> Polynomial:
     """Send x^n to x^(n-1), constants to zero: (p(x) - p(0))/x."""
@@ -399,8 +394,9 @@ class SeriesOperator(GradedOperator):
     series values again, and so is a truncation; any mix with a plain
     table is a plain table.  Two series values in one weights object
     compare by their series at the common cap, other operands by rows.
-    ``_derived`` keeps what other modules derive from the value (the
-    expansion's tables of it), built once per value.
+    ``_derived`` keeps what is derived from the value (the expansion's
+    tables of it, a delta operator's reverted indicator), built once per
+    value.
     """
 
     __slots__ = ("series", "psi", "_rule", "_rows", "_derived")
@@ -518,19 +514,15 @@ def _series_and_witness(op: GradedOperator, psi: PsiSequence):
     """
     if isinstance(op, SeriesOperator) and op.psi is psi:
         return op.series, None
-    parts, den = [], 1
+    parts = []
     for (f, g), row in zip(psi.factorial_pairs(op.cap), op.images):
         a = row._num[0] if row._num else 0
         e = gcd(a, row._den)
         a, d = a // e, row._den // e
         x, y = gcd(a, f), gcd(g, d)
-        a, d = a // x * (g // y), d // y * (f // x)
-        if d < 0:
-            a, d = -a, -d
-        parts.append((a, d))
-        if den % d:
-            den = den // gcd(den, d) * d
-    c = _raw_series(tuple(a * (den // d) for a, d in parts), den, op.cap)
+        parts.append((a // x * (g // y), d // y * (f // x)))
+    nums, den = _pairs_over_lcm(parts)
+    c = _raw_series(tuple(nums), den, op.cap)
     model = map(SeriesOperator(c, psi).image, range(op.cap + 1))
     for n, (img, want) in enumerate(zip(op.images, model)):
         if img != want:

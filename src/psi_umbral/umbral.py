@@ -12,9 +12,11 @@ the S factor.  Having both is the point; they must agree exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
-from .algebra import (Polynomial, TruncatedSeries, _generating_sum,
-                      _linear_combination, _series, _triangular_inverse)
+from .algebra import (Polynomial, TruncatedSeries, _combination,
+                      _generating_sum, _linear_combination, _series,
+                      _triangular_inverse)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError)
 from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
@@ -102,7 +104,8 @@ def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
     polys = [Polynomial.one()]
     for n in range(1, n_max + 1):
         target = psi.n_psi(n) * polys[n - 1]
-        polys.append(_linear_combination(target, inv).shifted(1))
+        polys.append(_combination(zip(target._num, inv, repeat(1)),
+                                  target._den))
     return BasicSequence(polys, psi, op)
 
 
@@ -116,11 +119,7 @@ class DeltaOperator(SeriesOperator):
     computed once.
     """
 
-    __slots__ = ("_reversion",)
-
-    def __init__(self, indicator: TruncatedSeries, psi: PsiSequence):
-        super().__init__(indicator, psi)
-        self._reversion = None
+    __slots__ = ()
 
     @classmethod
     def from_operator(cls, op: GradedOperator, psi: PsiSequence) -> "DeltaOperator":
@@ -154,9 +153,9 @@ class DeltaOperator(SeriesOperator):
     @property
     def indicator_reversion(self) -> TruncatedSeries:
         """The series r with indicator(r(z)) = z."""
-        if self._reversion is None:
-            self._reversion = self.series.reversion()
-        return self._reversion
+        if "reversion" not in self._derived:
+            self._derived["reversion"] = self.series.reversion()
+        return self._derived["reversion"]
 
     def basic(self, n_max: int) -> BasicSequence:
         return basic_sequence_solve(self, self.psi, n_max)

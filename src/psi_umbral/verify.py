@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import comb, factorial
 
 from .algebra import (Polynomial, TruncatedSeries, _combination,
@@ -165,7 +166,7 @@ def _binomial_sum(binomials, basic_polys, values, n):
     denominator."""
     b, b_den = binomials[n]
     v, v_den = values
-    return _combination(((b[k] * v[n - k], basic_polys[k])
+    return _combination(((b[k] * v[n - k], basic_polys[k], 0)
                          for k in range(n + 1)), b_den * v_den)
 
 
@@ -362,7 +363,7 @@ def check_first_expansion(cap: int) -> list[CheckResult]:
             cs, den = _over_lcm([a[k] * psi.falling(n, k)
                                  for k in range(min(n, len(a) - 1) + 1)])
             return ts[trial].apply(basic[n]) == _combination(
-                ((c, basic[n - k]) for k, c in enumerate(cs)), den)
+                ((c, basic[n - k], 0) for k, c in enumerate(cs)), den)
 
         cases = [case for trial in range(len(drawn)) for case in
                  [{"trial": trial, "n": n} for n in range(n_max + 1)]
@@ -382,7 +383,7 @@ def _series_in(base: GradedOperator, coeffs) -> GradedOperator:
         powers = [Polynomial.monomial(n)]
         for _ in cs[1:]:
             powers.append(base.apply(powers[-1]))
-        return _combination(zip(cs, powers), den)
+        return _combination(zip(cs, powers, repeat(0)), den)
 
     return GradedOperator.from_monomial_rule(row, base.cap)
 

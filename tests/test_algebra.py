@@ -3,12 +3,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from psi_umbral.algebra import (NEG_INF, Polynomial, TruncatedSeries,
+                                _combination, _over_lcm, _pairs_over_lcm,
                                 as_scalar, format_polynomial, scalar_from_str,
                                 scalar_to_str)
 from psi_umbral.errors import (CompositionError, NonInvertibleError,
@@ -187,6 +188,66 @@ def test_integer_kernel_matches_fraction_lists(seed):
         assert p(x0) == sum((v * x0 ** i for i, v in enumerate(a)), Fraction(0))
         assert p.leading_coefficient == (trimmed(a) or [Fraction(0)])[-1]
         assert p.constant_term == (a[0] if a else 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_combination_is_the_sum_of_shifted_rows(seed):
+    # shifts 0, 1 and past the length summed so far, zero rows, zero
+    # multipliers and a denominator of either sign
+    rng = random.Random(seed)
+    for _ in range(40):
+        terms = [(rng.choice((0, rng.randint(-9, 9))),
+                  Polynomial(random_fractions(rng, rng.randint(0, 6))),
+                  rng.choice((0, 1, rng.randint(2, 14))))
+                 for _ in range(rng.randint(0, 5))]
+        den = rng.choice((-1, 1)) * rng.choice(DENOMINATORS)
+        want = Polynomial()
+        for m, row, s in terms:
+            want = want + m * row.shifted(s)
+        got = _combination(terms, den)
+        assert got == want / den
+        assert_canonical(got)
+
+
+def test_combination_with_a_negative_denominator():
+    p = Polynomial([Fraction(1, 2), 0, Fraction(-3, 4)])
+    terms = [(3, p, 4), (0, Polynomial.one(), 9), (5, Polynomial(), 2),
+             (-2, Polynomial.x(), 0)]
+    got = _combination(iter(terms), -6)
+    assert got == (3 * p.shifted(4) - 2 * Polynomial.x()) / -6
+    assert got.coeffs == (0, Fraction(1, 3), 0, 0, Fraction(-1, 4), 0,
+                          Fraction(3, 8))
+    assert_canonical(got)
+    assert _combination([(0, p, 1), (4, Polynomial(), 3)], -5) == Polynomial()
+
+
+def test_pairs_over_lcm_keeps_zeros_and_a_positive_denominator():
+    assert _pairs_over_lcm([]) == ([], 1)
+    assert _pairs_over_lcm([(0, 5), (0, -3), (0, 1)]) == ([0, 0, 0], 1)
+    # a zero a adds nothing to the lcm; a negative d flips its numerator
+    assert _pairs_over_lcm([(1, -2), (0, 7), (1, 3), (-5, -4)]) == (
+        [-6, 0, 4, 15], 12)
+    assert _pairs_over_lcm([(6, 4), (2, -6)]) == ([18, -4], 12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pairs_over_lcm_puts_the_pairs_over_one_denominator(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        pairs = [(rng.choice((0, rng.randint(-99, 99))),
+                  rng.choice((-1, 1)) * rng.choice(DENOMINATORS))
+                 for _ in range(rng.randint(0, 8))]
+        nums, den = _pairs_over_lcm(pairs)
+        assert den == lcm(*(d for a, d in pairs if a))
+        assert [Fraction(a, den) for a in nums] == [Fraction(a, d)
+                                                    for a, d in pairs]
+        # reduced Fractions as pairs come out as _over_lcm puts them
+        cs = random_fractions(rng, rng.randint(0, 8))
+        den = lcm(*(c.denominator for c in cs))
+        want = ([c.numerator * (den // c.denominator) for c in cs], den)
+        assert _over_lcm(cs) == want
+        assert _pairs_over_lcm([(c.numerator, c.denominator)
+                                for c in cs]) == want
 
 
 def test_zero_polynomials_are_all_the_same():

@@ -416,7 +416,46 @@ def test_a_prefix_of_a_top_level_option_stays_that_option(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--he"])
     assert info.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: psi-umbral")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: psi-umbral")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--zz", "3", "basic"], "unrecognized arguments: --zz"),
+    (["--zz", "basic"], "unrecognized arguments: --zz"),
+    (["--zz=3", "basic"], "unrecognized arguments: --zz=3"),
+    (["--"], "the following arguments are required: command"),
+])
+def test_an_unknown_flag_before_the_command_is_unrecognized(capsys,
+                                                            monkeypatch,
+                                                            argv, message):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: psi-umbral [-h]\n"
+        "                  {basic,expand,detect,verify,integrate,translate,"
+        "table} ...\n"
+        "psi-umbral: error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--zz", "3", "basic", "--format", "json"],
+    ["--zz", "basic", "--format", "json"],
+    ["--zz=3", "basic", "--format", "json"],
+])
+def test_an_unknown_flag_before_the_command_in_json_mode(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "code": "job_spec", "details": {"pointer": "--zz"},
+        "message": "unrecognized arguments: %s" % argv[0]}
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -574,17 +574,17 @@ def test_series_base_applies_no_operator(monkeypatch):
 
 
 def test_a_series_value_in_the_base_weights_skips_step_one(monkeypatch):
-    # T = sum c_k d^k gives F_m = c_m, so no shifted combination is built,
+    # T = sum c_k d^k gives F_m = c_m, so step 1 reads no shifted terms,
     # and its constant q_n reconstruct to a series value again; the same
     # value in a distinct weights object, or as a plain table, takes step 1
     calls = []
-    real = expansion._shifted_combination
+    real = expansion._shift_terms
 
-    def counted(terms, den):
-        calls.append(den)
-        return real(terms, den)
+    def counted(scaled, fact, m):
+        calls.append(m)
+        return real(scaled, fact, m)
 
-    monkeypatch.setattr(expansion, "_shifted_combination", counted)
+    monkeypatch.setattr(expansion, "_shift_terms", counted)
     psi = PsiSequence.jackson(2, 12)
     ctx = OperatorContext(12, psi)
     base = parse_operator("Delta", ctx)

@@ -8,6 +8,8 @@
 - ``verify`` states its identities through ``binomial``, ``falling`` and
   ``raising_ratio``, the values it checks, and never reads the factorial
   pairs or the quotient behind them.
+- Every top-level private function is used somewhere in the package
+  outside its own body, so a helper merged away cannot linger.
 """
 
 import ast
@@ -74,3 +76,34 @@ def test_verify_reads_no_factorial_pairs():
     found = [_where(path, n) for n in _nodes(path)
              if _identifier(n) in ("factorial_pairs", "_quotient")]
     assert found == []
+
+
+def _private_helpers():
+    """(path, def node) for each top-level ``def _name`` of the package."""
+    return [(path, node) for path in MODULES
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _uses(tree):
+    """The names and attributes in a syntax tree, import aliases aside."""
+    return [_identifier(n) for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+HELPERS = _private_helpers()
+USES = [name for path in MODULES
+        for name in _uses(ast.parse(path.read_text(), str(path)))]
+
+
+def test_the_package_has_private_helpers():
+    assert len(HELPERS) >= 50
+
+
+@pytest.mark.parametrize("path,node", HELPERS,
+                         ids=["%s:%s" % (p.name, n.name) for p, n in HELPERS])
+def test_every_private_helper_is_used(path, node):
+    # a use inside the helper's own body, a recursive call, does not count
+    assert USES.count(node.name) > _uses(node).count(node.name), \
+        _where(path, node)
