@@ -28,11 +28,15 @@ NEG_INF = float("-inf")
 
 
 def as_scalar(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to an exact rational."""
+    """Coerce ints, strings like ``"3/4"`` or ``"1.5"``, and Fractions to an
+    exact rational.  Exponent notation raises ``ValueError``: ``"1e10000000"``
+    would cost a ten-million-digit power of ten before any check."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("floating point values are not allowed in the kernel")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError("exponent notation is not accepted: %r" % (value,))
     return Fraction(value)
 
 

@@ -114,6 +114,9 @@ def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
         job = (parse_job(doc, command) if args.job is None
                else load_job_spec(args.job, command=command))
         cap = resolve_cap(job.cap)
+        if command == "verify" and cap < 6:
+            raise JobSpecError("verify needs --cap at least 6 (counterexample "
+                               "witnesses live at degree 4)", "/cap")
         psi = job.psi
         if psi is None and command not in UNWEIGHTED:
             psi = PsiSequence.classical(cap)
@@ -232,9 +235,6 @@ def run_detect(params, cap, psi):
 
 
 def run_verify(params, cap, psi):
-    if cap < 6:
-        raise JobSpecError("verify needs --cap at least 6 (counterexample "
-                           "witnesses live at degree 4)", "--cap")
     suite = params["suite"]
     if suite == "all":
         groups = run_all(cap)
@@ -374,7 +374,8 @@ class _Parser(argparse.ArgumentParser):
     whose usage ``main`` prints in text mode.  Help and usage text are
     wrapped at a fixed width, not the terminal's, so every byte is
     deterministic.  ``command_flags`` holds the commands' own flags, which
-    the top parser refuses before the command, abbreviated or not.
+    the top parser refuses before the command, abbreviated or not; any
+    other option it does not have is refused there as unrecognized.
     """
 
     command_flags = frozenset()
@@ -398,25 +399,33 @@ class _Parser(argparse.ArgumentParser):
             # the option as typed
             self.error(exc.message, arg_string.split("=", 1)[0])
 
+    def _get_values(self, action, arg_strings):
+        # "--" ends the options, and what follows is the command: Python
+        # 3.11's argparse would read the "--" itself as the command
+        if action.nargs == argparse.PARSER and arg_strings[:1] == ["--"]:
+            arg_strings = arg_strings[1:]
+        return super()._get_values(action, arg_strings)
+
     def parse_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        flag = args[0].split("=", 1)[0] if args else ""
-        if flag.startswith("--") and not any(
-                o.startswith(flag) for o in self._option_string_actions):
-            # a flag before the command, and not "--" or a prefix of --help:
-            # argparse would read its value as the command, so it is refused
-            # here, by the command flag it names or else as unrecognized
+        first = args[0] if args else ""
+        if first != "--" and self._parse_optional(first) == (None, first, None):
+            # argparse reads this as an option the top parser does not have,
+            # so it would read the option's value as the command: it is
+            # refused here, by the command flag it names or else as
+            # unrecognized
+            flag = first.split("=", 1)[0]
             matches = ([flag] if flag in self.command_flags else sorted(
                 f for f in self.command_flags if f.startswith(flag)))
             if len(matches) > 1:
                 msg = gettext("ambiguous option: %(option)s could match "
                               "%(matches)s")
-                self.error(msg % {"option": args[0],
+                self.error(msg % {"option": first,
                                   "matches": ", ".join(matches)}, flag)
             if matches:
                 self.error("argument %s: give it after the command"
                            % matches[0], matches[0])
-            self.error(gettext("unrecognized arguments: %s") % args[0], flag)
+            self.error(gettext("unrecognized arguments: %s") % first, flag)
         args, extras = self.parse_known_args(args, namespace)
         if extras:
             self.error(gettext("unrecognized arguments: %s") % " ".join(extras),

@@ -36,9 +36,30 @@ from .operators import (GradedOperator, SeriesOperator, derivative_op,
                         translation_op, weight_op)
 from .psi import CLASSICAL, PsiSequence
 
-_PSI_BOUND = {"Dpsi", "Xpsi", "Nhat", "Delta", "E"}
-_PARAMETRIC = {"Q", "Dq", "E"}
 MAX_NESTING = 64
+
+
+def _derivative(cap, psi, param):
+    # under classical weights D is the series value of the weighted derivative
+    if psi is not None and psi.kind == CLASSICAL:
+        return psi_derivative_op(psi, cap)
+    return derivative_op(cap)
+
+
+# The operator names: name -> (needs the context weights, takes a [parameter],
+# builder (cap, psi, param) -> operator).
+_NAMES = {
+    "D": (False, False, _derivative),
+    "X": (False, False, lambda cap, psi, param: multiply_x_op(cap)),
+    "D0": (False, False, lambda cap, psi, param: divided_difference_op(cap)),
+    "Q": (False, True, lambda cap, psi, param: dilation_op(param, cap)),
+    "Dq": (False, True, lambda cap, psi, param: jackson_derivative_op(param, cap)),
+    "Dpsi": (True, False, lambda cap, psi, param: psi_derivative_op(psi, cap)),
+    "Xpsi": (True, False, lambda cap, psi, param: psi_raise_op(psi, cap)),
+    "Nhat": (True, False, lambda cap, psi, param: weight_op(psi, cap)),
+    "Delta": (True, False, lambda cap, psi, param: forward_difference_op(psi, cap)),
+    "E": (True, True, lambda cap, psi, param: translation_op(psi, param, cap)),
+}
 
 
 class OperatorContext:
@@ -49,20 +70,17 @@ class OperatorContext:
         self.psi = psi
 
 
-class _Tokens:
-    def __init__(self, text: str):
+class _Parser:
+    def __init__(self, text: str, ctx: OperatorContext):
         self.text = text
         self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.ctx = ctx
+        self.depth = 0
 
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else None
 
     def take_symbol(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -74,31 +92,26 @@ class _Tokens:
         if not self.take_symbol(ch):
             raise ExprParseError("expected %r" % ch, self.pos)
 
-    def take_name(self):
-        self._skip_ws()
+    def take_run(self, accept) -> str:
+        """After whitespace, the longest run of characters ``accept`` takes."""
+        self.peek()
         start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
+        while self.pos < len(self.text) and accept(self.text[self.pos]):
             self.pos += 1
-        if self.pos == start:
-            return None
         return self.text[start:self.pos]
 
     def take_int(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
+        digits = self.take_run(str.isdecimal)
+        start = self.pos - len(digits)
+        if not digits:
             raise ExprParseError("expected an integer", start)
         limit = sys.get_int_max_str_digits()
-        if limit and self.pos - start > limit:
+        if limit and len(digits) > limit:
             raise ExprParseError("integer literal longer than the %d-digit limit "
                                  "for converting a string to an int" % limit, start)
-        return int(self.text[start:self.pos])
+        return int(digits)
 
     def take_rational(self) -> Fraction:
-        self._skip_ws()
         neg = self.take_symbol("-")
         num = self.take_int()
         if self.take_symbol("/"):
@@ -110,112 +123,82 @@ class _Tokens:
             value = Fraction(num)
         return -value if neg else value
 
-
-class _Parser:
-    def __init__(self, text: str, ctx: OperatorContext):
-        self.toks = _Tokens(text)
-        self.ctx = ctx
-        self.depth = 0
-
     def parse(self) -> GradedOperator:
         op = self.expr()
-        if self.toks.peek() is not None:
-            raise ExprParseError("unexpected trailing input", self.toks.pos)
+        if self.peek() is not None:
+            raise ExprParseError("unexpected trailing input", self.pos)
         return op
 
     def expr(self) -> GradedOperator:
         left = self.term()
         while True:
-            if self.toks.take_symbol("+"):
+            if self.take_symbol("+"):
                 left = left + self.term()
-            elif self.toks.take_symbol("-"):
+            elif self.take_symbol("-"):
                 left = left - self.term()
             else:
                 return left
 
     def term(self) -> GradedOperator:
         left = self.unary()
-        while self.toks.take_symbol("*"):
+        while self.take_symbol("*"):
             left = left * self.unary()
         return left
 
     def unary(self) -> GradedOperator:
         negate = False
-        while self.toks.take_symbol("-"):
+        while self.take_symbol("-"):
             negate = not negate
         op = self.power()
         return -op if negate else op
 
     def power(self) -> GradedOperator:
         base = self.atom()
-        while self.toks.take_symbol("^"):
-            base = base ** self.toks.take_int()
+        while self.take_symbol("^"):
+            base = base ** self.take_int()
         return base
 
     def atom(self) -> GradedOperator:
-        ch = self.toks.peek()
+        ch = self.peek()
         if ch is None:
-            raise ExprParseError("unexpected end of input", self.toks.pos)
+            raise ExprParseError("unexpected end of input", self.pos)
         if ch == "(":
             if self.depth == MAX_NESTING:
                 raise ExprParseError("parentheses nested deeper than %d"
-                                     % MAX_NESTING, self.toks.pos)
-            self.toks.expect_symbol("(")
+                                     % MAX_NESTING, self.pos)
+            self.expect_symbol("(")
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
-            self.toks.expect_symbol(")")
+            self.expect_symbol(")")
             return inner
         if ch.isdecimal():
-            value = self.toks.take_rational()
+            value = self.take_rational()
             if self.ctx.psi is None:
                 return GradedOperator.scalar(value, self.ctx.cap)
             return SeriesOperator(TruncatedSeries((value,), self.ctx.cap),
                                   self.ctx.psi)
-        at = self.toks.pos
-        name = self.toks.take_name()
-        if name is None:
-            raise ExprParseError("unexpected character %r" % ch, self.toks.pos)
+        at = self.pos
+        name = self.take_run(lambda ch: ch.isalnum() or ch == "_")
+        if not name:
+            raise ExprParseError("unexpected character %r" % ch, self.pos)
         return self.named(name, at)
 
     def named(self, name: str, at: int) -> GradedOperator:
         param = None
-        if self.toks.take_symbol("["):
-            param = self.toks.take_rational()
-            self.toks.expect_symbol("]")
-        if name in _PARAMETRIC and param is None:
+        if self.take_symbol("["):
+            param = self.take_rational()
+            self.expect_symbol("]")
+        needs_psi, parametric, build = _NAMES.get(name, (False, False, None))
+        if parametric and param is None:
             raise ExprParseError("%s requires a [parameter]" % name, at)
-        if name not in _PARAMETRIC and param is not None:
+        if not parametric and param is not None:
             raise ExprParseError("%s takes no parameter" % name, at)
-        cap = self.ctx.cap
-        if name in _PSI_BOUND:
-            psi = self.ctx.psi
-            if psi is None:
-                raise ExprParseError(
-                    "%s needs a weight sequence in context" % name, at)
-            if name == "Dpsi":
-                return psi_derivative_op(psi, cap)
-            if name == "Xpsi":
-                return psi_raise_op(psi, cap)
-            if name == "Nhat":
-                return weight_op(psi, cap)
-            if name == "Delta":
-                return forward_difference_op(psi, cap)
-            return translation_op(psi, param, cap)
-        if name == "D":
-            psi = self.ctx.psi
-            if psi is not None and psi.kind == CLASSICAL:
-                return psi_derivative_op(psi, cap)
-            return derivative_op(cap)
-        if name == "X":
-            return multiply_x_op(cap)
-        if name == "D0":
-            return divided_difference_op(cap)
-        if name == "Q":
-            return dilation_op(param, cap)
-        if name == "Dq":
-            return jackson_derivative_op(param, cap)
-        raise ExprParseError("unknown operator name %r" % name, at)
+        if build is None:
+            raise ExprParseError("unknown operator name %r" % name, at)
+        if needs_psi and self.ctx.psi is None:
+            raise ExprParseError("%s needs a weight sequence in context" % name, at)
+        return build(self.ctx.cap, self.ctx.psi, param)
 
 
 def parse_operator(text: str, ctx: OperatorContext) -> GradedOperator:

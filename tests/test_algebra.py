@@ -40,6 +40,17 @@ def test_as_scalar_rejects_floats():
         as_scalar(0.5)
 
 
+@pytest.mark.parametrize("text", ["1e3", "2E-1", "1.5e2", "1e10000000"])
+def test_as_scalar_rejects_exponent_notation(text):
+    with pytest.raises(ValueError, match="exponent notation"):
+        scalar_from_str(text)
+
+
+def test_as_scalar_reads_decimals():
+    assert scalar_from_str("1.5") == Fraction(3, 2)
+    assert scalar_from_str(" -0.25 ") == Fraction(-1, 4)
+
+
 def test_scalar_string_roundtrip():
     for text in ("3", "-3", "1/2", "-7/3", "0"):
         assert scalar_to_str(scalar_from_str(text)) == text

@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,25 @@ def test_verify_rejects_small_cap(capsys):
     code, _, err = run(capsys, "verify", "--cap", "4")
     assert code == 2
     assert "at least 6" in err
+
+
+SMALL_VERIFY_CAP = ("verify needs --cap at least 6 (counterexample witnesses "
+                    "live at degree 4)")
+
+
+def test_verify_cap_floor_points_at_the_flag_or_the_job_key(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--suite", "ghw", "--cap", "4")
+    assert (code, out, err) == (2, "", "error: %s\n" % SMALL_VERIFY_CAP)
+    code, out, err = run(capsys, "verify", "--suite", "ghw", "--cap", "4",
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "job_spec", "message": SMALL_VERIFY_CAP,
+                               "details": {"pointer": "--cap"}}
+    code, out, err = run_job(capsys, tmp_path, "verify", {"cap": 4},
+                             "--format", "json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "job_spec", "message": SMALL_VERIFY_CAP,
+                               "details": {"pointer": "/cap"}}
 
 
 def test_integrate_q(capsys):
@@ -423,11 +443,25 @@ def test_a_prefix_of_a_top_level_option_stays_that_option(capsys):
     assert capsys.readouterr().out == out
 
 
+def invalid_command(value):
+    return ("argument command: invalid choice: %r (choose from 'basic', "
+            "'expand', 'detect', 'verify', 'integrate', 'translate', 'table')"
+            % value)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--zz", "3", "basic"], "unrecognized arguments: --zz"),
     (["--zz", "basic"], "unrecognized arguments: --zz"),
     (["--zz=3", "basic"], "unrecognized arguments: --zz=3"),
     (["--"], "the following arguments are required: command"),
+    (["-x", "3", "basic"], "unrecognized arguments: -x"),
+    (["-x=3", "basic"], "unrecognized arguments: -x=3"),
+    # after a leading "--", the next argument is the command
+    (["--", "-x", "3", "basic"], invalid_command("-x")),
+    (["--", "-h"], invalid_command("-h")),
+    # -h takes no value, and -5 reads as a value, here the command
+    (["-h3", "basic"], "argument -h/--help: ignored explicit argument '3'"),
+    (["-5", "basic"], invalid_command("-5")),
 ])
 def test_an_unknown_flag_before_the_command_is_unrecognized(capsys,
                                                             monkeypatch,
@@ -456,6 +490,44 @@ def test_an_unknown_flag_before_the_command_in_json_mode(capsys, argv):
     assert json.loads(err) == {
         "code": "job_spec", "details": {"pointer": "--zz"},
         "message": "unrecognized arguments: %s" % argv[0]}
+
+
+@pytest.mark.parametrize("argv,pointer,message", [
+    (["-x", "3", "basic"], "-x", "unrecognized arguments: -x"),
+    (["-x=3", "basic"], "-x", "unrecognized arguments: -x=3"),
+    (["-h3", "basic"], "-h/--help",
+     "argument -h/--help: ignored explicit argument '3'"),
+    (["-5", "basic"], "/command", invalid_command("-5")),
+    # after a leading "--", the next argument is the command
+    (["--", "--format", "json"], "/command", invalid_command("--format")),
+])
+def test_a_single_dash_or_ended_flag_before_the_command_in_json_mode(
+        capsys, argv, pointer, message):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "code": "job_spec", "details": {"pointer": pointer},
+        "message": message}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["-h", "--format", "json"]])
+def test_short_help_before_the_command_is_help(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr() == want
+    assert want.out.startswith("usage: psi-umbral")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_leading_double_dash_ends_the_options(capsys, fmt):
+    argv = ["table", "--cap", "3", "--format", fmt]
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    assert run(capsys, "--", *argv) == want
 
 
 def test_missing_subcommand_exits_two(capsys):
@@ -882,6 +954,33 @@ def test_integer_literals_are_decimal_digits(capsys, op, code, stream):
     assert got == code
     assert stream in (err if code else out)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("y,route", [
+    ("1e10000000", "flags"),
+    ("1e10000000", "job"),
+    ("2E3", "flags"),
+])
+def test_exponent_notation_is_not_a_rational(capsys, tmp_path, y, route):
+    # Fraction("1e10000000") builds a ten-million-digit power of ten
+    start = time.perf_counter()
+    if route == "job":
+        code, out, err = run_job(capsys, tmp_path, "translate",
+                                 {"y": y, "poly": ["1", "1"], "cap": 2},
+                                 "--format", "json")
+    else:
+        code, out, err = run(capsys, "translate", "--y", y, "--poly", "1,1",
+                             "--cap", "2", "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "job_spec", "details": {"pointer": "/y"},
+                               "message": "not a rational: %r" % y}
+
+
+def test_a_decimal_is_a_rational(capsys):
+    code, out, err = run(capsys, "translate", "--y", "1.5", "--poly", "1,1",
+                         "--cap", "2")
+    assert (code, out, err) == (0, "translate by y = 3/2: x + 5/2\n", "")
 
 
 _GOOD = st.sampled_from(["2", "1/2", "-3/5", "1.5"])

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from psi_umbral.algebra import Polynomial
 from psi_umbral.errors import ExprParseError
 from psi_umbral.exprparse import MAX_NESTING, OperatorContext, parse_operator
-from psi_umbral.operators import (GradedOperator, derivative_op,
-                                  forward_difference_op, multiply_x_op,
-                                  psi_derivative_op)
+from psi_umbral.operators import (GradedOperator, SeriesOperator,
+                                  derivative_op, forward_difference_op,
+                                  multiply_x_op, psi_derivative_op)
 from psi_umbral.psi import PsiSequence
 
 CTX = OperatorContext(8)
@@ -44,6 +44,52 @@ def test_psi_bound_without_context_fails():
         parse_operator("Dpsi", CTX)
     with pytest.raises(ExprParseError):
         parse_operator("E[1]", CTX)
+
+
+G, S = GradedOperator, SeriesOperator
+# name: (takes a [parameter], what it parses to without weights, under
+# classical weights, under q = 1/2 weights); None where it needs weights
+NAME_CASES = {
+    "D": (False, G, S, G),
+    "X": (False, G, G, G),
+    "D0": (False, G, G, G),
+    "Q": (True, G, G, G),
+    "Dq": (True, S, S, S),
+    "Dpsi": (False, None, S, S),
+    "Xpsi": (False, None, G, G),
+    "Nhat": (False, None, G, G),
+    "Delta": (False, None, S, S),
+    "E": (True, None, S, S),
+    "Zeta": (False, "unknown", "unknown", "unknown"),
+}
+WEIGHTS = {"none": None, "classical": PsiSequence.classical(8),
+           "q": PsiSequence.jackson(Fraction(1, 2), 8)}
+
+
+@pytest.mark.parametrize("weights", list(WEIGHTS))
+@pytest.mark.parametrize("param", ["", "[1/2]"])
+@pytest.mark.parametrize("name", list(NAME_CASES))
+def test_every_name_with_and_without_a_parameter_and_weights(name, param,
+                                                             weights):
+    parametric, *kinds = NAME_CASES[name]
+    kind = kinds[list(WEIGHTS).index(weights)]
+    ctx = OperatorContext(8, WEIGHTS[weights])
+    # leading blanks: the error points at the name, past them
+    text = "  " + name + param
+    if parametric and not param:
+        message = "%s requires a [parameter]" % name
+    elif param and not parametric:
+        message = "%s takes no parameter" % name
+    elif kind == "unknown":
+        message = "unknown operator name %r" % name
+    elif kind is None:
+        message = "%s needs a weight sequence in context" % name
+    else:
+        assert type(parse_operator(text, ctx)) is kind
+        return
+    with pytest.raises(ExprParseError) as info:
+        parse_operator(text, ctx)
+    assert (info.value.message, info.value.position) == (message, 2)
 
 
 def test_precedence_power_before_compose():

@@ -10,13 +10,20 @@
   pairs or the quotient behind them.
 - Every top-level private function is used somewhere in the package
   outside its own body, so a helper merged away cannot linger.
+- Every operator name of the expression parser's name table is listed in
+  README's "Command line" section and in the ``exprparse`` docstring,
+  written with ``[...]`` exactly where the table says it takes a
+  parameter.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from psi_umbral.exprparse import _NAMES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "psi_umbral"
 MODULES = sorted(SRC.glob("*.py"))
@@ -107,3 +114,26 @@ def test_every_private_helper_is_used(path, node):
     # a use inside the helper's own body, a recursive call, does not count
     assert USES.count(node.name) > _uses(node).count(node.name), \
         _where(path, node)
+
+
+def _operator_list():
+    """README's paragraph on the expression language, from "Operators are
+    written" to "Examples:", as the text of its code spans."""
+    readme = (SRC.parent.parent / "README.md").read_text()
+    start = readme.index("Operators are written")
+    para = readme[start:readme.index("Examples:", start)]
+    return " ".join(re.findall(r"`([^`]*)`", para))
+
+
+DOCS = {"README": _operator_list(),
+        "exprparse": ast.get_docstring(ast.parse((SRC / "exprparse.py")
+                                                 .read_text()))}
+
+
+@pytest.mark.parametrize("doc", list(DOCS))
+@pytest.mark.parametrize("name", list(_NAMES))
+def test_every_operator_name_is_documented_as_the_table_says(name, doc):
+    parametric = _NAMES[name][1]
+    uses = re.findall(r"(?<!\w)%s(?!\w)(\[?)" % re.escape(name), DOCS[doc])
+    assert uses, "%s is not listed in %s" % (name, doc)
+    assert all(bool(bracket) == parametric for bracket in uses), uses
