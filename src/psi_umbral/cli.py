@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from gettext import gettext
 
@@ -48,9 +49,9 @@ def resolve_cap(job_value) -> int:
             value = int(env)
         except ValueError:
             raise JobSpecError("%s must be an integer, got %r"
-                               % (CAP_ENV, env))
+                               % (CAP_ENV, env), "$" + CAP_ENV)
         if value < 0:
-            raise JobSpecError("%s must be nonnegative" % CAP_ENV)
+            raise JobSpecError("%s must be nonnegative" % CAP_ENV, "$" + CAP_ENV)
         return value
     return DEFAULT_CAP
 
@@ -81,14 +82,6 @@ def _psi_object(text: str):
 
 # -- parameter assembly ------------------------------------------------------
 
-def _flag_pointer(pointer: str) -> str:
-    """Where an error of the job validator points on the flag route: at
-    ``--psi`` for the weights object and anything in it, ``--cap`` for the
-    cap, and at the job key for the other parameters."""
-    head = pointer.split("/")[1] if pointer.startswith("/") else ""
-    return {"cap": "--cap", "psi": "--psi"}.get(head, pointer)
-
-
 def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
     """Validated parameters in job form, from the job file or the flags.
 
@@ -116,7 +109,8 @@ def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
         cap = resolve_cap(job.cap)
         if command == "verify" and cap < 6:
             raise JobSpecError("verify needs --cap at least 6 (counterexample "
-                               "witnesses live at degree 4)", "/cap")
+                               "witnesses live at degree 4)",
+                               "/cap" if job.cap is not None else "$" + CAP_ENV)
         psi = job.psi
         if psi is None and command not in UNWEIGHTED:
             psi = PsiSequence.classical(cap)
@@ -126,7 +120,10 @@ def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
     except JobSpecError as exc:
         if args.job is not None:
             raise
-        raise JobSpecError(exc.message, _flag_pointer(exc.pointer))
+        # at --cap for the cap, at --psi for the weights and anything in them
+        head = exc.pointer.split("/")[1] if exc.pointer.startswith("/") else ""
+        raise JobSpecError(exc.message, {"cap": "--cap", "psi": "--psi"}.get(
+            head, exc.pointer))
     return command, job.params, cap, psi
 
 
@@ -366,71 +363,16 @@ COMMAND_HELP = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that raises its usage errors as ``JobSpecError``.
-
-    ``exit_on_error`` is off, so each (sub)parser catches argparse's
-    ``ArgumentError`` where it arose.  The error points where the flag
-    route's own errors do and carries the failing parser as ``parser``,
-    whose usage ``main`` prints in text mode.  Help and usage text are
-    wrapped at a fixed width, not the terminal's, so every byte is
-    deterministic.  ``command_flags`` holds the commands' own flags, which
-    the top parser refuses before the command, abbreviated or not; any
-    other option it does not have is refused there as unrecognized.
+    """Argument parser that raises its usage errors as ``JobSpecError``,
+    pointing where the flag route's own errors do, with the failing parser
+    as ``parser``, whose usage ``main`` prints in text mode.  Help and usage
+    text are wrapped at a fixed width, so every byte is deterministic.
     """
-
-    command_flags = frozenset()
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, exit_on_error=False,
                          formatter_class=lambda prog: argparse.HelpFormatter(
                              prog, width=78), **kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        try:
-            return super().parse_known_args(args, namespace)
-        except argparse.ArgumentError as exc:
-            self.error(str(exc), exc.argument_name)
-
-    def _parse_optional(self, arg_string):
-        try:
-            return super()._parse_optional(arg_string)
-        except JobSpecError as exc:
-            # argparse names no argument for an ambiguous prefix: point at
-            # the option as typed
-            self.error(exc.message, arg_string.split("=", 1)[0])
-
-    def _get_values(self, action, arg_strings):
-        # "--" ends the options, and what follows is the command: Python
-        # 3.11's argparse would read the "--" itself as the command
-        if action.nargs == argparse.PARSER and arg_strings[:1] == ["--"]:
-            arg_strings = arg_strings[1:]
-        return super()._get_values(action, arg_strings)
-
-    def parse_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        first = args[0] if args else ""
-        if first != "--" and self._parse_optional(first) == (None, first, None):
-            # argparse reads this as an option the top parser does not have,
-            # so it would read the option's value as the command: it is
-            # refused here, by the command flag it names or else as
-            # unrecognized
-            flag = first.split("=", 1)[0]
-            matches = ([flag] if flag in self.command_flags else sorted(
-                f for f in self.command_flags if f.startswith(flag)))
-            if len(matches) > 1:
-                msg = gettext("ambiguous option: %(option)s could match "
-                              "%(matches)s")
-                self.error(msg % {"option": first,
-                                  "matches": ", ".join(matches)}, flag)
-            if matches:
-                self.error("argument %s: give it after the command"
-                           % matches[0], matches[0])
-            self.error(gettext("unrecognized arguments: %s") % first, flag)
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error(gettext("unrecognized arguments: %s") % " ".join(extras),
-                       extras[0].split("=", 1)[0])
-        return args
 
     def error(self, message, name=None):
         exc = JobSpecError(message, _argument_pointer(name))
@@ -449,41 +391,116 @@ def _argument_pointer(name) -> str:
     return name if name and name.startswith("-") else ""
 
 
+def _choice(choices):
+    """A ``type=`` refusing a value outside ``choices``, alike on any Python."""
+    def check(value):
+        if value not in choices:
+            raise argparse.ArgumentTypeError(
+                gettext("invalid choice: %(value)r (choose from %(choices)s)")
+                % {"value": value, "choices": ", ".join(map(repr, choices))})
+        return value
+    return check
+
+
+def _spell_out(arg, parser):
+    """``arg`` with the flag of ``parser.flags`` that it names or abbreviates
+    up to any "=" in full, or None; an ambiguous prefix is refused as typed."""
+    prefix, eq, value = arg.partition("=")
+    matches = ([prefix] if prefix in parser.flags
+               else [flag for flag in parser.flags if flag.startswith(prefix)])
+    if len(matches) > 1:
+        msg = gettext("ambiguous option: %(option)s could match %(matches)s")
+        parser.error(msg % {"option": arg, "matches": ", ".join(matches)},
+                     prefix)
+    return matches[0] + eq + value if matches else None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line's one parser, built on first use."""
+    """The command line's one parser, built on first use; ``commands`` maps
+    each command to its parser, and ``flags`` lists long flags to spell out."""
     parser = _Parser(
         prog="psi-umbral",
         description="Exact calculus of weighted derivatives, basic polynomial "
                     "sequences, and operator expansions.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in SCHEMA.items():
-        p = sub.add_parser(command, help=COMMAND_HELP[command])
-        p.add_argument("--cap", type=int, default=None,
-                       help="operator table cap (default: $%s or %d)"
-                            % (CAP_ENV, DEFAULT_CAP))
+        p = sub.add_parser(command, help=COMMAND_HELP[command],
+                           allow_abbrev=False)
+        p.flags = ["--help"]
+
+        def add(*flags, choices=None, **kwargs):
+            if choices:
+                kwargs["type"] = _choice(choices)
+            p.flags += p.add_argument(*flags, choices=choices,
+                                      **kwargs).option_strings
+        add("--cap", type=int, default=None,
+            help="operator table cap (default: $%s or %d)"
+                 % (CAP_ENV, DEFAULT_CAP))
         if command not in UNWEIGHTED:
-            p.add_argument("--psi", default=None,
-                           help="weights: classical | divided_difference "
-                                "| q:RAT | custom:V1,V2,... | JSON "
-                                "(default classical)")
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
-        p.add_argument("--job", default=None,
-                       help="JSON job file supplying the parameters")
+            add("--psi", default=None,
+                help="weights: classical | divided_difference "
+                     "| q:RAT | custom:V1,V2,... | JSON "
+                     "(default classical)")
+        add("--format", choices=("text", "json", "csv"), default="text")
+        add("--job", default=None,
+            help="JSON job file supplying the parameters")
         for param in schema:
             help_text = param.help
             if param.default is not None:
                 help_text += " (default %s)" % param.default
-            p.add_argument(param.flag, dest=param.key, default=None,
-                           type=int if param.kind == INDEX else None,
-                           choices=param.choices if param.kind == CHOICE
-                           else None,
-                           help=help_text)
-    parser.command_flags = frozenset().union(
-        *(p._option_string_actions for p in sub.choices.values())
-    ).difference(parser._option_string_actions)
+            add(param.flag, dest=param.key, default=None,
+                type=int if param.kind == INDEX else None,
+                choices=param.choices if param.kind == CHOICE else None,
+                help=help_text)
+    parser.commands = sub.choices
+    parser.flags = sorted({flag for p in sub.choices.values()
+                           for flag in p.flags} - {"--help"})
     return parser
+
+
+def _parse_argv(argv) -> argparse.Namespace:
+    """Pick the command, where only help may come first, and parse the rest
+    with its parser, long flags before any "--" spelled out in full."""
+    parser = build_parser()
+    ended = argv[:1] == ["--"]  # ends the options: the command follows
+    first, *rest = argv[ended:] or [""]
+    if not ended and (first.startswith("-h") or first.startswith("--") and
+                      "--help".startswith(first.partition("=")[0])):
+        # "-hh" and "-h=h" are -h twice; any other value attached is refused
+        value = (first[2:].removeprefix("=").lstrip("h") if first[1] == "h"
+                 else first.partition("=")[2])
+        if value or first == "-h=" or first[1] == "-" and "=" in first:
+            parser.error("argument -h/--help: ignored explicit argument %r"
+                         % value, "-h/--help")
+        parser.print_help()
+        parser.exit()
+    # an option as argparse reads one: not a negative number, no space
+    if not ended and re.fullmatch(r"-(?!\d+$|\d*\.\d+$)[^ ]+", first):
+        flag = (_spell_out(first, parser) or "").partition("=")[0]
+        if flag:
+            parser.error("argument %s: give it after the command" % flag, flag)
+        parser.error(gettext("unrecognized arguments: %s") % first,
+                     first.partition("=")[0])
+    if len(argv) == ended:
+        parser.error(gettext("the following arguments are required: %s")
+                     % "command")
+    try:
+        sub = parser.commands[_choice(parser.commands)(first)]
+    except argparse.ArgumentTypeError as exc:
+        parser.error("argument command: %s" % exc, "command")
+    end = rest.index("--") if "--" in rest else len(rest)
+    rest[:end] = [arg.startswith("--") and _spell_out(arg, sub) or arg
+                  for arg in rest[:end]]
+    try:
+        args, extras = sub.parse_known_args(rest,
+                                            argparse.Namespace(command=first))
+    except argparse.ArgumentError as exc:
+        sub.error(str(exc), exc.argument_name)
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras),
+                     extras[0].partition("=")[0])
+    return args
 
 
 def render(doc, lines, fmt: str, stream) -> None:
@@ -513,7 +530,7 @@ def _wants_json(argv) -> bool:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_argv(argv)
     except JobSpecError as exc:
         if not _wants_json(argv):
             # argparse's usage, "prog: error: ..." line and exit status 2
@@ -531,7 +548,12 @@ def main(argv=None) -> int:
         _report_error(exc, fmt)
         return 1
     doc.update(command=command, cap=cap)
-    render(doc, lines, fmt, sys.stdout)
+    try:
+        render(doc, lines, fmt, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:  # no traceback, now or at exit's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if ok else 1
 
 

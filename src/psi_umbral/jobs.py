@@ -3,7 +3,9 @@
 ``SCHEMA`` lists, per command, every parameter with its kind, default,
 whether it is required, and its help text.  The command line builds its
 flags from the same table and hands the flag values to the same validator
-in job form, so both routes accept the same values with the same messages.
+in job form, so both routes accept the same values with the same messages,
+except that argparse refuses a bad ``--suite`` or ``--kind`` choice and a
+non-integer ``--n``, ``--formula`` or ``--cap`` in its own words.
 
 A job file is one JSON object naming a command and its parameters.  Keys
 are whitelisted per command and anything unknown is rejected; every
@@ -236,6 +238,8 @@ def parse_job(doc, command: str | None = None) -> JobSpec:
         for kind, key in _PSI_LISTS:
             if doc["psi"].get("kind") == kind and key in doc["psi"]:
                 _check_scalar_list(doc["psi"][key], "/psi/" + key)
+        if doc["psi"].get("kind") in ("q", "rational") and "q" in doc["psi"]:
+            _check_scalar_str(doc["psi"]["q"], "/psi/q")
         try:
             psi = PsiSequence.from_json(doc["psi"], cap=0)
         except Exception as exc:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -548,15 +549,20 @@ def outcome(capsys, argv):
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     # usage errors in text and JSON mode, a success and help, twice in one
-    # process: the same bytes each time, all from one parser object
+    # process: the same bytes each time, all from the one build_parser()
+    # result and its command parsers
+    parser = cli.build_parser()
     parsers = []
-    parse_args = cli._Parser.parse_args
 
-    def recording(self, *args, **kwargs):
-        parsers.append(self)
-        return parse_args(self, *args, **kwargs)
+    def recording(method):
+        def record(self, *args, **kwargs):
+            parsers.append(self)
+            return method(self, *args, **kwargs)
+        return record
 
-    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    for name in ("parse_known_args", "print_help"):
+        monkeypatch.setattr(cli._Parser, name,
+                            recording(getattr(cli._Parser, name)))
     argvs = [["basic", "--n=abc"], ["basic", "--n", "abc", "--format", "json"],
              ["table", "--psi", "q:1/2", "--cap", "6"], ["--help"]]
     first = [outcome(capsys, argv) for argv in argvs]
@@ -567,8 +573,27 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert first[0][2].endswith(
         "psi-umbral basic: error: argument --n: invalid int value: 'abc'\n")
     assert json.loads(first[1][2])["details"]["pointer"] == "/n"
-    assert len(parsers) == 8
-    assert all(parser is parsers[0] for parser in parsers)
+    basic, table = parser.commands["basic"], parser.commands["table"]
+    assert parsers == [basic, basic, table, parser] * 2
+    assert cli.build_parser() is parser
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_closed_stdout_exits_one_without_a_traceback(fmt):
+    # over 160 kB of output, more than a pipe holds, so a write meets the
+    # closed pipe whatever the timing
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "psi_umbral.cli", "table", "--cap", "400",
+         "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    # no traceback, and no "Exception ignored" when Python flushes at exit
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_basic_past_the_cap_is_a_computation_error(capsys):
@@ -894,6 +919,49 @@ def test_weight_lists_must_be_lists_of_rational_strings(capsys, tmp_path, psi,
     assert job_run[:2] == (2, "")
     assert flag_run == _as_flag_run(job_run)
     assert json.loads(flag_run[2])["details"]["pointer"] == "--psi"
+
+
+@pytest.mark.parametrize("psi, flag, message", [
+    ({"kind": "q", "q": "abc"}, "q:abc", "not a rational: 'abc'"),
+    ({"kind": "q", "q": "1/0"}, "q:1/0", "not a rational: '1/0'"),
+    ({"kind": "q", "q": 2}, None, "expected a rational string"),
+    ({"kind": "rational", "q": "abc", "R_num": ["1"], "R_den": ["1"]}, None,
+     "not a rational: 'abc'"),
+    ({"kind": "rational", "q": "1/0", "R_num": ["1"], "R_den": ["1"]}, None,
+     "not a rational: '1/0'"),
+], ids=["q-word", "q-zero-den", "q-int", "rational-word", "rational-zero-den"])
+def test_the_weights_q_must_be_a_rational_string(capsys, tmp_path, psi, flag,
+                                                 message):
+    # Fraction's own text ("Invalid literal for Fraction: 'abc'",
+    # "Fraction(1, 0)") used to come through as "bad weight sequence"
+    job_run = run_job(capsys, tmp_path, "table", {"cap": 3, "psi": psi},
+                      "--format", "json")
+    assert job_run[:2] == (2, "")
+    assert json.loads(job_run[2]) == {"code": "job_spec", "message": message,
+                                      "details": {"pointer": "/psi/q"}}
+    for text in filter(None, (flag, json.dumps(psi))):
+        assert run(capsys, "table", "--cap", "3", "--psi", text,
+                   "--format", "json") == _as_flag_run(job_run)
+
+
+@pytest.mark.parametrize("env, flags, keys, message", [
+    ("x", [], {}, "PSI_UMBRAL_CAP must be an integer, got 'x'"),
+    ("-1", [], {}, "PSI_UMBRAL_CAP must be nonnegative"),
+    ("4", ["--suite", "ghw"], {"suite": "ghw"},
+     "verify needs --cap at least 6 (counterexample witnesses live at "
+     "degree 4)"),
+], ids=["word", "negative", "verify-floor"])
+def test_a_cap_from_the_environment_is_blamed_there(capsys, tmp_path,
+                                                    monkeypatch, env, flags,
+                                                    keys, message):
+    # neither --cap nor the job key "cap" is in the request
+    monkeypatch.setenv("PSI_UMBRAL_CAP", env)
+    command = "verify" if keys else "table"
+    want = (2, "", json.dumps({"code": "job_spec", "message": message,
+                               "details": {"pointer": "$PSI_UMBRAL_CAP"}},
+                              indent=2, sort_keys=True) + "\n")
+    assert run(capsys, command, *flags, "--format", "json") == want
+    assert run_job(capsys, tmp_path, command, keys, "--format", "json") == want
 
 
 def test_unknown_weights_name_lists_the_forms(capsys):

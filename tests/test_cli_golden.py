@@ -1,159 +1,27 @@
 """Byte-for-byte CLI golden test.
 
-Each case runs ``cli.main`` in-process and hashes (exit code, stdout,
-stderr), where a ``SystemExit`` that argparse raises for a usage error or
-``--help`` counts as ``["SystemExit", code]``; the digests live in ``cli_golden.json`` next to this file.  To
-record them again, from a checkout whose output is known good:
-
-    PYTHONPATH=src python tests/test_cli_golden.py
+The corpus, its digests and the way each case is hashed live in
+``golden_corpus.py`` next to this file, which needs no pytest.  Here each
+case is checked in-process, and the whole corpus once more under every
+Python interpreter found among a fixed list of names, each in a child
+process.
 """
 
-import contextlib
-import hashlib
-import io
-import json
+import glob
 import os
+import shutil
+import subprocess
 
 import pytest
 
-from psi_umbral.cli import main
+from golden_corpus import CASES, load_golden, run_digest
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "cli_golden.json")
-
-SQUARES = "custom:" + ",".join(str(n * n) for n in range(1, 25))
-RATIONAL = ('{"kind": "rational", "q": "3", "R_num": ["1", "-1"], '
-            '"R_den": ["-2"]}')
-
-CASES = [
-    ["basic", "--op", "Delta", "--n", "6", "--formula", "1", "--cap", "8"],
-    ["basic", "--op", "Delta", "--psi", "divided_difference", "--formula", "2",
-     "--cap", "24", "--format", "json"],
-    ["basic", "--op", "Delta", "--psi", "q:1/2", "--n", "6", "--formula", "3",
-     "--cap", "8", "--format", "json"],
-    ["basic", "--op", "Delta", "--psi", SQUARES, "--formula", "4", "--cap",
-     "24"],
-    ["basic", "--op", "Delta", "--psi", RATIONAL, "--formula", "1", "--cap",
-     "24", "--format", "json"],
-    ["basic", "--op", "E[-1/2] - 1", "--formula", "2", "--cap", "24",
-     "--format", "json"],
-    ["basic", "--op", "E[-1/2] - 1", "--psi", "divided_difference", "--n", "6",
-     "--formula", "3", "--cap", "8"],
-    ["basic", "--op", "E[-1/2] - 1", "--psi", "q:1/2", "--formula", "4",
-     "--cap", "24"],
-    ["basic", "--op", "E[-1/2] - 1", "--psi", SQUARES, "--n", "6", "--formula",
-     "1", "--cap", "8", "--format", "json"],
-    ["basic", "--op", "E[-1/2] - 1", "--psi", RATIONAL, "--n", "6",
-     "--formula", "2", "--cap", "8"],
-    ["basic", "--op", "D*E[1]", "--formula", "3", "--cap", "24"],
-    ["basic", "--op", "D*E[1]", "--psi", "divided_difference", "--n", "6",
-     "--formula", "4", "--cap", "8", "--format", "json"],
-    ["basic", "--op", "D*E[1]", "--psi", "q:1/2", "--formula", "1", "--cap",
-     "24", "--format", "json"],
-    ["basic", "--op", "D*E[1]", "--psi", SQUARES, "--n", "6", "--formula", "2",
-     "--cap", "8"],
-    ["basic", "--op", "D*E[1]", "--psi", RATIONAL, "--formula", "3", "--cap",
-     "24", "--format", "json"],
-    ["basic", "--op", "Dpsi + Dpsi*Dpsi", "--n", "6", "--formula", "4",
-     "--cap", "8", "--format", "json"],
-    ["basic", "--op", "Dpsi + Dpsi*Dpsi", "--psi", "divided_difference",
-     "--formula", "1", "--cap", "24"],
-    ["basic", "--op", "Dpsi + Dpsi*Dpsi", "--psi", "q:1/2", "--n", "6",
-     "--formula", "2", "--cap", "8"],
-    ["basic", "--op", "Dpsi + Dpsi*Dpsi", "--psi", SQUARES, "--formula", "3",
-     "--cap", "24", "--format", "json"],
-    ["basic", "--op", "Dpsi + Dpsi*Dpsi", "--psi", RATIONAL, "--n", "6",
-     "--formula", "4", "--cap", "8"],
-    ["basic", "--op", "D*X*D", "--n", "5", "--cap", "8"],
-    ["basic", "--op", "X", "--cap", "8"],
-    ["basic", "--op", "Xpsi*Dpsi", "--cap", "8", "--format", "json"],
-    ["expand", "--t", "Delta", "--cap", "8"],
-    ["expand", "--t", "Delta", "--psi", "q:1/2", "--lambda", "1,1/2", "--cap",
-     "8", "--format", "json"],
-    ["expand", "--t", "E[2] - 1", "--cap", "8", "--format", "json"],
-    ["expand", "--t", "E[2] - 1", "--q", "Delta", "--psi", RATIONAL, "--cap",
-     "8"],
-    # a series value expanded in a series base, at caps 0 and 1 and at caps
-    # where a table solve of step 1 would cost the most
-    ["expand", "--t", "Delta", "--psi", "q:2", "--lambda", "1", "--cap", "0",
-     "--format", "json"],
-    ["expand", "--t", "Delta", "--psi", "q:2", "--lambda", "1", "--cap", "1",
-     "--format", "json"],
-    ["expand", "--t", "Delta", "--psi", "q:1/2", "--cap", "48", "--format",
-     "json"],
-    ["expand", "--t", "E[1/2] - 1", "--q", "Delta", "--psi", "q:2", "--cap",
-     "24", "--format", "csv"],
-    ["detect", "--op", "Delta", "--cap", "8"],
-    ["detect", "--op", "Delta", "--psi", "q:1/2", "--cap", "8", "--format",
-     "json"],
-    ["detect", "--op", "E[2] - 1", "--psi", "divided_difference", "--cap",
-     "8"],
-    ["detect", "--op", "E[2] - 1", "--psi", SQUARES, "--cap", "8", "--format",
-     "json"],
-    ["detect", "--op", "Dpsi + X*Dpsi*Dpsi*Dpsi", "--cap", "10", "--format",
-     "json"],
-    ["detect", "--op", "1/2*D*X*D - 1/3*D^3", "--cap", "8"],
-    ["detect", "--op", "E[1]^300", "--cap", "24"],
-    ["translate", "--psi", "custom:1,2,3", "--cap", "3", "--y", "1", "--poly",
-     "1,1,1,1"],
-    ["translate", "--psi", "custom:1,4,9", "--cap", "3", "--y=-1/2", "--poly",
-     "0,1,0,2", "--format", "json"],
-    ["translate", "--psi", "custom:2,3", "--cap", "2", "--y", "3", "--poly",
-     "1,0,1", "--format", "csv"],
-    ["translate", "--psi", "q:1/2", "--cap", "8", "--y", "1/3", "--poly",
-     "1,2,3", "--format", "json"],
-    ["verify", "--suite", "binomial", "--cap", "8"],
-    ["verify", "--suite", "binomial", "--cap", "8", "--format", "json"],
-    ["verify", "--suite", "expansion", "--cap", "8"],
-    ["verify", "--suite", "expansion", "--cap", "8", "--format", "json"],
-    ["table", "--psi", RATIONAL, "--cap", "8", "--format", "json"],
-    ["integrate", "--psi", "q:1/2", "--cap", "8", "--poly", "1,2,3"],
-    # negative and fractional weights through the factorial chain, the
-    # weighted raising operator and the detection readout
-    ["table", "--psi", "q:-1/2", "--cap", "12", "--format", "json"],
-    ["table", "--psi=custom:-1,2,-3,1/2,5", "--cap", "5"],
-    ["detect", "--op", "D*X*D", "--cap", "12", "--format", "json"],
-    ["basic", "--op", "Dpsi+Dpsi*Dpsi", "--psi", "q:-2", "--formula", "4",
-     "--n", "6", "--cap", "12", "--format", "json"],
-    ["basic", "--op", "Delta", "--psi=custom:-1,2,-3,1/2,5,7,-2",
-     "--formula", "3", "--n", "5", "--cap", "7"],
-    # usage errors and help, in text mode (argparse's usage and exit) and in
-    # JSON mode (the structured error with its pointer)
-    ["table", "--format", "xml", "--cap", "6"],
-    ["basic", "--n", "abc", "--format", "json"],
-    ["basic", "--n=abc"],
-    ["verify", "--suite", "nope"],
-    ["verify", "--suite", "nope", "--format", "json"],
-    ["bogus"],
-    ["bogus", "--format", "json"],
-    ["expand", "--format", "json", "--lambda"],
-    ["table", "--zzz=1", "--format", "json"],
-    ["table", "--zzz=1"],
-    ["basic", "--cap", "x"],
-    ["basic", "--cap", "x", "--format", "json"],
-    ["basic", "--form", "2"],
-    ["basic", "--form", "2", "--format", "json"],
-    [],
-    ["--format", "json"],
-    ["--help"],
-    ["basic", "--help"],
-]
-
-
-def run_digest(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = ["SystemExit", exc.code]
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def load_golden():
-    with open(GOLDEN) as fh:
-        return [(entry["argv"], entry["sha256"]) for entry in json.load(fh)]
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+HOME = os.path.expanduser("~")
+INTERPRETERS = (["python3.%d" % minor for minor in range(10, 15)]
+                + sorted(glob.glob(os.path.join(HOME, ".pyenv", "versions",
+                                                "3.1*", "bin", "python3"))))
 
 
 def test_golden_file_lists_exactly_the_cases():
@@ -167,9 +35,19 @@ def test_cli_output_matches_golden(argv, monkeypatch):
     assert run_digest(argv) == recorded[tuple(argv)]
 
 
-if __name__ == "__main__":
-    os.environ.pop("PSI_UMBRAL_CAP", None)
-    entries = [{"argv": argv, "sha256": run_digest(argv)} for argv in CASES]
-    with open(GOLDEN, "w") as fh:
-        fh.write("[\n%s\n]\n"
-                 % ",\n".join(json.dumps(entry) for entry in entries))
+@pytest.mark.parametrize("python", INTERPRETERS,
+                         ids=lambda p: p.replace(HOME, "~"))
+def test_the_corpus_matches_under_every_interpreter(python):
+    exe = shutil.which(python)
+    probe = exe and subprocess.run(
+        [exe, "-c", "import sys; sys.exit(sys.version_info < (3, 10))"],
+        capture_output=True, timeout=60)
+    if not probe or probe.returncode:
+        pytest.skip("no working %s" % python)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PSI_UMBRAL_CAP", None)
+    result = subprocess.run([exe, os.path.join(HERE, "golden_corpus.py")],
+                            capture_output=True, text=True, env=env,
+                            timeout=300)
+    # the corpus prints each argv whose digest differs
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")

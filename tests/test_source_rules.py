@@ -10,12 +10,17 @@
   pairs or the quotient behind them.
 - Every top-level private function is used somewhere in the package
   outside its own body, so a helper merged away cannot linger.
+- No underscore attribute of ``argparse.ArgumentParser`` or of an
+  ``argparse.Action``, and no underscore name of the ``argparse`` module,
+  is defined or read: they change between Python versions, and the
+  command line must read one argv one way on all of them.
 - Every operator name of the expression parser's name table is listed in
   README's "Command line" section and in the ``exprparse`` docstring,
   written with ``[...]`` exactly where the table says it takes a
   parameter.
 """
 
+import argparse
 import ast
 import re
 import sys
@@ -82,6 +87,34 @@ def test_verify_reads_no_factorial_pairs():
     path = SRC / "verify.py"
     found = [_where(path, n) for n in _nodes(path)
              if _identifier(n) in ("factorial_pairs", "_quotient")]
+    assert found == []
+
+
+def _argparse_private_names():
+    """The underscore attributes of a parser, of its subparsers action and
+    of a plain action, on the running Python."""
+    parser = argparse.ArgumentParser()
+    objects = (parser, parser.add_subparsers(), argparse.Action(["-x"], "x"))
+    return {name for obj in objects for name in dir(obj)
+            if name.startswith("_") and not name.endswith("__")}
+
+
+ARGPARSE_PRIVATE = _argparse_private_names()
+
+
+def test_argparse_private_names_are_found():
+    # an empty set would leave the rule below with nothing to check
+    assert {"_parse_optional", "_get_values",
+            "_option_string_actions"} <= ARGPARSE_PRIVATE
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_argparse_name(path):
+    found = [_where(path, n) + " " + _identifier(n) for n in _nodes(path)
+             if isinstance(n, (ast.Attribute, ast.Name, ast.FunctionDef))
+             and (_identifier(n) in ARGPARSE_PRIVATE
+                  or isinstance(n, ast.Attribute) and n.attr.startswith("_")
+                  and isinstance(n.value, ast.Name) and n.value.id == "argparse")]
     assert found == []
 
 
