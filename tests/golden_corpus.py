@@ -112,6 +112,10 @@ CASES = [
     ["verify", "--suite", "binomial", "--cap", "8", "--format", "json"],
     ["verify", "--suite", "expansion", "--cap", "8"],
     ["verify", "--suite", "expansion", "--cap", "8", "--format", "json"],
+    ["verify", "--suite", "leibniz", "--cap", "8"],
+    ["verify", "--suite", "leibniz", "--cap", "8", "--format", "json"],
+    ["verify", "--suite", "rodrigues", "--cap", "8"],
+    ["verify", "--suite", "rodrigues", "--cap", "8", "--format", "json"],
     ["table", "--psi", RATIONAL, "--cap", "8", "--format", "json"],
     ["integrate", "--psi", "q:1/2", "--cap", "8", "--poly", "1,2,3"],
     # negative and fractional weights through the factorial chain, the
