@@ -402,6 +402,32 @@ def _choice(choices):
     return check
 
 
+class _Store(argparse.Action):
+    """argparse's own "store", with a value of "--" kept as "--": Python
+    3.10-3.12 drop it from ``--flag=--`` and pass [], so it is converted
+    here, as 3.13 converts it, and refused in 3.13's words."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            try:
+                values = self.type("--") if self.type else "--"
+            except argparse.ArgumentTypeError as exc:
+                raise argparse.ArgumentError(self, str(exc))
+            except ValueError:
+                raise argparse.ArgumentError(self, gettext(
+                    "invalid %(type)s value: %(value)r")
+                    % {"type": self.type.__name__, "value": "--"})
+        setattr(namespace, self.dest, values)
+
+
+def _as_help(arg):
+    """``-h...`` as Python 3.11's argparse reads it, spelled so that every
+    Python reads it alike: "-hh" and "-h=h" are -h twice, so "-h"; any
+    other value attached is refused, so "--help=" and the value."""
+    value = arg[2:].removeprefix("=").lstrip("h")
+    return "--help=" + value if value or arg == "-h=" else "-h"
+
+
 def _spell_out(arg, parser):
     """``arg`` with the flag of ``parser.flags`` that it names or abbreviates
     up to any "=" in full, or None; an ambiguous prefix is refused as typed."""
@@ -432,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         def add(*flags, choices=None, **kwargs):
             if choices:
                 kwargs["type"] = _choice(choices)
-            p.flags += p.add_argument(*flags, choices=choices,
+            p.flags += p.add_argument(*flags, action=_Store, choices=choices,
                                       **kwargs).option_strings
         add("--cap", type=int, default=None,
             help="operator table cap (default: $%s or %d)"
@@ -461,16 +487,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_argv(argv) -> argparse.Namespace:
     """Pick the command, where only help may come first, and parse the rest
-    with its parser, long flags before any "--" spelled out in full."""
+    with its parser, long flags before any "--" spelled out in full and
+    ``-h...`` spelled as ``_as_help`` reads it, on either side."""
     parser = build_parser()
     ended = argv[:1] == ["--"]  # ends the options: the command follows
     first, *rest = argv[ended:] or [""]
-    if not ended and (first.startswith("-h") or first.startswith("--") and
+    if not ended and first.startswith("-h"):
+        first = _as_help(first)
+    if not ended and (first == "-h" or first.startswith("--") and
                       "--help".startswith(first.partition("=")[0])):
-        # "-hh" and "-h=h" are -h twice; any other value attached is refused
-        value = (first[2:].removeprefix("=").lstrip("h") if first[1] == "h"
-                 else first.partition("=")[2])
-        if value or first == "-h=" or first[1] == "-" and "=" in first:
+        _, eq, value = first.partition("=")
+        if eq:
             parser.error("argument -h/--help: ignored explicit argument %r"
                          % value, "-h/--help")
         parser.print_help()
@@ -490,7 +517,8 @@ def _parse_argv(argv) -> argparse.Namespace:
     except argparse.ArgumentTypeError as exc:
         parser.error("argument command: %s" % exc, "command")
     end = rest.index("--") if "--" in rest else len(rest)
-    rest[:end] = [arg.startswith("--") and _spell_out(arg, sub) or arg
+    rest[:end] = [_as_help(arg) if arg.startswith("-h") else
+                  arg.startswith("--") and _spell_out(arg, sub) or arg
                   for arg in rest[:end]]
     try:
         args, extras = sub.parse_known_args(rest,

@@ -169,6 +169,17 @@ CASES = [
     ["basic", "--he", "--format", "json"],
     ["--", "-x", "3", "basic"],
     ["--", "-x", "3", "basic", "--format", "json"],
+    # a flag's attached value "--" is the value, and -h run together with
+    # other letters after the command reads as it does before it
+    ["expand", "--psi=--"],
+    ["expand", "--psi=--", "--format", "json"],
+    ["detect", "--jo=--"],
+    ["detect", "--jo=--", "--format", "json"],
+    ["integrate", "--r-num=--"],
+    ["integrate", "--r-num=--", "--format", "json"],
+    ["basic", "-h3"],
+    ["translate", "-hhx"],
+    ["basic", "-h=h"],
 ]
 
 

@@ -523,6 +523,46 @@ def test_short_help_before_the_command_is_help(capsys, argv):
     assert want.out.startswith("usage: psi-umbral")
 
 
+@pytest.mark.parametrize("argv,pointer,message", [
+    (["basic", "--cap=--"], "--cap", "argument --cap: invalid int value: '--'"),
+    (["basic", "--formula=--"], "/formula",
+     "argument --formula: invalid int value: '--'"),
+    (["verify", "--suite=--"], "/suite",
+     "argument --suite: invalid choice: '--' (choose from 'all', 'ghw', "
+     "'binomial', 'rodrigues', 'expansion', 'leibniz', 'integration', "
+     "'poisson', 'special')"),
+    (["translate", "--y=--", "--poly", "1"], "/y", "not a rational: '--'"),
+])
+def test_an_attached_double_dash_is_the_flag_value(capsys, argv, pointer,
+                                                   message):
+    # converted and refused as any other value would be, on every Python
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "job_spec",
+                               "details": {"pointer": pointer},
+                               "message": message}
+
+
+@pytest.mark.parametrize("argv,help_", [
+    (["basic", "-hh"], True), (["basic", "-h=h"], True),
+    (["basic", "--cap", "3", "-hhh"], True), (["basic", "-h3"], False),
+    (["translate", "-hhx"], False), (["basic", "-h="], False),
+])
+def test_short_help_after_the_command_reads_as_before_it(capsys, argv,
+                                                         help_):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == (0 if help_ else 2)
+    if help_:
+        assert captured.out.startswith("usage: psi-umbral %s" % argv[0])
+    else:
+        value = argv[-1][2:].removeprefix("=").lstrip("h")
+        assert captured.err.endswith(
+            "error: argument -h/--help: ignored explicit argument %r\n"
+            % value)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_leading_double_dash_ends_the_options(capsys, fmt):
     argv = ["table", "--cap", "3", "--format", fmt]
