@@ -52,9 +52,9 @@ from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _combination,
                       _generating_sum, _raw_product,
                       scalar_to_str)
 from .errors import CapExceededError
-from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
-                        _series_and_witness, psi_derivative_op,
-                        shift_invariant_coefficients)
+from .operators import (GradedOperator, SeriesOperator, _derived,
+                        _require_lowers_by_one, _series_and_witness,
+                        psi_derivative_op, shift_invariant_coefficients)
 from .psi import PsiSequence
 from .umbral import (BasicSequence, DeltaOperator, _degree_in_basis,
                      unit_normal_sequence)
@@ -123,15 +123,6 @@ def _power_rows(powers) -> list:
         row = [(n, sn._num[k] * (den // sn._den)) for n, sn in used]
         rows.append(None if row == [(k, den)] else (row, den))
     return rows
-
-
-def _derived(base: GradedOperator, key, build):
-    """``build()``, kept on a series base under ``key`` so that it runs once
-    per base; a plain table keeps nothing."""
-    memo = base._derived if isinstance(base, SeriesOperator) else {}
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
 
 
 def _series_tables(base: SeriesOperator, cap: int):

@@ -67,7 +67,7 @@ def psi_raise(psi: PsiSequence, p: Polynomial) -> Polynomial:
 
 def divided_difference(p: Polynomial) -> Polynomial:
     """Send x^n to x^(n-1), constants to zero: (p(x) - p(0))/x."""
-    return Polynomial(p.coeffs[1:])
+    return _from_ints(p._num[1:], p._den)
 
 def weight_multiplier(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Diagonal action x^m -> (m+1)_psi x^m.
@@ -473,6 +473,15 @@ class SeriesOperator(GradedOperator):
         if isinstance(other, SeriesOperator) and other.psi is self.psi:
             return self.series == other.series
         return super().__eq__(other)
+
+
+def _derived(base: GradedOperator, key, build):
+    """``build()``, kept on a series value under ``key`` so that it runs
+    once per value; a plain table keeps nothing."""
+    memo = base._derived if isinstance(base, SeriesOperator) else {}
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 # -- degree lowering, shift invariance and inversion --------------------

@@ -16,12 +16,13 @@ from itertools import repeat
 
 from .algebra import (Polynomial, TruncatedSeries, _combination,
                       _generating_sum, _linear_combination, _series,
-                      _triangular_inverse)
+                      _triangular_inverse, as_scalar)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError)
-from .operators import (GradedOperator, SeriesOperator, _require_lowers_by_one,
-                        apply_psi_series, invert_shift_invariant,
-                        multiply_x_op, psi_raise, shift_invariant_coefficients)
+from .operators import (GradedOperator, SeriesOperator, _derived,
+                        _require_lowers_by_one, apply_psi_series,
+                        invert_shift_invariant, multiply_x_op, psi_raise,
+                        shift_invariant_coefficients)
 from .psi import PsiSequence
 from .special import psi_exp_scaled
 
@@ -31,10 +32,18 @@ def translate(psi: PsiSequence, y, p: Polynomial) -> Polynomial:
 
     For p = x^n this is the weighted binomial expansion
     sum_k binom_psi(n, k) x^(n-k) y^k.  The series stops at the degree of
-    p, so no weight past it is read.
+    p, so no weight past it is read.  The weights object keeps the longest
+    series it has built for each y, keyed by y's int pair: a longer one
+    serves a shorter reach, as only its terms through deg p are read and
+    the result is reduced.
     """
     reach = 0 if p.is_zero else p.degree
-    return apply_psi_series(psi_exp_scaled(psi, y, reach), psi, p)
+    y = as_scalar(y)
+    key = y.numerator, y.denominator
+    series = psi._exp.get(key)
+    if series is None or series.cap < reach:
+        series = psi._exp[key] = psi_exp_scaled(psi, y, reach)
+    return apply_psi_series(series, psi, p)
 
 
 class BasicSequence:
@@ -153,9 +162,7 @@ class DeltaOperator(SeriesOperator):
     @property
     def indicator_reversion(self) -> TruncatedSeries:
         """The series r with indicator(r(z)) = z."""
-        if "reversion" not in self._derived:
-            self._derived["reversion"] = self.series.reversion()
-        return self._derived["reversion"]
+        return _derived(self, "reversion", self.series.reversion)
 
     def basic(self, n_max: int) -> BasicSequence:
         return basic_sequence_solve(self, self.psi, n_max)
@@ -175,7 +182,9 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
       4: p_n = (n_psi/n) X (q'(D))^(-1) p_(n-1), from p_0 = 1
 
     All series arithmetic happens on indicator coefficients; the requested
-    n_max must leave one spare order below the cap.
+    n_max must leave one spare order below the cap.  S^(-1), q' and
+    (q')^(-1) are built once per delta and order, for all four formulas;
+    the powers S^(-n) are not kept.
     """
     if formula not in (1, 2, 3, 4):
         raise ValueError("formula must be 1, 2, 3 or 4")
@@ -186,29 +195,33 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
     # Each series below is applied only to polynomials of degree <= n_max,
     # so its terms past z^n_max cannot reach the answer.
     order = max(n_max, 0)
-    s_inv = delta.s_series.truncated(order).inverse()
-    q_prime = delta.series.differentiated().truncated(order)
-    q_prime_inv = q_prime.inverse() if formula == 4 else None
-    # w carries S^(-n), or S^(-n-1) for formula 1: one product per n.
-    w = s_inv if formula == 1 else TruncatedSeries.one(s_inv.cap)
+    if formula in (1, 4):
+        q_prime = _derived(delta, ("q'", order), lambda: (
+            delta.series.differentiated().truncated(order)))
+    if formula == 4:
+        q_prime_inv = _derived(delta, ("1/q'", order), q_prime.inverse)
+    else:
+        s_inv = _derived(delta, ("1/S", order),
+                         lambda: delta.s_series.truncated(order).inverse())
+        # w carries S^(-n), or S^(-n-1) for formula 1: one product per n.
+        w = s_inv if formula == 1 else TruncatedSeries.one(order)
     polys = [Polynomial.one()]
     for n in range(1, n_max + 1):
-        xn = Polynomial.monomial(n)
-        xn1 = Polynomial.monomial(n - 1)
-        ratio = psi.n_psi(n) / Fraction(n)
+        ratio = Fraction(psi.n_psi(n), n)
         if formula != 4:
             w = w * s_inv
         if formula == 1:
-            series = q_prime * w
-            p = apply_psi_series(series, psi, xn)
+            p = apply_psi_series(q_prime * w, psi, Polynomial.monomial(n))
         elif formula == 2:
-            p = (apply_psi_series(w, psi, xn)
-                 - ratio * apply_psi_series(w.differentiated(), psi, xn1))
+            p = (apply_psi_series(w, psi, Polynomial.monomial(n))
+                 - ratio * apply_psi_series(w.differentiated(), psi,
+                                            Polynomial.monomial(n - 1)))
         elif formula == 3:
-            p = ratio * psi_raise(psi, apply_psi_series(w, psi, xn1))
+            p = ratio * psi_raise(psi, apply_psi_series(
+                w, psi, Polynomial.monomial(n - 1)))
         else:
-            inner = apply_psi_series(q_prime_inv, psi, polys[n - 1])
-            p = ratio * psi_raise(psi, inner)
+            p = ratio * psi_raise(psi, apply_psi_series(q_prime_inv, psi,
+                                                        polys[n - 1]))
         polys.append(p)
     return BasicSequence(polys, psi, delta)
 

@@ -42,6 +42,7 @@ from .expansion import (
 from .integration import psi_integral, q_integral, r_integral
 from .operators import (
     GradedOperator,
+    _derived,
     derivative_op,
     divided_difference,
     divided_difference_op,
@@ -102,12 +103,13 @@ def _check(name, passed):
     return CheckResult(name, bool(passed))
 
 
-def _verdict(name, cases, holds):
+def _verdict(name, cases, holds, args=None):
     """The check ``name`` over ``cases``, dicts of named values: it fails at
     the first case where ``holds(**case)`` is false, with that case as its
-    detail, and passes when every case holds."""
-    for case in cases:
-        if not holds(**case):
+    detail, and passes when every case holds.  With ``args``, a list as
+    long as ``cases``, the i-th case is tested as ``holds(*args[i])``."""
+    for i, case in enumerate(cases):
+        if not (holds(**case) if args is None else holds(*args[i])):
             return CheckResult(name, False, ", ".join(
                 "%s=%s" % item for item in case.items()))
     return CheckResult(name, True)
@@ -173,18 +175,21 @@ def _binomial_sum(binomials, basic_polys, values, n):
 def check_binomial(cap: int) -> list[CheckResult]:
     n_max = min(10, cap)
     cases = [{"n": n, "y": y} for n in range(n_max + 1) for y in Y_POINTS]
+    # each case as (n, the position of its y), so no Fraction is hashed
+    at = [(n, i) for n in range(n_max + 1) for i in range(len(Y_POINTS))]
     out = []
     for name, psi in standard_suite_psis(cap):
         binomials = [_over_lcm([psi.binomial(n, k) for k in range(n + 1)])
                      for n in range(n_max + 1)]
         for base_name, q in _delta_bases(psi, cap):
             polys = basic_sequence_solve(q, psi, n_max).polys
-            values = {y: _over_lcm([p(y) for p in polys]) for y in Y_POINTS}
+            values = [_over_lcm([p(y) for p in polys]) for y in Y_POINTS]
             out.append(_verdict(
                 "binomial[%s,%s] translation splits over the basis, n<=%d at "
                 "%d points" % (name, base_name, n_max, len(Y_POINTS)), cases,
-                lambda n, y: (translate(psi, y, polys[n]) == _binomial_sum(
-                    binomials, polys, values[y], n))))
+                lambda n, i: (translate(psi, Y_POINTS[i], polys[n])
+                              == _binomial_sum(binomials, polys, values[i],
+                                               n)), at))
     return out
 
 
@@ -291,8 +296,9 @@ def check_detection(cap: int) -> list[CheckResult]:
 
 def _random_polynomial(rng, degree):
     """Coefficients a/b, a in -9..9 and b in 1..4 drawn in that order, as
-    ints over 12."""
-    return _from_ints([rng.randint(-9, 9) * (12 // rng.randint(1, 4))
+    ints over 12.  ``randrange(k) + a`` draws what ``randint(a, a+k-1)``
+    draws, with fewer calls."""
+    return _from_ints([(rng.randrange(19) - 9) * (12 // (rng.randrange(4) + 1))
                        for _ in range(degree + 1)], 12)
 
 
@@ -307,7 +313,7 @@ def _sample_polys(rng, degree, count):
 
 def _random_lowering_op(rng, cap):
     """A random degree-lowering operator with unit shift bound budget."""
-    drop = rng.randint(1, 3)
+    drop = rng.randrange(3) + 1
     images = [Polynomial.zero() for _ in range(min(drop, cap + 1))]
     for n in range(drop, cap + 1):
         images.append(_random_polynomial(rng, n - drop))
@@ -349,7 +355,7 @@ def check_first_expansion(cap: int) -> list[CheckResult]:
         delta = DeltaOperator.from_operator(forward_difference_op(psi, cap), psi)
         basic = delta.basic(n_max).polys
         # shift-invariant: rational series in the difference operator
-        drawn = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        drawn = [[Fraction(rng.randrange(11) - 5, rng.randrange(3) + 1)
                   for _ in range(6)] for _ in range(4)]
         ts = [_series_in(delta, coeffs) for coeffs in drawn]
         read = [first_expansion_coeffs(t, delta).coeffs for t in ts]
@@ -376,16 +382,24 @@ def check_first_expansion(cap: int) -> list[CheckResult]:
 
 def _series_in(base: GradedOperator, coeffs) -> GradedOperator:
     """sum_k c_k base^k as a plain table: row n is one combination of the
-    base^k x^n, each the base applied to the one before."""
+    base^k x^n, which a series base keeps for every series in it."""
     cs, den = _over_lcm(coeffs)
+    powers = _derived(base, ("powers of x^n", len(cs)),
+                      lambda: _monomial_powers(base, len(cs)))
+    return GradedOperator.from_monomial_rule(
+        lambda n: _combination(zip(cs, powers[n], repeat(0)), den), base.cap)
 
-    def row(n):
+
+def _monomial_powers(base: GradedOperator, count: int) -> list:
+    """Row n lists base^k x^n for k < count, each the base applied to the
+    one before: plain tables, never the series route."""
+    rows = []
+    for n in range(base.cap + 1):
         powers = [Polynomial.monomial(n)]
-        for _ in cs[1:]:
+        for _ in range(count - 1):
             powers.append(base.apply(powers[-1]))
-        return _combination(zip(cs, powers, repeat(0)), den)
-
-    return GradedOperator.from_monomial_rule(row, base.cap)
+        rows.append(powers)
+    return rows
 
 
 # -- product rules and mixed commutation ------------------------------------
@@ -395,11 +409,12 @@ def check_leibniz(cap: int) -> list[CheckResult]:
     deg = min(8, cap // 2)
     pairs = [(_random_polynomial(rng, deg), _random_polynomial(rng, deg))
              for _ in range(6)]
+    products = [p * q for p, q in pairs]
 
     def product_rule(name, psi, rule):
         return _verdict(name, [{"pair": i} for i in range(len(pairs))],
                         lambda pair: (rule(*pairs[pair]) == psi_derivative(
-                            psi, pairs[pair][0] * pairs[pair][1])))
+                            psi, products[pair])))
 
     out = [product_rule("leibniz[q=%s] scaled-argument product rule" % q,
                         PsiSequence.jackson(q, cap), partial(q_leibniz, q))
@@ -455,30 +470,64 @@ def _reorders(psi, n, m, j) -> bool:
     return lhs * rhs_den == rhs * lhs_den
 
 
-def check_mixed_powers(cap: int) -> list[CheckResult]:
+def _mixed_powers(cap):
+    """The mixed-powers check: its title, to take a weight set's name, and
+    its cases."""
     nm_max, j_max = 5, 6
     limit = cap + 2  # highest weight every suite member can supply
-    cases = [{"n": n, "m": m, "j": j}
+    return ("mixed-powers[%%s] lowering past raising reorders with binomial "
+            "weights, n,m<=%d, j<=%d" % (nm_max, j_max),
+            [{"n": n, "m": m, "j": j}
              for n in range(nm_max + 1) for m in range(nm_max + 1)
-             for j in range(j_max + 1) if j + m <= limit]
-    return [_verdict("mixed-powers[%s] lowering past raising reorders with "
-                     "binomial weights, n,m<=%d, j<=%d" % (name, nm_max, j_max),
-                     cases, partial(_reorders, psi))
-            for name, psi in standard_suite_psis(cap)]
+             for j in range(j_max + 1) if j + m <= limit])
 
 
-def check_exp_commutation(cap: int) -> list[CheckResult]:
+def _exp_commutation(cap):
+    """The exponential-commutation check: its title and its cases."""
     order, j_max = 10, 6
     # (1/a! b!) lower^a raise^b reorders with weights 1/(u! (a-u)! (b-u)!),
     # which is the mixed-powers identity divided through by a! b!.
     limit = cap + 2
-    cases = [{"n": a, "m": b, "j": j}
+    return ("exp-commutation[%%s] exponential reordering holds through "
+            "total order %d" % order,
+            [{"n": a, "m": b, "j": j}
              for a in range(order + 1) for b in range(order + 1 - a)
-             for j in range(j_max + 1) if j + b <= limit]
-    return [_verdict("exp-commutation[%s] exponential reordering holds "
-                     "through total order %d" % (name, order),
-                     cases, partial(_reorders, psi))
-            for name, psi in standard_suite_psis(cap)]
+             for j in range(j_max + 1) if j + b <= limit])
+
+
+def _reordering_checks(cap, *checks) -> list[CheckResult]:
+    """``_reorders`` over the cases of each check, a function of the cap
+    giving (title, cases), under every weight set, check by check.  A
+    weight set evaluates each (n, m, j) once and every check reads that
+    verdict, so each still names its own first failing case."""
+    checks = [check(cap) for check in checks]
+    out = [[] for _ in checks]
+    for name, psi in standard_suite_psis(cap):
+        seen = {}
+
+        def holds(n, m, j):
+            ok = seen.get((n, m, j))
+            if ok is None:
+                ok = seen[n, m, j] = _reorders(psi, n, m, j)
+            return ok
+
+        for results, (title, cases) in zip(out, checks):
+            results.append(_verdict(title % name, cases, holds))
+    return [result for results in out for result in results]
+
+
+def check_mixed_powers(cap: int) -> list[CheckResult]:
+    return _reordering_checks(cap, _mixed_powers)
+
+
+def check_exp_commutation(cap: int) -> list[CheckResult]:
+    return _reordering_checks(cap, _exp_commutation)
+
+
+def _check_reorderings(cap: int) -> list[CheckResult]:
+    """``check_mixed_powers`` and then ``check_exp_commutation``, in one
+    pass: every mixed-powers case is an exp-commutation case too."""
+    return _reordering_checks(cap, _mixed_powers, _exp_commutation)
 
 
 # -- integration ------------------------------------------------------------
@@ -637,7 +686,7 @@ SUITES = {
                   check_random_roundtrip, check_first_expansion,
                   check_generating_function),
     "leibniz": (check_leibniz, check_divided_difference_series,
-                check_mixed_powers, check_exp_commutation),
+                _check_reorderings),
     "integration": (check_integration,),
     "poisson": (check_poisson,),
     "special": (check_special,),

@@ -282,6 +282,59 @@ def test_reordering_comparison_can_fail(monkeypatch):
     assert [r.detail for r in results] == ["n=1, m=1, j=1"] * 2
 
 
+def _reorders_wrong_at(triple):
+    """``verify._reorders`` with its verdict turned over at one (n, m, j)."""
+    real = verify._reorders
+    return lambda psi, n, m, j: real(psi, n, m, j) != ((n, m, j) == triple)
+
+
+def _reordering_rows(results):
+    """The leibniz suite's mixed-powers and exp-commutation rows, apart."""
+    return ([r for r in results if r.name.startswith("mixed-powers")],
+            [r for r in results if r.name.startswith("exp-commutation")])
+
+
+def test_shared_reordering_fails_both_checks_at_a_shared_triple(monkeypatch):
+    # the suite evaluates each triple once per weight set for both checks:
+    # wrong at one both hold, each check names it under every weight set
+    monkeypatch.setattr(verify, "_reorders", _reorders_wrong_at((2, 3, 4)))
+    mixed, exp = _reordering_rows(verify.run_suite("leibniz", CAP))
+    assert len(mixed) == len(exp) == 5
+    assert not any(r.passed for r in mixed + exp)
+    assert [r.detail for r in mixed + exp] == ["n=2, m=3, j=4"] * 10
+
+
+def test_shared_reordering_fails_only_the_check_that_holds_the_triple(
+        monkeypatch):
+    # n = 6 is past mixed-powers' n <= 5: it passes, exp-commutation fails
+    monkeypatch.setattr(verify, "_reorders", _reorders_wrong_at((6, 0, 1)))
+    mixed, exp = _reordering_rows(verify.run_suite("leibniz", CAP))
+    assert len(mixed) == len(exp) == 5
+    assert all(r.passed for r in mixed)
+    assert not any(r.passed for r in exp)
+    assert [r.detail for r in exp] == ["n=6, m=0, j=1"] * 5
+
+
+def test_shared_reordering_evaluates_each_triple_once(monkeypatch):
+    # the suite's calls are exp-commutation's alone, with no repeats, and
+    # its rows are the two checks' own, in order
+    calls = []
+    real = verify._reorders
+
+    def counted(psi, n, m, j):
+        calls.append((psi, n, m, j))
+        return real(psi, n, m, j)
+
+    monkeypatch.setattr(verify, "_reorders", counted)
+    mixed, exp = _reordering_rows(verify.run_suite("leibniz", CAP))
+    assert len(calls) == len(set(calls))
+    alone = len(calls)
+    calls.clear()
+    assert [r.name for r in check_exp_commutation(CAP)] == [r.name for r in exp]
+    assert len(calls) == alone
+    assert [r.name for r in check_mixed_powers(CAP)] == [r.name for r in mixed]
+
+
 def test_criterion_10_poisson_routes_agree():
     _gate(10, "the three product-weight constructions agree to order 14, m <= 5, "
               "two rates, and the weights normalize to one",

@@ -14,6 +14,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -25,7 +26,7 @@ from psi_umbral.expansion import (expand_in_monomials,
                                   reconstruct_from_monomial_form)
 from psi_umbral.operators import GradedOperator, psi_derivative_op
 from psi_umbral.psi import PsiSequence
-from psi_umbral.umbral import DeltaOperator
+from psi_umbral.umbral import DeltaOperator, translate
 
 ORACLES_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "perfbench", "oracles.py")
@@ -168,3 +169,33 @@ def test_jackson_translation_expands_to_the_exponential_constants(cap, q):
         exp = expand_in_monomials(shift, base)
         assert list(exp.coeff_polys) == want
         assert reconstruct_from_monomial_form(exp, cap) == shift
+
+
+def binomial_translate(y, poly):
+    """p(x + y) for p = sum c_n x^n by the binomial theorem:
+    x^n -> sum_k C(n, k) y^k x^(n-k)."""
+    out = [Fraction(0)] * len(poly)
+    for n, c in enumerate(poly):
+        for k in range(n + 1):
+            out[n - k] += c * comb(n, k) * y ** k
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("q", [None, "1/2", "2", "-3/4"])
+def test_translate_is_the_binomial_theorem(q):
+    # classical weights shift by y; Jackson weights by the Gaussian
+    # binomials of the q-Pascal rule.  One weights object serves every
+    # call, at mixed degrees and points, so its kept series are read at
+    # reaches below the ones they were built for.
+    rng = random.Random(q)
+    psi = (PsiSequence.classical(4) if q is None
+           else PsiSequence.jackson(Fraction(q), 4))
+    for _ in range(40):
+        poly = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 13))]
+        y = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        want = (binomial_translate(y, poly) if q is None
+                else oracles.jackson_translate(Fraction(q), y, poly))
+        assert list(translate(psi, y, Polynomial(poly)).coeffs) == want

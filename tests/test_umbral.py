@@ -201,7 +201,8 @@ def test_rodrigues_needs_headroom():
 @pytest.mark.parametrize("formula", [1, 2, 3, 4])
 def test_rodrigues_inverts_only_to_the_order_it_needs(formula, monkeypatch):
     # p_0..p_3 read S^(-1) and (q')^(-1) only through z^3, so a cap-40
-    # delta must not invert its cap-39 series
+    # delta must not invert its cap-39 series; formulas 1-3 invert S only
+    # and formula 4 q' only
     psi = PsiSequence.jackson(Fraction(1, 2), 40)
     delta = DeltaOperator.from_operator(forward_difference_op(psi, 40), psi)
     inverted = []
@@ -213,9 +214,77 @@ def test_rodrigues_inverts_only_to_the_order_it_needs(formula, monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "inverse", spy)
     got = rodrigues_sequence(delta, 3, formula)
-    assert inverted == ([3, 3] if formula == 4 else [3])
+    assert inverted == [3]
     monkeypatch.undo()
     assert list(got) == list(delta.basic(3))
+
+
+TRANSLATE_WEIGHTS = {
+    "classical": lambda: PsiSequence.classical(2),
+    "q=1/2": lambda: PsiSequence.jackson(Fraction(1, 2), 2),
+    "squares": lambda: PsiSequence.custom([n * n for n in range(1, 13)]),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(TRANSLATE_WEIGHTS))
+def test_translations_through_one_weights_object_match_fresh_ones(weights):
+    # the series kept per y serve any later reach they cover, whatever the
+    # order; "1/2" and 2/4 are one y, and so are 0 and Fraction(0)
+    make = TRANSLATE_WEIGHTS[weights]
+    rng = random.Random(weights)
+    ys = ["1/2", Fraction(2, 4), Fraction(-3, 2), -2, 0, Fraction(0), 3]
+    calls = [(y, Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                             for _ in range(degree + 1)]))
+             for y in ys for degree in (0, 2, 5, 11)]
+    calls.append(("1/2", Polynomial.zero()))
+    rng.shuffle(calls)
+    shared = make()
+    for y, p in calls:
+        assert translate(shared, y, p) == translate(make(), y, p)
+    # one series per y, by its int pair, as long as its longest call
+    reach = {}
+    for y, p in calls:
+        key = Fraction(y).numerator, Fraction(y).denominator
+        reach[key] = max(reach.get(key, 0), 0 if p.is_zero else p.degree)
+    assert len(reach) == 5
+    assert {key: s.cap for key, s in shared._exp.items()} == reach
+
+
+def test_translation_past_custom_weights_raises_after_a_shorter_one():
+    psi = PsiSequence.custom([1, 4, 9])
+    assert translate(psi, 1, Polynomial((1, 1))) == Polynomial((2, 1))
+    with pytest.raises(CapExceededError):
+        translate(psi, 1, Polynomial((1, 1, 1, 1, 1)))
+    assert translate(psi, 1, Polynomial((0, 0, 0, 1))) == Polynomial(
+        (1, 9, 9, 1))
+    with pytest.raises(CapExceededError):
+        translate(psi, 1, Polynomial((0, 0, 0, 0, 1)))
+    assert translate(psi, 1, Polynomial((1, 1))) == Polynomial((2, 1))
+
+
+def test_rodrigues_inverts_once_per_delta_and_order(monkeypatch):
+    # the four formulas on one delta share S^(-1) and q', each inverted
+    # once per order, and give what a fresh delta gives
+    psi = PsiSequence.jackson(Fraction(1, 2), 12)
+
+    def fresh():
+        return DeltaOperator.from_operator(forward_difference_op(psi, 12), psi)
+
+    delta = fresh()
+    inverted = []
+    inverse = TruncatedSeries.inverse
+
+    def spy(series):
+        inverted.append(series.cap)
+        return inverse(series)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", spy)
+    got = {(n, f): rodrigues_sequence(delta, n, f)
+           for n in (5, 3) for f in (4, 1, 2, 3, 1)}
+    assert inverted == [5, 5, 3, 3]
+    monkeypatch.undo()
+    for (n, f), seq in got.items():
+        assert list(seq) == list(rodrigues_sequence(fresh(), n, f))
 
 
 def test_rodrigues_below_zero_is_the_constant_one():
