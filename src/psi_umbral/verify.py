@@ -15,6 +15,18 @@ Each check walks its cases (dicts such as ``{"n": 4, "y": 0}``) and stops
 at the first one that fails, which its ``detail`` names as ``n=4, y=0``.
 Random inputs are drawn before the walk, so a failure moves no later draw.
 
+Within one request each suite builds what its cases share once, on an
+object the request built, so nothing outlives the request: the weights
+object keeps exp(y d_psi) per y for ``translate``, a delta keeps S^(-1),
+q' and (q')^(-1) for the four closed forms, the first-expansion base
+keeps its rows base^k x^n for every drawn series, and the leibniz suite
+evaluates each reordering (weights, n, m, j) once for the mixed-powers and
+the exp-commutation check, each of which still walks its own cases.  What
+is shared stays on one side of a comparison: the translation is still
+set against the split over the basis, the closed forms against the
+triangular solve, the series built from the base's rows against their
+first-expansion readout, and a reordering's two sums against each other.
+
 The standard family deliberately mixes the regimes that behave
 differently: classical weights, geometric weights with ratio below and
 above one, the ratio-zero degenerate case (all weights one past n = 0),
@@ -25,7 +37,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from math import comb, factorial
 
@@ -298,7 +310,8 @@ def _random_polynomial(rng, degree):
     """Coefficients a/b, a in -9..9 and b in 1..4 drawn in that order, as
     ints over 12.  ``randrange(k) + a`` draws what ``randint(a, a+k-1)``
     draws, with fewer calls."""
-    return _from_ints([(rng.randrange(19) - 9) * (12 // (rng.randrange(4) + 1))
+    return _from_ints([(rng.randrange(19) - 9)
+                       * (12 // (rng.randrange(4) + 1))
                        for _ in range(degree + 1)], 12)
 
 
@@ -503,14 +516,7 @@ def _reordering_checks(cap, *checks) -> list[CheckResult]:
     checks = [check(cap) for check in checks]
     out = [[] for _ in checks]
     for name, psi in standard_suite_psis(cap):
-        seen = {}
-
-        def holds(n, m, j):
-            ok = seen.get((n, m, j))
-            if ok is None:
-                ok = seen[n, m, j] = _reorders(psi, n, m, j)
-            return ok
-
+        holds = cache(partial(_reorders, psi))
         for results, (title, cases) in zip(out, checks):
             results.append(_verdict(title % name, cases, holds))
     return [result for results in out for result in results]

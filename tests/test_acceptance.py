@@ -330,7 +330,8 @@ def test_shared_reordering_evaluates_each_triple_once(monkeypatch):
     assert len(calls) == len(set(calls))
     alone = len(calls)
     calls.clear()
-    assert [r.name for r in check_exp_commutation(CAP)] == [r.name for r in exp]
+    assert ([r.name for r in check_exp_commutation(CAP)]
+            == [r.name for r in exp])
     assert len(calls) == alone
     assert [r.name for r in check_mixed_powers(CAP)] == [r.name for r in mixed]
 

@@ -524,7 +524,8 @@ def test_short_help_before_the_command_is_help(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,pointer,message", [
-    (["basic", "--cap=--"], "--cap", "argument --cap: invalid int value: '--'"),
+    (["basic", "--cap=--"], "--cap",
+     "argument --cap: invalid int value: '--'"),
     (["basic", "--formula=--"], "/formula",
      "argument --formula: invalid int value: '--'"),
     (["verify", "--suite=--"], "/suite",
