@@ -116,6 +116,16 @@ CASES = [
     ["verify", "--suite", "leibniz", "--cap", "8", "--format", "json"],
     ["verify", "--suite", "rodrigues", "--cap", "8"],
     ["verify", "--suite", "rodrigues", "--cap", "8", "--format", "json"],
+    # the reordering cases keep j + m <= cap + 2, so caps 6, 8 and 16 walk
+    # different case lists
+    ["verify", "--suite", "leibniz", "--cap", "6"],
+    ["verify", "--suite", "leibniz", "--cap", "6", "--format", "json"],
+    ["verify", "--suite", "leibniz", "--cap", "16"],
+    ["verify", "--suite", "leibniz", "--cap", "16", "--format", "json"],
+    ["verify", "--suite", "expansion", "--cap", "6"],
+    ["verify", "--suite", "expansion", "--cap", "6", "--format", "json"],
+    ["verify", "--suite", "expansion", "--cap", "16"],
+    ["verify", "--suite", "expansion", "--cap", "16", "--format", "json"],
     ["table", "--psi", RATIONAL, "--cap", "8", "--format", "json"],
     ["integrate", "--psi", "q:1/2", "--cap", "8", "--poly", "1,2,3"],
     # negative and fractional weights through the factorial chain, the
