@@ -521,13 +521,17 @@ def _parse_argv(argv) -> argparse.Namespace:
                   arg.startswith("--") and _spell_out(arg, sub) or arg
                   for arg in rest[:end]]
     try:
-        args, extras = sub.parse_known_args(rest,
-                                            argparse.Namespace(command=first))
-    except argparse.ArgumentError as exc:
-        sub.error(str(exc), exc.argument_name)
-    if extras:
-        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras),
-                     extras[0].partition("=")[0])
+        try:
+            args, extras = sub.parse_known_args(
+                rest, argparse.Namespace(command=first))
+        except argparse.ArgumentError as exc:
+            sub.error(str(exc), exc.argument_name)
+        if extras:
+            parser.error(gettext("unrecognized arguments: %s")
+                         % " ".join(extras), extras[0].partition("=")[0])
+    except JobSpecError as exc:
+        exc.argv = rest  # JSON mode reads the flags as spelled out
+        raise
     return args
 
 
@@ -560,7 +564,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_argv(argv)
     except JobSpecError as exc:
-        if not _wants_json(argv):
+        if not _wants_json(getattr(exc, "argv", argv)):
             # argparse's usage, "prog: error: ..." line and exit status 2
             argparse.ArgumentParser.error(exc.parser, exc.message)
         _report_error(exc, "json")

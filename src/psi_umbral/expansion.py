@@ -83,10 +83,11 @@ class OperatorExpansion:
                 "coeffs": [q.to_json() for q in self.coeff_polys]}
 
 
-def _base_powers_on_monomials(base: GradedOperator, cap: int) -> list:
-    """table[n][m] = base^n applied to x^m, for n, m <= cap."""
+def _base_powers_on_monomials(base: GradedOperator, top: int,
+                              cap: int) -> list:
+    """table[n][m] = base^n applied to x^m, for n <= top and m <= cap."""
     rows = [[Polynomial.monomial(m) for m in range(cap + 1)]]
-    for _ in range(cap):
+    for _ in range(top):
         rows.append([base.apply(p) for p in rows[-1]])
     return rows
 
@@ -197,7 +198,7 @@ def expand_in_monomials(t: GradedOperator,
     if isinstance(base, SeriesOperator):
         return OperatorExpansion(_series_expansion(t, base, cap), base,
                                  "monomial")
-    powers = _base_powers_on_monomials(base, cap)
+    powers = _base_powers_on_monomials(base, cap, cap)
     qs = []
     for m in range(cap + 1):
         pivot = powers[m][m].constant_term
@@ -220,7 +221,7 @@ def reconstruct_from_monomial_form(exp: OperatorExpansion,
             % (base.cap + 1, base.cap), cap=base.cap)
     if isinstance(base, SeriesOperator):
         return _series_reconstruction(exp.coeff_polys, base, cap)
-    powers = _base_powers_on_monomials(base, cap)
+    powers = _base_powers_on_monomials(base, cap, cap)
     return GradedOperator([_combination(
         [(1, _raw_product(q, powers[n][m]), 0)
          for n, q in enumerate(exp.coeff_polys[: m + 1])], 1)

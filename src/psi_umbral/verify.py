@@ -19,9 +19,9 @@ Within one request each suite builds what its cases share once, on an
 object the request built, so nothing outlives the request: the weights
 object keeps exp(y d_psi) per y for ``translate``, a delta keeps S^(-1),
 q' and (q')^(-1) for the four closed forms, the first-expansion base
-keeps its rows base^k x^n for every drawn series, and the leibniz suite
-evaluates each reordering (weights, n, m, j) once for the mixed-powers and
-the exp-commutation check, each of which still walks its own cases.  What
+keeps its rows base^k x^n for every drawn series, and the reordering
+check evaluates each (weights, n, m, j) once for its mixed-powers and its
+exp-commutation rows, each of which still walks its own cases.  What
 is shared stays on one side of a comparison: the translation is still
 set against the split over the basis, the closed forms against the
 triangular solve, the series built from the base's rows against their
@@ -38,13 +38,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, partial
-from itertools import repeat
 from math import comb, factorial
 
 from .algebra import (Polynomial, TruncatedSeries, _combination,
                       _from_ints, _over_lcm)
 from .errors import JobSpecError
 from .expansion import (
+    _base_powers_on_monomials,
+    _series_powers,
     conjugate_indicator_check,
     detect_psi_series,
     expand_in_monomials,
@@ -397,22 +398,11 @@ def _series_in(base: GradedOperator, coeffs) -> GradedOperator:
     """sum_k c_k base^k as a plain table: row n is one combination of the
     base^k x^n, which a series base keeps for every series in it."""
     cs, den = _over_lcm(coeffs)
-    powers = _derived(base, ("powers of x^n", len(cs)),
-                      lambda: _monomial_powers(base, len(cs)))
-    return GradedOperator.from_monomial_rule(
-        lambda n: _combination(zip(cs, powers[n], repeat(0)), den), base.cap)
-
-
-def _monomial_powers(base: GradedOperator, count: int) -> list:
-    """Row n lists base^k x^n for k < count, each the base applied to the
-    one before: plain tables, never the series route."""
-    rows = []
-    for n in range(base.cap + 1):
-        powers = [Polynomial.monomial(n)]
-        for _ in range(count - 1):
-            powers.append(base.apply(powers[-1]))
-        rows.append(powers)
-    return rows
+    top = len(cs) - 1
+    powers = _derived(base, ("powers on monomials", top),
+                      lambda: _base_powers_on_monomials(base, top, base.cap))
+    return GradedOperator.from_monomial_rule(lambda n: _combination(
+        ((c, powers[k][n], 0) for k, c in enumerate(cs)), den), base.cap)
 
 
 # -- product rules and mixed commutation ------------------------------------
@@ -483,57 +473,31 @@ def _reorders(psi, n, m, j) -> bool:
     return lhs * rhs_den == rhs * lhs_den
 
 
-def _mixed_powers(cap):
-    """The mixed-powers check: its title, to take a weight set's name, and
-    its cases."""
-    nm_max, j_max = 5, 6
+def check_reorderings(cap: int) -> list[CheckResult]:
+    """Criteria 8 and 9, one normal-ordering identity at two truncations:
+    ``_reorders`` over the mixed-powers cases, n, m <= 5, and then over the
+    exp-commutation cases, n + m <= 10, each under every weight set.  A
+    weight set evaluates each (n, m, j) once, as every mixed-powers case is
+    an exp-commutation case too, and each check still names its own first
+    failing case."""
+    nm_max, order, j_max = 5, 10, 6
     limit = cap + 2  # highest weight every suite member can supply
-    return ("mixed-powers[%%s] lowering past raising reorders with binomial "
-            "weights, n,m<=%d, j<=%d" % (nm_max, j_max),
-            [{"n": n, "m": m, "j": j}
+    mixed = [{"n": n, "m": m, "j": j}
              for n in range(nm_max + 1) for m in range(nm_max + 1)
-             for j in range(j_max + 1) if j + m <= limit])
-
-
-def _exp_commutation(cap):
-    """The exponential-commutation check: its title and its cases."""
-    order, j_max = 10, 6
+             for j in range(j_max + 1) if j + m <= limit]
     # (1/a! b!) lower^a raise^b reorders with weights 1/(u! (a-u)! (b-u)!),
     # which is the mixed-powers identity divided through by a! b!.
-    limit = cap + 2
-    return ("exp-commutation[%%s] exponential reordering holds through "
-            "total order %d" % order,
-            [{"n": a, "m": b, "j": j}
-             for a in range(order + 1) for b in range(order + 1 - a)
-             for j in range(j_max + 1) if j + b <= limit])
-
-
-def _reordering_checks(cap, *checks) -> list[CheckResult]:
-    """``_reorders`` over the cases of each check, a function of the cap
-    giving (title, cases), under every weight set, check by check.  A
-    weight set evaluates each (n, m, j) once and every check reads that
-    verdict, so each still names its own first failing case."""
-    checks = [check(cap) for check in checks]
-    out = [[] for _ in checks]
-    for name, psi in standard_suite_psis(cap):
-        holds = cache(partial(_reorders, psi))
-        for results, (title, cases) in zip(out, checks):
-            results.append(_verdict(title % name, cases, holds))
-    return [result for results in out for result in results]
-
-
-def check_mixed_powers(cap: int) -> list[CheckResult]:
-    return _reordering_checks(cap, _mixed_powers)
-
-
-def check_exp_commutation(cap: int) -> list[CheckResult]:
-    return _reordering_checks(cap, _exp_commutation)
-
-
-def _check_reorderings(cap: int) -> list[CheckResult]:
-    """``check_mixed_powers`` and then ``check_exp_commutation``, in one
-    pass: every mixed-powers case is an exp-commutation case too."""
-    return _reordering_checks(cap, _mixed_powers, _exp_commutation)
+    exp = [{"n": a, "m": b, "j": j}
+           for a in range(order + 1) for b in range(order + 1 - a)
+           for j in range(j_max + 1) if j + b <= limit]
+    holds = {name: cache(partial(_reorders, psi))
+             for name, psi in standard_suite_psis(cap)}
+    checks = [("mixed-powers[%%s] lowering past raising reorders with "
+               "binomial weights, n,m<=%d, j<=%d" % (nm_max, j_max), mixed),
+              ("exp-commutation[%%s] exponential reordering holds through "
+               "total order %d" % order, exp)]
+    return [_verdict(title % name, cases, holds[name])
+            for title, cases in checks for name in holds]
 
 
 # -- integration ------------------------------------------------------------
@@ -629,10 +593,7 @@ def check_generating_function(cap: int) -> list[CheckResult]:
     psi = PsiSequence.classical(cap)
     delta = DeltaOperator.from_operator(forward_difference_op(psi, cap), psi)
     polys = delta.basic(n_max).polys
-    rev = delta.indicator_reversion
-    powers = [TruncatedSeries.one(cap)]
-    for _ in range(n_max):
-        powers.append(powers[-1] * rev)
+    powers = _series_powers(delta.indicator_reversion, n_max)
     out = [_verdict("generating function: reverted indicator powers give "
                     "the normalized basis coefficients, n<=%d" % n_max,
                     [{"n": n} for n in range(n_max + 1)],
@@ -692,7 +653,7 @@ SUITES = {
                   check_random_roundtrip, check_first_expansion,
                   check_generating_function),
     "leibniz": (check_leibniz, check_divided_difference_series,
-                _check_reorderings),
+                check_reorderings),
     "integration": (check_integration,),
     "poisson": (check_poisson,),
     "special": (check_special,),

@@ -151,6 +151,10 @@ CASES = [
     ["table", "--zzz=1"],
     ["basic", "--cap", "x"],
     ["basic", "--cap", "x", "--format", "json"],
+    # an abbreviated --format asks for JSON as the full flag does
+    ["basic", "--forma", "json", "--cap", "x"],
+    ["basic", "--forma=json", "--cap", "x"],
+    ["table", "--fo", "json", "--cap", "x"],
     ["basic", "--form", "2"],
     ["basic", "--form", "2", "--format", "json"],
     [],

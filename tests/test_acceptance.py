@@ -22,11 +22,10 @@ from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import BasicSequence
 from psi_umbral.verify import (CheckResult, check_binomial, check_detection,
                                check_divided_difference_series,
-                               check_exp_commutation,
                                check_expansion_goldens, check_generating_function,
-                               check_ghw, check_integration,
-                               check_mixed_powers, check_parity, check_poisson,
-                               check_random_roundtrip, check_rodrigues,
+                               check_ghw, check_integration, check_parity,
+                               check_poisson, check_random_roundtrip,
+                               check_reorderings, check_rodrigues,
                                check_special, _reorders)
 from test_special import _root_of_unity_average
 
@@ -254,16 +253,25 @@ def test_divided_difference_comparison_can_fail(monkeypatch):
     assert [r.detail for r in results] == ["p=x^0"]
 
 
+def _reordering_rows(results):
+    """The mixed-powers and the exp-commutation rows among ``results``,
+    apart; neither may be empty, so no gate passes on no rows."""
+    mixed = [r for r in results if r.name.startswith("mixed-powers")]
+    exp = [r for r in results if r.name.startswith("exp-commutation")]
+    assert mixed and exp
+    return mixed, exp
+
+
 def test_criterion_08_reordering_identity():
     _gate(8, "lowering powers reorder past raising powers with factorial-binomial "
              "weights, n, m <= 5 on x^j, j <= 6",
-          check_mixed_powers(CAP))
+          _reordering_rows(check_reorderings(CAP))[0])
 
 
 def test_criterion_09_exponential_commutation():
     _gate(9, "exponentials of lowering and raising commute up to the scalar "
              "exponential factor, order 10, j <= 6",
-          check_exp_commutation(CAP))
+          _reordering_rows(check_reorderings(CAP))[1])
 
 
 def test_reordering_comparison_can_fail(monkeypatch):
@@ -277,7 +285,7 @@ def test_reordering_comparison_can_fail(monkeypatch):
     assert not _reorders(mixed, 1, 1, 1)
     monkeypatch.setattr(verify, "standard_suite_psis",
                         lambda cap: [("mixed", mixed)])
-    results = check_mixed_powers(CAP) + check_exp_commutation(CAP)
+    results = check_reorderings(CAP)
     assert not any(r.passed for r in results)
     assert [r.detail for r in results] == ["n=1, m=1, j=1"] * 2
 
@@ -286,12 +294,6 @@ def _reorders_wrong_at(triple):
     """``verify._reorders`` with its verdict turned over at one (n, m, j)."""
     real = verify._reorders
     return lambda psi, n, m, j: real(psi, n, m, j) != ((n, m, j) == triple)
-
-
-def _reordering_rows(results):
-    """The leibniz suite's mixed-powers and exp-commutation rows, apart."""
-    return ([r for r in results if r.name.startswith("mixed-powers")],
-            [r for r in results if r.name.startswith("exp-commutation")])
 
 
 def test_shared_reordering_fails_both_checks_at_a_shared_triple(monkeypatch):
@@ -316,8 +318,8 @@ def test_shared_reordering_fails_only_the_check_that_holds_the_triple(
 
 
 def test_shared_reordering_evaluates_each_triple_once(monkeypatch):
-    # the suite's calls are exp-commutation's alone, with no repeats, and
-    # its rows are the two checks' own, in order
+    # the suite's calls are the exp-commutation cases under each weight
+    # set, with no repeats, and its rows are check_reorderings' own, in order
     calls = []
     real = verify._reorders
 
@@ -328,12 +330,12 @@ def test_shared_reordering_evaluates_each_triple_once(monkeypatch):
     monkeypatch.setattr(verify, "_reorders", counted)
     mixed, exp = _reordering_rows(verify.run_suite("leibniz", CAP))
     assert len(calls) == len(set(calls))
-    alone = len(calls)
-    calls.clear()
-    assert ([r.name for r in check_exp_commutation(CAP)]
-            == [r.name for r in exp])
-    assert len(calls) == alone
-    assert [r.name for r in check_mixed_powers(CAP)] == [r.name for r in mixed]
+    exp_cases = {(a, b, j) for a in range(11) for b in range(11 - a)
+                 for j in range(7) if j + b <= CAP + 2}
+    assert {call[1:] for call in calls} == exp_cases
+    assert len(calls) == len(exp) * len(exp_cases)
+    assert [r.name for r in check_reorderings(CAP)] == [r.name for r in
+                                                        mixed + exp]
 
 
 def test_criterion_10_poisson_routes_agree():

@@ -371,6 +371,10 @@ ARGPARSE_POINTERS = {"--suite": "/suite", "--n": "/n",
     (["--formu", "2", "basic", "--format=json"], "--formula"),
     (["--form", "json", "table", "--format", "json"], "--form"),
     (["--form=json", "table", "--format", "json"], "--form"),
+    # a unique prefix of --format asks for JSON as the flag does
+    (["basic", "--forma", "json", "--cap", "x"], "--cap"),
+    (["basic", "--forma=json", "--cap", "x"], "--cap"),
+    (["table", "--fo", "json", "--cap", "x"], "--cap"),
 ])
 def test_argparse_errors_arrive_as_json(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

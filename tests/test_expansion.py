@@ -537,9 +537,9 @@ def test_series_base_applies_no_operator(monkeypatch):
     real_powers = expansion._base_powers_on_monomials
     real_apply = GradedOperator.apply
 
-    def counted_powers(base, cap):
+    def counted_powers(base, top, cap):
         calls.append("powers")
-        return real_powers(base, cap)
+        return real_powers(base, top, cap)
 
     def counted_apply(self, p):
         calls.append("apply")

@@ -1,5 +1,5 @@
-"""Basic sequences, Gaussian binomials and series inverses against classical
-closed forms.
+"""Basic sequences, Gaussian binomials, series inverses and the
+normal ordering of D^n X^m against classical closed forms.
 
 The closed forms are the benchmark's oracles in ``perfbench/oracles.py``,
 and the Laguerre coefficients and Jackson exponentials below: plain Fraction
@@ -20,6 +20,7 @@ from math import comb, factorial
 
 import pytest
 
+from psi_umbral import verify
 from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.cli import main
 from psi_umbral.expansion import (expand_in_monomials,
@@ -199,3 +200,51 @@ def test_translate_is_the_binomial_theorem(q):
         want = (binomial_translate(y, poly) if q is None
                 else oracles.jackson_translate(Fraction(q), y, poly))
         assert list(translate(psi, y, Polynomial(poly)).coeffs) == want
+
+
+# The (n, m, j) cases of verify's reordering check: mixed powers n, m <= 5
+# and exponential commutation n + m <= 10, on x^j, j <= 6, at a cap whose
+# filter j + m <= cap + 2 keeps them all.
+REORDER_CAP = 16
+REORDER_CASES = sorted(
+    {(n, m, j) for n in range(6) for m in range(6) for j in range(7)}
+    | {(n, m, j) for n in range(11) for m in range(11 - n) for j in range(7)})
+
+
+def _reordering_mismatches(psi):
+    """The cases where the classical closed forms of D^n X^m x^j and of
+    sum_k C(n,k) C(m,k) k! X^(m-k) D^(n-k) x^j, each the coefficient of
+    x^(j+m-n), disagree with each other or with the products
+    ``verify._reorders`` reads from ``psi``, term by term."""
+    bad = []
+    for n, m, j in REORDER_CASES:
+        lhs = (factorial(j + m) // factorial(j + m - n) if j + m >= n
+               else 0)
+        ks = range(max(n - j, 0), min(n, m) + 1)
+        terms = [comb(n, k) * comb(m, k) * factorial(k) * factorial(j)
+                 // factorial(j - n + k) for k in ks]
+        read_lhs = (psi.falling(j + m, n) * psi.raising_ratio(j, m)
+                    if j + m >= n else 0)
+        read = [comb(n, k) * comb(m, k) * factorial(k) * psi.falling(j, n - k)
+                * psi.raising_ratio(j - n + k, m - k) for k in ks]
+        if lhs != sum(terms) or read_lhs != lhs or read != terms:
+            bad.append((n, m, j))
+    return bad
+
+
+def test_reorderings_are_the_classical_normal_ordering(monkeypatch):
+    walked = set()
+    real = verify._reorders
+    monkeypatch.setattr(verify, "_reorders", lambda psi, n, m, j: (
+        walked.add((n, m, j)) or real(psi, n, m, j)))
+    verify.check_reorderings(REORDER_CAP)
+    assert sorted(walked) == REORDER_CASES
+    assert _reordering_mismatches(PsiSequence.classical(REORDER_CAP)) == []
+
+
+def test_the_reordering_oracle_catches_a_perturbed_falling(monkeypatch):
+    real = PsiSequence.falling
+    monkeypatch.setattr(PsiSequence, "falling",
+                        lambda self, n, k: real(self, n, k) + (k == 2))
+    bad = _reordering_mismatches(PsiSequence.classical(REORDER_CAP))
+    assert (2, 0, 2) in bad and (0, 3, 1) not in bad

@@ -10,6 +10,9 @@
   pairs or the quotient behind them.
 - Every top-level private function is used somewhere in the package
   outside its own body, so a helper merged away cannot linger.
+- Every member of ``verify.SUITES`` is a public ``check_*`` function of
+  ``verify``: the benchmark's tracer wraps public names only, so a private
+  member would charge its checks' time to its suite's span.
 - No underscore attribute of ``argparse.ArgumentParser`` or of an
   ``argparse.Action``, and no underscore name of the ``argparse`` module,
   is defined or read: they change between Python versions, and the
@@ -28,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from psi_umbral import verify
 from psi_umbral.exprparse import _NAMES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "psi_umbral"
@@ -147,6 +151,15 @@ def test_every_private_helper_is_used(path, node):
     # a use inside the helper's own body, a recursive call, does not count
     assert USES.count(node.name) > _uses(node).count(node.name), \
         _where(path, node)
+
+
+def test_every_verify_suite_member_is_a_public_check():
+    members = [fn for checks in verify.SUITES.values() for fn in checks]
+    found = [fn.__qualname__ for fn in members
+             if not fn.__name__.startswith("check_")
+             or fn.__module__ != verify.__name__
+             or getattr(verify, fn.__name__) is not fn]
+    assert members and found == []
 
 
 def _operator_list():
