@@ -108,8 +108,16 @@ CASES = [
      "1,0,1", "--format", "csv"],
     ["translate", "--psi", "q:1/2", "--cap", "8", "--y", "1/3", "--poly",
      "1,2,3", "--format", "json"],
+    # a zero polynomial, and a shift by zero
+    ["translate", "--poly", "0", "--y", "2", "--cap", "4", "--format", "json"],
+    ["translate", "--psi", "q:2", "--cap", "6", "--y=0", "--poly",
+     "1,-2,0,1/3"],
     ["verify", "--suite", "binomial", "--cap", "8"],
     ["verify", "--suite", "binomial", "--cap", "8", "--format", "json"],
+    ["verify", "--suite", "binomial", "--cap", "6"],
+    ["verify", "--suite", "binomial", "--cap", "6", "--format", "json"],
+    ["verify", "--suite", "binomial", "--cap", "16"],
+    ["verify", "--suite", "binomial", "--cap", "16", "--format", "json"],
     ["verify", "--suite", "expansion", "--cap", "8"],
     ["verify", "--suite", "expansion", "--cap", "8", "--format", "json"],
     ["verify", "--suite", "leibniz", "--cap", "8"],
