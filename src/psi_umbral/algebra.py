@@ -316,10 +316,11 @@ def _linear_combination(p: Polynomial, rows) -> Polynomial:
 
 def _generating_sum(polys, lam) -> Polynomial:
     """sum_n lam^n polys[n] at an exact scalar lam = a/b, as one
-    combination: the ints a^n b^(N-n) over b^N for N the last index."""
+    combination: the ints a^n b^(N-n) over b^N for N the last index.  An
+    empty list sums to zero."""
     lam = as_scalar(lam)
     a, b = lam.numerator, lam.denominator
-    top = len(polys) - 1
+    top = max(len(polys) - 1, 0)
     return _combination([(a ** n * b ** (top - n), p, 0)
                          for n, p in enumerate(polys)], b ** top)
 

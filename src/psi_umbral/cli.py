@@ -517,10 +517,16 @@ def _parse_argv(argv) -> argparse.Namespace:
     except argparse.ArgumentTypeError as exc:
         parser.error("argument command: %s" % exc, "command")
     end = rest.index("--") if "--" in rest else len(rest)
-    rest[:end] = [_as_help(arg) if arg.startswith("-h") else
-                  arg.startswith("--") and _spell_out(arg, sub) or arg
-                  for arg in rest[:end]]
+    ambiguous = []  # refused once every other flag is spelled out
+    for i, arg in enumerate(rest[:end]):
+        try:
+            rest[i] = (_as_help(arg) if arg.startswith("-h") else
+                       arg.startswith("--") and _spell_out(arg, sub) or arg)
+        except JobSpecError as exc:
+            ambiguous.append(exc)
     try:
+        if ambiguous:
+            raise ambiguous[0]
         try:
             args, extras = sub.parse_known_args(
                 rest, argparse.Namespace(command=first))

@@ -77,8 +77,8 @@ class PsiSequence:
     (still finite and exact); a rule maps n and the weight (n-1)_psi to
     n_psi.  The custom kind owns exactly the values it was given and errors
     beyond them.  The factorials are kept as int pairs, and each falling
-    factorial, binomial and raising ratio asked for is kept too, as is each
-    translation series, so these memos live and die with the sequence.
+    factorial, binomial and raising ratio asked for is kept too, so these
+    memos live and die with the sequence.
     """
 
     def __init__(self, kind: str, rule, cap: int, label: str, params: dict,
@@ -95,9 +95,6 @@ class PsiSequence:
         self._falling = {}
         self._binomial = {}
         self._raising = {}
-        # exp(y d_psi) by y's int pair (numerator, denominator), kept by
-        # umbral.translate: the longest series built so far
-        self._exp = {}
         self._extend_to(cap)
 
     # -- constructors -------------------------------------------------

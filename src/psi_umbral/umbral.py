@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 
 from .algebra import (Polynomial, TruncatedSeries, _combination,
-                      _generating_sum, _linear_combination, _series,
-                      _triangular_inverse, as_scalar)
+                      _from_ints, _generating_sum, _linear_combination,
+                      _series, _triangular_inverse)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError)
 from .operators import (GradedOperator, SeriesOperator, _derived,
@@ -24,26 +25,48 @@ from .operators import (GradedOperator, SeriesOperator, _derived,
                         invert_shift_invariant, multiply_x_op, psi_raise,
                         shift_invariant_coefficients)
 from .psi import PsiSequence
-from .special import psi_exp_scaled
+
+
+def translation_coefficients(psi: PsiSequence, p: Polynomial) -> list:
+    """The psi-Taylor coefficients T_k = (d_psi)^k p / k_psi!, k <= deg p,
+    so that the shift of p by y is sum_k y^k T_k.
+
+    With p = sum_n a_n x^n, the x^m entry of T_k is
+    a_(m+k) (m+k)_psi!/(m_psi! k_psi!); with the factorials f/g that is
+    u_(m+k) (g_m/f_m) (g_k/f_k) for u_n = a_n f_n/g_n, collected on ints
+    over the lcm of the g_n and of the |f_m|.  Reads the weights
+    1..deg p, and none for a zero p, which gives [].
+    """
+    a = p._num
+    if not a:
+        return []
+    fact = psi.factorial_pairs(len(a) - 1)
+    g_lcm = f_lcm = 1
+    for x, (f, g) in zip(a, fact):
+        if x and g_lcm % g:
+            g_lcm = g_lcm // gcd(g_lcm, g) * g
+        if f_lcm % f:
+            f_lcm = f_lcm // gcd(f_lcm, f) * abs(f)
+    u = [x * f * (g_lcm // g) for x, (f, g) in zip(a, fact)]
+    w = [g * (f_lcm // f) for f, g in fact]
+    den = g_lcm * f_lcm * p._den
+    out = []
+    for k, (f, g) in enumerate(fact):
+        scale = g if f > 0 else -g
+        out.append(_from_ints([x * y * scale for x, y in zip(u[k:], w)],
+                              den * abs(f)))
+    return out
 
 
 def translate(psi: PsiSequence, y, p: Polynomial) -> Polynomial:
-    """Generalized shift of p by y: sum_k (y^k / k_psi!) (d_psi)^k p.
+    """Generalized shift of p by y: sum_k (y^k / k_psi!) (d_psi)^k p, the
+    generating sum of ``translation_coefficients`` at y.
 
     For p = x^n this is the weighted binomial expansion
-    sum_k binom_psi(n, k) x^(n-k) y^k.  The series stops at the degree of
-    p, so no weight past it is read.  The weights object keeps the longest
-    series it has built for each y, keyed by y's int pair: a longer one
-    serves a shorter reach, as only its terms through deg p are read and
-    the result is reduced.
+    sum_k binom_psi(n, k) x^(n-k) y^k.  The sum stops at the degree of p,
+    so no weight past it is read; a zero p gives zero.
     """
-    reach = 0 if p.is_zero else p.degree
-    y = as_scalar(y)
-    key = y.numerator, y.denominator
-    series = psi._exp.get(key)
-    if series is None or series.cap < reach:
-        series = psi._exp[key] = psi_exp_scaled(psi, y, reach)
-    return apply_psi_series(series, psi, p)
+    return _generating_sum(translation_coefficients(psi, p), y)
 
 
 class BasicSequence:

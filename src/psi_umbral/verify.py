@@ -4,28 +4,29 @@ Every check here is exact rational arithmetic.  The functions return
 ``CheckResult`` records rather than raising, so the command line and the
 acceptance tests can both consume them and report one line per check.
 
-The heaviest checks run their sums on ints: the binomial split and the
-first-expansion readout as one combination over one denominator, the
+The heaviest checks run their sums on ints: the binomial residual and
+the first-expansion readout as combinations over one denominator, the
 reordering identity as int pairs compared cross-multiplied.  Each still
 reads the function it checks (``binomial``, ``falling``,
-``raising_ratio``, ``translate``, the three Poisson routes) and never the
-factorial pairs behind them.
+``raising_ratio``, ``translation_coefficients``, the three Poisson
+routes) and never the factorial pairs behind them.
 
 Each check walks its cases (dicts such as ``{"n": 4, "y": 0}``) and stops
 at the first one that fails, which its ``detail`` names as ``n=4, y=0``.
 Random inputs are drawn before the walk, so a failure moves no later draw.
 
 Within one request each suite builds what its cases share once, on an
-object the request built, so nothing outlives the request: the weights
-object keeps exp(y d_psi) per y for ``translate``, a delta keeps S^(-1),
-q' and (q')^(-1) for the four closed forms, the first-expansion base
-keeps its rows base^k x^n for every drawn series, and the reordering
-check evaluates each (weights, n, m, j) once for its mixed-powers and its
-exp-commutation rows, each of which still walks its own cases.  What
-is shared stays on one side of a comparison: the translation is still
-set against the split over the basis, the closed forms against the
-triangular solve, the series built from the base's rows against their
-first-expansion readout, and a reordering's two sums against each other.
+object the request built, so nothing outlives the request: the binomial
+check forms each n's residual by powers of y once for all its sample
+points, a delta keeps S^(-1), q' and (q')^(-1) for the four closed
+forms, the first-expansion base keeps its rows base^k x^n for every
+drawn series, and the reordering check evaluates each (weights, n, m, j)
+once for its mixed-powers and its exp-commutation rows, each of which
+still walks its own cases.  What is shared stays on one side of a
+comparison: the translation's coefficients are still set against the
+split over the basis, the closed forms against the triangular solve, the
+series built from the base's rows against their first-expansion readout,
+and a reordering's two sums against each other.
 
 The standard family deliberately mixes the regimes that behave
 differently: classical weights, geometric weights with ratio below and
@@ -41,7 +42,8 @@ from functools import cache, partial
 from math import comb, factorial
 
 from .algebra import (Polynomial, TruncatedSeries, _combination,
-                      _from_ints, _over_lcm)
+                      _from_ints, _generating_sum, _over_lcm,
+                      _pairs_over_lcm)
 from .errors import JobSpecError
 from .expansion import (
     _base_powers_on_monomials,
@@ -83,7 +85,7 @@ from .umbral import (
     basic_sequence_solve,
     rodrigues_sequence,
     sheffer_sequence,
-    translate,
+    translation_coefficients,
 )
 
 RANDOM_SEED = 20240817
@@ -116,13 +118,12 @@ def _check(name, passed):
     return CheckResult(name, bool(passed))
 
 
-def _verdict(name, cases, holds, args=None):
+def _verdict(name, cases, holds):
     """The check ``name`` over ``cases``, dicts of named values: it fails at
     the first case where ``holds(**case)`` is false, with that case as its
-    detail, and passes when every case holds.  With ``args``, a list as
-    long as ``cases``, the i-th case is tested as ``holds(*args[i])``."""
-    for i, case in enumerate(cases):
-        if not (holds(**case) if args is None else holds(*args[i])):
+    detail, and passes when every case holds."""
+    for case in cases:
+        if not holds(**case):
             return CheckResult(name, False, ", ".join(
                 "%s=%s" % item for item in case.items()))
     return CheckResult(name, True)
@@ -175,34 +176,51 @@ def check_ghw(cap: int) -> list[CheckResult]:
 
 # -- basic sequences and binomial identity ----------------------------------
 
-def _binomial_sum(binomials, basic_polys, values, n):
-    """sum_k binom_psi(n, k) p_(n-k)(y) p_k, as one combination: the
-    binomials and the values p_j(y) each come as ints over one
-    denominator."""
+def _binomial_residual(psi, binomials, polys, columns, n):
+    """r_n, whose generating sum at y is the translation of p_n by y minus
+    its split sum_k binom_psi(n, k) p_(n-k)(y) p_k: r_n[j] is T_j(p_n)
+    minus the y^j coefficient of the split, for j below the widest of
+    p_0..p_n.  Each entry is one combination, the binomials and column j
+    of the basis' coefficients each as ints over one denominator."""
     b, b_den = binomials[n]
-    v, v_den = values
-    return _combination(((b[k] * v[n - k], basic_polys[k], 0)
-                         for k in range(n + 1)), b_den * v_den)
+    t = translation_coefficients(psi, polys[n])
+    r = []
+    for j in range(max(len(p._num) for p in polys[:n + 1])):
+        c, c_den = columns[j]
+        den = b_den * c_den
+        terms = [(-b[k] * c[n - k], polys[k], 0) for k in range(n + 1)]
+        if j < len(t):
+            terms.append((den, t[j], 0))
+        r.append(_combination(terms, den))
+    return r
+
+
+def _vanishes(r, y) -> bool:
+    """Is sum_j y^j r[j] zero?  Read without a sum when every r[j] is."""
+    return all(p.is_zero for p in r) or _generating_sum(r, y).is_zero
 
 
 def check_binomial(cap: int) -> list[CheckResult]:
+    """E^y p_n = sum_k binom_psi(n, k) p_k p_(n-k)(y) at every (n, y): both
+    sides are polynomials in y, so each n's residual by powers of y is
+    computed once, and a case holds where it sums to zero at y."""
     n_max = min(10, cap)
     cases = [{"n": n, "y": y} for n in range(n_max + 1) for y in Y_POINTS]
-    # each case as (n, the position of its y), so no Fraction is hashed
-    at = [(n, i) for n in range(n_max + 1) for i in range(len(Y_POINTS))]
     out = []
     for name, psi in standard_suite_psis(cap):
         binomials = [_over_lcm([psi.binomial(n, k) for k in range(n + 1)])
                      for n in range(n_max + 1)]
         for base_name, q in _delta_bases(psi, cap):
             polys = basic_sequence_solve(q, psi, n_max).polys
-            values = [_over_lcm([p(y) for p in polys]) for y in Y_POINTS]
+            columns = [_pairs_over_lcm([(p._num[j] if j < len(p._num) else 0,
+                                         p._den) for p in polys])
+                       for j in range(max(len(p._num) for p in polys))]
+            residual = cache(partial(_binomial_residual, psi, binomials,
+                                     polys, columns))
             out.append(_verdict(
                 "binomial[%s,%s] translation splits over the basis, n<=%d at "
                 "%d points" % (name, base_name, n_max, len(Y_POINTS)), cases,
-                lambda n, i: (translate(psi, Y_POINTS[i], polys[n])
-                              == _binomial_sum(binomials, polys, values[i],
-                                               n)), at))
+                lambda n, y: _vanishes(residual(n), y)))
     return out
 
 

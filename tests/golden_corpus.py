@@ -165,6 +165,9 @@ CASES = [
     ["table", "--fo", "json", "--cap", "x"],
     ["basic", "--form", "2"],
     ["basic", "--form", "2", "--format", "json"],
+    # an ambiguous prefix is refused once the other flags are spelled out
+    ["basic", "--forma", "json", "--form", "2"],
+    ["basic", "--form", "2", "--forma", "json"],
     [],
     ["--format", "json"],
     ["--help"],

@@ -17,8 +17,10 @@ from types import SimpleNamespace
 
 from psi_umbral import expansion, special, star_product, verify
 from psi_umbral.algebra import Polynomial, TruncatedSeries
-from psi_umbral.operators import derivative_op, multiply_x_op
+from psi_umbral.operators import (apply_psi_series, derivative_op,
+                                  multiply_x_op)
 from psi_umbral.psi import PsiSequence
+from psi_umbral.special import psi_exp_scaled
 from psi_umbral.umbral import BasicSequence
 from psi_umbral.verify import (CheckResult, check_binomial, check_detection,
                                check_divided_difference_series,
@@ -89,18 +91,54 @@ def test_binomial_comparison_can_fail(monkeypatch):
 
 
 def test_binomial_translation_side_can_fail(monkeypatch):
-    # the translation of p_5 plus one: the split over the basis no longer
-    # matches it, first at n = 5 and the first point, y = 0
-    real = verify.translate
+    # the translation of p_5 plus one, by one added to its T_0: the split
+    # over the basis no longer matches it, first at n = 5 and the first
+    # point, y = 0
+    real = verify.translation_coefficients
 
-    def plus_one_at_5(psi, y, p):
-        out = real(psi, y, p)
-        return out + Polynomial.one() if p.degree == 5 else out
+    def plus_one_at_5(psi, p):
+        out = real(psi, p)
+        if p.degree == 5:
+            out[0] = out[0] + Polynomial.one()
+        return out
 
-    monkeypatch.setattr(verify, "translate", plus_one_at_5)
+    monkeypatch.setattr(verify, "translation_coefficients", plus_one_at_5)
     results = check_binomial(CAP)
     assert results and not any(r.passed for r in results)
     assert [r.detail for r in results] == ["n=5, y=0"] * 15
+
+
+def test_binomial_cases_read_as_the_pointwise_comparison(monkeypatch):
+    # every (n, y) case of one (weights, base), under the p_3 + x solve,
+    # has the truth value of comparing the translation with the split at
+    # that y; the walk stops at the first false one, so it is read from
+    # the holds function the check hands to _verdict
+    monkeypatch.setattr(verify, "basic_sequence_solve",
+                        _solve_with_x_in_p3(verify.basic_sequence_solve))
+    seen = {}
+    real = verify._verdict
+
+    def keep_holds(name, cases, holds):
+        seen.setdefault(name, (cases, holds))
+        return real(name, cases, holds)
+
+    monkeypatch.setattr(verify, "_verdict", keep_holds)
+    check_binomial(CAP)
+    name = next(n for n in seen if n.startswith("binomial[q=1/2,difference]"))
+    cases, holds = seen[name]
+    psi = PsiSequence.jackson(Fraction(1, 2), CAP)
+    base = dict(verify._delta_bases(psi, CAP))["difference"]
+    polys = verify.basic_sequence_solve(base, psi, 10).polys
+    walked = [holds(**case) for case in cases]
+    # the old check's translation: exp(y d_psi) applied as a series
+    pointwise = [apply_psi_series(psi_exp_scaled(psi, case["y"], case["n"]),
+                                  psi, polys[case["n"]]) == sum(
+        (psi.binomial(case["n"], k) * polys[case["n"] - k](case["y"])
+         * polys[k] for k in range(case["n"] + 1)), Polynomial.zero())
+        for case in cases]
+    assert len(cases) == 121 and walked == pointwise
+    # n = 3 holds everywhere, and from n = 4 on only y = 0 does
+    assert walked.count(True) == 4 * 11 + 7
 
 
 def test_criterion_03_closed_forms_match_the_solve():

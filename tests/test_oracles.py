@@ -1,5 +1,6 @@
-"""Basic sequences, Gaussian binomials, series inverses and the
-normal ordering of D^n X^m against classical closed forms.
+"""Basic sequences, Gaussian binomials, series inverses, the normal
+ordering of D^n X^m and the Poisson weights against classical closed
+forms.
 
 The closed forms are the benchmark's oracles in ``perfbench/oracles.py``,
 and the Laguerre coefficients and Jackson exponentials below: plain Fraction
@@ -20,7 +21,7 @@ from math import comb, factorial
 
 import pytest
 
-from psi_umbral import verify
+from psi_umbral import star_product, verify
 from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.cli import main
 from psi_umbral.expansion import (expand_in_monomials,
@@ -248,3 +249,53 @@ def test_the_reordering_oracle_catches_a_perturbed_falling(monkeypatch):
                         lambda self, n, k: real(self, n, k) + (k == 2))
     bad = _reordering_mismatches(PsiSequence.classical(REORDER_CAP))
     assert (2, 0, 2) in bad and (0, 3, 1) not in bad
+
+
+# The (rate, m_max, cap) of verify's Poisson routes under classical weights.
+POISSON_CASES = {(Fraction(1), 5, 15), (Fraction(3, 2), 5, 15)}
+POISSON_ROUTES = ("poisson_weights", "poisson_weights_recursion",
+                  "poisson_weights_raising")
+
+
+def _poisson_mismatches(cases):
+    """The (route, rate, m) where a route's classical weight p_m differs
+    from (lam x)^m/m! e^(-lam x), whose x^i coefficient is
+    lam^i (-1)^(i-m) C(i, m)/i! for i >= m and 0 below."""
+    psi = PsiSequence.classical(16)
+    bad = []
+    for lam, m_max, cap in sorted(cases):
+        for route in POISSON_ROUTES:
+            got = getattr(verify, route)(psi, lam, m_max, cap)
+            if route == "poisson_weights":
+                got = got[0]
+            for m in range(m_max + 1):
+                want = [lam ** i * (-1) ** (i - m) * Fraction(
+                    comb(i, m), factorial(i)) for i in range(cap + 1)]
+                if list(got[m].coeffs) != want:
+                    bad.append((route, lam, m))
+    return bad
+
+
+def test_poisson_weights_are_the_classical_closed_form(monkeypatch):
+    walked = set()
+    for route in POISSON_ROUTES:
+        real = getattr(verify, route)
+        monkeypatch.setattr(verify, route, lambda psi, lam, m_max, cap,
+                            real=real: (
+            psi.kind == "classical" and walked.add((lam, m_max, cap))
+            or real(psi, lam, m_max, cap)))
+    verify.check_poisson(16)
+    monkeypatch.undo()
+    assert walked == POISSON_CASES
+    assert _poisson_mismatches(POISSON_CASES) == []
+
+
+def test_the_poisson_oracle_catches_a_perturbed_route(monkeypatch):
+    # the product route's exp_psi(-lam x) with x^2 added: every p_m moves
+    # at x^(m+2), and the other two routes do not read it
+    real = star_product.psi_exp_scaled
+    monkeypatch.setattr(star_product, "psi_exp_scaled", lambda psi, a, cap: (
+        real(psi, a, cap) + TruncatedSeries((0, 0, 1), cap)))
+    bad = _poisson_mismatches(POISSON_CASES)
+    assert {route for route, _, _ in bad} == {"poisson_weights"}
+    assert len(bad) == 12

@@ -12,13 +12,13 @@ from psi_umbral.operators import (GradedOperator, SeriesOperator,
                                   apply_psi_series,
                                   derivative_op, forward_difference_op,
                                   multiply_x_op, operator_from_series,
-                                  psi_derivative_op,
+                                  psi_derivative, psi_derivative_op,
                                   shift_invariant_coefficients, translation_op)
 from psi_umbral.psi import PsiSequence, RationalFunction
 from psi_umbral.umbral import (BasicSequence, DeltaOperator, basic_sequence_solve,
                                dual_raise_operator, eigenfunction_series,
                                rodrigues_sequence, sheffer_sequence, translate,
-                               unit_normal_sequence)
+                               translation_coefficients, unit_normal_sequence)
 
 CAP = 16
 
@@ -228,8 +228,9 @@ TRANSLATE_WEIGHTS = {
 
 @pytest.mark.parametrize("weights", sorted(TRANSLATE_WEIGHTS))
 def test_translations_through_one_weights_object_match_fresh_ones(weights):
-    # the series kept per y serve any later reach they cover, whatever the
-    # order; "1/2" and 2/4 are one y, and so are 0 and Fraction(0)
+    # a weights object that has served other calls, in any order, translates
+    # as a fresh one does; "1/2" and 2/4 are one y, and so are 0 and
+    # Fraction(0)
     make = TRANSLATE_WEIGHTS[weights]
     rng = random.Random(weights)
     ys = ["1/2", Fraction(2, 4), Fraction(-3, 2), -2, 0, Fraction(0), 3]
@@ -241,13 +242,47 @@ def test_translations_through_one_weights_object_match_fresh_ones(weights):
     shared = make()
     for y, p in calls:
         assert translate(shared, y, p) == translate(make(), y, p)
-    # one series per y, by its int pair, as long as its longest call
-    reach = {}
-    for y, p in calls:
-        key = Fraction(y).numerator, Fraction(y).denominator
-        reach[key] = max(reach.get(key, 0), 0 if p.is_zero else p.degree)
-    assert len(reach) == 5
-    assert {key: s.cap for key, s in shared._exp.items()} == reach
+
+
+@pytest.mark.parametrize("weights", sorted(TRANSLATE_WEIGHTS))
+def test_translation_coefficients_are_scaled_derivatives(weights):
+    # T_k = (d_psi)^k p / k_psi!, k <= deg p, by iterating psi_derivative
+    psi = TRANSLATE_WEIGHTS[weights]()
+    rng = random.Random(weights)
+    for degree in range(12):
+        p = Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                        for _ in range(degree)] + [Fraction(rng.choice(
+                            [-2, -1, 1, 3]), rng.randint(1, 3))])
+        want, d = [], p
+        for k in range(degree + 1):
+            want.append(d * (1 / psi.factorial(k)))
+            d = psi_derivative(psi, d)
+        assert d.is_zero
+        assert translation_coefficients(psi, p) == want
+    assert translation_coefficients(psi, Polynomial.zero()) == []
+
+
+def test_translation_coefficients_of_zero_read_no_weight():
+    psi = PsiSequence.custom([])
+    assert translation_coefficients(psi, Polynomial.zero()) == []
+    assert translate(psi, 5, Polynomial.zero()) == Polynomial.zero()
+    assert translation_coefficients(psi, Polynomial.one()) == [
+        Polynomial.one()]
+
+
+def test_translation_coefficients_raise_past_custom_weights_as_translate():
+    psi = PsiSequence.custom([1, 4, 9])
+    short, long = Polynomial((0, 0, 0, 1)), Polynomial((1, 1, 1, 1, 1))
+    assert translation_coefficients(psi, short) == [
+        short, Polynomial((0, 0, 9)), Polynomial((0, 9)), Polynomial((1,))]
+    messages = []
+    for shift in (lambda: translate(psi, 1, long),
+                  lambda: translation_coefficients(psi, long)):
+        with pytest.raises(CapExceededError) as info:
+            shift()
+        messages.append((info.value.message, info.value.to_json()))
+    assert messages[0] == messages[1]
+    assert messages[0][0] == "custom weight sequence has no value at n=4"
 
 
 def test_translation_past_custom_weights_raises_after_a_shorter_one():
