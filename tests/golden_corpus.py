@@ -136,6 +136,25 @@ CASES = [
     ["verify", "--suite", "expansion", "--cap", "16", "--format", "json"],
     ["table", "--psi", RATIONAL, "--cap", "8", "--format", "json"],
     ["integrate", "--psi", "q:1/2", "--cap", "8", "--poly", "1,2,3"],
+    # each integral's own weights walk: a negative q, a ratio of values and
+    # custom weights with a negative entry
+    ["integrate", "--kind", "q", "--q", "-3", "--poly", "1,2,3,4", "--cap",
+     "8"],
+    ["integrate", "--kind", "q", "--q", "-3", "--poly", "1,2,3,4", "--cap",
+     "8", "--format", "json"],
+    ["integrate", "--kind", "r", "--q", "2", "--r-num=-1,1", "--r-den=1",
+     "--poly", "1,-1,1"],
+    ["integrate", "--kind", "r", "--q", "2", "--r-num=-1,1", "--r-den=1",
+     "--poly", "1,-1,1", "--format", "json"],
+    ["integrate", "--kind", "psi", "--psi", "custom:1,-2,3,5", "--poly",
+     "0,1,2", "--cap", "4"],
+    ["integrate", "--kind", "psi", "--psi", "custom:1,-2,3,5", "--poly",
+     "0,1,2", "--cap", "4", "--format", "json"],
+    # a plain-table base: its powers are applied to the monomials
+    ["expand", "--t", "X*Dpsi", "--q", "D*X*D", "--lambda", "1,1/2", "--cap",
+     "6"],
+    ["expand", "--t", "X*Dpsi", "--q", "D*X*D", "--lambda", "1,1/2", "--cap",
+     "6", "--format", "json"],
     # negative and fractional weights through the factorial chain, the
     # weighted raising operator and the detection readout
     ["table", "--psi", "q:-1/2", "--cap", "12", "--format", "json"],
