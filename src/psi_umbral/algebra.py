@@ -262,34 +262,47 @@ def _from_ints(nums, den: int) -> Polynomial:
 def _combination(terms, den: int) -> Polynomial:
     """sum m * x^s * row / den over the (int m, Polynomial row, int s)
     terms, for an int den != 0: each row is read s places up, so no shifted
-    copy is built, and the sum is collected in one int list over the lcm of
-    the denominators of the rows used."""
-    terms = [t for t in terms if t[0] and t[1]._num]
+    copy is built.  One pass over ``terms``, which may be an iterator, drops
+    zero multipliers and empty rows and takes the lcm of the denominators
+    and the width of the sum; the sum is then collected in one int list of
+    that width over that lcm and put in lowest terms."""
+    used = []
     lcm = 1
-    for _, row, _ in terms:
-        if lcm % row._den:
-            lcm = lcm // gcd(lcm, row._den) * row._den
-    signed = lcm if den > 0 else -lcm
-    out = []
+    width = 0
     for m, row, s in terms:
-        m *= signed // row._den
-        r = row._num
-        end = s + len(r)
-        if len(out) < end:
-            out.extend([0] * (end - len(out)))
-        for j, y in enumerate(r, s):
+        if m:
+            r = row._num
+            if r:
+                d = row._den
+                if lcm % d:
+                    lcm = lcm // gcd(lcm, d) * d
+                end = s + len(r)
+                if end > width:
+                    width = end
+                used.append((m, d, r, s))
+    if not width:
+        return _raw((), 1)
+    out = [0] * width
+    signed = lcm if den > 0 else -lcm
+    for m, d, r, j in used:
+        m *= signed // d
+        for y in r:
             if y:
                 out[j] += m * y
-    return _from_ints(out, lcm * abs(den))
-
-
-def _raw_product(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b with its numerators and denominator left unreduced: a term for
-    ``_combination``, which reduces the whole sum once."""
-    if not (a._num and b._num):
-        return _raw((), 1)
-    return _raw(tuple(_product(a._num, b._num, len(a._num) + len(b._num) - 2)),
-                a._den * b._den)
+            j += 1
+    n = width
+    while not out[n - 1]:
+        n -= 1
+        if not n:
+            return _raw((), 1)
+    if n < width:
+        del out[n:]
+    den = lcm * abs(den)
+    if den != 1:
+        g = gcd(den, *out)
+        if g != 1:
+            return _raw(tuple([a // g for a in out]), den // g)
+    return _raw(tuple(out), den)
 
 
 def _triangular_inverse(rows) -> list:

@@ -49,8 +49,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _combination,
-                      _generating_sum, _raw_product,
-                      scalar_to_str)
+                      _generating_sum, scalar_to_str)
 from .errors import CapExceededError
 from .operators import (GradedOperator, SeriesOperator, _derived,
                         _require_lowers_by_one, _series_and_witness,
@@ -134,11 +133,21 @@ def _series_tables(base: SeriesOperator, cap: int):
         _power_rows(_series_powers(base.series, cap))))
 
 
-def _shift_terms(scaled, fact, m: int) -> list:
+def _entries_over_lcm(polys) -> tuple:
+    """The nonzero entries a x^i of each polynomial as (a, i) int pairs
+    over the lcm of their denominators, and that lcm.  A product p * b
+    that feeds a combination is then read as the rows b shifted by i,
+    with multipliers a_i, and no product polynomial is built."""
+    den = lcm(*(p._den for p in polys))
+    return [[(a * (den // p._den), i) for i, a in enumerate(p._num) if a]
+            for p in polys], den
+
+
+def _shift_terms(scaled, fact, m: int, scale: int) -> list:
     """(int, F_k, m - k) terms that sum, over l_m, to
-    sum_k F_k x^(m-k) / (m-k)_psi! for the F_k in ``scaled``."""
+    scale * sum_k F_k x^(m-k) / (m-k)_psi! for the F_k in ``scaled``."""
     l = fact[m][2]
-    return [(fact[m - k][1] * (l // fact[m - k][0]), p, m - k)
+    return [(scale * fact[m - k][1] * (l // fact[m - k][0]), p, m - k)
             for k, p in enumerate(scaled)]
 
 
@@ -153,7 +162,7 @@ def _series_expansion(t: GradedOperator, base: SeriesOperator,
     for m, (f, g, l) in enumerate(fact):
         if not own:
             # Step 1: F_m = T x^m / m_psi! - sum_(k<m) F_k x^(m-k) / (m-k)_psi!.
-            terms = [(-a, p, j) for a, p, j in _shift_terms(scaled, fact, m)]
+            terms = _shift_terms(scaled, fact, m, -1)
             terms.append((g * (l // f), t.image(m), 0))
             scaled.append(_combination(terms, l))
         # Step 2: q_m = (F_m - sum_(n<m) (s^n)_m q_n) / (s^m)_m.
@@ -180,8 +189,7 @@ def _series_reconstruction(coeff_polys, base: SeriesOperator,
         return SeriesOperator(TruncatedSeries(
             [p.constant_term for p in scaled], cap), base.psi)
     return GradedOperator([
-        _combination([(f * a, p, j) for a, p, j in
-                      _shift_terms(scaled[: m + 1], fact, m)], g * l)
+        _combination(_shift_terms(scaled[: m + 1], fact, m, f), g * l)
         for m, (f, g, l) in enumerate(fact)], cap)
 
 
@@ -201,11 +209,15 @@ def expand_in_monomials(t: GradedOperator,
     powers = _base_powers_on_monomials(base, cap, cap)
     qs = []
     for m in range(cap + 1):
+        # q_m = (T x^m - sum_(n<m) q_n base^n x^m) / base^m x^m, with each
+        # base^n x^m = sum_i (b_i/den) x^i read as q_n shifted by i
         pivot = powers[m][m].constant_term
-        terms = [(-pivot.denominator, _raw_product(qs[n], powers[n][m]), 0)
-                 for n in range(m)]
-        terms.append((pivot.denominator, t.image(m), 0))
-        qs.append(_combination(terms, pivot.numerator))
+        scale = pivot.denominator
+        bs, den = _entries_over_lcm([powers[n][m] for n in range(m)])
+        terms = [(-scale * b, qs[n], i)
+                 for n, entries in enumerate(bs) for b, i in entries]
+        terms.append((scale * den, t.image(m), 0))
+        qs.append(_combination(terms, pivot.numerator * den))
     return OperatorExpansion(qs, base, "monomial")
 
 
@@ -222,9 +234,11 @@ def reconstruct_from_monomial_form(exp: OperatorExpansion,
     if isinstance(base, SeriesOperator):
         return _series_reconstruction(exp.coeff_polys, base, cap)
     powers = _base_powers_on_monomials(base, cap, cap)
+    # each q_n = sum_i (a_i/den) x^i, read as base^n x^m shifted by i
+    qs, den = _entries_over_lcm(exp.coeff_polys[: cap + 1])
     return GradedOperator([_combination(
-        [(1, _raw_product(q, powers[n][m]), 0)
-         for n, q in enumerate(exp.coeff_polys[: m + 1])], 1)
+        [(a, powers[n][m], i)
+         for n, entries in enumerate(qs[: m + 1]) for a, i in entries], den)
         for m in range(cap + 1)], cap)
 
 
@@ -290,13 +304,15 @@ def conjugate_indicator_check(t: GradedOperator,
     table = _derived(base, ("unit normal", cap),
                      lambda: tuple(unit_normal_sequence(base, cap)))
     applied = [t.apply(r) for r in table]
-    # Triangular division by Phi = sum lam^n r_n (r_0 = 1).
+    # Triangular division by Phi = sum lam^n r_n (r_0 = 1), each r_j
+    # conj[n-j] read as conj[n-j] shifted by the powers of r_j.
+    rs, den = _entries_over_lcm(table)
     conj = []
     for n in range(cap + 1):
-        conj.append(_combination(
-            [(1, applied[n], 0)]
-            + [(-1, _raw_product(table[j], conj[n - j]), 0)
-               for j in range(1, n + 1)], 1))
+        terms = [(-a, conj[n - j], i)
+                 for j in range(1, n + 1) for a, i in rs[j]]
+        terms.append((den, applied[n], 0))
+        conj.append(_combination(terms, den))
     mismatches = [n for n in range(cap + 1)
                   if conj[n] != expansion.coeff_polys[n]]
     ok = not mismatches

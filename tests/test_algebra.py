@@ -232,6 +232,39 @@ def test_combination_with_a_negative_denominator():
     assert _combination([(0, p, 1), (4, Polynomial(), 3)], -5) == Polynomial()
 
 
+def _kernel_rows():
+    """Rows with mixed denominators, runs of zeros and the zero row."""
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-99, 99),
+                                st.sampled_from(DENOMINATORS)))
+    return st.lists(entry, max_size=7)
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(0), st.integers(-40, 40)),
+                          _kernel_rows(), st.integers(0, 12)), max_size=7),
+       st.sampled_from([1, -1, 2, -3, 12, -2 ** 31, 2 ** 61 - 1]))
+@settings(max_examples=300, deadline=None)
+def test_combination_matches_a_fraction_sum(drawn, den):
+    # zero multipliers and zero rows add nothing, a shift may pass every
+    # row read so far, and the terms are read once, from a generator
+    want = []
+    for m, row, s in drawn:
+        for i, c in enumerate(row, s):
+            want.extend([Fraction(0)] * (i + 1 - len(want)))
+            want[i] += m * c / den
+    reads = []
+
+    def once():
+        for m, row, s in drawn:
+            reads.append(s)
+            yield m, Polynomial(row), s
+
+    got = _combination(once(), den)
+    assert reads == [s for _, _, s in drawn]
+    assert list(got.coeffs) == trimmed(want)
+    assert_canonical(got)
+
+
 def test_pairs_over_lcm_keeps_zeros_and_a_positive_denominator():
     assert _pairs_over_lcm([]) == ([], 1)
     assert _pairs_over_lcm([(0, 5), (0, -3), (0, 1)]) == ([0, 0, 0], 1)

@@ -580,9 +580,9 @@ def test_a_series_value_in_the_base_weights_skips_step_one(monkeypatch):
     calls = []
     real = expansion._shift_terms
 
-    def counted(scaled, fact, m):
+    def counted(scaled, fact, m, scale):
         calls.append(m)
-        return real(scaled, fact, m)
+        return real(scaled, fact, m, scale)
 
     monkeypatch.setattr(expansion, "_shift_terms", counted)
     psi = PsiSequence.jackson(2, 12)

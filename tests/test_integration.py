@@ -85,3 +85,58 @@ def test_q_route_is_a_right_inverse(p):
     q = Fraction(1, 3)
     psi = PsiSequence.jackson(q, 12)
     assert psi_derivative(psi, q_integral(q, p)) == p
+
+
+def _lift(p, weights):
+    """The per-coefficient formula: c_n / w_(n+1) at x^(n+1), in Fractions."""
+    return Polynomial([Fraction(0)] + [c / w for c, w in zip(p.coeffs,
+                                                            weights)])
+
+
+def _fraction_poly_strategy():
+    coeff = st.builds(Fraction, st.integers(-30, 30),
+                      st.sampled_from([1, 2, 3, 7, 2 ** 31]))
+    return st.lists(coeff, max_size=9).map(Polynomial)
+
+
+@given(_fraction_poly_strategy())
+@settings(max_examples=60, deadline=None)
+def test_integrals_match_the_per_coefficient_formula(p):
+    n = len(p.coeffs)
+    for q in (Fraction(1, 2), Fraction(2), Fraction(-3), Fraction(0)):
+        weights = [jackson_bracket(q, k) for k in range(1, n + 1)]
+        assert q_integral(q, p) == _lift(p, weights)
+    for q in (Fraction(1, 2), Fraction(3)):
+        rat = RationalFunction(Polynomial((1, -1)), Polynomial((1 - q,)))
+        weights = [(1 - q ** k) / (1 - q) for k in range(1, n + 1)]
+        assert r_integral(rat, q, p) == _lift(p, weights)
+    values = [Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(5),
+              Fraction(-7, 2), Fraction(1, 9), Fraction(4), Fraction(-1),
+              Fraction(6), Fraction(11, 3)]
+    psi = PsiSequence.custom(values)
+    assert psi_integral(psi, p) == _lift(p, values)
+
+
+def test_q_integral_reads_the_bracket_of_every_degree():
+    # the x coefficient is zero, yet the bracket of 2 at q = -1 still stops
+    # the walk there
+    with pytest.raises(AdmissibilityError) as err:
+        q_integral(-1, Polynomial((1, 0, 1)))
+    assert err.value.details == {"n": 2}
+    assert str(err.value) == ("q-bracket vanishes at n=2; monomial x^1 has "
+                              "no q-antiderivative")
+
+
+def test_r_integral_errors_keep_their_message_and_degree():
+    q = Fraction(2)
+    vanishing = RationalFunction(Polynomial((-q ** 2, 1)), Polynomial.one())
+    with pytest.raises(AdmissibilityError) as err:
+        r_integral(vanishing, q, Polynomial((1, 0, 5)))
+    assert err.value.details == {"n": 2}
+    assert str(err.value) == ("weight R(q^2) vanishes; x^1 has no "
+                              "antiderivative here")
+    undefined = RationalFunction(Polynomial.one(), Polynomial((-q ** 3, 1)))
+    with pytest.raises(AdmissibilityError) as err:
+        r_integral(undefined, q, Polynomial((0, 0, 1)))
+    assert err.value.details == {"n": 3}
+    assert str(err.value) == "rational function denominator vanishes at 8"
