@@ -42,16 +42,17 @@ from .special import exp_psi_series, psi_exp_scaled
 # -- closed-form actions on polynomials -------------------------------
 
 
-def _scaled(nums, scalars, den: int) -> Polynomial:
-    """sum nums[i] * scalars[i] / den x^i for ints nums and rationals
-    scalars, on ints over the lcm of the scalars' denominators."""
-    s, s_den = _over_lcm(scalars)
-    return _from_ints([a * b for a, b in zip(nums, s)], den * s_den)
+def _scaled(nums, weights, den: int) -> Polynomial:
+    """sum nums[i] * weights[i] / den x^i for ints nums and weights as int
+    pairs (u, v), v > 0, on ints over the lcm of the v."""
+    s, s_den = _pairs_over_lcm([(a * u, v)
+                                for a, (u, v) in zip(nums, weights)])
+    return _from_ints(s, den * s_den)
 
 def psi_derivative(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Send x^n to n_psi x^(n-1)."""
-    a = p._num
-    return _scaled(a[1:], [psi.n_psi(i) for i in range(1, len(a))], p._den)
+    a = p._num[1:]
+    return _scaled(a, psi.weight_pairs(len(a)), p._den)
 
 def psi_raise(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Send x^n to ((n+1)/(n+1)_psi) x^(n+1); partner of the weighted derivative.
@@ -60,9 +61,8 @@ def psi_raise(psi: PsiSequence, p: Polynomial) -> Polynomial:
     of the |u|.  Reads the weights 1..deg p + 1, and none for a zero p.
     """
     a = p._num
-    ws = [psi.n_psi(n) for n in range(1, len(a) + 1)]
-    nums, den = _pairs_over_lcm([(x * n * w.denominator, w.numerator)
-                                 for n, (x, w) in enumerate(zip(a, ws), 1)])
+    nums, den = _pairs_over_lcm([(x * n * v, u) for n, (x, (u, v)) in
+                                 enumerate(zip(a, psi.weight_pairs(len(a))), 1)])
     return _from_ints([0] + nums, den * p._den)
 
 def divided_difference(p: Polynomial) -> Polynomial:
@@ -76,7 +76,7 @@ def weight_multiplier(psi: PsiSequence, p: Polynomial) -> Polynomial:
     derivative, which is the factorization the Leibniz rules exploit.
     """
     a = p._num
-    return _scaled(a, [psi.n_psi(i + 1) for i in range(len(a))], p._den)
+    return _scaled(a, psi.weight_pairs(len(a)), p._den)
 
 def apply_psi_series(coeffs, psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Apply sum_k c_k * (psi-derivative)^k to p; finite because p is.

@@ -7,12 +7,13 @@ q-calculus, the all-ones choice gives divided differences, a rational
 function R evaluated along the geometric sequence q^n covers a whole family
 at once, and arbitrary nonzero values may be supplied directly.
 
-From the weights the module derives the factorials n_psi!, held once per
-sequence as int numerator/denominator pairs in lowest terms.  The falling
-factorials n_psi!/(n-k)_psi!, the generalized binomial coefficients
+Each sequence holds its weights as int numerator/denominator pairs in lowest
+terms, beside the Fractions ``n_psi`` gives, and the factorials n_psi! as
+such pairs too, each computed once.  The falling factorials
+n_psi!/(n-k)_psi!, the generalized binomial coefficients
 n_psi!/(k_psi! (n-k)_psi!) and the raising ratios
 (k+j)! k_psi!/(k! (k+j)_psi!) are each one memoized quotient of the stored
-pairs, as in Ward's calculus of sequences.
+factorial pairs, as in Ward's calculus of sequences.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ class PsiSequence:
     Rule-based kinds extend their cache on demand past the construction cap
     (still finite and exact); a rule maps n and the weight (n-1)_psi to
     n_psi.  The custom kind owns exactly the values it was given and errors
-    beyond them.  The factorials are kept as int pairs, and each falling
-    factorial, binomial and raising ratio asked for is kept too, so these
-    memos live and die with the sequence.
+    beyond them.  The weights and factorials are kept as int pairs too, and
+    each falling factorial, binomial and raising ratio asked for is kept,
+    so these memos live and die with the sequence.
     """
 
     def __init__(self, kind: str, rule, cap: int, label: str, params: dict,
@@ -90,7 +91,8 @@ class PsiSequence:
         self._memo = [Fraction(0)]
         if values is not None:
             self._memo.extend(as_scalar(v) for v in values)
-        # n_psi! = f/g as the int pair (f, g) in lowest terms, g > 0
+        # n_psi = u/v and n_psi! = f/g as int pairs in lowest terms, v, g > 0
+        self._weights = []
         self._fact = [(1, 1)]
         self._falling = {}
         self._binomial = {}
@@ -171,6 +173,15 @@ class PsiSequence:
             raise AdmissibilityError(
                 "weight vanishes at n=%d" % n, n=n, psi=self.label)
         return value
+
+    def weight_pairs(self, n: int) -> list:
+        """[(u, v)] with k_psi = u/v in lowest terms and v > 0, k = 1..n:
+        the weights ``values`` gives, as int pairs, with the same errors."""
+        pairs = self._weights
+        while len(pairs) < n:
+            w = self.n_psi(len(pairs) + 1)
+            pairs.append((w.numerator, w.denominator))
+        return pairs[:n]
 
     def factorial(self, n: int) -> Fraction:
         """n_psi! = 1_psi * 2_psi * ... * n_psi, empty product at n = 0."""

@@ -206,8 +206,11 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
 
     All series arithmetic happens on indicator coefficients; the requested
     n_max must leave one spare order below the cap.  S^(-1), q' and
-    (q')^(-1) are built once per delta and order, for all four formulas;
-    the powers S^(-n) are not kept.
+    (q')^(-1) are built once per delta and order, for all four formulas,
+    and so is the chain 1, S^(-1), S^(-2), ...: it grows by one product
+    per power, and only as far as a formula reads it (S^(-n_max-1) for
+    formula 1, S^(-n_max) for 2 and 3), so the three formulas of one delta
+    share its products.
     """
     if formula not in (1, 2, 3, 4):
         raise ValueError("formula must be 1, 2, 3 or 4")
@@ -226,13 +229,16 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
     else:
         s_inv = _derived(delta, ("1/S", order),
                          lambda: delta.s_series.truncated(order).inverse())
-        # w carries S^(-n), or S^(-n-1) for formula 1: one product per n.
-        w = s_inv if formula == 1 else TruncatedSeries.one(order)
+        powers = _derived(delta, ("S^-n", order),
+                          lambda: [TruncatedSeries.one(order)])
     polys = [Polynomial.one()]
     for n in range(1, n_max + 1):
         ratio = Fraction(psi.n_psi(n), n)
         if formula != 4:
-            w = w * s_inv
+            k = n + 1 if formula == 1 else n
+            while len(powers) <= k:
+                powers.append(powers[-1] * s_inv)
+            w = powers[k]
         if formula == 1:
             p = apply_psi_series(q_prime * w, psi, Polynomial.monomial(n))
         elif formula == 2:

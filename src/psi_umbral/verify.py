@@ -12,14 +12,16 @@ reads the function it checks (``binomial``, ``falling``,
 routes) and never the factorial pairs behind them.
 
 Each check walks its cases (dicts such as ``{"n": 4, "y": 0}``) and stops
-at the first one that fails, which its ``detail`` names as ``n=4, y=0``.
-Random inputs are drawn before the walk, so a failure moves no later draw.
+at the first one that fails, which its ``detail`` names as ``n=4, y=0``,
+or as ``n=4 (raised IndexError)`` when the case raised one of
+``CASE_FAULTS``.  Random inputs are drawn before the walk, so a failure
+moves no later draw.
 
 Within one request each suite builds what its cases share once, on an
 object the request built, so nothing outlives the request: the binomial
 check forms each n's residual by powers of y once for all its sample
-points, a delta keeps S^(-1), q' and (q')^(-1) for the four closed
-forms, the first-expansion base keeps its rows base^k x^n for every
+points, a delta keeps S^(-1), its powers, q' and (q')^(-1) for the four
+closed forms, the first-expansion base keeps its rows base^k x^n for every
 drawn series, and the reordering check evaluates each (weights, n, m, j)
 once for its mixed-powers and its exp-commutation rows, each of which
 still walks its own cases.  What is shared stays on one side of a
@@ -44,7 +46,8 @@ from math import comb, factorial
 from .algebra import (Polynomial, TruncatedSeries, _combination,
                       _from_ints, _generating_sum, _over_lcm,
                       _pairs_over_lcm)
-from .errors import JobSpecError
+from .errors import (JobSpecError, NotDegreeLoweringError,
+                     NotShiftInvariantError, SelfCheckError)
 from .expansion import (
     _base_powers_on_monomials,
     _series_powers,
@@ -118,14 +121,30 @@ def _check(name, passed):
     return CheckResult(name, bool(passed))
 
 
+# What a check raises when the code under it is wrong, as its inputs are
+# valid at every cap the command line accepts; any other exception,
+# ``CapExceededError`` among them, propagates.
+CASE_FAULTS = (ArithmeticError, IndexError, ValueError, SelfCheckError,
+               NotDegreeLoweringError, NotShiftInvariantError)
+
+
+def _named(case) -> str:
+    return ", ".join("%s=%s" % item for item in case.items())
+
+
 def _verdict(name, cases, holds):
     """The check ``name`` over ``cases``, dicts of named values: it fails at
     the first case where ``holds(**case)`` is false, with that case as its
-    detail, and passes when every case holds."""
-    for case in cases:
-        if not holds(**case):
-            return CheckResult(name, False, ", ".join(
-                "%s=%s" % item for item in case.items()))
+    detail, and passes when every case holds.  A ``CASE_FAULTS`` exception
+    raised by ``holds`` fails it at that case too, with the exception's
+    type in the detail: ``n=4 (raised IndexError)``."""
+    try:
+        for case in cases:
+            if not holds(**case):
+                return CheckResult(name, False, _named(case))
+    except CASE_FAULTS as exc:
+        return CheckResult(name, False, "%s (raised %s)"
+                           % (_named(case), type(exc).__name__))
     return CheckResult(name, True)
 
 
@@ -181,7 +200,9 @@ def _binomial_residual(psi, binomials, polys, columns, n):
     its split sum_k binom_psi(n, k) p_(n-k)(y) p_k: r_n[j] is T_j(p_n)
     minus the y^j coefficient of the split, for j below the widest of
     p_0..p_n.  Each entry is one combination, the binomials and column j
-    of the basis' coefficients each as ints over one denominator."""
+    of the basis' coefficients each as ints over one denominator.  A
+    residual whose every entry is zero comes back as [], decided once per
+    n for all the sample points."""
     b, b_den = binomials[n]
     t = translation_coefficients(psi, polys[n])
     r = []
@@ -192,12 +213,13 @@ def _binomial_residual(psi, binomials, polys, columns, n):
         if j < len(t):
             terms.append((den, t[j], 0))
         r.append(_combination(terms, den))
-    return r
+    return r if any(not p.is_zero for p in r) else []
 
 
 def _vanishes(r, y) -> bool:
-    """Is sum_j y^j r[j] zero?  Read without a sum when every r[j] is."""
-    return all(p.is_zero for p in r) or _generating_sum(r, y).is_zero
+    """Is sum_j y^j r[j] zero?  An empty r, a residual that vanishes
+    entry by entry, is read without a sum."""
+    return not r or _generating_sum(r, y).is_zero
 
 
 def check_binomial(cap: int) -> list[CheckResult]:
@@ -325,13 +347,32 @@ def check_detection(cap: int) -> list[CheckResult]:
     return out
 
 
+def _below(bits, n: int) -> int:
+    """``randrange(n)`` for an int n > 0 through ``bits``, a generator's
+    ``getrandbits``: like CPython, draw k = n.bit_length() bits until the
+    value is below n, without ``randrange``'s argument checks."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _random_polynomial(rng, degree):
     """Coefficients a/b, a in -9..9 and b in 1..4 drawn in that order, as
-    ints over 12.  ``randrange(k) + a`` draws what ``randint(a, a+k-1)``
-    draws, with fewer calls."""
-    return _from_ints([(rng.randrange(19) - 9)
-                       * (12 // (rng.randrange(4) + 1))
-                       for _ in range(degree + 1)], 12)
+    ints over 12, as ``randint`` draws them: ``_below(bits, 19)`` and
+    ``_below(bits, 4)``, inlined, as these are most of verify's draws."""
+    bits = rng.getrandbits
+    nums = []
+    for _ in range(degree + 1):
+        a = bits(5)
+        while a >= 19:
+            a = bits(5)
+        b = bits(3)
+        while b >= 4:
+            b = bits(3)
+        nums.append((a - 9) * (12 // (b + 1)))
+    return _from_ints(nums, 12)
 
 
 def _sample_polys(rng, degree, count):
@@ -345,7 +386,7 @@ def _sample_polys(rng, degree, count):
 
 def _random_lowering_op(rng, cap):
     """A random degree-lowering operator with unit shift bound budget."""
-    drop = rng.randrange(3) + 1
+    drop = _below(rng.getrandbits, 3) + 1
     images = [Polynomial.zero() for _ in range(min(drop, cap + 1))]
     for n in range(drop, cap + 1):
         images.append(_random_polynomial(rng, n - drop))
@@ -387,21 +428,25 @@ def check_first_expansion(cap: int) -> list[CheckResult]:
         delta = DeltaOperator.from_operator(forward_difference_op(psi, cap), psi)
         basic = delta.basic(n_max).polys
         # shift-invariant: rational series in the difference operator
-        drawn = [[Fraction(rng.randrange(11) - 5, rng.randrange(3) + 1)
+        bits = rng.getrandbits
+        drawn = [[Fraction(_below(bits, 11) - 5, _below(bits, 3) + 1)
                   for _ in range(6)] for _ in range(4)]
         ts = [_series_in(delta, coeffs) for coeffs in drawn]
-        read = [first_expansion_coeffs(t, delta).coeffs for t in ts]
+        read = [first_expansion_coeffs(t, delta) for t in ts]
 
         def holds(trial, n=None, k=None):
             a = read[trial]
             if n is None:
-                return k < len(a) and a[k] == drawn[trial][k]
+                return k <= a.cap and a.coefficient(k) == drawn[trial][k]
             # T p_n = sum_k a_k (n_psi! / (n-k)_psi!) p_(n-k), one
-            # combination over the lcm of its multipliers' denominators
-            cs, den = _over_lcm([a[k] * psi.falling(n, k)
-                                 for k in range(min(n, len(a) - 1) + 1)])
+            # combination on ints over the lcm of its multipliers'
+            # denominators
+            falls = [psi.falling(n, k) for k in range(min(n, a.cap) + 1)]
+            cs, den = _pairs_over_lcm([(x * f.numerator, f.denominator)
+                                       for x, f in zip(a._num, falls)])
             return ts[trial].apply(basic[n]) == _combination(
-                ((c, basic[n - k], 0) for k, c in enumerate(cs)), den)
+                ((c, basic[n - k], 0) for k, c in enumerate(cs)),
+                den * a._den)
 
         cases = [case for trial in range(len(drawn)) for case in
                  [{"trial": trial, "n": n} for n in range(n_max + 1)]
@@ -451,15 +496,17 @@ def check_leibniz(cap: int) -> list[CheckResult]:
 
 
 def _alternating_derivative_series(p: Polynomial) -> Polynomial:
-    """sum_(n>=1) (-1)^(n+1) x^(n-1) p^(n) / n!."""
-    total = Polynomial.zero()
-    deriv, n, fact = p.derivative(), 1, 1
+    """sum_(n>=1) (-1)^(n+1) x^(n-1) p^(n) / n!, one combination of the
+    derivatives over N! for N = deg p: p^(n) is read n - 1 places up with
+    the multiplier (-1)^(n+1) N!/n!."""
+    derivs = []
+    deriv = p.derivative()
     while not deriv.is_zero:
-        total = total + Polynomial.monomial(n - 1) * deriv * Fraction((-1) ** (n + 1), fact)
-        n += 1
-        fact *= n
+        derivs.append(deriv)
         deriv = deriv.derivative()
-    return total
+    top = factorial(len(derivs))
+    return _combination([((top if n % 2 else -top) // factorial(n), d, n - 1)
+                         for n, d in enumerate(derivs, 1)], top)
 
 
 def check_divided_difference_series(cap: int) -> list[CheckResult]:
@@ -686,7 +733,12 @@ def run_suite(name: str, cap: int) -> list[CheckResult]:
                            % (name, ", ".join(SUITE_ORDER)), "/suite")
     results = []
     for fn in SUITES[name]:
-        results.extend(fn(cap))
+        try:
+            results.extend(fn(cap))
+        except CASE_FAULTS as exc:
+            # raised before the check's cases: it fails as a whole
+            results.append(CheckResult(fn.__name__, False, "raised %s"
+                                       % type(exc).__name__))
     return results
 
 

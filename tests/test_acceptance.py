@@ -11,12 +11,15 @@ conftest terminal summary replays those lines after the run.
 """
 
 import cmath
-import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-from psi_umbral import expansion, special, star_product, verify
+import pytest
+
+from psi_umbral import (algebra, cli, expansion, special, star_product,
+                        umbral, verify)
 from psi_umbral.algebra import Polynomial, TruncatedSeries
+from psi_umbral.errors import CapExceededError
 from psi_umbral.operators import (apply_psi_series, derivative_op,
                                   multiply_x_op)
 from psi_umbral.psi import PsiSequence
@@ -29,6 +32,8 @@ from psi_umbral.verify import (CheckResult, check_binomial, check_detection,
                                check_poisson, check_random_roundtrip,
                                check_reorderings, check_rodrigues,
                                check_special, _reorders)
+import draw_check
+from test_cli_golden import HOME, INTERPRETERS, run_with_package, working_python
 from test_special import _root_of_unity_average
 
 CAP = 16
@@ -418,14 +423,78 @@ def test_roundtrip_comparison_can_fail(monkeypatch):
 
 
 def test_random_polynomials_keep_their_draws():
-    # a/b with a in -9..9 and then b in 1..4, one coefficient at a time:
-    # the int route draws the same values in the same order
-    got, want = random.Random(7), random.Random(7)
-    for degree in range(10):
-        assert verify._random_polynomial(got, degree) == Polynomial(
-            [Fraction(want.randint(-9, 9), want.randint(1, 4))
-             for _ in range(degree + 1)])
-    assert got.random() == want.random()
+    # a/b with a in -9..9 and then b in 1..4, one coefficient at a time,
+    # and a lowering operator's drop in 1..3 before its rows: the
+    # getrandbits route draws the same values in the same order as randint
+    # and randrange, and leaves the generator where they leave it
+    assert draw_check.mismatches() == []
+
+
+@pytest.mark.parametrize("python", INTERPRETERS,
+                         ids=lambda p: p.replace(HOME, "~"))
+def test_draws_match_randrange_under_every_interpreter(python):
+    result = run_with_package(working_python(python), draw_check.__file__)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+
+def test_an_exception_in_a_case_fails_that_case():
+    def holds(n):
+        return 1 // (3 - n) >= 0
+
+    result = verify._verdict("name", [{"n": n} for n in range(5)], holds)
+    assert (result.name, result.passed) == ("name", False)
+    assert result.detail == "n=3 (raised ZeroDivisionError)"
+
+
+def test_a_cap_exceeded_error_still_propagates():
+    def holds(n):
+        raise CapExceededError("no row %d" % n)
+
+    with pytest.raises(CapExceededError):
+        verify._verdict("name", [{"n": 1}], holds)
+
+
+def test_an_exception_before_the_cases_fails_the_check(monkeypatch):
+    def broken(cap):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setitem(verify.SUITES, "rodrigues", (broken,))
+    (result,) = verify.run_suite("rodrigues", CAP)
+    assert (result.name, result.passed) == ("broken", False)
+    assert result.detail == "raised IndexError"
+
+
+def _drop_top_term(real):
+    # M3: every product loses its top term
+    def product(a, b, cap):
+        out = real(a, b, cap)
+        out[-1] = 0
+        return out
+    return product
+
+
+def _drop_degree_13_up(real):
+    # M8: every combination loses its terms of degree 13 or more
+    return lambda terms, den: real(terms, den).truncated(12)
+
+
+@pytest.mark.parametrize("kernel,mutant,cap", [
+    ("_product", _drop_top_term, 10),
+    ("_combination", _drop_degree_13_up, 16)], ids=["M3", "M8"])
+def test_a_kernel_fault_is_a_failing_row_not_a_traceback(
+        kernel, mutant, cap, monkeypatch, capsys):
+    # each mutant raises inside some checks, before their cases in some:
+    # verify still prints every row, fails, and exits 1
+    real = getattr(algebra, kernel)
+    for module in (algebra, expansion, umbral, verify):
+        if getattr(module, kernel, None) is real:
+            monkeypatch.setattr(module, kernel, mutant(real))
+    assert cli.main(["verify", "--suite", "all", "--cap", str(cap)]) == 1
+    out, err = capsys.readouterr()
+    rows = out.splitlines()
+    assert err == ""
+    assert any(row.startswith("FAIL") and "raised " in row for row in rows)
+    assert rows[-1].endswith(" failed") and not rows[-1].endswith(" 0 failed")
 
 
 def test_conjugation_rows_read_their_sample_points(monkeypatch):

@@ -35,19 +35,31 @@ def test_cli_output_matches_golden(argv, monkeypatch):
     assert run_digest(argv) == recorded[tuple(argv)]
 
 
-@pytest.mark.parametrize("python", INTERPRETERS,
-                         ids=lambda p: p.replace(HOME, "~"))
-def test_the_corpus_matches_under_every_interpreter(python):
+def working_python(python):
+    """The path of the interpreter ``python`` names, if it starts and is
+    Python 3.10 or later; the test is skipped otherwise."""
     exe = shutil.which(python)
     probe = exe and subprocess.run(
         [exe, "-c", "import sys; sys.exit(sys.version_info < (3, 10))"],
         capture_output=True, timeout=60)
     if not probe or probe.returncode:
         pytest.skip("no working %s" % python)
+    return exe
+
+
+def run_with_package(exe, script):
+    """Run the Python file ``script`` under ``exe`` with the package from
+    ``src`` on its path."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("PSI_UMBRAL_CAP", None)
-    result = subprocess.run([exe, os.path.join(HERE, "golden_corpus.py")],
-                            capture_output=True, text=True, env=env,
-                            timeout=300)
+    return subprocess.run([exe, script], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
+@pytest.mark.parametrize("python", INTERPRETERS,
+                         ids=lambda p: p.replace(HOME, "~"))
+def test_the_corpus_matches_under_every_interpreter(python):
+    result = run_with_package(working_python(python),
+                              os.path.join(HERE, "golden_corpus.py"))
     # the corpus prints each argv whose digest differs
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "")

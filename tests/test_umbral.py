@@ -322,6 +322,45 @@ def test_rodrigues_inverts_once_per_delta_and_order(monkeypatch):
         assert list(seq) == list(rodrigues_sequence(fresh(), n, f))
 
 
+def _chain_products(monkeypatch, delta, n_max, formulas):
+    """The products x * S^(-1) that ``formulas``, run in turn on delta at
+    n_max, make, and their sequences."""
+    seen = []
+    mul = TruncatedSeries.__mul__
+
+    def spy(self, other):
+        seen.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", spy)
+    got = [rodrigues_sequence(delta, n_max, f) for f in formulas]
+    monkeypatch.undo()
+    s_inv = delta.s_series.truncated(n_max).inverse()
+    return sum(isinstance(b, TruncatedSeries) and b == s_inv
+               for b in seen), got
+
+
+@pytest.mark.parametrize("weights", ["classical", "q=1/2", "squares"])
+def test_rodrigues_builds_one_chain_of_inverse_powers(weights, monkeypatch):
+    # formula 2 alone makes n_max products by S^(-1), S^(-1) .. S^(-n_max),
+    # as a lone formula always did; formula 1 reads S^(-n-1), so 1, 2 and 3
+    # in turn make n_max + 1 products on one delta, and 2 and 3 none of
+    # their own
+    psi = TRANSLATE_WEIGHTS[weights]()
+    n_max = 7
+
+    def fresh():
+        return DeltaOperator.from_operator(forward_difference_op(psi, 8), psi)
+
+    alone, (seq,) = _chain_products(monkeypatch, fresh(), n_max, [2])
+    assert alone == n_max
+    assert list(seq) == list(fresh().basic(n_max))
+    shared, seqs = _chain_products(monkeypatch, fresh(), n_max, [1, 2, 3])
+    assert shared == n_max + 1
+    for seq in seqs:
+        assert list(seq) == list(fresh().basic(n_max))
+
+
 def test_rodrigues_below_zero_is_the_constant_one():
     delta = DeltaOperator.from_indicator([0, 1, 1], classical(), 4)
     for formula in (1, 2, 3, 4):
