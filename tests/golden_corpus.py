@@ -164,6 +164,21 @@ CASES = [
      "--n", "6", "--cap", "12", "--format", "json"],
     ["basic", "--op", "Delta", "--psi=custom:-1,2,-3,1/2,5,7,-2",
      "--formula", "3", "--n", "5", "--cap", "7"],
+    # compositions of weighted shifts: dilations, raising factors that
+    # shrink the cap, multiples of powers of the weighted derivative, and
+    # no usable cap at all
+    ["detect", "--op", "Q[-1/2]*Dpsi", "--psi", "q:-2", "--cap", "24"],
+    ["basic", "--op", "D*X*D", "--psi", "q:1/2", "--n", "6", "--cap", "24",
+     "--format", "json"],
+    ["expand", "--t", "Xpsi*Dpsi", "--psi", "q:-1/2", "--cap", "12",
+     "--format", "json"],
+    ["detect", "--op", "D*X^3*D0^2", "--cap", "9", "--format", "json"],
+    ["detect", "--op", "X*X*D0", "--cap", "0"],
+    ["basic", "--op", "Nhat*D0", "--psi", SQUARES, "--n", "5", "--cap", "9"],
+    ["expand", "--t", "Xpsi*(-3/2*Dpsi^2)*Q[-2]", "--psi", "q:1/2", "--cap",
+     "10", "--format", "json"],
+    ["expand", "--t", "2*Dpsi^3*Xpsi", "--psi=custom:-1,2,-3,1/2,5,7,-2",
+     "--cap", "6"],
     # usage errors and help, in text mode (argparse's usage and exit) and in
     # JSON mode (the structured error with its pointer)
     ["table", "--format", "xml", "--cap", "6"],
