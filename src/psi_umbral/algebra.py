@@ -95,6 +95,8 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, n: int, coeff=1) -> "Polynomial":
+        if type(coeff) is int:
+            return _raw((0,) * n + (coeff,), 1) if coeff else cls()
         c = as_scalar(coeff)
         if c == 0:
             return cls()

@@ -33,7 +33,7 @@ from .jobs import (CHOICE, INDEX, RATIONALS, SCHEMA, UNWEIGHTED, load_job_spec,
 from .operators import psi_derivative
 from .psi import PsiSequence, RationalFunction
 from .umbral import DeltaOperator, basic_sequence_solve, rodrigues_sequence, translate
-from .verify import run_all, run_suite
+from .verify import MIN_CAP, run_all, run_suite
 
 DEFAULT_CAP = 16
 CAP_ENV = "PSI_UMBRAL_CAP"
@@ -107,9 +107,9 @@ def gather_params(args) -> tuple[str, dict, int, PsiSequence | None]:
         job = (parse_job(doc, command) if args.job is None
                else load_job_spec(args.job, command=command))
         cap = resolve_cap(job.cap)
-        if command == "verify" and cap < 6:
-            raise JobSpecError("verify needs --cap at least 6 (counterexample "
-                               "witnesses live at degree 4)",
+        if command == "verify" and cap < MIN_CAP:
+            raise JobSpecError("verify needs --cap at least %d (counterexample "
+                               "witnesses live at degree 4)" % MIN_CAP,
                                "/cap" if job.cap is not None else "$" + CAP_ENV)
         psi = job.psi
         if psi is None and command not in UNWEIGHTED:

@@ -6,7 +6,10 @@ combination of table rows, and composing operators re-applies one table to
 the rows of another.  Compositions with a degree-raising inner operator
 shrink the usable cap (the outer table runs out of rows), so ``compose``
 computes the largest cap on which the result is trustworthy and the result
-carries that cap.
+carries that cap.  A weighted shift x^n -> w_n x^(n+s) (X, D, D0, Q[q],
+Xpsi, Nhat, and c times a power of the weighted derivative) composes on
+its weights instead: the weights multiply and the shifts add, so no table
+is applied.
 
 Closed-form actions (weighted derivative, weighted raising operator and
 friends) are also provided directly on polynomials, with no cap at all;
@@ -31,7 +34,7 @@ from __future__ import annotations
 from math import gcd
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
-                      _linear_combination, _over_lcm, _pairs_over_lcm,
+                      _linear_combination, _over_lcm, _pairs_over_lcm, _raw,
                       _raw_series, as_scalar)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, NotShiftInvariantError,
@@ -199,20 +202,47 @@ class GradedOperator:
     __call__ = apply
 
     def compose(self, inner: "GradedOperator") -> "GradedOperator":
-        """self after inner, on the largest cap where self's table suffices."""
-        rows = inner.images
+        """self after inner, on the largest cap where self's table suffices:
+        inner's rows up to the first nonzero one of degree past self's cap.
+
+        When inner is a weighted shift x^n -> w_n x^(n+s), row n is w_n
+        times self's row n + s, and when self is one too, the one term
+        w_n w'_(n+s) x^(n+s+s'); otherwise self is applied to inner's rows.
+        """
+        form = _shift_form(inner)
+        if form is None:
+            rows = inner.images
+            degrees = (row.degree for row in rows)
+        else:
+            w, s = form
+            degrees = (n + s if u else NEG_INF for n, (u, _) in enumerate(w))
         eff = -1
-        for n in range(inner.cap + 1):
-            d = rows[n].degree
+        for d in degrees:
             if d is not NEG_INF and d > self._cap:
                 break
-            eff = n
+            eff += 1
         if eff < 0:
             raise CapExceededError(
                 "composition has no usable cap (outer table too short)",
                 outer_cap=self._cap, inner_cap=inner.cap)
-        return GradedOperator(
-            tuple(self.apply(rows[n]) for n in range(eff + 1)), eff)
+        if form is None:
+            return GradedOperator(
+                tuple(self.apply(rows[n]) for n in range(eff + 1)), eff)
+        outer = _shift_form(self)
+        out = []
+        for n, (u, v) in enumerate(w[: eff + 1]):
+            if u and outer is not None:
+                x, y = outer[0][n + s]
+                g, h = gcd(u, y), gcd(x, v)
+                u, v = u // g * (x // h), v // h * (y // g)
+            if not u:
+                out.append(_raw((), 1))
+            elif outer is None:
+                row = self._row(n + s)
+                out.append(_from_ints([a * u for a in row._num], row._den * v))
+            else:
+                out.append(_raw((0,) * (n + s + outer[1]) + (u,), v))
+        return GradedOperator(out, eff)
 
     def __add__(self, other):
         if not isinstance(other, GradedOperator):
@@ -482,6 +512,45 @@ def _derived(base: GradedOperator, key, build):
     if key not in memo:
         memo[key] = build()
     return memo[key]
+
+def _shift_form(op: GradedOperator):
+    """(w, s) when op sends each x^n to w_n x^(n+s), with the w_n as int
+    pairs (u, v), v > 0, in lowest terms; None otherwise.
+
+    A plain table is read row by row, up to the first row that is not one
+    term at the common shift.  A series value c z^k is read off the
+    weights, with no row built, and kept on the value.
+    """
+    if isinstance(op, SeriesOperator):
+        return _derived(op, "shift form", lambda: _series_shift_form(op))
+    w, s = [], None
+    for n, row in enumerate(op.images):
+        r = row._num
+        if r:
+            s = len(r) - 1 - n if s is None else s
+            if len(r) - 1 - n != s or r.count(0) != len(r) - 1:
+                return None
+        w.append((r[-1], row._den) if r else (0, 1))
+    return w, s or 0
+
+def _series_shift_form(op: "SeriesOperator"):
+    """``_shift_form`` of a series value: row n of c z^k is
+    c n_psi!/(n-k)_psi! x^(n-k), zero for n < k."""
+    c, b = op.series._num, op.series._den
+    terms = [k for k, a in enumerate(c) if a]
+    if len(terms) > 1:
+        return None
+    k = terms[0] if terms else 0
+    if not k:
+        # a constant, zero included, reads no weights
+        return [(c[0], b)] * (op.cap + 1), 0
+    fact = op.psi.factorial_pairs(op.cap)
+    w = [(0, 1)] * k
+    for (f, g), (f0, g0) in zip(fact[k:], fact):
+        u, v = c[k] * f * g0, b * g * f0
+        e = gcd(u, v) if v > 0 else -gcd(u, v)
+        w.append((u // e, v // e))
+    return w, -k
 
 
 # -- degree lowering, shift invariance and inversion --------------------

@@ -726,11 +726,19 @@ SUITES = {
 
 SUITE_ORDER = tuple(SUITES)
 
+#: The smallest cap the suites check at: below it a correct program fails
+#: rows or raises, as the counterexample witnesses live at degree 4.
+MIN_CAP = 6
+
 
 def run_suite(name: str, cap: int) -> list[CheckResult]:
+    """One suite's rows; ``JobSpecError`` for an unknown name or cap < MIN_CAP."""
     if name not in SUITES:
         raise JobSpecError("unknown suite %r (have: %s)"
                            % (name, ", ".join(SUITE_ORDER)), "/suite")
+    if cap < MIN_CAP:
+        raise JobSpecError("verify needs cap at least %d (counterexample "
+                           "witnesses live at degree 4)" % MIN_CAP, "/cap")
     results = []
     for fn in SUITES[name]:
         try:

@@ -65,6 +65,15 @@ def test_degree_and_zero():
     assert Polynomial.monomial(3).degree == 3
 
 
+@pytest.mark.parametrize("c", [0, 1, -1, 7, -12, 10 ** 30, -(10 ** 30)])
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_an_int_monomial_is_the_fraction_monomial(n, c):
+    got = Polynomial.monomial(n, c)
+    # equality compares the stored numerators and denominator
+    assert got == Polynomial.monomial(n, Fraction(c)) == Polynomial((0,) * n + (c,))
+    assert got.is_zero == (c == 0)
+
+
 def test_polynomial_arithmetic_golden():
     p = Polynomial((1, 1))        # 1 + x
     assert p * p == Polynomial((1, 2, 1))

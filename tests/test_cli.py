@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +144,28 @@ def test_unknown_suite_is_a_job_spec_error_at_the_suite():
         "code": "job_spec", "details": {"pointer": "/suite"},
         "message": "unknown suite 'nope' (have: ghw, binomial, rodrigues, "
                    "expansion, leibniz, integration, poisson, special)"}
+
+
+SMALL_CAP_ERROR = {
+    "code": "job_spec", "details": {"pointer": "/cap"},
+    "message": "verify needs cap at least 6 (counterexample witnesses live "
+               "at degree 4)"}
+
+
+@pytest.mark.parametrize("cap", range(verify.MIN_CAP))
+def test_the_suites_refuse_a_cap_below_the_floor(cap):
+    for entry in [verify.run_all] + [partial(verify.run_suite, name)
+                                     for name in verify.SUITES]:
+        with pytest.raises(JobSpecError) as err:
+            entry(cap)
+        assert err.value.to_json() == SMALL_CAP_ERROR
+
+
+def test_the_suites_pass_at_the_floor():
+    assert verify.MIN_CAP == 6
+    groups = verify.run_all(verify.MIN_CAP)
+    assert [name for name, _ in groups] == list(verify.SUITES)
+    assert all(row.passed for _, rows in groups for row in rows)
 
 
 def test_verify_rejects_small_cap(capsys):
