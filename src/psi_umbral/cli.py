@@ -365,8 +365,9 @@ COMMAND_HELP = {
 class _Parser(argparse.ArgumentParser):
     """Argument parser that raises its usage errors as ``JobSpecError``,
     pointing where the flag route's own errors do, with the failing parser
-    as ``parser``, whose usage ``main`` prints in text mode.  Help and usage
-    text are wrapped at a fixed width, so every byte is deterministic.
+    as ``parser``, whose usage ``_parse_argv`` prints in text mode.  Help
+    and usage text are wrapped at a fixed width, so every byte is
+    deterministic.
     """
 
     def __init__(self, *args, **kwargs):
@@ -420,17 +421,15 @@ class _Store(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _as_help(arg):
-    """``-h...`` as Python 3.11's argparse reads it, spelled so that every
-    Python reads it alike: "-hh" and "-h=h" are -h twice, so "-h"; any
-    other value attached is refused, so "--help=" and the value."""
-    value = arg[2:].removeprefix("=").lstrip("h")
-    return "--help=" + value if value or arg == "-h=" else "-h"
-
-
-def _spell_out(arg, parser):
-    """``arg`` with the flag of ``parser.flags`` that it names or abbreviates
-    up to any "=" in full, or None; an ambiguous prefix is refused as typed."""
+def _spelled(arg, parser):
+    """``arg`` as every Python reads it.  ``-h...`` as Python 3.11's
+    argparse reads it: "-hh" and "-h=h" are -h twice, so "-h"; any other
+    value attached is refused, so "--help=" and the value.  Otherwise the
+    flag of ``parser.flags`` that ``arg`` names or abbreviates up to any "="
+    in full, or ``arg`` itself; an ambiguous prefix is refused as typed."""
+    if arg.startswith("-h"):
+        value = arg[2:].removeprefix("=").lstrip("h")
+        return "--help=" + value if value or arg == "-h=" else "-h"
     prefix, eq, value = arg.partition("=")
     matches = ([prefix] if prefix in parser.flags
                else [flag for flag in parser.flags if flag.startswith(prefix)])
@@ -438,7 +437,7 @@ def _spell_out(arg, parser):
         msg = gettext("ambiguous option: %(option)s could match %(matches)s")
         parser.error(msg % {"option": arg, "matches": ", ".join(matches)},
                      prefix)
-    return matches[0] + eq + value if matches else None
+    return matches[0] + eq + value if matches else arg
 
 
 @functools.cache
@@ -481,50 +480,53 @@ def build_parser() -> argparse.ArgumentParser:
                 help=help_text)
     parser.commands = sub.choices
     parser.flags = sorted({flag for p in sub.choices.values()
-                           for flag in p.flags} - {"--help"})
+                           for flag in p.flags})
     return parser
 
 
 def _parse_argv(argv) -> argparse.Namespace:
     """Pick the command, where only help may come first, and parse the rest
-    with its parser, long flags before any "--" spelled out in full and
-    ``-h...`` spelled as ``_as_help`` reads it, on either side."""
+    with its parser, every word before any "--" spelled out by ``_spelled``
+    on either side.  A usage error is raised as ``JobSpecError`` when the
+    words read ask for JSON output: argv before the command is picked, its
+    spelled-out words after.  Otherwise it is printed with argparse's usage,
+    and the exit status is 2."""
     parser = build_parser()
     ended = argv[:1] == ["--"]  # ends the options: the command follows
     first, *rest = argv[ended:] or [""]
-    if not ended and first.startswith("-h"):
-        first = _as_help(first)
-    if not ended and (first == "-h" or first.startswith("--") and
-                      "--help".startswith(first.partition("=")[0])):
-        _, eq, value = first.partition("=")
-        if eq:
-            parser.error("argument -h/--help: ignored explicit argument %r"
-                         % value, "-h/--help")
-        parser.print_help()
-        parser.exit()
-    # an option as argparse reads one: not a negative number, no space
-    if not ended and re.fullmatch(r"-(?!\d+$|\d*\.\d+$)[^ ]+", first):
-        flag = (_spell_out(first, parser) or "").partition("=")[0]
-        if flag:
-            parser.error("argument %s: give it after the command" % flag, flag)
-        parser.error(gettext("unrecognized arguments: %s") % first,
-                     first.partition("=")[0])
-    if len(argv) == ended:
-        parser.error(gettext("the following arguments are required: %s")
-                     % "command")
+    words = argv
     try:
-        sub = parser.commands[_choice(parser.commands)(first)]
-    except argparse.ArgumentTypeError as exc:
-        parser.error("argument command: %s" % exc, "command")
-    end = rest.index("--") if "--" in rest else len(rest)
-    ambiguous = []  # refused once every other flag is spelled out
-    for i, arg in enumerate(rest[:end]):
+        # an option as argparse reads one: not a negative number, no space
+        if not ended and (first.startswith("-h") or
+                          re.fullmatch(r"-(?!\d+$|\d*\.\d+$)[^ ]+", first)):
+            flag, eq, value = _spelled(first, parser).partition("=")
+            if flag in ("-h", "--help"):
+                if eq:
+                    parser.error("argument -h/--help: ignored explicit "
+                                 "argument %r" % value, "-h/--help")
+                parser.print_help()
+                parser.exit()
+            if flag in parser.flags:
+                parser.error("argument %s: give it after the command" % flag,
+                             flag)
+            parser.error(gettext("unrecognized arguments: %s") % first,
+                         first.partition("=")[0])
+        if len(argv) == ended:
+            parser.error(gettext("the following arguments are required: %s")
+                         % "command")
         try:
-            rest[i] = (_as_help(arg) if arg.startswith("-h") else
-                       arg.startswith("--") and _spell_out(arg, sub) or arg)
-        except JobSpecError as exc:
-            ambiguous.append(exc)
-    try:
+            sub = parser.commands[_choice(parser.commands)(first)]
+        except argparse.ArgumentTypeError as exc:
+            parser.error("argument command: %s" % exc, "command")
+        end = rest.index("--") if "--" in rest else len(rest)
+        ambiguous = []  # refused once every other flag is spelled out
+        for i, arg in enumerate(rest[:end]):
+            try:
+                rest[i] = (_spelled(arg, sub) if arg.startswith(("-h", "--"))
+                           else arg)
+            except JobSpecError as exc:
+                ambiguous.append(exc)
+        words = rest
         if ambiguous:
             raise ambiguous[0]
         try:
@@ -536,7 +538,10 @@ def _parse_argv(argv) -> argparse.Namespace:
             parser.error(gettext("unrecognized arguments: %s")
                          % " ".join(extras), extras[0].partition("=")[0])
     except JobSpecError as exc:
-        exc.argv = rest  # JSON mode reads the flags as spelled out
+        if ("--format=json" not in words
+                and ("--format", "json") not in zip(words, words[1:])):
+            # argparse's usage, "prog: error: ..." line and exit status 2
+            argparse.ArgumentParser.error(exc.parser, exc.message)
         raise
     return args
 
@@ -559,24 +564,11 @@ def render(doc, lines, fmt: str, stream) -> None:
             print(line, file=stream)
 
 
-def _wants_json(argv) -> bool:
-    """Does argv ask for JSON output, even if argparse rejects it?"""
-    return "--format=json" in argv or any(
-        a == "--format" and b == "json" for a, b in zip(argv, argv[1:]))
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    fmt = "json"  # what _parse_argv raises is a usage error in JSON mode
     try:
-        args = _parse_argv(argv)
-    except JobSpecError as exc:
-        if not _wants_json(getattr(exc, "argv", argv)):
-            # argparse's usage, "prog: error: ..." line and exit status 2
-            argparse.ArgumentParser.error(exc.parser, exc.message)
-        _report_error(exc, "json")
-        return 2
-    fmt = args.format
-    try:
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+        fmt = args.format
         command, params, cap, psi = gather_params(args)
         doc, lines, ok = RUNNERS[command](params, cap, psi)
     except (ExprParseError, JobSpecError) as exc:
