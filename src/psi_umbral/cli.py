@@ -73,7 +73,7 @@ def _psi_object(text: str):
     if text.startswith("{"):
         try:
             return json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # past the digit limit too
             raise JobSpecError("invalid JSON: %s" % exc, "--psi")
     raise JobSpecError("unrecognized weight sequence %r (try classical, "
                        "divided_difference, q:RAT, custom:V1,V2,... or JSON)"

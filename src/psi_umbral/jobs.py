@@ -254,11 +254,17 @@ def parse_job(doc, command: str | None = None) -> JobSpec:
 
 
 def load_job_spec(path: str, command: str | None = None) -> JobSpec:
+    """The validated job of the JSON file at ``path``, which is UTF-8 text
+    as JSON is; a file that cannot be read or decoded is a bad job file."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
         _fail("job file not found: %s" % path, "")
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError) as exc:  # a directory, not UTF-8, a NUL
+        _fail("cannot read job file: %s" % exc, "")
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # past the digit limit too
         _fail("invalid JSON: %s" % exc, "")
     return parse_job(doc, command=command)

@@ -1061,6 +1061,48 @@ def test_deeply_nested_job_file_is_invalid_json(capsys, tmp_path):
     assert err.startswith("error: invalid JSON: maximum recursion depth")
 
 
+BIG = "1" * 5000  # past the interpreter's digit limit for int()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read job file: [Errno 21] Is a directory: "),
+    (b"\xff\xfe{}", "cannot read job file: 'utf-8' codec can't decode byte "
+                    "0xff in position 0: invalid start byte"),
+    (b'{"cap": %s}' % BIG.encode(), "invalid JSON: Exceeds the limit "),
+], ids=["directory", "not-utf-8", "digit-limit"])
+def test_an_unreadable_job_file_is_a_bad_job_file(capsys, tmp_path, fmt,
+                                                  content, message):
+    job = tmp_path / "job.json"
+    if content is None:
+        job.mkdir()
+    else:
+        job.write_bytes(content)
+    code, out, err = run(capsys, "table", "--job", str(job), "--format", fmt)
+    assert (code, out) == (2, "")
+    if fmt == "text":
+        assert err.startswith("error: " + message)
+    else:
+        doc = json.loads(err)
+        assert (doc["code"], doc["details"]) == ("job_spec", {"pointer": ""})
+        assert doc["message"].startswith(message)
+
+
+def test_a_missing_job_file_is_named(capsys, tmp_path):
+    job = str(tmp_path / "absent.json")
+    code, out, err = run(capsys, "table", "--job", job)
+    assert (code, out, err) == (2, "", "error: job file not found: %s\n" % job)
+
+
+def test_weights_past_the_digit_limit_are_invalid_json(capsys):
+    code, out, err = run(capsys, "table", "--psi",
+                         '{"kind": "q", "q": %s}' % BIG, "--format", "json")
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["details"] == {"pointer": "--psi"}
+    assert doc["message"].startswith("invalid JSON: Exceeds the limit ")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["table", "--format", "xml", "--cap", "6"], "invalid choice: 'xml'"),
     (["verify", "--suite", "nope"], "invalid choice: 'nope'"),
