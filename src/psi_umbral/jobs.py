@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 from .algebra import Polynomial, scalar_from_str
-from .errors import JobSpecError
+from .errors import AdmissibilityError, JobSpecError
 from .psi import PsiSequence, validate_admissible
 from .verify import SUITE_ORDER
 
@@ -90,8 +90,10 @@ SCHEMA = {
 # verify runs its suites over their own standard weight families.
 UNWEIGHTED = frozenset({"verify"})
 
-# The keys of a weights object that hold lists of rationals, by kind.
-_PSI_LISTS = (("custom", "n_psi"), ("rational", "R_num"), ("rational", "R_den"))
+# The keys a weights object needs, by kind: "q" holds a rational, the
+# others lists of rationals.
+_PSI_KEYS = (("custom", "n_psi"), ("rational", "R_num"), ("rational", "R_den"),
+             ("q", "q"), ("rational", "q"))
 
 
 def _fail(message, pointer):
@@ -235,14 +237,17 @@ def parse_job(doc, command: str | None = None) -> JobSpec:
     if "psi" in doc:
         if not isinstance(doc["psi"], dict):
             _fail("psi must be an object", "/psi")
-        for kind, key in _PSI_LISTS:
-            if doc["psi"].get("kind") == kind and key in doc["psi"]:
-                _check_scalar_list(doc["psi"][key], "/psi/" + key)
-        if doc["psi"].get("kind") in ("q", "rational") and "q" in doc["psi"]:
-            _check_scalar_str(doc["psi"]["q"], "/psi/q")
+        for kind, key in _PSI_KEYS:
+            if doc["psi"].get("kind") == kind:
+                if key not in doc["psi"]:
+                    _fail("%s is required for kind %s" % (key, kind),
+                          "/psi/" + key)
+                check = _check_scalar_str if key == "q" else _check_scalar_list
+                check(doc["psi"][key], "/psi/" + key)
         try:
             psi = PsiSequence.from_json(doc["psi"], cap=0)
-        except Exception as exc:
+        except (AdmissibilityError, ZeroDivisionError) as exc:
+            # an unknown kind; a rational kind's zero denominator
             _fail("bad weight sequence: %s" % exc, "/psi")
         if doc["psi"].get("kind") == "q":
             psi_pointer = "/psi/q"

@@ -1053,6 +1053,47 @@ def test_json_weights_missing_or_mistyped_are_usage_errors(capsys, psi):
     assert doc["details"]["pointer"] == "--psi"
 
 
+RATIONAL_KEYS = {"kind": "rational", "q": "2", "R_num": ["1"], "R_den": ["1"]}
+
+
+@pytest.mark.parametrize("psi, key", [
+    ({"kind": "q"}, "q"),
+    ({"kind": "custom"}, "n_psi"),
+] + [({k: v for k, v in RATIONAL_KEYS.items() if k != key}, key)
+     for key in ("q", "R_num", "R_den")],
+    ids=["q", "custom", "rational-q", "rational-R_num", "rational-R_den"])
+def test_a_missing_weights_key_is_named(capsys, tmp_path, psi, key):
+    message = "%s is required for kind %s" % (key, psi["kind"])
+    code, out, err = run(capsys, "table", "--cap", "3", "--psi",
+                         json.dumps(psi), "--format", "json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "job_spec", "message": message,
+                               "details": {"pointer": "--psi"}}
+    code, out, err = run_job(capsys, tmp_path, "table", {"psi": psi},
+                             "--format", "json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "job_spec", "message": message,
+                               "details": {"pointer": "/psi/" + key}}
+    code, out, err = run_job(capsys, tmp_path, "table", {"psi": psi})
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("psi, message", [
+    ({"kind": "zz"}, "unknown weight sequence kind 'zz'"),
+    ({"n_psi": ["1"]}, "unknown weight sequence kind None"),
+    (dict(RATIONAL_KEYS, R_den=["0"]), "rational function with zero "
+                                       "denominator"),
+], ids=["unknown-kind", "no-kind", "zero-denominator"])
+def test_a_weights_object_that_cannot_be_built_is_a_bad_weight_sequence(
+        capsys, tmp_path, psi, message):
+    code, out, err = run_job(capsys, tmp_path, "table", {"psi": psi},
+                             "--format", "json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "job_spec",
+                               "message": "bad weight sequence: " + message,
+                               "details": {"pointer": "/psi"}}
+
+
 def test_deeply_nested_job_file_is_invalid_json(capsys, tmp_path):
     job = tmp_path / "job.json"
     job.write_text('{"a":' * 3000)
