@@ -460,6 +460,23 @@ def test_a_flag_prefix_before_the_command_is_a_usage_error(capsys, argv,
     assert "invalid choice" not in err
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["--=x", "table"], "--cap, --format, --formula, --help, --job, --kind, "
+                        "--lambda, --n, --op, --poly, --psi, --q, --r-den, "
+                        "--r-num, --suite, --t, --y"),
+    (["table", "--=x"], "--help, --cap, --psi, --format, --job"),
+])
+def test_a_bare_double_dash_prefix_is_ambiguous_on_either_side(capsys, argv,
+                                                               flags):
+    # "--" abbreviates every flag, --help among them, before the command
+    # as after it
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: ambiguous option: --=x could match %s\n" % flags)
+
+
 def test_a_prefix_of_a_top_level_option_stays_that_option(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--he"])

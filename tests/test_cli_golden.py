@@ -47,13 +47,13 @@ def working_python(python):
     return exe
 
 
-def run_with_package(exe, script):
-    """Run the Python file ``script`` under ``exe`` with the package from
-    ``src`` on its path."""
+def run_with_package(exe, script, *args):
+    """Run the Python file ``script`` with ``args`` under ``exe`` with the
+    package from ``src`` on its path."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("PSI_UMBRAL_CAP", None)
-    return subprocess.run([exe, script], capture_output=True, text=True,
-                          env=env, timeout=300)
+    return subprocess.run([exe, script, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
 
 
 @pytest.mark.parametrize("python", INTERPRETERS,
