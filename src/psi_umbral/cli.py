@@ -496,7 +496,7 @@ def _parse_argv(argv) -> argparse.Namespace:
     first, *rest = argv[ended:] or [""]
     words = argv
     try:
-        # an option as argparse reads one: not a negative number, no space
+        # -h..., or an option as argparse reads one: not -5 or -.5, no space
         if not ended and (first.startswith("-h") or
                           re.fullmatch(r"-(?!\d+$|\d*\.\d+$)[^ ]+", first)):
             flag, eq, value = _spelled(first, parser).partition("=")

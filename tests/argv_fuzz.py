@@ -91,8 +91,8 @@ def _value(rng, flag, good=None):
 def _item(rng, flag, good=None):
     """The words of one flag: in full or a prefix of it, which may match
     several flags, with its value apart, attached or left out."""
-    word = flag if rng.random() < 0.8 else flag[:rng.randrange(3, len(flag) + 1)]
-    value = _value(rng, flag, good)
+    cut = len(flag) if rng.random() < 0.8 else rng.randrange(3, len(flag) + 1)
+    word, value = flag[:cut], _value(rng, flag, good)
     form = rng.random()
     if form < 0.6:
         return [word, value]
