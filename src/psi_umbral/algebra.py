@@ -301,7 +301,7 @@ def _combination(terms, den: int) -> Polynomial:
         del out[n:]
     den = lcm * abs(den)
     if den != 1:
-        g = gcd(den, *out)
+        g = gcd(den, out[-1], *out)
         if g != 1:
             return _raw(tuple([a // g for a in out]), den // g)
     return _raw(tuple(out), den)
@@ -628,12 +628,22 @@ def _series(nums, den: int, cap: int) -> TruncatedSeries:
 
 
 def _lowest_terms(nums, den: int):
-    """nums and den > 0 divided by their gcd; all zeros come back over 1."""
+    """nums and den > 0 divided by their gcd; all zeros come back over 1.
+
+    The gcd reads the last entry first: ``gcd`` stops once its running
+    value is 1, and the top entry of a big series is often coprime to den.
+    """
     if den != 1:
-        g = gcd(den, *nums)
+        g = gcd(den, nums[-1], *nums)
         if g != 1:
             return [a // g for a in nums], den // g
     return nums, den
+
+
+def _lowest_pair(u: int, v: int) -> tuple:
+    """u/v for ints u and v != 0 as a pair in lowest terms, denominator > 0."""
+    g = gcd(u, v) if v > 0 else -gcd(u, v)
+    return u // g, v // g
 
 
 def _product(a, b, cap: int) -> list:

@@ -49,12 +49,12 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _combination,
-                      _generating_sum, scalar_to_str)
+                      _generating_sum, _lowest_pair, scalar_to_str)
 from .errors import CapExceededError
 from .operators import (GradedOperator, SeriesOperator, _derived,
                         _require_lowers_by_one, _series_and_witness,
                         psi_derivative_op, shift_invariant_coefficients)
-from .psi import PsiSequence
+from .psi import CUSTOM, PsiSequence
 from .umbral import (BasicSequence, DeltaOperator, _degree_in_basis,
                      unit_normal_sequence)
 
@@ -375,23 +375,31 @@ def detect_psi_series(op: GradedOperator) -> DetectionResult:
 
     A series value sum_k c_k d^k in weights psi needs no comparison: with
     d = 1_psi * e for the derivative e of the weights n_psi/1_psi, the
-    scaled operator is sum_k (scale c_k 1_psi^k) e^k.
+    scaled operator is sum_k (scale c_k 1_psi^k) e^k.  Both branches work
+    on int pairs, the weight pairs or each row's leading entry, and build
+    one Fraction per value reported.
     """
     cap = op.cap
     _require_lowers_by_one(op, cap, "base ")
     scale = Fraction(1) / op.image(1).constant_term
+    s, t = scale.numerator, scale.denominator
     if isinstance(op, SeriesOperator):
-        one = op.psi.n_psi(1)
-        psi = PsiSequence.custom([op.psi.n_psi(n) / one
-                                  for n in range(1, cap + 1)])
-        coeffs, power = [], scale
-        for c in op.series.coeffs:
-            coeffs.append(c * power)
-            power *= one
+        w = op.psi.weight_pairs(cap)
+        u1, v1 = w[0]
+        psi = PsiSequence(CUSTOM, None, cap, "custom", {},
+                          [_lowest_pair(u * v1, v * u1) for u, v in w])
+        # c_k = a_k/b gives scale c_k 1_psi^k = a_k s u1^k / (b t v1^k)
+        coeffs, num, den = [], s, op.series._den * t
+        for a in op.series._num:
+            coeffs.append(Fraction(a * num, den))
+            num *= u1
+            den *= v1
         return DetectionResult(True, psi, coeffs, scale, None)
-    psi = PsiSequence.custom([scale * op.image(n).coefficient(n - 1)
-                              for n in range(1, cap + 1)])
+    psi = PsiSequence(CUSTOM, None, cap, "custom", {},
+                      [_lowest_pair(s * row._num[-1], t * row._den)
+                       for row in op.images[1:]])
     c, witness = _series_and_witness(op, psi)
     if witness is not None:
         return DetectionResult(False, None, None, scale, witness)
-    return DetectionResult(True, psi, list((c * scale).coeffs), scale, None)
+    return DetectionResult(True, psi, [Fraction(a * s, c._den * t)
+                                       for a in c._num], scale, None)

@@ -34,8 +34,8 @@ from __future__ import annotations
 from math import gcd
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
-                      _linear_combination, _over_lcm, _pairs_over_lcm, _raw,
-                      _raw_series, as_scalar)
+                      _linear_combination, _lowest_pair, _over_lcm,
+                      _pairs_over_lcm, _raw, _raw_series, as_scalar)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, NotShiftInvariantError,
                      SelfCheckError)
@@ -327,9 +327,12 @@ def multiply_x_op(cap: int) -> GradedOperator:
         lambda n: Polynomial.monomial(n + 1), cap)
 
 def dilation_op(q, cap: int) -> GradedOperator:
+    """x^n -> q^n x^n; with q = a/b in lowest terms, a^n/b^n is too."""
     q = as_scalar(q)
+    a, b = q.numerator, q.denominator
     return GradedOperator.from_monomial_rule(
-        lambda n: Polynomial.monomial(n, q ** n), cap)
+        lambda n: _raw((0,) * n + (a ** n,), b ** n) if a or not n
+        else _raw((), 1), cap)
 
 def divided_difference_op(cap: int) -> GradedOperator:
     return GradedOperator.from_monomial_rule(
@@ -342,12 +345,21 @@ def psi_derivative_op(psi: PsiSequence, cap: int) -> "SeriesOperator":
     return SeriesOperator(TruncatedSeries.identity(cap), psi)
 
 def psi_raise_op(psi: PsiSequence, cap: int) -> GradedOperator:
-    return GradedOperator.from_monomial_rule(
-        lambda n: Polynomial.monomial(n + 1, psi.raising_ratio(n, 1)), cap)
+    """x^n -> ((n+1)/(n+1)_psi) x^(n+1), that is (n+1) v/u for the weight
+    pair (u, v) of (n+1)_psi; reads the weights 1..cap + 1."""
+    w = psi.weight_pairs(cap + 1)
+
+    def rule(n):
+        a, d = _lowest_pair((n + 1) * w[n][1], w[n][0])
+        return _raw((0,) * (n + 1) + (a,), d)
+
+    return GradedOperator.from_monomial_rule(rule, cap)
 
 def weight_op(psi: PsiSequence, cap: int) -> GradedOperator:
+    """x^n -> (n+1)_psi x^n, read off the weight pairs 1..cap + 1."""
+    w = psi.weight_pairs(cap + 1)
     return GradedOperator.from_monomial_rule(
-        lambda n: Polynomial.monomial(n, psi.n_psi(n + 1)), cap)
+        lambda n: _raw((0,) * n + (w[n][0],), w[n][1]), cap)
 
 def translation_op(psi: PsiSequence, y, cap: int) -> "SeriesOperator":
     """The generalized shift exp_psi(y * psi-derivative).
@@ -547,9 +559,7 @@ def _series_shift_form(op: "SeriesOperator"):
     fact = op.psi.factorial_pairs(op.cap)
     w = [(0, 1)] * k
     for (f, g), (f0, g0) in zip(fact[k:], fact):
-        u, v = c[k] * f * g0, b * g * f0
-        e = gcd(u, v) if v > 0 else -gcd(u, v)
-        w.append((u // e, v // e))
+        w.append(_lowest_pair(c[k] * f * g0, b * g * f0))
     return w, -k
 
 

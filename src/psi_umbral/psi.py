@@ -7,11 +7,13 @@ q-calculus, the all-ones choice gives divided differences, a rational
 function R evaluated along the geometric sequence q^n covers a whole family
 at once, and arbitrary nonzero values may be supplied directly.
 
-Each sequence holds its weights as int numerator/denominator pairs in lowest
-terms, beside the Fractions ``n_psi`` gives, and the factorials n_psi! as
-such pairs too, each computed once.  The falling factorials
-n_psi!/(n-k)_psi!, the generalized binomial coefficients
-n_psi!/(k_psi! (n-k)_psi!) and the raising ratios
+Each sequence stores its weights as int pairs (u, v), n_psi = u/v in lowest
+terms with v > 0: every kind's rule returns such a pair, and the factorials
+n_psi! are kept as pairs built from them, each computed once.  A Fraction
+is built only when a caller asks for a value (``n_psi``, ``values``,
+``factorial``); ``weight_pairs`` and ``factorial_pairs`` hand out the
+stored pairs.  The falling factorials n_psi!/(n-k)_psi!, the generalized
+binomial coefficients n_psi!/(k_psi! (n-k)_psi!) and the raising ratios
 (k+j)! k_psi!/(k! (k+j)_psi!) are each one memoized quotient of the stored
 factorial pairs, as in Ward's calculus of sequences.
 """
@@ -72,27 +74,31 @@ def _require_q_not_one(q: Fraction, n: int):
 
 
 class PsiSequence:
-    """One admissible weight sequence, memoized up to a cap.
+    """One admissible weight sequence, stored up to a cap.
 
-    Rule-based kinds extend their cache on demand past the construction cap
-    (still finite and exact); a rule maps n and the weight (n-1)_psi to
-    n_psi.  The custom kind owns exactly the values it was given and errors
-    beyond them.  The weights and factorials are kept as int pairs too, and
-    each falling factorial, binomial and raising ratio asked for is kept,
-    so these memos live and die with the sequence.
+    Rule-based kinds extend their store on demand past the construction cap
+    (still finite and exact); a rule maps n and the pair of (n-1)_psi to the
+    pair of n_psi.  The custom kind owns exactly the values it was given and
+    errors beyond them.  Each falling factorial, binomial and raising ratio
+    asked for is kept, so these memos live and die with the sequence.
     """
 
     def __init__(self, kind: str, rule, cap: int, label: str, params: dict,
-                 values=None):
+                 pairs=None):
         self.kind = kind
         self._rule = rule
         self.label = label
         self.params = params
+        # n_psi = u/v as int pairs in lowest terms, v > 0, from n = 0; a rule
+        # stores no zero, custom ``pairs`` may hold one at n = _zero_at
+        self._pairs = [(0, 1)]
+        self._zero_at = None
+        if pairs is not None:
+            self._pairs.extend(pairs)
+            self._zero_at = next((n for n, (u, _) in enumerate(pairs, 1)
+                                  if not u), None)
+        # the Fractions n_psi, built when read; n_psi! = f/g as int pairs
         self._memo = [Fraction(0)]
-        if values is not None:
-            self._memo.extend(as_scalar(v) for v in values)
-        # n_psi = u/v and n_psi! = f/g as int pairs in lowest terms, v, g > 0
-        self._weights = []
         self._fact = [(1, 1)]
         self._falling = {}
         self._binomial = {}
@@ -103,24 +109,29 @@ class PsiSequence:
 
     @classmethod
     def classical(cls, cap: int = 16) -> "PsiSequence":
-        return cls(CLASSICAL, lambda n, _: Fraction(n), cap, "classical", {})
+        return cls(CLASSICAL, lambda n, _: (n, 1), cap, "classical", {})
 
     @classmethod
     def jackson(cls, q, cap: int = 16) -> "PsiSequence":
         q = as_scalar(q)
+        a, b = q.numerator, q.denominator
 
         def rule(n, prev):
-            # [n]_q = 1 + q [n-1]_q = (b v + a u)/(b v) for q = a/b and the
-            # memoized [n-1]_q = u/v: one Fraction per weight
-            _require_q_not_one(q, n)
-            d = q.denominator * prev.denominator
-            return Fraction(d + q.numerator * prev.numerator, d)
+            # [n]_q = 1 + q [n-1]_q = (b v + a u)/(b v) for q = a/b and
+            # [n-1]_q = u/v.  From n = 2 on v = b^(n-2) and u = a^(n-2) mod b,
+            # so no prime of b v divides b v + a u: lowest terms, no gcd.
+            if n == 1:  # every later weight is extended from this one
+                _require_q_not_one(q, n)
+                return 1, 1
+            u, v = prev
+            d = b * v
+            return d + a * u, d
 
         return cls(JACKSON, rule, cap, "q=%s" % scalar_to_str(q), {"q": q})
 
     @classmethod
     def divided_difference(cls, cap: int = 16) -> "PsiSequence":
-        return cls(DIVIDED_DIFFERENCE, lambda n, _: Fraction(1), cap,
+        return cls(DIVIDED_DIFFERENCE, lambda n, _: (1, 1), cap,
                    "divided_difference", {})
 
     @classmethod
@@ -129,37 +140,51 @@ class PsiSequence:
 
         def rule(n, _):
             try:
-                return rat(q ** n)
+                value = rat(q ** n)
             except ZeroDivisionError as exc:
                 raise AdmissibilityError(str(exc), n=n)
+            return value.numerator, value.denominator
 
         return cls(RATIONAL, rule, cap, "rational(q=%s)" % scalar_to_str(q),
                    {"q": q, "R": rat})
 
     @classmethod
     def custom(cls, values, cap: int | None = None) -> "PsiSequence":
-        values = [as_scalar(v) for v in values]
+        values = [v if type(v) is int else as_scalar(v) for v in values]
         if cap is None:
             cap = len(values)
         if cap > len(values):
             raise CapExceededError(
                 "custom weights supply %d values but cap %d was requested"
                 % (len(values), cap))
-        return cls(CUSTOM, None, cap, "custom", {}, values=values)
+        return cls(CUSTOM, None, cap, "custom", {},
+                   [(v.numerator, v.denominator) for v in values])
 
     # -- weights ------------------------------------------------------
 
+    def _vanishes(self, n: int) -> AdmissibilityError:
+        return AdmissibilityError("weight vanishes at n=%d" % n, n=n,
+                                  psi=self.label)
+
     def _extend_to(self, n: int):
-        while len(self._memo) <= n:
-            m = len(self._memo)
+        pairs = self._pairs
+        while len(pairs) <= n:
+            m = len(pairs)
             if self._rule is None:
                 raise CapExceededError(
                     "custom weight sequence has no value at n=%d" % m, n=m)
-            value = self._rule(m, self._memo[-1])
-            if value == 0:
-                raise AdmissibilityError(
-                    "weight vanishes at n=%d" % m, n=m, psi=self.label)
-            self._memo.append(value)
+            pair = self._rule(m, pairs[-1])
+            if not pair[0]:
+                raise self._vanishes(m)
+            pairs.append(pair)
+
+    def _checked(self, n: int) -> list:
+        """The pair store, once the weights 1..n are read in order: the
+        first that vanishes or is missing raises."""
+        if self._zero_at is not None and n >= self._zero_at:
+            raise self._vanishes(self._zero_at)
+        self._extend_to(n)
+        return self._pairs
 
     def n_psi(self, n: int) -> Fraction:
         """The weight n_psi; zero at n = 0, guaranteed nonzero for n >= 1."""
@@ -168,20 +193,18 @@ class PsiSequence:
         if n == 0:
             return Fraction(0)
         self._extend_to(n)
-        value = self._memo[n]
-        if value == 0:
-            raise AdmissibilityError(
-                "weight vanishes at n=%d" % n, n=n, psi=self.label)
-        return value
+        if not self._pairs[n][0]:
+            raise self._vanishes(n)
+        memo = self._memo
+        if len(memo) <= n:
+            memo.extend(Fraction(u, v)
+                        for u, v in self._pairs[len(memo): n + 1])
+        return memo[n]
 
     def weight_pairs(self, n: int) -> list:
         """[(u, v)] with k_psi = u/v in lowest terms and v > 0, k = 1..n:
         the weights ``values`` gives, as int pairs, with the same errors."""
-        pairs = self._weights
-        while len(pairs) < n:
-            w = self.n_psi(len(pairs) + 1)
-            pairs.append((w.numerator, w.denominator))
-        return pairs[:n]
+        return self._checked(n)[1: n + 1]
 
     def factorial(self, n: int) -> Fraction:
         """n_psi! = 1_psi * 2_psi * ... * n_psi, empty product at n = 0."""
@@ -196,11 +219,12 @@ class PsiSequence:
         if n < 0:
             raise ValueError("factorials are indexed by naturals")
         fact = self._fact
-        while len(fact) <= n:
-            w = self.n_psi(len(fact))
-            (f, g), u, v = fact[-1], w.numerator, w.denominator
-            d, e = gcd(f, v), gcd(u, g)
-            fact.append((f // d * (u // e), g // e * (v // d)))
+        if len(fact) <= n:
+            f, g = fact[-1]
+            for u, v in self._checked(n)[len(fact): n + 1]:
+                d, e = gcd(f, v), gcd(u, g)
+                f, g = f // d * (u // e), g // e * (v // d)
+                fact.append((f, g))
         return fact[: n + 1]
 
     def _quotient(self, up: tuple, down: tuple, scale: int = 1) -> Fraction:
@@ -263,7 +287,7 @@ class PsiSequence:
 
     @property
     def stored_cap(self) -> int:
-        return len(self._memo) - 1
+        return len(self._pairs) - 1
 
     def __repr__(self):
         return "PsiSequence(%s)" % self.label
@@ -284,7 +308,8 @@ class PsiSequence:
                     "R_den": rat.den.to_json(),
                     "q": scalar_to_str(self.params["q"])}
         return {"kind": "custom",
-                "n_psi": [scalar_to_str(v) for v in self._memo[1:]]}
+                "n_psi": [scalar_to_str(Fraction(u, v))
+                          for u, v in self._pairs[1:]]}
 
     @classmethod
     def from_json(cls, data, cap: int = 16) -> "PsiSequence":

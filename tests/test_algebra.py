@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psi_umbral.algebra import (NEG_INF, Polynomial, TruncatedSeries,
-                                _combination, _over_lcm, _pairs_over_lcm,
-                                as_scalar, format_polynomial, scalar_from_str,
-                                scalar_to_str)
+                                _combination, _lowest_terms, _over_lcm,
+                                _pairs_over_lcm, as_scalar, format_polynomial,
+                                scalar_from_str, scalar_to_str)
 from psi_umbral.errors import (CompositionError, NonInvertibleError,
                                SelfCheckError)
 from psi_umbral.operators import GradedOperator
@@ -786,3 +786,47 @@ def test_reversion_self_check_survives_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def _c0_first(nums, den):
+    """nums and den over gcd(den, c_0, c_1, ...), walked from c_0."""
+    g = gcd(den, *nums)
+    return [a // g for a in nums], den // g
+
+
+def _reduction_cases():
+    """(nums, den > 0) with zeros, negative entries, all-zero vectors, and
+    the big-entry case: the q = 1/2 exponential, whose top numerator is
+    coprime to its odd denominator, also scaled by a common factor."""
+    yield [0], 5
+    yield [0, 0, 0, 0], 12
+    yield [0, 0, 0, 0], 1
+    yield [6, 0, -9, 0, 0], 15
+    yield [0, -4, 0, 8, 0], 12
+    yield [3, 0, -6], 9
+    yield [-7], 7
+    psi = PsiSequence.jackson(Fraction(1, 2), 40)
+    for cap in (8, 40):
+        exp = TruncatedSeries([1 / psi.factorial(k) for k in range(cap + 1)],
+                              cap)
+        for k in (1, 3, 2 ** 61 - 1):
+            yield [a * k for a in exp._num], exp._den * k
+    rng = random.Random(35)
+    for _ in range(300):
+        g = rng.choice([1, 2, 3, 35])
+        yield ([g * rng.choice([0, 0, rng.randint(-10 ** 6, 10 ** 6)])
+                for _ in range(rng.randint(1, 12))],
+               g * rng.choice(DENOMINATORS))
+
+
+def test_lowest_terms_from_the_top_matches_the_c0_first_order():
+    for nums, den in _reduction_cases():
+        want, want_den = _c0_first(nums, den)
+        got, got_den = _lowest_terms(list(nums), den)
+        assert (list(got), got_den) == (want, want_den), (nums, den)
+        # the combination kernel's final reduction, on the same sum
+        while want and not want[-1]:
+            want.pop()
+        p = _combination([(a, Polynomial.one(), i)
+                          for i, a in enumerate(nums)], den)
+        assert (list(p._num), p._den) == (want, want_den if want else 1)

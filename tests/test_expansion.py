@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psi_umbral import cli, expansion, umbral, verify
-from psi_umbral.algebra import Polynomial
+from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.errors import (CapExceededError, NotDegreeLoweringError,
                                NotShiftInvariantError, PsiUmbralError)
 from psi_umbral.expansion import (conjugate_indicator_check, detect_psi_series,
@@ -22,6 +22,7 @@ from psi_umbral.operators import (GradedOperator, SeriesOperator,
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator, dual_raise_operator
 from test_operators import ZOO, ZOO_WEIGHTS
+from test_psi import PAIR_WEIGHTS
 
 CAP = 12
 
@@ -705,3 +706,37 @@ def test_series_in_is_the_composed_table():
             assert not isinstance(t, SeriesOperator)
             assert t.cap == base.cap
             assert t.images == _series_by_composition(base, coeffs).images
+
+
+def _lowering_series(rng, cap):
+    """Seeded c_1 z + ... + c_cap z^cap with c_1 != 0, runs of zeros and
+    negative entries."""
+    coeffs = [0, Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))]
+    for _ in range(2, cap + 1):
+        coeffs.append(rng.choice([0, 0, Fraction(rng.randint(-9, 9),
+                                                 rng.randint(1, 6))]))
+    return TruncatedSeries(coeffs, cap)
+
+
+@pytest.mark.parametrize("weights", sorted(PAIR_WEIGHTS))
+def test_detect_gives_a_series_value_and_its_table_one_answer(weights):
+    # the series branch reads the weight pairs, the table branch the rows'
+    # leading entries; both must report the same weights and series
+    rng = random.Random(weights)
+    make = PAIR_WEIGHTS[weights][0]
+    for cap in (1, 2, 5, 16):
+        psi = make(cap)
+        values = [parse_operator(text, OperatorContext(cap, psi))
+                  for text in ("Dpsi", "Delta", "E[-1/2] - 1",
+                               "Dpsi + Dpsi*Dpsi", "-3/2*Dpsi")]
+        values += [SeriesOperator(_lowering_series(rng, cap), psi)
+                   for _ in range(3)]
+        for value in values:
+            assert isinstance(value, SeriesOperator) and value.cap == cap
+            table = operator_from_series(value.series, psi, cap)
+            fast, slow = detect_psi_series(value), detect_psi_series(table)
+            assert fast.to_json() == slow.to_json(), cap
+            assert fast.is_series and fast.scale == slow.scale
+            assert fast.series_coeffs == slow.series_coeffs
+            assert all(type(c) is Fraction for c in fast.series_coeffs)
+            assert fast.psi.weight_pairs(cap) == slow.psi.weight_pairs(cap)

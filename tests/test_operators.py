@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psi_umbral.algebra import Polynomial
-from psi_umbral.errors import (CapExceededError, NonInvertibleError,
-                               NotShiftInvariantError)
+from psi_umbral.errors import (AdmissibilityError, CapExceededError,
+                               NonInvertibleError, NotShiftInvariantError)
 from psi_umbral.expansion import first_expansion_coeffs
 from psi_umbral.exprparse import OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, SeriesOperator,
@@ -21,6 +21,7 @@ from psi_umbral.operators import (GradedOperator, SeriesOperator,
                                   weight_multiplier, weight_op)
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator, sheffer_sequence, translate
+from test_psi import BAD_WEIGHTS, JACKSON_QS, PAIR_WEIGHTS
 from test_umbral import KERNEL_WEIGHTS
 
 
@@ -398,3 +399,60 @@ def test_invariance_agrees_with_the_commutator_on_the_parser_zoo(weights):
         assert passes_gate(op, psi) == commutes, text
         verdicts.append(commutes)
     assert True in verdicts and False in verdicts
+
+
+# -- the weighted tables against the Fraction formulas they are built from
+
+def _outcome(build):
+    """What ``build()`` gives: its value, or its error's type, message and
+    details."""
+    try:
+        return build()
+    except (AdmissibilityError, CapExceededError) as exc:
+        return type(exc), exc.message, exc.details
+
+
+def _formula_rows(psi, cap, row):
+    return tuple(row(psi, n) for n in range(cap + 1))
+
+
+WEIGHTED_TABLES = {
+    "psi_raise_op": (psi_raise_op, lambda psi, n: Polynomial.monomial(
+        n + 1, psi.raising_ratio(n, 1))),
+    "weight_op": (weight_op, lambda psi, n: Polynomial.monomial(
+        n, psi.n_psi(n + 1))),
+}
+
+
+@pytest.mark.parametrize("table", sorted(WEIGHTED_TABLES))
+@pytest.mark.parametrize("weights", sorted(PAIR_WEIGHTS))
+def test_weighted_tables_match_their_fraction_formulas(weights, table):
+    build, row = WEIGHTED_TABLES[table]
+    make = PAIR_WEIGHTS[weights][0]
+    for cap in range(25):
+        # custom weights hold exactly cap + 1 values, the weights read
+        assert build(make(cap + 1), cap).images == _formula_rows(
+            make(cap + 1), cap, row), cap
+
+
+@pytest.mark.parametrize("table", sorted(WEIGHTED_TABLES))
+def test_weighted_tables_fail_where_their_formulas_do(table):
+    build, row = WEIGHTED_TABLES[table]
+    for weights, (make, n, *_) in sorted(BAD_WEIGHTS.items()):
+        for cap in range(n + 3):
+            got = _outcome(lambda: build(make(n - 1), cap).images)
+            want = _outcome(lambda: _formula_rows(make(n - 1), cap, row))
+            assert got == want, (weights, cap)
+            assert (cap + 1 < n) != isinstance(got[0], type)
+
+
+@pytest.mark.parametrize("q", JACKSON_QS + [Fraction(1), Fraction(-1),
+                                            Fraction(7), Fraction(-9, 4)],
+                         ids=str)
+def test_dilation_rows_are_the_powers_of_q(q):
+    for cap in range(25):
+        assert dilation_op(q, cap).images == tuple(
+            Polynomial.monomial(n, q ** n) for n in range(cap + 1))
+    # at q = 0 only the constants survive
+    assert dilation_op(0, 3).images == ((Polynomial.one(),)
+                                        + (Polynomial(),) * 3)

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psi_umbral.algebra import Polynomial
+from psi_umbral.algebra import Polynomial, scalar_to_str
 from psi_umbral.errors import AdmissibilityError, CapExceededError
 from psi_umbral.operators import psi_raise
 from psi_umbral.psi import (PsiSequence, RationalFunction, jackson_bracket,
@@ -354,3 +354,208 @@ def test_validate_admissible_ok():
     report = validate_admissible(PsiSequence.jackson(2, 4), 10)
     assert report.ok
     assert report.to_json()["ok"] is True
+
+
+# -- the pair store against independent closed forms ---------------------
+
+JACKSON_QS = [Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2),
+              Fraction(0), Fraction(3, 5)]
+
+
+def _bracket(q):
+    return lambda n: (1 - q ** n) / (1 - q)
+
+
+def _negative(n):
+    return Fraction((-2) ** n, 2 * n + 1) * (1 if n % 3 else -3)
+
+
+def _rational_bracket(q, cap):
+    """R(x) = (1 - x)/(1 - q) along x = q^n, the family verify checks."""
+    rat = RationalFunction(Polynomial((1, -1)), Polynomial((1 - q,)))
+    return PsiSequence.rational(rat, q, cap)
+
+
+# name: (weights at a cap, the closed form of n_psi)
+PAIR_WEIGHTS = dict({
+    "classical": (PsiSequence.classical, Fraction),
+    "divided_difference": (PsiSequence.divided_difference,
+                           lambda n: Fraction(1)),
+    "squares": (lambda cap: PsiSequence.custom(
+        [n * n for n in range(1, cap + 1)]), lambda n: Fraction(n * n)),
+    "negative custom": (lambda cap: PsiSequence.custom(
+        [_negative(n) for n in range(1, cap + 1)]), _negative),
+    "rational q=1/2": (lambda cap: _rational_bracket(Fraction(1, 2), cap),
+                       _bracket(Fraction(1, 2))),
+    "rational q=-2/3": (lambda cap: _rational_bracket(Fraction(-2, 3), cap),
+                        _bracket(Fraction(-2, 3))),
+}, **{"q=%s" % q: (lambda cap, q=q: PsiSequence.jackson(q, cap), _bracket(q))
+      for q in JACKSON_QS})
+
+
+def _pair(x):
+    return x.numerator, x.denominator
+
+
+def _store_mismatch(make, closed, cap):
+    """The first reader of a fresh ``make(cap)`` that differs from the
+    closed form through cap, or None.  Pairs must be in lowest terms with a
+    positive denominator, values Fractions."""
+    want = [closed(n) for n in range(1, cap + 1)]
+    facts = [Fraction(1)]
+    for w in want:
+        facts.append(facts[-1] * w)
+    readers = {
+        "weight_pairs": (lambda psi: psi.weight_pairs(cap),
+                         [_pair(w) for w in want]),
+        "factorial_pairs": (lambda psi: psi.factorial_pairs(cap),
+                            [_pair(f) for f in facts]),
+        "n_psi": (lambda psi: [psi.n_psi(n) for n in range(cap + 1)],
+                  [Fraction(0)] + want),
+        "n_psi from the top": (lambda psi: [psi.n_psi(n)
+                                            for n in range(cap, 0, -1)],
+                               want[::-1]),
+        "values": (lambda psi: psi.values(cap), want),
+        "factorial": (lambda psi: [psi.factorial(n) for n in range(cap + 1)],
+                      facts),
+    }
+    for name, (read, expected) in readers.items():
+        got = read(make(cap))
+        if got != expected:
+            return name
+        if not name.endswith("pairs") and any(type(x) is not Fraction
+                                              for x in got):
+            return name
+    return None
+
+
+@pytest.mark.parametrize("weights", sorted(PAIR_WEIGHTS))
+def test_the_pair_store_matches_the_closed_form(weights):
+    make, closed = PAIR_WEIGHTS[weights]
+    for cap in (0, 1, 2, 24):
+        assert _store_mismatch(make, closed, cap) is None, cap
+    # stored_cap is what the store holds: a rule extends it, custom weights
+    # hold their values
+    psi = make(24)
+    assert psi.stored_cap == 24
+    psi.n_psi(6)
+    assert psi.stored_cap == 24
+    if psi.kind != "custom":
+        psi.factorial_pairs(30)
+        assert psi.stored_cap == 30 and psi.values(30)[-1] == closed(30)
+
+
+def test_custom_weights_keep_their_values_through_json():
+    values = [_negative(n) for n in range(1, 9)] + [Fraction(0), 7]
+    psi = PsiSequence.custom(values, cap=3)
+    doc = psi.to_json()
+    assert doc == {"kind": "custom",
+                   "n_psi": [scalar_to_str(v) for v in values]}
+    assert psi.stored_cap == 10
+    back = PsiSequence.from_json(doc, cap=10)
+    assert back.weight_pairs(8) == [_pair(v) for v in values[:8]]
+    assert back.to_json() == doc and back.stored_cap == 10
+
+
+def _jackson_with(rule_of, q, cap):
+    q = Fraction(q)
+    return PsiSequence("q", rule_of(q), cap, "q=%s" % q, {"q": q})
+
+
+def _late_start(q):
+    """[n]_q recurred from [1]_q = 1 + q: every weight one step too far."""
+    a, b = q.numerator, q.denominator
+
+    def rule(n, prev):
+        u, v = prev if n > 1 else (1, 1)
+        return b * v + a * u, b * v
+
+    return rule
+
+
+def _unsigned(q):
+    """[n]_q recurred with |q| for q."""
+    a, b = abs(q.numerator), q.denominator
+
+    def rule(n, prev):
+        if n == 1:
+            return 1, 1
+        u, v = prev
+        return b * v + a * u, b * v
+
+    return rule
+
+
+@pytest.mark.parametrize("mutant", [_late_start, _unsigned])
+@pytest.mark.parametrize("q", [Fraction(-1, 2), Fraction(-2)], ids=str)
+def test_the_closed_form_check_catches_a_wrong_jackson_rule(mutant, q):
+    make = lambda cap: _jackson_with(mutant, q, cap)
+    assert _store_mismatch(make, _bracket(q), 24) == "weight_pairs"
+    # the unmutated recurrence through the same constructor passes
+    assert _store_mismatch(lambda cap: _jackson_with(
+        lambda q: PsiSequence.jackson(q, 0)._rule, q, cap),
+        _bracket(q), 24) is None
+
+
+# name: (weights at a cap, n, the exception, its message, its details)
+BAD_WEIGHTS = {
+    "q=1": (lambda cap: PsiSequence.jackson(1, cap), 1, AdmissibilityError,
+            "Jackson weights are undefined at q = 1", {"n": 1}),
+    "q=-1": (lambda cap: PsiSequence.jackson(-1, cap), 2, AdmissibilityError,
+             "weight vanishes at n=2", {"n": 2, "psi": "q=-1"}),
+    "custom zero": (lambda cap: PsiSequence.custom(
+        [3, Fraction(-1, 2), 0, 5], cap), 3, AdmissibilityError,
+        "weight vanishes at n=3", {"n": 3, "psi": "custom"}),
+    "custom past its values": (lambda cap: PsiSequence.custom(
+        [1, Fraction(-4, 3), 9], cap), 4, CapExceededError,
+        "custom weight sequence has no value at n=4", {"n": 4}),
+    "rational pole": (lambda cap: PsiSequence.rational(
+        RationalFunction(Polynomial([1]), Polynomial([Fraction(-1, 4), 1])),
+        Fraction(1, 2), cap), 2, AdmissibilityError,
+        "rational function denominator vanishes at 1/4", {"n": 2}),
+}
+
+READERS = {
+    "n_psi in order": lambda psi, n: [psi.n_psi(k) for k in range(1, n + 1)],
+    "values": lambda psi, n: psi.values(n),
+    "weight_pairs": lambda psi, n: psi.weight_pairs(n),
+    "factorial_pairs": lambda psi, n: psi.factorial_pairs(n),
+    "factorial": lambda psi, n: psi.factorial(n),
+    "falling": lambda psi, n: psi.falling(n, 1),
+    "binomial": lambda psi, n: psi.binomial(n, 1),
+    "raising_ratio": lambda psi, n: psi.raising_ratio(n - 1, 1),
+    "validate_admissible": lambda psi, n: validate_admissible(psi, n),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("bad", sorted(BAD_WEIGHTS))
+def test_a_bad_weight_stops_every_reader_at_its_index(bad, reader):
+    make, n, error, message, details = BAD_WEIGHTS[bad]
+    read = READERS[reader]
+    for past in (0, 3):
+        psi = make(n - 1)
+        read(psi, n - 1)
+        if reader == "validate_admissible":
+            report = read(psi, n + past)
+            assert (report.ok, report.first_violation, report.reason) == (
+                False, n, message)
+            continue
+        with pytest.raises(error) as err:
+            read(psi, n + past)
+        assert (err.value.message, err.value.details) == (message, details)
+    # one weight alone is read at its own index only
+    with pytest.raises(error) as err:
+        make(n - 1).n_psi(n)
+    assert (err.value.message, err.value.details) == (message, details)
+
+
+def test_factorial_pairs_build_no_fraction_weight():
+    psi = PsiSequence.jackson(Fraction(1, 2), 40)
+    pairs = psi.factorial_pairs(40)
+    assert len(psi._memo) == 1
+    assert psi.weight_pairs(40)[-1] == _pair(_bracket(Fraction(1, 2))(40))
+    assert len(psi._memo) == 1
+    # a value asked for builds the Fractions through its index only
+    assert psi.factorial(40) == Fraction(*pairs[40]) and len(psi._memo) == 1
+    assert psi.n_psi(3) == Fraction(7, 4) and len(psi._memo) == 4
