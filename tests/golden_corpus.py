@@ -179,6 +179,16 @@ CASES = [
      "10", "--format", "json"],
     ["expand", "--t", "2*Dpsi^3*Xpsi", "--psi=custom:-1,2,-3,1/2,5,7,-2",
      "--cap", "6"],
+    # weights that break the factorial chains: g_1 = 2 does not divide
+    # g_2 in 1/2, 2, ..., and f_1 = 2 does not divide f_2 in 2, 1/2, ...
+    ["basic", "--op", "Delta", "--psi", "custom:1/2,2,3,5,7,11", "--n", "4",
+     "--cap", "5"],
+    ["expand", "--t", "X*Delta", "--psi", "custom:1/2,2,3,5,7,11", "--cap",
+     "5", "--format", "json"],
+    ["translate", "--psi", "custom:1/2,2,3,5,7,11", "--cap", "5", "--y", "2",
+     "--poly", "1,2,3,4,5"],
+    ["expand", "--t", "X*Delta", "--q", "Delta", "--psi",
+     "custom:2,1/2,3,5,7,11", "--cap", "5"],
     # usage errors and help, in text mode (argparse's usage and exit) and in
     # JSON mode (the structured error with its pointer)
     ["table", "--format", "xml", "--cap", "6"],
