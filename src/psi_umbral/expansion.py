@@ -91,17 +91,6 @@ def _base_powers_on_monomials(base: GradedOperator, top: int,
     return rows
 
 
-def _factorials(psi: PsiSequence, cap: int) -> list:
-    """(f, g, l) for n <= cap: n_psi! = f/g in lowest terms and l the lcm
-    of |f| over 0..n."""
-    out = []
-    l = 1
-    for f, g in psi.factorial_pairs(cap):
-        l = lcm(l, f)
-        out.append((f, g, l))
-    return out
-
-
 def _series_powers(s: TruncatedSeries, cap: int) -> list:
     """s^0 .. s^cap through degree cap."""
     s = s.truncated(cap)
@@ -125,12 +114,13 @@ def _power_rows(powers) -> list:
     return rows
 
 
-def _series_tables(base: SeriesOperator, cap: int):
-    """The factorial triples of the base's weights and the rows of its
-    power table at ``cap``, built once per base and cap."""
-    return _derived(base, ("series route", cap), lambda: (
-        _factorials(base.psi, cap),
-        _power_rows(_series_powers(base.series, cap))))
+def _series_tables(base: SeriesOperator, cap: int) -> list:
+    """The rows of the base's power table at ``cap``, built once per base
+    and cap; the base d itself, whose every row is None, builds none."""
+    if base.series.truncated(cap) == TruncatedSeries.identity(cap):
+        return [None] * (cap + 1)
+    return _derived(base, ("series route", cap),
+                    lambda: _power_rows(_series_powers(base.series, cap)))
 
 
 def _entries_over_lcm(polys) -> tuple:
@@ -143,27 +133,28 @@ def _entries_over_lcm(polys) -> tuple:
             for p in polys], den
 
 
-def _shift_terms(scaled, fact, m: int, scale: int) -> list:
-    """(int, F_k, m - k) terms that sum, over l_m, to
-    scale * sum_k F_k x^(m-k) / (m-k)_psi! for the F_k in ``scaled``."""
-    l = fact[m][2]
-    return [(scale * fact[m - k][1] * (l // fact[m - k][0]), p, m - k)
-            for k, p in enumerate(scaled)]
+def _shift_terms(scaled, psi: PsiSequence, m: int, scale: int) -> tuple:
+    """(terms, l, w): (int, F_k, m - k) terms that sum, over l, to
+    scale * sum_k F_k x^(m-k) / (m-k)_psi! for the F_k in ``scaled``,
+    k <= m, and w = l / m_psi!, by the weights' cofactors at m."""
+    l, cofactors = psi.cofactors(m)
+    return ([(scale * cofactors[m - k], p, m - k)
+             for k, p in enumerate(scaled)], l, cofactors[m])
 
 
 def _series_expansion(t: GradedOperator, base: SeriesOperator,
                       cap: int) -> list:
-    fact, rows = _series_tables(base, cap)
+    rows = _series_tables(base, cap)
     # A series value T = sum c_k d^k in the base's weights has F_m = c_m.
     own = isinstance(t, SeriesOperator) and t.psi is base.psi
     scaled = ([Polynomial.monomial(0, c) for c in t.series.coeffs[: cap + 1]]
               if own else [])
     qs = []
-    for m, (f, g, l) in enumerate(fact):
+    for m in range(cap + 1):
         if not own:
             # Step 1: F_m = T x^m / m_psi! - sum_(k<m) F_k x^(m-k) / (m-k)_psi!.
-            terms = _shift_terms(scaled, fact, m, -1)
-            terms.append((g * (l // f), t.image(m), 0))
+            terms, l, w = _shift_terms(scaled, base.psi, m, -1)
+            terms.append((w, t.image(m), 0))
             scaled.append(_combination(terms, l))
         # Step 2: q_m = (F_m - sum_(n<m) (s^n)_m q_n) / (s^m)_m.
         if rows[m] is None:
@@ -178,7 +169,7 @@ def _series_expansion(t: GradedOperator, base: SeriesOperator,
 
 def _series_reconstruction(coeff_polys, base: SeriesOperator,
                            cap: int) -> GradedOperator:
-    fact, rows = _series_tables(base, cap)
+    rows = _series_tables(base, cap)
     qs = list(coeff_polys[: cap + 1])
     qs += [Polynomial()] * (cap + 1 - len(qs))
     scaled = [qs[k] if row is None else
@@ -188,9 +179,11 @@ def _series_reconstruction(coeff_polys, base: SeriesOperator,
         # Constant q_n make F = sum q_n s^n a scalar series: the value F(d).
         return SeriesOperator(TruncatedSeries(
             [p.constant_term for p in scaled], cap), base.psi)
-    return GradedOperator([
-        _combination(_shift_terms(scaled[: m + 1], fact, m, f), g * l)
-        for m, (f, g, l) in enumerate(fact)], cap)
+    images = []
+    for m, (f, g) in enumerate(base.psi.factorial_pairs(cap)):
+        terms, l, _ = _shift_terms(scaled[: m + 1], base.psi, m, f)
+        images.append(_combination(terms, g * l))
+    return GradedOperator(images, cap)
 
 
 def expand_in_monomials(t: GradedOperator,

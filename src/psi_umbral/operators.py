@@ -86,36 +86,27 @@ def apply_psi_series(coeffs, psi: PsiSequence, p: Polynomial) -> Polynomial:
 
     ``coeffs`` is a TruncatedSeries or a sequence of scalars.  With
     p = sum_n a_n x^n the image has sum_k c_k a_(m+k) (m+k)_psi!/m_psi! at
-    x^m; with the factorials f/g that is (g_m/f_m) sum_k c_k u_(m+k) for
-    u_n = a_n f_n/g_n, collected on ints over the lcm of the g_n and then
-    of the f_m.  Reads the weights 1..deg p, and none for a zero p or an
-    empty series.
+    x^m: sum_k c_k u_(m+k) / m_psi! for u_n = a_n n_psi!, collected on ints
+    by the weights' cofactors, M n_psi! and L/m_psi!, over M L.  Reads the
+    weights 1..deg p, and none for a zero p or an empty series.
     """
     c, c_den = _series_numerators(coeffs)
     a = p._num
     if not c or not a:
         return Polynomial()
-    fact = psi.factorial_pairs(len(a) - 1)
-    g_lcm = 1
-    for x, (_, g) in zip(a, fact):
-        if x and g_lcm % g:
-            g_lcm = g_lcm // gcd(g_lcm, g) * g
+    m_den, up = psi.cofactors(len(a) - 1, 1)
+    l_den, down = psi.cofactors(len(a) - 1)
     terms = [(k, y) for k, y in enumerate(c[: len(a)]) if y]
     sums = [0] * len(a)
-    for n, (x, (f, g)) in enumerate(zip(a, fact)):
+    for n, (x, w) in enumerate(zip(a, up)):
         if x:
-            u = x * f * (g_lcm // g)
+            u = x * w
             for k, y in terms:
                 if k > n:
                     break
                 sums[n - k] += y * u
-    f_lcm = 1
-    for s, (f, _) in zip(sums, fact):
-        if s and f_lcm % f:
-            f_lcm = f_lcm // gcd(f_lcm, f) * abs(f)
-    return _from_ints([s * g * (f_lcm // f) if s else 0
-                       for s, (f, g) in zip(sums, fact)],
-                      f_lcm * g_lcm * c_den * p._den)
+    return _from_ints([s * w if s else 0 for s, w in zip(sums, down)],
+                      l_den * m_den * c_den * p._den)
 
 
 def _series_numerators(coeffs):
@@ -387,38 +378,44 @@ def _series_rule(coeffs, psi: PsiSequence, cap: int):
     reduced when a row first reads it, so row n reduces c_0..c_n only.
     """
     cs, c_den = _series_numerators(coeffs)
-    # Row n holds c_k n_psi!/(n-k)_psi! at x^(n-k); with the factorials
-    # f/g and c_k = a/b in lowest terms that is (a g_(n-k) / (b f_(n-k)))
-    # * (f_n / g_n), collected over the lcm of the b f_(n-k).  A
-    # nonconstant series reads weights 1..cap, those its falling products
-    # n_psi ... (n-k+1)_psi span; a constant reads none.
-    fact = psi.factorial_pairs(cap) if any(cs[1:]) else [(1, 1)] * (cap + 1)
+    if not any(cs[1:]):
+        # a constant reads no weights
+        return lambda n: _from_ints([0] * n + list(cs[:1]), c_den)
+    # Row n holds c_k n_psi!/(n-k)_psi! at x^(n-k); with c_k = a/b in
+    # lowest terms, n_psi! = f/g and l/j_psi! the weights' cofactors for j
+    # from n - K to n, K the largest such k, that is
+    # (a (l/(n-k)_psi!) / (b l)) * (f/g), collected over the lcm of the b.
+    # The falling products n_psi ... (n-k+1)_psi span the weights 1..cap,
+    # read here.
+    fact = psi.factorial_pairs(cap)
     terms = []
+    b_lcm = 1
     reduced = 0
 
     def rule(n):
-        nonlocal reduced
+        nonlocal b_lcm, reduced
         for k in range(reduced, min(n + 1, len(cs))):
             a = cs[k]
             if a:
                 g = gcd(a, c_den)
-                terms.append((k, a // g, c_den // g))
+                b = c_den // g
+                terms.append((k, a // g, b))
+                if b_lcm % b:
+                    b_lcm = b_lcm // gcd(b_lcm, b) * b
             reduced = k + 1
-        parts = []
-        den = 1
-        for k, a, b in terms:
-            if k > n:
-                break
-            f, g = fact[n - k]
-            d = b * f
-            if den % d:
-                den = den // gcd(den, d) * abs(d)
-            parts.append((n - k, a * g, d))
-        out = [0] * (n + 1)
-        for i, a, d in parts:
-            out[i] = a * (den // d)
+        used = [term for term in terms if term[0] <= n]
+        if not used:
+            return Polynomial()
+        low = n - used[-1][0]
+        l, cofactors = psi.cofactors(n, 0, low)
         f, g = fact[n]
-        return _from_ints([a * f for a in out], den * g)
+        h = gcd(f, l)
+        f //= h
+        out = [0] * (n + 1)
+        for k, a, b in used:
+            i = n - k
+            out[i] = a * (b_lcm // b) * cofactors[i - low] * f
+        return _from_ints(out, b_lcm * (l // h) * g)
 
     return rule
 

@@ -20,8 +20,11 @@ factorial pairs, as in Ward's calculus of sequences.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, perm
+from itertools import accumulate
+from math import gcd, lcm, perm
+from operator import mul
 
 from .algebra import Polynomial, as_scalar, scalar_from_str, scalar_to_str
 from .errors import AdmissibilityError, CapExceededError
@@ -31,6 +34,11 @@ JACKSON = "q"
 DIVIDED_DIFFERENCE = "divided_difference"
 RATIONAL = "rational"
 CUSTOM = "custom"
+
+# The cofactors of every n up to here are kept once asked for, so sweeps
+# over n read them again for free; a row past it, of n + 1 ints as long as
+# the factorials, is built when asked.
+KEPT_COFACTORS = 128
 
 
 class RationalFunction:
@@ -97,9 +105,14 @@ class PsiSequence:
             self._pairs.extend(pairs)
             self._zero_at = next((n for n, (u, _) in enumerate(pairs, 1)
                                   if not u), None)
-        # the Fractions n_psi, built when read; n_psi! = f/g as int pairs
+        # the Fractions n_psi, built when read; n_psi! = f/g as int pairs,
+        # the step factors u/e and v/d of each, the k at which f_k (g_k) is
+        # not a multiple of f_(k-1) (g_(k-1)), and the cofactors asked for
         self._memo = [Fraction(0)]
         self._fact = [(1, 1)]
+        self._steps = ([1], [1])
+        self._breaks = ([], [])
+        self._cofactors = {}
         self._falling = {}
         self._binomial = {}
         self._raising = {}
@@ -214,18 +227,69 @@ class PsiSequence:
         """[(f, g)] with k_psi! = f/g in lowest terms and g > 0, k = 0..n.
 
         Reads the weights 1..n, and none at n = 0.  Each step multiplies by
-        a weight u/v with gcd(f, v) and gcd(u, g) divided out first.
+        a weight u/v with d = gcd(f, v) and e = gcd(u, g) divided out first,
+        so f' = (f/d) (u/e) and g' = (g/e) (v/d).
         """
         if n < 0:
             raise ValueError("factorials are indexed by naturals")
         fact = self._fact
         if len(fact) <= n:
+            (fsteps, gsteps), breaks = self._steps, self._breaks
             f, g = fact[-1]
             for u, v in self._checked(n)[len(fact): n + 1]:
                 d, e = gcd(f, v), gcd(u, g)
-                f, g = f // d * (u // e), g // e * (v // d)
+                if d != 1:
+                    breaks[0].append(len(fact))
+                    f, v = f // d, v // d
+                if e != 1:
+                    breaks[1].append(len(fact))
+                    g, u = g // e, u // e
+                f, g = f * u, g * v
                 fact.append((f, g))
+                fsteps.append(u)
+                gsteps.append(v)
         return fact[: n + 1]
+
+    def cofactors(self, n: int, side: int = 0, low: int = 0) -> tuple:
+        """The reciprocal factorials (side 0) or the factorials (side 1)
+        k_psi! = f_k/g_k, k = low..n, as ints over their least common
+        denominator: (L, [L/k_psi!]) = (L, [g_k (L/f_k)]) with L > 0 the
+        lcm of |f_low|..|f_n|, or (M, [M k_psi!]) = (M, [f_k (M/g_k)]) with
+        M the lcm of g_low..g_n.
+
+        Reads the weights 1..n.  For h_k = f_k (side 0) or g_k (side 1),
+        h_(k-1) divides h_k exactly when the step's d (e) is 1, since
+        gcd(u, v) = 1.  While that chain holds from low to n, the lcm is
+        |h_n| and each cofactor lcm/h_k is the product of the step factors
+        u/e (v/d) from k + 1 to n, signed as h_n: small ints, multiplied
+        from the top down, and no division.  Across a break the lcm is
+        taken and each cofactor is a division.  Each answer from low = 0 up
+        to n = ``KEPT_COFACTORS`` is kept, and handed out again: callers do
+        not change it.
+        """
+        if not low:
+            out = self._cofactors.get((side, n))
+            if out is not None:
+                return out
+        if len(self._fact) <= n:
+            self.factorial_pairs(n)
+        fact = self._fact[low: n + 1]
+        breaks = self._breaks[side]
+        i = bisect_right(breaks, n)
+        if not i or breaks[i - 1] <= low:
+            h = fact[-1][side]
+            quots = list(accumulate(self._steps[side][n: low: -1], mul,
+                                    initial=1 if h > 0 else -1))
+            quots.reverse()
+            den = abs(h)
+        else:
+            hs = [pair[side] for pair in fact]
+            den = lcm(*hs)
+            quots = [den // h for h in hs]
+        out = den, [pair[1 - side] * c for pair, c in zip(fact, quots)]
+        if not low and n <= KEPT_COFACTORS:
+            self._cofactors[side, n] = out
+        return out
 
     def _quotient(self, up: tuple, down: tuple, scale: int = 1) -> Fraction:
         """scale * prod_(i in up) i_psi! / prod_(i in down) i_psi!, on the

@@ -10,8 +10,6 @@ geometric series, the classical one is exp.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .algebra import TruncatedSeries, _series, as_scalar
 from .psi import PsiSequence
 
@@ -21,20 +19,19 @@ def psi_exp_scaled(psi: PsiSequence, alpha, cap: int) -> TruncatedSeries:
 
     As a series in the weighted derivative this is the generalized
     translation by alpha; with classical weights it is exp(alpha*x).
-    With alpha = p/q and k_psi! = f_k/g_k the coefficient at x^k is
-    p^k q^(cap-k) g_k (l/f_k) over q^cap l, for l the lcm of the |f_k|:
+    With alpha = p/q the coefficient at x^k is p^k q^(cap-k) (l/k_psi!)
+    over q^cap l, for l/k_psi! the weights' cofactors over their lcm l:
     ints over one denominator, reduced once.
     """
     if cap < 0:
         raise ValueError("series cap must be >= 0")
     alpha = as_scalar(alpha)
     p, q = alpha.numerator, alpha.denominator
-    fact = psi.factorial_pairs(cap)
-    l = lcm(*(f for f, _ in fact))
+    l, cofactors = psi.cofactors(cap)
     nums = []
     p_pow, q_pow = 1, q ** cap
-    for f, g in fact:
-        nums.append(p_pow * q_pow * g * (l // f))
+    for c in cofactors:
+        nums.append(p_pow * q_pow * c)
         p_pow *= p
         q_pow //= q
     return _series(nums, q ** cap * l, cap)
@@ -48,10 +45,9 @@ def exp_psi_series(psi: PsiSequence, cap: int) -> TruncatedSeries:
 def psi_hyperbolic(psi: PsiSequence, m: int, j: int, cap: int) -> TruncatedSeries:
     """The slice of the weighted exponential with indices = j (mod m).
 
-    With k_psi! = f_k/g_k the coefficient at x^k is g_k (l/f_k) over l, for
-    l the lcm of the |f_k| in the class: ints over one denominator, reduced
-    once.  Reads the weights up to the last index of the class within the
-    cap.
+    The coefficient at x^k is l/k_psi! over l, for l/k_psi! the weights'
+    cofactors up to the last index of the class within the cap: ints over
+    one denominator, reduced once.  Reads the weights up to that index.
     """
     if m < 1:
         raise ValueError("residue modulus must be positive")
@@ -60,10 +56,11 @@ def psi_hyperbolic(psi: PsiSequence, m: int, j: int, cap: int) -> TruncatedSerie
     if cap < 0:
         raise ValueError("series cap must be >= 0")
     top = cap - (cap - j) % m
-    fact = psi.factorial_pairs(top)[j::m] if top >= 0 else []
-    l = lcm(*(f for f, _ in fact))
     nums = [0] * (cap + 1)
-    nums[j::m] = [g * (l // f) for f, g in fact]
+    if top < 0:
+        return _series(nums, 1, cap)
+    l, cofactors = psi.cofactors(top)
+    nums[j::m] = cofactors[j::m]
     return _series(nums, l, cap)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 
 from .algebra import Polynomial, TruncatedSeries, _over_lcm, _series, as_scalar
 from .errors import SelfCheckError
@@ -55,10 +55,10 @@ def star_mul(f, g, psi: PsiSequence, cap: int | None = None) -> TruncatedSeries:
     R^j maps x^i to (i+j)! i_psi!/(i! (i+j)_psi!) x^(i+j), so with
     f = sum a_j x^j and g = sum b_i x^i the coefficient at x^d is
     a_0 b_d + s_d/d_psi!, s_d = sum_(i+j=d, j>=1) a_j u_i perm(d, j) for
-    u_i = b_i i_psi!.  With the factorials f/g that runs on ints: the u_i
-    over the lcm of the g_i, the s_d/d_psi! over the lcm of the f_d, and
-    one reduction.  Reads the weights up to the highest degree a pair with
-    j >= 1 reaches within the cap, and none for the a_0 terms.
+    u_i = b_i i_psi!.  That runs on ints, by the weights' cofactors M i_psi!
+    and L/d_psi!, over M L, with one reduction.  Reads the weights up to
+    the highest degree a pair with j >= 1 reaches within the cap, and none
+    for the a_0 terms.
     """
     a, a_den, fcap = _numerators(f)
     b, b_den, gcap = _numerators(g)
@@ -68,25 +68,24 @@ def star_mul(f, g, psi: PsiSequence, cap: int | None = None) -> TruncatedSeries:
         raise ValueError("series cap must be >= 0")
     b = b[: out_cap + 1]
     top = _top_degree(a, b, out_cap)
-    fact = psi.factorial_pairs(top)
-    g_lcm = lcm(*(g_i for (_, g_i), y in zip(fact, b) if y))
+    m_den, up = psi.cofactors(top, 1)
+    l_den, down = psi.cofactors(top)
     terms = [(j, x) for j, x in enumerate(a[1: top + 1], 1) if x]
     sums = [0] * (top + 1)
-    for i, ((f_i, g_i), y) in enumerate(zip(fact, b)):
+    for i, (w, y) in enumerate(zip(up, b)):
         if y:
-            u = y * f_i * (g_lcm // g_i)
+            u = y * w
             for j, x in terms:
                 d = i + j
                 if d > top:
                     break
                 sums[d] += x * u * perm(d, j)
-    f_lcm = lcm(*(f_d for s, (f_d, _) in zip(sums, fact) if s))
-    scale = f_lcm * g_lcm
+    scale = l_den * m_den
     a_0 = a[0] * scale if a else 0
     nums = [a_0 * y for y in b] + [0] * (out_cap + 1 - len(b))
-    for d, (s, (f_d, g_d)) in enumerate(zip(sums, fact)):
+    for d, (s, w) in enumerate(zip(sums, down)):
         if s:
-            nums[d] += s * g_d * (f_lcm // f_d)
+            nums[d] += s * w
     return _series(nums, scale * a_den * b_den, out_cap)
 
 

@@ -12,8 +12,6 @@ the S factor.  Having both is the point; they must agree exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from math import gcd
 
 from .algebra import (Polynomial, TruncatedSeries, _combination,
                       _from_ints, _generating_sum, _linear_combination,
@@ -32,30 +30,20 @@ def translation_coefficients(psi: PsiSequence, p: Polynomial) -> list:
     so that the shift of p by y is sum_k y^k T_k.
 
     With p = sum_n a_n x^n, the x^m entry of T_k is
-    a_(m+k) (m+k)_psi!/(m_psi! k_psi!); with the factorials f/g that is
-    u_(m+k) (g_m/f_m) (g_k/f_k) for u_n = a_n f_n/g_n, collected on ints
-    over the lcm of the g_n and of the |f_m|.  Reads the weights
-    1..deg p, and none for a zero p, which gives [].
+    a_(m+k) (m+k)_psi!/(m_psi! k_psi!): u_(m+k) (1/m_psi!) (1/k_psi!) for
+    u_n = a_n n_psi!, collected on ints by the weights' cofactors, M n_psi!
+    and L/m_psi!, over M L L.  Reads the weights 1..deg p, and none for a
+    zero p, which gives [].
     """
     a = p._num
     if not a:
         return []
-    fact = psi.factorial_pairs(len(a) - 1)
-    g_lcm = f_lcm = 1
-    for x, (f, g) in zip(a, fact):
-        if x and g_lcm % g:
-            g_lcm = g_lcm // gcd(g_lcm, g) * g
-        if f_lcm % f:
-            f_lcm = f_lcm // gcd(f_lcm, f) * abs(f)
-    u = [x * f * (g_lcm // g) for x, (f, g) in zip(a, fact)]
-    w = [g * (f_lcm // f) for f, g in fact]
-    den = g_lcm * f_lcm * p._den
-    out = []
-    for k, (f, g) in enumerate(fact):
-        scale = g if f > 0 else -g
-        out.append(_from_ints([x * y * scale for x, y in zip(u[k:], w)],
-                              den * abs(f)))
-    return out
+    m_den, up = psi.cofactors(len(a) - 1, 1)
+    l_den, down = psi.cofactors(len(a) - 1)
+    u = [x * w for x, w in zip(a, up)]
+    den = m_den * l_den * l_den * p._den
+    return [_from_ints([x * y * scale for x, y in zip(u[k:], down)], den)
+            for k, scale in enumerate(down)]
 
 
 def translate(psi: PsiSequence, y, p: Polynomial) -> Polynomial:
@@ -126,7 +114,8 @@ def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
 
     Works for any operator that lowers degree by exactly one; shift
     invariance is not needed here.  The table L: x^n -> op(x^(n+1)),
-    n < n_max, keeps degree, so p_n = x L^(-1)(n_psi p_(n-1)).
+    n < n_max, keeps degree, so p_n = x L^(-1)(n_psi p_(n-1)), with
+    n_psi = u/v read as the multiplier u over v.
     """
     if n_max > op.cap:
         raise CapExceededError("n_max %d beyond operator cap %d"
@@ -134,10 +123,11 @@ def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
     _require_lowers_by_one(op, n_max, "")
     inv = _triangular_inverse([op.image(n + 1) for n in range(n_max)])
     polys = [Polynomial.one()]
-    for n in range(1, n_max + 1):
-        target = psi.n_psi(n) * polys[n - 1]
-        polys.append(_combination(zip(target._num, inv, repeat(1)),
-                                  target._den))
+    for u, v in psi.weight_pairs(n_max):
+        p = polys[-1]
+        polys.append(_combination([(u * a, row, 1)
+                                   for a, row in zip(p._num, inv)],
+                                  v * p._den))
     return BasicSequence(polys, psi, op)
 
 

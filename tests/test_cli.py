@@ -91,6 +91,16 @@ def test_basic_at_cap_zero_reads_past_the_table(capsys):
     assert err == "error: operator table stops at degree 0, image of x^1 requested\n"
 
 
+def test_basic_at_a_big_cap_prints_the_small_cap_bytes(capsys):
+    # p_0..p_3 read only the indicator's first terms, so a cap of 300 under
+    # q = 1/2, whose factorials run to thousands of digits, prints what a
+    # cap of 64 prints
+    argv = ("basic", "--op", "Delta", "--psi", "q:1/2", "--n", "3")
+    small = run(capsys, *argv, "--cap", "64")
+    assert small[0] == 0 and "p_3" in small[1]
+    assert run(capsys, *argv, "--cap", "300") == small
+
+
 def test_expand_with_conjugation(capsys):
     code, out, _ = run(capsys, "expand", "--t", "X*D", "--q", "D",
                        "--lambda", "1,1/2", "--format", "json")

@@ -678,7 +678,21 @@ def test_roundtrip_builds_each_base_table_once(monkeypatch):
     results = verify.check_random_roundtrip(8)
     assert [r.passed for r in results] == [True] * 10
     assert len(verify.standard_suite_psis(8)) == 5
-    assert calls.count("unit normal") == calls.count("powers") == 5
+    # the bases there are d itself, whose power table is the identity: none
+    # is built
+    assert calls.count("unit normal") == 5 and calls.count("powers") == 0
+    # a series base that is not d builds its power table once per cap
+    calls.clear()
+    psi = PsiSequence.jackson(Fraction(1, 2), 8)
+    ctx = OperatorContext(8, psi)
+    base = parse_operator("Delta", ctx)
+    rng = random.Random(3)
+    for t in (parse_operator("Xpsi*Dpsi", ctx),
+              verify._random_lowering_op(rng, 8), _random_table(rng, 8)):
+        exp = expand_in_monomials(t, base)
+        assert exp.order == 8
+        assert reconstruct_from_monomial_form(exp, 8).images == t.images
+    assert calls.count("powers") == 1
 
 
 def _series_by_composition(base, coeffs):

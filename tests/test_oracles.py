@@ -1,6 +1,6 @@
-"""Basic sequences, Gaussian binomials, series inverses, the normal
-ordering of D^n X^m and the Poisson weights against classical closed
-forms.
+"""Basic sequences, Gaussian binomials and their alternating sums, series
+inverses, the normal ordering of D^n X^m and the Poisson weights against
+classical closed forms.
 
 The closed forms are the benchmark's oracles in ``perfbench/oracles.py``,
 and the Laguerre coefficients and Jackson exponentials below: plain Fraction
@@ -126,6 +126,45 @@ def test_q_factorial_pairs_match_the_product_closed_form(q):
             product *= 1 - q ** n
         closed = product / (1 - q) ** n
         assert pairs[n] == (closed.numerator, closed.denominator), n
+
+
+def gauss_alternating_sums(q, n_max):
+    """(1 - q)(1 - q^3)...(1 - q^(n-1)) for even n and 0 for odd n,
+    n <= n_max: for q = a/b each factor is (b^j - a^j)/b^j, multiplied on
+    ints."""
+    a, b = q.numerator, q.denominator
+    out = []
+    num = den = 1
+    for n in range(n_max + 1):
+        if n % 2:
+            out.append(Fraction(0))
+            num *= b ** n - a ** n
+            den *= b ** n
+        else:
+            out.append(Fraction(num, den))
+    return out
+
+
+def alternating_binomial_sums(psi, n_max):
+    return [sum((-1) ** k * psi.binomial(n, k) for k in range(n + 1))
+            for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("q", ["2", "1/2", "-2", "3/5"])
+def test_alternating_gaussian_sums_are_gauss_products(q):
+    # sum_k (-1)^k [n, k]_q = (1 - q)(1 - q^3)...(1 - q^(n-1)) for even n
+    # and 0 for odd n (Gauss; Andrews, The Theory of Partitions, 1976,
+    # ch. 3).  The same weights with 5_psi moved by 1 keep every odd sum
+    # at 0, by the symmetry of the binomials, and miss every even product
+    # from n = 6 on.
+    q = Fraction(q)
+    want = gauss_alternating_sums(q, 14)
+    psi = PsiSequence.jackson(q, 14)
+    assert alternating_binomial_sums(psi, 14) == want
+    values = psi.values(14)
+    values[4] += 1
+    got = alternating_binomial_sums(PsiSequence.custom(values), 14)
+    assert [n for n in range(15) if got[n] != want[n]] == [6, 8, 10, 12, 14]
 
 
 @pytest.mark.parametrize("cap", CAPS + (48,))

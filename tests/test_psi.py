@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from psi_umbral.algebra import Polynomial, scalar_to_str
 from psi_umbral.errors import AdmissibilityError, CapExceededError
 from psi_umbral.operators import psi_raise
-from psi_umbral.psi import (PsiSequence, RationalFunction, jackson_bracket,
-                            validate_admissible)
+from psi_umbral.psi import (KEPT_COFACTORS, PsiSequence, RationalFunction,
+                            jackson_bracket, validate_admissible)
 
 
 def test_classical_weights():
@@ -260,6 +261,76 @@ def test_int_factorial_chain_matches_a_fraction_chain(weights):
         for call in (psi.factorial, psi.factorial_pairs):
             with pytest.raises(ValueError):
                 call(n)
+
+
+# -- the cofactor reader against the lcm and its divisions --------------
+
+def _custom(values):
+    return lambda: PsiSequence.custom(values)
+
+
+# f_1 = 2 does not divide f_2 in 2, 1/2, ...; g_1 = 2 does not divide g_2
+# in 1/2, 2, ...; the mixed set breaks both chains more than once and has
+# factorials of either sign
+COFACTOR_WEIGHTS = {
+    "classical": lambda: PsiSequence.classical(60),
+    "squares": _custom([n * n for n in range(1, 61)]),
+    "negative integers": _custom([-n for n in range(1, 61)]),
+    "f chain breaks": _custom([2, Fraction(1, 2)] + list(range(3, 61))),
+    "g chain breaks": _custom([Fraction(1, 2), 2] + list(range(3, 61))),
+    "both chains break": _custom(
+        [-1, 2, -3, Fraction(1, 2), 5, Fraction(-7, 4), 4, Fraction(9, 8), -6]
+        + [Fraction(n, 3 - n % 3) for n in range(10, 61)]),
+}
+for _q in ("1/2", "-1/2", "2", "-2", "3/5", "0", "7/3"):
+    COFACTOR_WEIGHTS["q=" + _q] = partial(PsiSequence.jackson, Fraction(_q), 60)
+BROKEN = {"f chain breaks": (0,), "g chain breaks": (1,),
+          "both chains break": (0, 1)}
+
+
+def _lcm_and_quotients(psi, n, side, low=0):
+    """The factorials k_psi! = f_k/g_k, k = low..n, by the lcm and its
+    divisions: (L, [g_k (L // f_k)]) for L the lcm of the f_k (side 0), and
+    (M, [f_k (M // g_k)]) for M the lcm of the g_k (side 1)."""
+    pairs = psi.factorial_pairs(n)[low:]
+    l = lcm(*(pair[side] for pair in pairs))
+    return l, [pair[1 - side] * (l // pair[side]) for pair in pairs]
+
+
+@pytest.mark.parametrize("weights", sorted(COFACTOR_WEIGHTS))
+def test_cofactors_are_the_lcm_and_its_quotients(weights):
+    psi = COFACTOR_WEIGHTS[weights]()
+    fact = psi.factorial_pairs(60)
+    for side in (0, 1):
+        hs = [pair[side] for pair in fact]
+        breaks = [k for k in range(1, 61) if hs[k] % hs[k - 1]]
+        assert bool(breaks) == (side in BROKEN.get(weights, ()))
+        # rising n, then repeats and smaller n, as the callers ask
+        for n in list(range(61)) + [60, 17, 60, 0, 33]:
+            assert psi.cofactors(n, side) == _lcm_and_quotients(psi, n, side)
+        for n, low in ((60, 59), (60, 30), (41, 2), (7, 7), (60, 1)):
+            assert (psi.cofactors(n, side, low)
+                    == _lcm_and_quotients(psi, n, side, low))
+    if weights in ("negative integers", "q=-2", "both chains break"):
+        assert any(f < 0 for f, _ in fact)
+    # a window's answer is not the whole range's
+    fresh = COFACTOR_WEIGHTS[weights]()
+    for side in (0, 1):
+        assert (fresh.cofactors(20, side, 12)
+                == _lcm_and_quotients(psi, 20, side, 12))
+        assert fresh.cofactors(20, side) == _lcm_and_quotients(psi, 20, side)
+
+
+def test_cofactors_read_the_weights_they_need():
+    psi = PsiSequence.jackson(Fraction(-1, 2), 0)
+    assert psi.cofactors(30, 1) == _lcm_and_quotients(
+        PsiSequence.jackson(Fraction(-1, 2), 30), 30, 1)
+    assert psi.stored_cap == 30
+    # past the rows it keeps the reader builds each answer again
+    top = KEPT_COFACTORS + 2
+    want = _lcm_and_quotients(PsiSequence.jackson(Fraction(-1, 2), top),
+                              top, 0)
+    assert psi.cofactors(top) == want and psi.cofactors(top) == want
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 2), 2, Fraction(-1, 2), -2, 0,
@@ -520,6 +591,8 @@ READERS = {
     "values": lambda psi, n: psi.values(n),
     "weight_pairs": lambda psi, n: psi.weight_pairs(n),
     "factorial_pairs": lambda psi, n: psi.factorial_pairs(n),
+    "cofactors": lambda psi, n: psi.cofactors(n),
+    "cofactors of g": lambda psi, n: psi.cofactors(n, 1),
     "factorial": lambda psi, n: psi.factorial(n),
     "falling": lambda psi, n: psi.falling(n, 1),
     "binomial": lambda psi, n: psi.binomial(n, 1),

@@ -7,7 +7,8 @@
 - Only standard-library absolute imports, matching ``dependencies = []``.
 - ``verify`` states its identities through ``binomial``, ``falling`` and
   ``raising_ratio``, the values it checks, and never reads the factorial
-  pairs or the quotient behind them.
+  pairs, the quotient behind them or the cofactors the other modules
+  scale by, so each check compares routes that share no such reader.
 - Every top-level private function is used somewhere in the package
   outside its own body, so a helper merged away cannot linger.
 - Every member of ``verify.SUITES`` is a public ``check_*`` function of
@@ -90,7 +91,8 @@ def _identifier(node):
 def test_verify_reads_no_factorial_pairs():
     path = SRC / "verify.py"
     found = [_where(path, n) for n in _nodes(path)
-             if _identifier(n) in ("factorial_pairs", "_quotient")]
+             if _identifier(n) in ("factorial_pairs", "_quotient",
+                                   "cofactors")]
     assert found == []
 
 
