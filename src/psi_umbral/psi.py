@@ -35,10 +35,11 @@ DIVIDED_DIFFERENCE = "divided_difference"
 RATIONAL = "rational"
 CUSTOM = "custom"
 
-# The cofactors of every n up to here are kept once asked for, so sweeps
-# over n read them again for free; a row past it, of n + 1 ints as long as
-# the factorials, is built when asked.
-KEPT_COFACTORS = 128
+# The cofactors of each n up to here are kept once asked for: building so
+# short a row costs more than reading it, and repeated sweeps over n read
+# them again.  A longer row, n + 1 ints as long as the factorials, is built
+# each time it is asked for, so no sweep keeps an O(n^2) triangle of them.
+KEPT_COFACTORS = 32
 
 
 class RationalFunction:
