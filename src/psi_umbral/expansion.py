@@ -116,8 +116,11 @@ def _power_rows(powers) -> list:
 
 def _series_tables(base: SeriesOperator, cap: int) -> list:
     """The rows of the base's power table at ``cap``, built once per base
-    and cap; the base d itself, whose every row is None, builds none."""
-    if base.series.truncated(cap) == TruncatedSeries.identity(cap):
+    and cap.  The base d itself, a series with c_1 = 1 and no other term
+    up to the cap (c_0 = 0 for every base), has every row None and builds
+    none."""
+    nums = base.series._num
+    if nums[1: 2] == (base.series._den,) and not any(nums[2: cap + 1]):
         return [None] * (cap + 1)
     return _derived(base, ("series route", cap),
                     lambda: _power_rows(_series_powers(base.series, cap)))

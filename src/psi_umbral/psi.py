@@ -107,10 +107,12 @@ class PsiSequence:
             self._zero_at = next((n for n, (u, _) in enumerate(pairs, 1)
                                   if not u), None)
         # the Fractions n_psi, built when read; n_psi! = f/g as int pairs,
-        # the step factors u/e and v/d of each, the k at which f_k (g_k) is
-        # not a multiple of f_(k-1) (g_(k-1)), and the cofactors asked for
+        # and by side the f and the g, the step factors u/e and v/d, and the
+        # k at which f_k (g_k) is not a multiple of f_(k-1) (g_(k-1)); the
+        # cofactors asked for
         self._memo = [Fraction(0)]
         self._fact = [(1, 1)]
+        self._sides = ([1], [1])
         self._steps = ([1], [1])
         self._breaks = ([], [])
         self._cofactors = {}
@@ -235,7 +237,8 @@ class PsiSequence:
             raise ValueError("factorials are indexed by naturals")
         fact = self._fact
         if len(fact) <= n:
-            (fsteps, gsteps), breaks = self._steps, self._breaks
+            (fs, gs), (fsteps, gsteps) = self._sides, self._steps
+            breaks = self._breaks
             f, g = fact[-1]
             for u, v in self._checked(n)[len(fact): n + 1]:
                 d, e = gcd(f, v), gcd(u, g)
@@ -247,6 +250,8 @@ class PsiSequence:
                     g, u = g // e, u // e
                 f, g = f * u, g * v
                 fact.append((f, g))
+                fs.append(f)
+                gs.append(g)
                 fsteps.append(u)
                 gsteps.append(v)
         return fact[: n + 1]
@@ -274,20 +279,18 @@ class PsiSequence:
                 return out
         if len(self._fact) <= n:
             self.factorial_pairs(n)
-        fact = self._fact[low: n + 1]
+        hs = self._sides[side][low: n + 1]
         breaks = self._breaks[side]
         i = bisect_right(breaks, n)
         if not i or breaks[i - 1] <= low:
-            h = fact[-1][side]
             quots = list(accumulate(self._steps[side][n: low: -1], mul,
-                                    initial=1 if h > 0 else -1))
+                                    initial=1 if hs[-1] > 0 else -1))
             quots.reverse()
-            den = abs(h)
+            den = abs(hs[-1])
         else:
-            hs = [pair[side] for pair in fact]
             den = lcm(*hs)
             quots = [den // h for h in hs]
-        out = den, [pair[1 - side] * c for pair, c in zip(fact, quots)]
+        out = den, list(map(mul, self._sides[1 - side][low: n + 1], quots))
         if not low and n <= KEPT_COFACTORS:
             self._cofactors[side, n] = out
         return out
