@@ -87,18 +87,20 @@ def apply_psi_series(coeffs, psi: PsiSequence, p: Polynomial) -> Polynomial:
     ``coeffs`` is a TruncatedSeries or a sequence of scalars.  With
     p = sum_n a_n x^n the image has sum_k c_k a_(m+k) (m+k)_psi!/m_psi! at
     x^m: sum_k c_k u_(m+k) / m_psi! for u_n = a_n n_psi!, collected on ints
-    by the weights' cofactors, M n_psi! and L/m_psi!, over M L.  Reads the
-    weights 1..deg p, and none for a zero p or an empty series.
+    by the weights' cofactors, M n_psi! from the lowest term of p up and
+    L/m_psi!, over M L.  Reads the weights 1..deg p, and none for a zero p
+    or an empty series.
     """
     c, c_den = _series_numerators(coeffs)
     a = p._num
     if not c or not a:
         return Polynomial()
-    m_den, up = psi.cofactors(len(a) - 1, 1)
+    low = next(n for n, x in enumerate(a) if x)
+    m_den, up = psi.cofactors(len(a) - 1, 1, low)
     l_den, down = psi.cofactors(len(a) - 1)
     terms = [(k, y) for k, y in enumerate(c[: len(a)]) if y]
     sums = [0] * len(a)
-    for n, (x, w) in enumerate(zip(a, up)):
+    for n, (x, w) in enumerate(zip(a[low:], up), low):
         if x:
             u = x * w
             for k, y in terms:

@@ -24,7 +24,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, perm
-from operator import mul
+from operator import itemgetter, mul
 
 from .algebra import Polynomial, as_scalar, scalar_from_str, scalar_to_str
 from .errors import AdmissibilityError, CapExceededError
@@ -107,14 +107,11 @@ class PsiSequence:
             self._zero_at = next((n for n, (u, _) in enumerate(pairs, 1)
                                   if not u), None)
         # the Fractions n_psi, built when read; n_psi! = f/g as int pairs,
-        # and by side the f and the g, the step factors u/e and v/d, and the
-        # k at which f_k (g_k) is not a multiple of f_(k-1) (g_(k-1)); the
-        # cofactors asked for
+        # the steps k whose weight shares a factor with the factorial before
+        # it, and the cofactors asked for
         self._memo = [Fraction(0)]
         self._fact = [(1, 1)]
-        self._sides = ([1], [1])
-        self._steps = ([1], [1])
-        self._breaks = ([], [])
+        self._breaks = []
         self._cofactors = {}
         self._falling = {}
         self._binomial = {}
@@ -231,29 +228,21 @@ class PsiSequence:
 
         Reads the weights 1..n, and none at n = 0.  Each step multiplies by
         a weight u/v with d = gcd(f, v) and e = gcd(u, g) divided out first,
-        so f' = (f/d) (u/e) and g' = (g/e) (v/d).
+        so f' = (f/d) (u/e) and g' = (g/e) (v/d); a step with d or e not 1
+        is noted as a break.
         """
         if n < 0:
             raise ValueError("factorials are indexed by naturals")
         fact = self._fact
         if len(fact) <= n:
-            (fs, gs), (fsteps, gsteps) = self._sides, self._steps
-            breaks = self._breaks
             f, g = fact[-1]
             for u, v in self._checked(n)[len(fact): n + 1]:
                 d, e = gcd(f, v), gcd(u, g)
-                if d != 1:
-                    breaks[0].append(len(fact))
-                    f, v = f // d, v // d
-                if e != 1:
-                    breaks[1].append(len(fact))
-                    g, u = g // e, u // e
+                if d != 1 or e != 1:
+                    self._breaks.append(len(fact))
+                    f, g, u, v = f // d, g // e, u // e, v // d
                 f, g = f * u, g * v
                 fact.append((f, g))
-                fs.append(f)
-                gs.append(g)
-                fsteps.append(u)
-                gsteps.append(v)
         return fact[: n + 1]
 
     def cofactors(self, n: int, side: int = 0, low: int = 0) -> tuple:
@@ -263,15 +252,14 @@ class PsiSequence:
         lcm of |f_low|..|f_n|, or (M, [M k_psi!]) = (M, [f_k (M/g_k)]) with
         M the lcm of g_low..g_n.
 
-        Reads the weights 1..n.  For h_k = f_k (side 0) or g_k (side 1),
-        h_(k-1) divides h_k exactly when the step's d (e) is 1, since
-        gcd(u, v) = 1.  While that chain holds from low to n, the lcm is
-        |h_n| and each cofactor lcm/h_k is the product of the step factors
-        u/e (v/d) from k + 1 to n, signed as h_n: small ints, multiplied
-        from the top down, and no division.  Across a break the lcm is
-        taken and each cofactor is a division.  Each answer from low = 0 up
-        to n = ``KEPT_COFACTORS`` is kept, and handed out again: callers do
-        not change it.
+        Reads the weights 1..n.  From low to n with no break, each step
+        multiplies f by its weight's u and g by its v, so with h_k = f_k
+        (side 0) or g_k (side 1) the lcm is |h_n| and each cofactor lcm/h_k
+        is the product of the weights' u (v) from k + 1 to n, signed as h_n:
+        small ints, multiplied from the top down, and no division.  Across
+        a break the lcm is taken and each cofactor is a division.  Each
+        answer from low = 0 up to n = ``KEPT_COFACTORS`` is kept, and handed
+        out again: callers do not change it.
         """
         if not low:
             out = self._cofactors.get((side, n))
@@ -279,18 +267,20 @@ class PsiSequence:
                 return out
         if len(self._fact) <= n:
             self.factorial_pairs(n)
-        hs = self._sides[side][low: n + 1]
-        breaks = self._breaks[side]
+        pairs = self._fact[low: n + 1]
+        h = pairs[-1][side]
+        breaks = self._breaks
         i = bisect_right(breaks, n)
         if not i or breaks[i - 1] <= low:
-            quots = list(accumulate(self._steps[side][n: low: -1], mul,
-                                    initial=1 if hs[-1] > 0 else -1))
+            quots = list(accumulate(
+                map(itemgetter(side), self._pairs[n: low: -1]), mul,
+                initial=1 if h > 0 else -1))
             quots.reverse()
-            den = abs(hs[-1])
+            den = abs(h)
         else:
-            den = lcm(*hs)
-            quots = [den // h for h in hs]
-        out = den, list(map(mul, self._sides[1 - side][low: n + 1], quots))
+            den = lcm(*map(itemgetter(side), pairs))
+            quots = [den // pair[side] for pair in pairs]
+        out = den, list(map(mul, map(itemgetter(1 - side), pairs), quots))
         if not low and n <= KEPT_COFACTORS:
             self._cofactors[side, n] = out
         return out
