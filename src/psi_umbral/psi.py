@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm, perm
-from operator import itemgetter, mul
 
 from .algebra import Polynomial, as_scalar, scalar_from_str, scalar_to_str
 from .errors import AdmissibilityError, CapExceededError
@@ -267,20 +265,22 @@ class PsiSequence:
                 return out
         if len(self._fact) <= n:
             self.factorial_pairs(n)
-        pairs = self._fact[low: n + 1]
-        h = pairs[-1][side]
+        fact, other = self._fact, 1 - side
+        h = fact[n][side]
         breaks = self._breaks
         i = bisect_right(breaks, n)
         if not i or breaks[i - 1] <= low:
-            quots = list(accumulate(
-                map(itemgetter(side), self._pairs[n: low: -1]), mul,
-                initial=1 if h > 0 else -1))
-            quots.reverse()
-            den = abs(h)
+            m = 1 if h > 0 else -1
+            row = [0] * (n - low) + [fact[n][other] * m]
+            weights = self._pairs
+            for k in range(n, low, -1):
+                m *= weights[k][side]
+                row[k - 1 - low] = fact[k - 1][other] * m
+            out = abs(h), row
         else:
-            den = lcm(*map(itemgetter(side), pairs))
-            quots = [den // pair[side] for pair in pairs]
-        out = den, list(map(mul, map(itemgetter(1 - side), pairs), quots))
+            pairs = fact[low: n + 1]
+            den = lcm(*(pair[side] for pair in pairs))
+            out = den, [pair[other] * (den // pair[side]) for pair in pairs]
         if not low and n <= KEPT_COFACTORS:
             self._cofactors[side, n] = out
         return out
