@@ -22,12 +22,15 @@ reconstruct to the series value F = sum q_n s^n, and two series values in
 one weights object compare by their series, so such a round trip builds
 no row of either table.
 
-A series base keeps what the route reads of it and nothing of T: the
-factorials of its weights and the rows of its power table, per cap, and
-the unit-normal sequence the conjugation check divides by, per order.
-Every operator expanded in one base, and every reconstruction, then reads
-them without building them again, as a delta operator keeps its reverted
-indicator; a plain-table base keeps nothing.
+A series base keeps what the route reads of it and nothing of T: the rows
+of its power table, per cap, and the unit-normal sequence the conjugation
+check divides by, per order.  The base d itself keeps no power table: its
+powers z^n make the table the identity, so step 2 is q_m = F_m.  Every
+operator expanded in one base, and every reconstruction, then reads them
+without building them again, as a delta operator keeps its reverted
+indicator; a plain-table base keeps nothing.  The multipliers 1/j_psi! of
+step 1 and of the reconstruction are the weights' cofactors, which the
+weights object keeps for short rows.
 
 A dual variant replaces multiplication by x with the raising partner of Q
 and the monomials with Q's basic sequence; it is the monomial form

@@ -16,6 +16,16 @@ stored pairs.  The falling factorials n_psi!/(n-k)_psi!, the generalized
 binomial coefficients n_psi!/(k_psi! (n-k)_psi!) and the raising ratios
 (k+j)! k_psi!/(k! (k+j)_psi!) are each one memoized quotient of the stored
 factorial pairs, as in Ward's calculus of sequences.
+
+Every other quotient of factorials is read from ``cofactors``: the
+factorials k_psi! = f_k/g_k, or their reciprocals, as ints over their
+least common denominator.  A factorial step multiplies f/g by a weight
+u/v with d = gcd(f, v) and e = gcd(u, g) divided out first; while d and e
+are 1 the step multiplies f by u and g by v, so each f_k divides the next
+and the lcm of f_0..f_n is |f_n|.  The steps where that fails are noted as
+breaks.  Between breaks the cofactors L/f_k are suffix products of the
+weights' u (and M/g_k of their v): small ints, multiplied from the top
+down, with no big division.  Across a break the lcm is taken.
 """
 
 from __future__ import annotations
@@ -276,11 +286,12 @@ class PsiSequence:
             for k in range(n, low, -1):
                 m *= weights[k][side]
                 row[k - 1 - low] = fact[k - 1][other] * m
-            out = abs(h), row
+            out = abs(h), tuple(row)
         else:
             pairs = fact[low: n + 1]
             den = lcm(*(pair[side] for pair in pairs))
-            out = den, [pair[other] * (den // pair[side]) for pair in pairs]
+            out = den, tuple(pair[other] * (den // pair[side])
+                             for pair in pairs)
         if not low and n <= KEPT_COFACTORS:
             self._cofactors[side, n] = out
         return out

@@ -294,7 +294,7 @@ def _lcm_and_quotients(psi, n, side, low=0):
     (M, [f_k (M // g_k)]) for M the lcm of the g_k (side 1)."""
     pairs = psi.factorial_pairs(n)[low:]
     l = lcm(*(pair[side] for pair in pairs))
-    return l, [pair[1 - side] * (l // pair[side]) for pair in pairs]
+    return l, tuple(pair[1 - side] * (l // pair[side]) for pair in pairs)
 
 
 @pytest.mark.parametrize("weights", sorted(COFACTOR_WEIGHTS))
