@@ -256,18 +256,15 @@ class PsiSequence:
     def cofactors(self, n: int, side: int = 0, low: int = 0) -> tuple:
         """The reciprocal factorials (side 0) or the factorials (side 1)
         k_psi! = f_k/g_k, k = low..n, as ints over their least common
-        denominator: (L, [L/k_psi!]) = (L, [g_k (L/f_k)]) with L > 0 the
-        lcm of |f_low|..|f_n|, or (M, [M k_psi!]) = (M, [f_k (M/g_k)]) with
-        M the lcm of g_low..g_n.
+        denominator: (L, (L/k_psi!, ...)) = (L, (g_k (L/f_k), ...)) with
+        L > 0 the lcm of |f_low|..|f_n|, or (M, (M k_psi!, ...)) =
+        (M, (f_k (M/g_k), ...)) with M the lcm of g_low..g_n.
 
-        Reads the weights 1..n.  From low to n with no break, each step
-        multiplies f by its weight's u and g by its v, so with h_k = f_k
-        (side 0) or g_k (side 1) the lcm is |h_n| and each cofactor lcm/h_k
-        is the product of the weights' u (v) from k + 1 to n, signed as h_n:
-        small ints, multiplied from the top down, and no division.  Across
-        a break the lcm is taken and each cofactor is a division.  Each
-        answer from low = 0 up to n = ``KEPT_COFACTORS`` is kept, and handed
-        out again: callers do not change it.
+        Reads the weights 1..n.  With no break from low to n each quotient
+        L/f_k (M/g_k) is the product of the weights' u (v) from k + 1 to n,
+        signed as f_n (g_n), built from the top down; across a break the lcm
+        is taken.  The answers from low = 0 up to n = ``KEPT_COFACTORS`` are
+        kept and handed out again.
         """
         if not low:
             out = self._cofactors.get((side, n))
