@@ -2,11 +2,16 @@
 
 All coefficients are exact rationals; nothing in this module (or anything
 built on it) touches floating point.  Polynomials and series are dense
-and immutable, and both keep int numerators over one denominator in lowest
-terms: the arithmetic runs on ints, and Fractions are built only when
-coefficients are read.  Truncated series carry an explicit cap: a series
-with cap c knows its coefficients up to and including degree c and nothing
-beyond, and every operation propagates the smallest cap of its inputs.
+and immutable, and both are one private core, ``_Numerators``: int
+numerators over one positive denominator in lowest terms, with the
+accessors, negation, scalar multiples and equality that read that form.
+The arithmetic runs on ints, and Fractions are built only when
+coefficients are read.  Every value is made by one raw constructor,
+``_raw(nums, den, cap)``, or reduced to lowest terms by one reducer,
+``_from_ints(nums, den, cap)``; a polynomial has cap None.  Truncated
+series carry an explicit cap: a series with cap c knows its coefficients
+up to and including degree c and nothing beyond, and every operation
+propagates the smallest cap of its inputs.
 """
 
 from __future__ import annotations
@@ -62,17 +67,60 @@ def scalar_from_str(text: str) -> Fraction:
     return as_scalar(str(text))
 
 
-class Polynomial:
-    """Dense polynomial with rational coefficients, constant term first.
-
-    Stored as a tuple of int numerators over one positive int denominator,
-    in lowest terms: no trailing zero numerator, gcd(den, *nums) = 1, and
-    ((), 1) for zero.  The form is unique, so equality is a tuple compare,
-    and the arithmetic runs on ints.  ``coeffs`` and the other coefficient
-    accessors build Fractions on demand.
-    """
+class _Numerators:
+    """A tuple of int numerators over one positive int denominator, in
+    lowest terms: gcd(den, *nums) = 1.  ``_cap`` is None for a polynomial
+    and the cap of a series.  ``coeffs`` and the other accessors build
+    Fractions on demand.  Two values of one type and cap are equal when
+    their forms are; across caps, up to the smaller cap."""
 
     __slots__ = ("_num", "_den")
+
+    @property
+    def coeffs(self) -> tuple:
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
+
+    @property
+    def constant_term(self) -> Fraction:
+        return Fraction(self._num[0], self._den) if self._num else Fraction(0)
+
+    def __neg__(self):
+        return _raw(tuple(-a for a in self._num), self._den, self._cap)
+
+    def _scaled(self, other):
+        """self times an exact scalar."""
+        c = as_scalar(other)
+        p = c.numerator
+        return _from_ints([a * p for a in self._num],
+                          self._den * c.denominator, self._cap)
+
+    def _over(self, other, noun: str):
+        """self divided by a nonzero exact scalar."""
+        c = as_scalar(other)
+        if c == 0:
+            raise ZeroDivisionError("division of a %s by zero" % noun)
+        return self * (Fraction(1) / c)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._cap == other._cap:
+            return self._num == other._num and self._den == other._den
+        a, b = self._den, other._den
+        return all(x * b == y * a for x, y in zip(self._num, other._num))
+
+
+class Polynomial(_Numerators):
+    """Dense polynomial with rational coefficients, constant term first.
+
+    Stored as int numerators over one denominator with no trailing zero
+    numerator, and ((), 1) for zero.  The form is unique, so equality is a
+    tuple compare and a polynomial can be hashed.
+    """
+
+    __slots__ = ()
+    _cap = None
 
     def __init__(self, coeffs=()):
         cs = [as_scalar(c) for c in coeffs]
@@ -103,11 +151,6 @@ class Polynomial:
         return _raw((0,) * n + (c.numerator,), c.denominator)
 
     @property
-    def coeffs(self) -> tuple:
-        den = self._den
-        return tuple(Fraction(a, den) for a in self._num)
-
-    @property
     def degree(self):
         """Degree as an int, or NEG_INF for the zero polynomial."""
         if not self._num:
@@ -124,10 +167,6 @@ class Polynomial:
         return Fraction(0)
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.coefficient(0)
-
-    @property
     def leading_coefficient(self) -> Fraction:
         return self.coefficient(len(self._num) - 1)
 
@@ -141,9 +180,6 @@ class Polynomial:
             return NotImplemented
         return _combination(((1, self, 0), (-1, other, 0)), 1)
 
-    def __neg__(self):
-        return _raw(tuple(-a for a in self._num), self._den)
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             a, b = self._num, other._num
@@ -151,17 +187,12 @@ class Polynomial:
                 return Polynomial()
             return _from_ints(_product(a, b, len(a) + len(b) - 2),
                               self._den * other._den)
-        c = as_scalar(other)
-        p = c.numerator
-        return _from_ints([a * p for a in self._num], self._den * c.denominator)
+        return self._scaled(other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c = as_scalar(other)
-        if c == 0:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (Fraction(1) / c)
+        return self._over(other, "polynomial")
 
     def __pow__(self, k: int):
         if k < 0:
@@ -197,11 +228,6 @@ class Polynomial:
 
     def truncated(self, deg: int) -> "Polynomial":
         return _from_ints(self._num[: deg + 1], self._den)
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self._num == other._num and self._den == other._den
-        return NotImplemented
 
     def __hash__(self):
         return hash((self._num, self._den))
@@ -242,23 +268,32 @@ def _pairs_over_lcm(pairs):
     return [a * (den // d) if a else 0 for a, d in pairs], den
 
 
-def _raw(nums: tuple, den: int) -> Polynomial:
-    """A Polynomial from numerators and a denominator already in lowest terms."""
-    p = object.__new__(Polynomial)
-    p._num = nums
-    p._den = den
-    return p
+def _raw(nums: tuple, den: int, cap: int | None = None):
+    """A Polynomial (cap None) or a series with that cap, from numerators
+    and a denominator already in lowest terms."""
+    if cap is None:
+        v = object.__new__(Polynomial)
+    else:
+        v = object.__new__(TruncatedSeries)
+        v._cap = cap
+    v._num = nums
+    v._den = den
+    return v
 
 
-def _from_ints(nums, den: int) -> Polynomial:
-    """sum nums[i]/den x^i for ints nums and an int den > 0, in lowest terms."""
-    n = len(nums)
-    while n and not nums[n - 1]:
-        n -= 1
-    if not n:
-        return _raw((), 1)
-    nums, den = _lowest_terms(nums[:n], den)
-    return _raw(tuple(nums), den)
+def _from_ints(nums, den: int, cap: int | None = None):
+    """sum nums[i]/den x^i for ints nums and an int den > 0, in lowest terms:
+    a Polynomial without trailing zeros, or for an int cap the series of
+    the cap + 1 numerators."""
+    if cap is None:
+        n = len(nums)
+        while n and not nums[n - 1]:
+            n -= 1
+        if not n:
+            return _raw((), 1)
+        nums = nums[:n]
+    nums, den = _lowest_terms(nums, den)
+    return _raw(tuple(nums), den, cap)
 
 
 def _combination(terms, den: int) -> Polynomial:
@@ -365,18 +400,16 @@ def format_polynomial(p: Polynomial, var: str = "x") -> str:
     return text
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Numerators):
     """Power series known through degree ``cap`` inclusive.
 
-    Stored like a polynomial: a tuple of exactly cap + 1 int numerators
-    over one positive int denominator, in lowest terms (zero is all zeros
-    over 1), so the arithmetic runs on ints and ``coeffs`` and the other
-    accessors build Fractions on demand.  Equality compares coefficients
-    up to the smaller cap of the two sides, which is the only honest
-    comparison two truncations support; series are therefore unhashable.
+    Stored like a polynomial, as exactly cap + 1 numerators (zero is all
+    zeros over 1).  Equality compares coefficients up to the smaller cap
+    of the two sides, which is the only honest comparison two truncations
+    support; series are therefore unhashable.
     """
 
-    __slots__ = ("_num", "_den", "_cap")
+    __slots__ = ("_cap",)
 
     def __init__(self, coeffs, cap: int):
         if cap < 0:
@@ -408,19 +441,10 @@ class TruncatedSeries:
     def cap(self) -> int:
         return self._cap
 
-    @property
-    def coeffs(self) -> tuple:
-        den = self._den
-        return tuple(Fraction(a, den) for a in self._num)
-
     def coefficient(self, i: int) -> Fraction:
         if i > self._cap:
             raise IndexError("coefficient %d beyond cap %d" % (i, self._cap))
         return Fraction(self._num[i], self._den)
-
-    @property
-    def constant_term(self) -> Fraction:
-        return Fraction(self._num[0], self._den)
 
     def as_polynomial(self) -> Polynomial:
         return _from_ints(self._num, self._den)
@@ -429,7 +453,7 @@ class TruncatedSeries:
         if cap > self._cap:
             raise ValueError("cannot extend a truncated series (cap %d -> %d)"
                              % (self._cap, cap))
-        return _series(self._num[: cap + 1], self._den, cap)
+        return _from_ints(self._num[: cap + 1], self._den, cap)
 
     def _common_cap(self, other) -> int:
         return min(self._cap, other._cap)
@@ -439,9 +463,9 @@ class TruncatedSeries:
         a, b = self._den, other._den
         lcm = a // gcd(a, b) * b
         ma, mb = lcm // a, sign * (lcm // b)
-        return _series([x * ma + y * mb
-                        for x, y in zip(self._num[: cap + 1], other._num)],
-                       lcm, cap)
+        return _from_ints([x * ma + y * mb
+                           for x, y in zip(self._num[: cap + 1], other._num)],
+                          lcm, cap)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -453,18 +477,12 @@ class TruncatedSeries:
             return NotImplemented
         return self._sum(other, -1)
 
-    def __neg__(self):
-        return _raw_series(tuple(-a for a in self._num), self._den, self._cap)
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             cap = self._common_cap(other)
-            return _series(_product(self._num, other._num, cap),
-                           self._den * other._den, cap)
-        c = as_scalar(other)
-        p = c.numerator
-        return _series([a * p for a in self._num], self._den * c.denominator,
-                       self._cap)
+            return _from_ints(_product(self._num, other._num, cap),
+                              self._den * other._den, cap)
+        return self._scaled(other)
 
     __rmul__ = __mul__
 
@@ -507,7 +525,7 @@ class TruncatedSeries:
                 acc = [x * m for x in acc]
             acc[0] += a[k] * (lcm // a_den)
             acc, den = _lowest_terms(acc, lcm)
-        return _series(acc, den, cap)
+        return _from_ints(acc, den, cap)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term.
@@ -545,16 +563,13 @@ class TruncatedSeries:
             c.append(-s // g)
         # self = sign * A / den, so its inverse is sign * den * c_n / d.
         den = sign * self._den
-        return _series([den * x for x in c], d, cap)
+        return _from_ints([den * x for x in c], d, cap)
 
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
             cap = self._common_cap(other)
             return self.truncated(cap) * other.truncated(cap).inverse()
-        c = as_scalar(other)
-        if c == 0:
-            raise ZeroDivisionError("division of a series by zero")
-        return self * (Fraction(1) / c)
+        return self._over(other, "series")
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g(z)) = z = g(self(z)).
@@ -569,7 +584,7 @@ class TruncatedSeries:
         cap = self._cap
         if cap < 1 or not self._num[1]:
             raise NonInvertibleError("reversion needs a nonzero linear coefficient")
-        h = _series(self._num[1:], self._den, cap - 1).inverse()
+        h = _from_ints(self._num[1:], self._den, cap - 1).inverse()
         g = [Fraction(0)] * (cap + 1)
         hn = h
         for n in range(1, cap + 1):
@@ -586,18 +601,8 @@ class TruncatedSeries:
         if self._cap == 0:
             return TruncatedSeries.zero(0)
         a = self._num
-        return _series([i * a[i] for i in range(1, self._cap + 1)], self._den,
-                       self._cap - 1)
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedSeries):
-            if self._cap == other._cap:
-                return self._den == other._den and self._num == other._num
-            a, b = self._den, other._den
-            return all(x * b == y * a for x, y in zip(self._num, other._num))
-        return NotImplemented
-
-    __hash__ = None
+        return _from_ints([i * a[i] for i in range(1, self._cap + 1)],
+                          self._den, self._cap - 1)
 
     def __repr__(self):
         return "TruncatedSeries(%r, cap=%d)" % (self.coeffs, self._cap)
@@ -610,21 +615,6 @@ class TruncatedSeries:
     def from_json(cls, data) -> "TruncatedSeries":
         return cls(tuple(scalar_from_str(c) for c in data["coeffs"]),
                    int(data["cap"]))
-
-
-def _raw_series(nums: tuple, den: int, cap: int) -> TruncatedSeries:
-    """A series from cap + 1 numerators and a denominator in lowest terms."""
-    s = object.__new__(TruncatedSeries)
-    s._num = nums
-    s._den = den
-    s._cap = cap
-    return s
-
-
-def _series(nums, den: int, cap: int) -> TruncatedSeries:
-    """sum nums[i]/den z^i for cap + 1 ints nums and an int den > 0."""
-    nums, den = _lowest_terms(nums, den)
-    return _raw_series(tuple(nums), den, cap)
 
 
 def _lowest_terms(nums, den: int):

@@ -35,7 +35,7 @@ from math import gcd
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
                       _linear_combination, _lowest_pair, _over_lcm,
-                      _pairs_over_lcm, _raw, _raw_series, as_scalar)
+                      _pairs_over_lcm, _raw, as_scalar)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, NotShiftInvariantError,
                      SelfCheckError)
@@ -609,7 +609,7 @@ def _series_and_witness(op: GradedOperator, psi: PsiSequence):
         x, y = gcd(a, f), gcd(g, d)
         parts.append((a // x * (g // y), d // y * (f // x)))
     nums, den = _pairs_over_lcm(parts)
-    c = _raw_series(tuple(nums), den, op.cap)
+    c = _raw(tuple(nums), den, op.cap)
     model = map(SeriesOperator(c, psi).image, range(op.cap + 1))
     for n, (img, want) in enumerate(zip(op.images, model)):
         if img != want:

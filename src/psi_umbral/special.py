@@ -10,7 +10,7 @@ geometric series, the classical one is exp.
 
 from __future__ import annotations
 
-from .algebra import TruncatedSeries, _series, as_scalar
+from .algebra import TruncatedSeries, _from_ints, as_scalar
 from .psi import PsiSequence
 
 
@@ -34,7 +34,7 @@ def psi_exp_scaled(psi: PsiSequence, alpha, cap: int) -> TruncatedSeries:
         nums.append(p_pow * q_pow * c)
         p_pow *= p
         q_pow //= q
-    return _series(nums, q ** cap * l, cap)
+    return _from_ints(nums, q ** cap * l, cap)
 
 
 def exp_psi_series(psi: PsiSequence, cap: int) -> TruncatedSeries:
@@ -58,10 +58,10 @@ def psi_hyperbolic(psi: PsiSequence, m: int, j: int, cap: int) -> TruncatedSerie
     top = cap - (cap - j) % m
     nums = [0] * (cap + 1)
     if top < 0:
-        return _series(nums, 1, cap)
+        return _from_ints(nums, 1, cap)
     l, cofactors = psi.cofactors(top)
     nums[j::m] = cofactors[j::m]
-    return _series(nums, l, cap)
+    return _from_ints(nums, l, cap)
 
 
 def cos_psi_series(psi: PsiSequence, cap: int) -> TruncatedSeries:

@@ -16,7 +16,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .algebra import Polynomial, TruncatedSeries, _over_lcm, _series, as_scalar
+from .algebra import (Polynomial, TruncatedSeries, _from_ints, _over_lcm,
+                      as_scalar)
 from .errors import SelfCheckError
 from .operators import divided_difference, psi_derivative, weight_multiplier
 from .psi import PsiSequence, RationalFunction
@@ -26,11 +27,9 @@ from .special import psi_exp_scaled
 def _numerators(f):
     """(numerators, denominator, cap) of a series, or of a polynomial with
     cap None."""
-    if isinstance(f, TruncatedSeries):
-        return f._num, f._den, f._cap
-    if isinstance(f, Polynomial):
-        return f._num, f._den, None
-    raise TypeError("expected Polynomial or TruncatedSeries")
+    if not isinstance(f, (Polynomial, TruncatedSeries)):
+        raise TypeError("expected Polynomial or TruncatedSeries")
+    return f._num, f._den, f._cap
 
 
 def _top_degree(a, b, cap: int) -> int:
@@ -86,7 +85,7 @@ def star_mul(f, g, psi: PsiSequence, cap: int | None = None) -> TruncatedSeries:
     for d, (s, w) in enumerate(zip(sums, down)):
         if s:
             nums[d] += s * w
-    return _series(nums, scale * a_den * b_den, out_cap)
+    return _from_ints(nums, scale * a_den * b_den, out_cap)
 
 
 def star_power(n: int, psi: PsiSequence) -> Polynomial:
@@ -154,7 +153,7 @@ def poisson_weights_recursion(psi: PsiSequence, lam, m_max: int, cap: int):
                      // (q * w.numerator))
         rows.append(c)
         prev = c
-    return [_series(row, den, cap) for row in rows]
+    return [_from_ints(row, den, cap) for row in rows]
 
 
 def poisson_weights_raising(psi: PsiSequence, lam, m_max: int, cap: int):
@@ -173,8 +172,8 @@ def poisson_weights_raising(psi: PsiSequence, lam, m_max: int, cap: int):
     scaled = [p ** k * q ** (cap - k) * (factorial(cap) // factorial(k)) * r
               for k, r in enumerate(star_powers)]
     den = q ** cap * factorial(cap) * r_den
-    return [_series([(-1) ** (k - m) * comb(k, m) * e if k >= m else 0
-                     for k, e in enumerate(scaled)], den, cap)
+    return [_from_ints([(-1) ** (k - m) * comb(k, m) * e if k >= m else 0
+                        for k, e in enumerate(scaled)], den, cap)
             for m in range(m_max + 1)]
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import (Polynomial, TruncatedSeries, _combination,
                       _from_ints, _generating_sum, _linear_combination,
-                      _series, _triangular_inverse)
+                      _triangular_inverse)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError)
 from .operators import (GradedOperator, SeriesOperator, _derived,
@@ -170,7 +170,7 @@ class DeltaOperator(SeriesOperator):
     @property
     def s_series(self) -> TruncatedSeries:
         """Series of the invertible factor S in op = (weighted derivative) o S."""
-        return _series(self.series._num[1:], self.series._den, self._cap - 1)
+        return _from_ints(self.series._num[1:], self.series._den, self._cap - 1)
 
     @property
     def indicator_reversion(self) -> TruncatedSeries:

@@ -9,6 +9,8 @@
   ``raising_ratio``, the values it checks, and never reads the factorial
   pairs, the quotient behind them or the cofactors the other modules
   scale by, so each check compares routes that share no such reader.
+- Only ``algebra`` calls ``object.__new__``: polynomials and series are
+  built without their constructors in that one module, through ``_raw``.
 - Every top-level private function is used somewhere in the package
   outside its own body, so a helper merged away cannot linger.
 - Every member of ``verify.SUITES`` is a public ``check_*`` function of
@@ -122,6 +124,24 @@ def test_no_private_argparse_name(path):
                   or isinstance(n, ast.Attribute) and n.attr.startswith("_")
                   and isinstance(n.value, ast.Name) and n.value.id == "argparse")]
     assert found == []
+
+
+def _object_new_calls(path):
+    return [_where(path, n) for n in _nodes(path)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "__new__" and isinstance(n.func.value, ast.Name)
+            and n.func.value.id == "object"]
+
+
+def test_algebra_calls_object_new():
+    # a pattern that matched nothing would leave the rule below vacuous
+    assert _object_new_calls(SRC / "algebra.py")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebra.py"],
+                         ids=lambda p: p.name)
+def test_only_algebra_calls_object_new(path):
+    assert _object_new_calls(path) == []
 
 
 def _private_helpers():
