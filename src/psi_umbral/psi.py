@@ -96,8 +96,9 @@ class PsiSequence:
     Rule-based kinds extend their store on demand past the construction cap
     (still finite and exact); a rule maps n and the pair of (n-1)_psi to the
     pair of n_psi.  The custom kind owns exactly the values it was given and
-    errors beyond them.  Each falling factorial, binomial and raising ratio
-    asked for is kept, so these memos live and die with the sequence.
+    errors beyond them.  Each falling factorial and raising ratio asked for
+    is kept, so these memos live and die with the sequence; a binomial is
+    rebuilt from the factorials each time, since callers rarely repeat one.
     """
 
     def __init__(self, kind: str, rule, cap: int, label: str, params: dict,
@@ -122,7 +123,6 @@ class PsiSequence:
         self._breaks = []
         self._cofactors = {}
         self._falling = {}
-        self._binomial = {}
         self._raising = {}
         self._extend_to(cap)
 
@@ -325,16 +325,11 @@ class PsiSequence:
     def binomial(self, n: int, k: int) -> Fraction:
         """Generalized binomial n_psi!/(k_psi! (n-k)_psi!); 0 for k < 0 or
         k > n, and 1 at k = 0 with no weight read."""
-        out = self._binomial.get((n, k))
-        if out is None:
-            if k < 0 or k > n:
-                out = Fraction(0)
-            elif k == 0:
-                out = Fraction(1)
-            else:
-                out = self._quotient((n,), (k, n - k))
-            self._binomial[n, k] = out
-        return out
+        if k < 0 or k > n:
+            return Fraction(0)
+        if k == 0:
+            return Fraction(1)
+        return self._quotient((n,), (k, n - k))
 
     def raising_ratio(self, k: int, j: int) -> Fraction:
         """prod_(i=1..j) (k+i)/(k+i)_psi = (k+j)! k_psi!/(k! (k+j)_psi!), the
