@@ -1,0 +1,129 @@
+"""Faults in the shared kernels against the acceptance gate and the oracles.
+
+Nearly every identity ``verify`` checks reaches the same kernels on both of
+its sides, so a fault there can cancel out.  Each mutant below is one
+textual change to one kernel, applied in process: the changed source is
+compiled in the globals of the kernel's module and bound in place of the
+original wherever a ``psi_umbral`` module, or the kernel's class, holds
+it.  Every mutant must fail ``verify.run_all(8)`` or an oracle case of
+``test_oracles``, whose closed forms share no code with the kernels.
+``VERIFY_MISSES`` names the mutants that verify alone lets through; a
+change to the gate that catches one of them updates it.
+"""
+
+import inspect
+import itertools
+import sys
+import textwrap
+
+import pytest
+
+import test_oracles
+from psi_umbral import algebra, verify
+from psi_umbral.psi import PsiSequence
+
+GATE_CAP = 8
+
+# name: (owner, function name, text replaced, replacement)
+MUTANTS = {
+    "combination_drops_the_sign": (algebra, "_combination",
+                                   "signed = lcm if den > 0 else -lcm",
+                                   "signed = lcm"),
+    "cofactors_drop_the_sign": (PsiSequence, "cofactors",
+                                "m = 1 if h > 0 else -1", "m = 1"),
+    "product_stops_one_early": (algebra, "_product",
+                                "if j > top:", "if j >= top:"),
+}
+
+# The gate has no weight set with a negative pivot or factorial (ROADMAP
+# item 9(b)), so it misses both sign faults.
+VERIFY_MISSES = {"combination_drops_the_sign", "cofactors_drop_the_sign"}
+
+
+def mutated(original, old, new):
+    """A copy of ``original`` with the one occurrence of ``old`` in its
+    source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1, (original.__qualname__, old)
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(original),
+                 "exec"), original.__globals__, namespace)
+    return namespace[original.__name__]
+
+
+def apply(monkeypatch, name):
+    """Bind mutant ``name`` everywhere its original is bound."""
+    owner, attr, old, new = MUTANTS[name]
+    original = vars(owner)[attr]
+    mutant = mutated(original, old, new)
+    places = [owner] + [module for key, module in sorted(sys.modules.items())
+                        if key.split(".")[0] == "psi_umbral"
+                        and module is not owner
+                        and vars(module).get(attr) is original]
+    for place in places:
+        monkeypatch.setattr(place, attr, mutant)
+
+
+def oracle_cases():
+    """(id, test function, arguments) for every case of ``test_oracles``,
+    its parametrize marks expanded as pytest expands them."""
+    cases = []
+    for name, fn in vars(test_oracles).items():
+        if not name.startswith("test_") or not inspect.isfunction(fn):
+            continue
+        grids = []
+        for mark in getattr(fn, "pytestmark", []):
+            if mark.name == "parametrize":
+                argname, values = mark.args
+                grids.append([(argname, v) for v in values])
+        for combo in itertools.product(*grids):
+            cases.append(("%s[%s]" % (name, "-".join(str(v) for _, v in combo)),
+                          fn, dict(combo)))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+def failing_oracles():
+    """The ids of the oracle cases that fail or raise."""
+    failed = []
+    for case_id, fn, kwargs in ORACLE_CASES:
+        with pytest.MonkeyPatch.context() as mp:
+            if "monkeypatch" in inspect.signature(fn).parameters:
+                kwargs = dict(kwargs, monkeypatch=mp)
+            try:
+                fn(**kwargs)
+            except Exception:
+                failed.append(case_id)
+    return failed
+
+
+def gate_failures():
+    """The number of checks ``verify.run_all`` fails at the gate's cap."""
+    return sum(not r.passed for _, results in verify.run_all(GATE_CAP)
+               for r in results)
+
+
+def test_oracle_cases_are_collected_and_pass_unmutated():
+    # 14 tests, 53 cases: a collector that skipped the marks finds 14
+    assert len(ORACLE_CASES) >= 53
+    assert failing_oracles() == []
+    assert gate_failures() == 0
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_every_kernel_mutant_fails_the_gate_or_an_oracle(monkeypatch, name):
+    apply(monkeypatch, name)
+    missed = gate_failures() == 0
+    assert missed == (name in VERIFY_MISSES)
+    if missed:
+        assert failing_oracles() != []
+
+
+def test_only_the_negative_factorial_oracle_catches_the_cofactor_sign(
+        monkeypatch):
+    apply(monkeypatch, "cofactors_drop_the_sign")
+    assert failing_oracles() == [
+        "test_jackson_translation_expands_to_the_exponential_constants[%s-%d]"
+        % ("-2", cap) for cap in test_oracles.CAPS]
