@@ -4,13 +4,15 @@ Each integral lifts x^n to x^(n+1) divided by the weight of n+1; taking
 the matching derivative afterwards gives back the original polynomial
 exactly.  The other order loses the constant term, as it must.  No
 boundary data is involved anywhere: these are formal antiderivatives
-normalized to vanish at zero.
+normalized to vanish at zero.  Each integral walks its own weights and
+hands their reciprocals to the weighted shift ``operators._weighted_shift``.
 """
 
 from __future__ import annotations
 
-from .algebra import Polynomial, _from_ints, _pairs_over_lcm, as_scalar
+from .algebra import Polynomial, as_scalar
 from .errors import AdmissibilityError
+from .operators import _weighted_shift
 from .psi import PsiSequence, RationalFunction, jackson_bracket
 
 
@@ -20,8 +22,8 @@ def q_integral(q, p: Polynomial) -> Polynomial:
     Every degree's bracket is read, a zero coefficient's too."""
     q = as_scalar(q)
     a, b = q.numerator, q.denominator
-    pairs = []
-    for n, x in enumerate(p._num):
+    weights = []
+    for n in range(len(p._num)):
         if n:
             u, v = v * b + u * a, v * b
         else:
@@ -31,17 +33,16 @@ def q_integral(q, p: Polynomial) -> Polynomial:
             raise AdmissibilityError(
                 "q-bracket vanishes at n=%d; monomial x^%d has no q-antiderivative"
                 % (n + 1, n), n=n + 1)
-        pairs.append((x * v, u))
-    nums, den = _pairs_over_lcm(pairs)
-    return _from_ints([0] + nums, den * p._den)
+        weights.append((v, u))
+    return _weighted_shift(p, weights, 1)
 
 
 def r_integral(rat: RationalFunction, q, p: Polynomial) -> Polynomial:
     """x^n -> x^(n+1) / R(q^(n+1)); errors where R vanishes or is undefined."""
     q = as_scalar(q)
-    pairs = []
+    weights = []
     power = q
-    for n, x in enumerate(p._num):
+    for n in range(len(p._num)):
         try:
             w = rat(power)
         except ZeroDivisionError as exc:
@@ -50,17 +51,12 @@ def r_integral(rat: RationalFunction, q, p: Polynomial) -> Polynomial:
             raise AdmissibilityError(
                 "weight R(q^%d) vanishes; x^%d has no antiderivative here"
                 % (n + 1, n), n=n + 1)
-        pairs.append((x * w.denominator, w.numerator))
+        weights.append((w.denominator, w.numerator))
         power *= q
-    nums, den = _pairs_over_lcm(pairs)
-    return _from_ints([0] + nums, den * p._den)
+    return _weighted_shift(p, weights, 1)
 
 
 def psi_integral(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """x^n -> x^(n+1) / (n+1)_psi; admissibility guarantees the division."""
-    pairs = []
-    for n, x in enumerate(p._num, 1):
-        w = psi.n_psi(n)
-        pairs.append((x * w.denominator, w.numerator))
-    nums, den = _pairs_over_lcm(pairs)
-    return _from_ints([0] + nums, den * p._den)
+    return _weighted_shift(
+        p, [(v, u) for u, v in psi.weight_pairs(len(p._num))], 1)

@@ -12,8 +12,10 @@ its weights instead: the weights multiply and the shifts add, so no table
 is applied.
 
 Closed-form actions (weighted derivative, weighted raising operator and
-friends) are also provided directly on polynomials, with no cap at all;
-the operator tables are built from the same formulas.
+friends) are also provided directly on polynomials, with no cap at all.
+Every weighted shift has two homes, both on int weight pairs:
+``_weighted_shift`` applies it to a polynomial and ``_shift_table``
+builds its table.
 
 A shift-invariant operator is a series in the weighted derivative, and
 ``SeriesOperator`` keeps it as one: a table that carries its series, its
@@ -45,28 +47,29 @@ from .special import exp_psi_series, psi_exp_scaled
 # -- closed-form actions on polynomials -------------------------------
 
 
-def _scaled(nums, weights, den: int) -> Polynomial:
-    """sum nums[i] * weights[i] / den x^i for ints nums and weights as int
-    pairs (u, v), v > 0, on ints over the lcm of the v."""
-    s, s_den = _pairs_over_lcm([(a * u, v)
-                                for a, (u, v) in zip(nums, weights)])
-    return _from_ints(s, den * s_den)
+def _weighted_shift(p: Polynomial, weights, s: int) -> Polynomial:
+    """sum a_n w_n x^(n+s) over the terms of p = sum a_n x^n with n + s >= 0,
+    for the weights w_n as int pairs (u, v), v != 0, listed from
+    n = max(0, -s); on ints over the lcm of the |v|, reduced once."""
+    a = p._num[-s:] if s < 0 else p._num
+    nums, den = _pairs_over_lcm([(x * u, v) for x, (u, v) in zip(a, weights)])
+    return _from_ints([0] * s + nums, den * p._den)
+
+def _raise_weights(psi: PsiSequence, n: int) -> list:
+    """The weights k/k_psi of the weighted raising operator, k = 1..n: with
+    k_psi = u/v that is the int pair (k v, u), not reduced."""
+    return [(k * v, u) for k, (u, v) in enumerate(psi.weight_pairs(n), 1)]
 
 def psi_derivative(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Send x^n to n_psi x^(n-1)."""
-    a = p._num[1:]
-    return _scaled(a, psi.weight_pairs(len(a)), p._den)
+    return _weighted_shift(p, psi.weight_pairs(max(len(p._num) - 1, 0)), -1)
 
 def psi_raise(psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Send x^n to ((n+1)/(n+1)_psi) x^(n+1); partner of the weighted derivative.
 
-    With (n+1)_psi = u/v that is (n+1) v/u, collected on ints over the lcm
-    of the |u|.  Reads the weights 1..deg p + 1, and none for a zero p.
+    Reads the weights 1..deg p + 1, and none for a zero p.
     """
-    a = p._num
-    nums, den = _pairs_over_lcm([(x * n * v, u) for n, (x, (u, v)) in
-                                 enumerate(zip(a, psi.weight_pairs(len(a))), 1)])
-    return _from_ints([0] + nums, den * p._den)
+    return _weighted_shift(p, _raise_weights(psi, len(p._num)), 1)
 
 def divided_difference(p: Polynomial) -> Polynomial:
     """Send x^n to x^(n-1), constants to zero: (p(x) - p(0))/x."""
@@ -78,8 +81,7 @@ def weight_multiplier(psi: PsiSequence, p: Polynomial) -> Polynomial:
     Composed with the divided difference it reproduces the weighted
     derivative, which is the factorization the Leibniz rules exploit.
     """
-    a = p._num
-    return _scaled(a, psi.weight_pairs(len(a)), p._den)
+    return _weighted_shift(p, psi.weight_pairs(len(p._num)), 0)
 
 def apply_psi_series(coeffs, psi: PsiSequence, p: Polynomial) -> Polynomial:
     """Apply sum_k c_k * (psi-derivative)^k to p; finite because p is.
@@ -142,16 +144,16 @@ class GradedOperator:
 
     @classmethod
     def identity(cls, cap: int) -> "GradedOperator":
-        return cls.from_monomial_rule(lambda n: Polynomial.monomial(n), cap)
+        return _shift_table([(1, 1)] * (cap + 1), 0, cap)
 
     @classmethod
     def zero(cls, cap: int) -> "GradedOperator":
-        return cls.from_monomial_rule(lambda n: Polynomial.zero(), cap)
+        return _shift_table([(0, 1)] * (cap + 1), 0, cap)
 
     @classmethod
     def scalar(cls, c, cap: int) -> "GradedOperator":
         c = as_scalar(c)
-        return cls.from_monomial_rule(lambda n: Polynomial.monomial(n, c), cap)
+        return _shift_table([(c.numerator, c.denominator)] * (cap + 1), 0, cap)
 
     @property
     def cap(self) -> int:
@@ -221,21 +223,24 @@ class GradedOperator:
         if form is None:
             return GradedOperator(
                 tuple(self.apply(rows[n]) for n in range(eff + 1)), eff)
+        w = w[: eff + 1]
         outer = _shift_form(self)
-        out = []
-        for n, (u, v) in enumerate(w[: eff + 1]):
-            if u and outer is not None:
-                x, y = outer[0][n + s]
+        if outer is None:
+            out = [_raw((), 1)] * (eff + 1)
+            for n, (u, v) in enumerate(w):
+                if u:
+                    row = self._row(n + s)
+                    out[n] = _from_ints([a * u for a in row._num], row._den * v)
+            return GradedOperator(out, eff)
+        x_w, t = outer
+        pairs = []
+        for n, (u, v) in enumerate(w):
+            if u:
+                x, y = x_w[n + s]
                 g, h = gcd(u, y), gcd(x, v)
                 u, v = u // g * (x // h), v // h * (y // g)
-            if not u:
-                out.append(_raw((), 1))
-            elif outer is None:
-                row = self._row(n + s)
-                out.append(_from_ints([a * u for a in row._num], row._den * v))
-            else:
-                out.append(_raw((0,) * (n + s + outer[1]) + (u,), v))
-        return GradedOperator(out, eff)
+            pairs.append((u, v))
+        return _shift_table(pairs, s + t, eff)
 
     def __add__(self, other):
         if not isinstance(other, GradedOperator):
@@ -312,24 +317,19 @@ class GradedOperator:
 
 
 def derivative_op(cap: int) -> GradedOperator:
-    return GradedOperator.from_monomial_rule(
-        lambda n: Polynomial.monomial(n - 1, n) if n else Polynomial(), cap)
+    return _shift_table([(n, 1) for n in range(cap + 1)], -1, cap)
 
 def multiply_x_op(cap: int) -> GradedOperator:
-    return GradedOperator.from_monomial_rule(
-        lambda n: Polynomial.monomial(n + 1), cap)
+    return _shift_table([(1, 1)] * (cap + 1), 1, cap)
 
 def dilation_op(q, cap: int) -> GradedOperator:
     """x^n -> q^n x^n; with q = a/b in lowest terms, a^n/b^n is too."""
     q = as_scalar(q)
     a, b = q.numerator, q.denominator
-    return GradedOperator.from_monomial_rule(
-        lambda n: _raw((0,) * n + (a ** n,), b ** n) if a or not n
-        else _raw((), 1), cap)
+    return _shift_table([(a ** n, b ** n) for n in range(cap + 1)], 0, cap)
 
 def divided_difference_op(cap: int) -> GradedOperator:
-    return GradedOperator.from_monomial_rule(
-        lambda n: Polynomial.monomial(n - 1) if n else Polynomial(), cap)
+    return _shift_table([(0, 1)] + [(1, 1)] * cap, -1, cap)
 
 def jackson_derivative_op(q, cap: int) -> "SeriesOperator":
     return psi_derivative_op(PsiSequence.jackson(q, cap), cap)
@@ -338,21 +338,13 @@ def psi_derivative_op(psi: PsiSequence, cap: int) -> "SeriesOperator":
     return SeriesOperator(TruncatedSeries.identity(cap), psi)
 
 def psi_raise_op(psi: PsiSequence, cap: int) -> GradedOperator:
-    """x^n -> ((n+1)/(n+1)_psi) x^(n+1), that is (n+1) v/u for the weight
-    pair (u, v) of (n+1)_psi; reads the weights 1..cap + 1."""
-    w = psi.weight_pairs(cap + 1)
-
-    def rule(n):
-        a, d = _lowest_pair((n + 1) * w[n][1], w[n][0])
-        return _raw((0,) * (n + 1) + (a,), d)
-
-    return GradedOperator.from_monomial_rule(rule, cap)
+    """x^n -> ((n+1)/(n+1)_psi) x^(n+1); reads the weights 1..cap + 1."""
+    return _shift_table([_lowest_pair(*w) for w in _raise_weights(psi, cap + 1)],
+                        1, cap)
 
 def weight_op(psi: PsiSequence, cap: int) -> GradedOperator:
     """x^n -> (n+1)_psi x^n, read off the weight pairs 1..cap + 1."""
-    w = psi.weight_pairs(cap + 1)
-    return GradedOperator.from_monomial_rule(
-        lambda n: _raw((0,) * n + (w[n][0],), w[n][1]), cap)
+    return _shift_table(psi.weight_pairs(cap + 1), 0, cap)
 
 def translation_op(psi: PsiSequence, y, cap: int) -> "SeriesOperator":
     """The generalized shift exp_psi(y * psi-derivative).
@@ -523,6 +515,12 @@ def _derived(base: GradedOperator, key, build):
     if key not in memo:
         memo[key] = build()
     return memo[key]
+
+def _shift_table(weights, s: int, cap: int) -> GradedOperator:
+    """The table x^n -> w_n x^(n+s), n = 0..cap, for the weights w_n as int
+    pairs (u, v) in lowest terms, v > 0; a zero u gives a zero row."""
+    return GradedOperator([_raw((0,) * (n + s) + (u,), v) if u else _raw((), 1)
+                           for n, (u, v) in enumerate(weights)], cap)
 
 def _shift_form(op: GradedOperator):
     """(w, s) when op sends each x^n to w_n x^(n+s), with the w_n as int
