@@ -19,7 +19,7 @@ import textwrap
 import pytest
 
 import test_oracles
-from psi_umbral import algebra, verify
+from psi_umbral import algebra, operators, verify
 from psi_umbral.psi import PsiSequence
 
 GATE_CAP = 8
@@ -33,11 +33,26 @@ MUTANTS = {
                                 "m = 1 if h > 0 else -1", "m = 1"),
     "product_stops_one_early": (algebra, "_product",
                                 "if j > top:", "if j >= top:"),
+    "lowest_terms_reads_one_entry": (algebra, "_lowest_terms",
+                                     "gcd(den, nums[-1], *nums)",
+                                     "gcd(den, nums[-1])"),
+    "triangular_inverse_drops_the_row_denominator": (
+        algebra, "_triangular_inverse", "(row._den, one, n)", "(1, one, n)"),
+    "pairs_over_lcm_keeps_a_negative_denominator": (
+        algebra, "_pairs_over_lcm", "* abs(d)", "* d"),
+    "factorial_pairs_skip_the_weight_gcd": (PsiSequence, "factorial_pairs",
+                                            "u // e", "u"),
+    "weighted_shift_drops_the_sign": (operators, "_weighted_shift",
+                                      "x * u", "x * abs(u)"),
 }
 
-# The gate has no weight set with a negative pivot or factorial (ROADMAP
-# item 9(b)), so it misses both sign faults.
-VERIFY_MISSES = {"combination_drops_the_sign", "cofactors_drop_the_sign"}
+# The gate has no weight set with a negative pivot, weight or factorial
+# (ROADMAP item 9(b)) and none whose factorial chain breaks, so it misses
+# the sign faults and the factorial one.
+VERIFY_MISSES = {"combination_drops_the_sign", "cofactors_drop_the_sign",
+                 "pairs_over_lcm_keeps_a_negative_denominator",
+                 "factorial_pairs_skip_the_weight_gcd",
+                 "weighted_shift_drops_the_sign"}
 
 
 def mutated(original, old, new):
@@ -106,8 +121,8 @@ def gate_failures():
 
 
 def test_oracle_cases_are_collected_and_pass_unmutated():
-    # 14 tests, 53 cases: a collector that skipped the marks finds 14
-    assert len(ORACLE_CASES) >= 53
+    # 15 tests, 57 cases: a collector that skipped the marks finds 15
+    assert len(ORACLE_CASES) >= 57
     assert failing_oracles() == []
     assert gate_failures() == 0
 

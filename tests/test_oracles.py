@@ -1,6 +1,6 @@
-"""Basic sequences, Gaussian binomials and their alternating sums, series
-inverses, the normal ordering of D^n X^m and the Poisson weights against
-classical closed forms.
+"""Basic sequences, Gaussian binomials and their alternating sums, the
+Jackson derivative and raising operator, series inverses, the normal
+ordering of D^n X^m and the Poisson weights against classical closed forms.
 
 The closed forms are the benchmark's oracles in ``perfbench/oracles.py``,
 and the Laguerre coefficients and Jackson exponentials below: plain Fraction
@@ -26,7 +26,8 @@ from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.cli import main
 from psi_umbral.expansion import (expand_in_monomials,
                                   reconstruct_from_monomial_form)
-from psi_umbral.operators import GradedOperator, psi_derivative_op
+from psi_umbral.operators import (GradedOperator, psi_derivative,
+                                  psi_derivative_op, psi_raise)
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator, translate
 
@@ -112,6 +113,23 @@ def q_factorials(q, cap):
     for n in range(1, cap + 1):
         out.append(out[-1] * sum(q ** i for i in range(n)))
     return out
+
+
+@pytest.mark.parametrize("q", ["-2", "-3/4"])
+def test_jackson_derivative_and_raising_are_the_q_brackets(q):
+    # D_q x^n = [n]_q x^(n-1), and the raising operator
+    # x^n -> ((n+1)/[n+1]_q) x^(n+1) applied n times to 1 gives
+    # n!/[n]_q! x^n.  At q = -2 the bracket [2]_q = -1 is negative.
+    q = Fraction(q)
+    fact = q_factorials(q, 13)
+    psi = PsiSequence.jackson(q, 13)
+    raised = Polynomial([1])
+    for n in range(1, 14):
+        monomial = Polynomial([0] * n + [1])
+        assert psi_derivative(psi, monomial) == Polynomial(
+            [0] * (n - 1) + [fact[n] / fact[n - 1]]), n
+        raised = psi_raise(psi, raised)
+        assert raised == Polynomial([0] * n + [factorial(n) / fact[n]]), n
 
 
 @pytest.mark.parametrize("q", ["1/2", "2", "-1/2", "-3"])
@@ -225,21 +243,30 @@ def binomial_translate(y, poly):
     return out
 
 
-@pytest.mark.parametrize("q", [None, "1/2", "2", "-3/4"])
-def test_translate_is_the_binomial_theorem(q):
-    # classical weights shift by y; Jackson weights by the Gaussian
-    # binomials of the q-Pascal rule.  One weights object serves every
-    # call, at mixed degrees and points, so its kept series are read at
-    # reaches below the ones they were built for.
-    rng = random.Random(q)
-    psi = (PsiSequence.classical(4) if q is None
-           else PsiSequence.jackson(Fraction(q), 4))
+@pytest.mark.parametrize("weights",
+                         [None, "1/2", "2", "-3/4", "c=3/2", "c=-2/3"])
+def test_translate_is_the_binomial_theorem(weights):
+    # classical weights shift by y, and so do the scaled weights c n,
+    # whose binomials are C(n, k) too though their factorial chains break
+    # (at n = 4 for c = 3/2); Jackson weights at q = weights shift by the
+    # Gaussian binomials of the q-Pascal rule.  One weights object serves
+    # every call, at mixed degrees and points, so its kept series are read
+    # at reaches below the ones they were built for.
+    rng = random.Random(weights)
+    jackson = weights is not None and not weights.startswith("c=")
+    if weights is None:
+        psi = PsiSequence.classical(4)
+    elif jackson:
+        psi = PsiSequence.jackson(Fraction(weights), 4)
+    else:
+        c = Fraction(weights[2:])
+        psi = PsiSequence.custom([c * n for n in range(1, 14)])
     for _ in range(40):
         poly = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                 for _ in range(rng.randint(0, 13))]
         y = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        want = (binomial_translate(y, poly) if q is None
-                else oracles.jackson_translate(Fraction(q), y, poly))
+        want = (oracles.jackson_translate(Fraction(weights), y, poly)
+                if jackson else binomial_translate(y, poly))
         assert list(translate(psi, y, Polynomial(poly)).coeffs) == want
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from psi_umbral.algebra import Polynomial, scalar_to_str
 from psi_umbral.errors import AdmissibilityError, CapExceededError
-from psi_umbral.operators import psi_raise
+from psi_umbral.integration import psi_integral
+from psi_umbral.operators import psi_derivative, psi_raise, weight_multiplier
 from psi_umbral.psi import (KEPT_COFACTORS, PsiSequence, RationalFunction,
                             jackson_bracket, validate_admissible)
 
@@ -586,6 +587,12 @@ BAD_WEIGHTS = {
         "rational function denominator vanishes at 1/4", {"n": 2}),
 }
 
+
+def ones(n):
+    """1 + x + ... + x^(n-1)."""
+    return Polynomial((1,) * n)
+
+
 READERS = {
     "n_psi in order": lambda psi, n: [psi.n_psi(k) for k in range(1, n + 1)],
     "values": lambda psi, n: psi.values(n),
@@ -598,6 +605,11 @@ READERS = {
     "binomial": lambda psi, n: psi.binomial(n, 1),
     "raising_ratio": lambda psi, n: psi.raising_ratio(n - 1, 1),
     "validate_admissible": lambda psi, n: validate_admissible(psi, n),
+    # the actions on polynomials, each reading the weights 1..n
+    "psi_derivative": lambda psi, n: psi_derivative(psi, ones(n + 1)),
+    "psi_raise": lambda psi, n: psi_raise(psi, ones(n)),
+    "weight_multiplier": lambda psi, n: weight_multiplier(psi, ones(n)),
+    "psi_integral": lambda psi, n: psi_integral(psi, ones(n)),
 }
 
 

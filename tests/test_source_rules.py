@@ -9,6 +9,10 @@
   ``raising_ratio``, the values it checks, and never reads the factorial
   pairs, the quotient behind them or the cofactors the other modules
   scale by, so each check compares routes that share no such reader.
+- ``q_integral`` and ``r_integral`` name no ``PsiSequence`` and read no
+  weight pairs, weights, factorials or cofactors of one: they walk their
+  own weights, so ``verify`` compares them with ``psi_integral`` as
+  independent routes although all three end in ``_weighted_shift``.
 - Only ``algebra`` calls ``object.__new__``: polynomials and series are
   built without their constructors in that one module, through ``_raw``.
 - Every top-level private function is used somewhere in the package
@@ -96,6 +100,27 @@ def test_verify_reads_no_factorial_pairs():
              if _identifier(n) in ("factorial_pairs", "_quotient",
                                    "cofactors")]
     assert found == []
+
+
+def _weights_reads(name):
+    """Where the body of ``integration.<name>`` names a weights object or
+    one of its readers."""
+    path = SRC / "integration.py"
+    node = next(n for n in ast.parse(path.read_text(), str(path)).body
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+    return [_where(path, n) for n in ast.walk(node)
+            if _identifier(n) in ("PsiSequence", "weight_pairs", "n_psi",
+                                  "factorial_pairs", "cofactors")]
+
+
+def test_psi_integral_reads_the_weights():
+    # a pattern that matched nothing would leave the rule below vacuous
+    assert _weights_reads("psi_integral")
+
+
+@pytest.mark.parametrize("name", ["q_integral", "r_integral"])
+def test_q_and_r_integrals_read_no_weights_object(name):
+    assert _weights_reads(name) == []
 
 
 def _argparse_private_names():
