@@ -88,10 +88,11 @@ def apply_psi_series(coeffs, psi: PsiSequence, p: Polynomial) -> Polynomial:
 
     ``coeffs`` is a TruncatedSeries or a sequence of scalars.  With
     p = sum_n a_n x^n the image has sum_k c_k a_(m+k) (m+k)_psi!/m_psi! at
-    x^m: sum_k c_k u_(m+k) / m_psi! for u_n = a_n n_psi!, collected on ints
-    by the weights' cofactors, M n_psi! from the lowest term of p up and
-    L/m_psi!, over M L.  Reads the weights 1..deg p, and none for a zero p
-    or an empty series.
+    x^m: sum_k c_k u_(m+k) / m_psi! for u_n = a_n n_psi!.  So p is scaled
+    up by the weights' cofactors M n_psi!, from its lowest term up, the
+    series is ``_correlate``d with those coordinates, and the sums are
+    scaled down by L/m_psi!, over M L.  Reads the weights 1..deg p, and
+    none for a zero p or an empty series.
     """
     c, c_den = _series_numerators(coeffs)
     a = p._num
@@ -100,17 +101,44 @@ def apply_psi_series(coeffs, psi: PsiSequence, p: Polynomial) -> Polynomial:
     low = next(n for n, x in enumerate(a) if x)
     m_den, up = psi.cofactors(len(a) - 1, 1, low)
     l_den, down = psi.cofactors(len(a) - 1)
-    terms = [(k, y) for k, y in enumerate(c[: len(a)]) if y]
-    sums = [0] * len(a)
-    for n, (x, w) in enumerate(zip(a[low:], up), low):
+    return _scaled_down(_correlate(c, _scaled_up(a, up, low)), down,
+                        l_den * m_den * c_den * p._den)
+
+
+# On the scaled coordinates u_n = a_n n_psi! of p = sum a_n x^n (Ward's
+# basis x^n/n_psi!), a series in the weighted derivative is a plain
+# correlation and the weighted raising operator a shift by one with the
+# factor n + 1: neither reads a weight.  The weights enter only when p is
+# scaled up by the cofactor row M n_psi! and back down by L/n_psi!.
+
+def _scaled_up(a, up, low: int = 0) -> list:
+    """The numerators a of a polynomial times the cofactor row ``up`` of
+    M n_psi!, n = low.., zero below low."""
+    return [0] * low + [x * w for x, w in zip(a[low:], up)]
+
+def _correlate(c, u) -> list:
+    """v_m = sum_k c_k u_(m+k), m < len(u): the series with numerators c
+    in the weighted derivative, on scaled coordinates."""
+    terms = [(k, y) for k, y in enumerate(c[: len(u)]) if y]
+    sums = [0] * len(u)
+    for n, x in enumerate(u):
         if x:
-            u = x * w
             for k, y in terms:
                 if k > n:
                     break
-                sums[n - k] += y * u
-    return _from_ints([s * w if s else 0 for s, w in zip(sums, down)],
-                      l_den * m_den * c_den * p._den)
+                sums[n - k] += y * x
+    return sums
+
+def _scaled_raise(v, m: int) -> list:
+    """m times the weighted raising operator on scaled coordinates:
+    v_n goes to m (n + 1) v_n one place up."""
+    return [0] + [m * n * x for n, x in enumerate(v, 1)]
+
+def _scaled_down(v, down, den: int) -> Polynomial:
+    """sum_m v_m (L/m_psi!) x^m / den for the cofactor row ``down`` of
+    L/m_psi!, m = 0..: the scaled coordinates v_m / D back on monomials,
+    for den = D L, reduced once."""
+    return _from_ints([x * w if x else 0 for x, w in zip(v, down)], den)
 
 
 def _series_numerators(coeffs):

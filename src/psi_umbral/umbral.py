@@ -7,21 +7,22 @@ basic sequence p_0 = 1, p_n(0) = 0, Q p_n = n_psi p_(n-1), and that
 sequence can be produced two independent ways: a direct triangular solve,
 and closed formulas built from Pincherle derivatives and inverse powers of
 the S factor.  Having both is the point; they must agree exactly.
+
+The closed formulas run on Ward's scaled coordinates a_j j_psi!, where
+they read no weights, and share no code with the solve.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .algebra import (Polynomial, TruncatedSeries, _combination,
                       _from_ints, _generating_sum, _linear_combination,
                       _triangular_inverse)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError)
-from .operators import (GradedOperator, SeriesOperator, _derived,
-                        _require_lowers_by_one, apply_psi_series,
-                        invert_shift_invariant, multiply_x_op, psi_raise,
-                        shift_invariant_coefficients)
+from .operators import (GradedOperator, SeriesOperator, _correlate,
+                        _derived, _require_lowers_by_one, _scaled_down,
+                        _scaled_raise, _scaled_up, invert_shift_invariant,
+                        multiply_x_op, shift_invariant_coefficients)
 from .psi import PsiSequence
 
 
@@ -40,7 +41,7 @@ def translation_coefficients(psi: PsiSequence, p: Polynomial) -> list:
         return []
     m_den, up = psi.cofactors(len(a) - 1, 1)
     l_den, down = psi.cofactors(len(a) - 1)
-    u = [x * w for x, w in zip(a, up)]
+    u = _scaled_up(a, up)
     den = m_den * l_den * l_den * p._den
     return [_from_ints([x * y * scale for x, y in zip(u[k:], down)], den)
             for k, scale in enumerate(down)]
@@ -201,6 +202,14 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
     per power, and only as far as a formula reads it (S^(-n_max-1) for
     formula 1, S^(-n_max) for 2 and 3), so the three formulas of one delta
     share its products.
+
+    Each p_n is built on the scaled coordinates u_j = a_j j_psi! of
+    ``operators``, as ints over one denominator: x^n is the one entry
+    M n_psi!, a series in the weighted derivative is ``_correlate``, X is
+    ``_scaled_raise``, (S^(-n))' is w_k -> k w_k one place down and n_psi/n
+    is the weight pair (a, b) read as a over b n.  The cofactor rows of
+    M n_psi! and L/n_psi! are read once, and p_n is scaled down and reduced
+    once.  Reads the weights 1..n_max, and none for n_max <= 0.
     """
     if formula not in (1, 2, 3, 4):
         raise ValueError("formula must be 1, 2, 3 or 4")
@@ -222,26 +231,39 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
         powers = _derived(delta, ("S^-n", order),
                           lambda: [TruncatedSeries.one(order)])
     polys = [Polynomial.one()]
-    for n in range(1, n_max + 1):
-        ratio = Fraction(psi.n_psi(n), n)
+    if n_max < 1:
+        return BasicSequence(polys, psi, delta)
+    m_den, up = psi.cofactors(n_max, 1)
+    l_den, down = psi.cofactors(n_max)
+
+    def monomial(j):
+        return [0] * j + [up[j]]
+
+    for n, (a, b) in enumerate(psi.weight_pairs(n_max), 1):
         if formula != 4:
             k = n + 1 if formula == 1 else n
             while len(powers) <= k:
                 powers.append(powers[-1] * s_inv)
             w = powers[k]
         if formula == 1:
-            p = apply_psi_series(q_prime * w, psi, Polynomial.monomial(n))
+            s = q_prime * w
+            v, den = _correlate(s._num, monomial(n)), s._den
         elif formula == 2:
-            p = (apply_psi_series(w, psi, Polynomial.monomial(n))
-                 - ratio * apply_psi_series(w.differentiated(), psi,
-                                            Polynomial.monomial(n - 1)))
+            c = w._num
+            v = [b * n * x for x in _correlate(c, monomial(n))]
+            dc = [k * x for k, x in enumerate(c[1: n + 1], 1)]
+            for j, y in enumerate(_correlate(dc, monomial(n - 1))):
+                v[j] -= a * y
+            den = w._den * b * n
         elif formula == 3:
-            p = ratio * psi_raise(psi, apply_psi_series(
-                w, psi, Polynomial.monomial(n - 1)))
+            v = _scaled_raise(_correlate(w._num, monomial(n - 1)), a)
+            den = w._den * b * n
         else:
-            p = ratio * psi_raise(psi, apply_psi_series(q_prime_inv, psi,
-                                                        polys[n - 1]))
-        polys.append(p)
+            p = polys[-1]
+            v = _scaled_raise(_correlate(q_prime_inv._num,
+                                         _scaled_up(p._num, up)), a)
+            den = p._den * q_prime_inv._den * b * n
+        polys.append(_scaled_down(v, down, m_den * l_den * den))
     return BasicSequence(polys, psi, delta)
 
 

@@ -44,6 +44,10 @@ MUTANTS = {
                                             "u // e", "u"),
     "weighted_shift_drops_the_sign": (operators, "_weighted_shift",
                                       "x * u", "x * abs(u)"),
+    # the closed formulas' one correlation, shared by every formula but by
+    # no other route of verify's rodrigues check
+    "correlate_drops_the_top_term": (operators, "_correlate",
+                                     "c[: len(u)]", "c[: len(u) - 1]"),
 }
 
 # The gate has no weight set with a negative pivot, weight or factorial

@@ -1,4 +1,5 @@
-"""Basic sequences, Gaussian binomials and their alternating sums, the
+"""Basic sequences, by the solve and by each closed formula of
+``rodrigues_sequence``, Gaussian binomials and their alternating sums, the
 Jackson derivative and raising operator, series inverses, the normal
 ordering of D^n X^m and the Poisson weights against classical closed forms.
 
@@ -26,10 +27,11 @@ from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.cli import main
 from psi_umbral.expansion import (expand_in_monomials,
                                   reconstruct_from_monomial_form)
+from psi_umbral.exprparse import OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, psi_derivative,
                                   psi_derivative_op, psi_raise)
 from psi_umbral.psi import PsiSequence
-from psi_umbral.umbral import DeltaOperator, translate
+from psi_umbral.umbral import DeltaOperator, rodrigues_sequence, translate
 
 ORACLES_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "perfbench", "oracles.py")
@@ -60,19 +62,36 @@ def basic_polys(op, cap):
     return [[Fraction(c) for c in p] for p in doc["polys"]]
 
 
+def assert_closed_forms_give(delta, want):
+    """Each of ``rodrigues_sequence``'s formulas 1-4 gives the polynomials
+    want, from p_0 on, on delta."""
+    for formula in (1, 2, 3, 4):
+        got = rodrigues_sequence(delta, len(want) - 1, formula)
+        assert [list(p.coeffs) for p in got] == want, formula
+
+
+def parsed_delta(op, cap):
+    psi = PsiSequence.classical(cap)
+    return DeltaOperator.from_operator(
+        parse_operator(op, OperatorContext(cap, psi)), psi)
+
+
 @pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("h", ["1", "2", "-1/3"])
 def test_basic_of_forward_difference_is_step_falling(cap, h):
     op = "Delta" if h == "1" else "E[%s] - 1" % h
-    polys = basic_polys(op, cap)
-    assert polys == [oracles.step_falling(n, Fraction(h)) for n in range(cap)]
+    want = [oracles.step_falling(n, Fraction(h)) for n in range(cap)]
+    assert basic_polys(op, cap) == want
+    assert_closed_forms_give(parsed_delta(op, cap), want)
 
 
 @pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("a", ["1", "-2", "3/5"])
 def test_basic_of_derivative_times_shift_is_abel(cap, a):
-    polys = basic_polys("D*E[%s]" % a, cap)
-    assert polys == [oracles.abel(n, Fraction(a)) for n in range(cap)]
+    op = "D*E[%s]" % a
+    want = [oracles.abel(n, Fraction(a)) for n in range(cap)]
+    assert basic_polys(op, cap) == want
+    assert_closed_forms_give(parsed_delta(op, cap), want)
 
 
 @pytest.mark.parametrize("cap", CAPS)
@@ -103,8 +122,9 @@ def test_basic_of_t_over_t_minus_one_is_laguerre(cap):
     # t/(t - 1) = -t - t^2 - ...
     delta = DeltaOperator.from_indicator([0] + [-1] * cap,
                                          PsiSequence.classical(cap), cap)
-    polys = delta.basic(cap - 1).polys
-    assert [list(p.coeffs) for p in polys] == [laguerre(n) for n in range(cap)]
+    want = [laguerre(n) for n in range(cap)]
+    assert [list(p.coeffs) for p in delta.basic(cap - 1).polys] == want
+    assert_closed_forms_give(delta, want)
 
 
 def q_factorials(q, cap):

@@ -11,6 +11,7 @@ from psi_umbral.integration import psi_integral
 from psi_umbral.operators import psi_derivative, psi_raise, weight_multiplier
 from psi_umbral.psi import (KEPT_COFACTORS, PsiSequence, RationalFunction,
                             jackson_bracket, validate_admissible)
+from psi_umbral.umbral import DeltaOperator, rodrigues_sequence
 
 
 def test_classical_weights():
@@ -593,6 +594,14 @@ def ones(n):
     return Polynomial((1,) * n)
 
 
+def closed_form(formula):
+    """``rodrigues_sequence`` to n - 1 on the delta with indicator z at cap
+    n, which reads the weights 1..n as it is built; at n = 0 no delta has a
+    linear term, and nothing is read."""
+    return lambda psi, n: n and rodrigues_sequence(
+        DeltaOperator.from_indicator([0, 1], psi, n), n - 1, formula)
+
+
 READERS = {
     "n_psi in order": lambda psi, n: [psi.n_psi(k) for k in range(1, n + 1)],
     "values": lambda psi, n: psi.values(n),
@@ -610,6 +619,8 @@ READERS = {
     "psi_raise": lambda psi, n: psi_raise(psi, ones(n)),
     "weight_multiplier": lambda psi, n: weight_multiplier(psi, ones(n)),
     "psi_integral": lambda psi, n: psi_integral(psi, ones(n)),
+    # the closed formulas, with the delta they need built on the weights
+    **{"rodrigues f%d" % f: closed_form(f) for f in (1, 2, 3, 4)},
 }
 
 

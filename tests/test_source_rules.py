@@ -13,6 +13,10 @@
   weight pairs, weights, factorials or cofactors of one: they walk their
   own weights, so ``verify`` compares them with ``psi_integral`` as
   independent routes although all three end in ``_weighted_shift``.
+- ``rodrigues_sequence``, and every package function it names, directly
+  or through another, names neither the solve nor the triangular inverse
+  and combinations behind it, so ``verify`` compares the closed formulas
+  with the solve as independent routes.
 - Only ``algebra`` calls ``object.__new__``: polynomials and series are
   built without their constructors in that one module, through ``_raw``.
 - Every top-level private function is used somewhere in the package
@@ -121,6 +125,58 @@ def test_psi_integral_reads_the_weights():
 @pytest.mark.parametrize("name", ["q_integral", "r_integral"])
 def test_q_and_r_integrals_read_no_weights_object(name):
     assert _weights_reads(name) == []
+
+
+SOLVE_ROUTE = ("basic_sequence_solve", "_triangular_inverse", "_combination",
+               "_linear_combination")
+
+
+def _functions(paths):
+    """{name: [(path, def node)]} for the top-level functions of paths."""
+    out = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                out.setdefault(node.name, []).append((path, node))
+    return out
+
+
+def _solve_route_names(functions, root="rodrigues_sequence"):
+    """Where root, or a top-level function it names directly or through
+    another, names a member of ``SOLVE_ROUTE``."""
+    found, seen, todo = [], set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for path, node in functions.get(name, ()):
+            for n in ast.walk(node):
+                ident = _identifier(n)
+                if ident in SOLVE_ROUTE:
+                    found.append(_where(path, n) + " " + ident)
+                elif ident in functions and n is not node:
+                    todo.append(ident)
+    return sorted(found)
+
+
+def test_closed_formulas_name_no_part_of_the_solve():
+    functions = _functions(MODULES)
+    assert "_correlate" in functions and "rodrigues_sequence" in functions
+    assert _solve_route_names(functions) == []
+
+
+def test_the_solve_route_rule_sees_a_planted_name(tmp_path):
+    # a helper two calls down that reaches a combination is found
+    planted = tmp_path / "planted.py"
+    planted.write_text("def rodrigues_sequence(delta):\n"
+                       "    return _helper(delta)\n\n"
+                       "def _helper(delta):\n"
+                       "    return _inner(delta)\n\n"
+                       "def _inner(delta):\n"
+                       "    return _combination([], 1)\n")
+    assert _solve_route_names(_functions([planted])) == [
+        "planted.py:8 _combination"]
 
 
 def _argparse_private_names():

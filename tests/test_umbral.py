@@ -514,25 +514,39 @@ def test_basic_solve_matches_rodrigues_for_random_tails(k):
     assert list(rodrigues_sequence(delta, 5)) == list(delta.basic(5))
 
 
-# -- closed formulas 1-3 and the series materialization, against references --
+# -- the closed formulas and the series materialization, against references --
 
+def scaled(c):
+    """The weights c n, n = 1..cap + 1."""
+    c = Fraction(c)
+    return lambda cap: PsiSequence.custom([c * n for n in range(1, cap + 2)])
+
+
+# Jackson q = -2 and -1/2 have negative factorials, and the factorial
+# chains of the scaled weights c n break (first at n = 4 for c = 3/2 and
+# at n = 9 for c = -2/3), so their cofactor rows are signed and are taken
+# across breaks.
 KERNEL_WEIGHTS = {
     "classical": lambda cap: PsiSequence.classical(cap),
     "q=1/2": lambda cap: PsiSequence.jackson(Fraction(1, 2), cap),
     "q=2": lambda cap: PsiSequence.jackson(2, cap),
+    "q=-2": lambda cap: PsiSequence.jackson(-2, cap),
+    "q=-1/2": lambda cap: PsiSequence.jackson(Fraction(-1, 2), cap),
     "squares": lambda cap: PsiSequence.custom([n * n for n in range(1, cap + 2)]),
+    "c=3/2": scaled("3/2"),
+    "c=-2/3": scaled("-2/3"),
 }
 
 
 @pytest.mark.parametrize("weights", sorted(KERNEL_WEIGHTS))
-def test_rodrigues_formulas_1_to_3_match_solve_at_cap_20(weights):
+def test_rodrigues_formulas_match_solve_at_cap_20(weights):
     cap = 20
     psi = KERNEL_WEIGHTS[weights](cap)
     # the weighted forward difference: indicator sum_(k>=1) z^k / k_psi!
     indicator = [0] + [1 / psi.factorial(k) for k in range(1, cap + 1)]
     delta = DeltaOperator.from_indicator(indicator, psi, cap)
     solved = list(basic_sequence_solve(delta.op, psi, cap - 1))
-    for formula in (1, 2, 3):
+    for formula in (1, 2, 3, 4):
         assert list(rodrigues_sequence(delta, cap - 1, formula)) == solved
 
 
