@@ -20,9 +20,10 @@ from .expansion import (DetectionResult, OperatorExpansion, apply_dual_form,
 from .exprparse import OperatorContext, parse_operator
 from .integration import psi_integral, q_integral, r_integral
 from .jobs import JobSpec, load_job_spec, parse_job
-from .operators import (GradedOperator, SeriesOperator, apply_psi_series,
-                        derivative_op, dilation_op, divided_difference,
-                        divided_difference_op, forward_difference_op,
+from .operators import (GradedOperator, SeriesOperator, ShiftOperator,
+                        apply_psi_series, derivative_op, dilation_op,
+                        divided_difference, divided_difference_op,
+                        forward_difference_op,
                         invert_shift_invariant, jackson_derivative_op,
                         multiply_x_op, operator_from_series,
                         pincherle_derivative, psi_derivative,

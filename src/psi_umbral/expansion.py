@@ -54,8 +54,8 @@ from math import lcm
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _combination,
                       _generating_sum, _lowest_pair, scalar_to_str)
 from .errors import CapExceededError
-from .operators import (GradedOperator, SeriesOperator, _derived,
-                        _require_lowers_by_one, _series_and_witness,
+from .operators import (GradedOperator, SeriesOperator, ShiftOperator,
+                        _derived, _require_lowers_by_one, _series_and_witness,
                         psi_derivative_op, shift_invariant_coefficients)
 from .psi import CUSTOM, PsiSequence
 from .umbral import (BasicSequence, DeltaOperator, _degree_in_basis,
@@ -87,10 +87,15 @@ class OperatorExpansion:
 
 def _base_powers_on_monomials(base: GradedOperator, top: int,
                               cap: int) -> list:
-    """table[n][m] = base^n applied to x^m, for n <= top and m <= cap."""
+    """table[n][m] = base^n applied to x^m, for n <= top and m <= cap.
+
+    Each power combines the base's rows, which a series or shift value
+    builds once and keeps: over top * (cap + 1) applications that is
+    cheaper than its own correlation or weighted shift each time."""
+    table = GradedOperator(base.images, base.cap)
     rows = [[Polynomial.monomial(m) for m in range(cap + 1)]]
     for _ in range(top):
-        rows.append([base.apply(p) for p in rows[-1]])
+        rows.append([table.apply(p) for p in rows[-1]])
     return rows
 
 
@@ -375,8 +380,8 @@ def detect_psi_series(op: GradedOperator) -> DetectionResult:
     A series value sum_k c_k d^k in weights psi needs no comparison: with
     d = 1_psi * e for the derivative e of the weights n_psi/1_psi, the
     scaled operator is sum_k (scale c_k 1_psi^k) e^k.  Both branches work
-    on int pairs, the weight pairs or each row's leading entry, and build
-    one Fraction per value reported.
+    on int pairs, the weight pairs, a shift value's stored weights or each
+    row's leading entry, and build one Fraction per value reported.
     """
     cap = op.cap
     _require_lowers_by_one(op, cap, "base ")
@@ -394,9 +399,10 @@ def detect_psi_series(op: GradedOperator) -> DetectionResult:
             num *= u1
             den *= v1
         return DetectionResult(True, psi, coeffs, scale, None)
+    lead = (op.weights[1:] if isinstance(op, ShiftOperator)
+            else [(row._num[-1], row._den) for row in op.images[1:]])
     psi = PsiSequence(CUSTOM, None, cap, "custom", {},
-                      [_lowest_pair(s * row._num[-1], t * row._den)
-                       for row in op.images[1:]])
+                      [_lowest_pair(s * u, t * v) for u, v in lead])
     c, witness = _series_and_witness(op, psi)
     if witness is not None:
         return DetectionResult(False, None, None, scale, witness)

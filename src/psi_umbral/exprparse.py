@@ -18,8 +18,12 @@ Every failure raises ExprParseError carrying the 0-based input position.
 With weights in context, Dpsi, Delta, E[y], rationals and (for classical
 weights) D evaluate to ``SeriesOperator`` values, series in the context's
 weighted derivative.  '+', '-', '*' and '^' between them stay series
-values, computed on the series; an operand that is a plain table (X, Xpsi,
-Nhat, D0, Q[q], Dq[q], or D for other weights) makes the result a table.
+values, computed on the series.  Dq[q] is a series value in its own
+Jackson weights.  X, Xpsi, Nhat, D0, Q[q] and (for other weights) D
+evaluate to ``ShiftOperator`` values, kept as their weights: products and
+powers of shifts, scalar multiples and negation keep a shift a shift, and
+so does a product with c times a power of a weighted derivative.  Any
+other mix is a plain table.
 """
 
 from __future__ import annotations

@@ -6,29 +6,31 @@ combination of table rows, and composing operators re-applies one table to
 the rows of another.  Compositions with a degree-raising inner operator
 shrink the usable cap (the outer table runs out of rows), so ``compose``
 computes the largest cap on which the result is trustworthy and the result
-carries that cap.  A weighted shift x^n -> w_n x^(n+s) (X, D, D0, Q[q],
-Xpsi, Nhat, and c times a power of the weighted derivative) composes on
-its weights instead: the weights multiply and the shifts add, so no table
-is applied.
+carries that cap.
 
 Closed-form actions (weighted derivative, weighted raising operator and
 friends) are also provided directly on polynomials, with no cap at all.
-Every weighted shift has two homes, both on int weight pairs:
-``_weighted_shift`` applies it to a polynomial and ``_shift_table``
-builds its table.
+A weighted shift x^n -> w_n x^(n+s) (X, D, D0, Q[q], Xpsi, Nhat, and
+products and powers of them) is kept as a value, ``ShiftOperator``: its
+weights as int pairs and its shift.  It builds a row only when asked,
+applies itself by ``_weighted_shift``, and composes with another shift,
+or with c times a power of the weighted derivative, on the weights: the
+weights multiply and the shifts add, so no table is applied.
 
 A shift-invariant operator is a series in the weighted derivative, and
 ``SeriesOperator`` keeps it as one: a table that carries its series, its
-weights and its cap, builds row n only when it is asked for, and builds
-the whole table once, and keeps it, when every row is needed.  The
-weighted derivative, the forward difference and the translations are
-such values; ``operator_from_series`` gives the plain table.
+weights and its cap, builds row n only when it is asked for, builds the
+whole table once, and keeps it, when every row is needed, and applies
+itself by correlation on Ward's scaled coordinates.  The weighted
+derivative, the forward difference and the translations are such values;
+``operator_from_series`` gives the plain table.
 ``shift_invariant_coefficients`` is the one place that decides whether a
 table is a series: it reads the series off the constant terms and
-compares the table with that series value up to the first difference.
-A series value in the weights asked about is its own answer.  The check
-that an operator lowers degree by exactly one lives here too; a series
-value settles it from rows 0 and 1.
+compares the table with that series value up to the first difference; a
+shift value is compared on its weights.  A series value in the weights
+asked about is its own answer.  The check that an operator lowers degree
+by exactly one lives here too; a series value settles it from rows 0 and
+1, a shift by -1 from its weights.
 """
 
 from __future__ import annotations
@@ -171,17 +173,18 @@ class GradedOperator:
         return cls(tuple(rule(n) for n in range(cap + 1)), cap)
 
     @classmethod
-    def identity(cls, cap: int) -> "GradedOperator":
-        return _shift_table([(1, 1)] * (cap + 1), 0, cap)
+    def identity(cls, cap: int) -> "ShiftOperator":
+        return ShiftOperator([(1, 1)] * (cap + 1), 0, cap)
 
     @classmethod
-    def zero(cls, cap: int) -> "GradedOperator":
-        return _shift_table([(0, 1)] * (cap + 1), 0, cap)
+    def zero(cls, cap: int) -> "ShiftOperator":
+        return ShiftOperator([(0, 1)] * (cap + 1), 0, cap)
 
     @classmethod
-    def scalar(cls, c, cap: int) -> "GradedOperator":
+    def scalar(cls, c, cap: int) -> "ShiftOperator":
         c = as_scalar(c)
-        return _shift_table([(c.numerator, c.denominator)] * (cap + 1), 0, cap)
+        return ShiftOperator([(c.numerator, c.denominator)] * (cap + 1), 0,
+                             cap)
 
     @property
     def cap(self) -> int:
@@ -189,6 +192,9 @@ class GradedOperator:
 
     @property
     def images(self) -> tuple:
+        if self._images is None:
+            # a value that builds rows on demand keeps them once all are built
+            self._images = tuple(map(self._row, range(self._cap + 1)))
         return self._images
 
     def image(self, n: int) -> Polynomial:
@@ -215,11 +221,14 @@ class GradedOperator:
     def is_zero(self) -> bool:
         return all(img.is_zero for img in self.images)
 
-    def apply(self, p: Polynomial) -> Polynomial:
+    def _fits(self, p: Polynomial):
         if p.degree is not NEG_INF and p.degree > self._cap:
             raise CapExceededError(
                 "polynomial degree %d exceeds operator cap %d"
                 % (p.degree, self._cap), cap=self._cap)
+
+    def apply(self, p: Polynomial) -> Polynomial:
+        self._fits(p)
         return _linear_combination(p, self.images)
 
     __call__ = apply
@@ -268,7 +277,7 @@ class GradedOperator:
                 g, h = gcd(u, y), gcd(x, v)
                 u, v = u // g * (x // h), v // h * (y // g)
             pairs.append((u, v))
-        return _shift_table(pairs, s + t, eff)
+        return ShiftOperator(pairs, s + t, eff)
 
     def __add__(self, other):
         if not isinstance(other, GradedOperator):
@@ -285,15 +294,22 @@ class GradedOperator:
         return GradedOperator(tuple(a[n] - b[n] for n in range(cap + 1)), cap)
 
     def __neg__(self):
-        return GradedOperator(tuple(-img for img in self.images), self._cap)
+        return self._scaled(as_scalar(-1))
 
     def __mul__(self, other):
         if isinstance(other, GradedOperator):
             return self.compose(other)
-        c = as_scalar(other)
-        return GradedOperator(tuple(c * img for img in self.images), self._cap)
+        return self._scaled(as_scalar(other))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # Python tries a subclass's reflected method before a table's own
+        # __mul__: table * value must stay the table's composition.
+        if isinstance(other, GradedOperator):
+            return NotImplemented
+        return self * other
+
+    def _scaled(self, c) -> "GradedOperator":
+        return GradedOperator(tuple(c * img for img in self.images), self._cap)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -344,20 +360,20 @@ class GradedOperator:
 # -- named operator tables ---------------------------------------------
 
 
-def derivative_op(cap: int) -> GradedOperator:
-    return _shift_table([(n, 1) for n in range(cap + 1)], -1, cap)
+def derivative_op(cap: int) -> "ShiftOperator":
+    return ShiftOperator([(n, 1) for n in range(cap + 1)], -1, cap)
 
-def multiply_x_op(cap: int) -> GradedOperator:
-    return _shift_table([(1, 1)] * (cap + 1), 1, cap)
+def multiply_x_op(cap: int) -> "ShiftOperator":
+    return ShiftOperator([(1, 1)] * (cap + 1), 1, cap)
 
-def dilation_op(q, cap: int) -> GradedOperator:
+def dilation_op(q, cap: int) -> "ShiftOperator":
     """x^n -> q^n x^n; with q = a/b in lowest terms, a^n/b^n is too."""
     q = as_scalar(q)
     a, b = q.numerator, q.denominator
-    return _shift_table([(a ** n, b ** n) for n in range(cap + 1)], 0, cap)
+    return ShiftOperator([(a ** n, b ** n) for n in range(cap + 1)], 0, cap)
 
-def divided_difference_op(cap: int) -> GradedOperator:
-    return _shift_table([(0, 1)] + [(1, 1)] * cap, -1, cap)
+def divided_difference_op(cap: int) -> "ShiftOperator":
+    return ShiftOperator([(0, 1)] + [(1, 1)] * cap, -1, cap)
 
 def jackson_derivative_op(q, cap: int) -> "SeriesOperator":
     return psi_derivative_op(PsiSequence.jackson(q, cap), cap)
@@ -365,14 +381,14 @@ def jackson_derivative_op(q, cap: int) -> "SeriesOperator":
 def psi_derivative_op(psi: PsiSequence, cap: int) -> "SeriesOperator":
     return SeriesOperator(TruncatedSeries.identity(cap), psi)
 
-def psi_raise_op(psi: PsiSequence, cap: int) -> GradedOperator:
+def psi_raise_op(psi: PsiSequence, cap: int) -> "ShiftOperator":
     """x^n -> ((n+1)/(n+1)_psi) x^(n+1); reads the weights 1..cap + 1."""
-    return _shift_table([_lowest_pair(*w) for w in _raise_weights(psi, cap + 1)],
-                        1, cap)
+    return ShiftOperator(
+        [_lowest_pair(*w) for w in _raise_weights(psi, cap + 1)], 1, cap)
 
-def weight_op(psi: PsiSequence, cap: int) -> GradedOperator:
+def weight_op(psi: PsiSequence, cap: int) -> "ShiftOperator":
     """x^n -> (n+1)_psi x^n, read off the weight pairs 1..cap + 1."""
-    return _shift_table(psi.weight_pairs(cap + 1), 0, cap)
+    return ShiftOperator(psi.weight_pairs(cap + 1), 0, cap)
 
 def translation_op(psi: PsiSequence, y, cap: int) -> "SeriesOperator":
     """The generalized shift exp_psi(y * psi-derivative).
@@ -449,15 +465,17 @@ class SeriesOperator(GradedOperator):
     ``psi`` the weights object it is a series in.  The weights are read
     when the value is built, as ``operator_from_series`` reads them.  Row n
     is built when ``image(n)`` first asks for it; the whole table is built
-    once, and kept, when ``images`` (and so ``apply`` or ``compose``) needs
-    every row.  Sums, differences, negation, scalar multiples, products and
-    powers of series values with the same weights object and cap are
-    series values again, and so is a truncation; any mix with a plain
-    table is a plain table.  Two series values in one weights object
-    compare by their series at the common cap, other operands by rows.
-    ``_derived`` keeps what is derived from the value (the expansion's
-    tables of it, a delta operator's reverted indicator), built once per
-    value.
+    once, and kept, when ``images`` (and so ``compose`` with an inner that
+    is no weighted shift) needs every row.  ``apply`` builds no row: it is
+    ``apply_psi_series``, a correlation on the scaled coordinates.  Sums,
+    differences, negation, scalar multiples, products and powers of series
+    values with the same weights object and cap are series values again,
+    and so is a truncation; a product with a weighted shift is a shift
+    when the series is c z^k, and any other mix is a plain table.  Two
+    series values in one weights object compare by their series at the
+    common cap, other operands by rows.  ``_derived`` keeps what is derived
+    from the value (the expansion's tables of it, a delta operator's
+    reverted indicator), built once per value.
     """
 
     __slots__ = ("series", "psi", "_rule", "_rows", "_derived")
@@ -471,12 +489,6 @@ class SeriesOperator(GradedOperator):
         self._images = None
         self._derived = {}
 
-    @property
-    def images(self) -> tuple:
-        if self._images is None:
-            self._images = tuple(map(self._row, range(self._cap + 1)))
-        return self._images
-
     def _row(self, n: int) -> Polynomial:
         row = self._rows.get(n)
         if row is None:
@@ -487,6 +499,12 @@ class SeriesOperator(GradedOperator):
         """Is other a series value in the same weights object at the same cap?"""
         return (isinstance(other, SeriesOperator) and other.psi is self.psi
                 and other._cap == self._cap)
+
+    def apply(self, p: Polynomial) -> Polynomial:
+        self._fits(p)
+        return apply_psi_series(self.series, self.psi, p)
+
+    __call__ = apply
 
     def compose(self, inner: GradedOperator) -> GradedOperator:
         if self._partner(inner):
@@ -503,20 +521,8 @@ class SeriesOperator(GradedOperator):
             return SeriesOperator(self.series - other.series, self.psi)
         return super().__sub__(other)
 
-    def __neg__(self):
-        return SeriesOperator(-self.series, self.psi)
-
-    def __mul__(self, other):
-        if isinstance(other, GradedOperator):
-            return self.compose(other)
-        return SeriesOperator(self.series * as_scalar(other), self.psi)
-
-    def __rmul__(self, other):
-        # Python tries this before a table's own __mul__, as this is a
-        # subclass: table * series must stay the table's composition.
-        if isinstance(other, GradedOperator):
-            return NotImplemented
-        return self * other
+    def _scaled(self, c) -> "SeriesOperator":
+        return SeriesOperator(self.series * c, self.psi)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -544,31 +550,66 @@ def _derived(base: GradedOperator, key, build):
         memo[key] = build()
     return memo[key]
 
-def _shift_table(weights, s: int, cap: int) -> GradedOperator:
-    """The table x^n -> w_n x^(n+s), n = 0..cap, for the weights w_n as int
-    pairs (u, v) in lowest terms, v > 0; a zero u gives a zero row."""
-    return GradedOperator([_raw((0,) * (n + s) + (u,), v) if u else _raw((), 1)
-                           for n, (u, v) in enumerate(weights)], cap)
+
+class ShiftOperator(GradedOperator):
+    """The weighted shift x^n -> w_n x^(n+s) on x^0..x^cap, kept as weights.
+
+    ``weights`` holds the w_n, n = 0..cap, as int pairs (u, v) in lowest
+    terms with v > 0, a zero weight as (0, 1), and ``shift`` is s.  Row n is
+    built when ``image(n)`` asks for it, and the whole table once, and kept,
+    when ``images`` is read.  ``apply`` is ``_weighted_shift``.  A scalar
+    multiple, the negation and a truncation are shifts again, and so is the
+    composition of two shifts, on their weights.
+    """
+
+    __slots__ = ("weights", "shift")
+
+    def __init__(self, weights, shift: int, cap: int):
+        self.weights = weights
+        self.shift = shift
+        self._cap = cap
+        self._images = None
+
+    def _row(self, n: int) -> Polynomial:
+        u, v = self.weights[n]
+        return _raw((0,) * (n + self.shift) + (u,), v) if u else _raw((), 1)
+
+    @property
+    def shift_bound(self):
+        return NEG_INF if self.is_zero else self.shift
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(u for u, _ in self.weights)
+
+    def apply(self, p: Polynomial) -> Polynomial:
+        self._fits(p)
+        s = self.shift
+        return _weighted_shift(p, self.weights[max(0, -s): len(p._num)], s)
+
+    __call__ = apply
+
+    def _scaled(self, c) -> "ShiftOperator":
+        a, b = c.numerator, c.denominator
+        return ShiftOperator([_lowest_pair(u * a, v * b)
+                              for u, v in self.weights], self.shift, self._cap)
+
+    def truncated(self, cap: int) -> GradedOperator:
+        if 0 <= cap <= self._cap:
+            return ShiftOperator(self.weights[: cap + 1], self.shift, cap)
+        return super().truncated(cap)
+
 
 def _shift_form(op: GradedOperator):
-    """(w, s) when op sends each x^n to w_n x^(n+s), with the w_n as int
-    pairs (u, v), v > 0, in lowest terms; None otherwise.
-
-    A plain table is read row by row, up to the first row that is not one
-    term at the common shift.  A series value c z^k is read off the
-    weights, with no row built, and kept on the value.
-    """
+    """(w, s) for a shift value, or a series value c z^k, which sends each
+    x^n to w_n x^(n+s), with the w_n as int pairs (u, v), v > 0, in lowest
+    terms; None for any other operator.  A series value's form is read off
+    the weights, with no row built, and kept on the value."""
+    if isinstance(op, ShiftOperator):
+        return op.weights, op.shift
     if isinstance(op, SeriesOperator):
         return _derived(op, "shift form", lambda: _series_shift_form(op))
-    w, s = [], None
-    for n, row in enumerate(op.images):
-        r = row._num
-        if r:
-            s = len(r) - 1 - n if s is None else s
-            if len(r) - 1 - n != s or r.count(0) != len(r) - 1:
-                return None
-        w.append((r[-1], row._den) if r else (0, 1))
-    return w, s or 0
+    return None
 
 def _series_shift_form(op: "SeriesOperator"):
     """``_shift_form`` of a series value: row n of c z^k is
@@ -596,13 +637,18 @@ def _require_lowers_by_one(op: GradedOperator, n_max: int, prefix: str):
 
     ``prefix`` ("" or "base ") leads each message, naming which operator
     failed.  A series value is decided by rows 0 and 1, that is by c_0 = 0
-    and c_1 != 0: row n then leads with c_1 n_psi x^(n-1).
+    and c_1 != 0: row n then leads with c_1 n_psi x^(n-1).  A shift by -1
+    is decided by its first zero weight, with no row built past it.
     """
+    rows = range(1, n_max + 1)
     if isinstance(op, SeriesOperator):
-        n_max = min(n_max, 1)
+        rows = rows[:1]
+    elif isinstance(op, ShiftOperator) and op.shift == -1:
+        # row n is w_n x^(n-1): only a zero weight or a row past the cap fails
+        rows = [n for n in rows if n > op.cap or not op.weights[n][0]][:1]
     if not op.image(0).is_zero:
         raise NotDegreeLoweringError("%soperator does not kill constants" % prefix)
-    for n in range(1, n_max + 1):
+    for n in rows:
         img = op.image(n)
         if img.is_zero:
             raise NotDegreeLoweringError(
@@ -620,30 +666,59 @@ def _series_and_witness(op: GradedOperator, psi: PsiSequence):
     With op(x^k)(0) = a/d and k_psi! = f/g in lowest terms the readout is
     (a g)/(d f) once gcd(a, f) and gcd(g, d) are divided out, collected on
     ints over the lcm of those denominators.  Rows are scanned in order
-    and each row from its highest degree down; (n, k) names the coefficient
-    of x^(n-k) in the image of x^n.  An image past the cap is a difference.
+    and each row from its highest degree down to 0; (n, k) names the
+    coefficient of x^(n-k) in the image of x^n.  An image past the cap is a
+    difference.  A shift value is compared on its weights, with no row built.
     A series value in psi itself is its own series, with no readout and no
     comparison.
     """
     if isinstance(op, SeriesOperator) and op.psi is psi:
         return op.series, None
+    fact = psi.factorial_pairs(op.cap)
+    shift = isinstance(op, ShiftOperator)
+    if shift:
+        constants = [w if n + op.shift == 0 else (0, 1)
+                     for n, w in enumerate(op.weights)]
+    else:
+        constants = [(row._num[0] if row._num else 0, row._den)
+                     for row in op.images]
     parts = []
-    for (f, g), row in zip(psi.factorial_pairs(op.cap), op.images):
-        a = row._num[0] if row._num else 0
-        e = gcd(a, row._den)
-        a, d = a // e, row._den // e
+    for (f, g), (a, d) in zip(fact, constants):
+        e = gcd(a, d)
+        a, d = a // e, d // e
         x, y = gcd(a, f), gcd(g, d)
         parts.append((a // x * (g // y), d // y * (f // x)))
     nums, den = _pairs_over_lcm(parts)
     c = _raw(tuple(nums), den, op.cap)
+    if shift:
+        return c, _shift_witness(op, c, fact)
     model = map(SeriesOperator(c, psi).image, range(op.cap + 1))
     for n, (img, want) in enumerate(zip(op.images, model)):
         if img != want:
+            # a row in a non-canonical form can differ in no coefficient
             i = max(img.degree, want.degree)
-            while img.coefficient(i) == want.coefficient(i):
+            while i > 0 and img.coefficient(i) == want.coefficient(i):
                 i -= 1
             return c, (n, n - i)
     return c, None
+
+def _shift_witness(op: ShiftOperator, c: TruncatedSeries, fact):
+    """The first (n, k) where the shift x^n -> w_n x^(n+s) differs from the
+    series c, or None.  Its readout is at most the one term c_k z^k, k = -s,
+    so row n of the series is c_k n_psi!/(n-k)_psi! x^(n-k), zero for n < k:
+    both rows are one term at x^(n+s), and w_n = u/v is compared with it by
+    cross-multiplying the factorial pairs ``fact``."""
+    k = -op.shift
+    a = c._num[k] if 0 <= k <= op.cap else 0
+    b = c._den
+    for n, (u, v) in enumerate(op.weights):
+        if a and n >= k:
+            (f, g), (f0, g0) = fact[n], fact[n - k]
+            if u * b * g * f0 != v * a * f * g0:
+                return n, k
+        elif u:
+            return n, k
+    return None
 
 def shift_invariant_coefficients(op: GradedOperator,
                                  psi: PsiSequence) -> TruncatedSeries:

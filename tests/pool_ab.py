@@ -1,6 +1,6 @@
 """In-process A/B of two checkouts on one benchmark workload's pool.
 
-    python3 tests/pool_ab.py PARENT_TREE CHANGE_TREE WORKLOAD [PASSES]
+    python3 tests/pool_ab.py PARENT_TREE CHANGE_TREE WORKLOAD [PASSES] [--by cell]
 
 Loads the ``psi_umbral`` of each tree's ``src/`` under its own module name
 into one process, builds WORKLOAD's pool and its eight rounds of seed 1
@@ -9,9 +9,10 @@ rounds (3 by default), alternating which side goes first.  Both sides
 share the machine's speed at each moment, so the ratio of their summed
 times is steadier than two separate runs of ``perfbench/run.py``.  Every
 result is checked against ``perfbench/reference.json`` and the oracles, as
-the benchmark checks it.  Prints, per operation, the items run, the
-parent's summed seconds (the base), the change's, and change/parent; exits
-1 when any item mismatched on either side.
+the benchmark checks it.  Prints, per operation (or, with ``--by cell``,
+per pool cell), the items run, the parent's summed seconds (the base), the
+change's, and change/parent; exits 1 when any item mismatched on either
+side.
 
 The benchmark files are read from the ``perfbench/`` beside this script
 and imported with bytecode writing off, so nothing is written there; the
@@ -51,7 +52,7 @@ def operation(req):
     return params.get("op") or params.get("kind") or params["argv"][0]
 
 
-def run(parent_tree, change_tree, name, passes):
+def run(parent_tree, change_tree, name, passes, by_cell=False):
     sys.dont_write_bytecode = True
     sys.path.insert(0, PERFBENCH)
     import worker
@@ -64,6 +65,8 @@ def run(parent_tree, change_tree, name, passes):
         package, cli = load_package(tree, "psi_umbral_%s" % label)
         workload = workloads.load_workload(name, package, cli)
         sides.append((workload, workload.rounds(SEED, ROUNDS)))
+    cells = {id(req): cell for cell, items in sides[0][0].cells
+             for req in items}
     totals, mismatched = {}, []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
@@ -95,7 +98,9 @@ def run(parent_tree, change_tree, name, passes):
                             if reason is not None:
                                 mismatched.append((("parent", "change")[side],
                                                    req.key, reason))
-                        entry = totals.setdefault(operation(pair[0]), [0, 0.0, 0.0])
+                        group = (cells[id(pair[0])] if by_cell
+                                 else operation(pair[0]))
+                        entry = totals.setdefault(group, [0, 0.0, 0.0])
                         entry[0] += 1
                         entry[1] += times[0]
                         entry[2] += times[1]
@@ -105,29 +110,34 @@ def run(parent_tree, change_tree, name, passes):
     return totals, mismatched
 
 
-def report(name, passes, totals, mismatched):
+def report(name, passes, totals, mismatched, by_cell=False):
     items = sum(entry[0] for entry in totals.values())
     print("%s: seed %d, %d rounds x %d passes, %d items a side, %d mismatched"
           % (name, SEED, ROUNDS, passes, items, len(mismatched)))
-    print("%-12s %6s %11s %11s %14s" % ("operation", "items", "parent_s",
-                                        "change_s", "change/parent"))
+    width = max([12] + [len(group) for group in totals]) if by_cell else 12
+    print("%-*s %6s %11s %11s %14s" % (
+        width, "cell" if by_cell else "operation", "items", "parent_s",
+        "change_s", "change/parent"))
     rows = sorted(totals.items())
     rows.append(("total", [items, sum(e[1] for e in totals.values()),
                            sum(e[2] for e in totals.values())]))
-    for op, (count, base, new) in rows:
-        print("%-12s %6d %11.4f %11.4f %14.4f" % (op, count, base, new,
-                                                 new / base))
+    for group, (count, base, new) in rows:
+        print("%-*s %6d %11.4f %11.4f %14.4f" % (width, group, count, base,
+                                                 new, new / base))
     for side, key, reason in mismatched[:10]:
         print("mismatch (%s) %s: %s" % (side, key, reason))
 
 
 def main(argv):
+    by_cell = argv[-2:] == ["--by", "cell"]
+    if by_cell:
+        argv = argv[:-2]
     if len(argv) not in (3, 4):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     passes = int(argv[3]) if len(argv) == 4 else 3
-    totals, mismatched = run(argv[0], argv[1], argv[2], passes)
-    report(argv[2], passes, totals, mismatched)
+    totals, mismatched = run(argv[0], argv[1], argv[2], passes, by_cell)
+    report(argv[2], passes, totals, mismatched, by_cell)
     return 1 if mismatched else 0
 
 

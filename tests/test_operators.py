@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -370,6 +373,29 @@ def test_shift_invariant_coefficients_is_the_gate(op, psi, witness):
     with pytest.raises(NotShiftInvariantError) as info:
         shift_invariant_coefficients(op, psi)
     assert (info.value.details["n"], info.value.details["k"]) == witness
+
+
+def test_gate_on_a_row_in_a_non_canonical_form_ends_with_a_witness():
+    # row 1 is x over a negative denominator: unequal to the identity's row
+    # as numerators and denominator, equal in every coefficient, so the
+    # scan of that row stops at degree 0 and names it
+    script = (
+        "from psi_umbral.algebra import Polynomial, _raw\n"
+        "from psi_umbral.errors import NotShiftInvariantError\n"
+        "from psi_umbral.operators import (GradedOperator,\n"
+        "                                  shift_invariant_coefficients)\n"
+        "from psi_umbral.psi import PsiSequence\n"
+        "op = GradedOperator([Polynomial.one(), _raw((0, -1), -1),\n"
+        "                     Polynomial.monomial(2)], 2)\n"
+        "try:\n"
+        "    shift_invariant_coefficients(op, PsiSequence.classical(2))\n"
+        "except NotShiftInvariantError as exc:\n"
+        "    print(exc.details)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "{'n': 1, 'k': 1}\n", done.stderr
 
 
 ZOO = ("Delta", "E[1/2] - 1", "E[-1/2] - 1", "Dpsi + Dpsi*Dpsi", "D*E[1]",

@@ -1,7 +1,8 @@
 """Basic sequences, by the solve and by each closed formula of
 ``rodrigues_sequence``, Gaussian binomials and their alternating sums, the
-Jackson derivative and raising operator, series inverses, the normal
-ordering of D^n X^m and the Poisson weights against classical closed forms.
+Jackson derivative and raising operator, the gate and detection on a
+dilated Jackson derivative, series inverses, the normal ordering of D^n X^m
+and the Poisson weights against classical closed forms.
 
 The closed forms are the benchmark's oracles in ``perfbench/oracles.py``,
 and the Laguerre coefficients and Jackson exponentials below: plain Fraction
@@ -25,11 +26,13 @@ import pytest
 from psi_umbral import star_product, verify
 from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.cli import main
-from psi_umbral.expansion import (expand_in_monomials,
+from psi_umbral.errors import NotShiftInvariantError
+from psi_umbral.expansion import (detect_psi_series, expand_in_monomials,
                                   reconstruct_from_monomial_form)
 from psi_umbral.exprparse import OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, psi_derivative,
-                                  psi_derivative_op, psi_raise)
+                                  psi_derivative_op, psi_raise,
+                                  shift_invariant_coefficients)
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator, rodrigues_sequence, translate
 
@@ -150,6 +153,29 @@ def test_jackson_derivative_and_raising_are_the_q_brackets(q):
             [0] * (n - 1) + [fact[n] / fact[n - 1]]), n
         raised = psi_raise(psi, raised)
         assert raised == Polynomial([0] * n + [factorial(n) / fact[n]]), n
+
+
+@pytest.mark.parametrize("q", ["1/2", "-2"])
+@pytest.mark.parametrize("a", ["1", "1/2", "-3"])
+def test_a_dilated_jackson_derivative_is_invariant_only_undilated(a, q):
+    # Q[a] D_q x^n = a^(n-1) [n]_q x^(n-1).  At a = 1 that is D_q, the
+    # series z in the Jackson weights; otherwise row 2 is the first to
+    # differ from z's, and detection reads the derivative of the weights
+    # a^(n-1) [n]_q whatever a is.
+    q, a = Fraction(q), Fraction(a)
+    fact = q_factorials(q, 13)
+    psi = PsiSequence.jackson(q, 13)
+    op = parse_operator("Q[%s]*Dpsi" % a, OperatorContext(13, psi))
+    z = [0, 1] + [0] * 12
+    try:
+        verdict = list(shift_invariant_coefficients(op, psi).coeffs)
+    except NotShiftInvariantError as exc:
+        verdict = exc.details
+    assert verdict == (z if a == 1 else {"n": 2, "k": 1})
+    found = detect_psi_series(op)
+    assert found.is_series and found.scale == 1 and found.series_coeffs == z
+    assert found.psi.values(13) == [a ** (n - 1) * fact[n] / fact[n - 1]
+                                    for n in range(1, 14)]
 
 
 @pytest.mark.parametrize("q", ["1/2", "2", "-1/2", "-3"])

@@ -7,8 +7,9 @@ from psi_umbral.algebra import Polynomial
 from psi_umbral.errors import ExprParseError
 from psi_umbral.exprparse import MAX_NESTING, OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, SeriesOperator,
-                                  derivative_op, forward_difference_op,
-                                  multiply_x_op, psi_derivative_op)
+                                  ShiftOperator, derivative_op,
+                                  forward_difference_op, multiply_x_op,
+                                  psi_derivative_op)
 from psi_umbral.psi import PsiSequence
 
 CTX = OperatorContext(8)
@@ -46,18 +47,18 @@ def test_psi_bound_without_context_fails():
         parse_operator("E[1]", CTX)
 
 
-G, S = GradedOperator, SeriesOperator
+S, W = SeriesOperator, ShiftOperator
 # name: (takes a [parameter], what it parses to without weights, under
 # classical weights, under q = 1/2 weights); None where it needs weights
 NAME_CASES = {
-    "D": (False, G, S, G),
-    "X": (False, G, G, G),
-    "D0": (False, G, G, G),
-    "Q": (True, G, G, G),
+    "D": (False, W, S, W),
+    "X": (False, W, W, W),
+    "D0": (False, W, W, W),
+    "Q": (True, W, W, W),
     "Dq": (True, S, S, S),
     "Dpsi": (False, None, S, S),
-    "Xpsi": (False, None, G, G),
-    "Nhat": (False, None, G, G),
+    "Xpsi": (False, None, W, W),
+    "Nhat": (False, None, W, W),
     "Delta": (False, None, S, S),
     "E": (True, None, S, S),
     "Zeta": (False, "unknown", "unknown", "unknown"),

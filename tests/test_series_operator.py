@@ -18,8 +18,9 @@ from psi_umbral.errors import CapExceededError, NotShiftInvariantError
 from psi_umbral.expansion import detect_psi_series, first_expansion_coeffs
 from psi_umbral.exprparse import OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, SeriesOperator,
-                                  forward_difference_op, invert_shift_invariant,
-                                  multiply_x_op, operator_from_series,
+                                  ShiftOperator, forward_difference_op,
+                                  invert_shift_invariant, multiply_x_op,
+                                  operator_from_series,
                                   shift_invariant_coefficients)
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator
@@ -132,14 +133,20 @@ def test_mixing_with_a_table_gives_the_table_composition():
     ctx = OperatorContext(CAP, psi)
     d = parse_operator("Dpsi", ctx)
     x = multiply_x_op(CAP)
+    table = GradedOperator(x.images, CAP)
     plain = operator_from_series((0, 1), psi, CAP)
-    for got, want in ((x * d, x.compose(plain)), (d * x, plain.compose(x)),
+    for got, want in ((table * d, table.compose(plain)),
+                      (d * table, plain.compose(table)),
                       (x + d, x + plain), (d - x, plain - x)):
         assert type(got) is GradedOperator
         assert got.cap == want.cap and got.images == want.images
-    assert type(parse_operator("Dpsi*Xpsi", ctx)) is GradedOperator
+    # a shift composed with a one-term series value is a shift
+    for got, want in ((x * d, x.compose(plain)), (d * x, plain.compose(x))):
+        assert type(got) is ShiftOperator
+        assert got.cap == want.cap and got.images == want.images
+    assert type(parse_operator("Dpsi*Xpsi", ctx)) is ShiftOperator
     # D is a series only in classical weights
-    assert type(parse_operator("D", ctx)) is GradedOperator
+    assert type(parse_operator("D", ctx)) is ShiftOperator
     # a series in another weights object, even an equal one, gives a table
     twin = parse_operator("Dpsi", OperatorContext(CAP, WEIGHTS["q=1/2"]()))
     assert isinstance(twin, SeriesOperator)
@@ -223,13 +230,25 @@ def test_first_expansion_reverts_the_indicator_once(monkeypatch):
 def test_gate_on_a_failing_table_builds_model_rows_up_to_its_witness(
         monkeypatch):
     psi = PsiSequence.classical(40)
-    table = parse_operator("D*X*D", OperatorContext(40, psi))
-    assert type(table) is GradedOperator and table.cap == 40
+    shift = parse_operator("D*X*D", OperatorContext(40, psi))
+    assert type(shift) is ShiftOperator and shift.cap == 40
+    table = GradedOperator(shift.images, 40)
     rows = counted_rows(monkeypatch)
     with pytest.raises(NotShiftInvariantError) as err:
         shift_invariant_coefficients(table, psi)
     assert err.value.details == {"n": 2, "k": 1}
     assert len(rows) <= 3
+    # the shift value is compared on its weights: no row on either side
+    built = len(rows)
+    shift_rows = []
+    row = ShiftOperator._row
+    monkeypatch.setattr(ShiftOperator, "_row", lambda self, n: (
+        shift_rows.append(n) or row(self, n)))
+    shift = parse_operator("D*X*D", OperatorContext(40, psi))
+    with pytest.raises(NotShiftInvariantError) as err:
+        shift_invariant_coefficients(shift, psi)
+    assert err.value.details == {"n": 2, "k": 1}
+    assert len(rows) == built and shift_rows == []
 
 
 @pytest.mark.parametrize("weights", sorted(WEIGHTS))

@@ -6,7 +6,8 @@ their weights.  Here products, powers and sums of them, and of E[y], are
 composed both ways in several weights and at caps 0-24: by the library,
 and by a reference that applies the outer table to each inner row, row by
 row, with the usable cap the first nonzero inner row past the outer cap
-ends.
+ends.  A ``ShiftOperator`` value is also compared with its plain twin, the
+table of its rows, through every reader that takes a shift on its weights.
 """
 
 from fractions import Fraction
@@ -14,10 +15,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.errors import CapExceededError
+from psi_umbral.expansion import detect_psi_series
 from psi_umbral.exprparse import OperatorContext, parse_operator
-from psi_umbral.operators import GradedOperator
+from psi_umbral.operators import (GradedOperator, ShiftOperator,
+                                  _require_lowers_by_one,
+                                  shift_invariant_coefficients)
 from psi_umbral.psi import PsiSequence
+from psi_umbral.umbral import basic_sequence_solve
 from test_series_operator import counted_rows
 
 WEIGHTS = {
@@ -162,3 +168,87 @@ def test_composing_with_a_multiple_of_a_power_builds_none_of_its_rows(
     pairs = [(tree, atom), (atom, tree)][: 1 + shift]
     assert [describe(r) for r in results] == [
         outcome(reference(ctx), ("mul", a, b)) for a, b in pairs]
+
+
+# -- a shift value against its plain twin ---------------------------------
+
+SHIFTS = st.one_of(
+    st.sampled_from(["D", "X", "Xpsi", "Nhat", "D*X*D", "Xpsi*Dpsi"]),
+    st.builds("Q[{}]".format, SCALARS),
+    st.builds("Q[{}]*Dpsi".format, SCALARS),
+    st.builds("(X*D)^{}".format, st.integers(min_value=0, max_value=4)),
+)
+# shift, series and plain partners
+PARTNERS = st.one_of(SHIFTS, st.sampled_from(
+    ["Dpsi", "Delta", "3*Dpsi^2", "E[-1/2]", "X + D", "Nhat - Dpsi"]))
+FORMS = ["as is", "times", "times on the left", "negated", "truncated"]
+
+
+def answer(fn, *args):
+    """What fn returns, an operator as its cap and rows and a series as its
+    cap and coefficients, or the type, message and details of what it
+    raised."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # the comparison is the point
+        return type(exc).__name__, str(exc), getattr(exc, "details", None)
+    if isinstance(got, GradedOperator):
+        return "ok", got.cap, got.images
+    if isinstance(got, TruncatedSeries):
+        return "ok", got.cap, got.coeffs
+    return "ok", got
+
+
+def twins(op, form, c, cap):
+    """op made into ``form``, and the same made from a plain copy of op."""
+    plain = GradedOperator(op.images, op.cap)
+    if form == "times":
+        return op * c, plain * c
+    if form == "times on the left":
+        return c * op, c * plain
+    if form == "negated":
+        return -op, -plain
+    if form == "truncated" and cap <= op.cap:
+        return op.truncated(cap), plain.truncated(cap)
+    return op, plain
+
+
+@given(st.sampled_from(["classical", "q=-2", "negative"]),
+       st.integers(min_value=0, max_value=24), SHIFTS, st.sampled_from(FORMS),
+       SCALARS, st.integers(min_value=0, max_value=24), PARTNERS,
+       st.integers(min_value=0, max_value=3), st.lists(SCALARS, max_size=27))
+@settings(max_examples=150, deadline=None)
+@example("q=-2", 6, "D", "as is", Fraction(1), 0, "Dpsi", 2, [1, 2, 3])
+@example("negative", 5, "Q[0]", "times", Fraction(0), 0, "X", 1, [1])
+@example("classical", 0, "D*X*D", "as is", Fraction(1), 0, "X", 0, [])
+def test_a_shift_value_answers_as_its_plain_twin(weights, cap, text, form, c,
+                                                 n, partner, k, coeffs):
+    psi = WEIGHTS[weights]
+    ctx = OperatorContext(cap, psi)
+    try:
+        base = parse_operator(text, ctx)
+        other = parse_operator(partner, ctx)
+    except CapExceededError:
+        # X raises the degree, so X*D has no usable cap at cap 0
+        assume(False)
+    # under classical weights D is a series value
+    assume(isinstance(base, ShiftOperator))
+    op, made = twins(base, form, c, n)
+    assert isinstance(op, ShiftOperator)
+    plain = GradedOperator(op.images, op.cap)
+    assert answer(lambda: made) == answer(lambda: plain)
+    for b in (other, GradedOperator(other.images, other.cap)):
+        assert answer(op.compose, b) == answer(plain.compose, b)
+        assert answer(b.compose, op) == answer(b.compose, plain)
+        assert (op == b, b == op) == (plain == b, b == plain)
+    assert op == plain and plain == op
+    assert answer(op.__pow__, k) == answer(plain.__pow__, k)
+    p = Polynomial(coeffs)
+    assert answer(op.apply, p) == answer(plain.apply, p)
+    assert answer(op, p) == answer(plain, p)
+    for fn in (lambda t: shift_invariant_coefficients(t, psi),
+               lambda t: detect_psi_series(t).to_json(),
+               lambda t: basic_sequence_solve(t, psi, min(n, t.cap)).polys,
+               lambda t: _require_lowers_by_one(t, n, "base "),
+               lambda t: _require_lowers_by_one(t, t.cap + 1, "")):
+        assert answer(fn, op) == answer(fn, plain)
