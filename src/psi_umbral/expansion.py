@@ -20,7 +20,12 @@ series value T = sum c_k d^k in the base's own weights object step 1 is
 the identity, F_m = c_m, and only step 2 runs; q_n that are all constants
 reconstruct to the series value F = sum q_n s^n, and two series values in
 one weights object compare by their series, so such a round trip builds
-no row of either table.
+no row of either table.  A weighted shift T x^m = w_m x^(m+s) runs on its
+one diagonal: each F_m is c_m x^(m+s), so step 1 is the scalar recurrence
+c_m = w_m/m_psi! - sum_(k<m) c_k/(m-k)_psi!.  When every F_k is zero or one
+term on a common diagonal x^(k+s), the reconstruction is the shift value
+with w_m = m_psi! sum_k c_k/(m-k)_psi!, a ``ShiftOperator``, which compares
+with a shift on its weights, so that round trip builds no row either.
 
 A series base keeps what the route reads of it and nothing of T: the rows
 of its power table, per cap, and the unit-normal sequence the conjugation
@@ -49,10 +54,12 @@ first witness pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _combination,
-                      _generating_sum, _lowest_pair, scalar_to_str)
+                      _generating_sum, _lowest_pair, _pairs_over_lcm, _raw,
+                      scalar_to_str)
 from .errors import CapExceededError
 from .operators import (GradedOperator, SeriesOperator, ShiftOperator,
                         _derived, _require_lowers_by_one, _series_and_witness,
@@ -153,16 +160,42 @@ def _shift_terms(scaled, psi: PsiSequence, m: int, scale: int) -> tuple:
              for k, p in enumerate(scaled)], l, cofactors[m])
 
 
+def _shift_step_one(t: ShiftOperator, psi: PsiSequence, cap: int) -> list:
+    """Step 1 on the one diagonal of a weighted shift x^m -> w_m x^(m+s):
+    F_m = c_m x^(m+s) with c_m = w_m/m_psi! - sum_(k<m) c_k/(m-k)_psi!.
+    With the weights' cofactors l/j_psi!, read once for the cap, and the
+    c_k = nums[k]/den over the lcm of their denominators, w_m = u/v gives
+    c_m = (u (l/m_psi!) den - v sum_k nums[k] (l/(m-k)_psi!)) / (v l den),
+    reduced once."""
+    l, cofactors = psi.cofactors(cap)
+    nums, den, out = [], 1, []
+    for m, (u, v) in enumerate(t.weights[: cap + 1]):
+        a, b = _lowest_pair(
+            u * cofactors[m] * den
+            - v * sum(map(mul, nums, cofactors[m:0:-1])), v * l * den)
+        r = b // gcd(den, b)
+        if r != 1:
+            nums = [x * r for x in nums]
+            den *= r
+        nums.append(a * (den // b))
+        out.append(_raw((0,) * (m + t.shift) + (a,), b) if a else _raw((), 1))
+    return out
+
+
 def _series_expansion(t: GradedOperator, base: SeriesOperator,
                       cap: int) -> list:
     rows = _series_tables(base, cap)
-    # A series value T = sum c_k d^k in the base's weights has F_m = c_m.
-    own = isinstance(t, SeriesOperator) and t.psi is base.psi
-    scaled = ([Polynomial.monomial(0, c) for c in t.series.coeffs[: cap + 1]]
-              if own else [])
+    if isinstance(t, SeriesOperator) and t.psi is base.psi:
+        # A series value T = sum c_k d^k in the base's weights has F_m = c_m.
+        scaled = [Polynomial.monomial(0, c)
+                  for c in t.series.coeffs[: cap + 1]]
+    elif isinstance(t, ShiftOperator):
+        scaled = _shift_step_one(t, base.psi, cap)
+    else:
+        scaled = []
     qs = []
     for m in range(cap + 1):
-        if not own:
+        if len(scaled) == m:
             # Step 1: F_m = T x^m / m_psi! - sum_(k<m) F_k x^(m-k) / (m-k)_psi!.
             terms, l, w = _shift_terms(scaled, base.psi, m, -1)
             terms.append((w, t.image(m), 0))
@@ -178,6 +211,23 @@ def _series_expansion(t: GradedOperator, base: SeriesOperator,
     return qs
 
 
+def _one_diagonal(polys):
+    """(s, pairs) when each polys[k] is zero or one term (a/b) x^(k+s), one
+    s for all, some nonzero, with pairs[k] = (a, b) and (0, 1) for zero;
+    else None."""
+    s, pairs = None, []
+    for k, p in enumerate(polys):
+        r = p._num
+        if not r:
+            pairs.append((0, 1))
+            continue
+        if any(r[:-1]) or s not in (None, len(r) - 1 - k):
+            return None
+        s = len(r) - 1 - k
+        pairs.append((r[-1], p._den))
+    return None if s is None else (s, pairs)
+
+
 def _series_reconstruction(coeff_polys, base: SeriesOperator,
                            cap: int) -> GradedOperator:
     rows = _series_tables(base, cap)
@@ -190,8 +240,19 @@ def _series_reconstruction(coeff_polys, base: SeriesOperator,
         # Constant q_n make F = sum q_n s^n a scalar series: the value F(d).
         return SeriesOperator(TruncatedSeries(
             [p.constant_term for p in scaled], cap), base.psi)
+    fact = base.psi.factorial_pairs(cap)
+    diagonal = _one_diagonal(scaled)
+    if diagonal is not None:
+        # F_k = c_k x^(k+s) make T the shift with
+        # w_m = m_psi! sum_k c_k/(m-k)_psi!, on the cofactors at the cap.
+        s, cs = diagonal
+        nums, den = _pairs_over_lcm(cs)
+        l, cofactors = base.psi.cofactors(cap)
+        return ShiftOperator([_lowest_pair(
+            f * sum(map(mul, nums, cofactors[m::-1])), g * l * den)
+            for m, (f, g) in enumerate(fact)], s, cap)
     images = []
-    for m, (f, g) in enumerate(base.psi.factorial_pairs(cap)):
+    for m, (f, g) in enumerate(fact):
         terms, l, _ = _shift_terms(scaled[: m + 1], base.psi, m, f)
         images.append(_combination(terms, g * l))
     return GradedOperator(images, cap)
@@ -229,7 +290,8 @@ def reconstruct_from_monomial_form(exp: OperatorExpansion,
                                    cap: int) -> GradedOperator:
     """The table of sum q_n(x) base^n on x^0..x^cap; a series base runs
     the two steps of the series route forward, and gives a series value
-    in its weights when every q_n is a constant."""
+    in its weights when every q_n is a constant, and else a shift value
+    when every F_k is zero or one term on one diagonal x^(k+s)."""
     base = exp.base
     if cap > base.cap:
         raise CapExceededError(

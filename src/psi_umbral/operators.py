@@ -15,7 +15,8 @@ products and powers of them) is kept as a value, ``ShiftOperator``: its
 weights as int pairs and its shift.  It builds a row only when asked,
 applies itself by ``_weighted_shift``, and composes with another shift,
 or with c times a power of the weighted derivative, on the weights: the
-weights multiply and the shifts add, so no table is applied.
+weights multiply and the shifts add, so no table is applied.  It compares
+with either on the weights too.
 
 A shift-invariant operator is a series in the weighted derivative, and
 ``SeriesOperator`` keeps it as one: a table that carries its series, its
@@ -473,9 +474,10 @@ class SeriesOperator(GradedOperator):
     and so is a truncation; a product with a weighted shift is a shift
     when the series is c z^k, and any other mix is a plain table.  Two
     series values in one weights object compare by their series at the
-    common cap, other operands by rows.  ``_derived`` keeps what is derived
-    from the value (the expansion's tables of it, a delta operator's
-    reverted indicator), built once per value.
+    common cap, a value c z^k and a shift on their weights, other
+    operands by rows.  ``_derived`` keeps what is derived from the value
+    (the expansion's tables of it, a delta operator's reverted indicator),
+    built once per value.
     """
 
     __slots__ = ("series", "psi", "_rule", "_rows", "_derived")
@@ -539,6 +541,8 @@ class SeriesOperator(GradedOperator):
         # where the series do.
         if isinstance(other, SeriesOperator) and other.psi is self.psi:
             return self.series == other.series
+        if isinstance(other, ShiftOperator):
+            return other == self
         return super().__eq__(other)
 
 
@@ -559,7 +563,9 @@ class ShiftOperator(GradedOperator):
     built when ``image(n)`` asks for it, and the whole table once, and kept,
     when ``images`` is read.  ``apply`` is ``_weighted_shift``.  A scalar
     multiple, the negation and a truncation are shifts again, and so is the
-    composition of two shifts, on their weights.
+    composition of two shifts, on their weights.  A shift compares with a
+    shift, or with a series value c z^k, on the weights at the common cap,
+    with no row built.
     """
 
     __slots__ = ("weights", "shift")
@@ -598,6 +604,17 @@ class ShiftOperator(GradedOperator):
         if 0 <= cap <= self._cap:
             return ShiftOperator(self.weights[: cap + 1], self.shift, cap)
         return super().truncated(cap)
+
+    def __eq__(self, other):
+        # Row n is w_n x^(n+s): two shifts' rows agree where both weights
+        # are zero, or where the weights and the shifts are equal.  A
+        # series value c z^k is compared as the shift it is.
+        form = _shift_form(other)
+        if form is not None and all(
+                (u, v) == (x, y) and self.shift == form[1] or not (u or x)
+                for (u, v), (x, y) in zip(self.weights, form[0])):
+            return True
+        return super().__eq__(other)
 
 
 def _shift_form(op: GradedOperator):

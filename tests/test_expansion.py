@@ -16,7 +16,7 @@ from psi_umbral.expansion import (conjugate_indicator_check, detect_psi_series,
                                   apply_dual_form)
 from psi_umbral.exprparse import OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, SeriesOperator,
-                                  derivative_op, forward_difference_op,
+                                  ShiftOperator, derivative_op, forward_difference_op,
                                   multiply_x_op, operator_from_series,
                                   psi_derivative_op, translation_op)
 from psi_umbral.psi import PsiSequence
@@ -602,6 +602,78 @@ def test_a_series_value_in_the_base_weights_skips_step_one(monkeypatch):
                     == exp.coeff_polys)
             assert len(calls) == exp.order + 1
             calls.clear()
+
+
+SHIFT_WEIGHTS = {
+    "classical": lambda cap: PsiSequence.classical(cap),
+    "q=-2": lambda cap: PsiSequence.jackson(-2, cap),
+    "negative": lambda cap: PsiSequence.custom(
+        [Fraction((-1) ** n * (2 * n + 1), n + 2) for n in range(1, cap + 2)]),
+    # the scaled weights 3n/2, whose factorial chain breaks at n = 4
+    "broken chain": lambda cap: PsiSequence.custom(
+        [Fraction(3 * n, 2) for n in range(1, cap + 2)]),
+}
+# weighted shifts by -2, -1, 0, -1 and +1
+SHIFT_TEXTS = ("D*D", "D0", "Nhat", "Q[1/2]*Dpsi", "X")
+
+
+@pytest.mark.parametrize("weights", sorted(SHIFT_WEIGHTS))
+@pytest.mark.parametrize("base_text", ["Dpsi", "Delta", "E[1/2] - 1",
+                                       "2*Dpsi"])
+def test_a_shift_takes_the_route_of_its_one_diagonal(base_text, weights,
+                                                     monkeypatch):
+    # a shift value runs step 1 on its weights and its plain twin runs the
+    # generic step 1; the q_n agree, and the reconstruction, a shift value
+    # again, has the rows of the table route's
+    routed = []
+    real = expansion._shift_step_one
+    monkeypatch.setattr(expansion, "_shift_step_one", lambda t, psi, cap: (
+        routed.append(t) or real(t, psi, cap)))
+    psi = SHIFT_WEIGHTS[weights](ROUTE_CAP + 3)
+    if weights == "broken chain":
+        psi.factorial_pairs(ROUTE_CAP)
+        assert psi._breaks
+    ctx = OperatorContext(ROUTE_CAP, psi)
+    base = parse_operator(base_text, ctx)
+    plain_base = operator_from_series(base.series, psi, base.cap)
+    shifts = 0
+    for text in SHIFT_TEXTS:
+        t = parse_operator(text, ctx)
+        twin = GradedOperator(t.images, t.cap)
+        fast = expand_in_monomials(t, base)
+        assert routed == ([t] if isinstance(t, ShiftOperator) else [])
+        shifts += len(routed)
+        routed.clear()
+        assert fast.coeff_polys == expand_in_monomials(twin, base).coeff_polys
+        slow = expand_in_monomials(twin, plain_base)
+        assert fast.coeff_polys == slow.coeff_polys, text
+        for cap in range(fast.order + 1):
+            back = reconstruct_from_monomial_form(fast, cap)
+            assert back.images == reconstruct_from_monomial_form(
+                slow, cap).images, (text, cap)
+            assert isinstance(back, ShiftOperator) == (
+                any(q.degree > 0 for q in fast.coeff_polys[: cap + 1]))
+        assert back == t.truncated(back.cap) and back == twin
+    # classical D is a series value, and D*D with it
+    assert shifts == (4 if weights == "classical" else 5)
+
+
+@pytest.mark.parametrize("weights", sorted(SHIFT_WEIGHTS))
+def test_a_shift_in_the_weighted_derivative_builds_no_row(weights,
+                                                         monkeypatch):
+    built = []
+    row = ShiftOperator._row
+    monkeypatch.setattr(ShiftOperator, "_row", lambda self, n: (
+        built.append(n) or row(self, n)))
+    psi = SHIFT_WEIGHTS[weights](16)
+    ctx = OperatorContext(16, psi)
+    base = parse_operator("Dpsi", ctx)
+    for text in SHIFT_TEXTS + ("Xpsi*Dpsi",):
+        t = parse_operator(text, ctx)
+        exp = expand_in_monomials(t, base)
+        back = reconstruct_from_monomial_form(exp, exp.order)
+        assert back == t.truncated(back.cap)
+    assert built == []
 
 
 def test_a_changed_constant_coefficient_fails_the_reconstruction(monkeypatch,

@@ -19,7 +19,7 @@ import textwrap
 import pytest
 
 import test_oracles
-from psi_umbral import algebra, operators, verify
+from psi_umbral import algebra, expansion, operators, verify
 from psi_umbral.psi import PsiSequence
 
 GATE_CAP = 8
@@ -52,6 +52,9 @@ MUTANTS = {
     "shift_witness_compares_numerators_only": (
         operators, "_shift_witness", "u * b * g * f0 != v * a * f * g0",
         "u * f0 != a * f"),
+    # step 1 of the expansion on the one diagonal of a weighted shift
+    "shift_step_one_adds_the_earlier_terms": (
+        expansion, "_shift_step_one", "- v * sum(", "+ v * sum("),
 }
 
 # The gate has no weight set with a negative pivot, weight or factorial
@@ -131,8 +134,8 @@ def gate_failures():
 
 
 def test_oracle_cases_are_collected_and_pass_unmutated():
-    # 15 tests, 57 cases: a collector that skipped the marks finds 15
-    assert len(ORACLE_CASES) >= 57
+    # 17 tests, 73 cases: a collector that skipped the marks finds 17
+    assert len(ORACLE_CASES) >= 73
     assert failing_oracles() == []
     assert gate_failures() == 0
 
@@ -148,7 +151,10 @@ def test_every_kernel_mutant_fails_the_gate_or_an_oracle(monkeypatch, name):
 
 def test_only_the_negative_factorial_oracle_catches_the_cofactor_sign(
         monkeypatch):
+    # the oracles at q = -2, where some [k]_q! are negative
     apply(monkeypatch, "cofactors_drop_the_sign")
     assert failing_oracles() == [
         "test_jackson_translation_expands_to_the_exponential_constants[%s-%d]"
-        % ("-2", cap) for cap in test_oracles.CAPS]
+        % ("-2", cap) for cap in test_oracles.CAPS] + [
+        "test_the_euler_operator_expands_in_jackson_derivatives[%s--2]" % text
+        for text in ("X*D", "Xpsi*Dpsi")]

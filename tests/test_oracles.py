@@ -1,7 +1,8 @@
 """Basic sequences, by the solve and by each closed formula of
 ``rodrigues_sequence``, Gaussian binomials and their alternating sums, the
 Jackson derivative and raising operator, the gate and detection on a
-dilated Jackson derivative, series inverses, the normal ordering of D^n X^m
+dilated Jackson derivative, the Euler operator x D in Jackson
+derivatives, series inverses, the normal ordering of D^n X^m
 and the Poisson weights against classical closed forms.
 
 The closed forms are the benchmark's oracles in ``perfbench/oracles.py``,
@@ -275,6 +276,26 @@ def test_jackson_translation_expands_to_the_exponential_constants(cap, q):
         exp = expand_in_monomials(shift, base)
         assert list(exp.coeff_polys) == want
         assert reconstruct_from_monomial_form(exp, cap) == shift
+
+
+@pytest.mark.parametrize("q", ["1/2", "-1/2", "2", "-2", "3/5"])
+@pytest.mark.parametrize("text", ["X*D", "Xpsi*Dpsi"])
+def test_the_euler_operator_expands_in_jackson_derivatives(text, q):
+    # x D = sum_(n>=1) (1 - q)^(n-1)/[n]_q x^n D_q^n: on x^m the n-th term
+    # is (1 - q^m)(1 - q^(m-1))...(1 - q^(m-n+1))/(1 - q^n), and the m terms
+    # sum to m.  X*D and Xpsi*Dpsi in the Jackson weights are both x D.
+    q, cap = Fraction(q), 14
+    want = [Polynomial()]
+    power, bracket = Fraction(1), Fraction(0)
+    for n in range(1, cap + 1):
+        bracket = 1 + q * bracket
+        want.append(Polynomial([0] * n + [power / bracket]))
+        power *= 1 - q
+    ctx = OperatorContext(cap, PsiSequence.jackson(q, cap))
+    t = parse_operator(text, ctx)
+    exp = expand_in_monomials(t, parse_operator("Dpsi", ctx))
+    assert list(exp.coeff_polys) == want
+    assert reconstruct_from_monomial_form(exp, cap) == t
 
 
 def binomial_translate(y, poly):

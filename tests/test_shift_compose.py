@@ -20,7 +20,7 @@ from psi_umbral.errors import CapExceededError
 from psi_umbral.expansion import detect_psi_series
 from psi_umbral.exprparse import OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, ShiftOperator,
-                                  _require_lowers_by_one,
+                                  _require_lowers_by_one, psi_derivative_op,
                                   shift_invariant_coefficients)
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import basic_sequence_solve
@@ -252,3 +252,32 @@ def test_a_shift_value_answers_as_its_plain_twin(weights, cap, text, form, c,
                lambda t: _require_lowers_by_one(t, n, "base "),
                lambda t: _require_lowers_by_one(t, t.cap + 1, "")):
         assert answer(fn, op) == answer(fn, plain)
+
+
+def test_shifts_compare_on_their_weights(monkeypatch):
+    # row n of a shift is w_n x^(n+s): two shifts' rows agree where both
+    # weights are zero, whatever the shifts, or where the weights and the
+    # shifts agree, and no row is built to say so
+    built = counted_rows(monkeypatch)
+    row = ShiftOperator._row
+    monkeypatch.setattr(ShiftOperator, "_row", lambda self, n: (
+        built.append(n) or row(self, n)))
+    zero = [(0, 1)] * 5
+    d = ShiftOperator([(0, 1), (1, 1), (2, 1)], -1, 2)
+    assert ShiftOperator(zero, -2, 4) == ShiftOperator(zero, 3, 4)
+    assert ShiftOperator(zero, 0, 4) == ShiftOperator(zero[:3], -1, 2)
+    assert d == ShiftOperator([(0, 1), (1, 1), (2, 1), (5, 3)], -1, 3)
+    # a series value c z^k is compared as the shift it is, either way round
+    z = psi_derivative_op(PsiSequence.classical(4), 4)
+    assert d == z and z == d and ShiftOperator(zero, 2, 4) == 0 * z
+    assert built == []
+    # a difference falls back to rows, which differ
+    assert d != ShiftOperator([(0, 1), (1, 1), (3, 1)], -1, 2)
+    assert d != ShiftOperator([(0, 1), (1, 1), (2, 1)], 0, 2)
+    assert d != ShiftOperator(zero, -1, 4)
+    # a shift against its plain twin, either way round, compares rows
+    assert d != 2 * z and 2 * z != d
+    for op in (d, ShiftOperator(zero, 2, 4)):
+        plain = GradedOperator(op.images, op.cap)
+        assert op == plain and plain == op
+    assert ShiftOperator(zero, 1, 4) == GradedOperator([Polynomial()] * 5)
