@@ -16,9 +16,10 @@ from psi_umbral.expansion import (conjugate_indicator_check, detect_psi_series,
                                   apply_dual_form)
 from psi_umbral.exprparse import OperatorContext, parse_operator
 from psi_umbral.operators import (GradedOperator, SeriesOperator,
-                                  ShiftOperator, derivative_op, forward_difference_op,
-                                  multiply_x_op, operator_from_series,
-                                  psi_derivative_op, translation_op)
+                                  ShiftOperator, derivative_op,
+                                  forward_difference_op, multiply_x_op,
+                                  operator_from_series, psi_derivative_op,
+                                  translation_op)
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator, dual_raise_operator
 from test_operators import ZOO, ZOO_WEIGHTS

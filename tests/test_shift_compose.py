@@ -275,8 +275,8 @@ def test_shifts_compare_on_their_weights(monkeypatch):
     assert d != ShiftOperator([(0, 1), (1, 1), (3, 1)], -1, 2)
     assert d != ShiftOperator([(0, 1), (1, 1), (2, 1)], 0, 2)
     assert d != ShiftOperator(zero, -1, 4)
-    # a shift against its plain twin, either way round, compares rows
     assert d != 2 * z and 2 * z != d
+    # a shift against its plain twin, either way round, compares rows
     for op in (d, ShiftOperator(zero, 2, 4)):
         plain = GradedOperator(op.images, op.cap)
         assert op == plain and plain == op
