@@ -4,9 +4,10 @@ A delta operator here is a degree-lowering operator that commutes with the
 weighted derivative and sends x to a nonzero constant.  Each one factors
 uniquely as (weighted derivative) o S with S invertible, owns a unique
 basic sequence p_0 = 1, p_n(0) = 0, Q p_n = n_psi p_(n-1), and that
-sequence can be produced two independent ways: a direct triangular solve,
-and closed formulas built from Pincherle derivatives and inverse powers of
-the S factor.  Having both is the point; they must agree exactly.
+sequence can be produced two independent ways: a back substitution on the
+int columns of the operator's rows, which works for any degree-lowering
+operator, and closed formulas built from Pincherle derivatives and inverse
+powers of the S factor.  Having both is the point; they must agree exactly.
 
 The closed formulas run on Ward's scaled coordinates a_j j_psi!, where
 they read no weights, and share no code with the solve.
@@ -14,11 +15,14 @@ they read no weights, and share no code with the solve.
 
 from __future__ import annotations
 
-from .algebra import (Polynomial, TruncatedSeries, _combination,
-                      _from_ints, _generating_sum, _linear_combination,
+from math import gcd
+from operator import mul
+
+from .algebra import (Polynomial, TruncatedSeries, _from_ints,
+                      _generating_sum, _linear_combination, _product,
                       _triangular_inverse)
 from .errors import (CapExceededError, NonInvertibleError,
-                     NotDegreeLoweringError)
+                     NotDegreeLoweringError, SelfCheckError)
 from .operators import (GradedOperator, SeriesOperator, _correlate,
                         _derived, _require_lowers_by_one, _scaled_down,
                         _scaled_raise, _scaled_up, invert_shift_invariant,
@@ -111,24 +115,48 @@ def _degree_in_basis(p: Polynomial, size: int) -> int:
 
 def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
                          n_max: int) -> BasicSequence:
-    """Triangular solve for p_0 = 1, p_n(0) = 0, op p_n = n_psi p_(n-1).
+    """Back substitution for p_0 = 1, p_n(0) = 0, op p_n = n_psi p_(n-1).
 
     Works for any operator that lowers degree by exactly one; shift
-    invariance is not needed here.  The table L: x^n -> op(x^(n+1)),
-    n < n_max, keeps degree, so p_n = x L^(-1)(n_psi p_(n-1)), with
-    n_psi = u/v read as the multiplier u over v.
+    invariance is not needed here.  With the rows op(x^j) = r_j/d_j on
+    ints, p_n = sum_j a_j x^j solves sum_j b_j r_j = n_psi p_(n-1) for
+    b_j = a_j/d_j from the top coefficient down: the x^i entry gives
+    b_(i+1) from the b_j above it, over the pivot r_(i+1)[i].  The pivots
+    and the columns below them are read once per solve, n_psi = u/v as
+    the multiplier u over v, and the b_j are ints over one denominator,
+    scaled up only by the factor of a pivot that does not divide; p_n is
+    reduced once.
     """
     if n_max > op.cap:
         raise CapExceededError("n_max %d beyond operator cap %d"
                                % (n_max, op.cap), cap=op.cap)
     _require_lowers_by_one(op, n_max, "")
-    inv = _triangular_inverse([op.image(n + 1) for n in range(n_max)])
+    rows = [op.image(n + 1) for n in range(n_max)]
+    for n, row in enumerate(rows):
+        if len(row._num) != n + 1:
+            raise SelfCheckError("triangular row %d has degree %s, expected %d"
+                                 % (n, row.degree, n))
+    dens = [row._den for row in rows]
+    pivots = [row._num[n] for n, row in enumerate(rows)]
+    below = [[row._num[i] for row in rows[i + 1:]] for i in range(n_max)]
     polys = [Polynomial.one()]
-    for u, v in psi.weight_pairs(n_max):
-        p = polys[-1]
-        polys.append(_combination([(u * a, row, 1)
-                                   for a, row in zip(p._num, inv)],
-                                  v * p._den))
+    for n, (u, v) in enumerate(psi.weight_pairs(n_max), 1):
+        p = polys[-1]._num
+        den = v * polys[-1]._den
+        beta = [0] * n
+        for i in range(n - 1, -1, -1):
+            pivot = pivots[i]
+            # below[i] runs to the cap; the sum stops with the known b_j
+            s = u * p[i] - sum(map(mul, beta[i + 1:], below[i]))
+            b, r = divmod(s, pivot)
+            if r:
+                f = abs(pivot) // gcd(pivot, r)
+                b = s * f // pivot
+                beta[i + 1:] = [x * f for x in beta[i + 1:]]
+                u *= f
+                den *= f
+            beta[i] = b
+        polys.append(_from_ints([0] + list(map(mul, beta, dens)), den))
     return BasicSequence(polys, psi, op)
 
 
@@ -209,7 +237,9 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
     ``_scaled_raise``, (S^(-n))' is w_k -> k w_k one place down and n_psi/n
     is the weight pair (a, b) read as a over b n.  The cofactor rows of
     M n_psi! and L/n_psi! are read once, and p_n is scaled down and reduced
-    once.  Reads the weights 1..n_max, and none for n_max <= 0.
+    once.  On x^n a series is read only to z^n, so formula 1 forms the
+    numerators of q' S^(-n-1) only to that order, unreduced.  Reads the
+    weights 1..n_max, and none for n_max <= 0.
     """
     if formula not in (1, 2, 3, 4):
         raise ValueError("formula must be 1, 2, 3 or 4")
@@ -246,8 +276,8 @@ def rodrigues_sequence(delta: DeltaOperator, n_max: int,
                 powers.append(powers[-1] * s_inv)
             w = powers[k]
         if formula == 1:
-            s = q_prime * w
-            v, den = _correlate(s._num, monomial(n)), s._den
+            v = _correlate(_product(q_prime._num, w._num, n), monomial(n))
+            den = q_prime._den * w._den
         elif formula == 2:
             c = w._num
             v = [b * n * x for x in _correlate(c, monomial(n))]

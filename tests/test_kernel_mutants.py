@@ -19,7 +19,7 @@ import textwrap
 import pytest
 
 import test_oracles
-from psi_umbral import algebra, expansion, operators, verify
+from psi_umbral import algebra, expansion, operators, umbral, verify
 from psi_umbral.psi import PsiSequence
 
 GATE_CAP = 8
@@ -38,6 +38,9 @@ MUTANTS = {
                                      "gcd(den, nums[-1])"),
     "triangular_inverse_drops_the_row_denominator": (
         algebra, "_triangular_inverse", "(row._den, one, n)", "(1, one, n)"),
+    # the solve's back substitution, read back on monomials
+    "back_substitution_drops_the_row_denominator": (
+        umbral, "basic_sequence_solve", "list(map(mul, beta, dens))", "beta"),
     "pairs_over_lcm_keeps_a_negative_denominator": (
         algebra, "_pairs_over_lcm", "* abs(d)", "* d"),
     "factorial_pairs_skip_the_weight_gcd": (PsiSequence, "factorial_pairs",
@@ -59,12 +62,15 @@ MUTANTS = {
 
 # The gate has no weight set with a negative pivot, weight or factorial
 # (ROADMAP item 9(b)) and none whose factorial chain breaks, so it misses
-# the sign faults and the factorial one.
+# the sign faults and the factorial one.  No check of the gate reads the
+# inverse of a basis (``monomials_to_basis``, ``umbral_map``), and the solve
+# does not build one, so only the Abel oracle sees the triangular inverse.
 VERIFY_MISSES = {"combination_drops_the_sign", "cofactors_drop_the_sign",
                  "pairs_over_lcm_keeps_a_negative_denominator",
                  "factorial_pairs_skip_the_weight_gcd",
                  "weighted_shift_drops_the_sign",
-                 "shift_witness_compares_numerators_only"}
+                 "shift_witness_compares_numerators_only",
+                 "triangular_inverse_drops_the_row_denominator"}
 
 
 def mutated(original, old, new):
@@ -134,8 +140,8 @@ def gate_failures():
 
 
 def test_oracle_cases_are_collected_and_pass_unmutated():
-    # 17 tests, 73 cases: a collector that skipped the marks finds 17
-    assert len(ORACLE_CASES) >= 73
+    # 18 tests, 75 cases: a collector that skipped the marks finds 18
+    assert len(ORACLE_CASES) >= 75
     assert failing_oracles() == []
     assert gate_failures() == 0
 
@@ -158,3 +164,12 @@ def test_only_the_negative_factorial_oracle_catches_the_cofactor_sign(
         % ("-2", cap) for cap in test_oracles.CAPS] + [
         "test_the_euler_operator_expands_in_jackson_derivatives[%s--2]" % text
         for text in ("X*D", "Xpsi*Dpsi")]
+
+
+def test_only_the_abel_basis_oracle_catches_the_triangular_inverse(
+        monkeypatch):
+    # the one oracle that changes the basis of a polynomial
+    apply(monkeypatch, "triangular_inverse_drops_the_row_denominator")
+    assert failing_oracles() == [
+        "test_monomials_in_the_abel_basis_follow_abels_identity[%s]" % a
+        for a in ("1/2", "-1/3")]

@@ -1,5 +1,6 @@
 """Basic sequences, by the solve and by each closed formula of
-``rodrigues_sequence``, Gaussian binomials and their alternating sums, the
+``rodrigues_sequence``, the coordinates of monomials in the Abel basis,
+Gaussian binomials and their alternating sums, the
 Jackson derivative and raising operator, the gate and detection on a
 dilated Jackson derivative, the Euler operator x D in Jackson
 derivatives, series inverses, the normal ordering of D^n X^m
@@ -96,6 +97,18 @@ def test_basic_of_derivative_times_shift_is_abel(cap, a):
     want = [oracles.abel(n, Fraction(a)) for n in range(cap)]
     assert basic_polys(op, cap) == want
     assert_closed_forms_give(parsed_delta(op, cap), want)
+
+
+@pytest.mark.parametrize("a", ["1/2", "-1/3"])
+def test_monomials_in_the_abel_basis_follow_abels_identity(a):
+    # x^n = sum_k C(n, k) (a k)^(n-k) x (x - a k)^(k-1): Abel's identity at
+    # y = 0 (Roman 1984, ch. 2), read with 0^0 = 1 at k = 0
+    u, v = (int(s) for s in a.split("/"))
+    basis = parsed_delta("D*E[%s]" % a, 9).basic(8)
+    for n in range(9):
+        want = [Fraction(comb(n, k) * (u * k) ** (n - k), v ** (n - k))
+                for k in range(n + 1)]
+        assert basis.monomials_to_basis(Polynomial.monomial(n)) == want, n
 
 
 @pytest.mark.parametrize("cap", CAPS)

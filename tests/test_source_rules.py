@@ -15,8 +15,10 @@
   independent routes although all three end in ``_weighted_shift``.
 - ``rodrigues_sequence``, and every package function it names, directly
   or through another, names neither the solve nor the triangular inverse
-  and combinations behind it, so ``verify`` compares the closed formulas
-  with the solve as independent routes.
+  and combinations, and ``basic_sequence_solve`` in the same way names
+  neither the closed formulas nor their correlation, scaled coordinates
+  and series product, so ``verify`` compares the closed formulas with the
+  solve as independent routes.
 - Only ``algebra`` calls ``object.__new__``: polynomials and series are
   built without their constructors in that one module, through ``_raw``.
 - Every top-level private function is used somewhere in the package
@@ -129,6 +131,8 @@ def test_q_and_r_integrals_read_no_weights_object(name):
 
 SOLVE_ROUTE = ("basic_sequence_solve", "_triangular_inverse", "_combination",
                "_linear_combination")
+CLOSED_FORM_ROUTE = ("rodrigues_sequence", "_correlate", "_scaled_up",
+                     "_scaled_down", "_scaled_raise", "_product")
 
 
 def _functions(paths):
@@ -141,9 +145,10 @@ def _functions(paths):
     return out
 
 
-def _solve_route_names(functions, root="rodrigues_sequence"):
+def _solve_route_names(functions, root="rodrigues_sequence",
+                       route=SOLVE_ROUTE):
     """Where root, or a top-level function it names directly or through
-    another, names a member of ``SOLVE_ROUTE``."""
+    another, names a member of route."""
     found, seen, todo = [], set(), [root]
     while todo:
         name = todo.pop()
@@ -153,7 +158,7 @@ def _solve_route_names(functions, root="rodrigues_sequence"):
         for path, node in functions.get(name, ()):
             for n in ast.walk(node):
                 ident = _identifier(n)
-                if ident in SOLVE_ROUTE:
+                if ident in route:
                     found.append(_where(path, n) + " " + ident)
                 elif ident in functions and n is not node:
                     todo.append(ident)
@@ -177,6 +182,23 @@ def test_the_solve_route_rule_sees_a_planted_name(tmp_path):
                        "    return _combination([], 1)\n")
     assert _solve_route_names(_functions([planted])) == [
         "planted.py:8 _combination"]
+
+
+def test_the_solve_names_no_part_of_the_closed_formulas():
+    functions = _functions(MODULES)
+    assert "basic_sequence_solve" in functions and "_product" in functions
+    assert _solve_route_names(functions, "basic_sequence_solve",
+                              CLOSED_FORM_ROUTE) == []
+
+
+def test_the_closed_form_route_rule_sees_a_planted_name(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("def basic_sequence_solve(op):\n"
+                       "    return _helper(op)\n\n"
+                       "def _helper(op):\n"
+                       "    return _product(op, op, 1)\n")
+    assert _solve_route_names(_functions([planted]), "basic_sequence_solve",
+                              CLOSED_FORM_ROUTE) == ["planted.py:5 _product"]
 
 
 def _argparse_private_names():

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psi_umbral import umbral
 from psi_umbral.algebra import Polynomial, TruncatedSeries
 from psi_umbral.errors import (CapExceededError, NonInvertibleError,
                                NotDegreeLoweringError, NotShiftInvariantError,
                                SelfCheckError)
-from psi_umbral.operators import (GradedOperator, SeriesOperator,
+from psi_umbral.exprparse import OperatorContext, parse_operator
+from psi_umbral.operators import (GradedOperator, SeriesOperator, ShiftOperator,
                                   apply_psi_series,
                                   derivative_op, forward_difference_op,
                                   multiply_x_op, operator_from_series,
@@ -74,6 +77,21 @@ def test_basic_sequence_rejects_non_lowering():
         basic_sequence_solve(multiply_x_op(CAP), psi, 3)
     with pytest.raises(NotDegreeLoweringError):
         basic_sequence_solve(GradedOperator.identity(CAP), psi, 3)
+    flat = GradedOperator([Polynomial(), Polynomial.one(), Polynomial.one()], 2)
+    with pytest.raises(NotDegreeLoweringError) as err:
+        basic_sequence_solve(flat, psi, 2)
+    assert (err.value.message, err.value.details) == (
+        "image of x^2 has degree 0, expected 1", {"n": 2})
+
+
+def test_basic_sequence_solve_checks_the_degree_of_each_row(monkeypatch):
+    # the lowering check reads rows 0 and 1 only of a series value, so the
+    # solve checks every row it reads itself
+    monkeypatch.setattr(umbral, "_require_lowers_by_one", lambda *args: None)
+    flat = GradedOperator([Polynomial(), Polynomial.one(), Polynomial.one()], 2)
+    with pytest.raises(SelfCheckError) as err:
+        basic_sequence_solve(flat, classical(), 2)
+    assert err.value.message == "triangular row 1 has degree 0, expected 1"
 
 
 def test_basic_sequence_works_without_shift_invariance():
@@ -123,8 +141,10 @@ def test_monomials_to_basis_rejects_a_row_of_the_wrong_degree(polys):
 
 def test_basic_sequence_solve_refuses_n_past_the_cap():
     psi = classical()
-    with pytest.raises(CapExceededError, match="n_max 9 beyond operator cap 8"):
+    with pytest.raises(CapExceededError) as err:
         basic_sequence_solve(forward_difference_op(psi, 8), psi, 9)
+    assert (err.value.message, err.value.details) == (
+        "n_max 9 beyond operator cap 8", {"cap": 8})
 
 
 def test_basic_sequence_solve_to_degree_zero_is_one():
@@ -676,8 +696,20 @@ def back_substitution(op, psi, n_max):
     return [Polynomial(c) for c in polys]
 
 
+def counted_scale_ups(monkeypatch):
+    """A list that grows by one each time ``basic_sequence_solve`` scales
+    up on a pivot that does not divide, the one place it takes a gcd."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+    monkeypatch.setattr(umbral, "gcd", counted)
+    return calls
+
+
 @pytest.mark.parametrize("weights", sorted(KERNEL_WEIGHTS))
-def test_basic_sequence_solve_matches_back_substitution(weights):
+def test_basic_sequence_solve_matches_back_substitution(weights, monkeypatch):
     cap = 12
     psi = KERNEL_WEIGHTS[weights](cap)
     rng = random.Random("solve:" + weights)
@@ -693,4 +725,41 @@ def test_basic_sequence_solve_matches_back_substitution(weights):
         lead = Fraction(rng.choice((-5, -1, 2, 3)), rng.choice((1, 3, 2 ** 31 - 1)))
         images.append(Polynomial(mixed_fractions(rng, n - 1) + [lead]))
     op = GradedOperator(images, cap)
+    scale_ups = counted_scale_ups(monkeypatch)
     assert list(basic_sequence_solve(op, psi, cap)) == back_substitution(op, psi, cap)
+    # leads such as 2/(2**31 - 1) give pivots that do not divide
+    assert scale_ups
+
+
+def test_back_substitution_divides_by_pivots_of_both_signs(monkeypatch):
+    # row n leads with c_1 [n]_q, and [n]_(-2) alternates in sign
+    cap = 12
+    psi = PsiSequence.jackson(-2, cap)
+    rng = random.Random("signs")
+    op = DeltaOperator.from_indicator(
+        [0, Fraction(-3, 7)] + mixed_fractions(rng, cap - 1), psi, cap)
+    leads = [op.image(n).leading_coefficient for n in range(1, cap + 1)]
+    assert min(leads) < 0 < max(leads)
+    assert list(basic_sequence_solve(op, psi, cap)) == back_substitution(op, psi, cap)
+    # the weighted derivative's pivots n_psi divide n_psi p_(n-1) = n_psi x^(n-1)
+    scale_ups = counted_scale_ups(monkeypatch)
+    d = psi_derivative_op(psi, cap)
+    assert list(basic_sequence_solve(d, psi, cap)) == back_substitution(d, psi, cap)
+    assert scale_ups == []
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_back_substitution_at_the_first_orders(n_max):
+    psi = PsiSequence.jackson(Fraction(-1, 2), CAP)
+    op = forward_difference_op(psi, CAP)
+    assert list(basic_sequence_solve(op, psi, n_max)) == \
+        back_substitution(op, psi, n_max)
+
+
+def test_back_substitution_on_a_shift_by_minus_one():
+    # D under q = 1/2 is the weighted shift x^n -> n x^(n-1), no series in
+    # the Jackson derivative
+    psi = PsiSequence.jackson(Fraction(1, 2), CAP)
+    op = parse_operator("D", OperatorContext(CAP, psi))
+    assert isinstance(op, ShiftOperator) and op.shift == -1
+    assert list(basic_sequence_solve(op, psi, CAP)) == back_substitution(op, psi, CAP)
