@@ -342,23 +342,6 @@ def _combination(terms, den: int) -> Polynomial:
     return _raw(tuple(out), den)
 
 
-def _triangular_inverse(rows) -> list:
-    """Rows v_n = L^(-1) x^n of the map L: x^n -> rows[n], for rows of
-    degree exactly n: with rows[n] = a/d on ints,
-    v_n = (d x^n - sum_(j<n) a_j v_j) / a_n, one combination per row."""
-    one = _raw((1,), 1)
-    inv = []
-    for n, row in enumerate(rows):
-        a = row._num
-        if len(a) != n + 1:
-            raise SelfCheckError("triangular row %d has degree %s, expected %d"
-                                 % (n, row.degree, n))
-        terms = [(-a[j], inv[j], 0) for j in range(n)]
-        terms.append((row._den, one, n))
-        inv.append(_combination(terms, a[n]))
-    return inv
-
-
 def _linear_combination(p: Polynomial, rows) -> Polynomial:
     """sum_n p_n * rows[n]."""
     return _combination(zip(p._num, rows, repeat(0)), p._den)

@@ -37,6 +37,7 @@ by exactly one lives here too; a series value settles it from rows 0 and
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from .algebra import (NEG_INF, Polynomial, TruncatedSeries, _from_ints,
                       _linear_combination, _lowest_pair, _over_lcm,
@@ -412,49 +413,30 @@ def operator_from_series(coeffs, psi: PsiSequence, cap: int) -> GradedOperator:
 def _series_rule(coeffs, psi: PsiSequence, cap: int):
     """The rule n -> image of x^n under sum_k c_k * (psi-derivative)^k.
 
-    The weights are read when the rule is made, not when it runs, so a
-    weight sequence too short for the cap fails here; each coefficient is
-    reduced when a row first reads it, so row n reduces c_0..c_n only.
+    Row n holds c_(n-j) n_psi!/j_psi! at x^j, for n - j <= K, the index
+    of the last nonzero c_k: with the cofactor row down[j] = L/j_psi!,
+    j = n - K.., of ``psi.cofactors`` that is sum_j c_(n-j) down[j] x^j
+    over c_den down[n], put in lowest terms once, with the sign of
+    down[n], the sign of n_psi!, moved onto the numerators.  The weights
+    are read when the rule is made, not when it runs, so a weight sequence
+    too short for the cap fails here.
     """
     cs, c_den = _series_numerators(coeffs)
-    if not any(cs[1:]):
-        # a constant reads no weights
+    top = len(cs) - 1
+    while top > 0 and not cs[top]:
+        top -= 1
+    if top < 1:
+        # a constant, or no term at all, reads no weights
         return lambda n: _from_ints([0] * n + list(cs[:1]), c_den)
-    # Row n holds c_k n_psi!/(n-k)_psi! at x^(n-k); with c_k = a/b in
-    # lowest terms, n_psi! = f/g and l/j_psi! the weights' cofactors for j
-    # from n - K to n, K the largest such k, that is
-    # (a (l/(n-k)_psi!) / (b l)) * (f/g), collected over the lcm of the b.
-    # The falling products n_psi ... (n-k+1)_psi span the weights 1..cap,
-    # read here.
-    fact = psi.factorial_pairs(cap)
-    terms = []
-    b_lcm = 1
-    reduced = 0
+    psi.factorial_pairs(cap)
 
     def rule(n):
-        nonlocal b_lcm, reduced
-        for k in range(reduced, min(n + 1, len(cs))):
-            a = cs[k]
-            if a:
-                g = gcd(a, c_den)
-                b = c_den // g
-                terms.append((k, a // g, b))
-                if b_lcm % b:
-                    b_lcm = b_lcm // gcd(b_lcm, b) * b
-            reduced = k + 1
-        used = [term for term in terms if term[0] <= n]
-        if not used:
-            return Polynomial()
-        low = n - used[-1][0]
-        l, cofactors = psi.cofactors(n, 0, low)
-        f, g = fact[n]
-        h = gcd(f, l)
-        f //= h
-        out = [0] * (n + 1)
-        for k, a, b in used:
-            i = n - k
-            out[i] = a * (b_lcm // b) * cofactors[i - low] * f
-        return _from_ints(out, b_lcm * (l // h) * g)
+        low = max(n - top, 0)
+        _, down = psi.cofactors(n, 0, low)
+        nums = [0] * low + list(map(mul, cs[n - low::-1], down))
+        if down[-1] < 0:
+            nums = [-x for x in nums]
+        return _from_ints(nums, c_den * abs(down[-1]))
 
     return rule
 

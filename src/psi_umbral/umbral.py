@@ -9,6 +9,11 @@ int columns of the operator's rows, which works for any degree-lowering
 operator, and closed formulas built from Pincherle derivatives and inverse
 powers of the S factor.  Having both is the point; they must agree exactly.
 
+The basic sequence and the coordinates of x^n in its basis (the inverse
+umbral map) are the same triangular solve, so ``_back_substitution`` is
+its one home: the solve, ``monomials_to_basis`` and ``umbral_map`` run it
+on the ``_triangular_columns`` of their rows.
+
 The closed formulas run on Ward's scaled coordinates a_j j_psi!, where
 they read no weights, and share no code with the solve.
 """
@@ -19,8 +24,7 @@ from math import gcd
 from operator import mul
 
 from .algebra import (Polynomial, TruncatedSeries, _from_ints,
-                      _generating_sum, _linear_combination, _product,
-                      _triangular_inverse)
+                      _generating_sum, _product)
 from .errors import (CapExceededError, NonInvertibleError,
                      NotDegreeLoweringError, SelfCheckError)
 from .operators import (GradedOperator, SeriesOperator, _correlate,
@@ -83,10 +87,12 @@ class BasicSequence:
         return [p.to_json() for p in self.polys]
 
     def monomials_to_basis(self, p: Polynomial):
-        """Coordinates of p in the p_n basis: p read by the inverse of the
-        table x^k -> p_k, k <= deg p.  Reads no weights."""
+        """Coordinates g_k of p in the p_n basis, k <= deg p: the back
+        substitution of p on the columns of p_0..p_(deg p), so that
+        sum_k g_k p_k = p.  Reads no weights."""
         n = _degree_in_basis(p, len(self.polys))
-        g = _linear_combination(p, _triangular_inverse(self.polys[:n + 1]))
+        columns = _triangular_columns(self.polys[:n + 1])
+        g = _from_ints(*_back_substitution(columns, p._num, 1, p._den))
         return [g.coefficient(k) for k in range(n + 1)]
 
     def umbral_map(self):
@@ -95,12 +101,17 @@ class BasicSequence:
 
         U^(-1) Q U = D and U^(-1) R U = X for Q p_n = n_psi p_(n-1) and the
         dual raise R, so T = sum q_n(R) Q^n exactly when U^(-1) T U =
-        sum q_n(x) D^n.  Reads the weights 1..top; built once per sequence.
+        sum q_n(x) D^n.  Row n of U^(-1) is the back substitution of x^n
+        on the columns of U.  Reads the weights 1..top; built once per
+        sequence.
         """
         if self._umbral is None:
             u = GradedOperator([self.psi.raising_ratio(0, n) * p
                                 for n, p in enumerate(self.polys)])
-            self._umbral = u, GradedOperator(_triangular_inverse(u.images))
+            columns = _triangular_columns(u.images)
+            self._umbral = u, GradedOperator([
+                _from_ints(*_back_substitution(columns, [0] * n + [1], 1, 1))
+                for n in range(len(self.polys))])
         return self._umbral
 
 
@@ -113,50 +124,63 @@ def _degree_in_basis(p: Polynomial, size: int) -> int:
     return n
 
 
+def _triangular_columns(rows):
+    """The rows r_j/d_j, of degree exactly j, on ints: the d_j, the pivots
+    r_j[j] and, for each i, the column r_j[i], j > i, below pivot i."""
+    for n, row in enumerate(rows):
+        if len(row._num) != n + 1:
+            raise SelfCheckError("triangular row %d has degree %s, expected %d"
+                                 % (n, row.degree, n))
+    return ([row._den for row in rows],
+            [row._num[n] for n, row in enumerate(rows)],
+            [[row._num[i] for row in rows[i + 1:]] for i in range(len(rows))])
+
+
+def _back_substitution(columns, t, m: int, den: int):
+    """Ints a_j and D > 0 with sum_j (a_j/D) row_j = m sum_i t_i x^i / den,
+    for the ``_triangular_columns`` of the rows, ints t and m, and den > 0.
+
+    With b_j = a_j/d_j the x^i entry gives b_i from the b_j above it, over
+    the pivot r_i[i], from the top coefficient down.  The b_j are ints
+    over one denominator, scaled up only by the factor of a pivot that
+    does not divide.
+    """
+    dens, pivots, below = columns
+    beta = [0] * len(t)
+    for i in range(len(t) - 1, -1, -1):
+        pivot = pivots[i]
+        # below[i] runs to the last row; the sum stops with the known b_j
+        s = m * t[i] - sum(map(mul, beta[i + 1:], below[i]))
+        b, r = divmod(s, pivot)
+        if r:
+            f = abs(pivot) // gcd(pivot, r)
+            b = s * f // pivot
+            beta[i + 1:] = [x * f for x in beta[i + 1:]]
+            m *= f
+            den *= f
+        beta[i] = b
+    return list(map(mul, beta, dens)), den
+
+
 def basic_sequence_solve(op: GradedOperator, psi: PsiSequence,
                          n_max: int) -> BasicSequence:
     """Back substitution for p_0 = 1, p_n(0) = 0, op p_n = n_psi p_(n-1).
 
     Works for any operator that lowers degree by exactly one; shift
-    invariance is not needed here.  With the rows op(x^j) = r_j/d_j on
-    ints, p_n = sum_j a_j x^j solves sum_j b_j r_j = n_psi p_(n-1) for
-    b_j = a_j/d_j from the top coefficient down: the x^i entry gives
-    b_(i+1) from the b_j above it, over the pivot r_(i+1)[i].  The pivots
-    and the columns below them are read once per solve, n_psi = u/v as
-    the multiplier u over v, and the b_j are ints over one denominator,
-    scaled up only by the factor of a pivot that does not divide; p_n is
-    reduced once.
+    invariance is not needed here.  The rows op(x^(j+1)), of degree j, are
+    read once into ``_triangular_columns``; with n_psi = u/v, p_n is x
+    times the ``_back_substitution`` of u p_(n-1)/v on them, reduced once.
     """
     if n_max > op.cap:
         raise CapExceededError("n_max %d beyond operator cap %d"
                                % (n_max, op.cap), cap=op.cap)
     _require_lowers_by_one(op, n_max, "")
-    rows = [op.image(n + 1) for n in range(n_max)]
-    for n, row in enumerate(rows):
-        if len(row._num) != n + 1:
-            raise SelfCheckError("triangular row %d has degree %s, expected %d"
-                                 % (n, row.degree, n))
-    dens = [row._den for row in rows]
-    pivots = [row._num[n] for n, row in enumerate(rows)]
-    below = [[row._num[i] for row in rows[i + 1:]] for i in range(n_max)]
+    columns = _triangular_columns([op.image(n + 1) for n in range(n_max)])
     polys = [Polynomial.one()]
-    for n, (u, v) in enumerate(psi.weight_pairs(n_max), 1):
-        p = polys[-1]._num
-        den = v * polys[-1]._den
-        beta = [0] * n
-        for i in range(n - 1, -1, -1):
-            pivot = pivots[i]
-            # below[i] runs to the cap; the sum stops with the known b_j
-            s = u * p[i] - sum(map(mul, beta[i + 1:], below[i]))
-            b, r = divmod(s, pivot)
-            if r:
-                f = abs(pivot) // gcd(pivot, r)
-                b = s * f // pivot
-                beta[i + 1:] = [x * f for x in beta[i + 1:]]
-                u *= f
-                den *= f
-            beta[i] = b
-        polys.append(_from_ints([0] + list(map(mul, beta, dens)), den))
+    for u, v in psi.weight_pairs(n_max):
+        p = polys[-1]
+        a, den = _back_substitution(columns, p._num, u, v * p._den)
+        polys.append(_from_ints([0] + a, den))
     return BasicSequence(polys, psi, op)
 
 

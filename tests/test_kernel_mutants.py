@@ -36,11 +36,10 @@ MUTANTS = {
     "lowest_terms_reads_one_entry": (algebra, "_lowest_terms",
                                      "gcd(den, nums[-1], *nums)",
                                      "gcd(den, nums[-1])"),
-    "triangular_inverse_drops_the_row_denominator": (
-        algebra, "_triangular_inverse", "(row._den, one, n)", "(1, one, n)"),
-    # the solve's back substitution, read back on monomials
+    # the one back substitution, read back on monomials: the solve,
+    # ``monomials_to_basis`` and ``umbral_map`` all run it
     "back_substitution_drops_the_row_denominator": (
-        umbral, "basic_sequence_solve", "list(map(mul, beta, dens))", "beta"),
+        umbral, "_back_substitution", "list(map(mul, beta, dens))", "beta"),
     "pairs_over_lcm_keeps_a_negative_denominator": (
         algebra, "_pairs_over_lcm", "* abs(d)", "* d"),
     "factorial_pairs_skip_the_weight_gcd": (PsiSequence, "factorial_pairs",
@@ -58,19 +57,20 @@ MUTANTS = {
     # step 1 of the expansion on the one diagonal of a weighted shift
     "shift_step_one_adds_the_earlier_terms": (
         expansion, "_shift_step_one", "- v * sum(", "+ v * sum("),
+    # a series value's row n, over down[n] = L/n_psi! taken as positive
+    "series_row_drops_the_sign": (operators, "_series_rule",
+                                  "if down[-1] < 0:", "if False:"),
 }
 
 # The gate has no weight set with a negative pivot, weight or factorial
 # (ROADMAP item 9(b)) and none whose factorial chain breaks, so it misses
-# the sign faults and the factorial one.  No check of the gate reads the
-# inverse of a basis (``monomials_to_basis``, ``umbral_map``), and the solve
-# does not build one, so only the Abel oracle sees the triangular inverse.
+# the sign faults and the factorial one.
 VERIFY_MISSES = {"combination_drops_the_sign", "cofactors_drop_the_sign",
                  "pairs_over_lcm_keeps_a_negative_denominator",
                  "factorial_pairs_skip_the_weight_gcd",
                  "weighted_shift_drops_the_sign",
                  "shift_witness_compares_numerators_only",
-                 "triangular_inverse_drops_the_row_denominator"}
+                 "series_row_drops_the_sign"}
 
 
 def mutated(original, old, new):
@@ -166,10 +166,11 @@ def test_only_the_negative_factorial_oracle_catches_the_cofactor_sign(
         for text in ("X*D", "Xpsi*Dpsi")]
 
 
-def test_only_the_abel_basis_oracle_catches_the_triangular_inverse(
-        monkeypatch):
-    # the one oracle that changes the basis of a polynomial
-    apply(monkeypatch, "triangular_inverse_drops_the_row_denominator")
-    assert failing_oracles() == [
-        "test_monomials_in_the_abel_basis_follow_abels_identity[%s]" % a
-        for a in ("1/2", "-1/3")]
+def test_the_abel_basis_oracle_catches_the_back_substitution(monkeypatch):
+    # no check of the gate reads the inverse of a basis, so an oracle that
+    # changes the basis of a polynomial must reach the shared kernel
+    apply(monkeypatch, "back_substitution_drops_the_row_denominator")
+    failed = failing_oracles()
+    for a in ("1/2", "-1/3"):
+        assert ("test_monomials_in_the_abel_basis_follow_abels_identity[%s]"
+                % a) in failed

@@ -24,6 +24,7 @@ from psi_umbral.operators import (GradedOperator, SeriesOperator,
                                   shift_invariant_coefficients)
 from psi_umbral.psi import PsiSequence
 from psi_umbral.umbral import DeltaOperator
+from test_umbral import falling_per_entry
 
 CAP = 10
 
@@ -369,8 +370,15 @@ def test_other_weights_and_plain_tables_compare_by_rows():
 LAZY_CAP = 40
 LAZY_WEIGHTS = {
     "q=1/2": lambda: PsiSequence.jackson(Fraction(1, 2), LAZY_CAP),
+    # [n]_(-2)! changes sign, so row n sits over a negative L/n_psi!
+    "q=-2": lambda: PsiSequence.jackson(-2, LAZY_CAP),
     "negative custom": lambda: PsiSequence.custom(
         [Fraction((-1) ** n * (n + 2), n % 4 + 1)
+         for n in range(1, LAZY_CAP + 1)]),
+    # (n+1)/2 at odd n, 2/n at even n: the factorial chain breaks at every
+    # even n, so the cofactors take an lcm
+    "broken custom": lambda: PsiSequence.custom(
+        [Fraction(n + 1, 2) if n % 2 else Fraction(2, n)
          for n in range(1, LAZY_CAP + 1)]),
 }
 SHAPES = {
@@ -384,9 +392,11 @@ SHAPES = {
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("weights", sorted(LAZY_WEIGHTS))
 def test_rows_read_in_any_order_equal_the_plain_table(weights, shape):
+    # the reference reads one falling factorial a cell, on Fractions
     psi = LAZY_WEIGHTS[weights]()
     series = TruncatedSeries(SHAPES[shape], LAZY_CAP)
-    want = operator_from_series(series, psi, LAZY_CAP).images
+    want = falling_per_entry(SHAPES[shape], psi, LAZY_CAP).images
+    assert operator_from_series(series, psi, LAZY_CAP).images == want
     down = SeriesOperator(series, psi)
     assert [down.image(n) for n in range(LAZY_CAP, -1, -1)] == list(
         reversed(want))

@@ -129,8 +129,8 @@ def test_q_and_r_integrals_read_no_weights_object(name):
     assert _weights_reads(name) == []
 
 
-SOLVE_ROUTE = ("basic_sequence_solve", "_triangular_inverse", "_combination",
-               "_linear_combination")
+SOLVE_ROUTE = ("basic_sequence_solve", "_triangular_columns",
+               "_back_substitution", "_combination", "_linear_combination")
 CLOSED_FORM_ROUTE = ("rodrigues_sequence", "_correlate", "_scaled_up",
                      "_scaled_down", "_scaled_raise", "_product")
 

@@ -132,11 +132,19 @@ def test_monomials_to_basis_roundtrip():
     (Polynomial.one(), Polynomial((0, 0, 1)), Polynomial((0, 0, 1))),
 ])
 def test_monomials_to_basis_rejects_a_row_of_the_wrong_degree(polys):
-    # p_k must have degree exactly k for the basis to be triangular
+    # p_k must have degree exactly k for the basis to be triangular, and
+    # the umbral map inverts the same rows
     psi = classical()
     seq = BasicSequence(polys, psi, forward_difference_op(psi, CAP))
-    with pytest.raises(SelfCheckError):
+    bad = next(k for k, p in enumerate(polys) if len(p.coeffs) != k + 1)
+    message = "triangular row %d has degree %d, expected %d" % (
+        bad, polys[bad].degree, bad)
+    with pytest.raises(SelfCheckError) as err:
         seq.monomials_to_basis(Polynomial.monomial(2))
+    assert err.value.message == message
+    with pytest.raises(SelfCheckError) as err:
+        seq.umbral_map()
+    assert err.value.message == message
 
 
 def test_basic_sequence_solve_refuses_n_past_the_cap():
@@ -697,8 +705,9 @@ def back_substitution(op, psi, n_max):
 
 
 def counted_scale_ups(monkeypatch):
-    """A list that grows by one each time ``basic_sequence_solve`` scales
-    up on a pivot that does not divide, the one place it takes a gcd."""
+    """A list that grows by one each time the back substitution (the solve,
+    ``monomials_to_basis``, ``umbral_map``) scales up on a pivot that does
+    not divide, the one place ``umbral`` takes a gcd."""
     calls = []
 
     def counted(a, b):
@@ -763,3 +772,60 @@ def test_back_substitution_on_a_shift_by_minus_one():
     op = parse_operator("D", OperatorContext(CAP, psi))
     assert isinstance(op, ShiftOperator) and op.shift == -1
     assert list(basic_sequence_solve(op, psi, CAP)) == back_substitution(op, psi, CAP)
+
+
+def coordinates_in(basis, p):
+    """g_0..g_(deg p) with sum_k g_k basis[k] = p, for basis[k] of degree
+    k, from the top coefficient down on Fraction lists."""
+    rest = list(p.coeffs) or [Fraction(0)]
+    g = [Fraction(0)] * len(rest)
+    for k in range(len(rest) - 1, -1, -1):
+        row = basis[k].coeffs
+        g[k] = rest[k] / row[k]
+        for i in range(k + 1):
+            rest[i] -= g[k] * row[i]
+    return g
+
+
+def wide_pivot_basis(rng, top):
+    """p_0..p_top with leads of both signs over 1, 3 and 2**31 - 1 and
+    lower terms of mixed denominators."""
+    return [Polynomial(mixed_fractions(rng, k) + [Fraction(
+        rng.choice((-5, -1, 2, 3)), rng.choice((1, 3, 2 ** 31 - 1)))])
+        for k in range(top + 1)]
+
+
+def test_monomials_to_basis_matches_the_fraction_reference(monkeypatch):
+    top = 10
+    rng = random.Random("basis")
+    polys = wide_pivot_basis(rng, top)
+    assert min(p.leading_coefficient for p in polys[1:]) < 0
+    seq = BasicSequence(polys, classical(), derivative_op(top))
+    scale_ups = counted_scale_ups(monkeypatch)
+    samples = [Polynomial(), Polynomial((Fraction(-7, 2 ** 31 - 1),))]
+    samples += [Polynomial(mixed_fractions(rng, n) + [Fraction(n + 1, 7)])
+                for n in range(top + 1)]
+    for p in samples:
+        g = seq.monomials_to_basis(p)
+        assert g == coordinates_in(polys, p)
+        rebuilt = Polynomial()
+        for k, c in enumerate(g):
+            rebuilt = rebuilt + c * polys[k]
+        assert rebuilt == p
+    # leads such as 2/(2**31 - 1) give pivots that do not divide
+    assert scale_ups
+
+
+@pytest.mark.parametrize("weights", ["q=1/2", "q=-2"])
+def test_umbral_map_inverts_the_rows_of_u(weights, monkeypatch):
+    top = 8
+    psi = KERNEL_WEIGHTS[weights](top)
+    polys = wide_pivot_basis(random.Random("umbral:" + weights), top)
+    scale_ups = counted_scale_ups(monkeypatch)
+    u, u_inv = BasicSequence(polys, psi, derivative_op(top)).umbral_map()
+    assert scale_ups
+    for n in range(top + 1):
+        assert u.image(n) == psi.raising_ratio(0, n) * polys[n]
+        x_n = Polynomial.monomial(n)
+        assert u_inv.image(n) == Polynomial(coordinates_in(u.images, x_n))
+        assert u_inv.apply(u.image(n)) == x_n
